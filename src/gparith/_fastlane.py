@@ -16,17 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import AlgebraicReal
+from .exactnum import AlgebraicReal, frac_signed, nint
 
 _SCALE = float(2.0**-64)
+_INT64_MAX = (1 << 63) - 1
 
 
-def _dyadic_round(fr: Fraction, bits: int) -> int:
-    num, den = fr.numerator, fr.denominator
-    q, r = divmod(num << bits, den)
-    if 2 * r >= den:
-        q += 1
-    return q
+def check_int64_product(*factors) -> None:
+    """Raise ValueError unless a product of integers bounded in magnitude by
+    `factors` fits in int64 (lane products must never wrap silently)."""
+    bound = 1
+    for f in factors:
+        bound *= abs(int(f))
+    if bound > _INT64_MAX:
+        raise ValueError("lane product exceeds the int64 range")
 
 
 class FastConst:
@@ -44,14 +47,11 @@ class FastConst:
             self.exact_frac = lambda k: (value * k).frac_signed()
         else:
             approx = Fraction(value)
-            self.exact_nint = lambda k: _nint_rational(approx * k)
-            self.exact_frac = lambda k: approx * k - _nint_rational(approx * k)
+            self.exact_nint = lambda k: nint(approx * k)
+            self.exact_frac = lambda k: frac_signed(approx * k)
         self.f64 = float(approx)
-        nint_c = _nint_rational(approx)
-        frac_c = approx - nint_c
-        # |frac_c - A/2^64| <= 2^-65 + (enclosure width 2^-80)
-        self._A = np.uint64(_dyadic_round(frac_c, 64) & ((1 << 64) - 1))
-        self._nint_c = nint_c
+        # |frac_signed(const) - A/2^64| <= 2^-65 + (enclosure width 2^-80)
+        self._A = np.uint64(nint(frac_signed(approx) * (1 << 64)) & ((1 << 64) - 1))
 
     def frac_scaled(self, k: np.ndarray) -> np.ndarray:
         """int64 array f with f/2^64 ~ frac_signed(const*k), err <= (k+2)/2^64."""
@@ -95,11 +95,6 @@ class FastConst:
         return frac, margin
 
 
-def _nint_rational(fr: Fraction) -> int:
-    shifted = fr + Fraction(1, 2)
-    return shifted.numerator // shifted.denominator
-
-
 class QuadSeqFast:
     """Exact bulk evaluation of g(n) = nint(beta*n*nint(alpha*n)), beta in Z."""
 
@@ -110,12 +105,11 @@ class QuadSeqFast:
         self.beta = beta
         self.const = FastConst(alpha)
 
-    def nint_alpha(self, n: np.ndarray) -> np.ndarray:
-        return self.const.nint_vec_exact(n)
-
     def g_vec(self, n: np.ndarray) -> np.ndarray:
         """Exact g on an int64 vector (beta*n*nint(alpha*n) is an integer)."""
         q = self.const.nint_vec_exact(n)
+        if len(n):
+            check_int64_product(self.beta, np.abs(n).max(), np.abs(q).max())
         return self.beta * n * q
 
     def g_range(self, lo: int, hi: int) -> np.ndarray:
@@ -138,15 +132,13 @@ class BohrFast:
         self.const = FastConst(alpha)
         self._rho64 = float(self.rho)
 
-    def norm_alpha_sq_filter(self, n: np.ndarray):
-        """(norm float64, margin float64) of norm(alpha*n^2) -- filter only."""
-        k = n.astype(np.int64) ** 2
-        frac, margin = self.const.frac_vec_filter(k)
-        return np.abs(frac), margin
-
     def g_vec(self, n: np.ndarray) -> np.ndarray:
         """Exact indicator values on an int64 vector."""
-        k = n.astype(np.int64) ** 2
+        n = n.astype(np.int64)
+        if len(n):
+            m = np.abs(n).max()
+            check_int64_product(m, m)
+        k = n ** 2
         frac, margin = self.const.frac_vec_filter(k)
         norm = np.abs(frac)
         out = (norm < self._rho64).astype(np.int8)

@@ -7,18 +7,15 @@ characterisation used as the authoritative cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._fastlane import BohrFast, FastConst
+from ._fastlane import BohrFast, FastConst, check_int64_product
 from .errors import NotFoundWithinBudget, PreconditionViolated
 from .exactnum import AlgebraicReal
-
-VERIFIED = "verified-in-range"
-REFUTED = "refuted-in-range"
-CAP_EXHAUSTED = "cap-exhausted"
+from .focheck import CAP_EXHAUSTED, REFUTED, VERIFIED, Verdict
 
 
 @dataclass(frozen=True)
@@ -61,13 +58,6 @@ class BohrBounds:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass
-class Verdict:
-    tag: str
-    value: bool | None
-    detail: dict = dc_field(default_factory=dict)
-
-
 class BohrWorld:
     """Cached evaluation context for one (alpha, rho) pair."""
 
@@ -95,9 +85,6 @@ class BohrWorld:
         n = abs(n)  # even sequence
         self._ensure(n)
         return int(self._G[n])
-
-    def g_bohr(self, n: int) -> int:
-        return self.g(n)
 
     # -- almost periods --------------------------------------------------------
 
@@ -306,23 +293,6 @@ class BohrWorld:
                 return Verdict(REFUTED, False, {"failing_n": n})
         return Verdict(VERIFIED, True, {"antecedents": len(antecedents)})
 
-    # -- functional surface ------------------------------------------------------
-
-    def mu_b(self, m: int, N: int) -> bool:
-        return self.mu(m, N)
-
-    def lambda_b(self, m: int, N: int) -> bool:
-        return self.lambda_(m, N)
-
-    def kappa_b(self, m: int, N: int) -> Verdict:
-        return self.kappa(m, N)
-
-    def nu_b(self, m: int, m_tilde: int, N: int) -> Verdict:
-        return self.nu(m, m_tilde, N)
-
-    def delta_b(self, m: int, m_tilde: int) -> Verdict:
-        return self.delta_rel(m, m_tilde)
-
 
 # ---------------------------------------------------------------------------
 # Sequence-based divisibility characterisation
@@ -397,6 +367,7 @@ def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
             mask = np.abs(f1) < eps_f + g1
             if mask.any():
                 sub = ns[mask]
+                check_int64_product(sub[-1], sub[-1])
                 f2, g2 = c2.frac_vec_filter(sub * sub)
                 mask2 = np.abs(f2) < eps_f + g2
                 sub2 = sub[mask2]

@@ -269,8 +269,7 @@ def cmd_verify(args, cfg) -> int:
         ctx = AlphaContext(alpha, beta_for_lane(beta_val))
         result = H.verify_lemma36(ctx, n_max=args.n_max or 50,
                                   nprime_max=args.nprime_max or 600,
-                                  bounds=cfg.bound_profile(),
-                                  threads=cfg.threads)
+                                  bounds=cfg.bound_profile())
         conv = H.verify_converse34(ctx, count=args.pairs or 1000, seed=cfg.seed)
         result.records.extend(conv.records)
         result.violations += conv.violations
@@ -310,7 +309,7 @@ def cmd_verify(args, cfg) -> int:
             result = H.verify_lemma44(world)
         else:
             result = H.verify_lemma45(world, max_m=args.m_max or 12,
-                                      budget=args.budget, threads=cfg.threads)
+                                      budget=args.budget)
     runtime_ms = (time.monotonic() - t0) * 1000.0
 
     out = _open_out(args)
@@ -333,17 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "for quadratic generalised-polynomial sequences.")
     ap.add_argument("--config", default=None, help="session config file")
     ap.add_argument("--seed", type=int, default=None, help="override seed")
-    ap.add_argument("--threads", type=int, default=None, help="worker threads")
     ap.add_argument("--out", default=None, help="write report to file")
     ap.add_argument("--verbose", action="store_true",
                     help="include runtime_ms in reports")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("eval", "table"):
-        p = sub.add_parser(name, help="evaluate an expression over a range")
-        p.add_argument("expr")
-        p.add_argument("--n", required=True, help="range A..B or single n")
-        p.set_defaults(func=cmd_eval)
+    p = sub.add_parser("eval", help="evaluate an expression over a range")
+    p.add_argument("expr")
+    p.add_argument("--n", required=True, help="range A..B or single n")
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="witness searches")
     p.add_argument("what", choices=("small-norm", "progression-base", "weyl"))
@@ -357,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='weyl target "expr;lo;hi" (repeatable)')
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("quadruples", help="build/export/import quadruple sets")
-    p.add_argument("action", choices=("build", "export", "import"))
+    p = sub.add_parser("quadruples", help="build (and export) or import quadruple sets")
+    p.add_argument("action", choices=("build", "import"))
     p.add_argument("--m-max", type=int, default=1000)
     p.add_argument("--h-factor", type=int, default=100)
     p.add_argument("--csv", default=None)
@@ -422,8 +419,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.ints["seed"] = args.seed
-        if args.threads is not None:
-            cfg.ints["threads"] = args.threads
         if args.out is None and cfg.out:
             args.out = cfg.out
         return args.func(args, cfg)

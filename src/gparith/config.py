@@ -29,7 +29,7 @@ _ALGEBRAIC = re.compile(
     r'interval\s*=\s*\[\s*"(?P<lo>-?\d+(?:/\d+)?)"\s*,\s*"(?P<hi>-?\d+(?:/\d+)?)"\s*\]\s*\}$')
 
 _INT_KEYS = {
-    "seed", "threads", "C",
+    "seed", "C",
     "n2_cap", "M_cap", "H_cap", "h_cap", "m_cap", "max_range",
     "bohr_N_cap", "bohr_M_cap", "bohr_L_cap", "bohr_h_cap", "bohr_n_cap",
     "bohr_outer_cap", "bohr_seq_len",
@@ -41,7 +41,6 @@ beta = rational "1"
 bohr_alpha = algebraic { minpoly = [-2, 0, 1], interval = ["1", "2"] }
 rho = rational "1/5"
 seed = 12648430
-threads = 1
 C = 2
 """
 
@@ -55,10 +54,6 @@ class SessionConfig:
     @property
     def seed(self) -> int:
         return self.ints.get("seed", 0xC0FFEE)
-
-    @property
-    def threads(self) -> int:
-        return self.ints.get("threads", 1)
 
     @property
     def C(self) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fastlane import FastConst, QuadSeqFast
+from ._fastlane import FastConst, QuadSeqFast, check_int64_product
 from .errors import (
     CalibrationFailed,
     NotFoundWithinBudget,
@@ -26,7 +26,7 @@ from .errors import (
     RationalInput,
     ThetaRational,
 )
-from .exactnum import AlgebraicReal
+from .exactnum import AlgebraicReal, circle_norm, frac_signed, sign
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
@@ -192,17 +192,8 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
         n1 = am.circle_norm()
         if (n1 - eps1).sign() >= 0:
             return None
-        inner = beta * m * am.nint()
-        if isinstance(inner, (int, Fraction)):
-            fr = Fraction(inner)
-            q = (fr + Fraction(1, 2)).numerator // (fr + Fraction(1, 2)).denominator
-            n2v = abs(fr - q)
-            ok = n2v < eps2
-        else:
-            n2a = inner.circle_norm()
-            ok = (n2a - eps2).sign() < 0
-            n2v = n2a
-        if not ok:
+        n2v = circle_norm(beta * m * am.nint())
+        if not n2v < eps2:
             return None
         return ApproxWitness(m, {"alpha_norm": n1, "beta_norm": n2v})
 
@@ -313,9 +304,7 @@ def _prep_targets(targets: Sequence[tuple], context: dict) -> list[_Target]:
             expr = parse(expr)
         lo_v = lo if isinstance(lo, AlgebraicReal) else Fraction(lo)
         hi_v = hi if isinstance(hi, AlgebraicReal) else Fraction(hi)
-        dif = hi_v - lo_v
-        sgn = dif.sign() if isinstance(dif, AlgebraicReal) else (1 if dif > 0 else -1 if dif < 0 else 0)
-        if sgn <= 0:
+        if sign(hi_v - lo_v) <= 0:
             raise ValueError("target interval is empty")
         shape = _linear_shape(expr, context)
         if shape is not None and shape[1] in (1, 2):
@@ -325,20 +314,8 @@ def _prep_targets(targets: Sequence[tuple], context: dict) -> list[_Target]:
     return out
 
 
-def _sign_of(v) -> int:
-    if isinstance(v, AlgebraicReal):
-        return v.sign()
-    return 1 if v > 0 else (-1 if v < 0 else 0)
-
-
 def _target_holds(t: _Target, n: int, context: dict) -> bool:
-    v = eval_expr(t.expr, context, n)
-    if isinstance(v, (int, Fraction)):
-        fr = Fraction(v) + Fraction(1, 2)
-        f: object = Fraction(v) - fr.numerator // fr.denominator
-    else:
-        f = v.frac_signed()
-    return _sign_of(f - t.lo) > 0 and _sign_of(-(f - t.hi)) > 0
+    return t.lo < frac_signed(eval_expr(t.expr, context, n)) < t.hi
 
 
 def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
@@ -362,6 +339,8 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
         ns = np.arange(pos, stop + 1, dtype=np.int64)
         mask = np.ones(len(ns), dtype=bool)
         for t, fc, lo_f, hi_f in zip(lanes, fasts, los, his):
+            if t.degree == 2:
+                check_int64_product(stop, stop)
             k = ns if t.degree == 1 else ns * ns
             frac, margin = fc.frac_vec_filter(k)
             mask &= (frac > lo_f - margin) & (frac < hi_f + margin)

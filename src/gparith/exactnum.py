@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Sequence, Union
 
 from .errors import (
     AmbiguousAtPrecision,
@@ -248,8 +248,7 @@ def _check_irreducible(coeffs: Sequence[int]) -> None:
 class NumberField:
     """Real number field Q(theta) with a Sturm-certified isolating interval.
 
-    The isolating interval only ever shrinks; refinement is idempotent, so
-    concurrent re-refinement is a benign race (any cached interval is valid).
+    The isolating interval only ever shrinks, so any cached interval is valid.
     """
 
     def __init__(self, minpoly: Sequence[int], interval) -> None:
@@ -689,40 +688,44 @@ class AlgebraicReal:
 
 
 # ---------------------------------------------------------------------------
-# Functional surface mirroring the operation names used elsewhere.
+# The decisions as functions of field elements, ints and Fractions alike.
 # ---------------------------------------------------------------------------
 
-
-def sign(x: AlgebraicReal) -> int:
-    return x.sign()
+Number = Union[int, Fraction, AlgebraicReal]
 
 
-def floor_exact(x: AlgebraicReal) -> int:
-    return x.floor()
+def sign(x: Number) -> int:
+    if isinstance(x, AlgebraicReal):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
-def nint(x: AlgebraicReal) -> int:
-    return x.nint()
+def floor_exact(x: Number) -> int:
+    if isinstance(x, AlgebraicReal):
+        return x.floor()
+    return x.numerator // x.denominator
 
 
-def frac_signed(x: AlgebraicReal) -> AlgebraicReal:
-    return x.frac_signed()
+def nint(x: Number) -> int:
+    """Nearest integer, half up: floor(x + 1/2)."""
+    if isinstance(x, AlgebraicReal):
+        return x.nint()
+    f = x + HALF
+    return f.numerator // f.denominator
 
 
-def circle_norm(x: AlgebraicReal) -> AlgebraicReal:
-    return x.circle_norm()
+def frac_signed(x: Number) -> Number:
+    """x - nint(x), in [-1/2, 1/2)."""
+    if isinstance(x, AlgebraicReal):
+        return x.frac_signed()
+    return x - nint(x)
 
 
-def arith(a: AlgebraicReal, b: AlgebraicReal, op: str) -> AlgebraicReal:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
+def circle_norm(x: Number) -> Number:
+    """Distance from x to the nearest integer."""
+    if isinstance(x, AlgebraicReal):
+        return x.circle_norm()
+    return abs(x - nint(x))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from .errors import (
     UnboundVariable,
 )
 from .exactnum import AlgebraicReal
-from .genpoly import SequenceHandle, delta_sym, quadratic_sequence
+from .genpoly import (
+    SequenceHandle,
+    TokenStream,
+    delta_sym,
+    parse_sum,
+    quadratic_sequence,
+)
 
 # ---------------------------------------------------------------------------
 # Term and formula ASTs
@@ -244,51 +250,16 @@ _FTOK = re.compile(
     r"|(?P<op>=>|!=|<=|>=|[-+*()\[\],:<>=]))")
 
 
-class _FTokens:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _FTOK.match(text, pos)
-            if m is None or m.lastgroup is None:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ExprSyntaxError(f"unrecognised input {rest[:10]!r}", pos)
-            self.toks.append((m.lastgroup, m.group(m.lastgroup),
-                              m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
-
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, kind, value=None):
-        k, v, p = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ExprSyntaxError(f"expected {value or kind}, got {v!r}", p,
-                                  expected=(value or kind,))
-        return v
-
-
 def parse_formula(text: str) -> Formula:
-    toks = _FTokens(text)
+    toks = TokenStream(text, _FTOK)
     phi = _parse_f(toks)
-    if toks.peek()[0] is not None:
-        raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r}", toks.peek()[2])
+    toks.done()
     return phi
 
 
-def _parse_f(toks: _FTokens) -> Formula:
-    k, v, _ = toks.peek()
-    if k == "kw" and v in ("exists", "forall"):
-        toks.next()
+def _parse_f(toks: TokenStream) -> Formula:
+    quantifier = toks.accept("kw", "exists", "forall")
+    if quantifier is not None:
         name = toks.expect("name")
         toks.expect("kw", "in")
         toks.expect("op", "[")
@@ -298,110 +269,78 @@ def _parse_f(toks: _FTokens) -> Formula:
         toks.expect("op", "]")
         toks.expect("op", ":")
         body = _parse_f(toks)
-        cls = FExists if v == "exists" else FForall
+        cls = FExists if quantifier == "exists" else FForall
         return cls(name, lo, hi, body)
-    return _parse_imp(toks)
-
-
-def _parse_imp(toks: _FTokens) -> Formula:
     lhs = _parse_or(toks)
-    if toks.peek()[:2] == ("op", "=>"):
-        toks.next()
+    if toks.accept("op", "=>"):
         return FImplies(lhs, _parse_f(toks))
     return lhs
 
 
-def _parse_or(toks: _FTokens) -> Formula:
+def _parse_or(toks: TokenStream) -> Formula:
     node = _parse_and(toks)
-    while toks.peek()[:2] == ("kw", "or"):
-        toks.next()
+    while toks.accept("kw", "or"):
         node = FOr(node, _parse_and(toks))
     return node
 
 
-def _parse_and(toks: _FTokens) -> Formula:
+def _parse_and(toks: TokenStream) -> Formula:
     node = _parse_not(toks)
-    while toks.peek()[:2] == ("kw", "and"):
-        toks.next()
+    while toks.accept("kw", "and"):
         node = FAnd(node, _parse_not(toks))
     return node
 
 
-def _parse_not(toks: _FTokens) -> Formula:
-    if toks.peek()[:2] == ("kw", "not"):
-        toks.next()
+def _parse_not(toks: TokenStream) -> Formula:
+    if toks.accept("kw", "not"):
         return FNot(_parse_not(toks))
-    if toks.peek()[:2] == ("op", "("):
+    mark = toks.i
+    if toks.accept("op", "("):
         # backtrack to disambiguate "(formula)" from "(term) < term"
-        mark = toks.i
-        toks.next()
         try:
             inner = _parse_f(toks)
             toks.expect("op", ")")
-            if toks.peek()[1] in ("=", "!=", "<", "<=", ">", ">="):
-                raise ExprSyntaxError("comparison after formula", toks.peek()[2])
-            return inner
         except ExprSyntaxError:
-            toks.i = mark
+            inner = None
+        if inner is not None and toks.peek()[1] not in _CMP:
+            return inner
+        toks.i = mark
     return _parse_atom(toks)
 
 
-def _parse_atom(toks: _FTokens) -> Formula:
-    k, v, p = toks.peek()
+def _parse_atom(toks: TokenStream) -> Formula:
+    k, v, _ = toks.peek()
     if k == "name" and v[0].isupper():
         toks.next()
         toks.expect("op", "(")
         args = [_parse_t(toks)]
-        while toks.peek()[:2] == ("op", ","):
-            toks.next()
+        while toks.accept("op", ","):
             args.append(_parse_t(toks))
         toks.expect("op", ")")
         return FRel(v, tuple(args))
     lhs = _parse_t(toks)
-    k, v, p = toks.next()
-    if k != "op" or v not in _CMP:
-        raise ExprSyntaxError(f"expected comparison, got {v!r}", p,
-                              expected=tuple(_CMP))
-    rhs = _parse_t(toks)
-    return FCmp(v, lhs, rhs)
+    op = toks.accept("op", *_CMP)
+    if op is None:
+        raise toks.error(tuple(_CMP), "comparison")
+    return FCmp(op, lhs, _parse_t(toks))
 
 
-def _parse_t(toks: _FTokens) -> Term:
-    node = _parse_t_term(toks)
-    while toks.peek()[:2] in (("op", "+"), ("op", "-")):
-        _, op, _ = toks.next()
-        rhs = _parse_t_term(toks)
-        node = TAdd(node, rhs) if op == "+" else TSub(node, rhs)
-    return node
+def _parse_t(toks: TokenStream) -> Term:
+    return parse_sum(toks, _parse_t_atom, TAdd, TSub, TMul, TNeg)
 
 
-def _parse_t_term(toks: _FTokens) -> Term:
-    node = _parse_t_factor(toks)
-    while toks.peek()[:2] == ("op", "*"):
-        toks.next()
-        node = TMul(node, _parse_t_factor(toks))
-    return node
-
-
-def _parse_t_factor(toks: _FTokens) -> Term:
-    k, v, p = toks.next()
-    if k == "int":
-        return TInt(int(v))
-    if k == "op" and v == "-":
-        return TNeg(_parse_t_factor(toks))
-    if k == "op" and v == "(":
-        inner = _parse_t(toks)
+def _parse_t_atom(toks: TokenStream) -> Term:
+    value = toks.accept("int")
+    if value is not None:
+        return TInt(int(value))
+    name = toks.accept("name")
+    if name is None:
+        raise toks.error(("INT", "NAME", "(", "-"))
+    if name[0].islower() and toks.accept("op", "("):
+        arg = _parse_t(toks)
         toks.expect("op", ")")
-        return inner
-    if k == "name":
-        if toks.peek()[:2] == ("op", "(") and v[0].islower():
-            toks.next()
-            arg = _parse_t(toks)
-            toks.expect("op", ")")
-            return TSeq(v, arg)
-        return TVar(v)
-    raise ExprSyntaxError(f"unexpected token {v!r}", p,
-                          expected=("INT", "NAME", "(", "-"))
+        return TSeq(name, arg)
+    return TVar(name)
 
 
 def pretty_formula(phi: Formula) -> str:
@@ -577,7 +516,7 @@ def _extreme_indices(fr: np.ndarray, mg: np.ndarray, want_min: bool) -> list[int
     else:
         best = float(np.max(fr))
         cand = np.nonzero(fr >= best - 2 * mg)[0]
-    return [int(i) for i in cand[:16]]
+    return [int(i) for i in cand]
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +648,9 @@ CAP_EXHAUSTED = "cap-exhausted"
 
 
 @dataclass
-class DeltaVerdict:
+class Verdict:
+    """Three-way bounded verdict: value None means the caps ran out."""
+
     tag: str
     value: bool | None
     detail: dict = dc_field(default_factory=dict)
@@ -726,7 +667,7 @@ def lemma36_characterisation(n: int, n_prime: int, alpha: AlgebraicReal) -> bool
 
 
 def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
-                m_witnesses: int = 3, refute_budget: int = 400) -> DeltaVerdict:
+                m_witnesses: int = 3, refute_budget: int = 400) -> Verdict:
     """Single-pass bounded delta with per-pair calibrated caps.
 
     Universal quantifiers are evaluated at their largest cap and existential
@@ -760,19 +701,19 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
                 break
             M *= 2
         else:
-            return DeltaVerdict(CAP_EXHAUSTED, None, {"reason": "no fitting M"})
+            return Verdict(CAP_EXHAUSTED, None, {"reason": "no fitting M"})
         ms = _window_members(ctx, M, bounds.m_cap, m_witnesses)
         if not ms:
-            return DeltaVerdict(CAP_EXHAUSTED, None,
+            return Verdict(CAP_EXHAUSTED, None,
                                 {"reason": "no psi-small m in cap", "M": M})
         for m in ms:
             mp = t * m
             d1 = delta_sym(g, mp, n)
             d2 = delta_sym(g, m, n_prime)
             if abs(d1 - d2) > H or not ctx.in_window(mp, Mp):
-                return DeltaVerdict(REFUTED, False,
+                return Verdict(REFUTED, False,
                                     {"mismatch_m": m, "M": M, "unexpected": True})
-        return DeltaVerdict(VERIFIED, True, {"M": M, "witness_ms": ms, "t": t})
+        return Verdict(VERIFIED, True, {"M": M, "witness_ms": ms, "t": t})
 
     # expected-false path: hunt for an m whose partner search fails; the
     # second pass raises the partner filter level to look harder before
@@ -786,11 +727,11 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
         any_members = True
         for m in ms:
             if not _has_partner(n, n_prime, m, ctx, Mp_try, H):
-                return DeltaVerdict(REFUTED, False, {"refuting_m": m, "M": M})
+                return Verdict(REFUTED, False, {"refuting_m": m, "M": M})
     if not any_members:
-        return DeltaVerdict(CAP_EXHAUSTED, None,
+        return Verdict(CAP_EXHAUSTED, None,
                             {"reason": "no psi-small m in cap"})
-    return DeltaVerdict(VERIFIED, True, {"note": "no refuting m found"})
+    return Verdict(VERIFIED, True, {"note": "no refuting m found"})
 
 
 def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[int]:
@@ -859,23 +800,11 @@ def _nint_float(x: float) -> int:
 
 
 def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
-                  bounds: BoundProfile = DEFAULT_BOUNDS) -> DeltaVerdict:
+                  bounds: BoundProfile = DEFAULT_BOUNDS) -> Verdict:
     """Three-way bounded verdict for the delta relation."""
     if n < 1 or n_prime < 1:
         raise PreconditionViolated("n, n' must be >= 1")
     return _delta_core(n, n_prime, ctx, bounds)
-
-
-def def_delta(n: int, n_prime: int, C: int, bounds: BoundProfile,
-              ctx: AlphaContext) -> bool:
-    """Boolean surface of the bounded delta; cap-exhausted maps to False.
-
-    C is accepted for signature compatibility with the mu/psi family; the
-    delta caps come from the profile.
-    """
-    del C
-    v = delta_bounded(n, n_prime, ctx, bounds)
-    return bool(v.value) if v.value is not None else False
 
 
 def delta_literal(n: int, n_prime: int, ctx: AlphaContext, H_cap: int,

@@ -16,9 +16,14 @@ from itertools import chain, combinations
 from typing import Callable, Union
 
 from .errors import ArityTooSmall, ExprSyntaxError, UnknownConstant
-from .exactnum import HALF, AlgebraicReal
-
-Number = Union[int, Fraction, AlgebraicReal]
+from .exactnum import (
+    AlgebraicReal,
+    Number,
+    circle_norm,
+    floor_exact,
+    frac_signed,
+    nint,
+)
 
 # ---------------------------------------------------------------------------
 # AST
@@ -113,115 +118,141 @@ def expr_sort(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser (grammar: expr/term/factor with floor/nint/frac/norm/ind keywords)
+# Token stream and the +/-/* layer shared by the three text parsers
+# (expressions here, formulas in focheck, polynomials in weakmult)
+# ---------------------------------------------------------------------------
+
+
+class TokenStream:
+    """Tokens of `text` matched by `pattern`, whose named groups are the
+    token kinds.  Tokens are read on demand, so a syntax error is reported
+    at the leftmost offending token; the end of input sits at len(text).
+    `i` indexes the next token and may be reset to backtrack."""
+
+    def __init__(self, text: str, pattern: re.Pattern) -> None:
+        self.text = text
+        self.i = 0
+        self._pattern = pattern
+        self._toks: list[tuple[str, str, int]] = []
+        self._scanned = 0
+
+    def peek(self) -> tuple[str | None, str | None, int]:
+        """(kind, value, position) of the next token; kind None at the end."""
+        while self.i >= len(self._toks):
+            m = self._pattern.match(self.text, self._scanned)
+            if m is None:
+                rest = self.text[self._scanned:].lstrip()
+                if rest:
+                    raise ExprSyntaxError(f"unrecognised input {rest[:10]!r}",
+                                          len(self.text) - len(rest))
+                return (None, None, len(self.text))
+            kind = m.lastgroup
+            self._toks.append((kind, m.group(kind), m.start(kind)))  # type: ignore[arg-type]
+            self._scanned = m.end()
+        return self._toks[self.i]
+
+    def next(self) -> tuple[str | None, str | None, int]:
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def accept(self, kind: str, *values: str) -> str | None:
+        """Consume the next token if it has this kind (and one of `values`)."""
+        k, v, _ = self.peek()
+        if k != kind or (values and v not in values):
+            return None
+        self.i += 1
+        return v
+
+    def expect(self, kind: str, value: str | None = None) -> str:
+        got = self.accept(kind, value) if value else self.accept(kind)
+        if got is None:
+            want = value or kind
+            raise self.error((want,), repr(want))
+        return got
+
+    def error(self, expected=(), want: str | None = None) -> ExprSyntaxError:
+        """The syntax error at the next token."""
+        k, v, p = self.peek()
+        got = "end of input" if k is None else f"token {v!r}"
+        msg = f"expected {want}, got {got}" if want else f"unexpected {got}"
+        return ExprSyntaxError(msg, p, expected=expected)
+
+    def done(self) -> None:
+        k, v, p = self.peek()
+        if k is not None:
+            raise ExprSyntaxError(f"trailing input {v!r}", p)
+
+
+def parse_sum(toks: TokenStream, atom, add, sub, mul, neg):
+    """Left-associative +/- over * over unary minus, parentheses and
+    `atom(toks)`; add/sub/mul/neg build the nodes."""
+    def factor():
+        if toks.accept("op", "-"):
+            return neg(factor())
+        if toks.accept("op", "("):
+            inner = parse_sum(toks, atom, add, sub, mul, neg)
+            toks.expect("op", ")")
+            return inner
+        return atom(toks)
+
+    def product():
+        node = factor()
+        while toks.accept("op", "*"):
+            node = mul(node, factor())
+        return node
+
+    node = product()
+    while (op := toks.accept("op", "+", "-")) is not None:
+        node = (add if op == "+" else sub)(node, product())
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Expression parser (floor/nint/frac/norm/ind keywords over the shared layer)
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[a-z][a-z0-9_]*)|(?P<op>[-+*()<]))")
-_FUNCS = ("floor", "nint", "frac", "norm", "ind")
-
-
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.tok: tuple[str, str] | None = None
-        self.tok_pos = 0
-        self.advance()
-
-    def advance(self) -> None:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].strip()
-            if rest:
-                raise ExprSyntaxError(f"unrecognised input {rest[:10]!r}", self.pos)
-            self.tok = None
-            self.tok_pos = len(self.text)
-            return
-        self.tok_pos = m.start(m.lastgroup)  # type: ignore[arg-type]
-        self.pos = m.end()
-        self.tok = (m.lastgroup, m.group(m.lastgroup))  # type: ignore[arg-type]
-
-    def expect_op(self, op: str) -> None:
-        if self.tok is None or self.tok[0] != "op" or self.tok[1] != op:
-            raise ExprSyntaxError(f"expected {op!r}", self.tok_pos, expected=(op,))
-        self.advance()
-
-    def peek_op(self, *ops: str) -> str | None:
-        if self.tok is not None and self.tok[0] == "op" and self.tok[1] in ops:
-            return self.tok[1]
-        return None
+_FUNCS = {"floor": Floor, "nint": Nint, "frac": FracSigned, "norm": CircleNorm}
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError with position on failure."""
-    toks = _Tokens(text)
+    toks = TokenStream(text, _TOKEN)
     expr = _parse_expr(toks)
-    if toks.tok is not None:
-        raise ExprSyntaxError(f"trailing input {toks.tok[1]!r}", toks.tok_pos)
+    toks.done()
     return expr
 
 
-def _parse_expr(toks: _Tokens) -> Expr:
-    node = _parse_term(toks)
-    while (op := toks.peek_op("+", "-")) is not None:
-        toks.advance()
-        rhs = _parse_term(toks)
-        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-    return node
+def _parse_expr(toks: TokenStream) -> Expr:
+    return parse_sum(toks, _parse_atom, Add, Sub, Mul, Neg)
 
 
-def _parse_term(toks: _Tokens) -> Expr:
-    node = _parse_factor(toks)
-    while toks.peek_op("*") is not None:
-        toks.advance()
-        node = Mul(node, _parse_factor(toks))
-    return node
-
-
-def _parse_factor(toks: _Tokens) -> Expr:
-    tok = toks.tok
-    if tok is None:
-        raise ExprSyntaxError("unexpected end of input", toks.tok_pos,
-                              expected=("INT", "NAME", "(", "-"))
-    kind, value = tok
-    if kind == "int":
-        toks.advance()
+def _parse_atom(toks: TokenStream) -> Expr:
+    value = toks.accept("int")
+    if value is not None:
         return IntLit(int(value))
-    if kind == "op" and value == "-":
-        toks.advance()
-        return Neg(_parse_factor(toks))
-    if kind == "op" and value == "(":
-        toks.advance()
+    name = toks.accept("name")
+    if name is None:
+        raise toks.error(("INT", "NAME", "(", "-"))
+    if name == "ind":
+        toks.expect("op", "(")
+        if toks.accept("name", "norm") is None:
+            raise ExprSyntaxError("ind() requires norm(...) < ...", toks.peek()[2],
+                                  expected=("norm",))
+        toks.expect("op", "(")
+        lhs = _parse_expr(toks)
+        toks.expect("op", ")")
+        toks.expect("op", "<")
+        rhs = _parse_expr(toks)
+        toks.expect("op", ")")
+        return IndicatorLess(CircleNorm(lhs), rhs)
+    if name in _FUNCS:
+        toks.expect("op", "(")
         inner = _parse_expr(toks)
-        toks.expect_op(")")
-        return inner
-    if kind == "name":
-        if value in _FUNCS:
-            toks.advance()
-            toks.expect_op("(")
-            if value == "ind":
-                pos = toks.tok_pos
-                if not (toks.tok and toks.tok == ("name", "norm")):
-                    raise ExprSyntaxError("ind() requires norm(...) < ...", pos,
-                                          expected=("norm",))
-                toks.advance()
-                toks.expect_op("(")
-                lhs = _parse_expr(toks)
-                toks.expect_op(")")
-                toks.expect_op("<")
-                rhs = _parse_expr(toks)
-                toks.expect_op(")")
-                return IndicatorLess(CircleNorm(lhs), rhs)
-            inner = _parse_expr(toks)
-            toks.expect_op(")")
-            return {"floor": Floor, "nint": Nint, "frac": FracSigned,
-                    "norm": CircleNorm}[value](inner)
-        toks.advance()
-        if value == "n":
-            return Var()
-        return Const(value)
-    raise ExprSyntaxError(f"unexpected token {value!r}", toks.tok_pos,
-                          expected=("INT", "NAME", "(", "-"))
+        toks.expect("op", ")")
+        return _FUNCS[name](inner)
+    return Var() if name == "n" else Const(name)
 
 
 def pretty(expr: Expr) -> str:
@@ -266,52 +297,6 @@ def _pp(expr: Expr, level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _nint_of(v: Number) -> int:
-    if isinstance(v, AlgebraicReal):
-        return v.nint()
-    f = Fraction(v) + HALF
-    return f.numerator // f.denominator
-
-
-def _floor_of(v: Number) -> int:
-    if isinstance(v, AlgebraicReal):
-        return v.floor()
-    f = Fraction(v)
-    return f.numerator // f.denominator
-
-
-def _frac_of(v: Number) -> Number:
-    return v - _nint_of(v)
-
-
-def _norm_of(v: Number) -> Number:
-    f = _frac_of(v)
-    if isinstance(f, AlgebraicReal):
-        return -f if f.sign() < 0 else f
-    return -f if f < 0 else f
-
-
-def _less(a: Number, b: Number) -> bool:
-    d = _sub(a, b)
-    if isinstance(d, AlgebraicReal):
-        return d.sign() < 0
-    return d < 0
-
-
-def _add(a: Number, b: Number) -> Number:
-    return a + b
-
-
-def _sub(a: Number, b: Number) -> Number:
-    if isinstance(b, AlgebraicReal) and not isinstance(a, AlgebraicReal):
-        return (-b) + a
-    return a - b
-
-
-def _mul(a: Number, b: Number) -> Number:
-    return a * b
-
-
 def eval_expr(expr: Expr, context: dict[str, Number], n: int) -> Number:
     """Exact value at n; integer-sort expressions return Python ints."""
     if isinstance(expr, IntLit):
@@ -324,32 +309,29 @@ def eval_expr(expr: Expr, context: dict[str, Number], n: int) -> Number:
         except KeyError:
             raise UnknownConstant(expr.name) from None
     if isinstance(expr, Add):
-        return _add(eval_expr(expr.lhs, context, n), eval_expr(expr.rhs, context, n))
+        return eval_expr(expr.lhs, context, n) + eval_expr(expr.rhs, context, n)
     if isinstance(expr, Sub):
-        return _sub(eval_expr(expr.lhs, context, n), eval_expr(expr.rhs, context, n))
+        return eval_expr(expr.lhs, context, n) - eval_expr(expr.rhs, context, n)
     if isinstance(expr, Mul):
-        return _mul(eval_expr(expr.lhs, context, n), eval_expr(expr.rhs, context, n))
+        return eval_expr(expr.lhs, context, n) * eval_expr(expr.rhs, context, n)
     if isinstance(expr, Neg):
         return -eval_expr(expr.arg, context, n)
     if isinstance(expr, Floor):
-        return _floor_of(eval_expr(expr.arg, context, n))
+        return floor_exact(eval_expr(expr.arg, context, n))
     if isinstance(expr, Nint):
-        return _nint_of(eval_expr(expr.arg, context, n))
+        return nint(eval_expr(expr.arg, context, n))
     if isinstance(expr, FracSigned):
-        return _frac_of(eval_expr(expr.arg, context, n))
+        return frac_signed(eval_expr(expr.arg, context, n))
     if isinstance(expr, CircleNorm):
-        return _norm_of(eval_expr(expr.arg, context, n))
+        return circle_norm(eval_expr(expr.arg, context, n))
     if isinstance(expr, IndicatorLess):
-        return 1 if _less(eval_expr(expr.lhs, context, n),
-                          eval_expr(expr.rhs, context, n)) else 0
+        return 1 if eval_expr(expr.lhs, context, n) < eval_expr(expr.rhs, context, n) else 0
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 class SequenceHandle:
-    """Integer sequence n -> Z backed by an expression, with a bounded memo.
-
-    The LRU cache is thread-safe; cached hits always equal fresh evaluation.
-    """
+    """Integer sequence n -> Z backed by an expression, with a bounded memo;
+    cached hits always equal fresh evaluation."""
 
     def __init__(self, expr: Expr, context: dict[str, Number],
                  memo_size: int = 1 << 20) -> None:
@@ -368,11 +350,6 @@ class SequenceHandle:
 
     def __call__(self, n: int) -> int:
         return self._cached(n)
-
-
-def make_sequence(text_or_expr, context: dict[str, Number]) -> SequenceHandle:
-    expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
-    return SequenceHandle(expr, context)
 
 
 QUADRATIC_SEQUENCE_TEXT = "nint(beta*n*nint(alpha*n))"
@@ -492,8 +469,8 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
     for I in _SUBSETS:
         acc: Number = Fraction(0)
         for i in I:
-            acc = _add(acc, s[i])
-        if _nint_of(acc) != 0:
+            acc = acc + s[i]
+        if nint(acc) != 0:
             cond1 = False
             break
 
@@ -501,7 +478,7 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
     frac_table = {}
     for i in range(3):
         for j in range(3):
-            frac_table[(i, j)] = _frac_of(_mul(_mul(beta, ns[i]), a_ints[j]))
+            frac_table[(i, j)] = frac_signed(beta * ns[i] * a_ints[j])
 
     gammas = {}
     gamma_nints = {}
@@ -511,9 +488,9 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
             for j in I:
                 if gamma_mode == GAMMA_OFF_DIAGONAL and i == j:
                     continue
-                acc = _add(acc, frac_table[(i, j)])
+                acc = acc + frac_table[(i, j)]
         gammas[I] = acc
-        gamma_nints[I] = _nint_of(acc)
+        gamma_nints[I] = nint(acc)
     full = frozenset({0, 1, 2})
     cond2 = gamma_nints[full] == sum(gamma_nints[p] for p in _PAIRS)
 
@@ -521,16 +498,16 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
     for I in (_PAIRS + (full,)):
         acc = Fraction(0)
         for i in I:
-            acc = _add(acc, s[i])
-        carries_e[I] = _nint_of(acc)
+            acc = acc + s[i]
+        carries_e[I] = nint(acc)
 
     carries_f = {}
     for I in _PAIRS:
         i, j = sorted(I)
         dg = delta_sym(g, ns[j], ns[i])
-        nij = _nint_of(_mul(_mul(beta, ns[i]), a_ints[j]))
-        nji = _nint_of(_mul(_mul(beta, ns[j]), a_ints[i]))
-        bsum = _nint_of(_mul(beta, ns[i] + ns[j]))
+        nij = nint(beta * ns[i] * a_ints[j])
+        nji = nint(beta * ns[j] * a_ints[i])
+        bsum = nint(beta * (ns[i] + ns[j]))
         carries_f[I] = dg - nij - nji - bsum * carries_e[I]
 
     return Lemma31Report(

@@ -31,6 +31,7 @@ from .diosearch import (
 from .errors import CalibrationFailed, NotFoundWithinBudget
 from .exactnum import AlgebraicReal
 from .focheck import (
+    CAP_EXHAUSTED,
     AlphaContext,
     BoundProfile,
     DEFAULT_BOUNDS,
@@ -63,17 +64,6 @@ from .weakmult import (
 )
 
 
-def _pmap(fn, items, threads: int = 1):
-    """Map preserving input order; results are schedule-independent because
-    every task is pure up to benign memo caches."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
 class HarnessResult:
     lemma: str
@@ -93,9 +83,9 @@ class HarnessResult:
         if caps is not None:
             rec["caps"] = caps
         self.records.append(rec)
-        if verdict == "fail" or verdict == "refuted-unexpected":
+        if verdict == "fail":
             self.violations += 1
-        elif verdict == "cap-exhausted":
+        elif verdict == CAP_EXHAUSTED:
             self.cap_exhausted += 1
 
 
@@ -396,21 +386,16 @@ def verify_lemma34(alpha: AlgebraicReal, abcd=(1, 2, 3, 1), N: int = 200_000,
 
 def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
                    bounds: BoundProfile = DEFAULT_BOUNDS,
-                   record_all: bool = False, threads: int = 1) -> HarnessResult:
+                   record_all: bool = False) -> HarnessResult:
     res = HarnessResult("3.5/3.6")
     mismatches = capx = 0
-
-    def row(n: int):
-        return [(npr, delta_bounded(n, npr, ctx, bounds))
-                for npr in range(1, nprime_max + 1)]
-
-    for n, verdicts in zip(range(1, n_max + 1),
-                           _pmap(row, range(1, n_max + 1), threads)):
-        for npr, v in verdicts:
+    for n in range(1, n_max + 1):
+        for npr in range(1, nprime_max + 1):
+            v = delta_bounded(n, npr, ctx, bounds)
             char = lemma36_characterisation(n, npr, ctx.alpha)
             if v.value is None:
                 capx += 1
-                res.add({"n": n, "n_prime": npr}, "cap-exhausted",
+                res.add({"n": n, "n_prime": npr}, CAP_EXHAUSTED,
                         witness=v.detail)
             elif v.value != char:
                 mismatches += 1
@@ -740,7 +725,7 @@ def verify_lemma43(world: bohr_mod.BohrWorld, N: int | None = None,
     kv = world.kappa(m_good, N)
     res.add({"m": m_good, "N": N, "direction": "converse"},
             "pass" if kv.value is True else
-            ("cap-exhausted" if kv.value is None else "fail"),
+            (CAP_EXHAUSTED if kv.value is None else "fail"),
             witness={"tag": kv.tag,
                      "norm_asq": float((alpha * m_good * m_good).circle_norm()),
                      "label": "empirical"})
@@ -773,7 +758,7 @@ def verify_lemma44(world: bohr_mod.BohrWorld,
             # reflexive case must verify: the asserted shift is the same and
             # the consequent level N_cap is no stricter than L_cap
             verdict = "pass" if v.value is True else (
-                "cap-exhausted" if v.value is None else "fail")
+                CAP_EXHAUSTED if v.value is None else "fail")
             label = "exact"
         else:
             verdict = v.tag  # informational; verdicts are cap-relative here
@@ -787,25 +772,19 @@ def verify_lemma44(world: bohr_mod.BohrWorld,
 
 
 def verify_lemma45(world: bohr_mod.BohrWorld, max_m: int = 12,
-                   budget: int = 20_000_000, threads: int = 1) -> HarnessResult:
+                   budget: int = 20_000_000) -> HarnessResult:
     """Sequence-based divisibility verdicts agree with m | m_tilde, with
     non-divisible tails pinned within 0.05 of 1/b."""
     res = HarnessResult("4.5")
     bad = 0
     pairs = [(m, mt) for m in range(1, max_m + 1) for mt in range(1, max_m + 1)]
-
-    def one(pair):
-        m, mt = pair
+    for m, mt in pairs:
         try:
-            return bohr_mod.divisibility_sequence_check(world, m, mt,
-                                                        max_candidate=budget)
+            rep = bohr_mod.divisibility_sequence_check(world, m, mt,
+                                                       max_candidate=budget)
         except NotFoundWithinBudget as exc:
-            return exc
-
-    for (m, mt), rep in zip(pairs, _pmap(one, pairs, threads)):
-        if isinstance(rep, NotFoundWithinBudget):
             bad += 1
-            res.add({"m": m, "m_tilde": mt}, "fail", witness=str(rep))
+            res.add({"m": m, "m_tilde": mt}, "fail", witness=str(exc))
             continue
         tail_ok = True
         if rep.b > 1:

@@ -10,6 +10,7 @@ constants included.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import focheck
-from .errors import ExprSyntaxError, ZeroModulus
+from .errors import ZeroModulus
 from .focheck import (
     AlphaContext,
     FAnd,
@@ -33,6 +34,7 @@ from .focheck import (
     Term as FTerm,
     ell,
 )
+from .genpoly import TokenStream, parse_sum
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -544,67 +546,24 @@ def import_csv(fp) -> ExplicitQSet:
 # Polynomial text parsing (x1, x2, ... over +, -, *, integer literals)
 # ---------------------------------------------------------------------------
 
-_PTOK = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*()]))")
+_PTOK = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x[1-9]\d*)|(?P<op>[-+*()]))")
 
 
 def parse_poly(text: str) -> IntPolynomial:
-    toks: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _PTOK.match(text, pos)
-        if m is None or m.lastgroup is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExprSyntaxError(f"unrecognised input {rest[:10]!r}", pos)
-        toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    # every x<digits> of a well-formed text is a variable token
+    arity = max((int(i) for i in re.findall(r"x(\d+)", text)), default=0)
 
-    arity = max((int(v[1:]) for k, v, _ in toks if k == "var"), default=0)
-    state = {"i": 0}
-
-    def peek():
-        return toks[state["i"]] if state["i"] < len(toks) else (None, None, len(text))
-
-    def nxt():
-        t = peek()
-        state["i"] += 1
-        return t
-
-    def parse_expr() -> IntPolynomial:
-        node = parse_term()
-        while peek()[1] in ("+", "-"):
-            _, op, _ = nxt()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> IntPolynomial:
-        node = parse_factor()
-        while peek()[1] == "*":
-            nxt()
-            node = node * parse_factor()
-        return node
-
-    def parse_factor() -> IntPolynomial:
-        k, v, p = nxt()
-        if k == "int":
+    def atom(toks: TokenStream) -> IntPolynomial:
+        if (v := toks.accept("int")) is not None:
             return IntPolynomial.constant(int(v), arity)
-        if k == "var":
+        if (v := toks.accept("var")) is not None:
             return IntPolynomial.variable(int(v[1:]), arity)
-        if v == "-":
-            return -parse_factor()
-        if v == "(":
-            inner = parse_expr()
-            if nxt()[1] != ")":
-                raise ExprSyntaxError("expected ')'", p, expected=(")",))
-            return inner
-        raise ExprSyntaxError(f"unexpected token {v!r}", p,
-                              expected=("INT", "xN", "(", "-"))
+        raise toks.error(("INT", "xN", "(", "-"))
 
-    poly = parse_expr()
-    if peek()[0] is not None:
-        raise ExprSyntaxError(f"trailing input {peek()[1]!r}", peek()[2])
+    toks = TokenStream(text, _PTOK)
+    poly = parse_sum(toks, atom, operator.add, operator.sub, operator.mul,
+                     operator.neg)
+    toks.done()
     return poly
 
 

@@ -155,10 +155,3 @@ class TestDivisibilitySequences:
         for i, (a, b) in enumerate(zip(rep.norm_2am, rep.norm_asq), start=1):
             assert a < 2.0 ** -min(i, K)
             assert b < 2.0 ** -min(i, K)
-
-    def test_thread_count_does_not_change_results(self, bohr_world):
-        from gparith.harness import verify_lemma45
-
-        serial = verify_lemma45(bohr_world, max_m=4, threads=1)
-        threaded = verify_lemma45(bohr_world, max_m=4, threads=3)
-        assert serial.records == threaded.records
