@@ -400,18 +400,15 @@ def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
         fail_all = fail_off = 0
         indist = True
         for (n0, n1, n2) in triples:
-            rep_all = lemma31_classify(n0, n1, n2, alpha, beta,
-                                       gamma_mode=GAMMA_ALL_PAIRS, g=g)
-            verdict_all = rep_all.cond1 and rep_all.cond2
-            # off-diagonal mode differs only in cond2
-            rep_off = lemma31_classify(n0, n1, n2, alpha, beta,
-                                       gamma_mode=GAMMA_OFF_DIAGONAL, g=g)
-            verdict_off = rep_off.cond1 and rep_off.cond2
+            # the two gamma modes differ only in cond2: classify once
+            rep = lemma31_classify(n0, n1, n2, alpha, beta, g=g)
+            verdict_all = rep.cond1 and rep.cond2_by_mode[GAMMA_ALL_PAIRS]
+            verdict_off = rep.cond1 and rep.cond2_by_mode[GAMMA_OFF_DIAGONAL]
             if verdict_all != verdict_off:
                 indist = False
-            if rep_all.lhs_zero != verdict_all:
+            if rep.lhs_zero != verdict_all:
                 fail_all += 1
-            if rep_off.lhs_zero != verdict_off:
+            if rep.lhs_zero != verdict_off:
                 fail_off += 1
         failures[(C, GAMMA_ALL_PAIRS)] = fail_all
         failures[(C, GAMMA_OFF_DIAGONAL)] = fail_off

@@ -6,15 +6,27 @@ rational coefficient vectors reduced modulo the minimal polynomial, so
 equality of canonical representations is value equality whenever the
 minimal polynomial is irreducible.  Sign, floor, nearest integer, signed
 fractional part and circle norm are all decided exactly by refining the
-isolating interval with certified rational interval arithmetic; a dyadic
-ball backend is provided as an independent cross-check oracle.
+isolating interval with certified interval arithmetic.
+
+Decisions run in integers.  The field caches the enclosures of theta^i once
+per precision as integer numerators over one common denominator; an element
+clears its coefficient denominators and sums the products into a scaled
+enclosure (L, H, S) with the value in [L/S, H/S].  sign compares L and H
+with 0, floor takes L // S and H // S, and nint takes (2L + S) // 2S.  Only
+when the enclosure straddles an integer in a field whose irreducibility is
+not verified is the exact zero test consulted.  `enclosure(prec)` returns
+the same endpoints as Fractions.
+
+The dyadic ball backend (`ball_eval`, `ball_floor`, `ball_nint`) is built on
+`enclosure`, so it cross-checks the decision logic, not the enclosure
+itself: it is not an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import (
@@ -282,7 +294,7 @@ class NumberField:
 
         # x^k mod minpoly for k = degree .. 2*degree-2, used by multiplication
         self._xpow = self._reduction_table()
-        self._pow_enc_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        self._pow_cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -362,30 +374,38 @@ class NumberField:
     def theta_enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
         return self.refine(Fraction(1, 1 << prec))
 
-    def pow_enclosures(self, prec: int) -> list[tuple[Fraction, Fraction]]:
-        """Enclosures of theta^i, i < degree, each of width <= 2^-prec."""
-        cached = self._pow_enc_cache.get(prec)
+    def pow_table(self, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """Enclosures of theta^i, i < degree, each of width <= 2^-prec, as
+        integers (den, lo, hi) with theta^i in [lo[i]/den, hi[i]/den].
+
+        One entry per precision, built on first request from the isolating
+        interval as it stands then.
+        """
+        cached = self._pow_cache.get(prec)
         if cached is not None:
             return cached
         d = self.degree
-        one = (Fraction(1), Fraction(1))
-        if self.rational_theta is not None:
-            t = self.rational_theta
-            encs = [one] + [(t**i, t**i) for i in range(1, d)]
-            self._pow_enc_cache[prec] = encs
-            return encs
         # guard bits soak up the width amplification of interval powers
         _, hi0 = self._interval
         mag = max(1, int(abs(hi0)) + 1)
         guard = 2 * d + mag.bit_length() * d + 2
         lo, hi = self.theta_enclosure(prec + guard)
-        encs = [one, (lo, hi)]
-        for _ in range(2, d):
-            a, b = encs[-1]
-            cands = (a * lo, a * hi, b * lo, b * hi)
-            encs.append((min(cands), max(cands)))
-        self._pow_enc_cache[prec] = encs
-        return encs
+        q = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (q // lo.denominator)
+        b = hi.numerator * (q // hi.denominator)
+        # theta^i in [los[i], his[i]] / q^i
+        los, his = [1], [1]
+        for _ in range(1, d):
+            x, y = los[-1], his[-1]
+            cands = (x * a, x * b, y * a, y * b)
+            los.append(min(cands))
+            his.append(max(cands))
+        scale = [q ** (d - 1 - i) for i in range(d)]
+        entry = (q ** (d - 1),
+                 tuple(x * s for x, s in zip(los, scale)),
+                 tuple(y * s for y, s in zip(his, scale)))
+        self._pow_cache[prec] = entry
+        return entry
 
     # -- element constructors --------------------------------------------------
 
@@ -426,6 +446,11 @@ def field_create(minpoly: Sequence[int], interval) -> NumberField:
 # ---------------------------------------------------------------------------
 # Field elements.
 # ---------------------------------------------------------------------------
+
+
+def _weight(nums: list[int], den: int) -> int:
+    """1 + sum(int(|c|) + 1) over the coefficients c = nums[i] / den."""
+    return 1 + sum(abs(k) // den + 1 for k in nums)
 
 
 class AlgebraicReal:
@@ -578,26 +603,51 @@ class AlgebraicReal:
             return cand
         raise ValueError("element is not rational")
 
+    def _cleared(self) -> tuple[list[int], int]:
+        """Coefficients as integers over their least common denominator."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
+    def _scaled(self, prec: int, nums: list[int], den: int,
+                weight: int) -> tuple[int, int, int]:
+        """(L, H, S) with the value in [L/S, H/S] and (H - L) * 2^prec <= S.
+
+        `nums`/`den` are the cleared coefficients; `weight` bounds their sum
+        of magnitudes and sets the starting precision of the theta powers.
+        """
+        fprec = prec + weight.bit_length() + 2
+        table = self.field.pow_table
+        while True:
+            tden, los, his = table(fprec)
+            lo = hi = 0
+            for k, a, b in zip(nums, los, his):
+                if k > 0:
+                    lo += k * a
+                    hi += k * b
+                elif k < 0:
+                    lo += k * b
+                    hi += k * a
+            scale = den * tden
+            if (hi - lo) << prec <= scale:
+                return lo, hi, scale
+            fprec *= 2
+
+    def _is_rational_form(self) -> bool:
+        return self.field.rational_theta is not None or all(c == 0 for c in self.coeffs[1:])
+
+    def scaled_enclosure(self, prec: int) -> tuple[int, int, int]:
+        """Integers (L, H, S), S > 0, with the value in [L/S, H/S] and
+        (H - L) * 2^prec <= S."""
+        if self._is_rational_form():
+            v = self.as_fraction_approx()
+            return (v.numerator, v.numerator, v.denominator)
+        nums, den = self._cleared()
+        return self._scaled(prec, nums, den, _weight(nums, den))
+
     def enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, of width <= 2^-prec."""
-        if self.field.rational_theta is not None or all(c == 0 for c in self.coeffs[1:]):
-            v = self.as_fraction_approx()
-            return (v, v)
-        weight = 1 + sum(int(abs(c)) + 1 for c in self.coeffs)
-        fprec = prec + weight.bit_length() + 2
-        while True:
-            encs = self.field.pow_enclosures(fprec)
-            lo = hi = Fraction(0)
-            for c, (a, b) in zip(self.coeffs, encs):
-                if c > 0:
-                    lo += c * a
-                    hi += c * b
-                elif c < 0:
-                    lo += c * b
-                    hi += c * a
-            if hi - lo <= Fraction(1, 1 << prec):
-                return (lo, hi)
-            fprec *= 2
+        lo, hi, scale = self.scaled_enclosure(prec)
+        return (Fraction(lo, scale), Fraction(hi, scale))
 
     def sign(self) -> int:
         if all(c == 0 for c in self.coeffs):
@@ -610,9 +660,11 @@ class AlgebraicReal:
             return 1 if c > 0 else -1
         if self.is_zero():
             return 0
+        nums, den = self._cleared()
+        weight = _weight(nums, den)
         prec = 32
         while True:
-            lo, hi = self.enclosure(prec)
+            lo, hi, _ = self._scaled(prec, nums, den, weight)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -620,24 +672,46 @@ class AlgebraicReal:
             prec *= 2
 
     def floor(self) -> int:
-        if self.field.rational_theta is not None or all(c == 0 for c in self.coeffs[1:]):
+        if self._is_rational_form():
             v = self.as_fraction_approx()
             return v.numerator // v.denominator
-        prec = 16
-        while True:
-            lo, hi = self.enclosure(prec)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            # the enclosure straddles integers; exact boundary must be tested
-            for k in range(flo + 1, fhi + 1):
-                if (self - k).is_zero():
-                    return k
-            prec *= 2
+        return self._floor_shifted(False)
 
     def nint(self) -> int:
-        return (self + HALF).floor()
+        """Nearest integer, half up: floor(x + 1/2)."""
+        if self._is_rational_form():
+            v = self.as_fraction_approx()
+            return (2 * v.numerator + v.denominator) // (2 * v.denominator)
+        return self._floor_shifted(True)
+
+    def _floor_shifted(self, half: bool) -> int:
+        """floor(x + 1/2) if `half` else floor(x), for x of irrational form.
+
+        The precision schedule is that of floor() applied to the element
+        x + 1/2, whose weight counts |c0 + 1/2| in place of |c0|.
+        """
+        nums, den = self._cleared()
+        weight = _weight(nums, den)
+        if half:
+            k0 = nums[0]
+            weight += abs(2 * k0 + den) // (2 * den) - abs(k0) // den
+        prec = 16
+        while True:
+            lo, hi, scale = self._scaled(prec, nums, den, weight)
+            if half:
+                lo, hi, scale = 2 * lo + scale, 2 * hi + scale, 2 * scale
+            flo, fhi = lo // scale, hi // scale
+            if flo == fhi:
+                return flo
+            # the enclosure straddles integers; an exact boundary must be
+            # tested (x - k is never zero in a verified field, as x is not
+            # rational there)
+            if not self.field.irreducible_verified:
+                shift = HALF if half else 0
+                for k in range(flo + 1, fhi + 1):
+                    if (self - (k - shift)).is_zero():
+                        return k
+            prec *= 2
 
     def frac_signed(self) -> "AlgebraicReal":
         return self - self.nint()
@@ -729,7 +803,7 @@ def circle_norm(x: Number) -> Number:
 
 
 # ---------------------------------------------------------------------------
-# Dyadic ball backend (independent cross-check oracle).
+# Dyadic ball backend (a cross-check of the decisions, built on enclosure).
 # ---------------------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from .errors import (
     RangeOverflow,
     UnboundVariable,
 )
-from .exactnum import AlgebraicReal
+from .exactnum import AlgebraicReal, nint
 from .genpoly import (
     SequenceHandle,
     TokenStream,
@@ -766,27 +766,16 @@ def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[i
 def _has_partner(n: int, n_prime: int, m: int, ctx: AlphaContext, Mp: int,
                  H: int) -> bool:
     """Is there m' with frac(alpha m') in window(Mp) and
-    |D g(n, m') - D g(n', m)| <= H?  Candidate interval derived from the
-    exact expansion D g(n, m') = m'(alpha n + nint(alpha n) + e) + n e - n s'."""
-    alpha = ctx.alpha
+    |D g(n, m') - D g(n', m)| <= H?  Every such m' lies in the exact
+    candidate ranges of _partner_ranges."""
     g = ctx.g
     d2 = delta_sym(g, m, n_prime)
-    lo_p, hi_p = ctx.window(Mp)
-    s_n = ctx.frac_exact(n)
-    q_n = (alpha * n).nint()
-    mu_f = ctx.fast.const.f64 * n + q_n
-    lo_f, hi_f = float(lo_p), float(hi_p)
-    # possible carries of s_n + s' for s' in the window, widened one step
-    # each way so float boundary cases cannot hide a feasible carry
-    e_lo = _nint_float(float(s_n) + lo_f) - 1
-    e_hi = _nint_float(float(s_n) + hi_f) + 1
-    for e in range(e_lo, e_hi + 1):
-        kappa = mu_f + e
-        if kappa <= 0.1:
-            continue
-        lo_m = (d2 - H - n * e - n * hi_f) / kappa - 2
-        hi_m = (d2 + H - n * e - n * lo_f) / kappa + 2
-        for mp in range(max(1, int(lo_m)), int(hi_m) + 1):
+    if ctx.beta == 0:
+        # g = 0, and window(Mp) (an open interval around 0) holds
+        # frac(alpha m') for infinitely many m'
+        return abs(d2) <= H
+    for mps in _partner_ranges(n, d2, ctx, Mp, H):
+        for mp in mps:
             if not ctx.in_window(mp, Mp):
                 continue
             if abs(delta_sym(g, mp, n) - d2) <= H:
@@ -794,9 +783,52 @@ def _has_partner(n: int, n_prime: int, m: int, ctx: AlphaContext, Mp: int,
     return False
 
 
-def _nint_float(x: float) -> int:
-    import math
-    return int(math.floor(x + 0.5))
+def _partner_ranges(n: int, d2: int, ctx: AlphaContext, Mp: int,
+                    H: int) -> list[range]:
+    """Ranges of m' >= 1, one per possible carry e, holding every m' with
+    frac(alpha m') in window(Mp) and |D g(n, m') - d2| <= H (beta != 0).
+
+    With q_n = nint(alpha n), s_n and s' the signed fractional parts of
+    alpha n and alpha m', and the carry e = nint(s_n + s'),
+    D g(n, m') = beta (m' kappa_e + n e - n s'), kappa_e = alpha n + q_n + e.
+    Bounds are taken from integer enclosures and rounded outward, so they
+    hold exactly; kappa_e of either sign is handled.
+    """
+    b = abs(ctx.beta)
+    d = d2 if ctx.beta > 0 else -d2
+    lo_p, hi_p = ctx.window(Mp)
+    an = ctx.alpha * n
+    q_n = an.nint()
+    prec = 64
+    l_lo, _, l_den = lo_p.scaled_enclosure(prec)
+    _, h_hi, h_den = hi_p.scaled_enclosure(prec)
+    s_lo, s_hi, s_den = ctx.frac_exact(n).scaled_enclosure(prec)
+    # e is nondecreasing in s' in (lo_p, hi_p): nint of the outer ends
+    e_lo = nint(Fraction(s_lo * l_den + l_lo * s_den, s_den * l_den))
+    e_hi = nint(Fraction(s_hi * h_den + h_hi * s_den, s_den * h_den))
+    ranges = []
+    for e in range(e_lo, e_hi + 1):
+        kappa = an + (q_n + e)
+        k_prec = prec
+        k_lo, k_hi, k_den = kappa.scaled_enclosure(k_prec)
+        while k_lo <= 0 <= k_hi:
+            if kappa.is_zero():
+                raise PreconditionViolated(
+                    "alpha*n + nint(alpha*n) + e is 0; alpha must be irrational")
+            k_prec *= 2
+            k_lo, k_hi, k_den = kappa.scaled_enclosure(k_prec)
+        # m' * b * kappa_e lies in [A, B]; A >= a_num/a_den, B <= b_num/b_den
+        a_num, a_den = (d - H - b * n * e) * l_den + b * n * l_lo, l_den
+        b_num, b_den = (d + H - b * n * e) * h_den + b * n * h_hi, h_den
+        k_lo, k_hi = b * k_lo, b * k_hi
+        if k_hi < 0:
+            # m' * (-b kappa_e) lies in [-B, -A]
+            a_num, a_den, b_num, b_den = -b_num, b_den, -a_num, a_den
+            k_lo, k_hi = -k_hi, -k_lo
+        lo_m = -((-a_num * k_den) // (a_den * (k_hi if a_num >= 0 else k_lo)))
+        hi_m = (b_num * k_den) // (b_den * (k_lo if b_num >= 0 else k_hi))
+        ranges.append(range(max(1, lo_m), hi_m + 1))
+    return ranges
 
 
 def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,

@@ -9,6 +9,7 @@ against its carry/fractional-part characterisation.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -339,7 +340,11 @@ class SequenceHandle:
             raise TypeError("sequence expression must have integer sort")
         self.expr = expr
         self.context = dict(context)
-        self._cached = lru_cache(maxsize=memo_size)(self._fresh)
+        # the memo reaches the handle through a weak reference: a memo bound
+        # to self._fresh would form a cycle, and the handle, its memo and
+        # the field behind it would then wait for a full garbage collection
+        handle = weakref.ref(self)
+        self._cached = lru_cache(maxsize=memo_size)(lambda n: handle()._fresh(n))
 
     def _fresh(self, n: int) -> int:
         return eval_expr(self.expr, self.context, n)  # type: ignore[return-value]
@@ -442,6 +447,7 @@ class Lemma31Report:
     gamma_nints: dict = dc_field(default_factory=dict)
     carries_e: dict = dc_field(default_factory=dict)
     carries_f: dict = dc_field(default_factory=dict)
+    cond2_by_mode: dict = dc_field(default_factory=dict)
 
     @property
     def equivalent(self) -> bool:
@@ -449,11 +455,32 @@ class Lemma31Report:
         return self.lhs_zero == (self.cond1 and self.cond2)
 
 
+def _gamma_nints(frac_table: dict, gamma_mode: str) -> tuple[dict, dict]:
+    """The gamma sums over each index subset, and their nearest integers."""
+    gammas = {}
+    gamma_nints = {}
+    for I in _SUBSETS:
+        acc: Number = Fraction(0)
+        for i in I:
+            for j in I:
+                if gamma_mode == GAMMA_OFF_DIAGONAL and i == j:
+                    continue
+                acc = acc + frac_table[(i, j)]
+        gammas[I] = acc
+        gamma_nints[I] = nint(acc)
+    return gammas, gamma_nints
+
+
 def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
                      beta: Number, gamma_mode: str = GAMMA_ALL_PAIRS,
                      g: SequenceHandle | None = None) -> Lemma31Report:
     """Classify a positive triple: exact second-derivative vanishing vs the
-    carry condition (cond1) and the gamma identity (cond2)."""
+    carry condition (cond1) and the gamma identity (cond2).
+
+    The two gamma modes differ only in cond2, so the report's
+    `cond2_by_mode` holds cond2 of both; cond2, gammas and gamma_nints are
+    those of `gamma_mode`.
+    """
     if min(n0, n1, n2) < 1:
         raise ValueError("triple entries must be >= 1")
     if gamma_mode not in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
@@ -480,19 +507,14 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
         for j in range(3):
             frac_table[(i, j)] = frac_signed(beta * ns[i] * a_ints[j])
 
-    gammas = {}
-    gamma_nints = {}
-    for I in _SUBSETS:
-        acc = Fraction(0)
-        for i in I:
-            for j in I:
-                if gamma_mode == GAMMA_OFF_DIAGONAL and i == j:
-                    continue
-                acc = acc + frac_table[(i, j)]
-        gammas[I] = acc
-        gamma_nints[I] = nint(acc)
     full = frozenset({0, 1, 2})
-    cond2 = gamma_nints[full] == sum(gamma_nints[p] for p in _PAIRS)
+    cond2_by_mode = {}
+    for mode in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
+        mode_gammas, mode_nints = _gamma_nints(frac_table, mode)
+        cond2_by_mode[mode] = mode_nints[full] == sum(mode_nints[p] for p in _PAIRS)
+        if mode == gamma_mode:
+            gammas, gamma_nints = mode_gammas, mode_nints
+    cond2 = cond2_by_mode[gamma_mode]
 
     carries_e = {}
     for I in (_PAIRS + (full,)):
@@ -520,4 +542,5 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
         gamma_nints=gamma_nints,
         carries_e=carries_e,
         carries_f=carries_f,
+        cond2_by_mode=cond2_by_mode,
     )

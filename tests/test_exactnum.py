@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gparith.errors import (
     AmbiguousAtPrecision,
@@ -212,3 +214,126 @@ class TestBall:
         assert x.floor() == 2
         with pytest.raises(AmbiguousAtPrecision):
             ball_floor(x, cap=1024)
+
+
+# The five fields of test_fuzz.py.
+FUZZ_FIELDS = [
+    ([-2, 0, 1], (1, 2)),
+    ([-3, 0, 1], (1, 2)),
+    ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
+    ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
+    ([-1, -1, 1], (1, 2)),
+]
+_FUZZ = [field_create(*f) for f in FUZZ_FIELDS]
+# Degree 5, squarefree but reducible (x^2 - 2)(x^3 - 2x - 3): irreducibility
+# is not verified, and theta = sqrt(2), so theta^2 = 2 exactly.
+_DEG5 = ([6, 0, -3, -2, 0, 1], (Fraction(14, 10), Fraction(143, 100)))
+
+
+def _floor_q(q: Fraction) -> int:
+    return q.numerator // q.denominator
+
+
+class TestIntegerDecisions:
+    """sign / floor / nint decided on the scaled-integer enclosure."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agree_with_fraction_enclosure(self, data):
+        K = _FUZZ[data.draw(st.integers(0, len(_FUZZ) - 1))]
+        coeffs = data.draw(st.lists(
+            st.fractions(min_value=-10**4, max_value=10**4, max_denominator=300),
+            min_size=K.degree, max_size=K.degree))
+        x = K.element(coeffs)
+        lo, hi = x.enclosure(200)
+        assert lo <= hi and hi - lo <= Fraction(1, 1 << 200)
+        if _floor_q(lo) == _floor_q(hi):
+            assert x.floor() == _floor_q(lo)
+        if _floor_q(lo + Fraction(1, 2)) == _floor_q(hi + Fraction(1, 2)):
+            assert x.nint() == _floor_q(lo + Fraction(1, 2))
+        if lo > 0 or hi < 0:
+            assert x.sign() == (1 if lo > 0 else -1)
+        L, H, S = x.scaled_enclosure(200)
+        assert S > 0 and (Fraction(L, S), Fraction(H, S)) == (lo, hi)
+
+    @pytest.mark.parametrize("k", [-7, 0, 1, 12345])
+    def test_near_half_and_near_integer(self, alpha, cbrt2_field, k):
+        tiny = Fraction(1, 1 << 60) * alpha          # 0 < tiny < 2^-59
+        half = Fraction(1, 2)
+        assert nint(k - half + tiny) == k
+        assert nint(k - half - tiny) == k - 1
+        assert floor_exact(k - half + tiny) == k - 1
+        assert floor_exact(k + tiny) == k
+        assert floor_exact(k - tiny) == k - 1
+        assert nint(k + tiny) == nint(k - tiny) == k
+        assert sign(tiny) == 1 and sign(-tiny) == -1
+        # cbrt(2) = 1.2599210498948731647..., so these differ from 0 by
+        # about 2^-60 * 10^-16 and need several precision doublings
+        below = Fraction(12599210498948731, 10**16)
+        above = Fraction(12599210498948732, 10**16)
+        assert sign(Fraction(1, 1 << 60) * (alpha - below)) == 1
+        assert sign(Fraction(1, 1 << 60) * (alpha - above)) == -1
+        assert floor_exact(k + (alpha - below)) == k
+        assert floor_exact(k + (alpha - above)) == k - 1
+
+    @pytest.mark.parametrize("k", [-3, 0, 4])
+    def test_exact_half_integers_in_unverified_field(self, k):
+        K = field_create(*_DEG5)
+        assert not K.irreducible_verified
+        t2 = K.theta * K.theta                       # exactly 2
+        up = t2 / 4 + k                              # exactly k + 1/2
+        down = k - t2 / 4                            # exactly k - 1/2
+        assert nint(up) == k + 1 and floor_exact(up) == k
+        assert nint(down) == k and floor_exact(down) == k - 1
+        assert frac_signed(up) == up - (k + 1)
+        assert (frac_signed(up) + Fraction(1, 2)).is_zero()
+        assert sign(t2 - 2) == 0
+        assert floor_exact(t2) == 2 and nint(t2) == 2
+
+    def test_nint_follows_the_schedule_of_floor_at_x_plus_half(self):
+        # weight(theta + 11/4) has 3 bits, weight(theta + 13/4) has 4: nint
+        # must request the theta-power precisions that (x + 1/2).floor() does
+        K, K_ref = (field_create(*FUZZ_FIELDS[2]) for _ in range(2))
+        x = K.element([Fraction(11, 4), 1])
+        x_ref = K_ref.element([Fraction(11, 4), 1])
+        assert x.nint() == (x_ref + Fraction(1, 2)).floor() == 4
+        assert sorted(K._pow_cache) == sorted(K_ref._pow_cache)
+
+    def test_rational_theta_field(self):
+        K = field_create([-3, 2], (0, 5))            # theta = 3/2
+        t = K.theta
+        assert (t.floor(), t.nint(), t.sign()) == (1, 2, 1)
+        assert ((-t).floor(), (-t).nint()) == (-2, -1)
+        assert (t - Fraction(3, 2)).sign() == 0
+        assert t.enclosure(64) == (Fraction(3, 2), Fraction(3, 2))
+        assert t.scaled_enclosure(64) == (3, 3, 2)
+        assert (t * t).nint() == 2                   # 9/4
+
+    # (field, coefficients, prec) -> sha256 of "lo hi", first 16 hex digits.
+    # Recorded with the Fraction-based enclosure this one replaced; each
+    # field is fresh and the rows run in order, since a cached theta-power
+    # enclosure keeps the interval it was built from.
+    ENCLOSURE_FIELDS = {"cbrt2": FUZZ_FIELDS[2], "golden": FUZZ_FIELDS[4],
+                        "deg5": _DEG5}
+    ENCLOSURE_ROWS = [
+        ("cbrt2", (0, 1, 0), 8, "262a04cf35651e74"),
+        ("cbrt2", (Fraction(-7, 3), Fraction(5, 2), Fraction(1, 9)), 24, "ce65cc6d3b917902"),
+        ("cbrt2", (Fraction(1, 2), 0, Fraction(-3, 5)), 64, "65b415ca0e3faa13"),
+        ("cbrt2", (1000, -333, 17), 80, "821b4f51d07ee890"),
+        ("cbrt2", (0, 1, 0), 8, "262a04cf35651e74"),
+        ("golden", (Fraction(-1, 2), 1), 16, "32c38f7ed3e22c57"),
+        ("golden", (3, Fraction(-11, 7)), 100, "3060c35cb6537f5e"),
+        ("deg5", (0, 0, 1, 0, 0), 32, "adda478e6b2087ba"),
+        ("deg5", (Fraction(1, 3), -1, 0, Fraction(2, 5), 1), 64, "16592582c1aa6282"),
+    ]
+
+    def test_enclosure_endpoints_unchanged(self):
+        fields = {k: field_create(*v) for k, v in self.ENCLOSURE_FIELDS.items()}
+        got = []
+        for name, coeffs, prec, _ in self.ENCLOSURE_ROWS:
+            lo, hi = fields[name].element(coeffs).enclosure(prec)
+            got.append(hashlib.sha256(f"{lo} {hi}".encode()).hexdigest()[:16])
+            if (name, prec) == ("cbrt2", 8):
+                assert (lo, hi) == (Fraction(42275935, 33554432),
+                                    Fraction(52844919, 41943040))
+        assert got == [row[3] for row in self.ENCLOSURE_ROWS]

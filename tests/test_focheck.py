@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from gparith.errors import (
     RangeOverflow,
     UnboundVariable,
 )
+from gparith.exactnum import field_create
 from gparith.focheck import (
+    AlphaContext,
     BoundProfile,
     DEFAULT_BOUNDS,
     FExists,
@@ -27,6 +30,8 @@ from gparith.focheck import (
     pretty_formula,
     progression,
     verify_lemma37,
+    _has_partner,
+    _partner_ranges,
 )
 from gparith.genpoly import delta_sym
 
@@ -248,3 +253,41 @@ class TestDelta:
         n, t = 4, 3  # 3 * ||4 alpha|| < 1/2
         m = 4        # ||4 alpha|| ~ 0.0397 < all margins for t = 3
         assert abs(delta_sym(g, t * m, n) - delta_sym(g, m, t * n)) <= 2
+
+
+class TestPartnerInterval:
+    """The m' candidate ranges behind REFUTED verdicts of the delta relation."""
+
+    @staticmethod
+    def _alphas(cbrt2_field, sqrt2_field):
+        c, r = cbrt2_field.theta, sqrt2_field.theta
+        # kappa_e = alpha n + nint(alpha n) + e is negative for alpha < 0,
+        # and near or below 0 for small |alpha| at small n
+        return {"cbrt2": c, "-cbrt2": -c, "sqrt2-1": r - 1, "1-sqrt2": 1 - r}
+
+    @pytest.mark.parametrize("name,beta", [("cbrt2", 1), ("cbrt2", 2), ("cbrt2", -1),
+                                           ("-cbrt2", 1), ("sqrt2-1", 3),
+                                           ("1-sqrt2", 1)])
+    def test_ranges_hold_every_partner(self, cbrt2_field, sqrt2_field, name, beta):
+        ctx = AlphaContext(self._alphas(cbrt2_field, sqrt2_field)[name], beta)
+        g = ctx.g
+        rng = random.Random(f"{name}/{beta}")
+        top = 2500
+        partners = 0
+        for _ in range(6):
+            n, npr, m = rng.randrange(1, 12), rng.randrange(1, 25), rng.randrange(1, 60)
+            Mp, H = rng.choice([1, 2, 4, 8]), rng.choice([3, 40, 400])
+            d2 = delta_sym(g, m, npr)
+            ranges = _partner_ranges(n, d2, ctx, Mp, H)
+            found = [mp for mp in range(1, top + 1) if ctx.in_window(mp, Mp)
+                     and abs(delta_sym(g, mp, n) - d2) <= H]
+            partners += len(found)
+            for mp in found:
+                assert any(mp in r for r in ranges), (n, npr, m, Mp, H, mp, ranges)
+            if found or all(r.stop <= top + 1 for r in ranges):
+                assert _has_partner(n, npr, m, ctx, Mp, H) == bool(found)
+        assert partners > 0
+
+    def test_zero_beta(self, alpha):
+        ctx = AlphaContext(alpha, 0)
+        assert _has_partner(3, 5, 7, ctx, 4, 0)

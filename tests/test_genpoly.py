@@ -237,6 +237,9 @@ class TestLemma31Classify:
         assert rep_all.cond1 and rep_all.cond2
         assert not rep_off.cond2
         assert rep_all.equivalent and not rep_off.equivalent
+        # either report carries cond2 of both modes
+        both = {GAMMA_ALL_PAIRS: rep_all.cond2, GAMMA_OFF_DIAGONAL: rep_off.cond2}
+        assert rep_all.cond2_by_mode == rep_off.cond2_by_mode == both
 
     def test_carry_diagnostics_recompute(self, alpha):
         rep = lemma31_classify(5, 50, 600, alpha, 1)
