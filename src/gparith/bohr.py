@@ -130,13 +130,13 @@ class BohrWorld:
         assert best is not None and best.sign() > 0
         return best
 
-    def lambda_(self, m: int, N: int, n_cap: int | None = None) -> bool:
-        """Bounded witness search for mu(n, N) and mu(n+m, N)."""
+    def lambda_(self, m: int, N: int) -> bool:
+        """Bounded witness search for mu(n, N) and mu(n+m, N), n <= n_cap."""
         if m < 0 or N < 0:
             raise PreconditionViolated("m, N must be >= 0")
         if m == 0:
             return True
-        cap = n_cap or self.bounds.n_cap
+        cap = self.bounds.n_cap
         S = self.mu_true_upto(cap + m, N)
         if len(S) == 0:
             return False
@@ -317,13 +317,16 @@ class DivisibilityReport:
         return self.says_divides == (self.b == 1)
 
 
+TAIL_LEN = 3
+
+
 def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
-                                max_candidate: int = 20_000_000,
-                                tail_len: int = 3) -> DivisibilityReport:
+                                max_candidate: int = 20_000_000) -> DivisibilityReport:
     """Construct n_1 < ... < n_K with norm(2 alpha m n_i), norm(alpha n_i^2)
     below a decreasing dyadic schedule, and report the tail behaviour of
-    norm(2 alpha m_tilde n_i): forced to 0 when m | m_tilde, pinned near
-    1/b (the witnessed limit of the defining relation) otherwise.
+    norm(2 alpha m_tilde n_i) over the last TAIL_LEN steps: forced to 0 when
+    m | m_tilde, pinned near 1/b (the witnessed limit of the defining
+    relation) otherwise.
     """
     if m < 1 or m_tilde < 1:
         raise PreconditionViolated("m, m_tilde must be >= 1")
@@ -398,7 +401,7 @@ def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
         nasq.append(float((alpha * (found * found)).circle_norm()))
         tails.append(float((exact_c3 * found).circle_norm()))
 
-    tail = tails[-tail_len:]
+    tail = tails[-TAIL_LEN:]
     tail_max = max(tail)
     return DivisibilityReport(
         m=m, m_tilde=m_tilde, b=b, sequence=seq, norm_2am=n2am, norm_asq=nasq,

@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -321,11 +322,15 @@ def cmd_verify(args, cfg) -> int:
             out.close()
     print(f"lemma {result.lemma}: violations={result.violations} "
           f"cap-exhausted={result.cap_exhausted} "
+          f"vacuous={'yes' if result.vacuous else 'no'} "
           f"({runtime_ms / 1000:.1f}s)", file=sys.stderr)
     return 0 if result.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call of
+    main: a fresh parser per call leaves reference cycles behind."""
     ap = argparse.ArgumentParser(
         prog="gparith",
         description="Exact evaluation, witness search and lemma verification "

@@ -11,7 +11,6 @@ re-checked exactly).
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,7 +53,6 @@ STRATEGY_HYBRID = "hybrid"
 @dataclass(frozen=True)
 class SearchBudget:
     max_candidate: int = 10**6
-    max_seconds: float | None = None
     strategy: str = STRATEGY_HYBRID
 
     def __post_init__(self):
@@ -63,16 +61,6 @@ class SearchBudget:
         if self.strategy not in (STRATEGY_CONVERGENTS, STRATEGY_EXHAUSTIVE,
                                  STRATEGY_HYBRID):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
-class _Clock:
-    def __init__(self, budget: SearchBudget) -> None:
-        self.deadline = (time.monotonic() + budget.max_seconds
-                         if budget.max_seconds else None)
-
-    def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise NotFoundWithinBudget("time budget exhausted")
 
 
 @dataclass
@@ -153,7 +141,6 @@ def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitnes
         raise ValueError("eps must be > 0")
     if x.is_rational():
         raise RationalInput("x must be irrational")
-    clock = _Clock(budget)
     fc = FastConst(x)
     eps_f = float(eps)
     if budget.strategy == STRATEGY_EXHAUSTIVE:
@@ -161,7 +148,6 @@ def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitnes
         block = 1 << 15
         start = 1
         while start <= budget.max_candidate:
-            clock.check()
             stop = min(start + block - 1, budget.max_candidate)
             ms = np.arange(start, stop + 1, dtype=np.int64)
             frac, margin = fc.frac_vec_filter(ms)
@@ -173,7 +159,6 @@ def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitnes
             start = stop + 1
         raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
     for m in _candidate_stream(x, budget):
-        clock.check()
         if _norm_lt(x, m, eps):
             return ApproxWitness(m, {"norm": (x * m).circle_norm()})
     raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
@@ -197,9 +182,7 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
             return None
         return ApproxWitness(m, {"alpha_norm": n1, "beta_norm": n2v})
 
-    clock = _Clock(budget)
     for m in _candidate_stream(alpha, budget):
-        clock.check()
         w = qualifies(m)
         if w is not None:
             return w
@@ -330,11 +313,9 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
     fasts = [FastConst(t.coeff) for t in lanes]
     los = [float(t.lo if not isinstance(t.lo, AlgebraicReal) else float(t.lo)) for t in lanes]
     his = [float(t.hi if not isinstance(t.hi, AlgebraicReal) else float(t.hi)) for t in lanes]
-    clock = _Clock(budget)
     block = 1 << 15
     pos = start
     while pos <= budget.max_candidate:
-        clock.check()
         stop = min(pos + block - 1, budget.max_candidate)
         ns = np.arange(pos, stop + 1, dtype=np.int64)
         mask = np.ones(len(ns), dtype=bool)
@@ -369,33 +350,33 @@ class CalibrationResult:
     seed: int
 
 
-DEFAULT_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+C_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+_SAMPLE_SPAN = 40
 
 
-def sample_admissible_triples(C: int, count: int, seed: int,
-                              span: int = 40) -> list[tuple[int, int, int]]:
+def sample_admissible_triples(C: int, count: int,
+                              seed: int) -> list[tuple[int, int, int]]:
     """Deterministic triples with n0 >= C, n1/n0 >= C, n2/n1 >= C."""
     rng = random.Random(seed * 0x9E3779B1 + C)
     out = []
     for _ in range(count):
-        n0 = C + rng.randrange(span)
-        n1 = C * n0 + rng.randrange(span * n0 // 4 + 1)
-        n2 = C * n1 + rng.randrange(span * n1 // 4 + 1)
+        n0 = C + rng.randrange(_SAMPLE_SPAN)
+        n1 = C * n0 + rng.randrange(_SAMPLE_SPAN * n0 // 4 + 1)
+        n2 = C * n1 + rng.randrange(_SAMPLE_SPAN * n1 // 4 + 1)
         out.append((n0, n1, n2))
     return out
 
 
 def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
-                budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
-                schedule: Sequence[int] = DEFAULT_SCHEDULE) -> CalibrationResult:
-    """Smallest C in the doubling schedule making the vanishing criterion
-    match its carry/gamma characterisation on every sampled admissible
-    triple, together with the gamma mode that achieves it."""
+                seed: int = DEFAULT_SEED) -> CalibrationResult:
+    """Smallest C in the doubling schedule C_SCHEDULE making the vanishing
+    criterion match its carry/gamma characterisation on every sampled
+    admissible triple, together with the gamma mode that achieves it."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     g = quadratic_sequence(alpha, beta)
     failures: dict = {}
-    for C in schedule:
+    for C in C_SCHEDULE:
         triples = sample_admissible_triples(C, sample_count, seed)
         fail_all = fail_off = 0
         indist = True
@@ -417,7 +398,7 @@ def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
             return CalibrationResult(C=C, gamma_mode=mode, failures=failures,
                                      modes_indistinguishable=indist,
                                      samples=sample_count, seed=seed)
-    raise CalibrationFailed(f"no C <= {schedule[-1]} achieves zero failures")
+    raise CalibrationFailed(f"no C <= {C_SCHEDULE[-1]} achieves zero failures")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class ZeroModulus(GparithError, ValueError):
 
 
 class NotFoundWithinBudget(GparithError):
-    """Search exhausted its candidate/time budget without a witness."""
+    """Search exhausted its candidate budget without a witness."""
 
 
 class PreconditionViolated(GparithError):

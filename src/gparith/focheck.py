@@ -151,12 +151,10 @@ class BoundProfile:
     H_cap: int = 2
     h_cap: int = 64
     m_cap: int = 100_000
-    range_multiplier: int = 4
     max_range: int = 4_000_000
 
     def __post_init__(self):
-        for name in ("n2_cap", "M_cap", "H_cap", "h_cap", "m_cap",
-                     "range_multiplier", "max_range"):
+        for name in ("n2_cap", "M_cap", "H_cap", "h_cap", "m_cap", "max_range"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -550,6 +548,21 @@ def progression(m: int, h: int, alpha: AlgebraicReal) -> Progression:
     return Progression(m, h, [t * m for t in range(1, h // m + 1)])
 
 
+def progression_d2(ctx: AlphaContext, m: int, T: int) -> tuple[np.ndarray, int, int]:
+    """Values and second differences of g along the stride-m progression.
+
+    Returns (gv, a, run): gv[t] = g(t*m) for t = 0..T; a is the first of the
+    T - 2 second differences gv[t+2] - 2*gv[t+1] + gv[t], t = 1..T-2 (along
+    P_{m,(T-2)m}); run counts how many of them, from the first, equal a.
+    Needs T >= 3."""
+    gv = ctx.fast.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
+    d2 = gv[3:T + 1] - 2 * gv[2:T] + gv[1:T - 1]
+    a = int(d2[0])
+    same = d2 == a
+    run = len(d2) if bool(same.all()) else int(np.argmin(same))
+    return gv, a, run
+
+
 def def_pi(m: int, h: int, ctx: AlphaContext) -> bool:
     """Admissibility of P_{m,h}: range clause plus constant nonzero second
     difference of g along P_{m,h-2m}."""
@@ -558,13 +571,8 @@ def def_pi(m: int, h: int, ctx: AlphaContext) -> bool:
     if h < 3 * m or h > ell(m, ctx.alpha):
         return False
     T = h // m
-    gv = ctx.fast.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
-    # second differences on P_{m, h-2m}: indices t = 1 .. T-2
-    d2 = gv[3:T + 1] - 2 * gv[2:T] + gv[1:T - 1]
-    if len(d2) == 0:
-        return False
-    a = int(d2[0])
-    return a != 0 and bool(np.all(d2 == a))
+    _, a, run = progression_d2(ctx, m, T)
+    return a != 0 and run == T - 2
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +600,8 @@ class Lemma37Report:
     h: int
     side_polynomial: bool
     side_constant_d2: bool
-    fit: tuple[Fraction, Fraction, Fraction] | None
-    a_value: int | None
+    fit: tuple[Fraction, Fraction, Fraction]
+    a_value: int
 
     @property
     def equivalent(self) -> bool:
@@ -604,7 +612,6 @@ class Lemma37Report:
         """On true instances the fitted leading coefficient must be a/(2m^2)."""
         if not (self.side_polynomial and self.side_constant_d2):
             return True
-        assert self.fit is not None and self.a_value is not None
         return self.fit[2] == Fraction(self.a_value, 2 * self.m * self.m)
 
 
@@ -614,7 +621,7 @@ def verify_lemma37(m: int, h: int, ctx: AlphaContext) -> Lemma37Report:
     if not (3 * m <= h <= ell(m, ctx.alpha)):
         raise PreconditionViolated("need 3m <= h <= ell(m)")
     T = h // m
-    gv = ctx.fast.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
+    gv, a, run = progression_d2(ctx, m, T)
 
     fit = lagrange_quadratic([(m, int(gv[1])), (2 * m, int(gv[2])), (3 * m, int(gv[3]))])
     c0, c1, c2 = fit
@@ -626,14 +633,7 @@ def verify_lemma37(m: int, h: int, ctx: AlphaContext) -> Lemma37Report:
                 side1 = False
                 break
 
-    Tp = (h - 2 * m) // m
-    d2 = gv[3:Tp + 3] - 2 * gv[2:Tp + 2] + gv[1:Tp + 1]
-    if len(d2) == 0:
-        side2 = False
-        a: int | None = None
-    else:
-        a = int(d2[0])
-        side2 = a != 0 and bool(np.all(d2 == a))
+    side2 = a != 0 and run == T - 2
     return Lemma37Report(m=m, h=h, side_polynomial=side1, side_constant_d2=side2,
                          fit=fit, a_value=a)
 
@@ -666,8 +666,13 @@ def lemma36_characterisation(n: int, n_prime: int, alpha: AlgebraicReal) -> bool
     return qp == t * q
 
 
-def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
-                m_witnesses: int = 3, refute_budget: int = 400) -> Verdict:
+# window members checked (expected true) or tried as refuters (expected false)
+_M_WITNESSES = 3
+_REFUTE_BUDGET = 400
+
+
+def _delta_core(n: int, n_prime: int, ctx: AlphaContext,
+                bounds: BoundProfile) -> Verdict:
     """Single-pass bounded delta with per-pair calibrated caps.
 
     Universal quantifiers are evaluated at their largest cap and existential
@@ -702,7 +707,7 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
             M *= 2
         else:
             return Verdict(CAP_EXHAUSTED, None, {"reason": "no fitting M"})
-        ms = _window_members(ctx, M, bounds.m_cap, m_witnesses)
+        ms = _window_members(ctx, M, bounds.m_cap, _M_WITNESSES)
         if not ms:
             return Verdict(CAP_EXHAUSTED, None,
                                 {"reason": "no psi-small m in cap", "M": M})
@@ -721,7 +726,7 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext, bounds: BoundProfile,
     any_members = False
     for Mp_try in (Mp, 4 * Mp):
         M = Mp_try
-        ms = _window_members(ctx, M, bounds.m_cap, refute_budget)
+        ms = _window_members(ctx, M, bounds.m_cap, _REFUTE_BUDGET)
         if not ms:
             continue
         any_members = True

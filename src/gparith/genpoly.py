@@ -188,25 +188,30 @@ class TokenStream:
 def parse_sum(toks: TokenStream, atom, add, sub, mul, neg):
     """Left-associative +/- over * over unary minus, parentheses and
     `atom(toks)`; add/sub/mul/neg build the nodes."""
-    def factor():
-        if toks.accept("op", "-"):
-            return neg(factor())
-        if toks.accept("op", "("):
-            inner = parse_sum(toks, atom, add, sub, mul, neg)
-            toks.expect("op", ")")
-            return inner
-        return atom(toks)
-
-    def product():
-        node = factor()
-        while toks.accept("op", "*"):
-            node = mul(node, factor())
-        return node
-
-    node = product()
+    # module-level helpers rather than closures: a closure that calls itself
+    # is a reference cycle, left for the garbage collector by every parse
+    nodes = (atom, add, sub, mul, neg)
+    node = _parse_product(toks, nodes)
     while (op := toks.accept("op", "+", "-")) is not None:
-        node = (add if op == "+" else sub)(node, product())
+        node = (add if op == "+" else sub)(node, _parse_product(toks, nodes))
     return node
+
+
+def _parse_product(toks: TokenStream, nodes: tuple):
+    node = _parse_factor(toks, nodes)
+    while toks.accept("op", "*"):
+        node = nodes[3](node, _parse_factor(toks, nodes))
+    return node
+
+
+def _parse_factor(toks: TokenStream, nodes: tuple):
+    if toks.accept("op", "-"):
+        return nodes[4](_parse_factor(toks, nodes))
+    if toks.accept("op", "("):
+        inner = parse_sum(toks, *nodes)
+        toks.expect("op", ")")
+        return inner
+    return nodes[0](toks)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +335,14 @@ def eval_expr(expr: Expr, context: dict[str, Number], n: int) -> Number:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-class SequenceHandle:
-    """Integer sequence n -> Z backed by an expression, with a bounded memo;
-    cached hits always equal fresh evaluation."""
+MEMO_SIZE = 1 << 20
 
-    def __init__(self, expr: Expr, context: dict[str, Number],
-                 memo_size: int = 1 << 20) -> None:
+
+class SequenceHandle:
+    """Integer sequence n -> Z backed by an expression, with a memo bounded
+    by MEMO_SIZE entries; cached hits always equal fresh evaluation."""
+
+    def __init__(self, expr: Expr, context: dict[str, Number]) -> None:
         if expr_sort(expr) != INT_SORT:
             raise TypeError("sequence expression must have integer sort")
         self.expr = expr
@@ -344,7 +351,7 @@ class SequenceHandle:
         # to self._fresh would form a cycle, and the handle, its memo and
         # the field behind it would then wait for a full garbage collection
         handle = weakref.ref(self)
-        self._cached = lru_cache(maxsize=memo_size)(lambda n: handle()._fresh(n))
+        self._cached = lru_cache(maxsize=MEMO_SIZE)(lambda n: handle()._fresh(n))
 
     def _fresh(self, n: int) -> int:
         return eval_expr(self.expr, self.context, n)  # type: ignore[return-value]
@@ -361,11 +368,9 @@ QUADRATIC_SEQUENCE_TEXT = "nint(beta*n*nint(alpha*n))"
 BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
 
 
-def quadratic_sequence(alpha: AlgebraicReal, beta: Number,
-                       memo_size: int = 1 << 20) -> SequenceHandle:
+def quadratic_sequence(alpha: AlgebraicReal, beta: Number) -> SequenceHandle:
     """g(n) = nint(beta * n * nint(alpha * n))."""
-    return SequenceHandle(parse(QUADRATIC_SEQUENCE_TEXT), {"alpha": alpha, "beta": beta},
-                          memo_size=memo_size)
+    return SequenceHandle(parse(QUADRATIC_SEQUENCE_TEXT), {"alpha": alpha, "beta": beta})
 
 
 def bohr_indicator_sequence(alpha: AlgebraicReal, rho: Number) -> SequenceHandle:

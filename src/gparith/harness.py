@@ -63,14 +63,30 @@ from .weakmult import (
     term_to_poly,
 )
 
+# Fixed scales of the harnesses.  Lemma 3.3: mu(n, m) searches n2 in
+# [C*m, C*m + _EXTEND_CAP] in windows _FIRST_WINDOW wide, growing fourfold.
+_FIRST_WINDOW = 256
+_EXTEND_CAP = 200_000
+_LEMMA42_NS = (6, 10, 14)
+# Lemma 4.3: norm(alpha m^2) < _GOOD_EPS for the converse m; the control
+# scans m <= _BAD_SCAN with norm(alpha m^2) >= _BAD_NORM_FLOOR.
+_GOOD_EPS = Fraction(1, 300)
+_BAD_NORM_FLOOR = 0.3
+_BAD_SCAN = 40
+_LEMMA44_PAIRS = ((3, 3), (5, 5), (2, 6), (3, 7))
+
 
 @dataclass
 class HarnessResult:
+    """Records of one harness run; `vacuous` (kept out of the JSON report)
+    marks a check that passed on an empty premise set."""
+
     lemma: str
     records: list = dc_field(default_factory=list)
     violations: int = 0
     cap_exhausted: int = 0
     summary: dict = dc_field(default_factory=dict)
+    vacuous: bool = False
 
     @property
     def ok(self) -> bool:
@@ -291,19 +307,18 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 
 
 def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
-                   m_max: int = 10_000, first_window: int = 256,
-                   extend_cap: int = 200_000) -> HarnessResult:
+                   m_max: int = 10_000) -> HarnessResult:
     """Bounded psi membership equals the exact fractional-part window for
     every m <= m_max and N <= N_max; window endpoints move monotonically."""
     res = HarnessResult("3.3")
     fast = ctx.fast
-    G = fast.g_range(0, C * m_max + extend_cap + N_max + m_max + 4)
+    G = fast.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
 
     def mu_found(n: int, m: int) -> bool:
         lo = C * m
-        width = first_window
+        width = _FIRST_WINDOW
         target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
-        end = C * m + extend_cap
+        end = C * m + _EXTEND_CAP
         while lo <= end:
             hi = min(lo + width - 1, end)
             w = hi - lo + 1
@@ -328,8 +343,8 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
         lo_f, hi_f = float(lo), float(hi)
         member = np.zeros(m_max + 1, dtype=bool)
         s = fr
-        sure_in = (s > lo_f + mg + 1e-12) & (s < hi_f - mg - 1e-12)
-        sure_out = (s < lo_f - mg - 1e-12) | (s > hi_f + mg + 1e-12)
+        sure_in = (s > lo_f + mg) & (s < hi_f - mg)
+        sure_out = (s < lo_f - mg) | (s > hi_f + mg)
         member[1:] = sure_in
         for i in np.nonzero(~sure_in & ~sure_out)[0]:
             member[i + 1] = ctx.in_window(int(i + 1), N)
@@ -340,7 +355,7 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
                         witness={"psi": bool(psi_tab[N - 1, m]),
                                  "window": bool(member[m])})
     res.add({"N_max": N_max, "m_max": m_max}, "pass" if mismatches == 0 else "fail",
-            caps={"C": C, "extend_cap": extend_cap})
+            caps={"C": C, "extend_cap": _EXTEND_CAP})
 
     mono_bad = 0
     for N in range(1, N_max):
@@ -385,8 +400,7 @@ def verify_lemma34(alpha: AlgebraicReal, abcd=(1, 2, 3, 1), N: int = 200_000,
 
 
 def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
-                   bounds: BoundProfile = DEFAULT_BOUNDS,
-                   record_all: bool = False) -> HarnessResult:
+                   bounds: BoundProfile = DEFAULT_BOUNDS) -> HarnessResult:
     res = HarnessResult("3.5/3.6")
     mismatches = capx = 0
     for n in range(1, n_max + 1):
@@ -402,8 +416,6 @@ def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
                 res.add({"n": n, "n_prime": npr}, "fail",
                         witness={"bounded": v.value, "characterisation": char,
                                  "detail": v.detail})
-            elif record_all:
-                res.add({"n": n, "n_prime": npr}, "pass")
     res.add({"n_max": n_max, "nprime_max": nprime_max},
             "pass" if mismatches == 0 else "fail",
             caps={"H_cap": bounds.H_cap, "M_cap": bounds.M_cap})
@@ -492,6 +504,7 @@ def verify_lemma37_range(ctx: AlphaContext, m_max: int = 100,
                 res.add({"m": m, "h": h}, "fail", witness="leading-coefficient")
     res.add({"m_max": m_max, "h_factor": h_factor},
             "pass" if bad + lead_bad == 0 else "fail")
+    res.vacuous = count == 0
     res.summary = {"instances": count, "equivalence_failures": bad,
                    "leading_failures": lead_bad}
     return res
@@ -573,10 +586,9 @@ def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
-def verify_prop21(m_cap: int = 4, n_cap: int = 10,
-                  k_max: int = 10**9) -> HarnessResult:
+def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
     res = HarnessResult("2.1")
-    Q = SyntheticQSet(m_max=m_cap, k_max=k_max)
+    Q = SyntheticQSet(m_max=m_cap, k_max=10**9)
     cases = [
         ("x1*x2 - 6", True),
         ("x1*x1 + x2*x2 - x3*x3", True),
@@ -640,6 +652,7 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     res.add({"N": N, "m_max": m_max, "premise_count": len(premise)},
             "pass" if bad == 0 else "fail",
             witness={"delta": _alg_str(delta), "premise_ms": premise[:10]})
+    res.vacuous = not premise
 
     # forward trend: exact maxima over the almost-period sets shrink with N
     prev1 = prev2 = None
@@ -671,8 +684,7 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     return res
 
 
-def verify_lemma42(world: bohr_mod.BohrWorld, Ns=(6, 10, 14),
-                   m_max: int = 2000) -> HarnessResult:
+def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResult:
     """Forward: the lambda-true set's worst norm(2 alpha m) shrinks as N
     grows (empirical thresholds, labelled). Converse: small norm(2 alpha m)
     forces lambda within the caps."""
@@ -682,7 +694,7 @@ def verify_lemma42(world: bohr_mod.BohrWorld, Ns=(6, 10, 14),
     prev = None
     trend_ok = True
     trend = []
-    for N in Ns:
+    for N in _LEMMA42_NS:
         lam = world.lambda_vec(N, m_max)
         idx = np.nonzero(lam[1:])[0] + 1
         if len(idx) == 0:
@@ -695,31 +707,28 @@ def verify_lemma42(world: bohr_mod.BohrWorld, Ns=(6, 10, 14),
         if prev is not None and (worst - prev).sign() > 0:
             trend_ok = False
         prev = worst
-    res.add({"check": "forward-trend", "Ns": list(Ns)},
+    res.add({"check": "forward-trend", "Ns": list(_LEMMA42_NS)},
             "pass" if trend_ok else "fail", witness=trend)
 
     w = find_small_norm(2 * alpha, Fraction(1, 5000),
                         SearchBudget(max_candidate=10**6))
-    lam_ok = world.lambda_(w.m, Ns[0])
-    res.add({"check": "converse", "m": w.m, "N": Ns[0]},
+    lam_ok = world.lambda_(w.m, _LEMMA42_NS[0])
+    res.add({"check": "converse", "m": w.m, "N": _LEMMA42_NS[0]},
             "pass" if lam_ok else "fail",
             witness={"norm_2am": _alg_str(w.achieved["norm"])})
     res.summary = {"trend": trend, "converse_m": w.m}
     return res
 
 
-def verify_lemma43(world: bohr_mod.BohrWorld, N: int | None = None,
-                   good_eps: Fraction = Fraction(1, 300),
-                   bad_norm_floor: float = 0.3,
-                   bad_scan: int = 40) -> HarnessResult:
+def verify_lemma43(world: bohr_mod.BohrWorld) -> HarnessResult:
     """Small norm(alpha m^2) forces the shifted-hit property within caps;
     at least one large-norm m refutes it (thresholds empirical, labelled)."""
     from .diosearch import find_weyl_witness
 
     res = HarnessResult("4.3")
     alpha = world.params.alpha
-    N = N or world.bounds.N_cap
-    m_good = find_weyl_witness([("alpha*n*n", (-good_eps, good_eps))],
+    N = world.bounds.N_cap
+    m_good = find_weyl_witness([("alpha*n*n", (-_GOOD_EPS, _GOOD_EPS))],
                                SearchBudget(max_candidate=10**6),
                                {"alpha": alpha})
     kv = world.kappa(m_good, N)
@@ -730,28 +739,27 @@ def verify_lemma43(world: bohr_mod.BohrWorld, N: int | None = None,
                      "norm_asq": float((alpha * m_good * m_good).circle_norm()),
                      "label": "empirical"})
     refuted = []
-    for m in range(1, bad_scan + 1):
-        if float((alpha * m * m).circle_norm()) < bad_norm_floor:
+    for m in range(1, _BAD_SCAN + 1):
+        if float((alpha * m * m).circle_norm()) < _BAD_NORM_FLOOR:
             continue
         v = world.kappa(m, N)
         if v.value is False:
             refuted.append(m)
-    res.add({"direction": "forward-control", "N": N, "scan": bad_scan},
+    res.add({"direction": "forward-control", "N": N, "scan": _BAD_SCAN},
             "pass" if refuted else "fail",
             witness={"refuted_ms": refuted[:8], "label": "empirical"})
     res.summary = {"good_m": m_good, "refuted_count": len(refuted)}
     return res
 
 
-def verify_lemma44(world: bohr_mod.BohrWorld,
-                   pairs=((3, 3), (5, 5), (2, 6), (3, 7))) -> HarnessResult:
+def verify_lemma44(world: bohr_mod.BohrWorld) -> HarnessResult:
     """Reflexive instances must verify (N_cap <= L_cap makes the consequent
     weaker than the antecedent); the exact closeness invariant
     norm(alpha (m^2 - mt^2)) is reported alongside every verdict."""
     res = HarnessResult("4.4")
     alpha = world.params.alpha
     N = world.bounds.N_cap
-    for (m, mt) in pairs:
+    for (m, mt) in _LEMMA44_PAIRS:
         v = world.nu(m, mt, N)
         closeness = (alpha * (m * m - mt * mt)).circle_norm()
         if m == mt:
@@ -767,7 +775,7 @@ def verify_lemma44(world: bohr_mod.BohrWorld,
                 witness={"tag": v.tag,
                          "norm_alpha_diff_squares": float(closeness),
                          "label": label})
-    res.summary = {"pairs": [list(p) for p in pairs]}
+    res.summary = {"pairs": [list(p) for p in _LEMMA44_PAIRS]}
     return res
 
 

@@ -33,6 +33,7 @@ from .focheck import (
     TVar,
     Term as FTerm,
     ell,
+    progression_d2,
 )
 from .genpoly import TokenStream, parse_sum
 
@@ -278,15 +279,9 @@ def family_F(p: IntPolynomial) -> frozenset:
 # Quadruple sets
 # ---------------------------------------------------------------------------
 
-PROV_GENERATED = "generated-from-g"
-PROV_SYNTHETIC = "synthetic-exact"
-PROV_IMPORTED = "imported"
-
 
 class QSet:
     """Set of multiplicative quadruples (m, a, b, c); membership is pure."""
-
-    provenance: str
 
     def contains(self, m: int, a: int, b: int, c: int) -> bool:
         raise NotImplementedError
@@ -299,11 +294,10 @@ class QSet:
 
 
 class ExplicitQSet(QSet):
-    def __init__(self, quadruples: Iterable[tuple[int, int, int, int]],
-                 provenance: str, bounds: dict | None = None) -> None:
-        self._store = frozenset(tuple(int(x) for x in q) for q in quadruples)
-        self.provenance = provenance
-        self.bounds = dict(bounds or {})
+    """An explicit store of quadruples, given as tuples of Python ints."""
+
+    def __init__(self, quadruples: Iterable[tuple[int, int, int, int]]) -> None:
+        self._store = frozenset(quadruples)
 
     def contains(self, m, a, b, c) -> bool:
         return (m, a, b, c) in self._store
@@ -320,9 +314,6 @@ class ExplicitQSet(QSet):
     def __eq__(self, other) -> bool:
         return isinstance(other, ExplicitQSet) and self._store == other._store
 
-    def __hash__(self):
-        return hash(self._store)
-
 
 class SyntheticQSet(QSet):
     """All (m, km, lm, klm) with 1 <= m <= m_max and |k|, |l| <= k_max.
@@ -337,7 +328,6 @@ class SyntheticQSet(QSet):
             raise ValueError("bounds must be nonnegative")
         self.m_max = m_max
         self.k_max = k_max
-        self.provenance = PROV_SYNTHETIC
 
     def contains(self, m, a, b, c) -> bool:
         if not 1 <= m <= self.m_max:
@@ -435,17 +425,10 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
             T = min(h_factor_max, T_ell)
             if T < 3:
                 continue
-            gv = ctx.fast.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
-            d2 = gv[3:T + 1] - 2 * gv[2:T] + gv[1:T - 1]
-            if len(d2) == 0:
-                continue
-            a = int(d2[0])
+            gv, a, run = progression_d2(ctx, m, T)
             if a == 0:
                 continue
-            run = int(np.argmin(d2 == a)) if not bool(np.all(d2 == a)) else len(d2)
             T_eff = min(T, run + 2)
-            if T_eff < 3:
-                continue
             for k in range(1, T_eff):
                 for l in range(1, (T_eff - 1) // k + 1):
                     kl = k * l
@@ -454,8 +437,7 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
                     rhs = int(gv[k + l] - gv[k] - gv[l] + gv[0])
                     if lhs == rhs:
                         quads.append((m, k * m, l * m, kl * m))
-    return ExplicitQSet(quads, PROV_GENERATED,
-                        bounds={"m_max": m_max, "h_factor_max": h_factor_max})
+    return ExplicitQSet(quads)
 
 
 def close_pm(Q: QSet) -> QSet:
@@ -467,8 +449,7 @@ def close_pm(Q: QSet) -> QSet:
         for s in (1, -1):
             for t in (1, -1):
                 closed.add((m, s * a, t * b, s * t * c))
-    return ExplicitQSet(closed, Q.provenance,
-                        bounds=getattr(Q, "bounds", None))
+    return ExplicitQSet(closed)
 
 
 @dataclass
@@ -536,7 +517,7 @@ def import_csv(fp) -> ExplicitQSet:
             if len(parts) != 4:
                 raise ValueError(f"malformed quadruple line: {line!r}")
             quads.append(tuple(int(x) for x in parts))
-        return ExplicitQSet(quads, PROV_IMPORTED)
+        return ExplicitQSet(quads)
     finally:
         if close_me:
             fp.close()

@@ -167,6 +167,7 @@ def test_criterion_12_quadratic_indicator_suite(world):
     report(12, "indicator-world converse + divisibility sequences",
            r41.ok and r45.ok, dt,
            f"premises={r41.summary['premise_count']} "
+           f"{'(vacuous) ' if r41.vacuous else ''}"
            f"pairs={r45.summary['pairs']} failures={r45.summary['failures']}")
     assert r41.ok
     assert r45.ok

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import sys
 
@@ -183,3 +186,34 @@ class TestSearchAndBohr:
              "--grid", "10"], capsys)
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 0.02
+
+
+class TestRepeatedCalls:
+    """main() may serve many requests in one process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "nint(beta*n*nint(alpha*n))", "--n", "0..50"],
+        ["formula", "exists x in [1, 10]: g(x) = 30"],
+        ["verify", "3.7", "--m-max", "10", "--h-factor", "5"],
+    ], ids=["eval", "formula", "verify"])
+    def test_warm_call_leaves_no_cyclic_garbage(self, argv, tmp_path):
+        argv = ["--out", str(tmp_path / "report")] + argv
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0  # first call: lazy imports and caches
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+    def test_second_call_does_not_inherit_out_or_verbose(self, tmp_path, capsys):
+        verify = ["verify", "3.7", "--m-max", "10", "--h-factor", "5"]
+        report = tmp_path / "report"
+        assert main(["--out", str(report), "--verbose"] + verify) == 0
+        assert "runtime_ms" in report.read_text()
+        capsys.readouterr()
+        assert main(verify) == 0
+        printed = capsys.readouterr().out
+        assert '"summary"' in printed and "runtime_ms" not in printed

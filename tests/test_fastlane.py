@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gparith._fastlane import BohrFast, QuadSeqFast, check_int64_product
+from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
 from gparith.diosearch import SearchBudget, find_weyl_witness
 from gparith.exactnum import field_create
 from gparith.focheck import _extreme_indices
@@ -103,6 +103,23 @@ def test_indicator_lane_matches_exact_up_to_the_guard(name, n, rho):
     fast = BohrFast(_THETA[name], rho)
     ns = np.array([n, n // 2, n // 1000], dtype=np.int64)
     assert [int(v) for v in fast.g_vec(ns)] == [fast.g_scalar(int(k)) for k in ns]
+
+
+_MARGIN_KS = np.array(list(range(1, 2001))
+                      + [s * ((1 << j) + j) for j in range(11, 46, 2) for s in (1, -1)],
+                      dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("scale", [1, 2])
+def test_filter_margin_bounds_the_float_frac(name, scale):
+    # for small k the rounding of the int64 lane value to float64 is far
+    # larger than the lane error (|k|+2)*2^-64, so the margin must cover it
+    const = _THETA[name] * scale
+    frac, margin = FastConst(const).frac_vec_filter(_MARGIN_KS)
+    for k, f, mg in zip(_MARGIN_KS, frac, margin):
+        dist = (const * int(k) - Fraction(float(f))).circle_norm()
+        assert (dist - Fraction(float(mg))).sign() <= 0, int(k)
 
 
 def test_window_extremes_see_every_candidate():

@@ -111,7 +111,7 @@ class TestFamily:
 
 class TestPartialOps:
     def test_times_m_defined(self):
-        Q = ExplicitQSet([(2, 4, 6, 12)], "synthetic-exact")
+        Q = ExplicitQSet([(2, 4, 6, 12)])
         from gparith.weakmult import times_m
 
         assert times_m(Q, 2, 4, 6) == 12
@@ -143,7 +143,7 @@ class TestPartialOps:
                     assert s == ac + bc
 
     def test_multiplication_free_total(self):
-        Q = ExplicitQSet([], "synthetic-exact")
+        Q = ExplicitQSet([])
         t = Plus(Minus(TermVar(1), TermVar(2)), Plus(ONE, ONE))
         # unit scales with the modulus: x1 - x2 + 2m at scaled arguments
         assert eval_term_m(t, 3, [6, 9], Q) == 6 - 9 + 6
@@ -209,7 +209,7 @@ class TestQSets:
         assert len(build_Q(ctx, 0, 10)) == 0
 
     def test_close_pm(self):
-        Q = ExplicitQSet([(2, 4, 6, 12)], "generated-from-g")
+        Q = ExplicitQSet([(2, 4, 6, 12)])
         C = close_pm(Q)
         assert set(C.members()) == {(2, 4, 6, 12), (2, -4, 6, -12),
                                     (2, 4, -6, -12), (2, -4, -6, 12)}
