@@ -94,12 +94,10 @@ class BohrWorld:
             return self._R
         self._ensure(x_max + window + 1)
         G = self._G
-        base = G[1:window + 1]
         R = np.full(x_max + 1, window + 1, dtype=np.int64)
-        for x in range(0, x_max + 1):
-            diff = np.nonzero(G[x + 1:x + window + 1] != base)[0]
-            if len(diff):
-                R[x] = int(diff[0]) + 1
+        # n runs downward, so the least mismatching n is written last
+        for n in range(window, 0, -1):
+            R[G[n:n + x_max + 1] != G[n]] = n
         self._R = R
         self._R_window = window
         return R
@@ -153,13 +151,11 @@ class BohrWorld:
             return cached
         cap = self.bounds.n_cap
         S = self.mu_true_upto(cap + n_max, N)
+        inset = np.zeros(cap + n_max + 2, dtype=bool)
+        inset[S] = True
         lam = np.zeros(n_max + 1, dtype=bool)
-        if len(S):
-            inset = np.zeros(cap + n_max + 2, dtype=bool)
-            inset[S] = True
-            base = S[S <= cap]
-            for n in range(1, n_max + 1):
-                lam[n] = bool(np.any(inset[base + n]))
+        for s in S[S <= cap]:  # lam[n] = any inset[s + n] over these s
+            lam[1:] |= inset[s + 1:s + n_max + 1]
         self._lam_cache[key] = lam
         return lam
 

@@ -443,6 +443,10 @@ def _element_degree_at_least_3(x: AlgebraicReal) -> bool:
     return False
 
 
+# equidist_check builds the push-forward histogram this many samples at a time
+_PUSH_SLICE = 1 << 16
+
+
 def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
                    N: int, M: int, grid: int,
                    seed: int = DEFAULT_SEED) -> EquidistReport:
@@ -477,9 +481,12 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
     def fs(z):
         return z - np.floor(z + 0.5)
 
-    px = fs(d * x + af * r)
-    py = fs(b * x - c * y + af * tf * r - af * fs(d * y + tf * r))
-    push_hist, _, _ = np.histogram2d(px, py, bins=(edges, edges))
+    push_hist = np.zeros((grid, grid))
+    for i in range(0, M, _PUSH_SLICE):
+        xs, ys, rs = x[i:i + _PUSH_SLICE], y[i:i + _PUSH_SLICE], r[i:i + _PUSH_SLICE]
+        px = fs(d * xs + af * rs)
+        py = fs(b * xs - c * ys + af * tf * rs - af * fs(d * ys + tf * rs))
+        push_hist += np.histogram2d(px, py, bins=(edges, edges))[0]
 
     disc = float(np.max(np.abs(orbit_hist / N - push_hist / M)))
     origin = float(np.mean((np.abs(x_orb) <= 0.05) & (np.abs(y_orb) <= 0.05)))

@@ -529,7 +529,15 @@ def ell(k: int, alpha: AlgebraicReal) -> int:
     nrm = (alpha * k).circle_norm()
     if nrm.sign() == 0:
         raise PreconditionViolated("alpha*k is an integer; alpha must be irrational")
-    return k * (1 / (2 * nrm)).floor()
+    # floor(1/(2 nrm)) is the q with 2 nrm q <= 1 < 2 nrm (q+1), found with
+    # no field inverse: 2 nrm <= H/S bounds q from below by S // H, and
+    # exact sign tests raise it
+    two = 2 * nrm
+    _, hi, scale = two.scaled_enclosure(64)
+    q = scale // hi
+    while (two * (q + 1) - 1).sign() <= 0:
+        q += 1
+    return k * q
 
 
 @dataclass

@@ -306,6 +306,34 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 # ---------------------------------------------------------------------------
 
 
+def _psi_table(G: np.ndarray, C: int, N_max: int, m_max: int) -> np.ndarray:
+    """psi[n-1, m] = AND over n' <= n of mu(n', m), where mu(n, m) holds when
+    some n2 in [C*m, C*m + _EXTEND_CAP] has g(n+m+n2) - g(n+n2) - g(m+n2) +
+    g(n2) = g(n+m) - g(n) - g(m) + g(0).  Column 0 is False."""
+    w = _FIRST_WINDOW
+    window = np.lib.stride_tricks.sliding_window_view
+    psi = np.zeros((N_max, m_max + 1), dtype=bool)
+    for m in range(1, m_max + 1):
+        lo, end = C * m, C * m + _EXTEND_CAP
+        target = G[m + 1:m + N_max + 1] - G[1:N_max + 1] - G[m] + G[0]
+        # the first window for all n at once: d2[n-1, j] at n2 = lo + j
+        d2 = (window(G[lo + m + 1:lo + m + N_max + w], w)
+              - window(G[lo + 1:lo + N_max + w], w)
+              - (G[lo + m:lo + m + w] - G[lo:lo + w]))
+        first = (d2 == target[:, None]).any(axis=1)
+        for n in range(1, N_max + 1):
+            found, a, width = first[n - 1], lo + w, 4 * w
+            while not found and a <= end:  # windows growing fourfold
+                k = min(a + width - 1, end) - a + 1
+                found = np.any(G[a + n + m:a + n + m + k] - G[a + n:a + n + k]
+                               - G[a + m:a + m + k] + G[a:a + k] == target[n - 1])
+                a, width = a + k, 4 * width
+            if not found:
+                break  # no later n can make psi True in this column
+            psi[n - 1, m] = True
+    return psi
+
+
 def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
                    m_max: int = 10_000) -> HarnessResult:
     """Bounded psi membership equals the exact fractional-part window for
@@ -314,27 +342,7 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     fast = ctx.fast
     G = fast.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
 
-    def mu_found(n: int, m: int) -> bool:
-        lo = C * m
-        width = _FIRST_WINDOW
-        target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
-        end = C * m + _EXTEND_CAP
-        while lo <= end:
-            hi = min(lo + width - 1, end)
-            w = hi - lo + 1
-            d2 = (G[lo + n + m:lo + n + m + w] - G[lo + n:lo + n + w]
-                  - G[lo + m:lo + m + w] + G[lo:lo + w])
-            if np.any(d2 == target):
-                return True
-            lo = hi + 1
-            width *= 4
-        return False
-
-    mu_tab = np.zeros((N_max + 1, m_max + 1), dtype=bool)
-    for n in range(1, N_max + 1):
-        for m in range(1, m_max + 1):
-            mu_tab[n, m] = mu_found(n, m)
-    psi_tab = np.logical_and.accumulate(mu_tab[1:, :], axis=0)
+    psi_tab = _psi_table(G, C, N_max, m_max)
 
     fr, mg = ctx.fracs_upto(m_max)
     mismatches = 0
@@ -348,12 +356,11 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
         member[1:] = sure_in
         for i in np.nonzero(~sure_in & ~sure_out)[0]:
             member[i + 1] = ctx.in_window(int(i + 1), N)
-        for m in range(1, m_max + 1):
-            if bool(psi_tab[N - 1, m]) != bool(member[m]):
-                mismatches += 1
-                res.add({"N": N, "m": m}, "fail",
-                        witness={"psi": bool(psi_tab[N - 1, m]),
-                                 "window": bool(member[m])})
+        for m in np.nonzero(psi_tab[N - 1, 1:] != member[1:])[0] + 1:
+            mismatches += 1
+            res.add({"N": N, "m": int(m)}, "fail",
+                    witness={"psi": bool(psi_tab[N - 1, m]),
+                             "window": bool(member[m])})
     res.add({"N_max": N_max, "m_max": m_max}, "pass" if mismatches == 0 else "fail",
             caps={"C": C, "extend_cap": _EXTEND_CAP})
 

@@ -23,6 +23,12 @@ REPORTS = {
                        "f62869747c1c9f6dea4975fd429cfa149dee541e0346f95934577a35022bc75e"),
     "verify-3.7": (["verify", "3.7", "--m-max", "30", "--h-factor", "12"],
                    "cd12b3e651a02f4e9eab592e5e4f151810032d5c60c4e0a583c140ce9d115057"),
+    "verify-4.1": (["verify", "4.1", "--m-max", "20000"],
+                   "8f334273781c093013b3418a6bbfc261d3923b0f14f46bb1b2b533e468948f96"),
+    "verify-4.2": (["verify", "4.2", "--m-max", "1000"],
+                   "eb735f5b7bcb8d6253b80c0ef5d00abb20ee75010837a8aa6c7b586527754468"),
+    "verify-4.3": (["verify", "4.3"],
+                   "11eabebb813ff250fbd5fee791cc41cf293c19f8e6149104ec5137db4a6189cc"),
     "verify-4.4": (["verify", "4.4"],
                    "567e9b9d81588cbb4f8ce070fb8fb06cacf8818cd832b6e49978f57d5decfe31"),
     "verify-Q1": (["verify", "Q1", "--m-max", "300", "--h-factor", "100"],

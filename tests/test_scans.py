@@ -1,0 +1,163 @@
+"""Whole-array scans against the literal definitions they compute.
+
+`BohrWorld._radius`, `BohrWorld.lambda_vec`, `harness._psi_table`, the
+sliced push-forward histogram of `equidist_check` and `focheck.ell` are
+each compared with a direct, element-by-element reading of what they
+compute.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gparith._fastlane import FastConst
+from gparith.bohr import BohrBounds, BohrParams, BohrWorld
+from gparith.diosearch import _PUSH_SLICE, continued_fraction, equidist_check
+from gparith.exactnum import field_create
+from gparith.focheck import ell
+from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
+
+
+class TestRadius:
+    @pytest.mark.parametrize("window,x_max", [(6, 4000), (10, 4000), (25, 4000),
+                                              (200, 2000)])
+    def test_against_first_mismatch_loop(self, sqrt2, window, x_max):
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
+        R = world._radius(x_max, window)
+        G = [world.g(n) for n in range(x_max + window + 1)]
+        want = [next((n for n in range(1, window + 1) if G[n + x] != G[n]), window + 1)
+                for x in range(x_max + 1)]
+        assert R.tolist() == want
+        # x = 0 never mismatches; small windows also have such x >= 1
+        no_mismatch = [x for x in range(x_max + 1) if want[x] == window + 1]
+        assert no_mismatch[0] == 0
+        if window <= 25:
+            assert len(no_mismatch) > 1
+
+
+class TestLambdaVec:
+    @pytest.mark.parametrize("N,n_max", [(6, 40), (6, 500), (10, 300), (40, 200)])
+    def test_against_per_n_loop(self, sqrt2, N, n_max):
+        cap = 3000
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), BohrBounds(n_cap=cap))
+        S = world.mu_true_upto(cap + n_max, N)
+        inset = np.zeros(cap + n_max + 2, dtype=bool)
+        inset[S] = True
+        base = S[S <= cap]
+        want = [False] + [bool(np.any(inset[base + n])) for n in range(1, n_max + 1)]
+        assert world.lambda_vec(N, n_max).tolist() == want
+        if N == 40:
+            assert len(S) == 0  # the empty mu set
+        else:
+            assert 0 < len(base) and any(want) and not all(want[1:])
+            assert (n_max < len(base)) == (N == 6 and n_max == 40)
+
+
+def _mu_table(G, C, N_max, m_max):
+    """mu(n, m) by the literal windowed search, and whether each match lay
+    past the first window; row n - 1, column m (column 0 False)."""
+    mu = np.zeros((N_max, m_max + 1), dtype=bool)
+    late = np.zeros_like(mu)
+    for n in range(1, N_max + 1):
+        for m in range(1, m_max + 1):
+            lo, width, end = C * m, _FIRST_WINDOW, C * m + _EXTEND_CAP
+            target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
+            while lo <= end:
+                hi = min(lo + width - 1, end)
+                w = hi - lo + 1
+                d2 = (G[lo + n + m:lo + n + m + w] - G[lo + n:lo + n + w]
+                      - G[lo + m:lo + m + w] + G[lo:lo + w])
+                if np.any(d2 == target):
+                    mu[n - 1, m] = True
+                    late[n - 1, m] = lo > C * m
+                    break
+                lo = hi + 1
+                width *= 4
+    return mu, late
+
+
+class TestPsiTable:
+    def test_quadratic_sequence(self, ctx):
+        C, N_max, m_max = 2, 30, 40
+        G = ctx.fast.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
+        mu, _ = _mu_table(G, C, N_max, m_max)
+        psi = _psi_table(G, C, N_max, m_max)
+        assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
+
+    def test_late_matches_and_early_stop(self):
+        # small random values, and one huge g(5) that no window can match,
+        # so mu(5, m) is False between True rows
+        C, N_max, m_max = 2, 8, 40
+        G = np.random.default_rng(0).integers(
+            0, 1000, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
+        G[5] = 10**9
+        mu, late = _mu_table(G, C, N_max, m_max)
+        assert late.any()  # first window missed, a later window matched
+        # a column with mu False at some n and True at a later n
+        assert any(not mu[i, m] and mu[i + 1:, m].any()
+                   for m in range(1, m_max + 1) for i in range(N_max))
+        psi = _psi_table(G, C, N_max, m_max)
+        assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
+        assert psi[3, 1:].any() and not psi[4:, 1:].any()
+
+
+def test_push_hist_slices_match_one_shot(alpha):
+    a, b, c, d = 1, 2, 3, 2
+    M, grid, seed = 3 * _PUSH_SLICE + 5, 12, 3
+    rep = equidist_check(alpha, a, b, c, d, N=1000, M=M, grid=grid, seed=seed)
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, abs(d), size=M)
+    x = rng.random(size=M) - 0.5
+    y = rng.random(size=M) - 0.5
+    af = FastConst(alpha).f64
+    tf = FastConst((a + alpha * b) / (c + alpha * d)).f64
+
+    def fs(z):
+        return z - np.floor(z + 0.5)
+
+    edges = np.linspace(-0.5, 0.5, grid + 1)
+    px = fs(d * x + af * r)
+    py = fs(b * x - c * y + af * tf * r - af * fs(d * y + tf * r))
+    want, _, _ = np.histogram2d(px, py, bins=(edges, edges))
+    assert np.array_equal(rep.push_hist, want.astype(np.int64))
+    assert int(rep.push_hist.sum()) == M
+
+
+# The five fields of test_fuzz.py.
+_FIELDS = [field_create(*f) for f in (
+    ([-2, 0, 1], (1, 2)),
+    ([-3, 0, 1], (1, 2)),
+    ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
+    ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
+    ([-1, -1, 1], (1, 2)),
+)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ell_matches_inverse_definition(data):
+    K = _FIELDS[data.draw(st.integers(0, len(_FIELDS) - 1))]
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=K.degree, max_size=K.degree))
+    assume(any(coeffs[1:]))
+    alpha = K.element(coeffs)
+    # convergent denominators make the norm small and the floor large
+    ks = [data.draw(st.integers(1, 1500))] + [
+        q for _, q in continued_fraction(alpha, 12).convergents() if q <= 10**9]
+    for k in ks:
+        nrm = (alpha * k).circle_norm()
+        assert ell(k, alpha) == k * (1 / (2 * nrm)).floor()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ell_near_integer_reciprocal(alpha, sign):
+    # ||alpha'|| = 1/(2q) -+ 2^-80 alpha puts 1/(2 norm) within 2^-66 of q,
+    # closer than the starting bound of ell resolves, so the exact sign
+    # tests decide between q and q - 1
+    tiny = Fraction(sign, 1 << 80) * alpha
+    for q in range(3, 130):
+        a = Fraction(1, 2 * q) - tiny
+        assert ell(1, a) == (1 / (2 * a)).floor() == (q if sign > 0 else q - 1)
