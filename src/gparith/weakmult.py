@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import operator
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import focheck
+from ._fastlane import check_int64_product
 from .errors import ZeroModulus
 from .focheck import (
     AlphaContext,
@@ -36,6 +40,8 @@ from .focheck import (
     progression_d2,
 )
 from .genpoly import TokenStream, parse_sum
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -71,6 +77,7 @@ class Times:
 
 
 Term = One | TermVar | Plus | Minus | Times
+_OPS = {Plus: operator.add, Minus: operator.sub, Times: operator.mul}
 
 ONE = One()
 
@@ -89,12 +96,7 @@ def term_eval(t: Term, args: Sequence[int]) -> int:
         return 1
     if isinstance(t, TermVar):
         return args[t.index - 1]
-    a, b = term_eval(t.lhs, args), term_eval(t.rhs, args)
-    if isinstance(t, Plus):
-        return a + b
-    if isinstance(t, Minus):
-        return a - b
-    return a * b
+    return _OPS[type(t)](term_eval(t.lhs, args), term_eval(t.rhs, args))
 
 
 def term_str(t: Term) -> str:
@@ -133,20 +135,14 @@ class IntPolynomial:
         e[i - 1] = 1
         return cls._normalise(arity, {tuple(e): 1})
 
-    def _entries(self) -> dict[tuple[int, ...], int]:
-        return dict(self.monomials)
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        ent = self._entries()
+        ent = dict(self.monomials)
         for e, c in other.monomials:
             ent[e] = ent.get(e, 0) + c
         return self._normalise(self.arity, ent)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        ent = self._entries()
-        for e, c in other.monomials:
-            ent[e] = ent.get(e, 0) - c
-        return self._normalise(self.arity, ent)
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
         return self._normalise(self.arity, {e: -c for e, c in self.monomials})
@@ -160,14 +156,7 @@ class IntPolynomial:
         return self._normalise(self.arity, ent)
 
     def eval(self, args: Sequence[int]) -> int:
-        total = 0
-        for e, c in self.monomials:
-            v = c
-            for x, k in zip(args, e):
-                v *= x**k
-        # no break on zero: polynomial degrees are tiny here
-            total += v
-        return total
+        return sum(c * prod(x**k for x, k in zip(args, e)) for e, c in self.monomials)
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -251,12 +240,7 @@ def term_to_poly(t: Term, arity: int | None = None) -> IntPolynomial:
         return IntPolynomial.constant(1, s)
     if isinstance(t, TermVar):
         return IntPolynomial.variable(t.index, s)
-    a, b = term_to_poly(t.lhs, s), term_to_poly(t.rhs, s)
-    if isinstance(t, Plus):
-        return a + b
-    if isinstance(t, Minus):
-        return a - b
-    return a * b
+    return _OPS[type(t)](term_to_poly(t.lhs, s), term_to_poly(t.rhs, s))
 
 
 def family_of_term(t: Term, arity: int | None = None) -> frozenset:
@@ -294,25 +278,50 @@ class QSet:
 
 
 class ExplicitQSet(QSet):
-    """An explicit store of quadruples, given as tuples of Python ints."""
+    """An explicit store of quadruples, given as (m, a, b, c) tuples or a
+    (4, n) int64 column array: deduplicated int64 columns, rows sorted."""
 
-    def __init__(self, quadruples: Iterable[tuple[int, int, int, int]]) -> None:
-        self._store = frozenset(quadruples)
+    def __init__(self, quadruples: Iterable[tuple[int, int, int, int]] | np.ndarray) -> None:
+        self.cols = _sorted_rows(quadruples if isinstance(quadruples, np.ndarray) else
+                                 np.fromiter(quadruples, dtype=np.dtype((np.int64, 4))).T)
+        self._tuples: frozenset | None = None  # built by the first `contains`
+        # progressions whose constant-d2 run falls short of T, as (m, T, run)
+        self.short_runs: list[tuple[int, int, int]] = []
 
     def contains(self, m, a, b, c) -> bool:
-        return (m, a, b, c) in self._store
+        if self._tuples is None:
+            self._tuples = frozenset(self.members())
+        return (m, a, b, c) in self._tuples
 
     def members(self):
-        return iter(sorted(self._store))
+        return zip(*self.cols.tolist())
 
     def moduli(self):
-        return iter(sorted({q[0] for q in self._store}))
+        return iter(np.unique(self.cols[0]).tolist())
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self.cols.shape[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExplicitQSet) and self._store == other._store
+        return isinstance(other, ExplicitQSet) and np.array_equal(self.cols, other.cols)
+
+
+def _sorted_rows(cols: np.ndarray) -> np.ndarray:
+    """The distinct rows of (4, n) columns, in lexicographic order.  Adjacent
+    columns whose joint range fits in int64 share one lexsort key, since
+    (x - lo_x) * w_y + (y - lo_y) orders as (x, y) does."""
+    if not cols.shape[1]:
+        return cols
+    keys, span = [], 0
+    for col in cols:
+        lo = int(col.min())
+        w = int(col.max()) - lo + 1
+        if keys and span * w <= _INT64_MAX:
+            keys[-1], span = keys[-1] * w + (col - lo), span * w
+        else:
+            keys, span = keys + [col - lo if w <= _INT64_MAX else col], w
+    cols = cols[:, np.lexsort(keys[::-1])]
+    return cols[:, np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)]]
 
 
 class SyntheticQSet(QSet):
@@ -381,11 +390,7 @@ def eval_term_m(t: Term, m: int, args: Sequence[int], Q: QSet) -> Optional[int]:
     b = eval_term_m(t.rhs, m, args, Q)
     if b is None:
         return None
-    if isinstance(t, Plus):
-        return a + b
-    if isinstance(t, Minus):
-        return a - b
-    return times_m(Q, m, a, b)
+    return times_m(Q, m, a, b) if isinstance(t, Times) else _OPS[type(t)](a, b)
 
 
 def family_domain_ok(fam: frozenset, m: int, args: Sequence[int], Q: QSet) -> bool:
@@ -403,6 +408,14 @@ def family_domain_ok(fam: frozenset, m: int, args: Sequence[int], Q: QSet) -> bo
 # ---------------------------------------------------------------------------
 
 
+def _kl_pairs(T: int) -> np.ndarray:
+    """Rows (k, l, kl) over k, l >= 1 with kl <= T - 1, ordered by kl: the
+    pairs of any smaller T are a prefix."""
+    k = np.repeat(np.arange(1, T, dtype=np.int64), (T - 1) // np.arange(1, T))
+    l = np.arange(1, len(k) + 1) - np.searchsorted(k, k)
+    return np.stack([k, l, k * l])[:, np.argsort(k * l, kind="stable")]
+
+
 def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     """All quadruples with modulus m <= m_max witnessed by an admissible
     progression P_{m,h}, h <= h_factor_max * m.
@@ -410,46 +423,60 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     For each m the largest admissible T = h/m is found (range clause via
     ell, constant nonzero second difference along the progression); the
     memberships force quadruples (m, km, lm, klm) with kl <= T-1, and the
-    defining equality D g(m, klm) = D g(km, lm) is verified exactly.
+    defining equality D g(m, klm) = D g(km, lm) is verified exactly.  For
+    T <= ell(m)/m and integer beta, g(tm) = beta t^2 m nint(alpha m), so the
+    constant-d2 run reaches T - 2; a shorter one refutes the construction
+    and is recorded in `short_runs` as (m, T, run).
     """
-    quads: list[tuple[int, int, int, int]] = []
+    blocks, short_runs = [np.zeros((4, 0), dtype=np.int64)], []
+    pairs = _kl_pairs(3)
     if m_max >= 1:
         ms = np.arange(1, m_max + 1, dtype=np.int64)
         fr, mg = ctx.fast.frac_alpha_filter(ms)
-        nrm = np.abs(fr)
         # T >= 3 needs norm < 1/6; keep a margin and decide exactly below
-        maybe = np.nonzero(nrm < 1.0 / 6.0 + mg)[0]
-        for i in maybe:
+        for i in np.nonzero(np.abs(fr) < 1.0 / 6.0 + mg)[0]:
             m = int(ms[i])
-            T_ell = ell(m, ctx.alpha) // m
-            T = min(h_factor_max, T_ell)
+            T = min(h_factor_max, ell(m, ctx.alpha) // m)
             if T < 3:
                 continue
             gv, a, run = progression_d2(ctx, m, T)
             if a == 0:
                 continue
-            T_eff = min(T, run + 2)
-            for k in range(1, T_eff):
-                for l in range(1, (T_eff - 1) // k + 1):
-                    kl = k * l
-                    # defining equality, exact on the cached stride values
-                    lhs = int(gv[kl + 1] - gv[1] - gv[kl] + gv[0])
-                    rhs = int(gv[k + l] - gv[k] - gv[l] + gv[0])
-                    if lhs == rhs:
-                        quads.append((m, k * m, l * m, kl * m))
-    return ExplicitQSet(quads)
+            if run < T - 2:
+                short_runs.append((m, T, run))
+            if pairs[2, -1] < T - 1:
+                pairs = _kl_pairs(T)
+            k, l, kl = pairs[:, :np.searchsorted(pairs[2], T - 1, side="right")]
+            # defining equality, exact on the cached stride values
+            check_int64_product(4, np.abs(gv).max())
+            ok = gv[kl + 1] - gv[1] - gv[kl] + gv[0] == gv[k + l] - gv[k] - gv[l] + gv[0]
+            blocks.append(np.stack([np.full(len(k), m), k * m, l * m, kl * m])[:, ok])
+    Q = ExplicitQSet(np.concatenate(blocks, axis=1))
+    Q.short_runs = short_runs
+    return Q
+
+
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _signed(Q: ExplicitQSet, s: int, t: int) -> np.ndarray:
+    """Unsorted columns of {(m, sa, tb, st c)}."""
+    if (Q.cols[1:] == _INT64_MIN).any():
+        raise ValueError("sign flip of -2^63 leaves the int64 range")
+    m, a, b, c = Q.cols
+    return np.stack([m, s * a, t * b, s * t * c])
 
 
 def close_pm(Q: QSet) -> QSet:
     """Sign closure {(m, sa, tb, st c)}; idempotent."""
     if isinstance(Q, SyntheticQSet):
         return Q  # structurally sign-closed already
-    closed = set()
-    for (m, a, b, c) in Q.members():
-        for s in (1, -1):
-            for t in (1, -1):
-                closed.add((m, s * a, t * b, s * t * c))
-    return ExplicitQSet(closed)
+    return ExplicitQSet(np.concatenate([_signed(Q, s, t) for s, t in _SIGNS], axis=1))
+
+
+def is_sign_closed(Q: ExplicitQSet) -> bool:
+    """close_pm(Q) == Q: each non-identity sign flip of Q, sorted, equals Q."""
+    return all(ExplicitQSet(_signed(Q, s, t)) == Q for s, t in _SIGNS[1:])
 
 
 @dataclass
@@ -459,20 +486,21 @@ class Q1Report:
     commutes: bool  # (m,a,b,c) in Q iff (m,b,a,c) in Q, settled empirically
 
 
-def check_Q1(Q: QSet) -> Q1Report:
+def check_Q1(Q: ExplicitQSet) -> Q1Report:
     """Exhaustive structural check: every member is (m, km, lm, klm)."""
-    violations = []
-    total = 0
-    commutes = True
-    for (m, a, b, c) in Q.members():
-        total += 1
-        ok = (m != 0 and a % m == 0 and b % m == 0 and c % m == 0
-              and (a // m) * (b // m) == c // m)
-        if not ok:
-            violations.append((m, a, b, c))
-        if not Q.contains(m, b, a, c):
-            commutes = False
-    return Q1Report(total=total, violations=violations, commutes=commutes)
+    m, a, b, c = Q.cols
+    # -2^63 // -1 wraps to -2^63: a wrapped k (bound 2^63) trips the guard
+    # unless every l is 0, and a guarded |k*l| < 2^63 never equals a wrapped
+    # c // m
+    with np.errstate(over="ignore"):
+        (k, rk), (l, rl), (r, rc) = (np.divmod(x, np.where(m == 0, 1, m)) for x in (a, b, c))
+    ok = (m != 0) & (rk == 0) & (rl == 0) & (rc == 0)
+    k, l = k[ok], l[ok]
+    if len(k):
+        check_int64_product(max(-int(k.min()), int(k.max())), max(-int(l.min()), int(l.max())))
+    ok[ok] = k * l == r[ok]
+    return Q1Report(total=len(Q), violations=list(zip(*Q.cols[:, ~ok].tolist())),
+                    commutes=ExplicitQSet(np.stack([m, b, a, c])) == Q)
 
 
 def check_Q2(Q: QSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
@@ -489,38 +517,31 @@ def check_Q2(Q: QSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+def _opened(fp, mode: str):
+    """A path opened as ASCII text, or an open file left to its caller."""
+    return open(fp, mode, encoding="ascii") if isinstance(fp, str) else nullcontext(fp)
+
+
 def export_csv(Q: QSet, fp) -> None:
-    close_me = False
-    if isinstance(fp, str):
-        fp = open(fp, "w", encoding="ascii")
-        close_me = True
-    try:
-        for (m, a, b, c) in Q.members():
-            fp.write(f"{m},{a},{b},{c}\n")
-    finally:
-        if close_me:
-            fp.close()
+    with _opened(fp, "w") as f:
+        f.write("".join(f"{m},{a},{b},{c}\n" for m, a, b, c in Q.members()))
 
 
 def import_csv(fp) -> ExplicitQSet:
-    close_me = False
-    if isinstance(fp, str):
-        fp = open(fp, "r", encoding="ascii")
-        close_me = True
+    with _opened(fp, "r") as f:
+        lines = [line for line in map(str.strip, f) if line]
+    rows = []
+    for line in lines:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"malformed quadruple line: {line!r}")
+        rows.append(tuple(map(int, parts)))
     try:
-        quads = []
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed quadruple line: {line!r}")
-            quads.append(tuple(int(x) for x in parts))
-        return ExplicitQSet(quads)
-    finally:
-        if close_me:
-            fp.close()
+        return ExplicitQSet(rows)
+    except OverflowError:
+        bad = next(line for line, row in zip(lines, rows)
+                   if not all(_INT64_MIN <= v <= _INT64_MAX for v in row))
+        raise ValueError(f"quadruple line outside the int64 range: {bad!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -555,31 +576,16 @@ def parse_poly(text: str) -> IntPolynomial:
 
 @dataclass
 class CompiledReduction:
-    polynomial: IntPolynomial
-    term: Term
     formula: Formula
-    aux_count: int
-    y_names: list[str]
-    z_names: list[str]
 
     def text(self) -> str:
         return focheck.pretty_formula(self.formula)
 
 
 def _lin_term(lin: dict[str, int]) -> FTerm:
-    parts: list[FTerm] = []
-    for name in sorted(lin):
-        c = lin[name]
-        if c == 0:
-            continue
-        base: FTerm = TVar(name)
-        parts.append(base if c == 1 else TMul(TInt(c), base))
-    if not parts:
-        return TInt(0)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = TAdd(acc, p)
-    return acc
+    parts = [TVar(name) if c == 1 else TMul(TInt(c), TVar(name))
+             for name, c in sorted(lin.items()) if c != 0]
+    return reduce(TAdd, parts) if parts else TInt(0)
 
 
 def compile_solvability(p: IntPolynomial, m_cap: int = 8,
@@ -617,16 +623,12 @@ def compile_solvability(p: IntPolynomial, m_cap: int = 8,
     for atom in reversed(atoms):
         body = FAnd(atom, body)
 
-    y_names = [f"y{i}" for i in range(1, p.arity + 1)]
     z_cap = y_cap * y_cap
     for z in reversed(z_names):
         body = FExists(z, TInt(-z_cap), TInt(z_cap), body)
-    for y in reversed(y_names):
-        body = FExists(y, TInt(-y_cap), TInt(y_cap), body)
-    body = FExists("m", TInt(1), TInt(m_cap), body)
-    return CompiledReduction(polynomial=p, term=t, formula=body,
-                             aux_count=len(z_names), y_names=y_names,
-                             z_names=z_names)
+    for i in range(p.arity, 0, -1):
+        body = FExists(f"y{i}", TInt(-y_cap), TInt(y_cap), body)
+    return CompiledReduction(FExists("m", TInt(1), TInt(m_cap), body))
 
 
 @dataclass
@@ -634,7 +636,6 @@ class SolvabilityWitness:
     m: int
     n: tuple[int, ...]
     y: tuple[int, ...]
-    value: int
 
 
 def check_solvability(p: IntPolynomial, Q: QSet, m_values: Iterable[int],
@@ -647,16 +648,15 @@ def check_solvability(p: IntPolynomial, Q: QSet, m_values: Iterable[int],
     exclude_zero skips the all-zero assignment.
     """
     t = poly_to_term(p)
-    s = p.arity
     rng = sorted(range(-n_cap, n_cap + 1), key=lambda x: (abs(x), -x))
     for m in m_values:
         if m == 0:
             continue
-        for n_vec in product(rng, repeat=s):
+        for n_vec in product(rng, repeat=p.arity):
             if exclude_zero and not any(n_vec):
                 continue
             val = eval_term_m(t, m, [m * x for x in n_vec], Q)
             if val == 0:
                 return SolvabilityWitness(m=m, n=tuple(n_vec),
-                                          y=tuple(m * x for x in n_vec), value=0)
+                                          y=tuple(m * x for x in n_vec))
     return None

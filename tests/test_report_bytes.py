@@ -40,6 +40,22 @@ REPORTS = {
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
+Q_BUILD = ["--seed", "1", "quadruples", "build", "--m-max", "300",
+           "--h-factor", "100"]
+Q_FORMULA = ("exists m in [1, 60]: forall k in [1, 4]: Q(m, m*k, 2*m, 2*m*k) "
+             "and not Q(m, m*k, 2*m, 2*m*k + 1)")
+
+# Reports that read the q.csv above back: name -> (argv, digest).  The
+# digest is of the --out file, or of stdout for `quadruples import`, which
+# prints its JSON.
+Q_REPORTS = {
+    "verify-Q1-from": (["--out", "report", "verify", "Q1", "--from", "q.csv"],
+                       "450c6467a47abc4279c6cf3345cf729753fd68f30a5f6d7965347fafdbfb17d3"),
+    "quadruples-import": (["quadruples", "import", "--csv", "q.csv"],
+                          "349b7e985d4ac3df193208eba5fa4c6ab6ab280a67863231fcaf942e65a2642a"),
+    "formula-Q": (["--out", "report", "formula", Q_FORMULA, "--q-csv", "q.csv"],
+                  "daabfc95ada3e2d19b0ed28c9ed65c0d956a20e3adf1c436b124ab3fce230468"),
+}
 
 
 def _sha256(path) -> str:
@@ -57,8 +73,21 @@ def test_report_digest(name, tmp_path, capsys):
 
 def test_quadruple_csv_digest(tmp_path, capsys):
     csv = tmp_path / "q.csv"
-    argv = ["--seed", "1", "quadruples", "build", "--m-max", "300",
-            "--h-factor", "100", "--csv", str(csv)]
-    assert main(argv) == 0
+    assert main(Q_BUILD + ["--csv", str(csv)]) == 0
     capsys.readouterr()
     assert _sha256(csv) == Q_CSV
+
+
+@pytest.mark.parametrize("name", sorted(Q_REPORTS))
+def test_q_csv_report_digest(name, tmp_path, monkeypatch, capsys):
+    # relative paths, so that `verify Q1 --from` reports the same source
+    monkeypatch.chdir(tmp_path)
+    assert main(Q_BUILD + ["--csv", "q.csv"]) == 0
+    capsys.readouterr()
+    argv, digest = Q_REPORTS[name]
+    assert main(["--seed", "1"] + argv) == 0
+    stdout = capsys.readouterr().out
+    if "--out" in argv:
+        assert _sha256(tmp_path / "report") == digest
+    else:
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest

@@ -1,8 +1,11 @@
 import io
 import random
+import warnings
 
+import numpy as np
 import pytest
 
+from gparith import harness as H, weakmult
 from gparith.errors import ExprSyntaxError, ZeroModulus
 from gparith.weakmult import (
     ExplicitQSet,
@@ -240,6 +243,113 @@ class TestQSets:
         big = SyntheticQSet(m_max=100, k_max=10**6)
         with pytest.raises(ValueError):
             list(big.members())
+
+
+class TestQChecksCanFail:
+    """Each Q check turns red on a set that breaks what it checks."""
+
+    def test_missing_swap_does_not_commute(self):
+        rep = check_Q1(ExplicitQSet([(2, 4, 6, 12)]))
+        assert rep.violations == [] and not rep.commutes
+        assert check_Q1(ExplicitQSet([(2, 4, 6, 12), (2, 6, 4, 12)])).commutes
+
+    def test_non_multiplicative_row_fails_q1(self, ctx, monkeypatch):
+        real_build = H.build_Q
+
+        def build_with_bad_row(ctx, m_max, h_factor):
+            return ExplicitQSet(list(real_build(ctx, m_max, h_factor).members())
+                                + [(5, 10, 15, 31)])
+
+        monkeypatch.setattr(H, "build_Q", build_with_bad_row)
+        q1, _, signs = H.verify_q_axioms(ctx, m_max=60, h_factor=20).records
+        assert q1["verdict"] == "fail"
+        assert q1["witness"]["violations"] == [(5, 10, 15, 31)]
+        assert signs["verdict"] == "fail"  # the closure inherits the bad row
+
+    @staticmethod
+    def _without_both_flipped(Q):
+        m, a, b, c = Q.cols
+        return ExplicitQSet(np.concatenate(
+            [np.stack([m, a, b, c]), np.stack([m, -a, b, -c]),
+             np.stack([m, a, -b, -c])], axis=1))
+
+    # returning Q itself passed `close_pm(Qpm) == Qpm` by construction
+    @pytest.mark.parametrize("lossy", ["without_both_flipped", "identity"])
+    def test_lossy_close_pm_fails_sign_closure(self, ctx, monkeypatch, lossy):
+        monkeypatch.setattr(H, "close_pm", {"without_both_flipped": self._without_both_flipped,
+                                            "identity": lambda Q: Q}[lossy])
+        records = H.verify_q_axioms(ctx, m_max=60, h_factor=20).records
+        assert [r["verdict"] for r in records] == ["pass", "pass", "fail"]
+        assert records[2]["witness"]["idempotent"] is False
+
+    def test_short_run_fails_q1(self, ctx, monkeypatch):
+        real_d2 = weakmult.progression_d2
+        cut = {}
+
+        def shortened(ctx, m, T):
+            gv, a, run = real_d2(ctx, m, T)
+            if not cut:
+                cut["row"] = (m, T, run - 1)
+                run -= 1
+            return gv, a, run
+
+        monkeypatch.setattr(weakmult, "progression_d2", shortened)
+        r = H.verify_q_axioms(ctx, m_max=60, h_factor=20)
+        q1 = r.records[0]
+        assert not r.ok and q1["verdict"] == "fail"
+        assert q1["witness"]["violations"] == [cut["row"]]
+        m, T, run = cut["row"]
+        assert run == T - 3  # the unshortened run reached T - 2
+
+
+class TestQInt64:
+    """Imported quadruples never wrap silently in int64."""
+
+    @pytest.mark.parametrize("line", ["1,2,3,9223372036854775808",
+                                      "-9223372036854775809,1,1,1"])
+    def test_import_rejects_values_outside_int64(self, line):
+        text = f"1,1,1,1\n{line}\n2,2,2,2\n"
+        with pytest.raises(ValueError, match=line):
+            import_csv(io.StringIO(text))
+
+    def test_import_keeps_int64_extremes(self):
+        rows = [(1, -2**63, 0, 0), (1, 2**63 - 1, 1, 2**63 - 1)]
+        Q = import_csv(io.StringIO("1,-9223372036854775808,0,0\n"
+                                   "1,9223372036854775807,1,9223372036854775807\n"))
+        assert list(Q.members()) == rows
+        for row in rows:
+            assert check_Q1(ExplicitQSet([row])).violations == []
+        # the guard bounds k and l over the whole set: 2^63 * 1 may not fit
+        with pytest.raises(ValueError, match="int64"):
+            check_Q1(Q)
+
+    def test_import_keeps_malformed_line_error(self):
+        with pytest.raises(ValueError, match="malformed quadruple line"):
+            import_csv(io.StringIO("1,2,3,4\n1,2,3\n"))
+
+    def test_overflowing_product_raises(self):
+        Q = ExplicitQSet([(1, 2**32, 2**32, 0)])
+        with pytest.raises(ValueError, match="int64"):
+            check_Q1(Q)
+
+    def test_wrapped_quotient_is_not_multiplicative(self):
+        # c // m = 2^63 wraps to -2^63 in int64, which no guarded k * l equals
+        row = (-1, 2 - 2**63, 1, -2**63)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_Q1(ExplicitQSet([row])).violations == [row]
+
+    def test_zero_modulus_is_a_violation(self):
+        Q = ExplicitQSet([(0, 0, 0, 0), (0, 3, 4, 12), (2, 4, 6, 12)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_Q1(Q)
+        assert rep.total == 3
+        assert rep.violations == [(0, 0, 0, 0), (0, 3, 4, 12)]
+
+    def test_sign_flip_of_int64_min_raises(self):
+        with pytest.raises(ValueError, match="int64"):
+            close_pm(ExplicitQSet([(1, -2**63, 0, 0)]))
 
 
 class TestReduction:
