@@ -16,6 +16,10 @@ PSI = ("forall n in [1, 10]: exists n2 in [2*m, 3000]: "
        "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
 
 REPORTS = {
+    "verify-3.1": (["verify", "3.1", "--samples", "100"],
+                   "c029f9c4563644302aa2a6c89c08f1bc3244490a777d92f88a1879f0ffb841a9"),
+    "verify-3.2": (["verify", "3.2", "--pairs", "5"],
+                   "0083ff53c85ac2ec5058d11be99ef0d5fcbeda99fb627e377d8b4b0f8b7549ac"),
     "verify-3.3": (["verify", "3.3", "--n-max", "6", "--m-max", "200"],
                    "4e5e29725dade7cbad03a60fc5f07cace4014ed44198d97fcbfebfd076f6b30a"),
     "verify-3.5-3.6": (["verify", "3.5/3.6", "--n-max", "3", "--nprime-max", "40",
@@ -23,6 +27,8 @@ REPORTS = {
                        "f62869747c1c9f6dea4975fd429cfa149dee541e0346f95934577a35022bc75e"),
     "verify-3.7": (["verify", "3.7", "--m-max", "30", "--h-factor", "12"],
                    "cd12b3e651a02f4e9eab592e5e4f151810032d5c60c4e0a583c140ce9d115057"),
+    "verify-3.8": (["verify", "3.8"],
+                   "db4d181098a3ae3bde4a28fe87fa1e42c9c432dc119cf5e8e19e76bc234f88da"),
     "verify-4.1": (["verify", "4.1", "--m-max", "20000"],
                    "8f334273781c093013b3418a6bbfc261d3923b0f14f46bb1b2b533e468948f96"),
     "verify-4.2": (["verify", "4.2", "--m-max", "1000"],
