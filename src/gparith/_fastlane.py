@@ -9,6 +9,11 @@ falls inside the margin are recomputed exactly.  Integer outputs (nearest
 integers, sequence values) are therefore exact; float outputs are
 filter-only and every surviving candidate must be re-verified exactly by
 the caller.
+
+QuadSeqFast (g(n) = nint(beta*n*nint(alpha*n))) and BohrFast (the
+indicator 1[norm(alpha*n^2) < rho]) are the one evaluator of each named
+sequence: a call g(n) goes through the memo of genpoly.SequenceHandle to
+the exact `g_scalar`, and `g_vec` / `g_range` are the certified lanes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import AlgebraicReal, frac_signed, nint
+from .exactnum import AlgebraicReal, Number, frac_signed, nint
+from .genpoly import SequenceHandle
 
 _SCALE = float(2.0**-64)
 _INT64_MAX = (1 << 63) - 1
@@ -102,18 +108,22 @@ class FastConst:
         return frac, margin
 
 
-class QuadSeqFast:
-    """Exact bulk evaluation of g(n) = nint(beta*n*nint(alpha*n)), beta in Z."""
+class QuadSeqFast(SequenceHandle):
+    """g(n) = nint(beta*n*nint(alpha*n)): memoised exact values for any
+    beta, exact bulk evaluation for an integer beta."""
 
-    def __init__(self, alpha: AlgebraicReal, beta: int) -> None:
-        if not isinstance(beta, int):
-            raise TypeError("fast lane requires an integer beta")
+    def __init__(self, alpha: AlgebraicReal, beta: Number) -> None:
+        super().__init__()
+        if isinstance(beta, Fraction) and beta.denominator == 1:
+            beta = int(beta)
         self.alpha = alpha
         self.beta = beta
         self.const = FastConst(alpha)
 
     def g_vec(self, n: np.ndarray) -> np.ndarray:
         """Exact g on an int64 vector (beta*n*nint(alpha*n) is an integer)."""
+        if not isinstance(self.beta, int):
+            raise TypeError("fast lane requires an integer beta")
         q = self.const.nint_vec_exact(n)
         if len(n):
             check_int64_product(self.beta, np.abs(n).max(), np.abs(q).max())
@@ -127,15 +137,18 @@ class QuadSeqFast:
         return self.const.frac_vec_filter(n)
 
     def g_scalar(self, n: int) -> int:
-        return self.beta * n * self.const.exact_nint(n)
+        v = self.beta * n * self.const.exact_nint(n)
+        return v if isinstance(v, int) else nint(v)
 
 
-class BohrFast:
-    """Exact bulk evaluation of the quadratic indicator 1[norm(alpha*n^2) < rho]."""
+class BohrFast(SequenceHandle):
+    """The quadratic indicator 1[norm(alpha*n^2) < rho]: memoised exact
+    values and exact bulk evaluation."""
 
-    def __init__(self, alpha: AlgebraicReal, rho: Fraction) -> None:
+    def __init__(self, alpha: AlgebraicReal, rho: Number) -> None:
+        super().__init__()
         self.alpha = alpha
-        self.rho = Fraction(rho)
+        self.rho = rho if isinstance(rho, AlgebraicReal) else Fraction(rho)
         self.const = FastConst(alpha)
         self._rho64 = float(self.rho)
 

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from . import harness as H
+from ._fastlane import BohrFast, QuadSeqFast
 from .bohr import BohrParams, BohrWorld, divisibility_sequence_check
 from .config import ConfigError, as_algebraic, beta_for_lane, load_config
 from .diosearch import (
@@ -153,18 +154,17 @@ def cmd_compile(args, cfg) -> int:
 
 def cmd_formula(args, cfg) -> int:
     from .focheck import Structure, eval_formula, parse_formula, pretty_formula
-    from .genpoly import bohr_indicator_sequence, quadratic_sequence
 
     phi = parse_formula(args.formula)
     sequences = {}
     alpha = cfg.constants.get("alpha")
     beta = cfg.constants.get("beta")
     if isinstance(alpha, AlgebraicReal) and beta is not None:
-        sequences["g"] = quadratic_sequence(alpha, beta)
+        sequences["g"] = QuadSeqFast(alpha, beta)
     bohr_alpha = cfg.constants.get("bohr_alpha")
     rho = cfg.constants.get("rho")
     if isinstance(bohr_alpha, AlgebraicReal) and rho is not None:
-        sequences["gb"] = bohr_indicator_sequence(bohr_alpha, rho)
+        sequences["gb"] = BohrFast(bohr_alpha, rho)
     relations = {}
     if args.q_csv:
         Q = import_csv(args.q_csv)

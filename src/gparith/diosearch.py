@@ -34,13 +34,11 @@ from .genpoly import (
     IntLit,
     Mul,
     Neg,
-    SequenceHandle,
     Var,
     delta_sym_iter,
     eval_expr,
     lemma31_classify,
     parse,
-    quadratic_sequence,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -194,45 +192,42 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-def lemma32_scan(n0: int, n1: int, lo: int, hi: int, alpha: AlgebraicReal,
-                 beta: int, g: SequenceHandle | None = None) -> int | None:
+def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
+                 g: QuadSeqFast) -> int | None:
     """Least n2 in [lo, hi] with the second symmetric derivative of g
     vanishing at (n0, n1, n2); None if there is none (certified).
 
-    Fast integer lanes compute exact g values; the found witness is
-    re-verified through the exact evaluator.
+    The integer lane computes exact g values; the found witness is
+    re-verified through exact scalar values.
     """
     if lo > hi:
         return None
-    fast = QuadSeqFast(alpha, beta)
-    gh = g or quadratic_sequence(alpha, beta)
     # D2 g = [g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2)] - target with
-    target = gh(n0 + n1) - gh(n0) - gh(n1) + gh(0)
+    target = g(n0 + n1) - g(n0) - g(n1) + g(0)
     block = 1 << 15
     start = lo
     while start <= hi:
         stop = min(start + block - 1, hi)
         n2 = np.arange(start, stop + 1, dtype=np.int64)
-        d2 = (fast.g_vec(n2 + n0 + n1) - fast.g_vec(n2 + n0)
-              - fast.g_vec(n2 + n1) + fast.g_vec(n2))
+        d2 = (g.g_vec(n2 + n0 + n1) - g.g_vec(n2 + n0)
+              - g.g_vec(n2 + n1) + g.g_vec(n2))
         for i in np.nonzero(d2 == target)[0]:
             cand = int(n2[i])
-            if delta_sym_iter(gh, [n0, n1, cand]) == 0:
+            if delta_sym_iter(g, [n0, n1, cand]) == 0:
                 return cand
         start = stop + 1
     return None
 
 
-def find_lemma32_witness(n0: int, n1: int, C: int, alpha: AlgebraicReal,
-                         beta: int, budget: SearchBudget,
-                         g: SequenceHandle | None = None) -> int:
+def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
+                         budget: SearchBudget) -> int:
     """Least n2 in [C*n1, max_candidate] with D2 g(n0,n1,n2) = 0."""
     if n0 < C or n1 < C * n0:
         raise PreconditionViolated(f"need n0 >= C and n1 >= C*n0 (C={C})")
-    s = (alpha * n0).frac_signed() + (alpha * n1).frac_signed()
+    s = (g.alpha * n0).frac_signed() + (g.alpha * n1).frac_signed()
     if (abs(s) - Fraction(1, 2)).sign() >= 0:
         raise PreconditionViolated("|frac(alpha n0) + frac(alpha n1)| < 1/2 fails")
-    w = lemma32_scan(n0, n1, C * n1, budget.max_candidate, alpha, beta, g=g)
+    w = lemma32_scan(n0, n1, C * n1, budget.max_candidate, g)
     if w is None:
         raise NotFoundWithinBudget(
             f"no n2 in [{C * n1}, {budget.max_candidate}] for ({n0}, {n1})")
@@ -374,7 +369,7 @@ def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
     admissible triple, together with the gamma mode that achieves it."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    g = quadratic_sequence(alpha, beta)
+    g = QuadSeqFast(alpha, beta)
     failures: dict = {}
     for C in C_SCHEDULE:
         triples = sample_admissible_triples(C, sample_count, seed)
@@ -382,7 +377,7 @@ def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
         indist = True
         for (n0, n1, n2) in triples:
             # the two gamma modes differ only in cond2: classify once
-            rep = lemma31_classify(n0, n1, n2, alpha, beta, g=g)
+            rep = lemma31_classify(n0, n1, n2, g)
             verdict_all = rep.cond1 and rep.cond2_by_mode[GAMMA_ALL_PAIRS]
             verdict_off = rep.cond1 and rep.cond2_by_mode[GAMMA_OFF_DIAGONAL]
             if verdict_all != verdict_off:

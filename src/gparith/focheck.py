@@ -29,7 +29,6 @@ from .genpoly import (
     TokenStream,
     delta_sym,
     parse_sum,
-    quadratic_sequence,
 )
 
 # ---------------------------------------------------------------------------
@@ -460,8 +459,7 @@ class AlphaContext:
     def __init__(self, alpha: AlgebraicReal, beta: int = 1) -> None:
         self.alpha = alpha
         self.beta = beta
-        self.fast = QuadSeqFast(alpha, beta)
-        self.g = quadratic_sequence(alpha, beta)
+        self.g = QuadSeqFast(alpha, beta)
         self._frac_exact_cache: dict[int, AlgebraicReal] = {}
         self._fracs64: np.ndarray | None = None
         self._margins64: np.ndarray | None = None
@@ -479,7 +477,7 @@ class AlphaContext:
         """Float fractional parts of alpha*1..N with error margins (filters)."""
         if self._fracs64 is None or len(self._fracs64) < N:
             size = max(N, 4096)
-            f, m = self.fast.frac_alpha_filter(np.arange(1, size + 1, dtype=np.int64))
+            f, m = self.g.frac_alpha_filter(np.arange(1, size + 1, dtype=np.int64))
             self._fracs64, self._margins64 = f, m
         return self._fracs64[:N], self._margins64[:N]
 
@@ -563,7 +561,7 @@ def progression_d2(ctx: AlphaContext, m: int, T: int) -> tuple[np.ndarray, int, 
     T - 2 second differences gv[t+2] - 2*gv[t+1] + gv[t], t = 1..T-2 (along
     P_{m,(T-2)m}); run counts how many of them, from the first, equal a.
     Needs T >= 3."""
-    gv = ctx.fast.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
+    gv = ctx.g.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
     d2 = gv[3:T + 1] - 2 * gv[2:T] + gv[1:T - 1]
     a = int(d2[0])
     same = d2 == a
@@ -764,7 +762,7 @@ def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[i
     while start <= m_cap and len(out) < count:
         stop = min(start + block - 1, m_cap)
         ms = np.arange(start, stop + 1, dtype=np.int64)
-        fr, mg = ctx.fast.frac_alpha_filter(ms)
+        fr, mg = ctx.g.frac_alpha_filter(ms)
         cand = np.nonzero((fr > lo_f - mg) & (fr < hi_f + mg))[0]
         for i in cand:
             m = int(ms[i])

@@ -1,24 +1,23 @@
 """Generalised-polynomial expressions over one integer variable.
 
-AST + parser + pretty-printer + exact evaluator, the discrete derivatives
-(shift, symmetric, iterated symmetric), and the classifier that compares
-the vanishing of the second symmetric derivative of g(n) = nint(b*n*nint(a*n))
-against its carry/fractional-part characterisation.
+AST + parser + pretty-printer + exact evaluator (for user-typed text), the
+memo base class of the named sequences (their one evaluator each lives in
+`_fastlane`), the discrete derivatives (shift, symmetric, iterated
+symmetric), and the classifier that compares the vanishing of the second
+symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
+carry/fractional-part characterisation.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Union
 
 from .errors import ArityTooSmall, ExprSyntaxError, UnknownConstant
 from .exactnum import (
-    AlgebraicReal,
     Number,
     circle_norm,
     floor_exact,
@@ -339,43 +338,27 @@ MEMO_SIZE = 1 << 20
 
 
 class SequenceHandle:
-    """Integer sequence n -> Z backed by an expression, with a memo bounded
-    by MEMO_SIZE entries; cached hits always equal fresh evaluation."""
+    """Memo base of the named integer sequences n -> Z.
 
-    def __init__(self, expr: Expr, context: dict[str, Number]) -> None:
-        if expr_sort(expr) != INT_SORT:
-            raise TypeError("sequence expression must have integer sort")
-        self.expr = expr
-        self.context = dict(context)
-        # the memo reaches the handle through a weak reference: a memo bound
-        # to self._fresh would form a cycle, and the handle, its memo and
-        # the field behind it would then wait for a full garbage collection
-        handle = weakref.ref(self)
-        self._cached = lru_cache(maxsize=MEMO_SIZE)(lambda n: handle()._fresh(n))
+    A call reads a per-instance dict that keeps at most MEMO_SIZE entries;
+    a miss is evaluated exactly by the subclass's `g_scalar`, so a hit
+    always equals a fresh evaluation.  The dict holds only ints, so a
+    handle forms no reference cycle.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[int, int] = {}
 
     def _fresh(self, n: int) -> int:
-        return eval_expr(self.expr, self.context, n)  # type: ignore[return-value]
-
-    def fresh(self, n: int) -> int:
-        """Evaluation bypassing the memo (for cache-transparency checks)."""
-        return self._fresh(n)
+        return self.g_scalar(n)  # type: ignore[attr-defined]
 
     def __call__(self, n: int) -> int:
-        return self._cached(n)
-
-
-QUADRATIC_SEQUENCE_TEXT = "nint(beta*n*nint(alpha*n))"
-BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
-
-
-def quadratic_sequence(alpha: AlgebraicReal, beta: Number) -> SequenceHandle:
-    """g(n) = nint(beta * n * nint(alpha * n))."""
-    return SequenceHandle(parse(QUADRATIC_SEQUENCE_TEXT), {"alpha": alpha, "beta": beta})
-
-
-def bohr_indicator_sequence(alpha: AlgebraicReal, rho: Number) -> SequenceHandle:
-    """g(n) = 1 if the circle norm of alpha*n^2 is < rho, else 0."""
-    return SequenceHandle(parse(BOHR_TEXT), {"alpha": alpha, "rho": rho})
+        v = self._memo.get(n)
+        if v is None:
+            v = self._fresh(n)
+            if len(self._memo) < MEMO_SIZE:
+                self._memo[n] = v
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +459,11 @@ def _gamma_nints(frac_table: dict, gamma_mode: str) -> tuple[dict, dict]:
     return gammas, gamma_nints
 
 
-def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
-                     beta: Number, gamma_mode: str = GAMMA_ALL_PAIRS,
-                     g: SequenceHandle | None = None) -> Lemma31Report:
-    """Classify a positive triple: exact second-derivative vanishing vs the
-    carry condition (cond1) and the gamma identity (cond2).
+def lemma31_classify(n0: int, n1: int, n2: int, g: SequenceHandle,
+                     gamma_mode: str = GAMMA_ALL_PAIRS) -> Lemma31Report:
+    """Classify a positive triple for g(n) = nint(beta*n*nint(alpha*n)),
+    read through `g` and its `alpha` and `beta`: exact second-derivative
+    vanishing vs the carry condition (cond1) and the gamma identity (cond2).
 
     The two gamma modes differ only in cond2, so the report's
     `cond2_by_mode` holds cond2 of both; cond2, gammas and gamma_nints are
@@ -490,8 +473,7 @@ def lemma31_classify(n0: int, n1: int, n2: int, alpha: AlgebraicReal,
         raise ValueError("triple entries must be >= 1")
     if gamma_mode not in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    if g is None:
-        g = quadratic_sequence(alpha, beta)
+    alpha, beta = g.alpha, g.beta  # type: ignore[attr-defined]
     ns = (n0, n1, n2)
 
     lhs = delta_sym_iter(g, [n0, n1, n2])

@@ -270,7 +270,7 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
     have certified-empty scan ranges."""
     res = HarnessResult("3.2")
     rng = random.Random(seed)
-    alpha, g = ctx.alpha, ctx.g
+    g = ctx.g
 
     pos = neg = 0
     sampled = set()
@@ -284,7 +284,7 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
         cond = (abs(s) - Fraction(1, 2)).sign() < 0
         if cond and pos < n_pairs:
             pos += 1
-            w = lemma32_scan(n0, n1, C * n1, wit_cap, alpha, ctx.beta, g=g)
+            w = lemma32_scan(n0, n1, C * n1, wit_cap, g)
             if w is None:
                 res.add({"n0": n0, "n1": n1}, "fail", witness="no-witness")
             else:
@@ -293,7 +293,7 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
                         witness={"n2": w})
         elif not cond and neg < n_pairs:
             neg += 1
-            w = lemma32_scan(n0, n1, C * n1, neg_cap, alpha, ctx.beta, g=g)
+            w = lemma32_scan(n0, n1, C * n1, neg_cap, g)
             res.add({"n0": n0, "n1": n1, "violating": True},
                     "pass" if w is None else "fail",
                     witness=None if w is None else {"unexpected_n2": w})
@@ -340,8 +340,7 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     """Bounded psi membership equals the exact fractional-part window for
     every m <= m_max and N <= N_max; window endpoints move monotonically."""
     res = HarnessResult("3.3")
-    fast = ctx.fast
-    G = fast.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
+    G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
 
     psi_tab = _psi_table(G, C, N_max, m_max)
 

@@ -432,7 +432,7 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     pairs = _kl_pairs(3)
     if m_max >= 1:
         ms = np.arange(1, m_max + 1, dtype=np.int64)
-        fr, mg = ctx.fast.frac_alpha_filter(ms)
+        fr, mg = ctx.g.frac_alpha_filter(ms)
         # T >= 3 needs norm < 1/6; keep a margin and decide exactly below
         for i in np.nonzero(np.abs(fr) < 1.0 / 6.0 + mg)[0]:
             m = int(ms[i])
@@ -489,15 +489,17 @@ class Q1Report:
 def check_Q1(Q: ExplicitQSet) -> Q1Report:
     """Exhaustive structural check: every member is (m, km, lm, klm)."""
     m, a, b, c = Q.cols
-    # -2^63 // -1 wraps to -2^63: a wrapped k (bound 2^63) trips the guard
-    # unless every l is 0, and a guarded |k*l| < 2^63 never equals a wrapped
-    # c // m
+    # -2^63 // -1 wraps to -2^63: a wrapped k (|k| = 2^63) trips the row's
+    # guard unless its l is 0, where k*l = 0 is right, and a guarded
+    # |k*l| < 2^63 never equals a wrapped c // m
     with np.errstate(over="ignore"):
         (k, rk), (l, rl), (r, rc) = (np.divmod(x, np.where(m == 0, 1, m)) for x in (a, b, c))
     ok = (m != 0) & (rk == 0) & (rl == 0) & (rc == 0)
     k, l = k[ok], l[ok]
-    if len(k):
-        check_int64_product(max(-int(k.min()), int(k.max())), max(-int(l.min()), int(l.max())))
+    # |x| as uint64: np.abs(-2^63) wraps to -2^63, whose uint64 view is 2^63
+    ak, al = (np.abs(x).view(np.uint64) for x in (k, l))
+    if np.any((al != 0) & (ak > np.uint64(_INT64_MAX) // np.maximum(al, 1))):
+        raise ValueError("Q1 product k*l exceeds the int64 range")
     ok[ok] = k * l == r[ok]
     return Q1Report(total=len(Q), violations=list(zip(*Q.cols[:, ~ok].tolist())),
                     commutes=ExplicitQSet(np.stack([m, b, a, c])) == Q)

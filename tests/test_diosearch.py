@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from gparith._fastlane import QuadSeqFast
 from gparith.diosearch import (
     SearchBudget,
     calibrate_C,
@@ -21,7 +22,7 @@ from gparith.errors import (
     RationalInput,
     ThetaRational,
 )
-from gparith.genpoly import delta_sym_iter, quadratic_sequence
+from gparith.genpoly import delta_sym_iter
 
 mp.mp.dps = 50
 
@@ -91,7 +92,7 @@ class TestProgressionBase:
         w = find_progression_base(r, alpha, 1, SearchBudget(max_candidate=10**6))
         m = w.m
         assert ((alpha * m).circle_norm() - Fraction(1, 2 * r)).sign() < 0
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         # quadratic scaling along the progression
         assert all(g(t * m) == t * t * g(m) for t in range(1, r + 1))
 
@@ -112,21 +113,20 @@ class TestProgressionBase:
 
 class TestLemma32Witness:
     def test_witness_reverifies(self, alpha):
-        g = quadratic_sequence(alpha, 1)
-        n2 = find_lemma32_witness(5, 50, 2, alpha, 1,
-                                  SearchBudget(max_candidate=10**6), g=g)
+        g = QuadSeqFast(alpha, 1)
+        n2 = find_lemma32_witness(5, 50, 2, g, SearchBudget(max_candidate=10**6))
         assert delta_sym_iter(g, [5, 50, n2]) == 0
         # least witness: nothing below it
-        assert lemma32_scan(5, 50, 100, n2 - 1, alpha, 1, g=g) is None
+        assert lemma32_scan(5, 50, 100, n2 - 1, g) is None
 
     def test_precondition_ratio(self, alpha):
         with pytest.raises(PreconditionViolated):
-            find_lemma32_witness(5, 7, 2, alpha, 1, SearchBudget())
+            find_lemma32_witness(5, 7, 2, QuadSeqFast(alpha, 1), SearchBudget())
 
     def test_precondition_fractional(self, alpha):
         # frac(2 alpha) + frac(6 alpha) ~ -0.92 violates the strict bound
         with pytest.raises(PreconditionViolated):
-            find_lemma32_witness(2, 6, 2, alpha, 1, SearchBudget())
+            find_lemma32_witness(2, 6, 2, QuadSeqFast(alpha, 1), SearchBudget())
 
 
 class TestWeylWitness:

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.errors import ArityTooSmall, ExprSyntaxError, UnknownConstant
 from gparith.genpoly import (
     CircleNorm,
@@ -13,9 +17,7 @@ from gparith.genpoly import (
     IndicatorLess,
     Mul,
     Nint,
-    SequenceHandle,
     Var,
-    bohr_indicator_sequence,
     delta_shift,
     delta_sym,
     delta_sym_iter,
@@ -25,11 +27,18 @@ from gparith.genpoly import (
     lemma31_classify,
     parse,
     pretty,
-    quadratic_sequence,
 )
 
 mp.mp.dps = 50
 CBRT2 = mp.cbrt(2)
+
+G_TEXT = "nint(beta*n*nint(alpha*n))"
+BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
+
+
+def _seq(text: str):
+    """The integer sequence n -> value of `text` at n, through the AST."""
+    return partial(eval_expr, parse(text), {})
 
 
 class TestParser:
@@ -80,7 +89,7 @@ class TestParser:
 
 class TestEval:
     def test_theorem_a_values(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         assert g(0) == 0
         assert g(5) == 30
         # oracle: nint(6*cbrt2) = 8, so g(6) = nint(6*8) = 48
@@ -88,11 +97,11 @@ class TestEval:
         assert g(6) == 48
 
     def test_beta_alpha_squared(self, alpha):
-        g2 = quadratic_sequence(alpha, alpha * alpha)
+        g2 = QuadSeqFast(alpha, alpha * alpha)
         assert g2(1) == 2  # alpha^2 ~ 1.5874 rounds to 2
 
     def test_bohr_indicator(self, sqrt2):
-        g = bohr_indicator_sequence(sqrt2, Fraction(1, 5))
+        g = BohrFast(sqrt2, Fraction(1, 5))
         assert g(0) == 1
         assert g(1) == 0  # ||sqrt2|| ~ 0.414 >= 1/5
         assert all(g(n) in (0, 1) for n in range(20))
@@ -108,15 +117,15 @@ class TestEval:
             eval_expr(expr, {"alpha": alpha, "beta": sqrt2}, 3)
 
     def test_memo_transparency(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         rng = random.Random(2)
         for _ in range(10**4):
             n = rng.randrange(0, 10**4)
-            assert g(n) == g.fresh(n)
+            assert g(n) == g.g_scalar(n)
 
     def test_nearest_product_remark(self, alpha):
         # |g(n) - beta n nint(alpha n)| <= 1/2, exactly
-        g = quadratic_sequence(alpha, alpha * alpha)
+        g = QuadSeqFast(alpha, alpha * alpha)
         beta = alpha * alpha
         for n in range(1, 40):
             inner = beta * n * (alpha * n).nint()
@@ -125,56 +134,99 @@ class TestEval:
             assert (d - Fraction(1, 2)).sign() <= 0
 
 
+def _betas(alpha):
+    """int, Fraction and algebraic beta (elements of alpha's field)."""
+    small = st.integers(-4, 4)
+    return st.one_of(
+        small,
+        st.fractions(Fraction(-4), Fraction(4), max_denominator=7),
+        st.tuples(small, small, st.integers(1, 3)).map(
+            lambda t: alpha * t[0] + alpha * alpha * Fraction(t[1], t[2]) + 1))
+
+
+class TestOneEvaluator:
+    """Memo, exact scalar and integer lane agree with the AST reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_quadratic_sequence_matches_ast(self, alpha, data):
+        beta = data.draw(_betas(alpha))
+        ns = data.draw(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
+        g = QuadSeqFast(alpha, beta)
+        ref = [eval_expr(parse(G_TEXT), {"alpha": alpha, "beta": beta}, n) for n in ns]
+        assert [g(n) for n in ns] == ref
+        assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
+        lane = np.array(ns, dtype=np.int64)
+        if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
+            assert [int(v) for v in g.g_vec(lane)] == ref
+        else:
+            with pytest.raises(TypeError):
+                g.g_vec(lane)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bohr_indicator_matches_ast(self, sqrt2, data):
+        rho = data.draw(st.one_of(
+            st.fractions(Fraction(1, 50), Fraction(1, 2), max_denominator=50),
+            st.just(sqrt2 - 1)))
+        ns = data.draw(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
+        g = BohrFast(sqrt2, rho)
+        ref = [eval_expr(parse(BOHR_TEXT), {"alpha": sqrt2, "rho": rho}, n) for n in ns]
+        assert [g(n) for n in ns] == ref
+        assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
+        assert [int(v) for v in g.g_vec(np.array(ns, dtype=np.int64))] == ref
+
+
 class TestDiscreteCalculus:
     def test_shift_linear(self, alpha):
-        f = SequenceHandle(parse("n"), {})
+        f = _seq("n")
         assert delta_shift(f, 7, 3) == 7
         assert delta_shift(f, 0, 12) == 0
 
     def test_shift_on_g(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         # g(6) - g(5) = 48 - 30 (50-digit oracle; nint(6 cbrt2) = 8)
         assert delta_shift(g, 1, 5) == 18
 
     def test_sym_kills_linear(self):
-        f = SequenceHandle(parse("7*n-4"), {})
+        f = _seq("7*n-4")
         for m in range(0, 6):
             for n in range(0, 6):
                 assert delta_sym(f, m, n) == 0
 
     def test_sym_quadratic_cross_term(self):
         # for a2 n^2 + a1 n + a0 the symmetric derivative is 2 a2 n m
-        f = SequenceHandle(parse("3*n*n-5*n+2"), {})
+        f = _seq("3*n*n-5*n+2")
         for m in range(0, 8):
             for n in range(0, 8):
                 assert delta_sym(f, m, n) == 2 * 3 * n * m
 
     def test_iter_vanishes_on_quadratic(self):
-        f = SequenceHandle(parse("4*n*n+n-9"), {})
+        f = _seq("4*n*n+n-9")
         assert delta_sym_iter(f, [5, 3, 2]) == 0
         assert delta_sym_iter(f, [1, 1, 1]) == 0
 
     def test_iter_zero_direction(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         assert delta_sym_iter(g, [17, 0, 23]) == 0
         assert delta_sym_iter(g, [17, 23, 0]) == 0
 
     def test_sym_symmetric_in_arguments(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         rng = random.Random(6)
         for _ in range(50):
             m, n = rng.randrange(0, 500), rng.randrange(0, 500)
             assert delta_sym(g, m, n) == delta_sym(g, n, m)
 
     def test_iter_matches_subset_oracle(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         rng = random.Random(9)
         for _ in range(40):
             args = [rng.randrange(1, 300) for _ in range(rng.randrange(2, 5))]
             assert delta_sym_iter(g, args) == delta_sym_iter_subsets(g, args)
 
     def test_iter_permutation_invariant(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         rng = random.Random(10)
         for _ in range(20):
             args = [rng.randrange(1, 200) for _ in range(3)]
@@ -186,14 +238,14 @@ class TestDiscreteCalculus:
     def test_classical_degree_properties(self):
         # degree-d polynomial: r = d nonzero directions leave no n0
         # dependence; r = d + 1 vanishes identically
-        f = SequenceHandle(parse("2*n*n*n-n"), {})
+        f = _seq("2*n*n*n-n")
         v1 = delta_sym_iter(f, [4, 1, 2, 3])
         v2 = delta_sym_iter(f, [9, 1, 2, 3])
         assert v1 == v2
         assert delta_sym_iter(f, [5, 1, 2, 3, 4]) == 0
 
     def test_arity_guard(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         with pytest.raises(ArityTooSmall):
             delta_sym_iter(g, [5])
 
@@ -201,17 +253,17 @@ class TestDiscreteCalculus:
 class TestLemma31Classify:
     def test_identity_triple_documented_case(self, alpha):
         # ratio precondition violated: report produced, equivalence not asserted
-        rep = lemma31_classify(1, 1, 1, alpha, 1)
+        rep = lemma31_classify(1, 1, 1, QuadSeqFast(alpha, 1))
         assert rep.lhs_zero is False and rep.cond1 is False
 
     def test_equivalence_on_admissible_triples(self, alpha):
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         rng = random.Random(4)
         for _ in range(60):
             n0 = 2 + rng.randrange(20)
             n1 = 2 * n0 + rng.randrange(4 * n0)
             n2 = 2 * n1 + rng.randrange(4 * n1)
-            rep = lemma31_classify(n0, n1, n2, alpha, 1, g=g)
+            rep = lemma31_classify(n0, n1, n2, g)
             assert rep.equivalent
 
     def test_violating_pair_scan(self, alpha):
@@ -219,20 +271,18 @@ class TestLemma31Classify:
         s2 = (alpha * 2).frac_signed()
         s6 = (alpha * 6).frac_signed()
         assert (abs(s2 + s6) - Fraction(1, 2)).sign() > 0
-        g = quadratic_sequence(alpha, 1)
+        g = QuadSeqFast(alpha, 1)
         for n2 in range(100, 160):
-            rep = lemma31_classify(2, 6, n2, alpha, 1, g=g)
+            rep = lemma31_classify(2, 6, n2, g)
             assert not rep.cond1 and not rep.lhs_zero
 
     def test_gamma_modes_disagree_for_algebraic_beta(self, alpha):
         # frozen by search: beta = alpha^2, all-pairs matches the exact
         # derivative while off-diagonal does not
         beta = alpha * alpha
-        g = quadratic_sequence(alpha, beta)
-        rep_all = lemma31_classify(23, 530, 9722, alpha, beta,
-                                   GAMMA_ALL_PAIRS, g=g)
-        rep_off = lemma31_classify(23, 530, 9722, alpha, beta,
-                                   GAMMA_OFF_DIAGONAL, g=g)
+        g = QuadSeqFast(alpha, beta)
+        rep_all = lemma31_classify(23, 530, 9722, g, GAMMA_ALL_PAIRS)
+        rep_off = lemma31_classify(23, 530, 9722, g, GAMMA_OFF_DIAGONAL)
         assert rep_all.lhs_zero is True
         assert rep_all.cond1 and rep_all.cond2
         assert not rep_off.cond2
@@ -242,7 +292,7 @@ class TestLemma31Classify:
         assert rep_all.cond2_by_mode == rep_off.cond2_by_mode == both
 
     def test_carry_diagnostics_recompute(self, alpha):
-        rep = lemma31_classify(5, 50, 600, alpha, 1)
+        rep = lemma31_classify(5, 50, 600, QuadSeqFast(alpha, 1))
         for I, e in rep.carries_e.items():
             acc = Fraction(0)
             for i in I:

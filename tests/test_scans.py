@@ -81,7 +81,7 @@ def _mu_table(G, C, N_max, m_max):
 class TestPsiTable:
     def test_quadratic_sequence(self, ctx):
         C, N_max, m_max = 2, 30, 40
-        G = ctx.fast.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
+        G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
         mu, _ = _mu_table(G, C, N_max, m_max)
         psi = _psi_table(G, C, N_max, m_max)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gparith import harness as H, weakmult
 from gparith.errors import ExprSyntaxError, ZeroModulus
@@ -319,9 +320,30 @@ class TestQInt64:
         assert list(Q.members()) == rows
         for row in rows:
             assert check_Q1(ExplicitQSet([row])).violations == []
-        # the guard bounds k and l over the whole set: 2^63 * 1 may not fit
-        with pytest.raises(ValueError, match="int64"):
-            check_Q1(Q)
+        # the guard bounds k*l row by row, so the rows also check together
+        assert check_Q1(Q).violations == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]),
+                              *[st.one_of(st.integers(-2**63, 2**63 - 1),
+                                          st.integers(-40, 40))] * 3),
+                    min_size=1, max_size=6))
+    def test_guard_and_violations_match_exact_integers(self, rows):
+        def k_l_r(row):
+            m, a, b, c = row
+            return (a // m, b // m, c // m) if a % m == b % m == c % m == 0 else None
+
+        Q = ExplicitQSet(rows)
+        members = list(Q.members())
+        if any(t is not None and abs(t[0] * t[1]) > 2**63 - 1 for t in map(k_l_r, members)):
+            with pytest.raises(ValueError, match="int64"):
+                check_Q1(Q)
+            return
+        want = [row for row in members
+                if (t := k_l_r(row)) is None or t[0] * t[1] != t[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_Q1(Q).violations == want
 
     def test_import_keeps_malformed_line_error(self):
         with pytest.raises(ValueError, match="malformed quadruple line"):
