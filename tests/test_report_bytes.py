@@ -2,8 +2,8 @@
 
 A change to a harness constant, a filter or the report format that moves
 a single byte fails here; a refactor must leave every digest as it is.
-Left out: `verify 4.5` (its filter is expected to
-change) and `verify 3.4` (numpy histograms).
+Left out: `verify 4.5` and `bohr seqcheck` (their
+filter is expected to change) and `verify 3.4` (numpy histograms).
 """
 
 import hashlib
@@ -43,6 +43,12 @@ REPORTS = {
                     "7dfc49d3474b2bf9393a078f2ce9f01059beb9378f7a5dd575715ae778d72021"),
     "eval-g": (["eval", "nint(beta*n*nint(alpha*n))", "--n", "0..300"],
                "39e91b7aea43d8d4d313d666be4dde4cae93ae1da323434509ce5e20c4f39db3"),
+    "search-small-norm": (["search", "small-norm", "--strategy", "exhaustive",
+                           "--eps", "1/100000"],
+                          "795cc88471c24c87c95ff24fab0ca31eb4857f4c99f0f33d0caaa05a8fc4c62c"),
+    "search-weyl": (["search", "weyl", "--target", "alpha*n;-1/1000;1/1000",
+                     "--target", "alpha*n*n;0;1/10"],
+                    "2b216f381eb1e61062c22ebee49dc4c2228833d3b1b6aeefef597f8f145a537e"),
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
