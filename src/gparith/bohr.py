@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fastlane import BohrFast, FastConst, check_int64_product
+from ._fastlane import BohrFast, FastConst, blocks, check_int64_product
 from .errors import NotFoundWithinBudget, PreconditionViolated
 from .exactnum import AlgebraicReal
 from .focheck import CAP_EXHAUSTED, REFUTED, VERIFIED, Verdict
@@ -332,62 +332,43 @@ def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
 
     K = world.bounds.seq_len
 
-    c1 = FastConst(2 * alpha * m)
-    c2 = FastConst(alpha)
-    c3 = FastConst(2 * alpha * m_tilde)
-    # the scaled norm is pinned at every step: near 0 in the divisible
-    # case, near 1/b (the witnessed limit) otherwise
-    if b == 1:
-        third_lo, third_hi = -1.0, 0.005
-        third_dev = Fraction(1, 200)
-    else:
-        third_lo, third_hi = 1.0 / b - 0.04, 1.0 / b + 0.04
-        third_dev = Fraction(1, 25)
-
     exact_c1 = 2 * alpha * m
     exact_c3 = 2 * alpha * m_tilde
+    c1, c2, c3 = FastConst(exact_c1), FastConst(alpha), FastConst(exact_c3)
+    # the scaled norm is pinned at every step: near 0 in the divisible
+    # case, near 1/b (the witnessed limit) otherwise
     rho_target = Fraction(0) if b == 1 else Fraction(1, b)
+    third_dev = Fraction(1, 200) if b == 1 else Fraction(1, 25)
 
     seq: list[int] = []
     n2am: list[float] = []
     nasq: list[float] = []
     tails: list[float] = []
     prev = 0
-    block = 1 << 16
     for i in range(1, K + 1):
         eps = Fraction(1, 2 ** min(i, K))
-        eps_f = float(eps)
         found = None
-        start = prev + 1
-        while start <= max_candidate and found is None:
-            stop = min(start + block - 1, max_candidate)
-            ns = np.arange(start, stop + 1, dtype=np.int64)
-            f1, g1 = c1.frac_vec_filter(ns)
-            mask = np.abs(f1) < eps_f + g1
-            if mask.any():
-                sub = ns[mask]
+        for ns in blocks(prev + 1, max_candidate + 1):
+            sub = ns[c1.within(ns, -eps, eps)[0]]
+            if len(sub):
                 check_int64_product(sub[-1], sub[-1])
-                f2, g2 = c2.frac_vec_filter(sub * sub)
-                mask2 = np.abs(f2) < eps_f + g2
-                sub2 = sub[mask2]
-                if len(sub2):
-                    f3, g3 = c3.frac_vec_filter(sub2)
-                    n3 = np.abs(f3)
-                    mask3 = (n3 > third_lo - g3) & (n3 < third_hi + g3)
-                    cands = sub2[mask3]
-                else:
-                    cands = sub2
-                for n in cands:
-                    n = int(n)
-                    ok = ((exact_c1 * n).circle_norm() - eps).sign() < 0
-                    ok = ok and ((alpha * (n * n)).circle_norm() - eps).sign() < 0
-                    if ok:
-                        dev = abs((exact_c3 * n).circle_norm() - rho_target)
-                        ok = (dev - third_dev).sign() < 0
-                    if ok:
-                        found = n
-                        break
-            start = stop + 1
+                sub = sub[c2.within(sub * sub, -eps, eps)[0]]
+                # norm(c3*n) within third_dev of rho_target, i.e.
+                # frac_signed(c3*n) within third_dev of +-rho_target
+                near = [c3.within(sub, t - third_dev, t + third_dev)[0]
+                        for t in (rho_target, -rho_target)]
+                sub = sub[near[0] | near[1]]
+            for n in map(int, sub):
+                ok = ((exact_c1 * n).circle_norm() - eps).sign() < 0
+                ok = ok and ((alpha * (n * n)).circle_norm() - eps).sign() < 0
+                if ok:
+                    dev = abs((exact_c3 * n).circle_norm() - rho_target)
+                    ok = (dev - third_dev).sign() < 0
+                if ok:
+                    found = n
+                    break
+            if found is not None:
+                break
         if found is None:
             raise NotFoundWithinBudget(
                 f"schedule step {i} (eps={eps}) found no n <= {max_candidate}")

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import harness as H
@@ -56,23 +57,23 @@ def _value_str(v) -> str:
     return str(v)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+@contextmanager
+def _report_out(args):
+    """The report stream: the --out file, closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_eval(args, cfg) -> int:
     expr = parse(args.expr)
     lo, hi = _parse_range(args.n)
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         for n in range(lo, hi + 1):
             v = eval_expr(expr, cfg.constants, n)
             out.write(f"{n}\t{_value_str(v)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"evaluated {args.expr!r} on [{lo}, {hi}] "
           f"(sort: {expr_sort(expr)})", file=sys.stderr)
     return 0
@@ -81,8 +82,7 @@ def cmd_eval(args, cfg) -> int:
 def cmd_search(args, cfg) -> int:
     budget = SearchBudget(max_candidate=args.max, strategy=args.strategy)
     alpha = as_algebraic(cfg.constant(args.const), args.const)
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         if args.what == "small-norm":
             w = find_small_norm(alpha, Fraction(args.eps), budget)
             rec = {"search": "small-norm", "m": w.m,
@@ -100,9 +100,6 @@ def cmd_search(args, cfg) -> int:
             n = find_weyl_witness(targets, budget, cfg.constants)
             rec = {"search": "weyl", "n": n, "targets": args.target}
         out.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print("witness found", file=sys.stderr)
     return 0
 
@@ -132,8 +129,7 @@ def cmd_quadruples(args, cfg) -> int:
 def cmd_compile(args, cfg) -> int:
     p = parse_poly(args.poly)
     compiled = compile_solvability(p, m_cap=args.m_cap, y_cap=args.n_cap * args.m_cap)
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         out.write(compiled.text() + "\n")
         if args.check:
             Q = SyntheticQSet(m_max=args.m_cap, k_max=10**9)
@@ -146,9 +142,6 @@ def cmd_compile(args, cfg) -> int:
                 out.write(json.dumps({"m": w.m, "n": list(w.n), "y": list(w.y)},
                                      sort_keys=True) + "\n")
                 print("witness found", file=sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -175,14 +168,10 @@ def cmd_formula(args, cfg) -> int:
         valuation[name.strip()] = int(value)
     value = eval_formula(phi, valuation, Structure(sequences, relations),
                          cfg.bound_profile())
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         out.write(json.dumps({"formula": pretty_formula(phi),
                               "valuation": valuation,
                               "value": value}, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print("true" if value else "false", file=sys.stderr)
     return 0
 
@@ -196,12 +185,8 @@ def cmd_equidist(args, cfg) -> int:
            "origin_fraction": rep.origin_fraction,
            "orbit": rep.orbit_count, "samples": rep.push_count,
            "grid": args.grid, "theta": rep.theta_float}
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         out.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     ok = rep.discrepancy <= args.tolerance and rep.origin_fraction > 0
     print(f"discrepancy {rep.discrepancy:.4f} (tolerance {args.tolerance}), "
           f"origin fraction {rep.origin_fraction:.4f}", file=sys.stderr)
@@ -212,8 +197,7 @@ def cmd_bohr(args, cfg) -> int:
     alpha = as_algebraic(cfg.constant("bohr_alpha"), "bohr_alpha")
     rho = cfg.constant("rho")
     world = BohrWorld(BohrParams(alpha, rho), cfg.bohr_bounds())
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         if args.action == "eval":
             lo, hi = _parse_range(args.n)
             for n in range(lo, hi + 1):
@@ -225,17 +209,13 @@ def cmd_bohr(args, cfg) -> int:
                "sequence": rep.sequence, "tail": rep.tail_norms,
                "says_divides": rep.says_divides, "agrees": rep.agrees}
         out.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"verdict: {'divides' if rep.says_divides else 'does not divide'} "
           f"(agrees with arithmetic: {rep.agrees})", file=sys.stderr)
     return 0 if rep.agrees else 1
 
 
-_VERIFY_IDS = ("core", "2.1", "2.2", "3.1", "3.2", "3.3", "3.4", "3.5", "3.6",
-               "3.5/3.6", "3.7", "3.8", "Q1", "Q2", "4.1", "4.2", "4.3",
-               "4.4", "4.5")
+_VERIFY_IDS = ("core", "2.1", "2.2", "3.1", "3.2", "3.3", "3.4", "3.5/3.6",
+               "3.7", "3.8", "Q1", "4.1", "4.2", "4.3", "4.4", "4.5")
 
 
 def cmd_verify(args, cfg) -> int:
@@ -266,7 +246,7 @@ def cmd_verify(args, cfg) -> int:
         result = H.verify_lemma34(alpha, N=args.orbit, M=args.samples or 10**6,
                                   grid=args.grid, tol=args.tolerance,
                                   seed=cfg.seed)
-    elif lemma in ("3.5", "3.6", "3.5/3.6"):
+    elif lemma == "3.5/3.6":
         ctx = AlphaContext(alpha, beta_for_lane(beta_val))
         result = H.verify_lemma36(ctx, n_max=args.n_max or 50,
                                   nprime_max=args.nprime_max or 600,
@@ -282,7 +262,7 @@ def cmd_verify(args, cfg) -> int:
     elif lemma == "3.8":
         ctx = AlphaContext(alpha, beta_for_lane(beta_val))
         result = H.verify_lemma38(ctx, budget_cap=args.budget)
-    elif lemma in ("Q1", "Q2"):
+    elif lemma == "Q1":
         if args.from_csv:
             Q = import_csv(args.from_csv)
             rep = check_Q1(Q)
@@ -313,13 +293,9 @@ def cmd_verify(args, cfg) -> int:
                                       budget=args.budget)
     runtime_ms = (time.monotonic() - t0) * 1000.0
 
-    out = _open_out(args)
-    try:
+    with _report_out(args) as out:
         H.emit_jsonl(result, out,
                      runtime_ms=runtime_ms if args.verbose else None)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"lemma {result.lemma}: violations={result.violations} "
           f"cap-exhausted={result.cap_exhausted} "
           f"vacuous={'yes' if result.vacuous else 'no'} "

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fastlane import FastConst, QuadSeqFast, check_int64_product
+from ._fastlane import BLOCK, FastConst, QuadSeqFast, blocks, check_int64_product
 from .errors import (
     CalibrationFailed,
     NotFoundWithinBudget,
@@ -139,22 +139,13 @@ def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitnes
         raise ValueError("eps must be > 0")
     if x.is_rational():
         raise RationalInput("x must be irrational")
-    fc = FastConst(x)
-    eps_f = float(eps)
     if budget.strategy == STRATEGY_EXHAUSTIVE:
         # block filter + exact verification, ascending
-        block = 1 << 15
-        start = 1
-        while start <= budget.max_candidate:
-            stop = min(start + block - 1, budget.max_candidate)
-            ms = np.arange(start, stop + 1, dtype=np.int64)
-            frac, margin = fc.frac_vec_filter(ms)
-            cand = np.nonzero(np.abs(frac) < eps_f + margin)[0]
-            for i in cand:
-                m = int(ms[i])
+        fc = FastConst(x)
+        for ms in blocks(1, budget.max_candidate + 1):
+            for m in map(int, ms[fc.within(ms, -eps, eps)[0]]):
                 if _norm_lt(x, m, eps):
                     return ApproxWitness(m, {"norm": (x * m).circle_norm()})
-            start = stop + 1
         raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
     for m in _candidate_stream(x, budget):
         if _norm_lt(x, m, eps):
@@ -204,18 +195,12 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
         return None
     # D2 g = [g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2)] - target with
     target = g(n0 + n1) - g(n0) - g(n1) + g(0)
-    block = 1 << 15
-    start = lo
-    while start <= hi:
-        stop = min(start + block - 1, hi)
-        n2 = np.arange(start, stop + 1, dtype=np.int64)
+    for n2 in blocks(lo, hi + 1):
         d2 = (g.g_vec(n2 + n0 + n1) - g.g_vec(n2 + n0)
               - g.g_vec(n2 + n1) + g.g_vec(n2))
-        for i in np.nonzero(d2 == target)[0]:
-            cand = int(n2[i])
+        for cand in map(int, n2[d2 == target]):
             if delta_sym_iter(g, [n0, n1, cand]) == 0:
                 return cand
-        start = stop + 1
     return None
 
 
@@ -306,27 +291,17 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
         return start
     lanes = [t for t in prepped if t.coeff is not None]
     fasts = [FastConst(t.coeff) for t in lanes]
-    los = [float(t.lo if not isinstance(t.lo, AlgebraicReal) else float(t.lo)) for t in lanes]
-    his = [float(t.hi if not isinstance(t.hi, AlgebraicReal) else float(t.hi)) for t in lanes]
-    block = 1 << 15
-    pos = start
-    while pos <= budget.max_candidate:
-        stop = min(pos + block - 1, budget.max_candidate)
-        ns = np.arange(pos, stop + 1, dtype=np.int64)
+    for ns in blocks(start, budget.max_candidate + 1):
         mask = np.ones(len(ns), dtype=bool)
-        for t, fc, lo_f, hi_f in zip(lanes, fasts, los, his):
+        for t, fc in zip(lanes, fasts):
             if t.degree == 2:
-                check_int64_product(stop, stop)
-            k = ns if t.degree == 1 else ns * ns
-            frac, margin = fc.frac_vec_filter(k)
-            mask &= (frac > lo_f - margin) & (frac < hi_f + margin)
+                check_int64_product(ns[-1], ns[-1])
+            mask &= fc.within(ns if t.degree == 1 else ns * ns, t.lo, t.hi)[0]
             if not mask.any():
                 break
-        for i in np.nonzero(mask)[0]:
-            n = int(ns[i])
+        for n in map(int, ns[mask]):
             if all(_target_holds(t, n, context) for t in prepped):
                 return n
-        pos = stop + 1
     raise NotFoundWithinBudget(f"no witness <= {budget.max_candidate}")
 
 
@@ -438,10 +413,6 @@ def _element_degree_at_least_3(x: AlgebraicReal) -> bool:
     return False
 
 
-# equidist_check builds the push-forward histogram this many samples at a time
-_PUSH_SLICE = 1 << 16
-
-
 def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
                    N: int, M: int, grid: int,
                    seed: int = DEFAULT_SEED) -> EquidistReport:
@@ -458,7 +429,7 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
     fc_theta = FastConst(theta)
     fc_alpha = FastConst(alpha)
     ns = np.arange(1, N + 1, dtype=np.int64)
-    k = fc_theta.nint_vec_exact(ns)          # exact nint(theta*n)
+    k = fc_theta.nint_frac_vec(ns)           # exact nint(theta*n)
     x_orb, _ = fc_alpha.frac_vec_filter(ns)
     y_orb, _ = fc_alpha.frac_vec_filter(k)
 
@@ -477,8 +448,8 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
         return z - np.floor(z + 0.5)
 
     push_hist = np.zeros((grid, grid))
-    for i in range(0, M, _PUSH_SLICE):
-        xs, ys, rs = x[i:i + _PUSH_SLICE], y[i:i + _PUSH_SLICE], r[i:i + _PUSH_SLICE]
+    for i in range(0, M, BLOCK):
+        xs, ys, rs = x[i:i + BLOCK], y[i:i + BLOCK], r[i:i + BLOCK]
         px = fs(d * xs + af * rs)
         py = fs(b * xs - c * ys + af * tf * rs - af * fs(d * ys + tf * rs))
         push_hist += np.histogram2d(px, py, bins=(edges, edges))[0]

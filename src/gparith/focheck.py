@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._fastlane import QuadSeqFast
+from ._fastlane import QuadSeqFast, blocks
 from .errors import (
     ExprSyntaxError,
     PreconditionViolated,
@@ -461,8 +461,6 @@ class AlphaContext:
         self.beta = beta
         self.g = QuadSeqFast(alpha, beta)
         self._frac_exact_cache: dict[int, AlgebraicReal] = {}
-        self._fracs64: np.ndarray | None = None
-        self._margins64: np.ndarray | None = None
         self._window_cache: dict[int, tuple[AlgebraicReal, AlgebraicReal]] = {}
         self._member_cache: dict[int, tuple[list[int], int]] = {}
 
@@ -473,25 +471,15 @@ class AlphaContext:
             self._frac_exact_cache[n] = v
         return v
 
-    def fracs_upto(self, N: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float fractional parts of alpha*1..N with error margins (filters)."""
-        if self._fracs64 is None or len(self._fracs64) < N:
-            size = max(N, 4096)
-            f, m = self.g.frac_alpha_filter(np.arange(1, size + 1, dtype=np.int64))
-            self._fracs64, self._margins64 = f, m
-        return self._fracs64[:N], self._margins64[:N]
-
     def window(self, N: int) -> tuple[AlgebraicReal, AlgebraicReal]:
         """Exact endpoints (lo, hi) of the small-norm window at level N:
         lo = -1/2 - min frac(alpha n), hi = 1/2 - max frac(alpha n), n <= N."""
         cached = self._window_cache.get(N)
         if cached is not None:
             return cached
-        fr, mg = self.fracs_upto(N)
-        lo_idx = _extreme_indices(fr, mg, want_min=True)
-        hi_idx = _extreme_indices(fr, mg, want_min=False)
-        mn = min(self.frac_exact(i + 1) for i in lo_idx)
-        mx = max(self.frac_exact(i + 1) for i in hi_idx)
+        low, high = self.g.const.extremes(np.arange(1, N + 1, dtype=np.int64))
+        mn = min(self.frac_exact(int(i) + 1) for i in low)
+        mx = max(self.frac_exact(int(i) + 1) for i in high)
         half = Fraction(1, 2)
         lo = -(mn + half)
         hi = -(mx - half)
@@ -503,16 +491,6 @@ class AlphaContext:
         lo, hi = self.window(N)
         s = self.frac_exact(m)
         return (s - lo).sign() > 0 and (hi - s).sign() > 0
-
-
-def _extreme_indices(fr: np.ndarray, mg: np.ndarray, want_min: bool) -> list[int]:
-    if want_min:
-        best = float(np.min(fr))
-        cand = np.nonzero(fr <= best + 2 * mg)[0]
-    else:
-        best = float(np.max(fr))
-        cand = np.nonzero(fr >= best - 2 * mg)[0]
-    return [int(i) for i in cand]
 
 
 # ---------------------------------------------------------------------------
@@ -754,23 +732,14 @@ def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[i
     if len(cached) >= count or scanned >= m_cap:
         return [m for m in cached[:count] if m <= m_cap]
     lo, hi = ctx.window(M)
-    lo_f, hi_f = float(lo), float(hi)
     out = list(cached)
-    block = 1 << 14
-    start = scanned + 1
-    scanned_to = scanned
-    while start <= m_cap and len(out) < count:
-        stop = min(start + block - 1, m_cap)
-        ms = np.arange(start, stop + 1, dtype=np.int64)
-        fr, mg = ctx.g.frac_alpha_filter(ms)
-        cand = np.nonzero((fr > lo_f - mg) & (fr < hi_f + mg))[0]
-        for i in cand:
-            m = int(ms[i])
-            if ctx.in_window(m, M):
-                out.append(m)
-        scanned_to = stop
-        start = stop + 1
-    ctx._member_cache[M] = (out, scanned_to)
+    for ms in blocks(scanned + 1, m_cap + 1):
+        if len(out) >= count:
+            break
+        maybe, _ = ctx.g.const.within(ms, lo, hi)
+        out.extend(m for m in map(int, ms[maybe]) if ctx.in_window(m, M))
+        scanned = int(ms[-1])
+    ctx._member_cache[M] = (out, scanned)
     return [m for m in out[:count] if m <= m_cap]
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bohr as bohr_mod
+from ._fastlane import FastConst
 from .diosearch import (
     DEFAULT_SEED,
     SearchBudget,
@@ -29,7 +30,7 @@ from .diosearch import (
     lemma32_scan,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
-from .exactnum import AlgebraicReal
+from .exactnum import AlgebraicReal, circle_norm
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
@@ -344,17 +345,13 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
 
     psi_tab = _psi_table(G, C, N_max, m_max)
 
-    fr, mg = ctx.fracs_upto(m_max)
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
     mismatches = 0
     for N in range(1, N_max + 1):
-        lo, hi = ctx.window(N)
-        lo_f, hi_f = float(lo), float(hi)
+        maybe, sure = ctx.g.const.within(ms, *ctx.window(N))
         member = np.zeros(m_max + 1, dtype=bool)
-        s = fr
-        sure_in = (s > lo_f + mg) & (s < hi_f - mg)
-        sure_out = (s < lo_f - mg) | (s > hi_f + mg)
-        member[1:] = sure_in
-        for i in np.nonzero(~sure_in & ~sure_out)[0]:
+        member[1:] = sure
+        for i in np.nonzero(maybe & ~sure)[0]:
             member[i + 1] = ctx.in_window(int(i + 1), N)
         for m in np.nonzero(psi_tab[N - 1, 1:] != member[1:])[0] + 1:
             mismatches += 1
@@ -629,6 +626,12 @@ def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
 # ---------------------------------------------------------------------------
 
 
+def _max_norm(lane: FastConst, ks: np.ndarray):
+    """Exact max of norm(c*k) over k in ks, for the constant c of `lane`."""
+    low, high = lane.extremes(ks)
+    return max(circle_norm(lane.value * int(ks[i])) for i in np.union1d(low, high))
+
+
 def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
                    trend_Ns=(25, 50, 100, 200)) -> HarnessResult:
     """Converse direction at the paper's explicit thresholds, plus the
@@ -638,15 +641,12 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     delta = world.delta_threshold(N)
     thr1 = delta / (10 * N)
     thr2 = delta / 10
-    thr1_f, thr2_f = float(thr1), float(thr2)
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
-    c2a = bohr_mod.FastConst(2 * alpha)
-    f1, g1 = c2a.frac_vec_filter(ms)
-    cand = np.nonzero(np.abs(f1) < thr1_f + g1)[0]
+    c2a = FastConst(2 * alpha)
+    maybe, _ = c2a.within(ms, -thr1, thr1)
     premise = []
-    for i in cand:
-        m = int(ms[i])
+    for m in map(int, ms[maybe]):
         if ((2 * alpha * m).circle_norm() - thr1).sign() >= 0:
             continue
         if ((alpha * (m * m)).circle_norm() - thr2).sign() >= 0:
@@ -671,13 +671,9 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
         if len(S) == 0:
             trend.append({"N": Nt, "count": 0})
             continue
-        v1, _ = c2a.frac_vec_filter(S.astype(np.int64))
-        i1 = int(np.argmax(np.abs(v1)))
-        exact1 = (2 * alpha * int(S[i1])).circle_norm()
-        sq = S.astype(np.int64) ** 2
-        v2, _ = world.fast.const.frac_vec_filter(sq)
-        i2 = int(np.argmax(np.abs(v2)))
-        exact2 = (alpha * int(S[i2] * S[i2])).circle_norm()
+        S = S.astype(np.int64)
+        exact1 = _max_norm(c2a, S)
+        exact2 = _max_norm(world.fast.const, S ** 2)
         trend.append({"N": Nt, "count": int(len(S)),
                       "max_norm_2am": float(exact1),
                       "max_norm_asq": float(exact2)})
@@ -698,7 +694,7 @@ def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResul
     forces lambda within the caps."""
     res = HarnessResult("4.2")
     alpha = world.params.alpha
-    c2a = bohr_mod.FastConst(2 * alpha)
+    c2a = FastConst(2 * alpha)
     prev = None
     trend_ok = True
     trend = []
@@ -708,8 +704,7 @@ def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResul
         if len(idx) == 0:
             trend.append({"N": N, "count": 0})
             continue
-        v, _ = c2a.frac_vec_filter(idx.astype(np.int64))
-        worst = (2 * alpha * int(idx[int(np.argmax(np.abs(v)))])).circle_norm()
+        worst = _max_norm(c2a, idx.astype(np.int64))
         trend.append({"N": N, "count": int(len(idx)),
                       "max_norm_2am": float(worst), "label": "empirical"})
         if prev is not None and (worst - prev).sign() > 0:

@@ -14,6 +14,7 @@ import operator
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
@@ -432,10 +433,9 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     pairs = _kl_pairs(3)
     if m_max >= 1:
         ms = np.arange(1, m_max + 1, dtype=np.int64)
-        fr, mg = ctx.g.frac_alpha_filter(ms)
-        # T >= 3 needs norm < 1/6; keep a margin and decide exactly below
-        for i in np.nonzero(np.abs(fr) < 1.0 / 6.0 + mg)[0]:
-            m = int(ms[i])
+        # T >= 3 needs norm(alpha m) < 1/6; ell decides exactly below
+        maybe, _ = ctx.g.const.within(ms, Fraction(-1, 6), Fraction(1, 6))
+        for m in map(int, ms[maybe]):
             T = min(h_factor_max, ell(m, ctx.alpha) // m)
             if T < 3:
                 continue

@@ -111,6 +111,14 @@ class TestVerify:
         first = json.loads(out.strip().splitlines()[0])
         assert [2, 4, 6, 13] in first["witness"]["violations"]
 
+    @pytest.mark.parametrize("alias", ["3.5", "3.6", "Q2"])
+    def test_alias_ids_are_rejected(self, alias, capsys):
+        # one id per harness: 3.5/3.6 and Q1 are the only names
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", alias])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):

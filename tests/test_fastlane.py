@@ -1,5 +1,6 @@
-"""The certified numpy lanes against the exact backend, and the int64 guard
-that stops a lane product from wrapping silently."""
+"""The certified numpy lanes against the exact backend, the int64 guard
+that stops a lane product from wrapping silently, and the rule that only
+`_fastlane` turns lane floats into candidates."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ast
+from pathlib import Path
+
 from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
 from gparith.diosearch import SearchBudget, find_weyl_witness
-from gparith.exactnum import field_create
-from gparith.focheck import _extreme_indices
+from gparith.exactnum import field_create, sign
+from gparith.harness import _max_norm
 
 INT64_MAX = (1 << 63) - 1
 
@@ -123,8 +127,89 @@ def test_filter_margin_bounds_the_float_frac(name, scale):
 
 
 def test_window_extremes_see_every_candidate():
-    fr = np.zeros(40)
-    fr[20] = -1e-3
-    margins = np.ones(40)
-    assert 20 in _extreme_indices(fr, margins, want_min=True)
-    assert set(_extreme_indices(fr, margins, want_min=False)) == set(range(40))
+    # frac(k/3) ties at 1/3 on k = 1, 4, 7, ... and at -1/3 on k = 2, 5, ...;
+    # within the lane error every tied index may be the extreme
+    lane = FastConst(Fraction(1, 3))
+    ks = np.arange(1, 41, dtype=np.int64)
+    low, high = lane.extremes(ks)
+    assert set(ks[low]) == set(range(2, 41, 3))
+    assert set(ks[high]) == set(range(1, 41, 3))
+
+
+def test_extremes_keep_the_exact_minimiser():
+    # the float minimiser carries a larger margin than the exact one (k = 2)
+    lane = FastConst(Fraction(1, 3) + Fraction(1, 2**70))
+    ks = np.arange(1, 300002, dtype=np.int64)
+    low, high = lane.extremes(ks)
+    assert 2 in ks[low] and 300001 in ks[high]
+
+
+def test_max_norm_is_the_exact_maximum():
+    # the float norms of k = 1 and k = 4 tie; the exact maximum is at k = 4
+    c = Fraction(1, 3) + Fraction(1, 2**62)
+    assert _max_norm(FastConst(c), np.arange(1, 5, dtype=np.int64)) == \
+        Fraction(1, 3) + Fraction(4, 2**62)
+
+
+_FUZZ_FIELDS = [field_create(*spec).theta for spec in (
+    ([-2, 0, 1], (1, 2)),
+    ([-3, 0, 1], (1, 2)),
+    ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
+    ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
+    ([-1, -1, 1], (1, 2)),
+)]
+
+
+def _elements(K, bound):
+    coeff = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 50))
+    return st.lists(coeff, min_size=K.degree, max_size=K.degree).map(K.element)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.sampled_from(_FUZZ_FIELDS), data=st.data())
+def test_within_and_extremes_are_certified(theta, data):
+    K = theta.field
+    const = data.draw(st.one_of(
+        _elements(K, 10**4),
+        st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))
+    lane = FastConst(const)
+    ks = data.draw(st.lists(st.integers(-(1 << 45), 1 << 45), min_size=1, max_size=12))
+    exact = [lane.exact_frac(k) for k in ks]
+    # |t| < 1: random Fractions and field elements, or exact lane values
+    thresholds = st.one_of(st.fractions(-1, 1, max_denominator=1 << 60).filter(
+                               lambda q: abs(q) < 1),
+                           _elements(K, 10**3).map(lambda x: x.frac_signed()),
+                           st.sampled_from(exact))
+    lo, hi = sorted((data.draw(thresholds) for _ in range(2)), key=float)
+    maybe, sure = lane.within(np.array(ks, dtype=np.int64), lo, hi)
+    for k, v, may, sur in zip(ks, exact, maybe, sure):
+        inside = sign(v - lo) > 0 and sign(hi - v) > 0
+        assert inside or not sur, k
+        assert may or not inside, k
+    low, high = lane.extremes(np.array(ks, dtype=np.int64))
+    assert any(exact[i] == min(exact) for i in low)
+    assert any(exact[i] == max(exact) for i in high)
+
+
+_FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}
+# the histogram of equidist_check takes the floats as samples and makes no
+# decision from them
+_FLOAT_READERS = {("diosearch", "equidist_check")}
+
+
+def _lane_float_readers(node, fn="<module>"):
+    """Names of the functions under `node` that read a lane-float method."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    found = {fn} if isinstance(node, ast.Attribute) and node.attr in _FLOAT_LANES else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _lane_float_readers(child, fn)
+    return found
+
+
+def test_only_fastlane_reads_lane_floats():
+    src = Path(__file__).resolve().parents[1] / "src" / "gparith"
+    readers = {(path.stem, fn)
+               for path in sorted(src.glob("*.py")) if path.stem != "_fastlane"
+               for fn in _lane_float_readers(ast.parse(path.read_text(encoding="utf-8")))}
+    assert readers == _FLOAT_READERS

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gparith._fastlane import FastConst
+from gparith._fastlane import BLOCK, FastConst
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
-from gparith.diosearch import _PUSH_SLICE, continued_fraction, equidist_check
+from gparith.diosearch import continued_fraction, equidist_check
 from gparith.exactnum import field_create
 from gparith.focheck import ell
 from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
@@ -105,7 +105,7 @@ class TestPsiTable:
 
 def test_push_hist_slices_match_one_shot(alpha):
     a, b, c, d = 1, 2, 3, 2
-    M, grid, seed = 3 * _PUSH_SLICE + 5, 12, 3
+    M, grid, seed = 3 * BLOCK + 5, 12, 3
     rep = equidist_check(alpha, a, b, c, d, N=1000, M=M, grid=grid, seed=seed)
     rng = np.random.default_rng(seed)
     r = rng.integers(0, abs(d), size=M)
