@@ -295,7 +295,9 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
         mask = np.ones(len(ns), dtype=bool)
         for t, fc in zip(lanes, fasts):
             if t.degree == 2:
-                check_int64_product(ns[-1], ns[-1])
+                # the largest |n| sits at either end of a block
+                top = max(abs(int(ns[0])), abs(int(ns[-1])))
+                check_int64_product(top, top)
             mask &= fc.within(ns if t.degree == 1 else ns * ns, t.lo, t.hi)[0]
             if not mask.any():
                 break

@@ -1,21 +1,25 @@
 """Exact arithmetic over a real number field Q(theta).
 
 A field is described by an integer minimal polynomial together with a
-rational isolating interval pinning one real root theta.  Elements are
-rational coefficient vectors reduced modulo the minimal polynomial, so
-equality of canonical representations is value equality whenever the
-minimal polynomial is irreducible.  Sign, floor, nearest integer, signed
-fractional part and circle norm are all decided exactly by refining the
-isolating interval with certified interval arithmetic.
+rational isolating interval pinning one real root theta.  An element is a
+vector of integer numerators over one positive denominator, reduced modulo
+the minimal polynomial and by the gcd of denominator and numerators, so
+equality of representations is value equality whenever the minimal
+polynomial is irreducible.  Sums, differences and products run in integers;
+the product reduces x^d, ..., x^(2d-2) with one integer table over one
+common denominator, so a non-monic minimal polynomial needs no Fractions
+either.  Sign, floor, nearest integer, signed fractional part and circle
+norm are all decided exactly by refining the isolating interval with
+certified interval arithmetic.
 
 Decisions run in integers.  The field caches the enclosures of theta^i once
 per precision as integer numerators over one common denominator; an element
-clears its coefficient denominators and sums the products into a scaled
-enclosure (L, H, S) with the value in [L/S, H/S].  sign compares L and H
-with 0, floor takes L // S and H // S, and nint takes (2L + S) // 2S.  Only
-when the enclosure straddles an integer in a field whose irreducibility is
-not verified is the exact zero test consulted.  `enclosure(prec)` returns
-the same endpoints as Fractions.
+sums its numerators times those into a scaled enclosure (L, H, S) with the
+value in [L/S, H/S].  sign compares L and H with 0, floor takes L // S and
+H // S, and nint takes (2L + S) // 2S.  Only when the enclosure straddles an
+integer in a field whose irreducibility is not verified is the exact zero
+test consulted.  `enclosure(prec)` returns the same endpoints as Fractions,
+and `coeffs` the coefficients as Fractions.
 
 The dyadic ball backend (`ball_eval`, `ball_floor`, `ball_nint`) is built on
 `enclosure`, so it cross-checks the decision logic, not the enclosure
@@ -292,8 +296,10 @@ class NumberField:
             # linear minpoly: the root is rational wherever it sits
             self.rational_theta = Fraction(-minpoly[0], minpoly[1])
 
-        # x^k mod minpoly for k = degree .. 2*degree-2, used by multiplication
+        # x^k mod minpoly for k = degree .. 2*degree-2, used by multiplication:
+        # integer numerator rows over one common denominator
         self._xpow = self._reduction_table()
+        self._zeros = (0,) * (self.degree - 1)
         self._pow_cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -342,7 +348,9 @@ class NumberField:
                 red = [a + over * b for a, b in zip(red, base)]
             cur = tuple(red)
             table.append(cur)
-        return table
+        den = lcm(*(c.denominator for row in table for c in row))
+        return [tuple(c.numerator * (den // c.denominator) for c in row)
+                for row in table], den
 
     # -- interval refinement ---------------------------------------------------
 
@@ -410,14 +418,19 @@ class NumberField:
     # -- element constructors --------------------------------------------------
 
     def element(self, coeffs) -> "AlgebraicReal":
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return AlgebraicReal(self, tuple(coeffs))
+        # over the lcm of lowest-terms denominators the numerators are coprime
+        # to it, so the pair is already reduced
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        return AlgebraicReal(self, nums + (0,) * (self.degree - len(nums)), den)
 
     def from_rational(self, q) -> "AlgebraicReal":
-        return self.element([Fraction(q)])
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return AlgebraicReal(self, (q.numerator,) + self._zeros, q.denominator)
 
     @property
     def theta(self) -> "AlgebraicReal":
@@ -448,19 +461,38 @@ def field_create(minpoly: Sequence[int], interval) -> NumberField:
 # ---------------------------------------------------------------------------
 
 
-def _weight(nums: list[int], den: int) -> int:
+def _weight(nums: Sequence[int], den: int) -> int:
     """1 + sum(int(|c|) + 1) over the coefficients c = nums[i] / den."""
     return 1 + sum(abs(k) // den + 1 for k in nums)
 
 
+def _reduced(field: NumberField, nums: tuple[int, ...], den: int) -> "AlgebraicReal":
+    """The element nums / den (den > 0), divided through by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(k // g for k in nums)
+        den //= g
+    return AlgebraicReal(field, nums, den)
+
+
 class AlgebraicReal:
-    """Element of Q(theta), canonically reduced; immutable."""
+    """Element of Q(theta), canonically reduced; immutable.
 
-    __slots__ = ("field", "coeffs")
+    The value is sum(nums[i] * theta^i) / den with den > 0 and
+    gcd(den, *nums) == 1, so zero is ((0, ..., 0), 1).
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]) -> None:
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int) -> None:
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, theta, ..., theta^(d-1) as Fractions."""
+        return tuple(Fraction(k, self.den) for k in self.nums)
 
     # -- coercion ---------------------------------------------------------------
 
@@ -475,19 +507,36 @@ class AlgebraicReal:
 
     # -- ring operations ----------------------------------------------------------
 
+    def _plus(self, nums, den: int) -> "AlgebraicReal":
+        """self + nums / den, for integer numerators and den > 0."""
+        a, da = self.nums, self.den
+        if da == den:
+            return _reduced(self.field, tuple(x + y for x, y in zip(a, nums)), da)
+        g = gcd(da, den)
+        sa, sb = den // g, da // g
+        return _reduced(self.field, tuple(x * sa + y * sb for x, y in zip(a, nums)),
+                        da * sa)
+
     def __add__(self, other):
+        if isinstance(other, int):
+            # adding a multiple of den keeps gcd(den, *nums) == 1
+            return AlgebraicReal(self.field, (self.nums[0] + other * self.den,)
+                                 + self.nums[1:], self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o.nums, o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return AlgebraicReal(self.field, (self.nums[0] - other * self.den,)
+                                 + self.nums[1:], self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus([-k for k in o.nums], o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -496,31 +545,37 @@ class AlgebraicReal:
         return o - self
 
     def __neg__(self):
-        return AlgebraicReal(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicReal(self.field, tuple(-k for k in self.nums), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return AlgebraicReal(self.field, tuple(a * q for a in self.coeffs))
+        if isinstance(other, int):
+            return _reduced(self.field, tuple(k * other for k in self.nums), self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _reduced(self.field, tuple(k * p for k in self.nums),
+                            self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        field = self.field
+        d = field.degree
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
+                for j, b in enumerate(o.nums):
+                    prod[i + j] += a * b
+        den = self.den * o.den
         out = prod[:d]
-        table = self.field._xpow
+        rows, tden = field._xpow
+        if tden != 1:
+            out = [c * tden for c in out]
+            den *= tden
         for k in range(d, 2 * d - 1):
             c = prod[k]
             if c:
-                red = table[k - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return AlgebraicReal(self.field, tuple(out))
+                for i, t in enumerate(rows[k - d]):
+                    out[i] += c * t
+        return _reduced(field, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -555,15 +610,13 @@ class AlgebraicReal:
         if poly_degree(g) != 0:
             # nonzero value sharing a factor with a reducible minpoly
             raise ArithmeticError("element is a zero divisor; minpoly not irreducible")
-        inv = list(u)
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return AlgebraicReal(self.field, tuple(inv[: self.field.degree]))
+        return self.field.element(u)
 
     # -- decision procedures ----------------------------------------------------
 
     def is_zero(self) -> bool:
         """Exact zero test (sound also for unverified degree >= 5 fields)."""
-        if all(c == 0 for c in self.coeffs):
+        if not any(self.nums):
             return True
         if self.field.irreducible_verified:
             return False
@@ -581,7 +634,7 @@ class AlgebraicReal:
         """Exact for validated fields; for unverified (degree >= 5) fields a
         rational value hidden in a nontrivial representation may report
         False, since only the canonical coefficients are inspected."""
-        if all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.nums[1:]):
             return True
         if not self.field.irreducible_verified:
             return (self - self.field.from_rational(self.as_fraction_approx())).is_zero()
@@ -590,31 +643,35 @@ class AlgebraicReal:
     def as_fraction_approx(self) -> Fraction:
         if self.field.rational_theta is not None:
             return poly_eval(_trim(self.coeffs), self.field.rational_theta)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; raises if the element is irrational."""
-        if self.field.rational_theta is not None:
-            return poly_eval(_trim(self.coeffs), self.field.rational_theta)
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
+        r = self._rational_form()
+        if r is not None:
+            return Fraction(*r)
         cand = self.as_fraction_approx()
         if not self.field.irreducible_verified and (self - cand).is_zero():
             return cand
         raise ValueError("element is not rational")
 
-    def _cleared(self) -> tuple[list[int], int]:
-        """Coefficients as integers over their least common denominator."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+    def _rational_form(self) -> tuple[int, int] | None:
+        """(p, q) in lowest terms, q > 0, if the representation is rational
+        (no theta terms, or a rational theta); None otherwise."""
+        if not any(self.nums[1:]):
+            return self.nums[0], self.den
+        if self.field.rational_theta is not None:
+            v = self.as_fraction_approx()
+            return v.numerator, v.denominator
+        return None
 
-    def _scaled(self, prec: int, nums: list[int], den: int,
-                weight: int) -> tuple[int, int, int]:
+    def _scaled(self, prec: int, weight: int) -> tuple[int, int, int]:
         """(L, H, S) with the value in [L/S, H/S] and (H - L) * 2^prec <= S.
 
-        `nums`/`den` are the cleared coefficients; `weight` bounds their sum
-        of magnitudes and sets the starting precision of the theta powers.
+        `weight` bounds the sum of coefficient magnitudes and sets the
+        starting precision of the theta powers.
         """
+        nums = self.nums
         fprec = prec + weight.bit_length() + 2
         table = self.field.pow_table
         while True:
@@ -627,22 +684,18 @@ class AlgebraicReal:
                 elif k < 0:
                     lo += k * b
                     hi += k * a
-            scale = den * tden
+            scale = self.den * tden
             if (hi - lo) << prec <= scale:
                 return lo, hi, scale
             fprec *= 2
 
-    def _is_rational_form(self) -> bool:
-        return self.field.rational_theta is not None or all(c == 0 for c in self.coeffs[1:])
-
     def scaled_enclosure(self, prec: int) -> tuple[int, int, int]:
         """Integers (L, H, S), S > 0, with the value in [L/S, H/S] and
         (H - L) * 2^prec <= S."""
-        if self._is_rational_form():
-            v = self.as_fraction_approx()
-            return (v.numerator, v.numerator, v.denominator)
-        nums, den = self._cleared()
-        return self._scaled(prec, nums, den, _weight(nums, den))
+        r = self._rational_form()
+        if r is not None:
+            return (r[0], r[0], r[1])
+        return self._scaled(prec, _weight(self.nums, self.den))
 
     def enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, of width <= 2^-prec."""
@@ -650,21 +703,15 @@ class AlgebraicReal:
         return (Fraction(lo, scale), Fraction(hi, scale))
 
     def sign(self) -> int:
-        if all(c == 0 for c in self.coeffs):
-            return 0
-        if self.field.rational_theta is not None:
-            v = self.as_fraction_approx()
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        if all(c == 0 for c in self.coeffs[1:]):
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
+        r = self._rational_form()
+        if r is not None:
+            return (r[0] > 0) - (r[0] < 0)
         if self.is_zero():
             return 0
-        nums, den = self._cleared()
-        weight = _weight(nums, den)
+        weight = _weight(self.nums, self.den)
         prec = 32
         while True:
-            lo, hi, _ = self._scaled(prec, nums, den, weight)
+            lo, hi, _ = self._scaled(prec, weight)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -672,16 +719,16 @@ class AlgebraicReal:
             prec *= 2
 
     def floor(self) -> int:
-        if self._is_rational_form():
-            v = self.as_fraction_approx()
-            return v.numerator // v.denominator
+        r = self._rational_form()
+        if r is not None:
+            return r[0] // r[1]
         return self._floor_shifted(False)
 
     def nint(self) -> int:
         """Nearest integer, half up: floor(x + 1/2)."""
-        if self._is_rational_form():
-            v = self.as_fraction_approx()
-            return (2 * v.numerator + v.denominator) // (2 * v.denominator)
+        r = self._rational_form()
+        if r is not None:
+            return (2 * r[0] + r[1]) // (2 * r[1])
         return self._floor_shifted(True)
 
     def _floor_shifted(self, half: bool) -> int:
@@ -690,14 +737,14 @@ class AlgebraicReal:
         The precision schedule is that of floor() applied to the element
         x + 1/2, whose weight counts |c0 + 1/2| in place of |c0|.
         """
-        nums, den = self._cleared()
+        nums, den = self.nums, self.den
         weight = _weight(nums, den)
         if half:
             k0 = nums[0]
             weight += abs(2 * k0 + den) // (2 * den) - abs(k0) // den
         prec = 16
         while True:
-            lo, hi, scale = self._scaled(prec, nums, den, weight)
+            lo, hi, scale = self._scaled(prec, weight)
             if half:
                 lo, hi, scale = 2 * lo + scale, 2 * hi + scale, 2 * scale
             flo, fhi = lo // scale, hi // scale
@@ -730,10 +777,11 @@ class AlgebraicReal:
             other = self.field.from_rational(other)
         if not isinstance(other, AlgebraicReal):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.nums, self.den))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -784,8 +832,7 @@ def nint(x: Number) -> int:
     """Nearest integer, half up: floor(x + 1/2)."""
     if isinstance(x, AlgebraicReal):
         return x.nint()
-    f = x + HALF
-    return f.numerator // f.denominator
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def frac_signed(x: Number) -> Number:

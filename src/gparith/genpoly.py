@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Union
 
@@ -448,7 +447,7 @@ def _gamma_nints(frac_table: dict, gamma_mode: str) -> tuple[dict, dict]:
     gammas = {}
     gamma_nints = {}
     for I in _SUBSETS:
-        acc: Number = Fraction(0)
+        acc: Number = 0
         for i in I:
             for j in I:
                 if gamma_mode == GAMMA_OFF_DIAGONAL and i == j:
@@ -481,7 +480,7 @@ def lemma31_classify(n0: int, n1: int, n2: int, g: SequenceHandle,
     s = [(alpha * ni).frac_signed() for ni in ns]
     cond1 = True
     for I in _SUBSETS:
-        acc: Number = Fraction(0)
+        acc: Number = 0
         for i in I:
             acc = acc + s[i]
         if nint(acc) != 0:
@@ -505,7 +504,7 @@ def lemma31_classify(n0: int, n1: int, n2: int, g: SequenceHandle,
 
     carries_e = {}
     for I in (_PAIRS + (full,)):
-        acc = Fraction(0)
+        acc = 0
         for i in I:
             acc = acc + s[i]
         carries_e[I] = nint(acc)

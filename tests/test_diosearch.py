@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 import numpy as np
@@ -155,6 +156,15 @@ class TestWeylWitness:
         with pytest.raises(ValueError):
             find_weyl_witness([("alpha*n", (Fraction(1, 5), Fraction(1, 5)))],
                               SearchBudget(), {"alpha": sqrt2})
+
+    def test_negative_start_guards_the_square(self, sqrt2):
+        # the first block's largest |n| is its first entry, whose square
+        # exceeds int64 while its last entry's square still fits
+        start = -(isqrt(2**63 - 1) + 10)
+        with pytest.raises(ValueError, match="int64"):
+            find_weyl_witness([("alpha*n*n", (Fraction(0), Fraction(1, 2)))],
+                              SearchBudget(max_candidate=1), {"alpha": sqrt2},
+                              start=start)
 
 
 class TestCalibration:

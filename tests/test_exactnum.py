@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -337,3 +338,127 @@ class TestIntegerDecisions:
                 assert (lo, hi) == (Fraction(42275935, 33554432),
                                     Fraction(52844919, 41943040))
         assert got == [row[3] for row in self.ENCLOSURE_ROWS]
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator, against a Fraction reference.
+# ---------------------------------------------------------------------------
+
+# The fuzz fields, a degree-1 field and two non-monic minimal polynomials:
+# 2x^2 - 3 (theta = sqrt(3/2)) and 3x^3 - 2 (theta = (2/3)^(1/3)).
+_REF_FIELDS = _FUZZ + [
+    field_create([-3, 2], (0, 5)),
+    field_create([-3, 0, 2], (1, 2)),
+    field_create([-2, 0, 0, 3], (Fraction(4, 5), 1)),
+]
+
+
+def _ref_mul(a, b, minpoly):
+    """Schoolbook product of two coefficient vectors, reduced modulo the
+    minimal polynomial from the top degree down, in Fractions."""
+    d = len(minpoly) - 1
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] / minpoly[-1]
+        for i, m in enumerate(minpoly):
+            prod[k - d + i] -= c * m
+    return tuple(prod[:d])
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == x.field.degree
+    assert all(type(k) is int for k in x.nums) and type(x.den) is int
+    if not any(x.nums):
+        assert x.den == 1
+
+
+_small_q = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ring_operations_match_fraction_reference(self, data):
+        K = data.draw(st.sampled_from(_REF_FIELDS))
+        vec = st.lists(_small_q, min_size=K.degree, max_size=K.degree)
+        ca, cb = data.draw(vec), data.draw(vec)
+        q = data.draw(_small_q)
+        k = data.draw(st.integers(-10**6, 10**6))
+        x, y = K.element(ca), K.element(cb)
+        cases = [
+            (x + y, [a + b for a, b in zip(ca, cb)]),
+            (x - y, [a - b for a, b in zip(ca, cb)]),
+            (-x, [-a for a in ca]),
+            (x * y, _ref_mul(ca, cb, K.minpoly)),
+            (x + k, [ca[0] + k] + ca[1:]),
+            (k - x, [k - ca[0]] + [-a for a in ca[1:]]),
+            (x + q, [ca[0] + q] + ca[1:]),
+            (q - x, [q - ca[0]] + [-a for a in ca[1:]]),
+            (x * k, [a * k for a in ca]),
+            (q * x, [a * q for a in ca]),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == tuple(want)
+            assert got == K.element(want)
+            assert hash(got) == hash(K.element(want))
+        if any(cb):
+            z = x / y
+            _assert_canonical(z)
+            assert _ref_mul(z.coeffs, cb, K.minpoly) == tuple(ca)
+        # one value, reached along different paths, is one representation
+        for other in ((x + y) - y, x * 3 * Fraction(1, 3), (x * y + x) - x * y):
+            assert other == x and hash(other) == hash(x)
+            assert (other.nums, other.den) == (x.nums, x.den)
+        assert (x == y) == (tuple(ca) == tuple(cb))
+
+    def test_canonical_form(self, cbrt2_field):
+        K = cbrt2_field
+        assert (K.zero.nums, K.zero.den) == ((0, 0, 0), 1)
+        assert ((K.theta - K.theta).nums, (K.theta - K.theta).den) == ((0, 0, 0), 1)
+        assert ((K.theta * 0).nums, (K.theta * 0).den) == ((0, 0, 0), 1)
+        half = K.element([Fraction(1, 2)])
+        assert K.element([Fraction(2, 4)]) == half
+        assert hash(K.element([Fraction(2, 4)])) == hash(half)
+        x = K.element([Fraction(1, 6), Fraction(-1, 4), 2])
+        assert (x.nums, x.den) == ((2, -3, 24), 12)
+        assert ((x + Fraction(5, 6)).nums, (x + Fraction(5, 6)).den) == ((4, -1, 8), 4)
+
+    def test_non_monic_reduction_table(self):
+        K = field_create([-2, 0, 0, 3], (Fraction(4, 5), 1))
+        rows, den = K._xpow
+        # x^3 = 2/3, x^4 = 2/3 x
+        assert (rows, den) == ([(2, 0, 0), (0, 2, 0)], 3)
+        t = K.theta
+        assert t * t * t == Fraction(2, 3)
+        assert (t ** 4).coeffs == (0, Fraction(2, 3), 0)
+        assert (3 * t ** 3).nint() == 2 and (t * 1000).floor() == 873
+
+    def test_ring_path_makes_no_fractions(self, alpha, monkeypatch):
+        K = alpha.field
+        beta = K.element([Fraction(1, 3), 2, Fraction(-5, 7)])
+        ns = [1, 7, 40, 12345, -99, 10**6 + 3]
+
+        def work():
+            for n in ns:
+                (alpha * n).nint()
+                (alpha * n).frac_signed().sign()
+                alpha * beta + 3
+
+        work()  # fills the theta-power cache at the precisions used
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        work()
+        assert made == []
+        Fraction(1, 3)                  # the wrapper is live
+        assert len(made) == 1
