@@ -16,6 +16,12 @@ PSI = ("forall n in [1, 10]: exists n2 in [2*m, 3000]: "
        "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
 
 REPORTS = {
+    "verify-2.1": (["verify", "2.1"],
+                   "8073ccd3d0ce516b179b74d1afdcce060bd49983d68b610da0f846e479b1edfd"),
+    "verify-2.2": (["verify", "2.2"],
+                   "73a4c1df47ecff4811625248bdcfa5e3b785c655f889ac0acda4ad82a872d793"),
+    "compile-check": (["compile", "x1*x1 + x2*x2 - x3*x3", "--check"],
+                      "0651d48a344cf9a7997c9b19b94fa89c51cee76b160500cbe0cae679da0e0c6f"),
     "verify-3.1": (["verify", "3.1", "--samples", "100"],
                    "c029f9c4563644302aa2a6c89c08f1bc3244490a777d92f88a1879f0ffb841a9"),
     "verify-3.2": (["verify", "3.2", "--pairs", "5"],
