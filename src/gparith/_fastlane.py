@@ -116,11 +116,19 @@ class FastConst:
         margin = (np.abs(k).astype(np.float64) + 4.0) * _SCALE + _ROUNDING
         return frac, margin
 
+    def _filter(self, k: np.ndarray):
+        """frac_vec_filter with an infinite margin for entries within their
+        margin of +-1/2: the lane error is a distance on the circle, so the
+        exact frac_signed of such an entry may lie at the other end."""
+        frac, margin = self.frac_vec_filter(k)
+        margin[(0.5 - np.abs(frac)) <= margin] = np.inf
+        return frac, margin
+
     def within(self, k: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Masks (maybe, sure) for lo < frac_signed(const*k) < hi with exact
         thresholds lo, hi: entries in `sure` hold, entries outside `maybe`
         do not, and the rest must be decided exactly."""
-        frac, margin = self.frac_vec_filter(k)
+        frac, margin = self._filter(k)
         lo_f, hi_f = float(lo), float(hi)
         maybe = (frac > lo_f - margin) & (frac < hi_f + margin)
         sure = (frac > lo_f + margin) & (frac < hi_f - margin)
@@ -130,7 +138,7 @@ class FastConst:
         """Index arrays (low, high) holding every i at which
         frac_signed(const*k[i]) can be least, resp. greatest.  The largest
         circle norm lies at an index of their union."""
-        frac, margin = self.frac_vec_filter(k)
+        frac, margin = self._filter(k)
         lower, upper = frac - margin, frac + margin
         return (np.nonzero(lower <= upper.min())[0],
                 np.nonzero(upper >= lower.max())[0])

@@ -191,6 +191,17 @@ def test_within_and_extremes_are_certified(theta, data):
     assert any(exact[i] == max(exact) for i in high)
 
 
+def test_entries_at_the_wrap_stay_undecided():
+    # k/10 = -308313.5: the lane reads +1/2, and frac_signed is -1/2
+    lane = FastConst(Fraction(1, 10))
+    ks = np.array([0, -3083135], dtype=np.int64)
+    for lo, hi in ((0, Fraction(2, 3)), (Fraction(-2, 3), 0)):
+        maybe, sure = lane.within(ks, lo, hi)
+        assert maybe[1] and not sure[1]
+    low, high = lane.extremes(ks)
+    assert 1 in low and 1 in high
+
+
 _FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}
 # the histogram of equidist_check takes the floats as samples and makes no
 # decision from them
