@@ -6,7 +6,7 @@ polynomial solvability to a first-order sentence over (+, 1, Q).
 from fractions import Fraction
 
 from gparith.exactnum import field_create
-from gparith.focheck import AlphaContext
+from gparith.focheck import AlphaContext, pretty_formula, pretty_term
 from gparith.weakmult import (
     SyntheticQSet,
     build_Q,
@@ -19,13 +19,12 @@ from gparith.weakmult import (
     family_F,
     parse_poly,
     poly_to_term,
-    term_str,
     times_m,
 )
 
 p = parse_poly("x1*x2 + x2*x2 + 2*x1*x3 + 2*x2*x3 + x1*x1*x3 + 2")
 t = poly_to_term(p)
-print("canonical term:", term_str(t))
+print("canonical term:", pretty_term(t))
 print("family of products:")
 for (a, b) in sorted(family_F(p), key=str):
     print("   (", a, ") x (", b, ")")
@@ -56,7 +55,7 @@ for text in ("x1*x2 - 6", "x1*x1 + x2*x2 - x3*x3", "x1*x1 - 2"):
     compiled = compile_solvability(poly)
     w = check_solvability(poly, Q, range(1, 4), 8, exclude_zero=True)
     print(f"\n  {text}:")
-    print("   ", compiled.text())
+    print("   ", pretty_formula(compiled))
     if w is None:
         print("    no witness within bounds (soundness only, never "
               "'unsolvable')")

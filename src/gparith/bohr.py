@@ -15,7 +15,7 @@ import numpy as np
 from ._fastlane import BohrFast, FastConst, blocks, check_int64_product
 from .errors import NotFoundWithinBudget, PreconditionViolated
 from .exactnum import AlgebraicReal
-from .focheck import CAP_EXHAUSTED, REFUTED, VERIFIED, Verdict
+from .focheck import Verdict
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,11 @@ class BohrWorld:
         x_max = max(m, self.bounds.outer_cap * 2 + m)
         table = self._kappa_table(N, x_max)
         if table is None:
-            v = Verdict(CAP_EXHAUSTED, None, {"reason": "no admissible h"})
+            v = Verdict(None, {"reason": "no admissible h"})
         elif table[m]:
-            v = Verdict(VERIFIED, True, {})
+            v = Verdict(True)
         else:
-            v = Verdict(REFUTED, False, {})
+            v = Verdict(False)
         self._kappa_cache[key] = v
         return v
 
@@ -241,20 +241,20 @@ class BohrWorld:
         kL = self._kappa_table(L, x_max)
         kN = self._kappa_table(N, x_max)
         if kL is None or kN is None:
-            v = Verdict(CAP_EXHAUSTED, None, {"reason": "no admissible h"})
+            v = Verdict(None, {"reason": "no admissible h"})
             self._nu_cache[key] = v
             return v
         lam_n = self.lambda_vec(L, b.outer_cap)
         ns = np.nonzero(lam_n[1:b.outer_cap + 1])[0] + 1
         ante = ns[kL[m + ns]]
         if len(ante) == 0:
-            v = Verdict(CAP_EXHAUSTED, None, {"reason": "empty antecedent set"})
+            v = Verdict(None, {"reason": "empty antecedent set"})
         else:
             bad = ante[~kN[m_tilde + ante]]
             if len(bad):
-                v = Verdict(REFUTED, False, {"failing_n": int(bad[0])})
+                v = Verdict(False, {"failing_n": int(bad[0])})
             else:
-                v = Verdict(VERIFIED, True, {"antecedents": len(ante)})
+                v = Verdict(True, {"antecedents": len(ante)})
         self._nu_cache[key] = v
         return v
 
@@ -269,7 +269,7 @@ class BohrWorld:
         for n in range(1, b.outer_cap + 1):
             kn = self.kappa(n, L)
             if kn.value is None:
-                return Verdict(CAP_EXHAUSTED, None, {"reason": "no admissible h"})
+                return Verdict(None, {"reason": "no admissible h"})
             if not kn.value:
                 continue
             nn = self.nu(m + n, m, L)
@@ -279,15 +279,14 @@ class BohrWorld:
             if nn.value:
                 antecedents.append(n)
         if not antecedents:
-            return Verdict(CAP_EXHAUSTED, None,
-                           {"reason": "empty antecedent set", "partial": exhausted})
+            return Verdict(None, {"reason": "empty antecedent set", "partial": exhausted})
         for n in antecedents:
             nc = self.nu(m_tilde + n, m_tilde, N)
             if nc.value is None:
-                return Verdict(CAP_EXHAUSTED, None, {"at_n": n})
+                return Verdict(None, {"at_n": n})
             if not nc.value:
-                return Verdict(REFUTED, False, {"failing_n": n})
-        return Verdict(VERIFIED, True, {"antecedents": len(antecedents)})
+                return Verdict(False, {"failing_n": n})
+        return Verdict(True, {"antecedents": len(antecedents)})
 
 
 # ---------------------------------------------------------------------------

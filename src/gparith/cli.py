@@ -28,7 +28,7 @@ from .diosearch import (
 )
 from .errors import GparithError
 from .exactnum import AlgebraicReal
-from .focheck import AlphaContext
+from .focheck import AlphaContext, pretty_formula
 from .genpoly import eval_expr, expr_sort, parse
 from .weakmult import (
     build_Q,
@@ -130,7 +130,7 @@ def cmd_compile(args, cfg) -> int:
     p = parse_poly(args.poly)
     compiled = compile_solvability(p, m_cap=args.m_cap, y_cap=args.n_cap * args.m_cap)
     with _report_out(args) as out:
-        out.write(compiled.text() + "\n")
+        out.write(pretty_formula(compiled) + "\n")
         if args.check:
             Q = SyntheticQSet(m_max=args.m_cap, k_max=10**9)
             w = check_solvability(p, Q, range(1, args.m_cap + 1), args.n_cap)
@@ -146,7 +146,7 @@ def cmd_compile(args, cfg) -> int:
 
 
 def cmd_formula(args, cfg) -> int:
-    from .focheck import Structure, eval_formula, parse_formula, pretty_formula
+    from .focheck import Structure, eval_formula, parse_formula
 
     phi = parse_formula(args.formula)
     sequences = {}

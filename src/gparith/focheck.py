@@ -148,12 +148,11 @@ class BoundProfile:
     n2_cap: int = 200_000
     M_cap: int = 30
     H_cap: int = 2
-    h_cap: int = 64
     m_cap: int = 100_000
     max_range: int = 4_000_000
 
     def __post_init__(self):
-        for name in ("n2_cap", "M_cap", "H_cap", "h_cap", "m_cap", "max_range"):
+        for name in ("n2_cap", "M_cap", "H_cap", "m_cap", "max_range"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -635,9 +634,12 @@ CAP_EXHAUSTED = "cap-exhausted"
 class Verdict:
     """Three-way bounded verdict: value None means the caps ran out."""
 
-    tag: str
     value: bool | None
     detail: dict = dc_field(default_factory=dict)
+
+    @property
+    def tag(self) -> str:
+        return {True: VERIFIED, False: REFUTED, None: CAP_EXHAUSTED}[self.value]
 
 
 def lemma36_characterisation(n: int, n_prime: int, alpha: AlgebraicReal) -> bool:
@@ -655,14 +657,17 @@ _M_WITNESSES = 3
 _REFUTE_BUDGET = 400
 
 
-def _delta_core(n: int, n_prime: int, ctx: AlphaContext,
-                bounds: BoundProfile) -> Verdict:
-    """Single-pass bounded delta with per-pair calibrated caps.
+def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
+                  bounds: BoundProfile = DEFAULT_BOUNDS) -> Verdict:
+    """Three-way bounded verdict for the delta relation: a single pass with
+    per-pair calibrated caps.
 
     Universal quantifiers are evaluated at their largest cap and existential
     ones at theirs, which by monotonicity of the nested formula equals the
     literal prefix evaluated at those caps.
     """
+    if n < 1 or n_prime < 1:
+        raise PreconditionViolated("n, n' must be >= 1")
     alpha = ctx.alpha
     g = ctx.g
     H = bounds.H_cap
@@ -690,19 +695,17 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext,
                 break
             M *= 2
         else:
-            return Verdict(CAP_EXHAUSTED, None, {"reason": "no fitting M"})
+            return Verdict(None, {"reason": "no fitting M"})
         ms = _window_members(ctx, M, bounds.m_cap, _M_WITNESSES)
         if not ms:
-            return Verdict(CAP_EXHAUSTED, None,
-                                {"reason": "no psi-small m in cap", "M": M})
+            return Verdict(None, {"reason": "no psi-small m in cap", "M": M})
         for m in ms:
             mp = t * m
             d1 = delta_sym(g, mp, n)
             d2 = delta_sym(g, m, n_prime)
             if abs(d1 - d2) > H or not ctx.in_window(mp, Mp):
-                return Verdict(REFUTED, False,
-                                    {"mismatch_m": m, "M": M, "unexpected": True})
-        return Verdict(VERIFIED, True, {"M": M, "witness_ms": ms, "t": t})
+                return Verdict(False, {"mismatch_m": m, "M": M, "unexpected": True})
+        return Verdict(True, {"M": M, "witness_ms": ms, "t": t})
 
     # expected-false path: hunt for an m whose partner search fails; the
     # second pass raises the partner filter level to look harder before
@@ -716,11 +719,10 @@ def _delta_core(n: int, n_prime: int, ctx: AlphaContext,
         any_members = True
         for m in ms:
             if not _has_partner(n, n_prime, m, ctx, Mp_try, H):
-                return Verdict(REFUTED, False, {"refuting_m": m, "M": M})
+                return Verdict(False, {"refuting_m": m, "M": M})
     if not any_members:
-        return Verdict(CAP_EXHAUSTED, None,
-                            {"reason": "no psi-small m in cap"})
-    return Verdict(VERIFIED, True, {"note": "no refuting m found"})
+        return Verdict(None, {"reason": "no psi-small m in cap"})
+    return Verdict(True, {"note": "no refuting m found"})
 
 
 def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[int]:
@@ -809,14 +811,6 @@ def _partner_ranges(n: int, d2: int, ctx: AlphaContext, Mp: int,
         hi_m = (b_num * k_den) // (b_den * (k_lo if b_num >= 0 else k_hi))
         ranges.append(range(max(1, lo_m), hi_m + 1))
     return ranges
-
-
-def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
-                  bounds: BoundProfile = DEFAULT_BOUNDS) -> Verdict:
-    """Three-way bounded verdict for the delta relation."""
-    if n < 1 or n_prime < 1:
-        raise PreconditionViolated("n, n' must be >= 1")
-    return _delta_core(n, n_prime, ctx, bounds)
 
 
 def delta_literal(n: int, n_prime: int, ctx: AlphaContext, H_cap: int,

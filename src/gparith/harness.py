@@ -39,6 +39,7 @@ from .focheck import (
     delta_bounded,
     ell,
     lemma36_characterisation,
+    pretty_formula,
     verify_lemma37 as _lemma37_instance,
 )
 from .genpoly import (
@@ -615,7 +616,7 @@ def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
             verdict = "pass" if w is None else "fail"
             witness = "not-found-within-bounds" if w is None else \
                 {"unexpected": {"m": w.m, "n": list(w.n)}}
-        res.add({"polynomial": text, "sentence": compiled.text()[:120]},
+        res.add({"polynomial": text, "sentence": pretty_formula(compiled)[:120]},
                 verdict, witness=witness, caps={"m_cap": m_cap, "n_cap": n_cap})
     res.summary = {"cases": len(cases)}
     return res

@@ -2,8 +2,9 @@
 family F(p), quadruple sets Q, and the reduction from polynomial-equation
 solvability to first-order sentences over (+, 1, Q).
 
-In the scaled evaluation t_m the unit leaf evaluates to the modulus m (and
-x to x_m); with that reading the dilation identity
+Terms are `focheck` terms: integer leaves TInt(c), variables TVar("x<i>")
+and TAdd/TSub/TMul.  In the scaled evaluation t_m an integer leaf c
+evaluates to c * m (and x to x_m); with that reading the dilation identity
 t_m(m n1, ..., m ns) = m * p(n1, ..., ns) holds for every polynomial,
 constants included.
 """
@@ -18,11 +19,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import focheck
 from ._fastlane import check_int64_product
 from .errors import ZeroModulus
 from .focheck import (
@@ -35,79 +35,16 @@ from .focheck import (
     TAdd,
     TInt,
     TMul,
+    TSub,
     TVar,
-    Term as FTerm,
+    Term,
     ell,
     progression_d2,
 )
 from .genpoly import TokenStream, parse_sum
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-# ---------------------------------------------------------------------------
-# Terms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class One:
-    pass
-
-
-@dataclass(frozen=True)
-class TermVar:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Plus:
-    lhs: "Term"
-    rhs: "Term"
-
-
-@dataclass(frozen=True)
-class Minus:
-    lhs: "Term"
-    rhs: "Term"
-
-
-@dataclass(frozen=True)
-class Times:
-    lhs: "Term"
-    rhs: "Term"
-
-
-Term = One | TermVar | Plus | Minus | Times
-_OPS = {Plus: operator.add, Minus: operator.sub, Times: operator.mul}
-
-ONE = One()
-
-
-def term_arity(t: Term) -> int:
-    if isinstance(t, One):
-        return 0
-    if isinstance(t, TermVar):
-        return t.index
-    return max(term_arity(t.lhs), term_arity(t.rhs))
-
-
-def term_eval(t: Term, args: Sequence[int]) -> int:
-    """Plain evaluation over Z (the unit evaluates to 1)."""
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, TermVar):
-        return args[t.index - 1]
-    return _OPS[type(t)](term_eval(t.lhs, args), term_eval(t.rhs, args))
-
-
-def term_str(t: Term) -> str:
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, TermVar):
-        return f"x{t.index}"
-    op = {"Plus": "+", "Minus": "-", "Times": "*"}[type(t).__name__]
-    return f"({term_str(t.lhs)} {op} {term_str(t.rhs)})"
-
+_OPS = {TAdd: operator.add, TSub: operator.sub, TMul: operator.mul}
 
 # ---------------------------------------------------------------------------
 # Multivariate integer polynomials (canonical sparse representation)
@@ -186,17 +123,6 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _constant_term(c: int) -> Term:
-    if c == 0:
-        return Minus(ONE, ONE)
-    if c < 0:
-        return Minus(Minus(ONE, ONE), _constant_term(-c))
-    t: Term = ONE
-    for _ in range(c - 1):
-        t = Plus(t, ONE)
-    return t
-
-
 def _split_by_variable(p: IntPolynomial, i: int) -> dict[int, IntPolynomial]:
     """Coefficient polynomials of powers of x_i (with x_i removed)."""
     out: dict[int, dict[tuple[int, ...], int]] = {}
@@ -209,15 +135,15 @@ def _split_by_variable(p: IntPolynomial, i: int) -> dict[int, IntPolynomial]:
 
 
 def poly_to_term(p: IntPolynomial) -> Term:
-    """Deterministic canonical term: Horner by lowest variable index,
-    constants as repeated unit sums, negatives via subtraction."""
+    """Deterministic canonical term: Horner by lowest variable index, with
+    integer leaves for the constant coefficients."""
     return _horner(p, 1)
 
 
 def _horner(p: IntPolynomial, i: int) -> Term:
     c = p.constant_value()
     if c is not None:
-        return _constant_term(c)
+        return TInt(c)
     if i > p.arity:
         raise AssertionError("non-constant polynomial exhausted its variables")
     coeffs = _split_by_variable(p, i)
@@ -228,30 +154,33 @@ def _horner(p: IntPolynomial, i: int) -> Term:
     for k in range(kmax - 1, -1, -1):
         # multiplying the unit term is collapsed so that p = x_i yields the
         # bare variable (and no spurious product enters the family)
-        acc = TermVar(i) if isinstance(acc, One) else Times(TermVar(i), acc)
+        acc = TVar(f"x{i}") if acc == TInt(1) else TMul(TVar(f"x{i}"), acc)
         ck = coeffs.get(k)
         if ck is not None and not ck.is_zero():
-            acc = Plus(_horner(ck, i + 1), acc)
+            acc = TAdd(_horner(ck, i + 1), acc)
     return acc
 
 
-def term_to_poly(t: Term, arity: int | None = None) -> IntPolynomial:
-    s = arity if arity is not None else term_arity(t)
-    if isinstance(t, One):
-        return IntPolynomial.constant(1, s)
-    if isinstance(t, TermVar):
-        return IntPolynomial.variable(t.index, s)
-    return _OPS[type(t)](term_to_poly(t.lhs, s), term_to_poly(t.rhs, s))
+def _index(v: TVar) -> int:
+    """The 1-based index i of the variable x<i>."""
+    return int(v.name[1:])
 
 
-def family_of_term(t: Term, arity: int | None = None) -> frozenset:
+def term_to_poly(t: Term, arity: int) -> IntPolynomial:
+    if isinstance(t, TInt):
+        return IntPolynomial.constant(t.value, arity)
+    if isinstance(t, TVar):
+        return IntPolynomial.variable(_index(t), arity)
+    return _OPS[type(t)](term_to_poly(t.lhs, arity), term_to_poly(t.rhs, arity))
+
+
+def family_of_term(t: Term, arity: int) -> frozenset:
     """Pairs of polynomials tracking every product node of the term."""
-    s = arity if arity is not None else term_arity(t)
-    if isinstance(t, (One, TermVar)):
+    if isinstance(t, (TInt, TVar)):
         return frozenset()
-    fam = family_of_term(t.lhs, s) | family_of_term(t.rhs, s)
-    if isinstance(t, Times):
-        fam |= {(term_to_poly(t.lhs, s), term_to_poly(t.rhs, s))}
+    fam = family_of_term(t.lhs, arity) | family_of_term(t.rhs, arity)
+    if isinstance(t, TMul):
+        fam |= {(term_to_poly(t.lhs, arity), term_to_poly(t.rhs, arity))}
     return fam
 
 
@@ -265,20 +194,7 @@ def family_F(p: IntPolynomial) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-class QSet:
-    """Set of multiplicative quadruples (m, a, b, c); membership is pure."""
-
-    def contains(self, m: int, a: int, b: int, c: int) -> bool:
-        raise NotImplementedError
-
-    def members(self) -> Iterator[tuple[int, int, int, int]]:
-        raise NotImplementedError
-
-    def moduli(self) -> Iterator[int]:
-        raise NotImplementedError
-
-
-class ExplicitQSet(QSet):
+class ExplicitQSet:
     """An explicit store of quadruples, given as (m, a, b, c) tuples or a
     (4, n) int64 column array: deduplicated int64 columns, rows sorted."""
 
@@ -325,7 +241,7 @@ def _sorted_rows(cols: np.ndarray) -> np.ndarray:
     return cols[:, np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)]]
 
 
-class SyntheticQSet(QSet):
+class SyntheticQSet:
     """All (m, km, lm, klm) with 1 <= m <= m_max and |k|, |l| <= k_max.
 
     Membership is a structural predicate; the store is virtual because the
@@ -364,7 +280,7 @@ class SyntheticQSet(QSet):
 # ---------------------------------------------------------------------------
 
 
-def times_m(Q: QSet, m: int, a: int, b: int) -> Optional[int]:
+def times_m(Q: ExplicitQSet | SyntheticQSet, m: int, a: int, b: int) -> Optional[int]:
     """a x_m b = ab/m when ab/m is an integer and (m,a,b,ab/m) in Q."""
     if m == 0:
         raise ZeroModulus("modulus must be nonzero")
@@ -374,27 +290,29 @@ def times_m(Q: QSet, m: int, a: int, b: int) -> Optional[int]:
     return c if Q.contains(m, a, b, c) else None
 
 
-def eval_term_m(t: Term, m: int, args: Sequence[int], Q: QSet) -> Optional[int]:
-    """Scaled partial evaluation: x -> x_m and the unit leaf -> m.
+def eval_term_m(t: Term, m: int, args: Sequence[int],
+                Q: ExplicitQSet | SyntheticQSet) -> Optional[int]:
+    """Scaled partial evaluation: x -> x_m and an integer leaf c -> c * m.
 
     None propagates from any undefined partial product.
     """
     if m == 0:
         raise ZeroModulus("modulus must be nonzero")
-    if isinstance(t, One):
-        return m
-    if isinstance(t, TermVar):
-        return args[t.index - 1]
+    if isinstance(t, TInt):
+        return t.value * m
+    if isinstance(t, TVar):
+        return args[_index(t) - 1]
     a = eval_term_m(t.lhs, m, args, Q)
     if a is None:
         return None
     b = eval_term_m(t.rhs, m, args, Q)
     if b is None:
         return None
-    return times_m(Q, m, a, b) if isinstance(t, Times) else _OPS[type(t)](a, b)
+    return times_m(Q, m, a, b) if isinstance(t, TMul) else _OPS[type(t)](a, b)
 
 
-def family_domain_ok(fam: frozenset, m: int, args: Sequence[int], Q: QSet) -> bool:
+def family_domain_ok(fam: frozenset, m: int, args: Sequence[int],
+                     Q: ExplicitQSet | SyntheticQSet) -> bool:
     """Domain condition of the dilation identity: every family pair lands
     in dom(x_m) after scaling by m."""
     for p1, p2 in fam:
@@ -467,7 +385,7 @@ def _signed(Q: ExplicitQSet, s: int, t: int) -> np.ndarray:
     return np.stack([m, s * a, t * b, s * t * c])
 
 
-def close_pm(Q: QSet) -> QSet:
+def close_pm(Q: ExplicitQSet | SyntheticQSet) -> ExplicitQSet | SyntheticQSet:
     """Sign closure {(m, sa, tb, st c)}; idempotent."""
     if isinstance(Q, SyntheticQSet):
         return Q  # structurally sign-closed already
@@ -505,7 +423,7 @@ def check_Q1(Q: ExplicitQSet) -> Q1Report:
                     commutes=ExplicitQSet(np.stack([m, b, a, c])) == Q)
 
 
-def check_Q2(Q: QSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
+def check_Q2(Q: ExplicitQSet | SyntheticQSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
     """Smallest modulus m whose dilated copy of F sits inside dom(x_m)."""
     F = list(F)
     for m in Q.moduli():
@@ -524,7 +442,7 @@ def _opened(fp, mode: str):
     return open(fp, mode, encoding="ascii") if isinstance(fp, str) else nullcontext(fp)
 
 
-def export_csv(Q: QSet, fp) -> None:
+def export_csv(Q: ExplicitQSet | SyntheticQSet, fp) -> None:
     with _opened(fp, "w") as f:
         f.write("".join(f"{m},{a},{b},{c}\n" for m, a, b, c in Q.members()))
 
@@ -576,42 +494,35 @@ def parse_poly(text: str) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CompiledReduction:
-    formula: Formula
-
-    def text(self) -> str:
-        return focheck.pretty_formula(self.formula)
-
-
-def _lin_term(lin: dict[str, int]) -> FTerm:
+def _lin_term(lin: dict[str, int]) -> Term:
     parts = [TVar(name) if c == 1 else TMul(TInt(c), TVar(name))
              for name, c in sorted(lin.items()) if c != 0]
     return reduce(TAdd, parts) if parts else TInt(0)
 
 
 def compile_solvability(p: IntPolynomial, m_cap: int = 8,
-                        y_cap: int = 400) -> CompiledReduction:
+                        y_cap: int = 400) -> Formula:
     """First-order sentence over (+, 1, Q) asserting solvability of p = 0.
 
     Products are flattened through fresh existential variables constrained
-    by Q-membership atoms; the unit leaf of the canonical term contributes
-    the quantified modulus m, so the inner equation says m * p(n) = 0.
+    by Q-membership atoms; an integer leaf c of the canonical term
+    contributes c times the quantified modulus m, so the inner equation
+    says m * p(n) = 0.
     """
     t = poly_to_term(p)
     atoms: list[Formula] = []
     z_names: list[str] = []
 
     def walk(node: Term) -> dict[str, int]:
-        if isinstance(node, One):
-            return {"m": 1}
-        if isinstance(node, TermVar):
-            return {f"y{node.index}": 1}
+        if isinstance(node, TInt):
+            return {"m": node.value}
+        if isinstance(node, TVar):
+            return {f"y{_index(node)}": 1}
         a = walk(node.lhs)
         b = walk(node.rhs)
-        if isinstance(node, (Plus, Minus)):
+        if isinstance(node, (TAdd, TSub)):
             out = dict(a)
-            sign = 1 if isinstance(node, Plus) else -1
+            sign = 1 if isinstance(node, TAdd) else -1
             for k, v in b.items():
                 out[k] = out.get(k, 0) + sign * v
             return {k: v for k, v in out.items() if v != 0}
@@ -630,7 +541,7 @@ def compile_solvability(p: IntPolynomial, m_cap: int = 8,
         body = FExists(z, TInt(-z_cap), TInt(z_cap), body)
     for i in range(p.arity, 0, -1):
         body = FExists(f"y{i}", TInt(-y_cap), TInt(y_cap), body)
-    return CompiledReduction(FExists("m", TInt(1), TInt(m_cap), body))
+    return FExists("m", TInt(1), TInt(m_cap), body)
 
 
 @dataclass
@@ -640,8 +551,8 @@ class SolvabilityWitness:
     y: tuple[int, ...]
 
 
-def check_solvability(p: IntPolynomial, Q: QSet, m_values: Iterable[int],
-                      n_cap: int,
+def check_solvability(p: IntPolynomial, Q: ExplicitQSet | SyntheticQSet,
+                      m_values: Iterable[int], n_cap: int,
                       exclude_zero: bool = False) -> Optional[SolvabilityWitness]:
     """Bounded witness search for the compiled sentence: scan moduli and
     scaled assignments y = m*n, evaluating the term under x_m.

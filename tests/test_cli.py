@@ -34,12 +34,15 @@ class TestConfig:
             parse_config("seed = abc")
 
     def test_threads_is_not_a_key(self, tmp_path, capsys):
-        with pytest.raises(ConfigError):
-            parse_config("threads = 2")
-        cfg = tmp_path / "session.cfg"
-        cfg.write_text(DEFAULT_CONFIG_TEXT + "threads = 2\n")
-        code, _, err = run_cli(["--config", str(cfg), "eval", "n", "--n", "1..1"], capsys)
-        assert code == 2 and "ConfigError" in err
+        # nor is `h_cap`: the bohr cap is `bohr_h_cap`, and delta has no h cap
+        for line in ("threads = 2", "h_cap = 64"):
+            with pytest.raises(ConfigError):
+                parse_config(line)
+            cfg = tmp_path / "session.cfg"
+            cfg.write_text(DEFAULT_CONFIG_TEXT + line + "\n")
+            code, _, err = run_cli(["--config", str(cfg), "eval", "n", "--n", "1..1"],
+                                   capsys)
+            assert code == 2 and "ConfigError" in err
 
     def test_caps_flow_into_profiles(self):
         cfg = parse_config("n2_cap = 777\nbohr_N_cap = 5\n")

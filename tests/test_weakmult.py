@@ -8,15 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from gparith import harness as H, weakmult
 from gparith.errors import ExprSyntaxError, ZeroModulus
+from gparith.focheck import (
+    BoundProfile,
+    Structure,
+    TAdd,
+    TInt,
+    TMul,
+    TSub,
+    TVar,
+    eval_formula,
+    eval_term,
+    pretty_formula,
+)
 from gparith.weakmult import (
     ExplicitQSet,
     IntPolynomial,
-    Minus,
-    ONE,
-    Plus,
     SyntheticQSet,
-    TermVar,
-    Times,
     build_Q,
     check_Q1,
     check_Q2,
@@ -31,16 +38,15 @@ from gparith.weakmult import (
     import_csv,
     parse_poly,
     poly_to_term,
-    term_eval,
     term_to_poly,
 )
 
 # the worked product-of-sums term from the multiplication section
-PAPER_TERM = Plus(
-    Plus(Times(Plus(TermVar(1), TermVar(2)),
-               Plus(TermVar(2), Plus(TermVar(3), TermVar(3)))),
-         Times(Times(TermVar(1), TermVar(1)), TermVar(3))),
-    Plus(ONE, ONE))
+X1, X2, X3 = (TVar(f"x{i}") for i in (1, 2, 3))
+PAPER_TERM = TAdd(
+    TAdd(TMul(TAdd(X1, X2), TAdd(X2, TAdd(X3, X3))),
+         TMul(TMul(X1, X1), X3)),
+    TInt(2))
 
 
 def rand_poly(rng, arity=3, deg=3, cmax=5):
@@ -63,11 +69,11 @@ class TestTermsAndPolys:
         assert p == want
 
     def test_one_and_var(self):
-        assert term_to_poly(ONE, 1) == IntPolynomial.constant(1, 1)
-        assert poly_to_term(parse_poly("x1")) == TermVar(1)
+        assert term_to_poly(TInt(1), 1) == IntPolynomial.constant(1, 1)
+        assert poly_to_term(parse_poly("x1")) == X1
 
     def test_constant_two(self):
-        assert poly_to_term(IntPolynomial.constant(2, 0)) == Plus(ONE, ONE)
+        assert poly_to_term(IntPolynomial.constant(2, 0)) == TInt(2)
 
     def test_roundtrip_random(self):
         rng = random.Random(42)
@@ -81,7 +87,8 @@ class TestTermsAndPolys:
             p = rand_poly(rng)
             t = poly_to_term(p)
             args = [rng.randrange(-6, 7) for _ in range(p.arity)]
-            assert term_eval(t, args) == p.eval(args)
+            valuation = {f"x{i}": a for i, a in enumerate(args, 1)}
+            assert eval_term(t, valuation, Structure()) == p.eval(args)
 
     def test_canonical_term_deterministic(self):
         p = parse_poly("x1*x2 - 6")
@@ -148,8 +155,8 @@ class TestPartialOps:
 
     def test_multiplication_free_total(self):
         Q = ExplicitQSet([])
-        t = Plus(Minus(TermVar(1), TermVar(2)), Plus(ONE, ONE))
-        # unit scales with the modulus: x1 - x2 + 2m at scaled arguments
+        t = TAdd(TSub(X1, X2), TInt(2))
+        # integer leaves scale with the modulus: x1 - x2 + 2m at scaled arguments
         assert eval_term_m(t, 3, [6, 9], Q) == 6 - 9 + 6
 
     def test_lemma22_contract_randomised(self):
@@ -402,8 +409,7 @@ class TestReduction:
         assert check_solvability(p, Q, range(1, 4), 12) is None
 
     def test_formula_text_shape(self):
-        compiled = compile_solvability(parse_poly("x1*x2 - 6"), m_cap=8)
-        text = compiled.text()
+        text = pretty_formula(compile_solvability(parse_poly("x1*x2 - 6"), m_cap=8))
         assert text.startswith("exists m in [1, 8]:")
         assert "Q(m, y1, y2, z1)" in text
         assert "-6*m + z1 = 0" in text
@@ -411,12 +417,10 @@ class TestReduction:
     def test_compiled_formula_evaluates(self):
         # generic bounded evaluation of the compiled sentence agrees with
         # the direct witness search on a small linear case
-        from gparith.focheck import BoundProfile, Structure, eval_formula
-
         compiled = compile_solvability(parse_poly("x1 - 2"), m_cap=3, y_cap=8)
         Q = SyntheticQSet(3, 10)
         st = Structure(relations={"Q": lambda m, a, b, c: Q.contains(m, a, b, c)})
-        assert eval_formula(compiled.formula, {}, st, BoundProfile(max_range=10**5))
+        assert eval_formula(compiled, {}, st, BoundProfile(max_range=10**5))
 
     def test_parse_poly_errors(self):
         with pytest.raises(ExprSyntaxError):
