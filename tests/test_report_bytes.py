@@ -14,6 +14,10 @@ from gparith.cli import main
 
 PSI = ("forall n in [1, 10]: exists n2 in [2*m, 3000]: "
        "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
+EVAL_ALL = ("floor(alpha*n) - nint(-beta*n*(n + 1)) + frac(alpha*n*n) "
+            "- norm(alpha*(n - 3)) + ind(norm(alpha*n*n) < rho)")
+FORMULA_ALL = ("forall x in [-3, 12]: not (x*x - 2*(x + 1) != x*(x - 2) - 2) "
+               "and (x > 20 => -g(x)*2 < 1 + g(x + 1)) or -(x - 1) + g(-x) >= g(0)")
 
 REPORTS = {
     "verify-2.1": (["verify", "2.1"],
@@ -55,6 +59,15 @@ REPORTS = {
     "search-weyl": (["search", "weyl", "--target", "alpha*n;-1/1000;1/1000",
                      "--target", "alpha*n*n;0;1/10"],
                     "2b216f381eb1e61062c22ebee49dc4c2228833d3b1b6aeefef597f8f145a537e"),
+    # every expression node, every formula connective, and a weyl target
+    # with no lane (decided exactly)
+    "eval-all-nodes": (["eval", EVAL_ALL, "--n=-50..200"],
+                       "e63a43270f03047d072182488a326596caebc673b102fa939496baf20ac17518"),
+    "formula-all-nodes": (["formula", FORMULA_ALL],
+                          "574b16442a0eac320a91139ad4425944509c38f862a0bde13d8b1027a6b72706"),
+    "search-weyl-exact": (["search", "weyl", "--target", "nint(alpha*n)*alpha;-1/50;1/50",
+                           "--target", "alpha*n*n;0;1/5"],
+                          "13f42b1a3db63707f9460926f42a689caad3c3ec6c49fce1cb2a125f589d4ab7"),
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
