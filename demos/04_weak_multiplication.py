@@ -6,7 +6,8 @@ polynomial solvability to a first-order sentence over (+, 1, Q).
 from fractions import Fraction
 
 from gparith.exactnum import field_create
-from gparith.focheck import AlphaContext, pretty_formula, pretty_term
+from gparith.focheck import AlphaContext, pretty_formula
+from gparith.genpoly import pretty
 from gparith.weakmult import (
     SyntheticQSet,
     build_Q,
@@ -24,7 +25,7 @@ from gparith.weakmult import (
 
 p = parse_poly("x1*x2 + x2*x2 + 2*x1*x3 + 2*x2*x3 + x1*x1*x3 + 2")
 t = poly_to_term(p)
-print("canonical term:", pretty_term(t))
+print("canonical term:", pretty(t))
 print("family of products:")
 for (a, b) in sorted(family_F(p), key=str):
     print("   (", a, ") x (", b, ")")

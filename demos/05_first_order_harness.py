@@ -44,8 +44,8 @@ print("  ell(4) =", ell(4, ctx.alpha))
 print("  P_{4,48} =", progression(4, 48, ctx.alpha).elements)
 print("  admissible pi(4,48):", def_pi(4, 48, ctx))
 rep = verify_lemma37(4, 48, ctx)
-print("  quadratic fit:", tuple(str(c) for c in rep.fit),
-      " leading = a/(2m^2):", rep.leading_matches)
+print("  g(4t) = beta t^2 4 nint(4 alpha), t <= 12:", rep.closed_form,
+      " constant second difference:", rep.a_value)
 
 print("\n-- bounded divisibility relation vs nearest-integer ratio --")
 print("  pair   bounded  characterisation")

@@ -29,7 +29,7 @@ from .diosearch import (
 from .errors import GparithError
 from .exactnum import AlgebraicReal
 from .focheck import AlphaContext, pretty_formula
-from .genpoly import eval_expr, expr_sort, parse
+from .genpoly import eval_term, expr_sort, parse
 from .weakmult import (
     build_Q,
     check_Q1,
@@ -70,9 +70,11 @@ def _report_out(args):
 def cmd_eval(args, cfg) -> int:
     expr = parse(args.expr)
     lo, hi = _parse_range(args.n)
+    env = dict(cfg.constants)
     with _report_out(args) as out:
         for n in range(lo, hi + 1):
-            v = eval_expr(expr, cfg.constants, n)
+            env["n"] = n
+            v = eval_term(expr, env, {})
             out.write(f"{n}\t{_value_str(v)}\n")
     print(f"evaluated {args.expr!r} on [{lo}, {hi}] "
           f"(sort: {expr_sort(expr)})", file=sys.stderr)

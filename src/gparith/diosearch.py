@@ -29,14 +29,13 @@ from .exactnum import AlgebraicReal, circle_norm, frac_signed, sign
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
-    Const,
     Expr,
     IntLit,
     Mul,
     Neg,
     Var,
     delta_sym_iter,
-    eval_expr,
+    eval_term,
     lemma31_classify,
     parse,
 )
@@ -227,13 +226,13 @@ def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
 def _linear_shape(expr: Expr, context: dict) -> tuple[object, int] | None:
     """Recognise c * n^d (d in {1,2}) and return (c, d); None otherwise."""
     if isinstance(expr, Var):
-        return 1, 1
-    if isinstance(expr, IntLit):
-        return expr.value, 0
-    if isinstance(expr, Const):
+        if expr.name == "n":
+            return 1, 1
         if expr.name not in context:
             return None
         return context[expr.name], 0
+    if isinstance(expr, IntLit):
+        return expr.value, 0
     if isinstance(expr, Neg):
         sub = _linear_shape(expr.arg, context)
         if sub is None:
@@ -277,8 +276,8 @@ def _prep_targets(targets: Sequence[tuple], context: dict) -> list[_Target]:
     return out
 
 
-def _target_holds(t: _Target, n: int, context: dict) -> bool:
-    return t.lo < frac_signed(eval_expr(t.expr, context, n)) < t.hi
+def _target_holds(t: _Target, env: dict) -> bool:
+    return t.lo < frac_signed(eval_term(t.expr, env, {})) < t.hi
 
 
 def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
@@ -287,6 +286,7 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
     for every target; exact membership on every reported witness."""
     context = dict(context or {})
     prepped = _prep_targets(targets, context)
+    env = dict(context)
     if not prepped:
         return start
     lanes = [t for t in prepped if t.coeff is not None]
@@ -302,7 +302,8 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
             if not mask.any():
                 break
         for n in map(int, ns[mask]):
-            if all(_target_holds(t, n, context) for t in prepped):
+            env["n"] = n
+            if all(_target_holds(t, env) for t in prepped):
                 return n
     raise NotFoundWithinBudget(f"no witness <= {budget.max_candidate}")
 

@@ -38,10 +38,6 @@ class ExprSyntaxError(GparithError):
         self.expected = tuple(expected)
 
 
-class UnknownConstant(GparithError):
-    """Expression refers to a constant absent from the evaluation context."""
-
-
 class ArityTooSmall(GparithError, ValueError):
     """Operation needs more arguments than were supplied."""
 
@@ -71,7 +67,7 @@ class ThetaRational(GparithError):
 
 
 class UnboundVariable(GparithError):
-    """Formula evaluation hit a variable missing from the valuation."""
+    """Term evaluation hit a name bound to no value or sequence."""
 
 
 class RangeOverflow(GparithError):

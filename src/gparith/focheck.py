@@ -2,6 +2,10 @@
 a bounded-quantifier evaluator, and the defining formulas of the
 divisibility construction (mu, psi, delta, pi, ell, progressions).
 
+Formula terms are `genpoly` terms, parsed, printed and evaluated by
+`genpoly`; every variable of a formula is an integer, so a rounding
+function applied to a term is an integer too.
+
 Every quantifier carries an explicit inclusive range; harness verdicts are
 tagged verified-in-range / refuted-in-range / cap-exhausted so that a
 bounded "false" is never silently reported as a mathematical one.
@@ -25,70 +29,37 @@ from .errors import (
 )
 from .exactnum import AlgebraicReal, nint
 from .genpoly import (
+    Add,
+    Apply,
+    Expr,
+    IntLit,
+    Mul,
     SequenceHandle,
+    Sub,
     TokenStream,
+    Var,
     delta_sym,
-    parse_sum,
+    eval_term,
+    parse_term,
+    pretty,
 )
 
 # ---------------------------------------------------------------------------
-# Term and formula ASTs
+# Formula AST (terms are `genpoly` terms)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class TVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class TAdd:
-    lhs: "Term"
-    rhs: "Term"
-
-
-@dataclass(frozen=True)
-class TSub:
-    lhs: "Term"
-    rhs: "Term"
-
-
-@dataclass(frozen=True)
-class TMul:
-    lhs: "Term"
-    rhs: "Term"
-
-
-@dataclass(frozen=True)
-class TNeg:
-    arg: "Term"
-
-
-@dataclass(frozen=True)
-class TSeq:
-    seq: str
-    arg: "Term"
-
-
-Term = Union[TInt, TVar, TAdd, TSub, TMul, TNeg, TSeq]
 
 
 @dataclass(frozen=True)
 class FCmp:
     op: str  # =, !=, <, <=, >, >=
-    lhs: Term
-    rhs: Term
+    lhs: Expr
+    rhs: Expr
 
 
 @dataclass(frozen=True)
 class FRel:
     name: str
-    args: tuple[Term, ...]
+    args: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -117,16 +88,16 @@ class FImplies:
 @dataclass(frozen=True)
 class FExists:
     var: str
-    lo: Term
-    hi: Term
+    lo: Expr
+    hi: Expr
     body: "Formula"
 
 
 @dataclass(frozen=True)
 class FForall:
     var: str
-    lo: Term
-    hi: Term
+    lo: Expr
+    hi: Expr
     body: "Formula"
 
 
@@ -164,31 +135,6 @@ DEFAULT_BOUNDS = BoundProfile()
 # ---------------------------------------------------------------------------
 
 
-def eval_term(t: Term, valuation: dict[str, int], structure: Structure) -> int:
-    if isinstance(t, TInt):
-        return t.value
-    if isinstance(t, TVar):
-        try:
-            return valuation[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    if isinstance(t, TAdd):
-        return eval_term(t.lhs, valuation, structure) + eval_term(t.rhs, valuation, structure)
-    if isinstance(t, TSub):
-        return eval_term(t.lhs, valuation, structure) - eval_term(t.rhs, valuation, structure)
-    if isinstance(t, TMul):
-        return eval_term(t.lhs, valuation, structure) * eval_term(t.rhs, valuation, structure)
-    if isinstance(t, TNeg):
-        return -eval_term(t.arg, valuation, structure)
-    if isinstance(t, TSeq):
-        try:
-            seq = structure.sequences[t.seq]
-        except KeyError:
-            raise UnboundVariable(f"sequence {t.seq}") from None
-        return seq(eval_term(t.arg, valuation, structure))
-    raise TypeError(f"not a term: {t!r}")
-
-
 _CMP = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -202,14 +148,15 @@ _CMP = {
 def eval_formula(phi: Formula, valuation: dict[str, int], structure: Structure,
                  bounds: BoundProfile = DEFAULT_BOUNDS) -> bool:
     if isinstance(phi, FCmp):
-        return _CMP[phi.op](eval_term(phi.lhs, valuation, structure),
-                            eval_term(phi.rhs, valuation, structure))
+        return _CMP[phi.op](eval_term(phi.lhs, valuation, structure.sequences),
+                            eval_term(phi.rhs, valuation, structure.sequences))
     if isinstance(phi, FRel):
         try:
             rel = structure.relations[phi.name]
         except KeyError:
             raise UnboundVariable(f"relation {phi.name}") from None
-        return bool(rel(*(eval_term(a, valuation, structure) for a in phi.args)))
+        return bool(rel(*(eval_term(a, valuation, structure.sequences)
+                          for a in phi.args)))
     if isinstance(phi, FNot):
         return not eval_formula(phi.body, valuation, structure, bounds)
     if isinstance(phi, FAnd):
@@ -222,8 +169,8 @@ def eval_formula(phi: Formula, valuation: dict[str, int], structure: Structure,
         return (not eval_formula(phi.lhs, valuation, structure, bounds)
                 or eval_formula(phi.rhs, valuation, structure, bounds))
     if isinstance(phi, (FExists, FForall)):
-        lo = eval_term(phi.lo, valuation, structure)
-        hi = eval_term(phi.hi, valuation, structure)
+        lo = eval_term(phi.lo, valuation, structure.sequences)
+        hi = eval_term(phi.hi, valuation, structure.sequences)
         if hi - lo + 1 > bounds.max_range:
             raise RangeOverflow(f"range [{lo}, {hi}] exceeds max_range")
         want = isinstance(phi, FExists)
@@ -259,9 +206,9 @@ def _parse_f(toks: TokenStream) -> Formula:
         name = toks.expect("name")
         toks.expect("kw", "in")
         toks.expect("op", "[")
-        lo = _parse_t(toks)
+        lo = parse_term(toks)
         toks.expect("op", ",")
-        hi = _parse_t(toks)
+        hi = parse_term(toks)
         toks.expect("op", "]")
         toks.expect("op", ":")
         body = _parse_f(toks)
@@ -309,42 +256,24 @@ def _parse_atom(toks: TokenStream) -> Formula:
     if k == "name" and v[0].isupper():
         toks.next()
         toks.expect("op", "(")
-        args = [_parse_t(toks)]
+        args = [parse_term(toks)]
         while toks.accept("op", ","):
-            args.append(_parse_t(toks))
+            args.append(parse_term(toks))
         toks.expect("op", ")")
         return FRel(v, tuple(args))
-    lhs = _parse_t(toks)
+    lhs = parse_term(toks)
     op = toks.accept("op", *_CMP)
     if op is None:
         raise toks.error(tuple(_CMP), "comparison")
-    return FCmp(op, lhs, _parse_t(toks))
-
-
-def _parse_t(toks: TokenStream) -> Term:
-    return parse_sum(toks, _parse_t_atom, TAdd, TSub, TMul, TNeg)
-
-
-def _parse_t_atom(toks: TokenStream) -> Term:
-    value = toks.accept("int")
-    if value is not None:
-        return TInt(int(value))
-    name = toks.accept("name")
-    if name is None:
-        raise toks.error(("INT", "NAME", "(", "-"))
-    if name[0].islower() and toks.accept("op", "("):
-        arg = _parse_t(toks)
-        toks.expect("op", ")")
-        return TSeq(name, arg)
-    return TVar(name)
+    return FCmp(op, lhs, parse_term(toks))
 
 
 def pretty_formula(phi: Formula) -> str:
     if isinstance(phi, FExists):
-        return (f"exists {phi.var} in [{pretty_term(phi.lo)}, {pretty_term(phi.hi)}]: "
+        return (f"exists {phi.var} in [{pretty(phi.lo)}, {pretty(phi.hi)}]: "
                 f"{pretty_formula(phi.body)}")
     if isinstance(phi, FForall):
-        return (f"forall {phi.var} in [{pretty_term(phi.lo)}, {pretty_term(phi.hi)}]: "
+        return (f"forall {phi.var} in [{pretty(phi.lo)}, {pretty(phi.hi)}]: "
                 f"{pretty_formula(phi.body)}")
     if isinstance(phi, FImplies):
         return f"{_pf_bin(phi.lhs)} => {pretty_formula(phi.rhs)}"
@@ -355,9 +284,9 @@ def pretty_formula(phi: Formula) -> str:
     if isinstance(phi, FNot):
         return f"not {_pf_bin(phi.body)}"
     if isinstance(phi, FRel):
-        return f"{phi.name}({', '.join(pretty_term(a) for a in phi.args)})"
+        return f"{phi.name}({', '.join(pretty(a) for a in phi.args)})"
     if isinstance(phi, FCmp):
-        return f"{pretty_term(phi.lhs)} {phi.op} {pretty_term(phi.rhs)}"
+        return f"{pretty(phi.lhs)} {phi.op} {pretty(phi.rhs)}"
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -368,63 +297,38 @@ def _pf_bin(phi: Formula) -> str:
     return s
 
 
-def pretty_term(t: Term) -> str:
-    if isinstance(t, TInt):
-        return str(t.value)
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TSeq):
-        return f"{t.seq}({pretty_term(t.arg)})"
-    if isinstance(t, TNeg):
-        return f"-{_pt_atom(t.arg)}"
-    if isinstance(t, TMul):
-        return f"{_pt_atom(t.lhs)}*{_pt_atom(t.rhs)}"
-    if isinstance(t, TAdd):
-        return f"{pretty_term(t.lhs)} + {_pt_atom(t.rhs)}"
-    if isinstance(t, TSub):
-        return f"{pretty_term(t.lhs)} - {_pt_atom(t.rhs)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _pt_atom(t: Term) -> str:
-    s = pretty_term(t)
-    if isinstance(t, (TAdd, TSub)):
-        return f"({s})"
-    return s
-
-
 # ---------------------------------------------------------------------------
 # The mu / psi formulas (second-derivative witness conditions)
 # ---------------------------------------------------------------------------
 
 
-def _d2_term(v0: Term, v1: Term, v2: Term) -> Term:
+def _d2_term(v0: Expr, v1: Expr, v2: Expr) -> Expr:
     """g(v0+v1+v2)-g(v1+v2)-g(v0+v2)-g(v0+v1)+g(v0)+g(v1)+g(v2)-g(0)."""
-    def gt(t: Term) -> Term:
-        return TSeq("g", t)
-    s01, s02, s12 = TAdd(v0, v1), TAdd(v0, v2), TAdd(v1, v2)
-    s012 = TAdd(v0, TAdd(v1, v2))
-    acc: Term = TSub(gt(s012), gt(s12))
-    acc = TSub(acc, gt(s02))
-    acc = TSub(acc, gt(s01))
-    acc = TAdd(acc, gt(v0))
-    acc = TAdd(acc, gt(v1))
-    acc = TAdd(acc, gt(v2))
-    acc = TSub(acc, gt(TInt(0)))
+    def gt(t: Expr) -> Expr:
+        return Apply("g", t)
+    s01, s02, s12 = Add(v0, v1), Add(v0, v2), Add(v1, v2)
+    s012 = Add(v0, Add(v1, v2))
+    acc: Expr = Sub(gt(s012), gt(s12))
+    acc = Sub(acc, gt(s02))
+    acc = Sub(acc, gt(s01))
+    acc = Add(acc, gt(v0))
+    acc = Add(acc, gt(v1))
+    acc = Add(acc, gt(v2))
+    acc = Sub(acc, gt(IntLit(0)))
     return acc
 
 
 def mu_formula(C: int, n2_cap: int) -> Formula:
     """exists n2 in [C*n1, cap]: D2 g(n0, n1, n2) = 0 (free: n0, n1)."""
-    return FExists("n2", TMul(TInt(C), TVar("n1")), TInt(n2_cap),
-                   FCmp("=", _d2_term(TVar("n0"), TVar("n1"), TVar("n2")), TInt(0)))
+    return FExists("n2", Mul(IntLit(C), Var("n1")), IntLit(n2_cap),
+                   FCmp("=", _d2_term(Var("n0"), Var("n1"), Var("n2")), IntLit(0)))
 
 
 def psi_formula(C: int, n2_cap: int, N_var: str = "N") -> Formula:
     """forall n in [1, N]: mu(n, m) (free: m, N)."""
-    body = FExists("n2", TMul(TInt(C), TVar("m")), TInt(n2_cap),
-                   FCmp("=", _d2_term(TVar("n"), TVar("m"), TVar("n2")), TInt(0)))
-    return FForall("n", TInt(1), TVar(N_var), body)
+    body = FExists("n2", Mul(IntLit(C), Var("m")), IntLit(n2_cap),
+                   FCmp("=", _d2_term(Var("n"), Var("m"), Var("n2")), IntLit(0)))
+    return FForall("n", IntLit(1), Var(N_var), body)
 
 
 def def_mu(n0: int, n1: int, C: int, bounds: BoundProfile,
@@ -559,66 +463,35 @@ def def_pi(m: int, h: int, ctx: AlphaContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lemma 3.7: polynomial restriction vs constant second difference
+# Lemma 3.7: the closed form of g on an admissible progression
 # ---------------------------------------------------------------------------
-
-
-def lagrange_quadratic(points: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
-    """(c0, c1, c2) of the unique degree-<=2 polynomial through 3 points."""
-    (x0, y0), (x1, y1), (x2, y2) = points
-    d0 = Fraction((x0 - x1) * (x0 - x2))
-    d1 = Fraction((x1 - x0) * (x1 - x2))
-    d2 = Fraction((x2 - x0) * (x2 - x1))
-    c2 = Fraction(y0, 1) / d0 + Fraction(y1, 1) / d1 + Fraction(y2, 1) / d2
-    c1 = (-Fraction(y0 * (x1 + x2)) / d0 - Fraction(y1 * (x0 + x2)) / d1
-          - Fraction(y2 * (x0 + x1)) / d2)
-    c0 = (Fraction(y0 * x1 * x2) / d0 + Fraction(y1 * x0 * x2) / d1
-          + Fraction(y2 * x0 * x1) / d2)
-    return (c0, c1, c2)
 
 
 @dataclass
 class Lemma37Report:
     m: int
     h: int
-    side_polynomial: bool
+    closed_form: bool  # g(tm) = beta t^2 m nint(alpha m) for 1 <= t <= h/m
     side_constant_d2: bool
-    fit: tuple[Fraction, Fraction, Fraction]
     a_value: int
 
     @property
-    def equivalent(self) -> bool:
-        return self.side_polynomial == self.side_constant_d2
-
-    @property
-    def leading_matches(self) -> bool:
-        """On true instances the fitted leading coefficient must be a/(2m^2)."""
-        if not (self.side_polynomial and self.side_constant_d2):
-            return True
-        return self.fit[2] == Fraction(self.a_value, 2 * self.m * self.m)
+    def holds(self) -> bool:
+        return self.closed_form and self.side_constant_d2
 
 
 def verify_lemma37(m: int, h: int, ctx: AlphaContext) -> Lemma37Report:
-    """Evaluate both sides of the polynomial-restriction equivalence
-    independently (exact fit + full scan vs constant second difference)."""
+    """On P_{m,h} with 3m <= h <= ell(m), check exactly that g(tm) equals
+    beta t^2 m nint(alpha m), with nint(alpha m) decided in `exactnum`,
+    and that the second difference of g along P is constant and nonzero."""
     if not (3 * m <= h <= ell(m, ctx.alpha)):
         raise PreconditionViolated("need 3m <= h <= ell(m)")
     T = h // m
     gv, a, run = progression_d2(ctx, m, T)
-
-    fit = lagrange_quadratic([(m, int(gv[1])), (2 * m, int(gv[2])), (3 * m, int(gv[3]))])
-    c0, c1, c2 = fit
-    side1 = c2 != 0
-    if side1:
-        for t in range(1, T + 1):
-            x = t * m
-            if c0 + c1 * x + c2 * x * x != int(gv[t]):
-                side1 = False
-                break
-
-    side2 = a != 0 and run == T - 2
-    return Lemma37Report(m=m, h=h, side_polynomial=side1, side_constant_d2=side2,
-                         fit=fit, a_value=a)
+    lead = ctx.beta * m * (ctx.alpha * m).nint()
+    closed = all(int(gv[t]) == lead * t * t for t in range(1, T + 1))
+    return Lemma37Report(m=m, h=h, closed_form=closed,
+                         side_constant_d2=a != 0 and run == T - 2, a_value=a)
 
 
 # ---------------------------------------------------------------------------

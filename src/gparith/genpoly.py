@@ -1,10 +1,13 @@
-"""Generalised-polynomial expressions over one integer variable.
+"""Generalised-polynomial terms: the one expression language of the package.
 
-AST + parser + pretty-printer + exact evaluator (for user-typed text), the
-memo base class of the named sequences (their one evaluator each lives in
-`_fastlane`), the discrete derivatives (shift, symmetric, iterated
-symmetric), and the classifier that compares the vanishing of the second
-symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
+One node set (`IntLit`, `Var`, `Add`/`Sub`/`Mul`/`Neg`, `Apply` of a
+rounding function or a named sequence, `IndicatorLess`) with one atom
+parser under the shared +/-/* layer, one printer and one exact evaluator;
+`eval` text, `focheck` formulas and `weakmult`'s canonical terms all use
+it.  Also: the memo base class of the named sequences (their one evaluator
+each lives in `_fastlane`), the discrete derivatives (shift, symmetric,
+iterated symmetric), and the classifier that compares the vanishing of the
+second symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
 carry/fractional-part characterisation.
 """
 
@@ -13,9 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
-from .errors import ArityTooSmall, ExprSyntaxError, UnknownConstant
+from .errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
 from .exactnum import (
     Number,
     circle_norm,
@@ -25,7 +28,7 @@ from .exactnum import (
 )
 
 # ---------------------------------------------------------------------------
-# AST
+# Terms
 # ---------------------------------------------------------------------------
 
 
@@ -35,13 +38,8 @@ class IntLit:
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
 class Var:
-    pass
+    name: str
 
 
 @dataclass(frozen=True)
@@ -68,22 +66,10 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Floor:
-    arg: "Expr"
+class Apply:
+    """fn(arg): a rounding function of ROUNDING or a named sequence."""
 
-
-@dataclass(frozen=True)
-class Nint:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class FracSigned:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class CircleNorm:
+    fn: str
     arg: "Expr"
 
 
@@ -93,26 +79,29 @@ class IndicatorLess:
     rhs: "Expr"
 
 
-Expr = Union[IntLit, Const, Var, Add, Sub, Mul, Neg, Floor, Nint,
-             FracSigned, CircleNorm, IndicatorLess]
+Expr = Union[IntLit, Var, Add, Sub, Mul, Neg, Apply, IndicatorLess]
+
+ROUNDING = {"floor": floor_exact, "nint": nint, "frac": frac_signed,
+            "norm": circle_norm}
 
 INT_SORT = "int"
 REAL_SORT = "real"
 
 
 def expr_sort(expr: Expr) -> str:
-    """Static sort of an expression; integer-sort nodes evaluate to int."""
-    if isinstance(expr, (IntLit, Var, Floor, Nint, IndicatorLess)):
-        return INT_SORT
-    if isinstance(expr, Const):
-        return REAL_SORT
-    if isinstance(expr, (FracSigned, CircleNorm)):
-        return REAL_SORT
+    """Static sort of `eval` text, where n is the one integer variable and
+    every other name a real constant; integer-sort terms evaluate to int."""
+    if isinstance(expr, Var):
+        return INT_SORT if expr.name == "n" else REAL_SORT
+    if isinstance(expr, Apply):
+        return REAL_SORT if expr.fn in ("frac", "norm") else INT_SORT
     if isinstance(expr, Neg):
         return expr_sort(expr.arg)
     if isinstance(expr, (Add, Sub, Mul)):
         a, b = expr_sort(expr.lhs), expr_sort(expr.rhs)
         return INT_SORT if a == b == INT_SORT else REAL_SORT
+    if isinstance(expr, (IntLit, IndicatorLess)):
+        return INT_SORT
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -213,22 +202,15 @@ def _parse_factor(toks: TokenStream, nodes: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Expression parser (floor/nint/frac/norm/ind keywords over the shared layer)
+# Term atoms, `eval` text, printing and evaluation
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[a-z][a-z0-9_]*)|(?P<op>[-+*()<]))")
-_FUNCS = {"floor": Floor, "nint": Nint, "frac": FracSigned, "norm": CircleNorm}
 
 
-def parse(text: str) -> Expr:
-    """Parse an expression; raises ExprSyntaxError with position on failure."""
-    toks = TokenStream(text, _TOKEN)
-    expr = _parse_expr(toks)
-    toks.done()
-    return expr
-
-
-def _parse_expr(toks: TokenStream) -> Expr:
+def parse_term(toks: TokenStream) -> Expr:
+    """A term at the stream's position; the token pattern of the caller
+    decides which names exist."""
     return parse_sum(toks, _parse_atom, Add, Sub, Mul, Neg)
 
 
@@ -244,19 +226,31 @@ def _parse_atom(toks: TokenStream) -> Expr:
         if toks.accept("name", "norm") is None:
             raise ExprSyntaxError("ind() requires norm(...) < ...", toks.peek()[2],
                                   expected=("norm",))
-        toks.expect("op", "(")
-        lhs = _parse_expr(toks)
-        toks.expect("op", ")")
+        lhs = _parse_call(toks, "norm")
         toks.expect("op", "<")
-        rhs = _parse_expr(toks)
+        rhs = parse_term(toks)
         toks.expect("op", ")")
-        return IndicatorLess(CircleNorm(lhs), rhs)
-    if name in _FUNCS:
-        toks.expect("op", "(")
-        inner = _parse_expr(toks)
-        toks.expect("op", ")")
-        return _FUNCS[name](inner)
-    return Var() if name == "n" else Const(name)
+        return IndicatorLess(lhs, rhs)
+    # a lowercase name applied to a parenthesised term is a function or
+    # sequence application; any other name is a variable
+    if name[0].islower() and toks.peek()[1] == "(":
+        return _parse_call(toks, name)
+    return Var(name)
+
+
+def _parse_call(toks: TokenStream, fn: str) -> Apply:
+    toks.expect("op", "(")
+    arg = parse_term(toks)
+    toks.expect("op", ")")
+    return Apply(fn, arg)
+
+
+def parse(text: str) -> Expr:
+    """Parse `eval` text; raises ExprSyntaxError with position on failure."""
+    toks = TokenStream(text, _TOKEN)
+    expr = parse_term(toks)
+    toks.done()
+    return expr
 
 
 def pretty(expr: Expr) -> str:
@@ -265,72 +259,56 @@ def pretty(expr: Expr) -> str:
 
 
 def _pp(expr: Expr, level: int) -> str:
-    # level 0 = expr (+/-), 1 = term (*), 2 = factor
+    # level 0 = sum (+/-), 1 = product (*), 2 = factor
     if isinstance(expr, IntLit):
         return str(expr.value)
-    if isinstance(expr, Const):
-        return expr.name
     if isinstance(expr, Var):
-        return "n"
+        return expr.name
     if isinstance(expr, Neg):
         return "-" + _pp(expr.arg, 2)
-    if isinstance(expr, Floor):
-        return f"floor({_pp(expr.arg, 0)})"
-    if isinstance(expr, Nint):
-        return f"nint({_pp(expr.arg, 0)})"
-    if isinstance(expr, FracSigned):
-        return f"frac({_pp(expr.arg, 0)})"
-    if isinstance(expr, CircleNorm):
-        return f"norm({_pp(expr.arg, 0)})"
+    if isinstance(expr, Apply):
+        return f"{expr.fn}({_pp(expr.arg, 0)})"
     if isinstance(expr, IndicatorLess):
-        if isinstance(expr.lhs, CircleNorm):
-            return f"ind(norm({_pp(expr.lhs.arg, 0)}) < {_pp(expr.rhs, 0)})"
-        return f"ind(norm({_pp(expr.lhs, 0)}) < {_pp(expr.rhs, 0)})"
+        return f"ind({_pp(expr.lhs, 0)} < {_pp(expr.rhs, 0)})"
     if isinstance(expr, Mul):
         s = f"{_pp(expr.lhs, 1)}*{_pp(expr.rhs, 2)}"
         return f"({s})" if level > 1 else s
     if isinstance(expr, (Add, Sub)):
         op = "+" if isinstance(expr, Add) else "-"
-        s = f"{_pp(expr.lhs, 0)}{op}{_pp(expr.rhs, 1)}"
+        s = f"{_pp(expr.lhs, 0)} {op} {_pp(expr.rhs, 1)}"
         return f"({s})" if level > 0 else s
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-# ---------------------------------------------------------------------------
-# Exact evaluation
-# ---------------------------------------------------------------------------
-
-
-def eval_expr(expr: Expr, context: dict[str, Number], n: int) -> Number:
-    """Exact value at n; integer-sort expressions return Python ints."""
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, Var):
-        return n
-    if isinstance(expr, Const):
+def eval_term(t: Expr, env: Mapping[str, Number],
+              sequences: Mapping[str, Callable[[int], int]]) -> Number:
+    """Exact value of `t`, reading each variable from `env` and each
+    applied name that is not a rounding function from `sequences`; raises
+    UnboundVariable for a name in neither.  Integer-sort terms over
+    integer variables return Python ints."""
+    if isinstance(t, IntLit):
+        return t.value
+    if isinstance(t, Var):
         try:
-            return context[expr.name]
+            return env[t.name]
         except KeyError:
-            raise UnknownConstant(expr.name) from None
-    if isinstance(expr, Add):
-        return eval_expr(expr.lhs, context, n) + eval_expr(expr.rhs, context, n)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.lhs, context, n) - eval_expr(expr.rhs, context, n)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.lhs, context, n) * eval_expr(expr.rhs, context, n)
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.arg, context, n)
-    if isinstance(expr, Floor):
-        return floor_exact(eval_expr(expr.arg, context, n))
-    if isinstance(expr, Nint):
-        return nint(eval_expr(expr.arg, context, n))
-    if isinstance(expr, FracSigned):
-        return frac_signed(eval_expr(expr.arg, context, n))
-    if isinstance(expr, CircleNorm):
-        return circle_norm(eval_expr(expr.arg, context, n))
-    if isinstance(expr, IndicatorLess):
-        return 1 if eval_expr(expr.lhs, context, n) < eval_expr(expr.rhs, context, n) else 0
-    raise TypeError(f"not an expression node: {expr!r}")
+            raise UnboundVariable(t.name) from None
+    if isinstance(t, Add):
+        return eval_term(t.lhs, env, sequences) + eval_term(t.rhs, env, sequences)
+    if isinstance(t, Sub):
+        return eval_term(t.lhs, env, sequences) - eval_term(t.rhs, env, sequences)
+    if isinstance(t, Apply):
+        fn = ROUNDING.get(t.fn) or sequences.get(t.fn)
+        if fn is None:
+            raise UnboundVariable(f"sequence {t.fn}")
+        return fn(eval_term(t.arg, env, sequences))
+    if isinstance(t, Mul):
+        return eval_term(t.lhs, env, sequences) * eval_term(t.rhs, env, sequences)
+    if isinstance(t, Neg):
+        return -eval_term(t.arg, env, sequences)
+    if isinstance(t, IndicatorLess):
+        return 1 if eval_term(t.lhs, env, sequences) < eval_term(t.rhs, env, sequences) else 0
+    raise TypeError(f"not an expression node: {t!r}")
 
 
 MEMO_SIZE = 1 << 20

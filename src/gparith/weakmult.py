@@ -2,8 +2,8 @@
 family F(p), quadruple sets Q, and the reduction from polynomial-equation
 solvability to first-order sentences over (+, 1, Q).
 
-Terms are `focheck` terms: integer leaves TInt(c), variables TVar("x<i>")
-and TAdd/TSub/TMul.  In the scaled evaluation t_m an integer leaf c
+Terms are `genpoly` terms: integer leaves IntLit(c), variables Var("x<i>")
+and Add/Sub/Mul.  In the scaled evaluation t_m an integer leaf c
 evaluates to c * m (and x to x_m); with that reading the dilation identity
 t_m(m n1, ..., m ns) = m * p(n1, ..., ns) holds for every polynomial,
 constants included.
@@ -32,19 +32,13 @@ from .focheck import (
     FExists,
     Formula,
     FRel,
-    TAdd,
-    TInt,
-    TMul,
-    TSub,
-    TVar,
-    Term,
     ell,
     progression_d2,
 )
-from .genpoly import TokenStream, parse_sum
+from .genpoly import Add, Expr, IntLit, Mul, Sub, TokenStream, Var, parse_sum
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_OPS = {TAdd: operator.add, TSub: operator.sub, TMul: operator.mul}
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 # ---------------------------------------------------------------------------
 # Multivariate integer polynomials (canonical sparse representation)
@@ -134,16 +128,16 @@ def _split_by_variable(p: IntPolynomial, i: int) -> dict[int, IntPolynomial]:
     return {k: IntPolynomial._normalise(p.arity, ent) for k, ent in out.items()}
 
 
-def poly_to_term(p: IntPolynomial) -> Term:
+def poly_to_term(p: IntPolynomial) -> Expr:
     """Deterministic canonical term: Horner by lowest variable index, with
     integer leaves for the constant coefficients."""
     return _horner(p, 1)
 
 
-def _horner(p: IntPolynomial, i: int) -> Term:
+def _horner(p: IntPolynomial, i: int) -> Expr:
     c = p.constant_value()
     if c is not None:
-        return TInt(c)
+        return IntLit(c)
     if i > p.arity:
         raise AssertionError("non-constant polynomial exhausted its variables")
     coeffs = _split_by_variable(p, i)
@@ -154,32 +148,32 @@ def _horner(p: IntPolynomial, i: int) -> Term:
     for k in range(kmax - 1, -1, -1):
         # multiplying the unit term is collapsed so that p = x_i yields the
         # bare variable (and no spurious product enters the family)
-        acc = TVar(f"x{i}") if acc == TInt(1) else TMul(TVar(f"x{i}"), acc)
+        acc = Var(f"x{i}") if acc == IntLit(1) else Mul(Var(f"x{i}"), acc)
         ck = coeffs.get(k)
         if ck is not None and not ck.is_zero():
-            acc = TAdd(_horner(ck, i + 1), acc)
+            acc = Add(_horner(ck, i + 1), acc)
     return acc
 
 
-def _index(v: TVar) -> int:
+def _index(v: Var) -> int:
     """The 1-based index i of the variable x<i>."""
     return int(v.name[1:])
 
 
-def term_to_poly(t: Term, arity: int) -> IntPolynomial:
-    if isinstance(t, TInt):
+def term_to_poly(t: Expr, arity: int) -> IntPolynomial:
+    if isinstance(t, IntLit):
         return IntPolynomial.constant(t.value, arity)
-    if isinstance(t, TVar):
+    if isinstance(t, Var):
         return IntPolynomial.variable(_index(t), arity)
     return _OPS[type(t)](term_to_poly(t.lhs, arity), term_to_poly(t.rhs, arity))
 
 
-def family_of_term(t: Term, arity: int) -> frozenset:
+def family_of_term(t: Expr, arity: int) -> frozenset:
     """Pairs of polynomials tracking every product node of the term."""
-    if isinstance(t, (TInt, TVar)):
+    if isinstance(t, (IntLit, Var)):
         return frozenset()
     fam = family_of_term(t.lhs, arity) | family_of_term(t.rhs, arity)
-    if isinstance(t, TMul):
+    if isinstance(t, Mul):
         fam |= {(term_to_poly(t.lhs, arity), term_to_poly(t.rhs, arity))}
     return fam
 
@@ -290,7 +284,7 @@ def times_m(Q: ExplicitQSet | SyntheticQSet, m: int, a: int, b: int) -> Optional
     return c if Q.contains(m, a, b, c) else None
 
 
-def eval_term_m(t: Term, m: int, args: Sequence[int],
+def eval_term_m(t: Expr, m: int, args: Sequence[int],
                 Q: ExplicitQSet | SyntheticQSet) -> Optional[int]:
     """Scaled partial evaluation: x -> x_m and an integer leaf c -> c * m.
 
@@ -298,9 +292,9 @@ def eval_term_m(t: Term, m: int, args: Sequence[int],
     """
     if m == 0:
         raise ZeroModulus("modulus must be nonzero")
-    if isinstance(t, TInt):
+    if isinstance(t, IntLit):
         return t.value * m
-    if isinstance(t, TVar):
+    if isinstance(t, Var):
         return args[_index(t) - 1]
     a = eval_term_m(t.lhs, m, args, Q)
     if a is None:
@@ -308,7 +302,7 @@ def eval_term_m(t: Term, m: int, args: Sequence[int],
     b = eval_term_m(t.rhs, m, args, Q)
     if b is None:
         return None
-    return times_m(Q, m, a, b) if isinstance(t, TMul) else _OPS[type(t)](a, b)
+    return times_m(Q, m, a, b) if isinstance(t, Mul) else _OPS[type(t)](a, b)
 
 
 def family_domain_ok(fam: frozenset, m: int, args: Sequence[int],
@@ -494,10 +488,10 @@ def parse_poly(text: str) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _lin_term(lin: dict[str, int]) -> Term:
-    parts = [TVar(name) if c == 1 else TMul(TInt(c), TVar(name))
+def _lin_term(lin: dict[str, int]) -> Expr:
+    parts = [Var(name) if c == 1 else Mul(IntLit(c), Var(name))
              for name, c in sorted(lin.items()) if c != 0]
-    return reduce(TAdd, parts) if parts else TInt(0)
+    return reduce(Add, parts) if parts else IntLit(0)
 
 
 def compile_solvability(p: IntPolynomial, m_cap: int = 8,
@@ -513,35 +507,35 @@ def compile_solvability(p: IntPolynomial, m_cap: int = 8,
     atoms: list[Formula] = []
     z_names: list[str] = []
 
-    def walk(node: Term) -> dict[str, int]:
-        if isinstance(node, TInt):
+    def walk(node: Expr) -> dict[str, int]:
+        if isinstance(node, IntLit):
             return {"m": node.value}
-        if isinstance(node, TVar):
+        if isinstance(node, Var):
             return {f"y{_index(node)}": 1}
         a = walk(node.lhs)
         b = walk(node.rhs)
-        if isinstance(node, (TAdd, TSub)):
+        if isinstance(node, (Add, Sub)):
             out = dict(a)
-            sign = 1 if isinstance(node, TAdd) else -1
+            sign = 1 if isinstance(node, Add) else -1
             for k, v in b.items():
                 out[k] = out.get(k, 0) + sign * v
             return {k: v for k, v in out.items() if v != 0}
         z = f"z{len(z_names) + 1}"
         z_names.append(z)
-        atoms.append(FRel("Q", (TVar("m"), _lin_term(a), _lin_term(b), TVar(z))))
+        atoms.append(FRel("Q", (Var("m"), _lin_term(a), _lin_term(b), Var(z))))
         return {z: 1}
 
     final = walk(t)
-    body: Formula = FCmp("=", _lin_term(final), TInt(0))
+    body: Formula = FCmp("=", _lin_term(final), IntLit(0))
     for atom in reversed(atoms):
         body = FAnd(atom, body)
 
     z_cap = y_cap * y_cap
     for z in reversed(z_names):
-        body = FExists(z, TInt(-z_cap), TInt(z_cap), body)
+        body = FExists(z, IntLit(-z_cap), IntLit(z_cap), body)
     for i in range(p.arity, 0, -1):
-        body = FExists(f"y{i}", TInt(-y_cap), TInt(y_cap), body)
-    return FExists("m", TInt(1), TInt(m_cap), body)
+        body = FExists(f"y{i}", IntLit(-y_cap), IntLit(y_cap), body)
+    return FExists("m", IntLit(1), IntLit(m_cap), body)
 
 
 @dataclass

@@ -64,7 +64,7 @@ class TestEval:
 
     def test_unknown_constant_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "nint(zeta*n)", "--n", "1..1"], capsys)
-        assert code == 2 and "UnknownConstant" in err
+        assert code == 2 and "UnboundVariable: zeta" in err
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "nint(n", "--n", "1..1"], capsys)
@@ -168,6 +168,40 @@ class TestFormula:
         code, out, _ = run_cli(
             ["formula", "forall n in [1,5]: gb(n) = 0"], capsys)
         assert code == 0 and json.loads(out)["value"] is True
+
+
+# Texts whose handling changed when `eval` text and formulas came to share
+# one term grammar: (argv, exit code, text in the report or on stderr).
+ONE_GRAMMAR = [
+    # an applied name parses in `eval` text (a syntax error at position 1
+    # before) and is a sequence, of which `eval` binds none
+    (["eval", "g(n)", "--n", "1..1"], 2, "UnboundVariable: sequence g"),
+    # a rounding name without its argument is an unbound name (a syntax
+    # error at the end of input before)
+    (["eval", "nint", "--n", "1..1"], 2, "UnboundVariable: nint"),
+    # rounding functions apply in formulas (UnboundVariable before); every
+    # formula name is an integer, so the value is an integer
+    (["formula", "floor(x) = 1", "--bind", "x=1"], 0, '"value": true'),
+    (["formula", "exists x in [-2, 2]: nint(x) + frac(x) + norm(x) = 2"], 0,
+     '"value": true'),
+    # the indicator is a term in formulas too (a syntax error before)...
+    (["formula", "ind(norm(x) < 1) = 1", "--bind", "x=3"], 0, '"value": true'),
+    # ...so ind needs norm(...) < ... there (UnboundVariable before)
+    (["formula", "ind(x) = 1", "--bind", "x=3"], 2, "ind() requires norm"),
+    # formula reports keep the parentheses a product or a negation needs
+    # ("a*b*c = 0" and "-a*b = 0" before, which re-parse to other trees)
+    (["formula", "a*(b*c) = 0", "--bind", "a=0", "--bind", "b=1", "--bind", "c=2"],
+     0, '"formula": "a*(b*c) = 0"'),
+    (["formula", "-(a*b) = 0", "--bind", "a=0", "--bind", "b=1"],
+     0, '"formula": "-(a*b) = 0"'),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", ONE_GRAMMAR,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in ONE_GRAMMAR])
+def test_one_grammar_behaviour(argv, code, text, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code and text in out + err
 
 
 class TestSearchAndBohr:

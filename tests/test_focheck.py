@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from gparith.focheck import (
     DEFAULT_BOUNDS,
     FExists,
     Structure,
-    TInt,
     def_mu,
     def_pi,
     def_psi,
@@ -33,7 +31,7 @@ from gparith.focheck import (
     _has_partner,
     _partner_ranges,
 )
-from gparith.genpoly import delta_sym
+from gparith.genpoly import IntLit, delta_sym
 
 
 class TestEvaluator:
@@ -92,7 +90,7 @@ class TestEvaluator:
         # enlarging a universal range never flips false to true
         st = Structure(sequences={"g": ctx.g})
         for cap in (200, 400, 1600):
-            phi = FExists("n2", TInt(100), TInt(cap),
+            phi = FExists("n2", IntLit(100), IntLit(cap),
                           mu_formula(2, cap).body)
             val = {"n0": 5, "n1": 50}
             small = eval_formula(mu_formula(2, cap), val, st)
@@ -193,23 +191,39 @@ class TestEllProgressionPi:
 class TestLemma37:
     def test_true_instance(self, ctx):
         rep = verify_lemma37(4, 48, ctx)
-        assert rep.side_polynomial and rep.side_constant_d2
-        assert rep.equivalent and rep.leading_matches
-        assert rep.fit[2] == Fraction(rep.a_value, 2 * 16)
+        assert rep.closed_form and rep.side_constant_d2 and rep.holds
+        # along P_{4,48}, g(4t) = 4 nint(4 alpha) t^2: second difference 8 nint(4 alpha)
+        assert rep.a_value == 8 * (ctx.alpha * 4).nint()
 
     def test_precondition(self, ctx):
         with pytest.raises(PreconditionViolated):
             verify_lemma37(4, 8, ctx)
 
     def test_scaling_identity_on_witness(self, ctx):
-        # on a progression-base instance the fit is (n/m)^2 g(m)
+        # on a progression-base instance g(tm) = t^2 g(m)
         from gparith.diosearch import SearchBudget, find_progression_base
 
         w = find_progression_base(5, ctx.alpha, 1, SearchBudget())
         rep = verify_lemma37(w.m, 5 * w.m, ctx)
         g_m = ctx.g(w.m)
-        assert rep.fit == (Fraction(0), Fraction(0),
-                           Fraction(g_m, w.m * w.m))
+        assert rep.holds
+        assert [ctx.g(t * w.m) for t in range(1, 6)] == [t * t * g_m for t in range(1, 6)]
+
+    @pytest.mark.parametrize("mutant", [
+        lambda g, n: n * n,
+        lambda g, n: g + (n % 3 == 0),
+    ], ids=["n-squared", "plus-one-where-3-divides"])
+    def test_mutated_sequence_fails_the_cli_check(self, mutant, monkeypatch, capsys):
+        from gparith._fastlane import QuadSeqFast
+        from gparith.cli import main
+
+        g_vec, g_scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
+        monkeypatch.setattr(QuadSeqFast, "g_vec",
+                            lambda self, n: mutant(g_vec(self, n), n))
+        monkeypatch.setattr(QuadSeqFast, "g_scalar",
+                            lambda self, n: int(mutant(g_scalar(self, n), n)))
+        assert main(["verify", "3.7", "--m-max", "30", "--h-factor", "12"]) == 1
+        assert '"verdict": "fail"' in capsys.readouterr().out
 
 
 class TestDelta:

@@ -8,20 +8,17 @@ import mpmath as mp
 import pytest
 
 from gparith.exactnum import field_create
+from gparith.focheck import FCmp, parse_formula, pretty_formula
 from gparith.genpoly import (
     Add,
-    CircleNorm,
-    Const,
-    Floor,
-    FracSigned,
+    Apply,
     IndicatorLess,
     IntLit,
     Mul,
     Neg,
-    Nint,
     Sub,
     Var,
-    eval_expr,
+    eval_term,
     expr_sort,
     parse,
     pretty,
@@ -64,8 +61,8 @@ def test_field_decisions_match_oracle(minpoly, iv, root):
 
 def _rand_expr(rng, depth):
     if depth == 0:
-        return rng.choice([IntLit(rng.randrange(0, 20)), Var(),
-                           Const("alpha"), Const("beta")])
+        return rng.choice([IntLit(rng.randrange(0, 20)), Var("n"),
+                           Var("alpha"), Var("beta")])
     k = rng.randrange(10)
     sub = lambda: _rand_expr(rng, depth - 1)
     if k < 3:
@@ -77,51 +74,51 @@ def _rand_expr(rng, depth):
     if k == 7:
         return Neg(sub())
     if k == 8:
-        return rng.choice([Floor, Nint, FracSigned, CircleNorm])(sub())
-    return IndicatorLess(CircleNorm(sub()), sub())
+        return Apply(rng.choice(["floor", "nint", "frac", "norm"]), sub())
+    return IndicatorLess(Apply("norm", sub()), sub())
 
 
-def _ref_eval(e, n, A, B):
-    half = mp.mpf(1) / 2
+_REF_ROUNDING = {
+    "floor": mp.floor,
+    "nint": lambda v: mp.floor(v + mp.mpf(1) / 2),
+    "frac": lambda v: v - mp.floor(v + mp.mpf(1) / 2),
+    "norm": lambda v: abs(v - mp.floor(v + mp.mpf(1) / 2)),
+}
+
+
+def _ref_eval(e, env):
     if isinstance(e, IntLit):
         return mp.mpf(e.value)
     if isinstance(e, Var):
-        return mp.mpf(n)
-    if isinstance(e, Const):
-        return A if e.name == "alpha" else B
+        return env[e.name]
     if isinstance(e, Add):
-        return _ref_eval(e.lhs, n, A, B) + _ref_eval(e.rhs, n, A, B)
+        return _ref_eval(e.lhs, env) + _ref_eval(e.rhs, env)
     if isinstance(e, Sub):
-        return _ref_eval(e.lhs, n, A, B) - _ref_eval(e.rhs, n, A, B)
+        return _ref_eval(e.lhs, env) - _ref_eval(e.rhs, env)
     if isinstance(e, Mul):
-        return _ref_eval(e.lhs, n, A, B) * _ref_eval(e.rhs, n, A, B)
+        return _ref_eval(e.lhs, env) * _ref_eval(e.rhs, env)
     if isinstance(e, Neg):
-        return -_ref_eval(e.arg, n, A, B)
-    if isinstance(e, Floor):
-        return mp.floor(_ref_eval(e.arg, n, A, B))
-    if isinstance(e, Nint):
-        return mp.floor(_ref_eval(e.arg, n, A, B) + half)
-    if isinstance(e, FracSigned):
-        v = _ref_eval(e.arg, n, A, B)
-        return v - mp.floor(v + half)
-    if isinstance(e, CircleNorm):
-        v = _ref_eval(e.arg, n, A, B)
-        return abs(v - mp.floor(v + half))
-    v = _ref_eval(e.lhs, n, A, B)
-    w = _ref_eval(e.rhs, n, A, B)
+        return -_ref_eval(e.arg, env)
+    if isinstance(e, Apply):
+        return _REF_ROUNDING[e.fn](_ref_eval(e.arg, env))
+    v = _ref_eval(e.lhs, env)
+    w = _ref_eval(e.rhs, env)
     return mp.mpf(1) if v < w else mp.mpf(0)
 
 
 def test_random_expressions_roundtrip_and_evaluate(cbrt2_field):
     rng = random.Random(17)
     ctx = {"alpha": cbrt2_field.theta, "beta": Fraction(3, 7)}
-    A, B = mp.cbrt(2), mp.mpf(3) / 7
+    ref_ctx = {"alpha": mp.cbrt(2), "beta": mp.mpf(3) / 7}
     for _ in range(300):
         e = _rand_expr(rng, rng.randrange(1, 5))
         assert parse(pretty(e)) == e
+        # formula text prints terms with the same printer
+        phi = FCmp("=", e, IntLit(0))
+        assert parse_formula(pretty_formula(phi)) == phi
         n = rng.randrange(-30, 31)
-        v = eval_expr(e, ctx, n)
-        ref = _ref_eval(e, n, A, B)
+        v = eval_term(e, {**ctx, "n": n}, {})
+        ref = _ref_eval(e, {**ref_ctx, "n": mp.mpf(n)})
         if expr_sort(e) == "int":
             assert isinstance(v, int)
         if abs(ref) < 1e12:

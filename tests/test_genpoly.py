@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,21 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gparith._fastlane import BohrFast, QuadSeqFast
-from gparith.errors import ArityTooSmall, ExprSyntaxError, UnknownConstant
+from gparith.errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
 from gparith.genpoly import (
-    CircleNorm,
-    Const,
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
+    Apply,
     IndicatorLess,
     Mul,
-    Nint,
     Var,
     delta_shift,
     delta_sym,
     delta_sym_iter,
     delta_sym_iter_subsets,
-    eval_expr,
+    eval_term,
     expr_sort,
     lemma31_classify,
     parse,
@@ -36,23 +36,29 @@ G_TEXT = "nint(beta*n*nint(alpha*n))"
 BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
 
 
+def _eval(text: str, constants: dict, n: int):
+    """The value of `eval` text at n, through the AST."""
+    return eval_term(parse(text), {**constants, "n": n}, {})
+
+
 def _seq(text: str):
     """The integer sequence n -> value of `text` at n, through the AST."""
-    return partial(eval_expr, parse(text), {})
+    return partial(_eval, text, {})
 
 
 class TestParser:
     def test_theorem_a_shape(self):
         e = parse("nint(beta*n*nint(alpha*n))")
-        assert e == Nint(Mul(Mul(Const("beta"), Var()), Nint(Mul(Const("alpha"), Var()))))
+        assert e == Apply("nint", Mul(Mul(Var("beta"), Var("n")),
+                                      Apply("nint", Mul(Var("alpha"), Var("n")))))
 
     def test_var(self):
-        assert parse("n") == Var()
+        assert parse("n") == Var("n")
 
     def test_indicator_shape(self):
         e = parse("ind(norm(alpha*n*n) < rho)")
         assert e == IndicatorLess(
-            CircleNorm(Mul(Mul(Const("alpha"), Var()), Var())), Const("rho"))
+            Apply("norm", Mul(Mul(Var("alpha"), Var("n")), Var("n"))), Var("rho"))
 
     @pytest.mark.parametrize("text", [
         "nint(beta*n*nint(alpha*n))",
@@ -77,8 +83,8 @@ class TestParser:
 
     def test_unknown_constant_at_eval_not_parse(self):
         e = parse("nint(gamma*n)")
-        with pytest.raises(UnknownConstant):
-            eval_expr(e, {}, 1)
+        with pytest.raises(UnboundVariable, match="gamma"):
+            eval_term(e, {"n": 1}, {})
 
     def test_sorts(self):
         assert expr_sort(parse("nint(alpha*n)*n + 1")) == "int"
@@ -114,7 +120,7 @@ class TestEval:
 
         expr = parse("nint(alpha*beta*n)")
         with pytest.raises(FieldMismatch):
-            eval_expr(expr, {"alpha": alpha, "beta": sqrt2}, 3)
+            eval_term(expr, {"alpha": alpha, "beta": sqrt2, "n": 3}, {})
 
     def test_memo_transparency(self, alpha):
         g = QuadSeqFast(alpha, 1)
@@ -153,7 +159,7 @@ class TestOneEvaluator:
         beta = data.draw(_betas(alpha))
         ns = data.draw(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
         g = QuadSeqFast(alpha, beta)
-        ref = [eval_expr(parse(G_TEXT), {"alpha": alpha, "beta": beta}, n) for n in ns]
+        ref = [_eval(G_TEXT, {"alpha": alpha, "beta": beta}, n) for n in ns]
         assert [g(n) for n in ns] == ref
         assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
         lane = np.array(ns, dtype=np.int64)
@@ -171,7 +177,7 @@ class TestOneEvaluator:
             st.just(sqrt2 - 1)))
         ns = data.draw(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
         g = BohrFast(sqrt2, rho)
-        ref = [eval_expr(parse(BOHR_TEXT), {"alpha": sqrt2, "rho": rho}, n) for n in ns]
+        ref = [_eval(BOHR_TEXT, {"alpha": sqrt2, "rho": rho}, n) for n in ns]
         assert [g(n) for n in ns] == ref
         assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
         assert [int(v) for v in g.g_vec(np.array(ns, dtype=np.int64))] == ref
@@ -301,3 +307,56 @@ class TestLemma31Classify:
             assert acc.nint() == e
         for f in rep.carries_f.values():
             assert -4 <= f <= 4
+
+
+# ---------------------------------------------------------------------------
+# One expression language: only genpoly defines, evaluates or prints terms
+# ---------------------------------------------------------------------------
+
+_NODES = {"IntLit", "Var", "Add", "Sub", "Mul", "Neg", "Apply", "IndicatorLess"}
+# names a second node set would plausibly use, bare or with a T prefix
+_NODE_NAMES = _NODES | {"Int", "Seq", "Const", "Floor", "Nint", "FracSigned",
+                        "CircleNorm"}
+# term walkers outside genpoly, each doing what the one evaluator cannot:
+# the polynomial of a term and its product family, the scaled partial
+# evaluation under x_m, the flattening of products into Q atoms, and the
+# c*n^d shape of a weyl target
+_WALKERS = {("weakmult", "term_to_poly"), ("weakmult", "family_of_term"),
+            ("weakmult", "eval_term_m"), ("weakmult", "walk"),
+            ("diosearch", "_linear_shape")}
+
+
+def _is_node_name(name: str) -> bool:
+    return name in _NODE_NAMES or (name[:1] == "T" and name[1:] in _NODE_NAMES)
+
+
+def _node_classes(tree) -> set:
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_node_name(node.name)}
+
+
+def _term_walkers(node, fn="<module>"):
+    """Names of the functions under `node` that test a value against a
+    term node class with isinstance."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    found = set()
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(isinstance(c, ast.Name) and _is_node_name(c.id) for c in classes):
+            found.add(fn)
+    for child in ast.iter_child_nodes(node):
+        found |= _term_walkers(child, fn)
+    return found
+
+
+def test_only_genpoly_defines_evaluates_and_prints_terms():
+    src = Path(__file__).resolve().parents[1] / "src" / "gparith"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert _node_classes(trees["genpoly"]) == _NODES
+    assert {(mod, cls) for mod, tree in trees.items() if mod != "genpoly"
+            for cls in _node_classes(tree)} == set()
+    assert {(mod, fn) for mod, tree in trees.items() if mod != "genpoly"
+            for fn in _term_walkers(tree)} == _WALKERS

@@ -1,4 +1,6 @@
-"""Syntax-error positions of the three text parsers.
+"""Syntax-error positions of the three text parsers, and the trees of
+the texts whose parse changed when `eval` text and formulas came to share
+one term grammar.
 
 All three read one shared token stream, so they follow one rule: an error
 is reported at the leftmost offending token, and an error at the end of the
@@ -8,8 +10,8 @@ input is reported at len(text) as "end of input".
 import pytest
 
 from gparith.errors import ExprSyntaxError
-from gparith.focheck import parse_formula
-from gparith.genpoly import parse
+from gparith.focheck import FCmp, parse_formula
+from gparith.genpoly import Apply, IndicatorLess, IntLit, Mul, Var, eval_term, parse
 from gparith.weakmult import parse_poly
 
 POSITIONS = [
@@ -42,6 +44,9 @@ POSITIONS = [
     (parse, "n $", 2),
     # variables are x1, x2, ...: x0 is unrecognised input, not a ValueError
     (parse_poly, "x1 + x0", 5),
+    # formulas share the term grammar of `eval` text: ind needs norm(...)
+    (parse_formula, "ind(x) = 1", 4),
+    (parse_formula, "ind(norm(x) x) = 1", 12),
 ]
 
 
@@ -65,3 +70,25 @@ def test_end_of_input_is_named(parser, text):
         parser(text)
     assert ei.value.position == len(text)
     assert "end of input" in str(ei.value) and "None" not in str(ei.value)
+
+
+# One term grammar: the texts whose parse changed, and the tree each now gives.
+ONE_GRAMMAR = [
+    (parse, "g(n)", Apply("g", Var("n"))),
+    (parse, "nint", Var("nint")),
+    (parse_formula, "floor(x) = 1", FCmp("=", Apply("floor", Var("x")), IntLit(1))),
+    (parse_formula, "ind(norm(2*x) < 1) = 1",
+     FCmp("=", IndicatorLess(Apply("norm", Mul(IntLit(2), Var("x"))), IntLit(1)),
+          IntLit(1))),
+]
+
+
+@pytest.mark.parametrize("parser, text, tree", ONE_GRAMMAR,
+                         ids=[f"{p.__name__}:{t!r}" for p, t, _ in ONE_GRAMMAR])
+def test_one_grammar_tree(parser, text, tree):
+    assert parser(text) == tree
+
+
+def test_rounding_of_a_formula_name_is_an_integer():
+    for fn in ("floor", "nint", "frac", "norm"):
+        assert type(eval_term(Apply(fn, Var("x")), {"x": -3}, {})) is int

@@ -11,15 +11,10 @@ from gparith.errors import ExprSyntaxError, ZeroModulus
 from gparith.focheck import (
     BoundProfile,
     Structure,
-    TAdd,
-    TInt,
-    TMul,
-    TSub,
-    TVar,
     eval_formula,
-    eval_term,
     pretty_formula,
 )
+from gparith.genpoly import Add, IntLit, Mul, Sub, Var, eval_term
 from gparith.weakmult import (
     ExplicitQSet,
     IntPolynomial,
@@ -42,11 +37,11 @@ from gparith.weakmult import (
 )
 
 # the worked product-of-sums term from the multiplication section
-X1, X2, X3 = (TVar(f"x{i}") for i in (1, 2, 3))
-PAPER_TERM = TAdd(
-    TAdd(TMul(TAdd(X1, X2), TAdd(X2, TAdd(X3, X3))),
-         TMul(TMul(X1, X1), X3)),
-    TInt(2))
+X1, X2, X3 = (Var(f"x{i}") for i in (1, 2, 3))
+PAPER_TERM = Add(
+    Add(Mul(Add(X1, X2), Add(X2, Add(X3, X3))),
+         Mul(Mul(X1, X1), X3)),
+    IntLit(2))
 
 
 def rand_poly(rng, arity=3, deg=3, cmax=5):
@@ -69,11 +64,11 @@ class TestTermsAndPolys:
         assert p == want
 
     def test_one_and_var(self):
-        assert term_to_poly(TInt(1), 1) == IntPolynomial.constant(1, 1)
+        assert term_to_poly(IntLit(1), 1) == IntPolynomial.constant(1, 1)
         assert poly_to_term(parse_poly("x1")) == X1
 
     def test_constant_two(self):
-        assert poly_to_term(IntPolynomial.constant(2, 0)) == TInt(2)
+        assert poly_to_term(IntPolynomial.constant(2, 0)) == IntLit(2)
 
     def test_roundtrip_random(self):
         rng = random.Random(42)
@@ -88,7 +83,7 @@ class TestTermsAndPolys:
             t = poly_to_term(p)
             args = [rng.randrange(-6, 7) for _ in range(p.arity)]
             valuation = {f"x{i}": a for i, a in enumerate(args, 1)}
-            assert eval_term(t, valuation, Structure()) == p.eval(args)
+            assert eval_term(t, valuation, {}) == p.eval(args)
 
     def test_canonical_term_deterministic(self):
         p = parse_poly("x1*x2 - 6")
@@ -155,7 +150,7 @@ class TestPartialOps:
 
     def test_multiplication_free_total(self):
         Q = ExplicitQSet([])
-        t = TAdd(TSub(X1, X2), TInt(2))
+        t = Add(Sub(X1, X2), IntLit(2))
         # integer leaves scale with the modulus: x1 - x2 + 2m at scaled arguments
         assert eval_term_m(t, 3, [6, 9], Q) == 6 - 9 + 6
 
