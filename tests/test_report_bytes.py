@@ -70,6 +70,19 @@ REPORTS = {
     "search-weyl-exact": (["search", "weyl", "--target", "nint(alpha*n)*alpha;-1/50;1/50",
                            "--target", "alpha*n*n;0;1/5"],
                           "13f42b1a3db63707f9460926f42a689caad3c3ec6c49fce1cb2a125f589d4ab7"),
+    # formulas whose innermost quantifier is a lane candidate: psi with a
+    # hit for every n, a hit in the second scan block (x = 30,677), a
+    # product that is true only in exact integers (int64 would wrap), and
+    # the int8 values of gb
+    "formula-psi-true": (["formula", PSI, "--bind", "m=4"],
+                         "496dffe9b91f5a5aec39efd9dabd051e0fafe8c71e1a1b74602a45b8d6ec3670"),
+    "formula-long-scan": (["formula", "exists x in [1, 40000]: g(x) - g(x - 1) > 100000"],
+                          "d53a3069465911d28af739d1cd0d7eaf1ec4f228d191541838e24f5703e8115d"),
+    "formula-overflow": (["formula", "exists x in [1, 3]: "
+                          "x*4000000000*4000000000*4000000000 = 128000000000000000000000000000"],
+                         "eccff57eb9a6f8b3eeec5e7eb5b75df2b3ec56c925069391102acf328e77af32"),
+    "formula-gb": (["formula", "forall x in [-50, 50]: gb(x) = gb(-x)"],
+                   "12c2643f62580c8c504d400ee817639e715c3a5482671be363f5ae3bdcb752a0"),
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
