@@ -30,10 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import AlgebraicReal, Number, frac_signed, nint
-from .genpoly import SequenceHandle
+from .genpoly import INT64_MAX, SequenceHandle
 
 _SCALE = float(2.0**-64)
-_INT64_MAX = (1 << 63) - 1
 # A filter compares a float frac with a float threshold t: int64 -> float64
 # moves the frac (|frac| <= 1/2) by at most 2^-55; rounding t (|t| < 2, also
 # float() of an algebraic endpoint) and then t +- margin move the threshold
@@ -57,7 +56,7 @@ def check_int64_product(*factors) -> None:
     bound = 1
     for f in factors:
         bound *= abs(int(f))
-    if bound > _INT64_MAX:
+    if bound > INT64_MAX:
         raise ValueError("lane product exceeds the int64 range")
 
 

@@ -29,7 +29,7 @@ from .diosearch import (
 from .errors import GparithError
 from .exactnum import AlgebraicReal
 from .focheck import AlphaContext, pretty_formula
-from .genpoly import eval_term, expr_sort, parse
+from .genpoly import compile_term, expr_sort, parse
 from .weakmult import (
     build_Q,
     check_Q1,
@@ -48,6 +48,17 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(a), int(b)
     v = int(text)
     return v, v
+
+
+def _binding(text: str) -> tuple[str, int]:
+    """A --bind value name=integer."""
+    name, _, value = text.partition("=")
+    try:
+        if name.strip():
+            return name.strip(), int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects name=integer, got {text!r}")
 
 
 def _value_str(v) -> str:
@@ -69,12 +80,13 @@ def _report_out(args):
 
 def cmd_eval(args, cfg) -> int:
     expr = parse(args.expr)
+    value = compile_term(expr)
     lo, hi = _parse_range(args.n)
     env = dict(cfg.constants)
     with _report_out(args) as out:
         for n in range(lo, hi + 1):
             env["n"] = n
-            v = eval_term(expr, env, {})
+            v = value(env, {})
             out.write(f"{n}\t{_value_str(v)}\n")
     print(f"evaluated {args.expr!r} on [{lo}, {hi}] "
           f"(sort: {expr_sort(expr)})", file=sys.stderr)
@@ -164,10 +176,7 @@ def cmd_formula(args, cfg) -> int:
     if args.q_csv:
         Q = import_csv(args.q_csv)
         relations["Q"] = lambda m, a, b, c: Q.contains(m, a, b, c)
-    valuation = {}
-    for binding in args.bind:
-        name, value = binding.split("=", 1)
-        valuation[name.strip()] = int(value)
+    valuation = dict(args.bind)
     value = eval_formula(phi, valuation, Structure(sequences, relations),
                          cfg.bound_profile())
     with _report_out(args) as out:
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula",
                    help='e.g. "exists x in [1,10]: g(x) = 30" '
                         "(sequences: g, gb; relation Q via --q-csv)")
-    p.add_argument("--bind", action="append", default=[],
+    p.add_argument("--bind", action="append", default=[], type=_binding,
                    help="free-variable binding name=value (repeatable)")
     p.add_argument("--q-csv", default=None,
                    help="interpret the Q relation from a quadruple CSV")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .genpoly import (
     Mul,
     Neg,
     Var,
+    compile_term,
     delta_sym_iter,
-    eval_term,
     lemma31_classify,
     parse,
 )
@@ -252,7 +252,7 @@ def _linear_shape(expr: Expr, context: dict) -> tuple[object, int] | None:
 
 @dataclass
 class _Target:
-    expr: Expr
+    value: Callable  # compile_term closure of the target's expression
     lo: object
     hi: object
     coeff: object | None  # c for the c*n^d lane, None -> exact-only
@@ -268,16 +268,17 @@ def _prep_targets(targets: Sequence[tuple], context: dict) -> list[_Target]:
         hi_v = hi if isinstance(hi, AlgebraicReal) else Fraction(hi)
         if sign(hi_v - lo_v) <= 0:
             raise ValueError("target interval is empty")
+        value = compile_term(expr)
         shape = _linear_shape(expr, context)
         if shape is not None and shape[1] in (1, 2):
-            out.append(_Target(expr, lo_v, hi_v, shape[0], shape[1]))
+            out.append(_Target(value, lo_v, hi_v, shape[0], shape[1]))
         else:
-            out.append(_Target(expr, lo_v, hi_v, None, 0))
+            out.append(_Target(value, lo_v, hi_v, None, 0))
     return out
 
 
 def _target_holds(t: _Target, env: dict) -> bool:
-    return t.lo < frac_signed(eval_term(t.expr, env, {})) < t.hi
+    return t.lo < frac_signed(t.value(env, {})) < t.hi
 
 
 def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,

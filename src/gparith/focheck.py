@@ -6,6 +6,16 @@ Formula terms are `genpoly` terms, parsed, printed and evaluated by
 `genpoly`; every variable of a formula is an integer, so a rounding
 function applied to a term is an integer too.
 
+`eval_formula` compiles a formula once into closures and runs them.  An
+innermost bounded quantifier whose body compares integer terms over +, -,
+* and named sequences, under not/and/or/=>, is scanned as a certified
+lane: one numpy evaluation per `_fastlane.blocks` block, reading each
+sequence through its `g_vec`, with exists stopping at the first block
+with a hit and forall at the first with a miss.  It falls back to the
+exact closures, in the walk's order, for a relation, a rounding function,
+`ind`, an unbound name or a sequence without `g_vec` (the whole scan), and
+for a block whose values would leave int64 (that block).
+
 Every quantifier carries an explicit inclusive range; harness verdicts are
 tagged verified-in-range / refuted-in-range / cap-exhausted so that a
 bounded "false" is never silently reported as a mathematical one.
@@ -32,14 +42,17 @@ from .genpoly import (
     Add,
     Apply,
     Expr,
+    INT64_MAX,
     IntLit,
     Mul,
+    NoLane,
     SequenceHandle,
     Sub,
     TokenStream,
     Var,
+    compile_lane,
+    compile_term,
     delta_sym,
-    eval_term,
     parse_term,
     pretty,
 )
@@ -147,40 +160,126 @@ _CMP = {
 
 def eval_formula(phi: Formula, valuation: dict[str, int], structure: Structure,
                  bounds: BoundProfile = DEFAULT_BOUNDS) -> bool:
+    """Truth of `phi` under `valuation`: `phi` is compiled once into
+    closures (see `_compile`), which then run."""
+    return _compile(phi, structure, bounds)(valuation)
+
+
+def _compile(phi: Formula, st: Structure, bounds: BoundProfile) -> Callable[[dict], bool]:
+    """The closure env -> truth of `phi`, with connectives short-circuited
+    left to right and quantifiers run in increasing order of their
+    variable, so each name is read (and UnboundVariable raised) where a
+    walk of the tree would read it."""
+    seqs = st.sequences
     if isinstance(phi, FCmp):
-        return _CMP[phi.op](eval_term(phi.lhs, valuation, structure.sequences),
-                            eval_term(phi.rhs, valuation, structure.sequences))
+        op = _CMP[phi.op]
+        lhs, rhs = compile_term(phi.lhs), compile_term(phi.rhs)
+        return lambda env: op(lhs(env, seqs), rhs(env, seqs))
     if isinstance(phi, FRel):
-        try:
-            rel = structure.relations[phi.name]
-        except KeyError:
-            raise UnboundVariable(f"relation {phi.name}") from None
-        return bool(rel(*(eval_term(a, valuation, structure.sequences)
-                          for a in phi.args)))
+        name, args = phi.name, [compile_term(a) for a in phi.args]
+
+        def rel(env):
+            try:
+                fn = st.relations[name]
+            except KeyError:
+                raise UnboundVariable(f"relation {name}") from None
+            return bool(fn(*[a(env, seqs) for a in args]))
+        return rel
     if isinstance(phi, FNot):
-        return not eval_formula(phi.body, valuation, structure, bounds)
-    if isinstance(phi, FAnd):
-        return (eval_formula(phi.lhs, valuation, structure, bounds)
-                and eval_formula(phi.rhs, valuation, structure, bounds))
-    if isinstance(phi, FOr):
-        return (eval_formula(phi.lhs, valuation, structure, bounds)
-                or eval_formula(phi.rhs, valuation, structure, bounds))
-    if isinstance(phi, FImplies):
-        return (not eval_formula(phi.lhs, valuation, structure, bounds)
-                or eval_formula(phi.rhs, valuation, structure, bounds))
+        body = _compile(phi.body, st, bounds)
+        return lambda env: not body(env)
+    if isinstance(phi, (FAnd, FOr, FImplies)):
+        lhs, rhs = _compile(phi.lhs, st, bounds), _compile(phi.rhs, st, bounds)
+        if isinstance(phi, FAnd):
+            return lambda env: lhs(env) and rhs(env)
+        if isinstance(phi, FOr):
+            return lambda env: lhs(env) or rhs(env)
+        return lambda env: not lhs(env) or rhs(env)
     if isinstance(phi, (FExists, FForall)):
-        lo = eval_term(phi.lo, valuation, structure.sequences)
-        hi = eval_term(phi.hi, valuation, structure.sequences)
-        if hi - lo + 1 > bounds.max_range:
-            raise RangeOverflow(f"range [{lo}, {hi}] exceeds max_range")
-        want = isinstance(phi, FExists)
-        inner = dict(valuation)
-        for v in range(lo, hi + 1):
-            inner[phi.var] = v
-            if eval_formula(phi.body, inner, structure, bounds) == want:
+        return _quantifier(phi, st, bounds)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _quantifier(phi: FExists | FForall, st: Structure,
+                bounds: BoundProfile) -> Callable[[dict], bool]:
+    """The closure of a bounded quantifier.
+
+    An innermost quantifier whose body is comparisons of lane terms (see
+    `genpoly.compile_lane`) under not/and/or/=> scans its range one
+    `_fastlane.blocks` block at a time: it takes the lane when every other
+    name of the body is bound and every sequence it applies has a `g_vec`,
+    and a block whose lane raises NoLane is decided by the exact closures,
+    element by element and in order.  Lane values are exact, so the
+    verdict is the walk's."""
+    seqs = st.sequences
+    lo, hi = compile_term(phi.lo), compile_term(phi.hi)
+    body = _compile(phi.body, st, bounds)
+    var, want = phi.var, isinstance(phi, FExists)
+    names: set[str] = set()
+    applied: set[str] = set()
+    lane = _lane_body(phi.body, var, names, applied)
+
+    def lane_ready(env: dict, a: int, b: int) -> bool:
+        return (lane is not None and -INT64_MAX <= a and b < INT64_MAX
+                and all(n in env for n in names)
+                and all(hasattr(seqs.get(s), "g_vec") for s in applied))
+
+    def quantifier(env: dict) -> bool:
+        a, b = lo(env, seqs), hi(env, seqs)
+        if b - a + 1 > bounds.max_range:
+            raise RangeOverflow(f"range [{a}, {b}] exceeds max_range")
+        inner = dict(env)
+        if not lane_ready(inner, a, b):
+            return _scan(range(a, b + 1), inner, var, body, want)
+        for xs in blocks(a, b + 1):
+            try:
+                holds = lane(xs, inner, seqs)
+            except NoLane:
+                if _scan(xs.tolist(), inner, var, body, want) == want:
+                    return want
+                continue
+            if holds.any() if want else not holds.all():
                 return want
         return not want
-    raise TypeError(f"not a formula: {phi!r}")
+    return quantifier
+
+
+def _scan(values, env: dict, var: str, body, want: bool) -> bool:
+    """Exact scan: `want` at the first value whose body is `want`."""
+    for v in values:
+        env[var] = v
+        if body(env) == want:
+            return want
+    return not want
+
+
+def _lane_body(phi: Formula, var: str, names: set, applied: set):
+    """Mask runner (xs, env, sequences) -> bool array of a quantifier-free
+    body of lane comparisons, or None; adds the names and sequences it
+    reads to `names` and `applied`."""
+    if isinstance(phi, FCmp):
+        sides = compile_lane(phi.lhs, var), compile_lane(phi.rhs, var)
+        if sides[0] is None or sides[1] is None:
+            return None
+        for _, side_names, side_seqs in sides:
+            names |= side_names
+            applied |= side_seqs
+        op, lhs, rhs = _CMP[phi.op], sides[0][0], sides[1][0]
+        return lambda xs, env, s: np.asarray(op(lhs(xs, env, s), rhs(xs, env, s)))
+    if isinstance(phi, FNot):
+        body = _lane_body(phi.body, var, names, applied)
+        return None if body is None else lambda xs, env, s: ~body(xs, env, s)
+    if isinstance(phi, (FAnd, FOr, FImplies)):
+        lhs = _lane_body(phi.lhs, var, names, applied)
+        rhs = _lane_body(phi.rhs, var, names, applied)
+        if lhs is None or rhs is None:
+            return None
+        if isinstance(phi, FAnd):
+            return lambda xs, env, s: lhs(xs, env, s) & rhs(xs, env, s)
+        if isinstance(phi, FOr):
+            return lambda xs, env, s: lhs(xs, env, s) | rhs(xs, env, s)
+        return lambda xs, env, s: ~lhs(xs, env, s) | rhs(xs, env, s)
+    return None
 
 
 # ---------------------------------------------------------------------------

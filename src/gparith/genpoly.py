@@ -2,9 +2,12 @@
 
 One node set (`IntLit`, `Var`, `Add`/`Sub`/`Mul`/`Neg`, `Apply` of a
 rounding function or a named sequence, `IndicatorLess`) with one atom
-parser under the shared +/-/* layer, one printer and one exact evaluator;
-`eval` text, `focheck` formulas and `weakmult`'s canonical terms all use
-it.  Also: the memo base class of the named sequences (their one evaluator
+parser under the shared +/-/* layer, one printer and one exact evaluator
+(`compile_term`, which turns a term into a closure once); `eval` text,
+`focheck` formulas and `weakmult`'s canonical terms all use it.  Integer
+terms over +, -, * and named sequences also have a vector form
+(`compile_lane`) that evaluates one int64 block of a variable at a time
+through the sequences' certified `g_vec`.  Also: the memo base class of the named sequences (their one evaluator
 each lives in `_fastlane`), the discrete derivatives (shift, symmetric,
 iterated symmetric), and the classifier that compares the vanishing of the
 second symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
@@ -13,6 +16,7 @@ carry/fractional-part characterisation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations
@@ -280,35 +284,171 @@ def _pp(expr: Expr, level: int) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def compile_term(t: Expr) -> Callable[[Mapping[str, Number], Mapping[str, Callable]], Number]:
+    """The closure (env, sequences) -> exact value of `t`, reading each
+    variable from `env` and each applied name that is not a rounding
+    function from `sequences`; it raises UnboundVariable for a name in
+    neither.  Integer-sort terms over integer variables evaluate to Python
+    ints.  Subterms are evaluated left to right, and an applied name is
+    looked up before its argument is evaluated."""
+    if isinstance(t, IntLit):
+        value = t.value
+        return lambda env, sequences: value
+    if isinstance(t, Var):
+        name = t.name
+
+        def var(env, sequences):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        return var
+    if isinstance(t, Apply):
+        arg, fn_name = compile_term(t.arg), t.fn
+        rounding = ROUNDING.get(fn_name)
+        if rounding is not None:
+            return lambda env, sequences: rounding(arg(env, sequences))
+
+        def apply(env, sequences):
+            fn = sequences.get(fn_name)
+            if fn is None:
+                raise UnboundVariable(f"sequence {fn_name}")
+            return fn(arg(env, sequences))
+        return apply
+    if isinstance(t, Neg):
+        inner = compile_term(t.arg)
+        return lambda env, sequences: -inner(env, sequences)
+    if isinstance(t, (Add, Sub, Mul, IndicatorLess)):
+        op = _BINARY[type(t)]
+        lhs, rhs = compile_term(t.lhs), compile_term(t.rhs)
+        return lambda env, sequences: op(lhs(env, sequences), rhs(env, sequences))
+    raise TypeError(f"not an expression node: {t!r}")
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           IndicatorLess: lambda a, b: 1 if a < b else 0}
+
+
 def eval_term(t: Expr, env: Mapping[str, Number],
               sequences: Mapping[str, Callable[[int], int]]) -> Number:
-    """Exact value of `t`, reading each variable from `env` and each
-    applied name that is not a rounding function from `sequences`; raises
-    UnboundVariable for a name in neither.  Integer-sort terms over
-    integer variables return Python ints."""
+    """Exact value of `t` (see compile_term)."""
+    return compile_term(t)(env, sequences)
+
+
+# ---------------------------------------------------------------------------
+# The vector form of integer terms: one int64 array per scan block
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+
+
+class NoLane(Exception):
+    """A lane value would leave int64, or a sequence lane declined its
+    argument; the caller evaluates the block with the exact closures."""
+
+
+def compile_lane(t: Expr, var: str):
+    """The vector form of `t` in the integer variable `var`, or None when
+    `t` has a node other than IntLit, Var, Add/Sub/Mul/Neg and Apply of a
+    named sequence.
+
+    Returns (run, names, seqs): the other variables and the sequences that
+    `t` reads, and run(xs, env, sequences), the value of `t` at var = xs[i]
+    as entry i of an int64 array (an int when `t` does not read `var`).
+    `xs` is an int64 array with |x| <= 2^63 - 1, `env` binds every name
+    and each sequence has a certified `g_vec`.  Subterms that do not read
+    `var` are evaluated once, exactly; before each +, - and * the largest
+    magnitudes of the operands, as Python ints, must keep the result in
+    int64.  run raises NoLane when they do not, when a value read from
+    `env` is not an int64 integer, or when a `g_vec` rejects its argument,
+    so every value it returns is exact.
+    """
+    names: set[str] = set()
+    seqs: set[str] = set()
+    lane = _lane(t, var, names, seqs)
+    if lane is None:
+        return None
+    return _vector(lane), frozenset(names), frozenset(seqs)
+
+
+def _lane(t: Expr, var: str, names: set, seqs: set):
+    """(reads_var, fn) for `t`, fn a lane runner when `t` reads `var` and
+    a compile_term closure when not; None outside the lane grammar.  Adds
+    the names and sequences `t` reads to `names` and `seqs`."""
     if isinstance(t, IntLit):
-        return t.value
+        return False, compile_term(t)
     if isinstance(t, Var):
+        if t.name == var:
+            return True, lambda xs, env, sequences: xs
+        names.add(t.name)
+        return False, compile_term(t)
+    if isinstance(t, Neg) or (isinstance(t, Apply) and t.fn not in ROUNDING):
+        arg = _lane(t.arg, var, names, seqs)
+        if isinstance(t, Apply):
+            seqs.add(t.fn)
+        if arg is None:
+            return None
+        if not arg[0]:
+            return False, compile_term(t)
+        return True, _neg_lane(arg[1]) if isinstance(t, Neg) else _apply_lane(t.fn, arg[1])
+    if isinstance(t, (Add, Sub, Mul)):
+        lhs = _lane(t.lhs, var, names, seqs)
+        rhs = _lane(t.rhs, var, names, seqs)
+        if lhs is None or rhs is None:
+            return None
+        if not (lhs[0] or rhs[0]):
+            return False, compile_term(t)
+        bound = operator.mul if isinstance(t, Mul) else operator.add
+        return True, _binary_lane(_BINARY[type(t)], bound, _vector(lhs), _vector(rhs))
+    return None
+
+
+def _vector(lane):
+    """The lane runner of a `_lane` pair; a scalar must fit in int64."""
+    reads_var, fn = lane
+    if reads_var:
+        return fn
+
+    def scalar(xs, env, sequences):
+        v = fn(env, sequences)
+        if not isinstance(v, int) or abs(v) > INT64_MAX:
+            raise NoLane
+        return v
+    return scalar
+
+
+def _max_abs(v) -> int:
+    """Largest magnitude of a lane value, as a Python int."""
+    if isinstance(v, int):
+        return abs(v)
+    return max(-int(v.min()), int(v.max()))
+
+
+def _neg_lane(arg):
+    # every lane array keeps |entry| <= 2^63 - 1, so negation cannot wrap
+    return lambda xs, env, sequences: -arg(xs, env, sequences)
+
+
+def _binary_lane(op, bound, lhs, rhs):
+    def run(xs, env, sequences):
+        a, b = lhs(xs, env, sequences), rhs(xs, env, sequences)
+        if bound(_max_abs(a), _max_abs(b)) > INT64_MAX:
+            raise NoLane
+        return op(a, b)
+    return run
+
+
+def _apply_lane(name: str, arg):
+    def run(xs, env, sequences):
+        k = arg(xs, env, sequences)
         try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    if isinstance(t, Add):
-        return eval_term(t.lhs, env, sequences) + eval_term(t.rhs, env, sequences)
-    if isinstance(t, Sub):
-        return eval_term(t.lhs, env, sequences) - eval_term(t.rhs, env, sequences)
-    if isinstance(t, Apply):
-        fn = ROUNDING.get(t.fn) or sequences.get(t.fn)
-        if fn is None:
-            raise UnboundVariable(f"sequence {t.fn}")
-        return fn(eval_term(t.arg, env, sequences))
-    if isinstance(t, Mul):
-        return eval_term(t.lhs, env, sequences) * eval_term(t.rhs, env, sequences)
-    if isinstance(t, Neg):
-        return -eval_term(t.arg, env, sequences)
-    if isinstance(t, IndicatorLess):
-        return 1 if eval_term(t.lhs, env, sequences) < eval_term(t.rhs, env, sequences) else 0
-    raise TypeError(f"not an expression node: {t!r}")
+            values = sequences[name].g_vec(k)
+        except (ValueError, TypeError, OverflowError):
+            # the lane's own guards (int64 range, exact recovery, integer
+            # beta) and numpy's refusal of an out-of-range Python int
+            raise NoLane from None
+        return values.astype("int64", copy=False)  # BohrFast gives int8
+    return run
 
 
 MEMO_SIZE = 1 << 20

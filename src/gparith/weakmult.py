@@ -219,7 +219,7 @@ class ExplicitQSet:
 
 def _sorted_rows(cols: np.ndarray) -> np.ndarray:
     """The distinct rows of (4, n) columns, in lexicographic order.  Adjacent
-    columns whose joint range fits in int64 share one lexsort key, since
+    columns whose joint range fits in int64 share one sort key, since
     (x - lo_x) * w_y + (y - lo_y) orders as (x, y) does."""
     if not cols.shape[1]:
         return cols
@@ -231,8 +231,20 @@ def _sorted_rows(cols: np.ndarray) -> np.ndarray:
             keys[-1], span = keys[-1] * w + (col - lo), span * w
         else:
             keys, span = keys + [col - lo if w <= _INT64_MAX else col], w
-    cols = cols[:, np.lexsort(keys[::-1])]
+    cols = cols[:, _lex_order(keys)]
     return cols[:, np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)]]
+
+
+def _lex_order(keys: list[np.ndarray]) -> np.ndarray:
+    """The permutation that sorts by keys[0], then keys[1], ...  The later
+    keys only break ties of the first, so they are sorted on only when the
+    first key has a tie (in a generated Q, (m, a, b) fixes c)."""
+    order = np.argsort(keys[0], kind="stable")
+    if len(keys) > 1:
+        first = keys[0][order]
+        if not (first[1:] != first[:-1]).all():
+            return np.lexsort(keys[::-1])
+    return order
 
 
 class SyntheticQSet:

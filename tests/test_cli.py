@@ -164,6 +164,15 @@ class TestFormula:
              "--q-csv", str(q)], capsys)
         assert code == 0 and json.loads(out)["value"] is True
 
+    @pytest.mark.parametrize("binding", ["m", "m=1.5", "=3", "m=x"])
+    def test_bad_binding_names_the_flag(self, binding, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["formula", "m = 1", "--bind", binding])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --bind: expects name=integer, got {binding!r}" in err
+        assert "Error" not in err
+
     def test_bohr_sequence_available(self, capsys):
         code, out, _ = run_cli(
             ["formula", "forall n in [1,5]: gb(n) = 0"], capsys)

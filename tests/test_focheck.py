@@ -1,6 +1,9 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gparith.errors import (
     ExprSyntaxError,
@@ -8,12 +11,19 @@ from gparith.errors import (
     RangeOverflow,
     UnboundVariable,
 )
+from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.exactnum import field_create
 from gparith.focheck import (
     AlphaContext,
     BoundProfile,
     DEFAULT_BOUNDS,
+    FAnd,
+    FCmp,
     FExists,
+    FForall,
+    FImplies,
+    FNot,
+    FOr,
     Structure,
     def_mu,
     def_pi,
@@ -31,7 +41,18 @@ from gparith.focheck import (
     _has_partner,
     _partner_ranges,
 )
-from gparith.genpoly import IntLit, delta_sym
+from gparith.genpoly import (
+    ROUNDING,
+    Add,
+    Apply,
+    IntLit,
+    Mul,
+    Neg,
+    SequenceHandle,
+    Sub,
+    Var,
+    delta_sym,
+)
 
 
 class TestEvaluator:
@@ -64,6 +85,44 @@ class TestEvaluator:
         phi = parse_formula("exists x in [1, 99999999]: x = 1")
         with pytest.raises(RangeOverflow):
             eval_formula(phi, {}, Structure(), BoundProfile(max_range=1000))
+
+    # names read only where a walk of the tree reads them: the lane of an
+    # innermost quantifier must not raise for a name the walk never reaches
+    @pytest.mark.parametrize("text, value", [
+        ("exists x in [1, 0]: y = 0", False),
+        ("forall x in [3, -3]: y = 0", True),
+        ("exists x in [1, 3]: x = 1 or y = 0", True),
+        ("forall x in [1, 3]: x > 3 => g(y) = 0", True),
+    ])
+    def test_unread_unbound_names(self, ctx, text, value):
+        assert eval_formula(parse_formula(text), {}, Structure({"g": ctx.g})) is value
+
+    @pytest.mark.parametrize("text, name", [
+        ("exists x in [1, 3]: x = 5 or y = 0", "y"),
+        ("forall x in [1, 3]: x < 2 and h(x) = 0", "sequence h"),
+        ("exists x in [1, y]: x = 1", "y"),
+    ])
+    def test_unbound_name_where_the_walk_reads_it(self, ctx, text, name):
+        with pytest.raises(UnboundVariable) as exc:
+            eval_formula(parse_formula(text), {}, Structure({"g": ctx.g}))
+        assert str(exc.value) == name
+
+    @pytest.mark.parametrize("lane", [True, False])
+    def test_range_overflow_before_any_body(self, lane):
+        calls = []
+
+        class Recorder:
+            def __call__(self, n):
+                calls.append(n)
+                return n
+
+        if lane:
+            Recorder.g_vec = lambda self, ns: calls.extend(ns.tolist()) or ns
+        phi = parse_formula("exists y in [1, 2]: exists x in [y, 2000*y]: r(x) = -1")
+        with pytest.raises(RangeOverflow):
+            eval_formula(phi, {}, Structure({"r": Recorder()}),
+                         BoundProfile(max_range=3000))
+        assert calls == list(range(1, 2001))  # y = 1 only
 
     def test_implication_and_not(self):
         phi = parse_formula("forall x in [1,9]: (x > 5) => x + 1 > 6")
@@ -305,3 +364,135 @@ class TestPartnerInterval:
     def test_zero_beta(self, alpha):
         ctx = AlphaContext(alpha, 0)
         assert _has_partner(3, 5, 7, ctx, 4, 0)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against a walk of the tree
+# ---------------------------------------------------------------------------
+
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_CMPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def ref_term(t, env, seqs):
+    if isinstance(t, IntLit):
+        return t.value
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise UnboundVariable(t.name)
+        return env[t.name]
+    if isinstance(t, Apply):
+        fn = ROUNDING.get(t.fn) or seqs.get(t.fn)
+        if fn is None:
+            raise UnboundVariable(f"sequence {t.fn}")
+        return fn(ref_term(t.arg, env, seqs))
+    if isinstance(t, Neg):
+        return -ref_term(t.arg, env, seqs)
+    return _OPS[type(t)](ref_term(t.lhs, env, seqs), ref_term(t.rhs, env, seqs))
+
+
+def ref_formula(phi, env, seqs):
+    if isinstance(phi, FCmp):
+        return _CMPS[phi.op](ref_term(phi.lhs, env, seqs), ref_term(phi.rhs, env, seqs))
+    if isinstance(phi, FNot):
+        return not ref_formula(phi.body, env, seqs)
+    if isinstance(phi, FAnd):
+        return ref_formula(phi.lhs, env, seqs) and ref_formula(phi.rhs, env, seqs)
+    if isinstance(phi, FOr):
+        return ref_formula(phi.lhs, env, seqs) or ref_formula(phi.rhs, env, seqs)
+    if isinstance(phi, FImplies):
+        return not ref_formula(phi.lhs, env, seqs) or ref_formula(phi.rhs, env, seqs)
+    lo, hi = ref_term(phi.lo, env, seqs), ref_term(phi.hi, env, seqs)
+    want = isinstance(phi, FExists)
+    return any(ref_formula(phi.body, {**env, phi.var: v}, seqs) == want
+               for v in range(lo, hi + 1)) == want
+
+
+NAMES = ("x", "y")
+small_lit = st.integers(-4, 4).map(IntLit)
+name = st.sampled_from(NAMES).map(Var)
+# affine and nonlinear arguments of g, gb and a rounding function (which
+# keeps its comparison off the lane)
+argument = st.one_of(name, st.builds(lambda c, v, d: Add(Mul(c, v), d), small_lit, name, small_lit),
+                     st.builds(lambda v, w, d: Sub(Mul(v, w), d), name, name, small_lit))
+applied = st.builds(Apply, st.sampled_from(["g", "g", "gb", "nint"]), argument)
+# literals up to 2^62 make int64 guards fail: such blocks are decided exactly
+big_lit = st.one_of(st.integers(-2**62, 2**62), st.sampled_from([2**62, -2**62])).map(IntLit)
+term_leaf = st.one_of(small_lit, small_lit, small_lit, name, name, name, applied, applied, applied,
+                      big_lit)
+terms = st.recursive(term_leaf, lambda sub: st.one_of(
+    st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
+    st.builds(Neg, sub)), max_leaves=3)
+comparisons = st.builds(FCmp, st.sampled_from(sorted(_CMPS)), terms, terms)
+
+
+def connectives(sub):
+    return st.one_of(st.builds(FNot, sub), st.builds(FAnd, sub, sub),
+                     st.builds(FOr, sub, sub), st.builds(FImplies, sub, sub))
+
+
+def quantified(body):
+    # ranges of up to 17 values, some empty; names are reused
+    lows = st.one_of(st.integers(-8, 2).map(IntLit), st.builds(Sub, name, small_lit))
+    highs = st.one_of(st.integers(-2, 8).map(IntLit), st.builds(Add, name, small_lit))
+    return st.builds(lambda q, v, lo, hi, b: q(v, lo, hi, b),
+                     st.sampled_from([FExists, FForall]), st.sampled_from(NAMES),
+                     lows, highs, body)
+
+
+matrices = st.recursive(comparisons, connectives, max_leaves=3)
+formulas = st.one_of(
+    quantified(st.one_of(matrices, quantified(matrices))),
+    st.recursive(comparisons, lambda sub: st.one_of(connectives(sub), quantified(sub)),
+                 max_leaves=4))
+# every name bound in about half of the draws
+valuations = st.one_of(st.fixed_dictionaries({n: st.integers(-5, 5) for n in NAMES}),
+                       st.dictionaries(st.sampled_from(NAMES), st.integers(-5, 5)))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except UnboundVariable as exc:
+        return f"unbound {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=formulas, valuation=valuations, plain_g=st.booleans())
+@example(phi=parse_formula("exists x in [1, 3]: "
+                           "x*4000000000*4000000000*4000000000 = 128000000000000000000000000000"),
+         valuation={}, plain_g=False)
+@example(phi=parse_formula("forall x in [-2, 2]: 4611686018427387904 + 4611686018427387904 - x"
+                           " > g(x*x) or gb(3*x + 1) = 1"),
+         valuation={}, plain_g=False)
+def test_compiled_evaluator_matches_a_walk(alpha, sqrt2, phi, valuation, plain_g):
+    g = QuadSeqFast(alpha, 1)
+    seqs = {"g": (lambda n: g(n)) if plain_g else g,
+            "gb": BohrFast(sqrt2, Fraction(1, 5))}
+    want = _outcome(lambda: ref_formula(phi, valuation, seqs))
+    got = _outcome(lambda: eval_formula(phi, dict(valuation), Structure(seqs)))
+    assert got == want and type(got) is type(want)
+
+
+# the psi request of the benchmark's exact-verdicts workload
+BENCH_PSI = ("forall n in [1, 30]: exists n2 in [2*m, 10000]: "
+             "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
+
+
+def test_psi_scan_reads_g_through_its_lane(alpha, monkeypatch):
+    expected = AlphaContext(alpha, 1).in_window(5, 30)
+    misses = []
+    fresh = SequenceHandle._fresh
+
+    def counted(self, n):
+        misses.append(n)
+        return fresh(self, n)
+
+    monkeypatch.setattr(SequenceHandle, "_fresh", counted)
+    value = eval_formula(parse_formula(BENCH_PSI), {"m": 5},
+                         Structure({"g": QuadSeqFast(alpha, 1)}))
+    assert value is expected
+    # a walk of the tree misses once per n2 (10,001 times): the lane reads
+    # only the terms free of n2 exactly
+    assert 0 < len(misses) <= 30

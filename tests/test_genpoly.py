@@ -17,7 +17,9 @@ from gparith.genpoly import (
     Apply,
     IndicatorLess,
     Mul,
+    NoLane,
     Var,
+    compile_lane,
     delta_shift,
     delta_sym,
     delta_sym_iter,
@@ -181,6 +183,38 @@ class TestOneEvaluator:
         assert [g(n) for n in ns] == ref
         assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
         assert [int(v) for v in g.g_vec(np.array(ns, dtype=np.int64))] == ref
+
+
+class TestLane:
+    """The vector form of integer terms holds only exact int64 values."""
+
+    XS = np.arange(-3, 4, dtype=np.int64)
+
+    def test_values_and_what_a_term_reads(self, alpha, sqrt2):
+        g, gb = QuadSeqFast(alpha, 1), BohrFast(sqrt2, Fraction(1, 5))
+        run, names, seqs = compile_lane(parse("g(x*x + y) - 2*gb(x) + g(y)*y"), "x")
+        assert (names, seqs) == ({"y"}, {"g", "gb"})
+        got = run(self.XS, {"y": 2}, {"g": g, "gb": gb})
+        assert got.dtype == np.int64
+        assert got.tolist() == [g(x * x + 2) - 2 * gb(x) + g(2) * 2 for x in range(-3, 4)]
+        assert compile_lane(parse("y - 1"), "x")[0](self.XS, {"y": 2}, {}) == 1
+
+    @pytest.mark.parametrize("text", ["floor(x)", "ind(norm(x) < 1)", "nint(y) + x"])
+    def test_rounding_and_indicator_have_no_lane(self, text):
+        assert compile_lane(parse(text), "x") is None
+
+    @pytest.mark.parametrize("text, y", [
+        ("x*y", 2**62),            # 3*2^62 leaves int64
+        ("y - x", 2**63 - 2),      # so does 2^63 - 2 + 3
+        ("-y + x", -2**63 + 1),
+        ("y", 2**63),              # a scalar that int64 cannot hold
+        ("x + y", Fraction(1, 2)),  # nor a value that is not an integer
+        ("g(x + y)", 2**52),       # beyond g_vec's exact recovery
+    ])
+    def test_declines_what_int64_cannot_hold(self, alpha, text, y):
+        run = compile_lane(parse(text), "x")[0]
+        with pytest.raises(NoLane):
+            run(self.XS, {"y": y}, {"g": QuadSeqFast(alpha, 1)})
 
 
 class TestDiscreteCalculus:

@@ -98,3 +98,11 @@ def test_sort_over_the_whole_int64_range(rows):
     # columns too wide to share a sort key, next to narrow ones that do
     rows = rows + rows[: len(rows) // 2]
     _same_set(ExplicitQSet(rows), frozenset(rows))
+
+
+def test_rows_that_differ_only_in_c():
+    # (m, a, b) share the first sort key; c spans int64, so it is a second
+    # key, which only the ties of the first need
+    rows = [(1, 2, 3, 2**63 - 1), (1, 2, 3, -2**63), (1, 2, 3, 0), (0, 5, 5, 7),
+            (1, 2, 3, 0), (1, 2, 4, -1)]
+    _same_set(ExplicitQSet(rows), frozenset(rows))
