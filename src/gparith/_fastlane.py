@@ -8,14 +8,14 @@ the float roundings around that value.  Integer outputs (nearest integers,
 sequence values) are exact: entries whose rounding falls inside the margin
 are recomputed exactly.
 
-This module is the only place a lane margin is read.  Callers pass exact
-thresholds (int, Fraction or field element) and get index masks back:
-`FastConst.within(k, lo, hi)` returns (maybe, sure) for
-lo < frac_signed(const*k) < hi, where entries in `sure` hold, entries
-outside `maybe` do not, and the rest must be decided exactly;
-`FastConst.extremes(k)` returns every index at which frac_signed(const*k)
-can be least or greatest.  A lane never decides a candidate on its own.
-Long scans walk `blocks`, int64 ranges of BLOCK integers.
+This module is the only place a lane margin is read, and its answers are
+exact.  Callers pass exact thresholds (int, Fraction or field element):
+`FastConst.within(k, lo, hi)` returns the mask of
+lo < frac_signed(const*k) < hi, and `FastConst.extremes(k)` the least and
+greatest frac_signed(const*k).  Entries the margin settles are read from
+the lane; entries within their margin of a threshold or of +-1/2 are
+decided by `exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
+integers.
 
 QuadSeqFast (g(n) = nint(beta*n*nint(alpha*n))) and BohrFast (the
 indicator 1[norm(alpha*n^2) < rho]) are the one evaluator of each named
@@ -96,7 +96,7 @@ class FastConst:
         flags = (0.5 - np.abs(frac)) <= margin
         # const*k - frac is an integer; float64 recovers it exactly for
         # |const*k| < 2^51 because the combined error stays far below 1/2.
-        if len(k) and abs(self.f64) * float(np.abs(k).max()) >= 2.0**51:
+        if len(k) and abs(self.f64) * max(-float(k.min()), float(k.max())) >= 2.0**51:
             raise ValueError("lane argument exceeds the exact-recovery range")
         q = np.rint(self.f64 * k.astype(np.float64) - frac).astype(np.int64)
         for i in np.nonzero(flags)[0]:
@@ -112,7 +112,8 @@ class FastConst:
         # allocation pattern and raised the peak RSS of `verify 3.4` by 4%
         fs = self.frac_scaled(k)
         frac = fs.astype(np.float64) * _SCALE
-        margin = (np.abs(k).astype(np.float64) + 4.0) * _SCALE + _ROUNDING
+        # |k| in float64: in int64 the magnitude of -2^63 stays negative
+        margin = (np.abs(k.astype(np.float64)) + 4.0) * _SCALE + _ROUNDING
         return frac, margin
 
     def _filter(self, k: np.ndarray):
@@ -123,24 +124,26 @@ class FastConst:
         margin[(0.5 - np.abs(frac)) <= margin] = np.inf
         return frac, margin
 
-    def within(self, k: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Masks (maybe, sure) for lo < frac_signed(const*k) < hi with exact
-        thresholds lo, hi: entries in `sure` hold, entries outside `maybe`
-        do not, and the rest must be decided exactly."""
+    def within(self, k: np.ndarray, lo, hi) -> np.ndarray:
+        """Exact mask of lo < frac_signed(const*k) < hi for exact thresholds
+        lo, hi; entries the margin leaves open are decided by exact_frac."""
         frac, margin = self._filter(k)
         lo_f, hi_f = float(lo), float(hi)
-        maybe = (frac > lo_f - margin) & (frac < hi_f + margin)
-        sure = (frac > lo_f + margin) & (frac < hi_f - margin)
-        return maybe, sure
+        inside = (frac > lo_f + margin) & (frac < hi_f - margin)
+        undecided = (frac > lo_f - margin) & (frac < hi_f + margin) & ~inside
+        for i in np.nonzero(undecided)[0]:
+            inside[i] = lo < self.exact_frac(int(k[i])) < hi
+        return inside
 
-    def extremes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (low, high) holding every i at which
-        frac_signed(const*k[i]) can be least, resp. greatest.  The largest
-        circle norm lies at an index of their union."""
+    def extremes(self, k: np.ndarray) -> tuple[Number, Number]:
+        """Exact least and greatest frac_signed(const*k[i]) over a non-empty
+        k, decided among the indices whose margin reaches the extreme."""
         frac, margin = self._filter(k)
         lower, upper = frac - margin, frac + margin
-        return (np.nonzero(lower <= upper.min())[0],
-                np.nonzero(upper >= lower.max())[0])
+        low = np.nonzero(lower <= upper.min())[0]
+        high = np.nonzero(upper >= lower.max())[0]
+        return (min(self.exact_frac(int(k[i])) for i in low),
+                max(self.exact_frac(int(k[i])) for i in high))
 
 
 class QuadSeqFast(SequenceHandle):
@@ -159,6 +162,8 @@ class QuadSeqFast(SequenceHandle):
         """Exact g on an int64 vector (beta*n*nint(alpha*n) is an integer)."""
         if not isinstance(self.beta, int):
             raise TypeError("fast lane requires an integer beta")
+        # numpy refuses an int beta outside int64 even where n or q is 0
+        check_int64_product(self.beta)
         q = self.const.nint_frac_vec(n)
         if len(n):
             check_int64_product(self.beta, np.abs(n).max(), np.abs(q).max())
@@ -189,11 +194,7 @@ class BohrFast(SequenceHandle):
         if len(n):
             m = np.abs(n).max()
             check_int64_product(m, m)
-        maybe, sure = self.const.within(n ** 2, -self.rho, self.rho)
-        out = sure.astype(np.int8)
-        for i in np.nonzero(maybe & ~sure)[0]:
-            out[i] = self.g_scalar(int(n[i]))
-        return out
+        return self.const.within(n ** 2, -self.rho, self.rho).astype(np.int8)
 
     def g_range(self, lo: int, hi: int) -> np.ndarray:
         return self.g_vec(np.arange(lo, hi + 1, dtype=np.int64))

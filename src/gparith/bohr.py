@@ -69,9 +69,7 @@ class BohrWorld:
         self._R: np.ndarray | None = None
         self._R_window = 0
         self._lam_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._kappa_cache: dict[tuple[int, int], Verdict] = {}
         self._kappa_table_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
-        self._nu_cache: dict[tuple[int, int, int], Verdict] = {}
 
     # -- base sequence -------------------------------------------------------
 
@@ -174,9 +172,6 @@ class BohrWorld:
         for (N0, xm0), (tab0, ok0) in self._kappa_table_cache.items():
             if N0 == N and xm0 >= x_max:
                 return tab0 if ok0 else None
-        cached = self._kappa_table_cache.get(key)
-        if cached is not None:
-            return cached[0] if cached[1] else None
         b = self.bounds
         lam_h = self.lambda_vec(b.M_cap, b.h_cap)
         hs = [h for h in range(1, b.h_cap + 1) if self.g(h) == 1 and lam_h[h]]
@@ -212,51 +207,31 @@ class BohrWorld:
         """
         if m < 0 or N < 1:
             raise PreconditionViolated("m >= 0 and N >= 1 required")
-        key = (m, N)
-        cached = self._kappa_cache.get(key)
-        if cached is not None:
-            return cached
-        x_max = max(m, self.bounds.outer_cap * 2 + m)
-        table = self._kappa_table(N, x_max)
+        table = self._kappa_table(N, max(m, self.bounds.outer_cap * 2 + m))
         if table is None:
-            v = Verdict(None, {"reason": "no admissible h"})
-        elif table[m]:
-            v = Verdict(True)
-        else:
-            v = Verdict(False)
-        self._kappa_cache[key] = v
-        return v
+            return Verdict(None, {"reason": "no admissible h"})
+        return Verdict(bool(table[m]))
 
     def nu(self, m: int, m_tilde: int, N: int) -> Verdict:
         """lambda(n,L) and kappa(m+n,L) jointly force kappa(m_tilde+n,N)."""
         if min(m, m_tilde) < 0 or N < 1:
             raise PreconditionViolated("m, m_tilde >= 0 and N >= 1 required")
-        key = (m, m_tilde, N)
-        cached = self._nu_cache.get(key)
-        if cached is not None:
-            return cached
         b = self.bounds
         L = b.L_cap
         x_max = max(m, m_tilde) + b.outer_cap + 1
         kL = self._kappa_table(L, x_max)
         kN = self._kappa_table(N, x_max)
         if kL is None or kN is None:
-            v = Verdict(None, {"reason": "no admissible h"})
-            self._nu_cache[key] = v
-            return v
+            return Verdict(None, {"reason": "no admissible h"})
         lam_n = self.lambda_vec(L, b.outer_cap)
         ns = np.nonzero(lam_n[1:b.outer_cap + 1])[0] + 1
         ante = ns[kL[m + ns]]
         if len(ante) == 0:
-            v = Verdict(None, {"reason": "empty antecedent set"})
-        else:
-            bad = ante[~kN[m_tilde + ante]]
-            if len(bad):
-                v = Verdict(False, {"failing_n": int(bad[0])})
-            else:
-                v = Verdict(True, {"antecedents": len(ante)})
-        self._nu_cache[key] = v
-        return v
+            return Verdict(None, {"reason": "empty antecedent set"})
+        bad = ante[~kN[m_tilde + ante]]
+        if len(bad):
+            return Verdict(False, {"failing_n": int(bad[0])})
+        return Verdict(True, {"antecedents": len(ante)})
 
     def delta_rel(self, m: int, m_tilde: int) -> Verdict:
         """nu(m+n, m, L) and kappa(n, L) jointly force nu(m_tilde+n, m_tilde, N)."""
@@ -346,36 +321,26 @@ def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
     prev = 0
     for i in range(1, K + 1):
         eps = Fraction(1, 2 ** min(i, K))
-        found = None
         for ns in blocks(prev + 1, max_candidate + 1):
-            sub = ns[c1.within(ns, -eps, eps)[0]]
+            sub = ns[c1.within(ns, -eps, eps)]
             if len(sub):
                 check_int64_product(sub[-1], sub[-1])
-                sub = sub[c2.within(sub * sub, -eps, eps)[0]]
+                sub = sub[c2.within(sub * sub, -eps, eps)]
                 # norm(c3*n) within third_dev of rho_target, i.e.
                 # frac_signed(c3*n) within third_dev of +-rho_target
-                near = [c3.within(sub, t - third_dev, t + third_dev)[0]
+                near = [c3.within(sub, t - third_dev, t + third_dev)
                         for t in (rho_target, -rho_target)]
                 sub = sub[near[0] | near[1]]
-            for n in map(int, sub):
-                ok = ((exact_c1 * n).circle_norm() - eps).sign() < 0
-                ok = ok and ((alpha * (n * n)).circle_norm() - eps).sign() < 0
-                if ok:
-                    dev = abs((exact_c3 * n).circle_norm() - rho_target)
-                    ok = (dev - third_dev).sign() < 0
-                if ok:
-                    found = n
-                    break
-            if found is not None:
+            if len(sub):
                 break
-        if found is None:
+        else:
             raise NotFoundWithinBudget(
                 f"schedule step {i} (eps={eps}) found no n <= {max_candidate}")
-        prev = found
-        seq.append(found)
-        n2am.append(float((exact_c1 * found).circle_norm()))
-        nasq.append(float((alpha * (found * found)).circle_norm()))
-        tails.append(float((exact_c3 * found).circle_norm()))
+        prev = int(sub[0])
+        seq.append(prev)
+        n2am.append(float((exact_c1 * prev).circle_norm()))
+        nasq.append(float((alpha * (prev * prev)).circle_norm()))
+        tails.append(float((exact_c3 * prev).circle_norm()))
 
     tail = tails[-TAIL_LEN:]
     tail_max = max(tail)

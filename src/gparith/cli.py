@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--const", default="alpha")
     p.add_argument("--max", type=int, default=10**6)
     p.add_argument("--strategy", default="hybrid",
-                   choices=("convergent-multiples", "exhaustive", "hybrid"))
+                   choices=("exhaustive", "hybrid"))
     p.add_argument("--target", action="append", default=[],
                    help='weyl target "expr;lo;hi" (repeatable)')
     p.set_defaults(func=cmd_search)

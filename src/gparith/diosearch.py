@@ -1,11 +1,11 @@
 """Bounded Diophantine-approximation searches.
 
-Every witness returned by this module re-verifies exactly: the fast lanes
-only propose candidates, and the defining inequalities are re-checked in
-exact field arithmetic before anything is reported.  Searches that find
-nothing within their budget raise NotFoundWithinBudget; absence of a
-witness in a scanned range is certified (ambiguous lane entries are
-re-checked exactly).
+Every witness returned by this module is exact: `FastConst.within` masks
+and the integer lanes answer exactly, and scalar candidates and Weyl and
+Lemma 3.2 witnesses are checked in exact field arithmetic before they are
+reported.  Searches that find nothing within their budget raise
+NotFoundWithinBudget; absence of a witness in a scanned range is certified,
+because every lane entry is decided exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .genpoly import (
 
 DEFAULT_SEED = 0xC0FFEE
 
-STRATEGY_CONVERGENTS = "convergent-multiples"
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_HYBRID = "hybrid"
 
@@ -55,8 +54,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_candidate < 1:
             raise ValueError("max_candidate must be >= 1")
-        if self.strategy not in (STRATEGY_CONVERGENTS, STRATEGY_EXHAUSTIVE,
-                                 STRATEGY_HYBRID):
+        if self.strategy not in (STRATEGY_EXHAUSTIVE, STRATEGY_HYBRID):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
@@ -105,16 +103,12 @@ def continued_fraction(x: AlgebraicReal, k: int) -> CFExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _norm_lt(x: AlgebraicReal, m: int, eps: Fraction) -> bool:
-    """Exact test ||x*m|| < eps."""
-    return ((x * m).circle_norm() - eps).sign() < 0
-
-
 def _candidate_stream(x: AlgebraicReal, budget: SearchBudget) -> Iterable[int]:
+    """Every m <= max_candidate in order; the hybrid strategy first tries
+    the multiples j*q (j <= 4) of the convergent denominators q."""
     seen: set[int] = set()
-    if budget.strategy in (STRATEGY_CONVERGENTS, STRATEGY_HYBRID):
-        cf = continued_fraction(x, 40)
-        for _, q in cf.convergents():
+    if budget.strategy == STRATEGY_HYBRID:
+        for _, q in continued_fraction(x, 40).convergents():
             if q < 1 or q > budget.max_candidate:
                 continue
             for j in range(1, 5):
@@ -122,10 +116,9 @@ def _candidate_stream(x: AlgebraicReal, budget: SearchBudget) -> Iterable[int]:
                 if m <= budget.max_candidate and m not in seen:
                     seen.add(m)
                     yield m
-    if budget.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_HYBRID):
-        for m in range(1, budget.max_candidate + 1):
-            if m not in seen:
-                yield m
+    for m in range(1, budget.max_candidate + 1):
+        if m not in seen:
+            yield m
 
 
 def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitness:
@@ -139,15 +132,16 @@ def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitnes
     if x.is_rational():
         raise RationalInput("x must be irrational")
     if budget.strategy == STRATEGY_EXHAUSTIVE:
-        # block filter + exact verification, ascending
+        # exact block masks, ascending
         fc = FastConst(x)
         for ms in blocks(1, budget.max_candidate + 1):
-            for m in map(int, ms[fc.within(ms, -eps, eps)[0]]):
-                if _norm_lt(x, m, eps):
-                    return ApproxWitness(m, {"norm": (x * m).circle_norm()})
+            hits = ms[fc.within(ms, -eps, eps)]
+            if len(hits):
+                m = int(hits[0])
+                return ApproxWitness(m, {"norm": (x * m).circle_norm()})
         raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
     for m in _candidate_stream(x, budget):
-        if _norm_lt(x, m, eps):
+        if ((x * m).circle_norm() - eps).sign() < 0:
             return ApproxWitness(m, {"norm": (x * m).circle_norm()})
     raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
 
@@ -299,7 +293,7 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
                 # the largest |n| sits at either end of a block
                 top = max(abs(int(ns[0])), abs(int(ns[-1])))
                 check_int64_product(top, top)
-            mask &= fc.within(ns if t.degree == 1 else ns * ns, t.lo, t.hi)[0]
+            mask &= fc.within(ns if t.degree == 1 else ns * ns, t.lo, t.hi)
             if not mask.any():
                 break
         for n in map(int, ns[mask]):

@@ -479,9 +479,7 @@ class AlphaContext:
         cached = self._window_cache.get(N)
         if cached is not None:
             return cached
-        low, high = self.g.const.extremes(np.arange(1, N + 1, dtype=np.int64))
-        mn = min(self.frac_exact(int(i) + 1) for i in low)
-        mx = max(self.frac_exact(int(i) + 1) for i in high)
+        mn, mx = self.g.const.extremes(np.arange(1, N + 1, dtype=np.int64))
         half = Fraction(1, 2)
         lo = -(mn + half)
         hi = -(mx - half)
@@ -710,8 +708,7 @@ def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[i
     for ms in blocks(scanned + 1, m_cap + 1):
         if len(out) >= count:
             break
-        maybe, _ = ctx.g.const.within(ms, lo, hi)
-        out.extend(m for m in map(int, ms[maybe]) if ctx.in_window(m, M))
+        out.extend(map(int, ms[ctx.g.const.within(ms, lo, hi)]))
         scanned = int(ms[-1])
     ctx._member_cache[M] = (out, scanned)
     return [m for m in out[:count] if m <= m_cap]

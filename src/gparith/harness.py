@@ -30,7 +30,7 @@ from .diosearch import (
     lemma32_scan,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
-from .exactnum import AlgebraicReal, circle_norm
+from .exactnum import AlgebraicReal
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
@@ -349,16 +349,12 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mismatches = 0
     for N in range(1, N_max + 1):
-        maybe, sure = ctx.g.const.within(ms, *ctx.window(N))
-        member = np.zeros(m_max + 1, dtype=bool)
-        member[1:] = sure
-        for i in np.nonzero(maybe & ~sure)[0]:
-            member[i + 1] = ctx.in_window(int(i + 1), N)
-        for m in np.nonzero(psi_tab[N - 1, 1:] != member[1:])[0] + 1:
+        member = ctx.g.const.within(ms, *ctx.window(N))  # index m - 1
+        for m in np.nonzero(psi_tab[N - 1, 1:] != member)[0] + 1:
             mismatches += 1
             res.add({"N": N, "m": int(m)}, "fail",
                     witness={"psi": bool(psi_tab[N - 1, m]),
-                             "window": bool(member[m])})
+                             "window": bool(member[m - 1])})
     res.add({"N_max": N_max, "m_max": m_max}, "pass" if mismatches == 0 else "fail",
             caps={"C": C, "extend_cap": _EXTEND_CAP})
 
@@ -624,8 +620,8 @@ def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
 
 def _max_norm(lane: FastConst, ks: np.ndarray):
     """Exact max of norm(c*k) over k in ks, for the constant c of `lane`."""
-    low, high = lane.extremes(ks)
-    return max(circle_norm(lane.value * int(ks[i])) for i in np.union1d(low, high))
+    least, greatest = lane.extremes(ks)
+    return max(-least, greatest)
 
 
 def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
@@ -640,14 +636,8 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     c2a = FastConst(2 * alpha)
-    maybe, _ = c2a.within(ms, -thr1, thr1)
-    premise = []
-    for m in map(int, ms[maybe]):
-        if ((2 * alpha * m).circle_norm() - thr1).sign() >= 0:
-            continue
-        if ((alpha * (m * m)).circle_norm() - thr2).sign() >= 0:
-            continue
-        premise.append(m)
+    premise = [m for m in map(int, ms[c2a.within(ms, -thr1, thr1)])
+               if ((alpha * (m * m)).circle_norm() - thr2).sign() < 0]
     bad = 0
     for m in premise:
         if not world.mu(m, N):

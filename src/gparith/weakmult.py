@@ -358,8 +358,7 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     if m_max >= 1:
         ms = np.arange(1, m_max + 1, dtype=np.int64)
         # T >= 3 needs norm(alpha m) < 1/6; ell decides exactly below
-        maybe, _ = ctx.g.const.within(ms, Fraction(-1, 6), Fraction(1, 6))
-        for m in map(int, ms[maybe]):
+        for m in map(int, ms[ctx.g.const.within(ms, Fraction(-1, 6), Fraction(1, 6))]):
             T = min(h_factor_max, ell(m, ctx.alpha) // m)
             if T < 3:
                 continue

@@ -69,6 +69,24 @@ class TestInt64Guard:
                               SearchBudget(max_candidate=start + 1000),
                               {"alpha": alpha}, start=start)
 
+    def test_lane_margin_holds_at_int64_min(self, alpha):
+        # np.abs keeps -2^63 negative in int64; the margin must not
+        k = np.array([-(1 << 63)], dtype=np.int64)
+        lane = FastConst(alpha)
+        assert lane.frac_vec_filter(k)[1][0] > 0.5
+        exact = lane.exact_frac(-(1 << 63))
+        assert (exact + Fraction(12, 100)).sign() < 0
+        assert not lane.within(k, Fraction(-1, 100), Fraction(1, 100))[0]
+        assert lane.extremes(k) == (exact, exact)
+        with pytest.raises(ValueError):
+            lane.nint_frac_vec(k)
+
+    def test_quadratic_lane_refuses_a_beta_outside_int64(self, alpha):
+        fast = QuadSeqFast(alpha, 2**70)
+        assert fast.g_scalar(0) == 0
+        with pytest.raises(ValueError):
+            fast.g_vec(np.array([0], dtype=np.int64))
+
     @given(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=3))
     def test_guard_is_exactly_the_int64_bound(self, factors):
         product = 1
@@ -128,20 +146,21 @@ def test_filter_margin_bounds_the_float_frac(name, scale):
 
 def test_window_extremes_see_every_candidate():
     # frac(k/3) ties at 1/3 on k = 1, 4, 7, ... and at -1/3 on k = 2, 5, ...;
-    # within the lane error every tied index may be the extreme
+    # within the lane error every tied index may be the extreme, and an
+    # entry on a threshold is outside the open interval
     lane = FastConst(Fraction(1, 3))
     ks = np.arange(1, 41, dtype=np.int64)
-    low, high = lane.extremes(ks)
-    assert set(ks[low]) == set(range(2, 41, 3))
-    assert set(ks[high]) == set(range(1, 41, 3))
+    assert lane.extremes(ks) == (Fraction(-1, 3), Fraction(1, 3))
+    assert list(lane.within(ks, Fraction(-1, 3), Fraction(1, 3))) == \
+        [k % 3 == 0 for k in range(1, 41)]
 
 
 def test_extremes_keep_the_exact_minimiser():
     # the float minimiser carries a larger margin than the exact one (k = 2)
-    lane = FastConst(Fraction(1, 3) + Fraction(1, 2**70))
+    eps = Fraction(1, 2**70)
+    lane = FastConst(Fraction(1, 3) + eps)
     ks = np.arange(1, 300002, dtype=np.int64)
-    low, high = lane.extremes(ks)
-    assert 2 in ks[low] and 300001 in ks[high]
+    assert lane.extremes(ks) == (Fraction(-1, 3) + 2 * eps, Fraction(1, 3) + 300001 * eps)
 
 
 def test_max_norm_is_the_exact_maximum():
@@ -173,7 +192,10 @@ def test_within_and_extremes_are_certified(theta, data):
         _elements(K, 10**4),
         st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))
     lane = FastConst(const)
-    ks = data.draw(st.lists(st.integers(-(1 << 45), 1 << 45), min_size=1, max_size=12))
+    # the int64 ends carry a lane error near 1/2, so every entry is open
+    ks = data.draw(st.lists(st.one_of(st.integers(-(1 << 45), 1 << 45),
+                                      st.sampled_from([-(1 << 63), INT64_MAX])),
+                            min_size=1, max_size=12))
     exact = [lane.exact_frac(k) for k in ks]
     # |t| < 1: random Fractions and field elements, or exact lane values
     thresholds = st.one_of(st.fractions(-1, 1, max_denominator=1 << 60).filter(
@@ -181,25 +203,18 @@ def test_within_and_extremes_are_certified(theta, data):
                            _elements(K, 10**3).map(lambda x: x.frac_signed()),
                            st.sampled_from(exact))
     lo, hi = sorted((data.draw(thresholds) for _ in range(2)), key=float)
-    maybe, sure = lane.within(np.array(ks, dtype=np.int64), lo, hi)
-    for k, v, may, sur in zip(ks, exact, maybe, sure):
-        inside = sign(v - lo) > 0 and sign(hi - v) > 0
-        assert inside or not sur, k
-        assert may or not inside, k
-    low, high = lane.extremes(np.array(ks, dtype=np.int64))
-    assert any(exact[i] == min(exact) for i in low)
-    assert any(exact[i] == max(exact) for i in high)
+    mask = lane.within(np.array(ks, dtype=np.int64), lo, hi)
+    assert list(mask) == [sign(v - lo) > 0 and sign(hi - v) > 0 for v in exact]
+    assert lane.extremes(np.array(ks, dtype=np.int64)) == (min(exact), max(exact))
 
 
-def test_entries_at_the_wrap_stay_undecided():
+def test_entries_at_the_wrap_are_decided_exactly():
     # k/10 = -308313.5: the lane reads +1/2, and frac_signed is -1/2
     lane = FastConst(Fraction(1, 10))
     ks = np.array([0, -3083135], dtype=np.int64)
-    for lo, hi in ((0, Fraction(2, 3)), (Fraction(-2, 3), 0)):
-        maybe, sure = lane.within(ks, lo, hi)
-        assert maybe[1] and not sure[1]
-    low, high = lane.extremes(ks)
-    assert 1 in low and 1 in high
+    assert list(lane.within(ks, 0, Fraction(2, 3))) == [False, False]
+    assert list(lane.within(ks, Fraction(-2, 3), 0)) == [False, True]
+    assert lane.extremes(ks) == (Fraction(-1, 2), 0)
 
 
 _FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}
