@@ -282,6 +282,7 @@ def cmd_verify(args, cfg) -> int:
                        "pass" if not rep.violations else "fail",
                        witness={"violations": rep.violations[:5]})
             result.summary = {"quadruples": rep.total}
+            result.vacuous = rep.total == 0
         else:
             ctx = AlphaContext(alpha, beta_for_lane(beta_val))
             result = H.verify_q_axioms(ctx, m_max=args.m_max or 10_000,
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
         if args.out is None and cfg.out:
             args.out = cfg.out
         return args.func(args, cfg)
-    except (GparithError, ConfigError, ValueError) as exc:
+    except (GparithError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

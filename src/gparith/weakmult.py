@@ -195,14 +195,19 @@ class ExplicitQSet:
     def __init__(self, quadruples: Iterable[tuple[int, int, int, int]] | np.ndarray) -> None:
         self.cols = _sorted_rows(quadruples if isinstance(quadruples, np.ndarray) else
                                  np.fromiter(quadruples, dtype=np.dtype((np.int64, 4))).T)
-        self._tuples: frozenset | None = None  # built by the first `contains`
         # progressions whose constant-d2 run falls short of T, as (m, T, run)
         self.short_runs: list[tuple[int, int, int]] = []
 
     def contains(self, m, a, b, c) -> bool:
-        if self._tuples is None:
-            self._tuples = frozenset(self.members())
-        return (m, a, b, c) in self._tuples
+        """Binary search of the sorted rows: [lo, hi) narrows to the rows
+        that agree with (m, a, b, c) on each column in turn."""
+        lo, hi = 0, self.cols.shape[1]
+        for col, v in zip(self.cols, (m, a, b, c)):
+            if not (lo < hi and _INT64_MIN <= v <= _INT64_MAX):
+                return False
+            seg = col[lo:hi]
+            lo, hi = lo + int(seg.searchsorted(v)), lo + int(seg.searchsorted(v, "right"))
+        return lo < hi
 
     def members(self):
         return zip(*self.cols.tolist())
@@ -231,8 +236,9 @@ def _sorted_rows(cols: np.ndarray) -> np.ndarray:
             keys[-1], span = keys[-1] * w + (col - lo), span * w
         else:
             keys, span = keys + [col - lo if w <= _INT64_MAX else col], w
-    cols = cols[:, _lex_order(keys)]
-    return cols[:, np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)]]
+    # take and compress keep the rows C-contiguous, as searchsorted wants them
+    cols = cols.take(_lex_order(keys), axis=1)
+    return cols.compress(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)], axis=1)
 
 
 def _lex_order(keys: list[np.ndarray]) -> np.ndarray:
@@ -398,8 +404,10 @@ def close_pm(Q: ExplicitQSet | SyntheticQSet) -> ExplicitQSet | SyntheticQSet:
 
 
 def is_sign_closed(Q: ExplicitQSet) -> bool:
-    """close_pm(Q) == Q: each non-identity sign flip of Q, sorted, equals Q."""
-    return all(ExplicitQSet(_signed(Q, s, t)) == Q for s, t in _SIGNS[1:])
+    """close_pm(Q) == Q: the flips (1, -1) and (-1, 1) of Q, sorted, equal Q.
+    The third flip (-1, -1) is their composition, so it maps Q to Q as well
+    and needs no check of its own."""
+    return all(ExplicitQSet(_signed(Q, s, t)) == Q for s, t in ((1, -1), (-1, 1)))
 
 
 @dataclass
@@ -448,25 +456,53 @@ def _opened(fp, mode: str):
 
 
 def export_csv(Q: ExplicitQSet | SyntheticQSet, fp) -> None:
+    # a synthetic store enumerates its members in sorted order already
+    cols = Q.cols if isinstance(Q, ExplicitQSet) else ExplicitQSet(Q.members()).cols
     with _opened(fp, "w") as f:
-        f.write("".join(f"{m},{a},{b},{c}\n" for m, a, b, c in Q.members()))
+        f.write("%d,%d,%d,%d\n" * cols.shape[1] % tuple(cols.T.ravel().tolist()))
 
 
 def import_csv(fp) -> ExplicitQSet:
+    """The store of `m,a,b,c` lines of int64 integers, parsed in C.  Blank
+    lines are skipped; a field is an optional sign and decimal digits, with
+    surrounding whitespace."""
     with _opened(fp, "r") as f:
         lines = [line for line in map(str.strip, f) if line]
-    rows = []
-    for line in lines:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed quadruple line: {line!r}")
-        rows.append(tuple(map(int, parts)))
+    if not lines:
+        return ExplicitQSet(np.zeros((4, 0), dtype=np.int64))
+    # a "\r" inside a line is whitespace, where loadtxt would end the line
+    text = [s.replace("\r", " ") for s in lines] if "\r" in "".join(lines) else lines
     try:
-        return ExplicitQSet(rows)
-    except OverflowError:
-        bad = next(line for line, row in zip(lines, rows)
-                   if not all(_INT64_MIN <= v <= _INT64_MAX for v in row))
-        raise ValueError(f"quadruple line outside the int64 range: {bad!r}") from None
+        rows = _parse_rows(text)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 4:
+        raise _first_bad_line(lines, text)
+    return ExplicitQSet(rows.T)
+
+
+def _parse_rows(text: list[str]) -> np.ndarray:
+    return np.loadtxt(text, delimiter=",", dtype=np.int64, comments=None,
+                      quotechar=None, ndmin=2)
+
+
+def _first_bad_line(lines: list[str], text: list[str]) -> ValueError:
+    """The error that names the first line that is not four int64 integers,
+    parsing each `text` line alone; only an import that failed calls it."""
+    for line, t in zip(lines, text):
+        try:
+            if _parse_rows([t]).shape == (1, 4):
+                continue
+        except ValueError:
+            pass
+        try:
+            values = [int(v) for v in t.split(",")]
+        except ValueError:
+            values = []
+        if len(values) == 4 and not all(_INT64_MIN <= v <= _INT64_MAX for v in values):
+            return ValueError(f"quadruple line outside the int64 range: {line!r}")
+        return ValueError(f"malformed quadruple line: {line!r}")
+    raise AssertionError("the lines parse one by one but not together")
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ class TestVerify:
         first = json.loads(out.strip().splitlines()[0])
         assert [2, 4, 6, 13] in first["witness"]["violations"]
 
+    def test_q1_from_empty_csv_is_vacuous(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out, err = run_cli(["verify", "Q1", "--from", str(empty)], capsys)
+        assert code == 0 and json.loads(out.splitlines()[0])["verdict"] == "pass"
+        assert "vacuous=yes" in err
+
     @pytest.mark.parametrize("alias", ["3.5", "3.6", "Q2"])
     def test_alias_ids_are_rejected(self, alias, capsys):
         # one id per harness: 3.5/3.6 and Q1 are the only names
@@ -271,3 +278,20 @@ class TestRepeatedCalls:
         assert main(verify) == 0
         printed = capsys.readouterr().out
         assert '"summary"' in printed and "runtime_ms" not in printed
+
+
+class TestFileErrors:
+    """A file that cannot be opened is an error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["quadruples", "import", "--csv", "{missing}"],
+        ["verify", "Q1", "--from", "{missing}"],
+        ["formula", "exists m in [1,2]: Q(m, m, m, m)", "--q-csv", "{missing}"],
+        ["--out", "{missing_dir}/r.json", "eval", "n", "--n", "1..2"],
+    ])
+    def test_unreadable_file(self, argv, tmp_path, capsys):
+        argv = [a.format(missing=tmp_path / "missing.csv",
+                         missing_dir=tmp_path / "missing") for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: FileNotFoundError: ") and "Traceback" not in err

@@ -4,10 +4,14 @@ The reference below is the literal reading of each operation on Python
 ints: sorted tuples for `members`, a set comprehension for `close_pm`, and a
 per-member loop for `check_Q1`.  Rows are small and random: duplicates,
 negatives, m = 0, rows that are not multiplicative and rows whose swap is
-missing.
+missing.  `import_csv` is compared with a line-by-line parser on `int`, and
+`contains` with the set of members.
 """
 
 import io
+import warnings
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -106,3 +110,82 @@ def test_rows_that_differ_only_in_c():
     rows = [(1, 2, 3, 2**63 - 1), (1, 2, 3, -2**63), (1, 2, 3, 0), (0, 5, 5, 7),
             (1, 2, 3, 0), (1, 2, 4, -1)]
     _same_set(ExplicitQSet(rows), frozenset(rows))
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def ref_import(text):
+    """The line-by-line parser on Python ints that `import_csv` replaced."""
+    lines = [line for line in map(str.strip, io.StringIO(text)) if line]
+    rows = []
+    for line in lines:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"malformed quadruple line: {line!r}")
+        rows.append(tuple(map(int, parts)))
+    if not all(INT64_MIN <= v <= INT64_MAX for row in rows for v in row):
+        raise ValueError("quadruple line outside the int64 range")
+    return frozenset(rows)
+
+
+blank = st.text(" \r", max_size=2)
+digits = st.one_of(small.map(str), st.integers(-2**64, 2**64).map(str),
+                   st.sampled_from(["+7", "-0", "007"]))
+junk = st.sampled_from(["", "+", "-", "+-1", "--3", "1 2", "1\r2"]) | st.text(
+    "0123456789+-, \r", max_size=4)
+good_line = st.lists(st.builds("{}{}{}".format, blank, digits, blank),
+                     min_size=4, max_size=4).map(",".join)
+any_line = st.lists(st.builds("{}{}{}".format, blank, digits | junk, blank),
+                    min_size=3, max_size=5).map(",".join)
+
+
+def csv_texts(line):
+    return st.builds(str.join, st.sampled_from(["\n", "\r\n"]), st.lists(line, max_size=8))
+
+
+csv_text = st.one_of(csv_texts(good_line | blank), csv_texts(good_line | any_line | blank),
+                     st.text("0123456789+-, \r\n", max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text)
+def test_import_matches_line_parser(text):
+    try:
+        want = ref_import(text)
+    except ValueError:
+        with pytest.raises(ValueError, match="quadruple line"):
+            import_csv(io.StringIO(text))
+        return
+    _same_set(import_csv(io.StringIO(text)), want)
+
+
+def test_import_of_five_columns_and_of_nothing():
+    with pytest.raises(ValueError, match=r"malformed quadruple line: '1,2,3,4,5'"):
+        import_csv(io.StringIO("1,2,3,4,5\n6,7,8,9,10\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = import_csv(io.StringIO(" \n\r\n\n"))
+    assert Q.cols.shape == (4, 0) and Q.cols.dtype == "int64"
+    assert not Q.contains(1, 1, 1, 1)
+    _same_set(Q, frozenset())
+
+
+def test_import_reads_decimal_digits_only():
+    # int() takes the digit separator of Python literals; a CSV field does not
+    with pytest.raises(ValueError, match=r"malformed quadruple line: '1_000,2,3,4'"):
+        import_csv(io.StringIO("1,2,3,4\n1_000,2,3,4\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(row_lists(), st.lists(st.tuples(*[st.one_of(wide, small)] * 4),
+                                            max_size=12)))
+def test_contains_matches_member_set(rows):
+    Q = ExplicitQSet(rows)
+    store = set(Q.members())
+    near = [row[:i] + (row[i] + d,) + row[i + 1:]
+            for row in store for i in range(4) for d in (-1, 1)]
+    outside = [row[:i] + (v,) + row[i + 1:] for row in list(store)[:3] + [(1, 2, 3, 6)]
+               for i in range(4) for v in (INT64_MIN - 1, INT64_MAX + 1, 10**20)]
+    for probe in list(store) + near + outside:
+        assert Q.contains(*probe) == (probe in store)
