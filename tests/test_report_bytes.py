@@ -58,6 +58,12 @@ REPORTS = {
     "search-small-norm": (["search", "small-norm", "--strategy", "exhaustive",
                            "--eps", "1/100000"],
                           "795cc88471c24c87c95ff24fab0ca31eb4857f4c99f0f33d0caaa05a8fc4c62c"),
+    # the default search order, pinned to the same bytes as the
+    # exhaustive scan above, and a progression base of Lemma 3.8
+    "search-small-norm-default": (["search", "small-norm", "--eps", "1/100000"],
+                                  "795cc88471c24c87c95ff24fab0ca31eb4857f4c99f0f33d0caaa05a8fc4c62c"),
+    "search-progression-base": (["search", "progression-base", "--r", "6"],
+                                "65f362a5910b85d5ea28f613cac4af79f8ffdce8b285eb307486fc859db54267"),
     "search-weyl": (["search", "weyl", "--target", "alpha*n;-1/1000;1/1000",
                      "--target", "alpha*n*n;0;1/10"],
                     "2b216f381eb1e61062c22ebee49dc4c2228833d3b1b6aeefef597f8f145a537e"),
