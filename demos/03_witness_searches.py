@@ -6,7 +6,6 @@ equidistribution report.
 from fractions import Fraction
 
 from gparith.diosearch import (
-    SearchBudget,
     calibrate_C,
     continued_fraction,
     equidist_check,
@@ -24,20 +23,20 @@ cf = continued_fraction(alpha, 10)
 print("CF(2^(1/3)) =", cf.partial_quotients)
 print("convergents:", cf.convergents()[:6])
 
-w = find_small_norm(sqrt2, Fraction(1, 10), SearchBudget(strategy="exhaustive"))
+w = find_small_norm(sqrt2, Fraction(1, 10), 10**6)
 print(f"\nsmallest m with ||sqrt2 m|| < 1/10: m = {w.m}, "
       f"norm ~ {float(w.achieved['norm']):.5f}")
 
 print("\nprogression bases (norm conditions for length-r admissibility):")
 for r in range(2, 9):
-    w = find_progression_base(r, alpha, 1, SearchBudget(max_candidate=10**7))
+    w = find_progression_base(r, alpha, 1, 10**7)
     print(f"  r = {r}: m = {w.m:4d}   ||alpha m|| ~ "
           f"{float(w.achieved['alpha_norm']):.5f} < {1 / (2 * r):.5f}")
 
 n = find_weyl_witness(
     [("alpha*n*n", (Fraction(1, 5) - Fraction(1, 50), Fraction(1, 5))),
      ("2*alpha*n", (Fraction(0), Fraction(1, 40)))],
-    SearchBudget(max_candidate=10**6), {"alpha": sqrt2})
+    10**6, {"alpha": sqrt2})
 print(f"\nsimultaneous targets hit at n = {n}:")
 print("  frac(sqrt2 n^2) ~", float((sqrt2 * n * n).frac_signed()))
 print("  frac(2 sqrt2 n) ~", float((2 * sqrt2 * n).frac_signed()))

@@ -14,13 +14,13 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from . import harness as H
 from ._fastlane import BohrFast, QuadSeqFast
 from .bohr import BohrParams, BohrWorld, divisibility_sequence_check
 from .config import ConfigError, as_algebraic, beta_for_lane, load_config
 from .diosearch import (
-    SearchBudget,
     equidist_check,
     find_progression_base,
     find_small_norm,
@@ -61,6 +61,14 @@ def _binding(text: str) -> tuple[str, int]:
     raise argparse.ArgumentTypeError(f"expects name=integer, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """A search bound: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
+    return value
+
+
 def _value_str(v) -> str:
     if isinstance(v, AlgebraicReal):
         coeffs = ",".join(str(c) for c in v.coeffs)
@@ -94,16 +102,15 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_search(args, cfg) -> int:
-    budget = SearchBudget(max_candidate=args.max, strategy=args.strategy)
     alpha = as_algebraic(cfg.constant(args.const), args.const)
     with _report_out(args) as out:
         if args.what == "small-norm":
-            w = find_small_norm(alpha, Fraction(args.eps), budget)
+            w = find_small_norm(alpha, Fraction(args.eps), args.max)
             rec = {"search": "small-norm", "m": w.m,
                    "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
         elif args.what == "progression-base":
             beta = cfg.constant("beta")
-            w = find_progression_base(args.r, alpha, beta, budget)
+            w = find_progression_base(args.r, alpha, beta, args.max)
             rec = {"search": "progression-base", "r": args.r, "m": w.m,
                    "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
         else:  # weyl
@@ -111,7 +118,7 @@ def cmd_search(args, cfg) -> int:
             for spec_ in args.target:
                 expr_text, lo, hi = spec_.split(";")
                 targets.append((expr_text, (Fraction(lo), Fraction(hi))))
-            n = find_weyl_witness(targets, budget, cfg.constants)
+            n = find_weyl_witness(targets, args.max, cfg.constants)
             rec = {"search": "weyl", "n": n, "targets": args.target}
         out.write(json.dumps(rec, sort_keys=True) + "\n")
     print("witness found", file=sys.stderr)
@@ -340,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/10")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--const", default="alpha")
-    p.add_argument("--max", type=int, default=10**6)
-    p.add_argument("--strategy", default="hybrid",
-                   choices=("exhaustive", "hybrid"))
+    p.add_argument("--max", type=_positive_int, default=10**6)
     p.add_argument("--target", action="append", default=[],
                    help='weyl target "expr;lo;hi" (repeatable)')
     p.set_defaults(func=cmd_search)
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--nprime-max", type=int, default=None)
     p.add_argument("--h-factor", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=_positive_int, default=10**7)
     p.add_argument("--orbit", type=int, default=200_000)
     p.add_argument("--grid", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=0.02)
@@ -414,6 +419,9 @@ def main(argv=None) -> int:
             cfg.ints["seed"] = args.seed
         if args.out is None and cfg.out:
             args.out = cfg.out
+        if args.out and not Path(args.out).parent.is_dir():
+            # fail before the work; the report itself is opened after it
+            raise FileNotFoundError(f"no directory for --out {args.out}")
         return args.func(args, cfg)
     except (GparithError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Bounded Diophantine-approximation searches.
 
-Every witness returned by this module is exact: `FastConst.within` masks
-and the integer lanes answer exactly, and scalar candidates and Weyl and
-Lemma 3.2 witnesses are checked in exact field arithmetic before they are
-reported.  Searches that find nothing within their budget raise
-NotFoundWithinBudget; absence of a witness in a scanned range is certified,
-because every lane entry is decided exactly.
+Each search scans its candidates in ascending order, up to a
+`max_candidate` bound, and returns the least witness in that range.
+Every witness is exact: `FastConst.within` masks and the integer lanes
+answer exactly, and survivors of the masks are checked in exact field
+arithmetic before they are reported.  Searches that find nothing within
+their bound raise NotFoundWithinBudget; absence of a witness in a scanned
+range is certified, because every lane entry is decided exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,21 +42,6 @@ from .genpoly import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
-
-STRATEGY_EXHAUSTIVE = "exhaustive"
-STRATEGY_HYBRID = "hybrid"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_candidate: int = 10**6
-    strategy: str = STRATEGY_HYBRID
-
-    def __post_init__(self):
-        if self.max_candidate < 1:
-            raise ValueError("max_candidate must be >= 1")
-        if self.strategy not in (STRATEGY_EXHAUSTIVE, STRATEGY_HYBRID):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -103,52 +89,26 @@ def continued_fraction(x: AlgebraicReal, k: int) -> CFExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_stream(x: AlgebraicReal, budget: SearchBudget) -> Iterable[int]:
-    """Every m <= max_candidate in order; the hybrid strategy first tries
-    the multiples j*q (j <= 4) of the convergent denominators q."""
-    seen: set[int] = set()
-    if budget.strategy == STRATEGY_HYBRID:
-        for _, q in continued_fraction(x, 40).convergents():
-            if q < 1 or q > budget.max_candidate:
-                continue
-            for j in range(1, 5):
-                m = j * q
-                if m <= budget.max_candidate and m not in seen:
-                    seen.add(m)
-                    yield m
-    for m in range(1, budget.max_candidate + 1):
-        if m not in seen:
-            yield m
-
-
-def find_small_norm(x: AlgebraicReal, eps, budget: SearchBudget) -> ApproxWitness:
-    """Some m <= max_candidate with ||x*m|| < eps (exact test).
-
-    With the exhaustive strategy the returned m is minimal.
-    """
+def find_small_norm(x: AlgebraicReal, eps, max_candidate: int) -> ApproxWitness:
+    """The least m <= max_candidate with ||x*m|| < eps (exact test)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if x.is_rational():
         raise RationalInput("x must be irrational")
-    if budget.strategy == STRATEGY_EXHAUSTIVE:
-        # exact block masks, ascending
-        fc = FastConst(x)
-        for ms in blocks(1, budget.max_candidate + 1):
-            hits = ms[fc.within(ms, -eps, eps)]
-            if len(hits):
-                m = int(hits[0])
-                return ApproxWitness(m, {"norm": (x * m).circle_norm()})
-        raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
-    for m in _candidate_stream(x, budget):
-        if ((x * m).circle_norm() - eps).sign() < 0:
+    fc = FastConst(x)
+    for ms in blocks(1, max_candidate + 1):
+        hits = ms[fc.within(ms, -eps, eps)]
+        if len(hits):
+            m = int(hits[0])
             return ApproxWitness(m, {"norm": (x * m).circle_norm()})
-    raise NotFoundWithinBudget(f"no m <= {budget.max_candidate} with norm < {eps}")
+    raise NotFoundWithinBudget(f"no m <= {max_candidate} with norm < {eps}")
 
 
 def find_progression_base(r: int, alpha: AlgebraicReal, beta,
-                          budget: SearchBudget) -> ApproxWitness:
-    """m with ||alpha*m|| < 1/(2r) and ||beta*m*nint(alpha*m)|| < 1/(2r^2)."""
+                          max_candidate: int) -> ApproxWitness:
+    """The least m <= max_candidate with ||alpha*m|| < 1/(2r) and
+    ||beta*m*nint(alpha*m)|| < 1/(2r^2)."""
     if r < 2:
         raise ValueError("r must be >= 2")
     eps1 = Fraction(1, 2 * r)
@@ -164,11 +124,14 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
             return None
         return ApproxWitness(m, {"alpha_norm": n1, "beta_norm": n2v})
 
-    for m in _candidate_stream(alpha, budget):
-        w = qualifies(m)
-        if w is not None:
-            return w
-    raise NotFoundWithinBudget(f"no progression base for r={r} within {budget.max_candidate}")
+    # the exact ||alpha*m|| mask first; the beta test on its survivors only
+    fc = FastConst(alpha)
+    for ms in blocks(1, max_candidate + 1):
+        for m in map(int, ms[fc.within(ms, -eps1, eps1)]):
+            w = qualifies(m)
+            if w is not None:
+                return w
+    raise NotFoundWithinBudget(f"no progression base for r={r} within {max_candidate}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +161,17 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
 
 
 def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
-                         budget: SearchBudget) -> int:
+                         max_candidate: int) -> int:
     """Least n2 in [C*n1, max_candidate] with D2 g(n0,n1,n2) = 0."""
     if n0 < C or n1 < C * n0:
         raise PreconditionViolated(f"need n0 >= C and n1 >= C*n0 (C={C})")
     s = (g.alpha * n0).frac_signed() + (g.alpha * n1).frac_signed()
     if (abs(s) - Fraction(1, 2)).sign() >= 0:
         raise PreconditionViolated("|frac(alpha n0) + frac(alpha n1)| < 1/2 fails")
-    w = lemma32_scan(n0, n1, C * n1, budget.max_candidate, g)
+    w = lemma32_scan(n0, n1, C * n1, max_candidate, g)
     if w is None:
         raise NotFoundWithinBudget(
-            f"no n2 in [{C * n1}, {budget.max_candidate}] for ({n0}, {n1})")
+            f"no n2 in [{C * n1}, {max_candidate}] for ({n0}, {n1})")
     return w
 
 
@@ -275,7 +238,7 @@ def _target_holds(t: _Target, env: dict) -> bool:
     return t.lo < frac_signed(t.value(env, {})) < t.hi
 
 
-def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
+def find_weyl_witness(targets: Sequence[tuple], max_candidate: int,
                       context: dict | None = None, start: int = 1) -> int:
     """Least n >= start with frac_signed(expr_i(n)) in its open interval,
     for every target; exact membership on every reported witness."""
@@ -286,7 +249,7 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
         return start
     lanes = [t for t in prepped if t.coeff is not None]
     fasts = [FastConst(t.coeff) for t in lanes]
-    for ns in blocks(start, budget.max_candidate + 1):
+    for ns in blocks(start, max_candidate + 1):
         mask = np.ones(len(ns), dtype=bool)
         for t, fc in zip(lanes, fasts):
             if t.degree == 2:
@@ -300,7 +263,7 @@ def find_weyl_witness(targets: Sequence[tuple], budget: SearchBudget,
             env["n"] = n
             if all(_target_holds(t, env) for t in prepped):
                 return n
-    raise NotFoundWithinBudget(f"no witness <= {budget.max_candidate}")
+    raise NotFoundWithinBudget(f"no witness <= {max_candidate}")
 
 
 # ---------------------------------------------------------------------------

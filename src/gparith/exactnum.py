@@ -580,6 +580,9 @@ class AlgebraicReal:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational divisor needs no field inverse
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

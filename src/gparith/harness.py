@@ -21,21 +21,22 @@ from . import bohr as bohr_mod
 from ._fastlane import FastConst
 from .diosearch import (
     DEFAULT_SEED,
-    SearchBudget,
     calibrate_C,
     continued_fraction,
     equidist_check,
     find_progression_base,
     find_small_norm,
+    find_weyl_witness,
     lemma32_scan,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
-from .exactnum import AlgebraicReal
+from .exactnum import AlgebraicReal, ball_eval
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
     BoundProfile,
     DEFAULT_BOUNDS,
+    def_pi,
     delta_bounded,
     ell,
     lemma36_characterisation,
@@ -136,8 +137,6 @@ def verify_numeric_core(field, count: int = 1000, seed: int = DEFAULT_SEED,
                         ball_bits: int = 256) -> HarnessResult:
     """Random field elements: x = nint + frac, frac in [-1/2, 1/2),
     nint(x) = floor(x + 1/2), exact sign vs certified ball sign."""
-    from .exactnum import ball_eval
-
     res = HarnessResult("numeric-core")
     rng = random.Random(seed)
     half = Fraction(1, 2)
@@ -520,14 +519,11 @@ def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
     admissibility formula (which starts at 3m); its content degenerates to
     the range-feasibility bound, checked directly.
     """
-    from .focheck import def_pi, ell
-
     res = HarnessResult("3.8")
     g = ctx.g
     for r in rs:
         try:
-            w = find_progression_base(r, ctx.alpha, ctx.beta,
-                                      SearchBudget(max_candidate=budget_cap))
+            w = find_progression_base(r, ctx.alpha, ctx.beta, budget_cap)
         except NotFoundWithinBudget as exc:
             res.add({"r": r}, "fail", witness=str(exc))
             continue
@@ -699,8 +695,7 @@ def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResul
     res.add({"check": "forward-trend", "Ns": list(_LEMMA42_NS)},
             "pass" if trend_ok else "fail", witness=trend)
 
-    w = find_small_norm(2 * alpha, Fraction(1, 5000),
-                        SearchBudget(max_candidate=10**6))
+    w = find_small_norm(2 * alpha, Fraction(1, 5000), 10**6)
     lam_ok = world.lambda_(w.m, _LEMMA42_NS[0])
     res.add({"check": "converse", "m": w.m, "N": _LEMMA42_NS[0]},
             "pass" if lam_ok else "fail",
@@ -712,14 +707,11 @@ def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResul
 def verify_lemma43(world: bohr_mod.BohrWorld) -> HarnessResult:
     """Small norm(alpha m^2) forces the shifted-hit property within caps;
     at least one large-norm m refutes it (thresholds empirical, labelled)."""
-    from .diosearch import find_weyl_witness
-
     res = HarnessResult("4.3")
     alpha = world.params.alpha
     N = world.bounds.N_cap
     m_good = find_weyl_witness([("alpha*n*n", (-_GOOD_EPS, _GOOD_EPS))],
-                               SearchBudget(max_candidate=10**6),
-                               {"alpha": alpha})
+                               10**6, {"alpha": alpha})
     kv = world.kappa(m_good, N)
     res.add({"m": m_good, "N": N, "direction": "converse"},
             "pass" if kv.value is True else

@@ -224,9 +224,17 @@ class TestSearchAndBohr:
     def test_search_small_norm(self, capsys):
         code, out, _ = run_cli(
             ["search", "small-norm", "--eps", "1/10", "--const", "bohr_alpha",
-             "--strategy", "exhaustive", "--max", "1000"], capsys)
+             "--max", "1000"], capsys)
         assert code == 0
         assert json.loads(out)["m"] == 5
+
+    @pytest.mark.parametrize("argv", [["search", "small-norm", "--max", "0"],
+                                      ["verify", "3.8", "--budget", "0"]])
+    def test_bound_below_one_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expects an integer >= 1" in capsys.readouterr().err
 
     def test_bohr_eval(self, capsys):
         code, out, _ = run_cli(["bohr", "eval", "--n", "0..6"], capsys)
@@ -295,3 +303,14 @@ class TestFileErrors:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: FileNotFoundError: ") and "Traceback" not in err
+
+    def test_out_directory_is_checked_before_the_work(self, tmp_path, monkeypatch,
+                                                      capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the harness ran before the --out check")
+
+        monkeypatch.setattr("gparith.harness.verify_lemma33", never)
+        code, out, err = run_cli(["--out", str(tmp_path / "missing" / "x.json"),
+                                  "verify", "3.3", "--m-max", "500"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: FileNotFoundError: ")

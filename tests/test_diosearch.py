@@ -7,7 +7,6 @@ import pytest
 
 from gparith._fastlane import QuadSeqFast
 from gparith.diosearch import (
-    SearchBudget,
     calibrate_C,
     continued_fraction,
     equidist_check,
@@ -23,6 +22,7 @@ from gparith.errors import (
     RationalInput,
     ThetaRational,
 )
+from gparith.exactnum import circle_norm
 from gparith.genpoly import delta_sym_iter
 
 mp.mp.dps = 50
@@ -54,43 +54,70 @@ class TestContinuedFraction:
 
 class TestSmallNorm:
     def test_sqrt2_eps_tenth(self, sqrt2):
-        w = find_small_norm(sqrt2, Fraction(1, 10),
-                            SearchBudget(strategy="exhaustive"))
+        w = find_small_norm(sqrt2, Fraction(1, 10), 10**6)
         assert w.m == 5
         assert float(w.achieved["norm"]) == pytest.approx(
             float(abs(5 * mp.sqrt(2) - 7)))
 
     def test_sqrt2_eps_half(self, sqrt2):
-        w = find_small_norm(sqrt2, Fraction(1, 2),
-                            SearchBudget(strategy="exhaustive"))
+        w = find_small_norm(sqrt2, Fraction(1, 2), 10**6)
         assert w.m == 1
 
     def test_budget_exhaustion(self, sqrt2):
         with pytest.raises(NotFoundWithinBudget):
-            find_small_norm(sqrt2, Fraction(1, 10**9),
-                            SearchBudget(max_candidate=10))
-
-    def test_exhaustive_is_minimal(self, alpha):
-        for eps in (Fraction(1, 7), Fraction(1, 23), Fraction(1, 80)):
-            w = find_small_norm(alpha, eps, SearchBudget(strategy="exhaustive"))
-            brute = next(m for m in range(1, 10**6)
-                         if ((alpha * m).circle_norm() - eps).sign() < 0)
-            assert w.m == brute
+            find_small_norm(sqrt2, Fraction(1, 10**9), 10)
 
     def test_rational_rejected(self, cbrt2_field):
         with pytest.raises(RationalInput):
             find_small_norm(cbrt2_field.from_rational(Fraction(3, 7)),
-                            Fraction(1, 10), SearchBudget())
+                            Fraction(1, 10), 10**6)
 
     def test_witness_reverifies(self, alpha):
-        w = find_small_norm(alpha, Fraction(1, 50), SearchBudget())
+        w = find_small_norm(alpha, Fraction(1, 50), 10**6)
         assert ((alpha * w.m).circle_norm() - Fraction(1, 50)).sign() < 0
+
+
+def _least(holds, limit: int) -> int:
+    """The reference: a brute-force exact scalar scan of 1..limit."""
+    return next(m for m in range(1, limit + 1) if holds(m))
+
+
+class TestLeastWitness:
+    """Each search returns the least witness, and none below a bound that
+    excludes it."""
+
+    @pytest.mark.parametrize("x", ["alpha", "sqrt2"])
+    @pytest.mark.parametrize("eps", [Fraction(1, d) for d in (2, 7, 23, 80, 300, 1000, 3000)],
+                             ids=str)
+    def test_small_norm(self, x, eps, request):
+        x = request.getfixturevalue(x)
+        least = _least(lambda m: ((x * m).circle_norm() - eps).sign() < 0, 5000)
+        assert find_small_norm(x, eps, 10**6).m == least
+        if least > 1:
+            with pytest.raises(NotFoundWithinBudget):
+                find_small_norm(x, eps, least - 1)
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    @pytest.mark.parametrize("beta", ["1", "alpha^2"])
+    def test_progression_base(self, alpha, r, beta):
+        b = 1 if beta == "1" else alpha * alpha
+
+        def holds(m):
+            am = alpha * m
+            return ((am.circle_norm() - Fraction(1, 2 * r)).sign() < 0
+                    and circle_norm(b * m * am.nint()) < Fraction(1, 2 * r * r))
+
+        least = _least(holds, 1000)
+        assert find_progression_base(r, alpha, b, 10**6).m == least
+        if least > 1:
+            with pytest.raises(NotFoundWithinBudget):
+                find_progression_base(r, alpha, b, least - 1)
 
 
 class TestProgressionBase:
     @pytest.mark.parametrize("r", [2, 4, 6])
     def test_conditions_hold(self, alpha, r):
-        w = find_progression_base(r, alpha, 1, SearchBudget(max_candidate=10**6))
+        w = find_progression_base(r, alpha, 1, 10**6)
         m = w.m
         assert ((alpha * m).circle_norm() - Fraction(1, 2 * r)).sign() < 0
         g = QuadSeqFast(alpha, 1)
@@ -99,15 +126,14 @@ class TestProgressionBase:
 
     def test_budget(self, alpha):
         with pytest.raises(NotFoundWithinBudget):
-            find_progression_base(2, alpha, 1, SearchBudget(max_candidate=1))
+            find_progression_base(2, alpha, 1, 1)
 
     def test_r_guard(self, alpha):
         with pytest.raises(ValueError):
-            find_progression_base(1, alpha, 1, SearchBudget())
+            find_progression_base(1, alpha, 1, 10**6)
 
     def test_algebraic_beta(self, alpha):
-        w = find_progression_base(3, alpha, alpha * alpha,
-                                  SearchBudget(max_candidate=10**6))
+        w = find_progression_base(3, alpha, alpha * alpha, 10**6)
         inner = alpha * alpha * w.m * (alpha * w.m).nint()
         assert (inner.circle_norm() - Fraction(1, 18)).sign() < 0
 
@@ -115,19 +141,19 @@ class TestProgressionBase:
 class TestLemma32Witness:
     def test_witness_reverifies(self, alpha):
         g = QuadSeqFast(alpha, 1)
-        n2 = find_lemma32_witness(5, 50, 2, g, SearchBudget(max_candidate=10**6))
+        n2 = find_lemma32_witness(5, 50, 2, g, 10**6)
         assert delta_sym_iter(g, [5, 50, n2]) == 0
         # least witness: nothing below it
         assert lemma32_scan(5, 50, 100, n2 - 1, g) is None
 
     def test_precondition_ratio(self, alpha):
         with pytest.raises(PreconditionViolated):
-            find_lemma32_witness(5, 7, 2, QuadSeqFast(alpha, 1), SearchBudget())
+            find_lemma32_witness(5, 7, 2, QuadSeqFast(alpha, 1), 10**6)
 
     def test_precondition_fractional(self, alpha):
         # frac(2 alpha) + frac(6 alpha) ~ -0.92 violates the strict bound
         with pytest.raises(PreconditionViolated):
-            find_lemma32_witness(2, 6, 2, QuadSeqFast(alpha, 1), SearchBudget())
+            find_lemma32_witness(2, 6, 2, QuadSeqFast(alpha, 1), 10**6)
 
 
 class TestWeylWitness:
@@ -135,7 +161,7 @@ class TestWeylWitness:
         n = find_weyl_witness(
             [("alpha*n*n", (Fraction(1, 5) - Fraction(1, 50), Fraction(1, 5))),
              ("2*alpha*n", (Fraction(0), Fraction(1, 40)))],
-            SearchBudget(max_candidate=10**6), {"alpha": sqrt2})
+            10**6, {"alpha": sqrt2})
         v1 = (sqrt2 * n * n).frac_signed()
         assert (v1 - (Fraction(1, 5) - Fraction(1, 50))).sign() > 0
         assert (Fraction(1, 5) - v1).sign() > 0
@@ -143,19 +169,19 @@ class TestWeylWitness:
         assert v2.sign() > 0 and (Fraction(1, 40) - v2).sign() > 0
 
     def test_empty_targets(self):
-        assert find_weyl_witness([], SearchBudget()) == 1
+        assert find_weyl_witness([], 10**6) == 1
 
     def test_contradictory(self, sqrt2):
         with pytest.raises(NotFoundWithinBudget):
             find_weyl_witness(
                 [("alpha*n", (Fraction(1, 10), Fraction(2, 10))),
                  ("alpha*n", (Fraction(3, 10), Fraction(4, 10)))],
-                SearchBudget(max_candidate=3000), {"alpha": sqrt2})
+                3000, {"alpha": sqrt2})
 
     def test_empty_interval_rejected(self, sqrt2):
         with pytest.raises(ValueError):
             find_weyl_witness([("alpha*n", (Fraction(1, 5), Fraction(1, 5)))],
-                              SearchBudget(), {"alpha": sqrt2})
+                              10**6, {"alpha": sqrt2})
 
     def test_negative_start_guards_the_square(self, sqrt2):
         # the first block's largest |n| is its first entry, whose square
@@ -163,8 +189,7 @@ class TestWeylWitness:
         start = -(isqrt(2**63 - 1) + 10)
         with pytest.raises(ValueError, match="int64"):
             find_weyl_witness([("alpha*n*n", (Fraction(0), Fraction(1, 2)))],
-                              SearchBudget(max_candidate=1), {"alpha": sqrt2},
-                              start=start)
+                              1, {"alpha": sqrt2}, start=start)
 
 
 class TestCalibration:

@@ -99,6 +99,19 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             _ = alpha / (alpha - alpha)
 
+    @pytest.mark.parametrize("k", [7, -3, Fraction(5, 11), Fraction(-2, 9)], ids=str)
+    def test_division_by_a_rational(self, alpha, k, monkeypatch):
+        x = 3 * alpha**2 - alpha + Fraction(1, 7)
+        want = x * Fraction(1, k)
+
+        def no_inverse(*args):
+            raise AssertionError("a rational divisor took the field inverse")
+
+        monkeypatch.setattr("gparith.exactnum.poly_ext_gcd", no_inverse)
+        assert x / k == want
+        with pytest.raises(ZeroDivisionError):
+            _ = x / 0
+
     def test_field_mismatch(self, alpha, sqrt2):
         with pytest.raises(FieldMismatch):
             _ = alpha + sqrt2

@@ -14,7 +14,7 @@ import ast
 from pathlib import Path
 
 from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
-from gparith.diosearch import SearchBudget, find_weyl_witness
+from gparith.diosearch import find_weyl_witness
 from gparith.exactnum import field_create, sign
 from gparith.harness import _max_norm
 
@@ -66,7 +66,7 @@ class TestInt64Guard:
         start = 4 * 10**9
         with pytest.raises(ValueError):
             find_weyl_witness([("alpha*n*n", (Fraction(-1, 100), Fraction(1, 100)))],
-                              SearchBudget(max_candidate=start + 1000),
+                              start + 1000,
                               {"alpha": alpha}, start=start)
 
     def test_lane_margin_holds_at_int64_min(self, alpha):

@@ -240,10 +240,10 @@ class TestEllProgressionPi:
         assert not def_pi(4, 52, ctx)  # beyond ell
 
     def test_pi_from_progression_base(self, ctx):
-        from gparith.diosearch import SearchBudget, find_progression_base
+        from gparith.diosearch import find_progression_base
 
         for r in (3, 5):
-            w = find_progression_base(r, ctx.alpha, 1, SearchBudget())
+            w = find_progression_base(r, ctx.alpha, 1, 10**6)
             assert def_pi(w.m, r * w.m, ctx)
 
 
@@ -260,9 +260,9 @@ class TestLemma37:
 
     def test_scaling_identity_on_witness(self, ctx):
         # on a progression-base instance g(tm) = t^2 g(m)
-        from gparith.diosearch import SearchBudget, find_progression_base
+        from gparith.diosearch import find_progression_base
 
-        w = find_progression_base(5, ctx.alpha, 1, SearchBudget())
+        w = find_progression_base(5, ctx.alpha, 1, 10**6)
         rep = verify_lemma37(w.m, 5 * w.m, ctx)
         g_m = ctx.g(w.m)
         assert rep.holds

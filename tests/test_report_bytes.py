@@ -55,13 +55,8 @@ REPORTS = {
                     "7dfc49d3474b2bf9393a078f2ce9f01059beb9378f7a5dd575715ae778d72021"),
     "eval-g": (["eval", "nint(beta*n*nint(alpha*n))", "--n", "0..300"],
                "39e91b7aea43d8d4d313d666be4dde4cae93ae1da323434509ce5e20c4f39db3"),
-    "search-small-norm": (["search", "small-norm", "--strategy", "exhaustive",
-                           "--eps", "1/100000"],
+    "search-small-norm": (["search", "small-norm", "--eps", "1/100000"],
                           "795cc88471c24c87c95ff24fab0ca31eb4857f4c99f0f33d0caaa05a8fc4c62c"),
-    # the default search order, pinned to the same bytes as the
-    # exhaustive scan above, and a progression base of Lemma 3.8
-    "search-small-norm-default": (["search", "small-norm", "--eps", "1/100000"],
-                                  "795cc88471c24c87c95ff24fab0ca31eb4857f4c99f0f33d0caaa05a8fc4c62c"),
     "search-progression-base": (["search", "progression-base", "--r", "6"],
                                 "65f362a5910b85d5ea28f613cac4af79f8ffdce8b285eb307486fc859db54267"),
     "search-weyl": (["search", "weyl", "--target", "alpha*n;-1/1000;1/1000",

@@ -204,9 +204,9 @@ class TestQSets:
                     assert got == want, (m, k, l)
 
     def test_progression_base_quadruples(self, ctx):
-        from gparith.diosearch import SearchBudget, find_progression_base
+        from gparith.diosearch import find_progression_base
 
-        w = find_progression_base(6, ctx.alpha, 1, SearchBudget())
+        w = find_progression_base(6, ctx.alpha, 1, 10**6)
         Q = build_Q(ctx, w.m, 60)
         assert Q.contains(w.m, w.m, 2 * w.m, 2 * w.m)
         assert Q.contains(w.m, 2 * w.m, 2 * w.m, 4 * w.m)
