@@ -86,6 +86,25 @@ def _report_out(args):
         yield fh
 
 
+def _alpha(cfg) -> AlgebraicReal:
+    return as_algebraic(cfg.constant("alpha"), "alpha")
+
+
+# The session-config values a harness may take, by harness keyword.
+_CONFIG_VALUES = {
+    "field": lambda cfg: _alpha(cfg).field,
+    "alpha": _alpha,
+    "beta": lambda cfg: cfg.constant("beta"),
+    "ctx": lambda cfg: AlphaContext(_alpha(cfg), beta_for_lane(cfg.constant("beta"))),
+    "world": lambda cfg: BohrWorld(
+        BohrParams(as_algebraic(cfg.constant("bohr_alpha"), "bohr_alpha"),
+                   cfg.constant("rho")), cfg.bohr_bounds()),
+    "seed": lambda cfg: cfg.seed,
+    "C": lambda cfg: cfg.C,
+    "bounds": lambda cfg: cfg.bound_profile(),
+}
+
+
 def cmd_eval(args, cfg) -> int:
     expr = parse(args.expr)
     value = compile_term(expr)
@@ -134,10 +153,7 @@ def cmd_quadruples(args, cfg) -> int:
         print(f"imported {rep.total} quadruples, "
               f"{len(rep.violations)} structural violations", file=sys.stderr)
         return 0 if not rep.violations else 1
-    alpha = as_algebraic(cfg.constant("alpha"), "alpha")
-    beta = beta_for_lane(cfg.constant("beta"))
-    ctx = AlphaContext(alpha, beta)
-    Q = build_Q(ctx, args.m_max, args.h_factor)
+    Q = build_Q(_CONFIG_VALUES["ctx"](cfg), args.m_max, args.h_factor)
     if args.csv:
         export_csv(Q, args.csv)
     print(json.dumps({"quadruples": len(Q), "m_max": args.m_max,
@@ -195,9 +211,8 @@ def cmd_formula(args, cfg) -> int:
 
 
 def cmd_equidist(args, cfg) -> int:
-    alpha = as_algebraic(cfg.constant("alpha"), "alpha")
     a, b, c, d = (int(x) for x in args.abcd.split(","))
-    rep = equidist_check(alpha, a, b, c, d, N=args.orbit, M=args.samples,
+    rep = equidist_check(_alpha(cfg), a, b, c, d, N=args.orbit, M=args.samples,
                          grid=args.grid, seed=cfg.seed)
     rec = {"discrepancy": rep.discrepancy,
            "origin_fraction": rep.origin_fraction,
@@ -212,9 +227,7 @@ def cmd_equidist(args, cfg) -> int:
 
 
 def cmd_bohr(args, cfg) -> int:
-    alpha = as_algebraic(cfg.constant("bohr_alpha"), "bohr_alpha")
-    rho = cfg.constant("rho")
-    world = BohrWorld(BohrParams(alpha, rho), cfg.bohr_bounds())
+    world = _CONFIG_VALUES["world"](cfg)
     with _report_out(args) as out:
         if args.action == "eval":
             lo, hi = _parse_range(args.n)
@@ -232,84 +245,51 @@ def cmd_bohr(args, cfg) -> int:
     return 0 if rep.agrees else 1
 
 
-_VERIFY_IDS = ("core", "2.1", "2.2", "3.1", "3.2", "3.3", "3.4", "3.5/3.6",
-               "3.7", "3.8", "Q1", "4.1", "4.2", "4.3", "4.4", "4.5")
+# verify id -> (the `harness` function, by name, so that a wrapper installed
+# on the module is honoured; the _CONFIG_VALUES it takes; each flag it reads,
+# mapped to its harness keyword).  An unset flag is not passed, so the
+# harness signature holds the only default.
+VERIFY = {
+    "core": ("verify_numeric_core", ("field", "seed"), {"--samples": "count"}),
+    "2.1": ("verify_prop21", (), {"--n-max": "n_cap"}),
+    "2.2": ("verify_lemma22", ("seed",), {"--samples": "count"}),
+    "3.1": ("verify_lemma31", ("alpha", "beta", "seed"), {"--samples": "samples"}),
+    "3.2": ("verify_lemma32", ("ctx", "C", "seed"), {"--pairs": "n_pairs"}),
+    "3.3": ("verify_lemma33", ("ctx", "C"), {"--n-max": "N_max", "--m-max": "m_max"}),
+    "3.4": ("verify_lemma34", ("alpha", "seed"),
+            {"--orbit": "N", "--samples": "M", "--grid": "grid", "--tolerance": "tol"}),
+    "3.5/3.6": ("verify_lemmas35_36", ("ctx", "bounds", "seed"),
+                {"--n-max": "n_max", "--nprime-max": "nprime_max", "--pairs": "count"}),
+    "3.7": ("verify_lemma37_range", ("ctx",),
+            {"--m-max": "m_max", "--h-factor": "h_factor"}),
+    "3.8": ("verify_lemma38", ("ctx",), {"--budget": "budget_cap"}),
+    "Q1": ("verify_q_axioms", ("ctx",),
+           {"--m-max": "m_max", "--h-factor": "h_factor", "--from": "source"}),
+    "4.1": ("verify_lemma41", ("world",), {"--n-max": "N", "--m-max": "m_max"}),
+    "4.2": ("verify_lemma42", ("world",), {"--m-max": "m_max"}),
+    "4.3": ("verify_lemma43", ("world",), {}),
+    "4.4": ("verify_lemma44", ("world",), {}),
+    "4.5": ("verify_lemma45", ("world",), {"--m-max": "max_m", "--budget": "budget"}),
+}
+# Every verify flag in order of first use; all but these take an integer >= 1.
+_VERIFY_FLAGS = list(dict.fromkeys(f for _, _, flags in VERIFY.values() for f in flags))
+_FLAG_TYPES = {"--tolerance": float, "--from": str}
 
 
 def cmd_verify(args, cfg) -> int:
-    alpha = as_algebraic(cfg.constant("alpha"), "alpha")
-    beta_val = cfg.constant("beta")
-    lemma = args.lemma
+    name, config, flags = VERIFY[args.lemma]
+    kwargs = {}
+    for flag in _VERIFY_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag not in flags:
+            raise ValueError(f"verify {args.lemma} does not read {flag} "
+                             f"(it reads: {', '.join(flags) or 'no flag'})")
+        kwargs[flags[flag]] = value
     t0 = time.monotonic()
-
-    if lemma == "core":
-        result = H.verify_numeric_core(alpha.field, count=args.samples or 1000,
-                                       seed=cfg.seed)
-    elif lemma == "2.2":
-        result = H.verify_lemma22(count=args.samples or 500, seed=cfg.seed)
-    elif lemma == "2.1":
-        result = H.verify_prop21(n_cap=args.n_max or 10)
-    elif lemma == "3.1":
-        result = H.verify_lemma31(alpha, beta_val, samples=args.samples or 10_000,
-                                  seed=cfg.seed)
-    elif lemma == "3.2":
-        ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-        result = H.verify_lemma32(ctx, C=cfg.C, n_pairs=args.pairs or 100,
-                                  seed=cfg.seed)
-    elif lemma == "3.3":
-        ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-        result = H.verify_lemma33(ctx, C=cfg.C, N_max=args.n_max or 30,
-                                  m_max=args.m_max or 10_000)
-    elif lemma == "3.4":
-        result = H.verify_lemma34(alpha, N=args.orbit, M=args.samples or 10**6,
-                                  grid=args.grid, tol=args.tolerance,
-                                  seed=cfg.seed)
-    elif lemma == "3.5/3.6":
-        ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-        result = H.verify_lemma36(ctx, n_max=args.n_max or 50,
-                                  nprime_max=args.nprime_max or 600,
-                                  bounds=cfg.bound_profile())
-        conv = H.verify_converse34(ctx, count=args.pairs or 1000, seed=cfg.seed)
-        result.records.extend(conv.records)
-        result.violations += conv.violations
-        result.summary["converse"] = conv.summary
-    elif lemma == "3.7":
-        ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-        result = H.verify_lemma37_range(ctx, m_max=args.m_max or 100,
-                                        h_factor=args.h_factor or 30)
-    elif lemma == "3.8":
-        ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-        result = H.verify_lemma38(ctx, budget_cap=args.budget)
-    elif lemma == "Q1":
-        if args.from_csv:
-            Q = import_csv(args.from_csv)
-            rep = check_Q1(Q)
-            result = H.HarnessResult(lemma)
-            result.add({"source": args.from_csv, "quadruples": rep.total},
-                       "pass" if not rep.violations else "fail",
-                       witness={"violations": rep.violations[:5]})
-            result.summary = {"quadruples": rep.total}
-            result.vacuous = rep.total == 0
-        else:
-            ctx = AlphaContext(alpha, beta_for_lane(beta_val))
-            result = H.verify_q_axioms(ctx, m_max=args.m_max or 10_000,
-                                       h_factor=args.h_factor or 1000)
-    else:  # 4.x
-        bohr_alpha = as_algebraic(cfg.constant("bohr_alpha"), "bohr_alpha")
-        world = BohrWorld(BohrParams(bohr_alpha, cfg.constant("rho")),
-                          cfg.bohr_bounds())
-        if lemma == "4.1":
-            result = H.verify_lemma41(world, N=args.n_max or 50,
-                                      m_max=args.m_max or 100_000)
-        elif lemma == "4.2":
-            result = H.verify_lemma42(world, m_max=args.m_max or 2000)
-        elif lemma == "4.3":
-            result = H.verify_lemma43(world)
-        elif lemma == "4.4":
-            result = H.verify_lemma44(world)
-        else:
-            result = H.verify_lemma45(world, max_m=args.m_max or 12,
-                                      budget=args.budget)
+    kwargs.update((key, _CONFIG_VALUES[key](cfg)) for key in config)
+    result = getattr(H, name)(**kwargs)
     runtime_ms = (time.monotonic() - t0) * 1000.0
 
     with _report_out(args) as out:
@@ -393,19 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bohr)
 
     p = sub.add_parser("verify", help="run a lemma harness")
-    p.add_argument("lemma", choices=_VERIFY_IDS)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--nprime-max", type=int, default=None)
-    p.add_argument("--h-factor", type=int, default=None)
-    p.add_argument("--budget", type=_positive_int, default=10**7)
-    p.add_argument("--orbit", type=int, default=200_000)
-    p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=0.02)
-    p.add_argument("--from", dest="from_csv", default=None,
-                   help="verify Q1 against a CSV quadruple file")
+    p.add_argument("lemma", choices=tuple(VERIFY))
+    for flag in _VERIFY_FLAGS:
+        ids = [i for i, (_, _, flags) in VERIFY.items() if flag in flags]
+        p.add_argument(flag, type=_FLAG_TYPES.get(flag, _positive_int), default=None,
+                       help=f"read by {', '.join(ids)}")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -61,6 +61,7 @@ from .weakmult import (
     eval_term_m,
     family_domain_ok,
     family_F,
+    import_csv,
     is_sign_closed,
     parse_poly,
     poly_to_term,
@@ -472,6 +473,19 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
     return res
 
 
+def verify_lemmas35_36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
+                       bounds: BoundProfile = DEFAULT_BOUNDS, count: int = 1000,
+                       seed: int = DEFAULT_SEED) -> HarnessResult:
+    """verify_lemma36 followed by the records of verify_converse34, whose
+    summary goes under "converse"."""
+    res = verify_lemma36(ctx, n_max, nprime_max, bounds)
+    conv = verify_converse34(ctx, count, seed)
+    res.records.extend(conv.records)
+    res.violations += conv.violations
+    res.summary["converse"] = conv.summary
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Lemma 3.7 (acceptance criterion 7)
 # ---------------------------------------------------------------------------
@@ -551,8 +565,19 @@ def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
 
 def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000,
                     h_factor: int = 1000,
-                    F=tuple((k, l) for k in range(1, 5) for l in range(1, 5))
-                    ) -> HarnessResult:
+                    F=tuple((k, l) for k in range(1, 5) for l in range(1, 5)),
+                    source: str | None = None) -> HarnessResult:
+    """Q1, Q2 and sign closure on the quadruples built from ctx, or Q1
+    alone on the quadruple CSV file `source`."""
+    if source is not None:
+        rep = check_Q1(import_csv(source))
+        res = HarnessResult("Q1")
+        res.add({"source": source, "quadruples": rep.total},
+                "pass" if not rep.violations else "fail",
+                witness={"violations": rep.violations[:5]})
+        res.summary = {"quadruples": rep.total}
+        res.vacuous = rep.total == 0
+        return res
     res = HarnessResult("Q1/Q2")
     Q = build_Q(ctx, m_max, h_factor)
     rep = check_Q1(Q)

@@ -1,12 +1,14 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import sys
 
 import pytest
 
-from gparith.cli import main
+from gparith import harness as H
+from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
 
 
@@ -129,6 +131,39 @@ class TestVerify:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lemma, code", [("2.1", 0), ("4.4", 0), ("3.7", 2)])
+    def test_an_id_reads_only_the_constants_it_uses(self, lemma, code, tmp_path,
+                                                    capsys):
+        # a config without alpha and beta: 2.1 and 4.4 read neither
+        cfg = tmp_path / "bohr.cfg"
+        cfg.write_text('bohr_alpha = algebraic { minpoly = [-2, 0, 1], '
+                       'interval = ["1", "2"] }\nrho = rational "1/5"\n')
+        got, _, err = run_cli(["--config", str(cfg), "verify", lemma], capsys)
+        assert got == code
+        assert ("constant 'alpha' is not declared" in err) == (code == 2)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["4.4", "--m-max", "5"], "--m-max"),
+        (["4.3", "--samples", "3"], "--samples"),
+        (["core", "--budget", "10"], "--budget"),
+        (["3.8", "--from", "q.csv"], "--from"),
+        (["2.1", "--tolerance", "0.1"], "--tolerance"),
+        (["3.7", "--m-max", "5", "--pairs", "2"], "--pairs"),
+    ])
+    def test_a_flag_the_id_does_not_read_is_rejected(self, argv, flag, capsys):
+        code, out, err = run_cli(["verify"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert f"verify {argv[0]} does not read {flag}" in err
+
+    @pytest.mark.parametrize("lemma", sorted(VERIFY))
+    def test_table_entry_fits_its_harness(self, lemma):
+        name, config, flags = VERIFY[lemma]
+        params = inspect.signature(getattr(H, name)).parameters
+        assert set(config) <= set(_CONFIG_VALUES)
+        assert set(config) | set(flags.values()) <= set(params)
+        required = {k for k, p in params.items() if p.default is p.empty}
+        assert required <= set(config)
+
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
@@ -228,8 +263,13 @@ class TestSearchAndBohr:
         assert code == 0
         assert json.loads(out)["m"] == 5
 
-    @pytest.mark.parametrize("argv", [["search", "small-norm", "--max", "0"],
-                                      ["verify", "3.8", "--budget", "0"]])
+    @pytest.mark.parametrize("argv", [
+        ["search", "small-norm", "--max", "0"], ["verify", "3.8", "--budget", "0"],
+        ["verify", "core", "--samples", "0"], ["verify", "3.2", "--pairs", "0"],
+        ["verify", "3.3", "--m-max", "0"], ["verify", "3.3", "--n-max", "0"],
+        ["verify", "3.5/3.6", "--nprime-max", "0"],
+        ["verify", "3.7", "--h-factor", "0"], ["verify", "3.4", "--orbit", "0"],
+        ["verify", "3.4", "--grid", "0"]])
     def test_bound_below_one_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

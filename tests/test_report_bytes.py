@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from gparith.cli import main
+from gparith.cli import VERIFY, main
 
 PSI = ("forall n in [1, 10]: exists n2 in [2*m, 3000]: "
        "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
@@ -111,6 +111,9 @@ Q_REPORTS = {
                   "daabfc95ada3e2d19b0ed28c9ed65c0d956a20e3adf1c436b124ab3fce230468"),
 }
 
+# verify ids with no pin, each naming the ROADMAP item that owes one
+LEFT_OUT = {"3.4": "ROADMAP item 13"}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -145,3 +148,15 @@ def test_q_csv_report_digest(name, tmp_path, monkeypatch, capsys):
         assert _sha256(tmp_path / "report") == digest
     else:
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+def _verify_id(argv):
+    return argv[argv.index("verify") + 1] if "verify" in argv else None
+
+
+def test_every_verify_id_is_pinned_or_owed():
+    pinned = {_verify_id(argv) for argv, _ in [*REPORTS.values(), *Q_REPORTS.values()]}
+    pinned.discard(None)
+    assert pinned <= set(VERIFY)
+    assert set(VERIFY) - pinned == set(LEFT_OUT)
+    assert all(item.startswith("ROADMAP item ") for item in LEFT_OUT.values())
