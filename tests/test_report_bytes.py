@@ -35,6 +35,11 @@ REPORTS = {
                    "0083ff53c85ac2ec5058d11be99ef0d5fcbeda99fb627e377d8b4b0f8b7549ac"),
     "verify-3.3": (["verify", "3.3", "--n-max", "6", "--m-max", "200"],
                    "4e5e29725dade7cbad03a60fc5f07cace4014ed44198d97fcbfebfd076f6b30a"),
+    # the perfbench flags: most columns scan the full extend cap
+    "verify-3.3-m500": (["verify", "3.3", "--m-max", "500"],
+                        "3aec772e4e88ae3c29ee6584cb980fa73856ce5e82e9f75e4fc1fdcd82d1e811"),
+    "verify-3.2-pairs25": (["verify", "3.2", "--pairs", "25"],
+                           "42643abc1ab28916ec26e9e5345d4bcfbecf71e5055c4f656acb1d1c19de8f20"),
     "verify-3.5-3.6": (["verify", "3.5/3.6", "--n-max", "3", "--nprime-max", "40",
                         "--pairs", "20"],
                        "f62869747c1c9f6dea4975fd429cfa149dee541e0346f95934577a35022bc75e"),
