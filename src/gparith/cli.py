@@ -248,7 +248,8 @@ def cmd_bohr(args, cfg) -> int:
 # verify id -> (the `harness` function, by name, so that a wrapper installed
 # on the module is honoured; the _CONFIG_VALUES it takes; each flag it reads,
 # mapped to its harness keyword).  An unset flag is not passed, so the
-# harness signature holds the only default.
+# harness signature holds the only default.  The entry "<id> <flag>" is the
+# arm of <id> that a given <flag> selects.
 VERIFY = {
     "core": ("verify_numeric_core", ("field", "seed"), {"--samples": "count"}),
     "2.1": ("verify_prop21", (), {"--n-max": "n_cap"}),
@@ -263,8 +264,8 @@ VERIFY = {
     "3.7": ("verify_lemma37_range", ("ctx",),
             {"--m-max": "m_max", "--h-factor": "h_factor"}),
     "3.8": ("verify_lemma38", ("ctx",), {"--budget": "budget_cap"}),
-    "Q1": ("verify_q_axioms", ("ctx",),
-           {"--m-max": "m_max", "--h-factor": "h_factor", "--from": "source"}),
+    "Q1": ("verify_q_axioms", ("ctx",), {"--m-max": "m_max", "--h-factor": "h_factor"}),
+    "Q1 --from": ("verify_q1_csv", (), {"--from": "source"}),
     "4.1": ("verify_lemma41", ("world",), {"--n-max": "N", "--m-max": "m_max"}),
     "4.2": ("verify_lemma42", ("world",), {"--m-max": "m_max"}),
     "4.3": ("verify_lemma43", ("world",), {}),
@@ -277,16 +278,15 @@ _FLAG_TYPES = {"--tolerance": float, "--from": str}
 
 
 def cmd_verify(args, cfg) -> int:
-    name, config, flags = VERIFY[args.lemma]
-    kwargs = {}
-    for flag in _VERIFY_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
+    given = {f: v for f in _VERIFY_FLAGS
+             if (v := getattr(args, f[2:].replace("-", "_"))) is not None}
+    arm = next((k for f in given if (k := f"{args.lemma} {f}") in VERIFY), args.lemma)
+    name, config, flags = VERIFY[arm]
+    for flag in given:
         if flag not in flags:
-            raise ValueError(f"verify {args.lemma} does not read {flag} "
+            raise ValueError(f"verify {arm} does not read {flag} "
                              f"(it reads: {', '.join(flags) or 'no flag'})")
-        kwargs[flags[flag]] = value
+    kwargs = {flags[f]: v for f, v in given.items()}
     t0 = time.monotonic()
     kwargs.update((key, _CONFIG_VALUES[key](cfg)) for key in config)
     result = getattr(H, name)(**kwargs)
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bohr)
 
     p = sub.add_parser("verify", help="run a lemma harness")
-    p.add_argument("lemma", choices=tuple(VERIFY))
+    p.add_argument("lemma", choices=tuple(dict.fromkeys(k.split()[0] for k in VERIFY)))
     for flag in _VERIFY_FLAGS:
         ids = [i for i, (_, _, flags) in VERIFY.items() if flag in flags]
         p.add_argument(flag, type=_FLAG_TYPES.get(flag, _positive_int), default=None,

@@ -144,17 +144,20 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     """Least n2 in [lo, hi] with the second symmetric derivative of g
     vanishing at (n0, n1, n2); None if there is none (certified).
 
-    The integer lane computes exact g values; the found witness is
-    re-verified through exact scalar values.
+    Each block of n2 reads one exact int64 range of g, and the four terms
+    of D2 g are slices of it.  The int64 sum wraps mod 2**64 at worst, so
+    it misses no witness; each hit is re-verified through exact scalar
+    values, in increasing n2.
     """
-    if lo > hi:
-        return None
     # D2 g = [g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2)] - target with
     target = g(n0 + n1) - g(n0) - g(n1) + g(0)
-    for n2 in blocks(lo, hi + 1):
-        d2 = (g.g_vec(n2 + n0 + n1) - g.g_vec(n2 + n0)
-              - g.g_vec(n2 + n1) + g.g_vec(n2))
-        for cand in map(int, n2[d2 == target]):
+    shifts = (n0 + n1, n0, n1, 0)
+    base, span = min(shifts), max(shifts) - min(shifts)
+    for a in range(lo, hi + 1, BLOCK):
+        k = min(BLOCK, hi + 1 - a)
+        G = g.g_range(a + base, a + base + span + k - 1)
+        s, t, u, v = (G[x - base:x - base + k] for x in shifts)
+        for cand in (a + np.flatnonzero(s - t - u + v == target)).tolist():
             if delta_sym_iter(g, [n0, n1, cand]) == 0:
                 return cand
     return None

@@ -312,24 +312,27 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 def _psi_table(G: np.ndarray, C: int, N_max: int, m_max: int) -> np.ndarray:
     """psi[n-1, m] = AND over n' <= n of mu(n', m), where mu(n, m) holds when
     some n2 in [C*m, C*m + _EXTEND_CAP] has g(n+m+n2) - g(n+n2) - g(m+n2) +
-    g(n2) = g(n+m) - g(n) - g(m) + g(0).  Column 0 is False."""
-    w = _FIRST_WINDOW
-    window = np.lib.stride_tricks.sliding_window_view
+    g(n2) = g(n+m) - g(n) - g(m) + g(0).  Column 0 is False.
+
+    The scan is a residue filter: with H(x) = g(x+m) - g(x) formed once per
+    column in int32, that is mod 2**32, the second difference is
+    H(n2+n) - H(n2).  An exact equality holds mod 2**32 too, so the filter
+    misses no witness; each congruent hit is re-checked in Python ints
+    from the exact values in G, so no wrap decides a verdict."""
+    G32, L = G.astype(np.int32), _EXTEND_CAP + N_max + 1
     psi = np.zeros((N_max, m_max + 1), dtype=bool)
     for m in range(1, m_max + 1):
-        lo, end = C * m, C * m + _EXTEND_CAP
-        target = G[m + 1:m + N_max + 1] - G[1:N_max + 1] - G[m] + G[0]
-        # the first window for all n at once: d2[n-1, j] at n2 = lo + j
-        d2 = (window(G[lo + m + 1:lo + m + N_max + w], w)
-              - window(G[lo + 1:lo + N_max + w], w)
-              - (G[lo + m:lo + m + w] - G[lo:lo + w]))
-        first = (d2 == target[:, None]).any(axis=1)
+        lo = C * m
+        H = G32[lo + m:lo + m + L] - G32[lo:lo + L]  # H[j] = g(lo+j+m) - g(lo+j)
         for n in range(1, N_max + 1):
-            found, a, width = first[n - 1], lo + w, 4 * w
-            while not found and a <= end:  # windows growing fourfold
-                k = min(a + width - 1, end) - a + 1
-                found = np.any(G[a + n + m:a + n + m + k] - G[a + n:a + n + k]
-                               - G[a + m:a + m + k] + G[a:a + k] == target[n - 1])
+            target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
+            t32 = (target + 2**31) % 2**32 - 2**31
+            found, a, width = False, 0, _FIRST_WINDOW
+            while not found and a <= _EXTEND_CAP:  # windows growing fourfold
+                k = min(width, _EXTEND_CAP + 1 - a)
+                hits = (H[a + n:a + n + k] - H[a:a + k] == t32).nonzero()[0]
+                found = any(int(G[x + n + m]) - int(G[x + n]) - int(G[x + m]) + int(G[x])
+                            == target for x in (lo + a + hits).tolist())
                 a, width = a + k, 4 * width
             if not found:
                 break  # no later n can make psi True in this column
@@ -563,21 +566,22 @@ def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
 # ---------------------------------------------------------------------------
 
 
-def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000,
-                    h_factor: int = 1000,
-                    F=tuple((k, l) for k in range(1, 5) for l in range(1, 5)),
-                    source: str | None = None) -> HarnessResult:
-    """Q1, Q2 and sign closure on the quadruples built from ctx, or Q1
-    alone on the quadruple CSV file `source`."""
-    if source is not None:
-        rep = check_Q1(import_csv(source))
-        res = HarnessResult("Q1")
-        res.add({"source": source, "quadruples": rep.total},
-                "pass" if not rep.violations else "fail",
-                witness={"violations": rep.violations[:5]})
-        res.summary = {"quadruples": rep.total}
-        res.vacuous = rep.total == 0
-        return res
+def verify_q1_csv(source: str) -> HarnessResult:
+    """Q1 on the quadruple CSV file `source`."""
+    rep = check_Q1(import_csv(source))
+    res = HarnessResult("Q1")
+    res.add({"source": source, "quadruples": rep.total},
+            "pass" if not rep.violations else "fail",
+            witness={"violations": rep.violations[:5]})
+    res.summary = {"quadruples": rep.total}
+    res.vacuous = rep.total == 0
+    return res
+
+
+def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000, h_factor: int = 1000,
+                    F=tuple((k, l) for k in range(1, 5) for l in range(1, 5))
+                    ) -> HarnessResult:
+    """Q1, Q2 and sign closure on the quadruples built from ctx."""
     res = HarnessResult("Q1/Q2")
     Q = build_Q(ctx, m_max, h_factor)
     rep = check_Q1(Q)

@@ -162,7 +162,27 @@ class TestVerify:
         assert set(config) <= set(_CONFIG_VALUES)
         assert set(config) | set(flags.values()) <= set(params)
         required = {k for k, p in params.items() if p.default is p.empty}
-        assert required <= set(config)
+        # the flag that selects an arm ("Q1 --from") supplies its keyword
+        assert required <= set(config) | {flags[f] for f in lemma.split()[1:]}
+
+    def test_q1_from_reads_no_constant_and_no_build_flag(self, tmp_path, capsys):
+        csv = tmp_path / "q.csv"
+        assert run_cli(["quadruples", "build", "--m-max", "50", "--h-factor", "10",
+                        "--csv", str(csv)], capsys)[0] == 0
+        cfg = tmp_path / "rho.cfg"
+        cfg.write_text('rho = rational "1/5"\n')
+        code, out, err = run_cli(["--config", str(cfg), "verify", "Q1", "--from", str(csv)],
+                                 capsys)
+        assert code == 0 and json.loads(out.splitlines()[0])["verdict"] == "pass"
+        for flag, value in [("--m-max", "5"), ("--h-factor", "3")]:
+            code, out, err = run_cli(["verify", "Q1", "--from", str(csv), flag, value],
+                                     capsys)
+            assert code == 2 and out == ""
+            assert f"verify Q1 --from does not read {flag} (it reads: --from)" in err
+        # without --from, Q1 builds its set and reads no file
+        code, _, err = run_cli(["--config", str(cfg), "verify", "Q1", "--m-max", "5"],
+                               capsys)
+        assert code == 2 and "constant 'alpha' is not declared" in err
 
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gparith._fastlane import QuadSeqFast
+from gparith._fastlane import BLOCK, QuadSeqFast
 from gparith.diosearch import (
     calibrate_C,
     continued_fraction,
@@ -154,6 +154,86 @@ class TestLemma32Witness:
         # frac(2 alpha) + frac(6 alpha) ~ -0.92 violates the strict bound
         with pytest.raises(PreconditionViolated):
             find_lemma32_witness(2, 6, 2, QuadSeqFast(alpha, 1), 10**6)
+
+
+def _least_witness(g, n0, n1, lo, hi):
+    """The scalar reading of lemma32_scan: least n2 in [lo, hi] with
+    g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2) = g(n0+n1) - g(n0) - g(n1) + g(0)."""
+    target = g(n0 + n1) - g(n0) - g(n1) + g(0)
+    return next((n2 for n2 in range(lo, hi + 1)
+                 if g(n0 + n1 + n2) - g(n0 + n2) - g(n1 + n2) + g(n2) == target), None)
+
+
+class _Table:
+    """g(n) = values[n]: a sequence whose witnesses are planted."""
+
+    def __init__(self, size, seed):
+        self.values = np.random.default_rng(seed).integers(-2**40, 2**40, size)
+
+    def __call__(self, n):
+        return int(self.values[n])
+
+    def g_range(self, lo, hi):
+        return self.values[lo:hi + 1]
+
+    def plant(self, n0, n1, n2, excess=0):
+        """Make D2 g vanish at (n0, n1, n2), or miss by `excess`."""
+        self.values[n0 + n1 + n2] = (self(n0 + n1) - self(n0) - self(n1) + self(0)
+                                     + self(n0 + n2) + self(n1 + n2) - self(n2) + excess)
+
+
+class TestLemma32ScanBlocks:
+    def test_real_sequence_across_blocks(self, alpha):
+        g = QuadSeqFast(alpha, 1)
+        # (2, 6) has no witness past n2 = 0, so both scans read every block
+        for n0, n1, lo, hi in [(2, 6, 1, BLOCK + 700), (5, 50, BLOCK - 3, 2 * BLOCK),
+                               (7, 100, 1, 2 * BLOCK)]:
+            assert lemma32_scan(n0, n1, lo, hi, g) == _least_witness(g, n0, n1, lo, hi)
+        assert lemma32_scan(2, 6, 1, BLOCK + 700, g) is None
+        assert lemma32_scan(2, 6, 0, BLOCK + 700, g) == 0
+
+    def test_planted_witnesses_at_block_edges(self):
+        g = _Table(5 * BLOCK, seed=4)
+        n0, n1, lo = 3, 11, 100
+        g.plant(n0, n1, lo + BLOCK)  # the first index of the second block
+        g.plant(n0, n1, lo + 2 * BLOCK + 9)
+        cases = [(lo, lo + 2 * BLOCK + 9), (lo, lo + BLOCK), (lo, lo + BLOCK - 1),
+                 (lo + 1, lo + 2 * BLOCK + 9), (lo + BLOCK + 1, lo + 2 * BLOCK + 9),
+                 (lo + BLOCK + 1, lo + 2 * BLOCK + 8)]
+        for a, b in cases:
+            assert lemma32_scan(n0, n1, a, b, g) == _least_witness(g, n0, n1, a, b)
+        assert lemma32_scan(n0, n1, lo, lo + 3 * BLOCK, g) == lo + BLOCK
+        assert lemma32_scan(n0, n1, lo + BLOCK + 1, lo + 2 * BLOCK + 9, g) == lo + 2 * BLOCK + 9
+        assert lemma32_scan(n0, n1, lo + BLOCK + 1, lo + 2 * BLOCK + 8, g) is None
+
+    def test_empty_and_single_ranges(self):
+        g = _Table(4 * BLOCK, seed=5)
+        g.plant(4, 9, 500)
+        assert lemma32_scan(4, 9, 500, 500, g) == 500
+        assert lemma32_scan(4, 9, 501, 501, g) is None
+        assert lemma32_scan(4, 9, 501, 500, g) is None
+        assert lemma32_scan(4, 9, 10**9, 0, g) is None
+
+    def test_shift_larger_than_the_block_tail(self):
+        # n0 + n1 exceeds a block, and the last block holds 6 indices
+        g = _Table(4 * BLOCK, seed=6)
+        n0, n1, lo = 3000, BLOCK + 17, 20
+        hi = lo + BLOCK + 5
+        g.plant(n0, n1, hi)
+        assert lemma32_scan(n0, n1, lo, hi, g) == hi == _least_witness(g, n0, n1, lo, hi)
+        assert lemma32_scan(n0, n1, lo, hi - 1, g) is None
+
+    def test_an_int64_wrap_is_rechecked(self):
+        # D2 g = 2**64 at n2 = 700: the int64 sum wraps onto the target, and
+        # the exact re-verification rejects it
+        g = _Table(3 * BLOCK, seed=7)
+        n0, n1, p = 5, 12, 700
+        g.values[[p, p + n0, p + n1]] = 2**62, -2**62, -2**62
+        g.plant(n0, n1, p, excess=2**64)
+        g.plant(n0, n1, p + BLOCK + 3)
+        assert g(n0 + n1 + p) == g(n0 + n1) - g(n0) - g(n1) + g(0) + 2**62
+        assert lemma32_scan(n0, n1, 1, 2 * BLOCK, g) == p + BLOCK + 3
+        assert _least_witness(g, n0, n1, 1, 2 * BLOCK) == p + BLOCK + 3
 
 
 class TestWeylWitness:

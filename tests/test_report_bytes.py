@@ -156,7 +156,11 @@ def test_q_csv_report_digest(name, tmp_path, monkeypatch, capsys):
 
 
 def _verify_id(argv):
-    return argv[argv.index("verify") + 1] if "verify" in argv else None
+    """The VERIFY entry that argv runs: an id, or the "<id> <flag>" arm."""
+    if "verify" not in argv:
+        return None
+    lemma = argv[argv.index("verify") + 1]
+    return next((f"{lemma} {a}" for a in argv if f"{lemma} {a}" in VERIFY), lemma)
 
 
 def test_every_verify_id_is_pinned_or_owed():

@@ -103,6 +103,76 @@ class TestPsiTable:
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
 
+class TestPsiTableResidueFilter:
+    """psi against the Python-int form of _mu_table (G as an object array),
+    on values that the int32 residue filter of _psi_table wraps."""
+
+    C, N_max, m_max = 2, 3, 3
+
+    def wide_G(self, seed):
+        return np.random.default_rng(seed).integers(
+            -2**40, 2**40, self.C * self.m_max + _EXTEND_CAP + self.N_max + self.m_max + 4)
+
+    @staticmethod
+    def target(G, n, m):
+        return int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
+
+    def plant(self, G, n, m, offset, excess=0):
+        """Make n2 = C*m + offset give d2 = target(n, m) + excess."""
+        p = self.C * m + offset
+        G[p + n + m] = (self.target(G, n, m) + int(G[p + n]) + int(G[p + m])
+                        - int(G[p]) + excess)
+        return p
+
+    def exact_psi(self, G):
+        mu, late = _mu_table(G.astype(object), self.C, self.N_max, self.m_max)
+        return np.logical_and.accumulate(mu, axis=0), mu, late
+
+    def test_wide_values_wrap_the_int32_filter(self):
+        G = self.wide_G(1)
+        # true witnesses in the first window, in a later window and at the
+        # last n2 of the cap, and one just past the cap that does not count.
+        # d2 is symmetric in n and m, so (2, 1) at n2 = 5002 plants (1, 2)
+        # too; the other offsets keep each mirror outside its range
+        for (n, m), offset in {(1, 1): 10, (2, 1): 5000, (3, 1): 1,
+                               (2, 3): _EXTEND_CAP, (1, 3): _EXTEND_CAP + 2}.items():
+            self.plant(G, n, m, offset)
+        psi, mu, late = self.exact_psi(G)
+        assert np.abs(G).max() > 2**32  # G and H wrap in int32
+        assert mu[:, 1].all() and late[1, 1] and mu[0, 2] and late[0, 2]
+        assert not mu[1:, 2].any() and not mu[0, 3] and mu[1, 3] and late[1, 3]
+        assert psi[:, 1].all() and psi[0, 2] and not psi[1:, 2].any()
+        assert not psi[:, 3].any()
+        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+
+    def test_a_residue_hit_is_rechecked(self):
+        G = self.wide_G(2)
+        p = self.plant(G, 1, 2, 300, excess=2**32)
+        d2 = int(G[p + 3]) - int(G[p + 1]) - int(G[p + 2]) + int(G[p])
+        assert d2 != self.target(G, 1, 2) and (d2 - self.target(G, 1, 2)) % 2**32 == 0
+        psi, mu, _ = self.exact_psi(G)
+        assert not mu[0, 2]
+        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+        # without the excess the same n2 is a witness
+        self.plant(G, 1, 2, 300)
+        assert _psi_table(G, self.C, self.N_max, self.m_max)[0, 2]
+
+    def test_an_int64_wrap_is_no_witness(self):
+        # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target
+        G = self.wide_G(3)
+        n, m = 2, 1
+        p = self.C * m + 40
+        G[p], G[p + n], G[p + m] = 2**62, -2**62, -2**62
+        self.plant(G, n, m, 40, excess=2**64)
+        with np.errstate(over="ignore"):
+            d2 = G[p + n + m] - G[p + n] - G[p + m] + G[p]
+        assert d2 == self.target(G, n, m)  # the int64 form calls it a witness
+        self.plant(G, 1, 1, 900)
+        psi, mu, _ = self.exact_psi(G)
+        assert mu[0, 1] and not mu[1, 1]
+        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+
+
 def test_push_hist_slices_match_one_shot(alpha):
     a, b, c, d = 1, 2, 3, 2
     M, grid, seed = 3 * BLOCK + 5, 12, 3
