@@ -11,10 +11,13 @@ are recomputed exactly.
 This module is the only place a lane margin is read, and its answers are
 exact.  Callers pass exact thresholds (int, Fraction or field element):
 `FastConst.within(k, lo, hi)` returns the mask of
-lo < frac_signed(const*k) < hi, and `FastConst.extremes(k)` the least and
-greatest frac_signed(const*k).  Entries the margin settles are read from
-the lane; entries within their margin of a threshold or of +-1/2 are
-decided by `exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
+lo < frac_signed(const*k) < hi, `FastConst.extremes(k)` the least and
+greatest frac_signed(const*k), and `FastConst.bins(k, grid)` the index of
+frac_signed(const*k) among `grid` equal bins of [-1/2, 1/2) (the exact
+orbit bins of `verify 3.4`; its push-forward samples are Monte Carlo
+floats and are not lane values).  Entries the margin settles are read from
+the lane; entries within their margin of a threshold, a bin edge or +-1/2
+are decided by `exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
 integers.
 
 QuadSeqFast (g(n) = nint(beta*n*nint(alpha*n))) and BohrFast (the
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import AlgebraicReal, Number, frac_signed, nint
+from .exactnum import AlgebraicReal, Number, floor_exact, frac_signed, nint
 from .genpoly import INT64_MAX, SequenceHandle
 
 _SCALE = float(2.0**-64)
@@ -134,6 +137,22 @@ class FastConst:
         for i in np.nonzero(undecided)[0]:
             inside[i] = lo < self.exact_frac(int(k[i])) < hi
         return inside
+
+    def bins(self, k: np.ndarray, grid: int) -> np.ndarray:
+        """Exact int64 floor((frac_signed(const*k) + 1/2)*grid), the bin of
+        each entry among `grid` equal bins of [-1/2, 1/2); entries within
+        their margin of a bin edge or of +-1/2 are decided by exact_frac."""
+        frac, margin = self._filter(k)
+        s = (frac + 0.5) * grid
+        idx = np.floor(s)
+        # s, its distances to idx and idx + 1, and reach round by less than
+        # grid*2^-51 in all (margin < 1/2 where it is finite)
+        reach = (margin + _ROUNDING) * grid
+        undecided = (s - idx <= reach) | (idx + 1 - s <= reach)
+        idx = idx.astype(np.int64)
+        for i in np.nonzero(undecided)[0]:
+            idx[i] = floor_exact((self.exact_frac(int(k[i])) + Fraction(1, 2)) * grid)
+        return idx
 
     def extremes(self, k: np.ndarray) -> tuple[Number, Number]:
         """Exact least and greatest frac_signed(const*k[i]) over a non-empty

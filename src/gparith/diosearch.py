@@ -11,6 +11,7 @@ range is certified, because every lane entry is decided exactly.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -377,13 +378,33 @@ def _element_degree_at_least_3(x: AlgebraicReal) -> bool:
     return False
 
 
+def _edge_counts(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, p, side="right") for finite p and the edges
+    np.linspace(-1/2, 1/2, grid + 1), with p == 1/2 moved into the last bin
+    as np.histogram2d does: p lies in bin count - 1, and the counts 0 and
+    grid + 1 are outside the edges."""
+    grid = len(edges) - 1
+    # within one of the count; one step up and one down against the edges
+    c = np.clip(np.floor((p + 0.5) * grid) + 1, 1, grid).astype(np.int64)
+    c += p >= edges[c]
+    c -= p < edges[c - 1]
+    c[p == edges[-1]] = grid
+    return c
+
+
 def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
                    N: int, M: int, grid: int,
                    seed: int = DEFAULT_SEED) -> EquidistReport:
     """Compare the orbit histogram of (frac(alpha n), frac(alpha nint(theta n)))
-    with the push-forward of the uniform measure through the transfer map."""
+    with the push-forward of the uniform measure through the transfer map.
+
+    The orbit bins and the origin cell count are exact (`FastConst.bins`
+    and `within`); the push-forward samples are Monte Carlo floats, binned
+    as np.histogram2d bins them.  Both are walked in BLOCK slices."""
     if d == 0:
         raise PreconditionViolated("d must be nonzero")
+    if min(N, M, grid) < 1:
+        raise PreconditionViolated("N, M and grid must be at least 1")
     if not _element_degree_at_least_3(alpha):
         raise PreconditionViolated("1, alpha, alpha^2 must be linearly independent")
     theta = (a + alpha * b) / (c + alpha * d)
@@ -392,36 +413,45 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
 
     fc_theta = FastConst(theta)
     fc_alpha = FastConst(alpha)
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    k = fc_theta.nint_frac_vec(ns)           # exact nint(theta*n)
-    x_orb, _ = fc_alpha.frac_vec_filter(ns)
-    y_orb, _ = fc_alpha.frac_vec_filter(k)
-
-    edges = np.linspace(-0.5, 0.5, grid + 1)
-    orbit_hist, _, _ = np.histogram2d(x_orb, y_orb, bins=(edges, edges))
+    # frac(alpha k) = +-1/20 only at k = 0, so < here is the <= of the report
+    eps = Fraction(1, 20)
+    orbit_hist = np.zeros(grid * grid, dtype=np.int64)
+    origin = 0
+    for ns in blocks(1, N + 1):
+        k = fc_theta.nint_frac_vec(ns)           # exact nint(theta*n)
+        orbit_hist += np.bincount(fc_alpha.bins(ns, grid) * grid + fc_alpha.bins(k, grid),
+                                  minlength=grid * grid)
+        origin += int(np.count_nonzero(fc_alpha.within(ns, -eps, eps)
+                                       & fc_alpha.within(k, -eps, eps)))
+    orbit_hist = orbit_hist.reshape(grid, grid)
 
     rng = np.random.default_rng(seed)
-    dd = abs(d)
-    r = rng.integers(0, dd, size=M)
-    x = rng.random(size=M) - 0.5
-    y = rng.random(size=M) - 0.5
+    r = rng.integers(0, abs(d), size=M)
+    # x and y continue the stream after r, one 64-bit output per double:
+    # x from rng, y from a copy M outputs ahead
+    rng_y = copy.deepcopy(rng)
+    rng_y.bit_generator.advance(M)
     af = fc_alpha.f64
     tf = fc_theta.f64
 
     def fs(z):
         return z - np.floor(z + 0.5)
 
-    push_hist = np.zeros((grid, grid))
+    edges = np.linspace(-0.5, 0.5, grid + 1)
+    side = grid + 2
+    push_hist = np.zeros(side * side, dtype=np.int64)
     for i in range(0, M, BLOCK):
-        xs, ys, rs = x[i:i + BLOCK], y[i:i + BLOCK], r[i:i + BLOCK]
+        rs = r[i:i + BLOCK]
+        xs = rng.random(size=len(rs)) - 0.5
+        ys = rng_y.random(size=len(rs)) - 0.5
         px = fs(d * xs + af * rs)
         py = fs(b * xs - c * ys + af * tf * rs - af * fs(d * ys + tf * rs))
-        push_hist += np.histogram2d(px, py, bins=(edges, edges))[0]
+        push_hist += np.bincount(_edge_counts(px, edges) * side + _edge_counts(py, edges),
+                                 minlength=side * side)
+    push_hist = push_hist.reshape(side, side)[1:-1, 1:-1]
 
     disc = float(np.max(np.abs(orbit_hist / N - push_hist / M)))
-    origin = float(np.mean((np.abs(x_orb) <= 0.05) & (np.abs(y_orb) <= 0.05)))
-    return EquidistReport(orbit_hist=orbit_hist.astype(np.int64),
-                          push_hist=push_hist.astype(np.int64),
+    return EquidistReport(orbit_hist=orbit_hist, push_hist=push_hist,
                           orbit_count=N, push_count=M,
-                          discrepancy=disc, origin_fraction=origin,
+                          discrepancy=disc, origin_fraction=origin / N,
                           theta_float=float(theta))

@@ -311,6 +311,13 @@ class TestEquidist:
         with pytest.raises(PreconditionViolated):
             equidist_check(alpha, 0, 1, 1, 0, N=100, M=100, grid=4)
 
+    @pytest.mark.parametrize("N,M,grid", [(0, 100, 4), (100, 0, 4), (100, 100, 0),
+                                          (-3, 100, 4)])
+    def test_empty_orbit_sample_or_grid_rejected(self, alpha, N, M, grid):
+        # an empty orbit or sample has no frequencies to compare
+        with pytest.raises(PreconditionViolated):
+            equidist_check(alpha, 1, 2, 3, 1, N=N, M=M, grid=grid)
+
     def test_theta_rational_rejected(self, alpha):
         # (0 + 2 alpha) / (0 + 1 alpha) = 2
         with pytest.raises(ThetaRational):

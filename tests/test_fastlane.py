@@ -15,7 +15,7 @@ from pathlib import Path
 
 from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
 from gparith.diosearch import find_weyl_witness
-from gparith.exactnum import field_create, sign
+from gparith.exactnum import field_create, floor_exact, sign
 from gparith.harness import _max_norm
 
 INT64_MAX = (1 << 63) - 1
@@ -208,6 +208,40 @@ def test_within_and_extremes_are_certified(theta, data):
     assert lane.extremes(np.array(ks, dtype=np.int64)) == (min(exact), max(exact))
 
 
+def _exact_bin(lane, k, grid):
+    return floor_exact((lane.exact_frac(k) + Fraction(1, 2)) * grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.sampled_from(_FUZZ_FIELDS), data=st.data())
+def test_bins_are_exact(theta, data):
+    const = data.draw(st.one_of(
+        _elements(theta.field, 10**4),
+        st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))
+    lane = FastConst(const)
+    ks = data.draw(st.lists(st.one_of(st.integers(-(1 << 45), 1 << 45),
+                                      st.sampled_from([-(1 << 63), INT64_MAX])),
+                            min_size=1, max_size=12))
+    grid = data.draw(st.integers(1, 50))
+    got = lane.bins(np.array(ks, dtype=np.int64), grid)
+    assert got.dtype == np.int64
+    assert list(got) == [_exact_bin(lane, k, grid) for k in ks]
+
+
+@pytest.mark.parametrize("const,grids", [(Fraction(1, 20), (2, 4, 5, 10, 20, 40)),
+                                         (Fraction(1, 10), (2, 5, 10, 20))])
+def test_bins_on_the_edges_are_exact(const, grids):
+    # frac_signed(k/20) and frac_signed(k/10) fall on bin edges, and the lane
+    # error grows with |k| up to 2^-18; -3083135/10 sits at the wrap
+    den = const.denominator
+    ks = [den * m + r for m in (0, 1, -7, 10**6, -(2**38), 2**40) for r in range(den)]
+    ks.append(-3083135)
+    lane = FastConst(const)
+    for grid in grids:
+        got = lane.bins(np.array(ks, dtype=np.int64), grid)
+        assert list(got) == [_exact_bin(lane, k, grid) for k in ks]
+
+
 def test_entries_at_the_wrap_are_decided_exactly():
     # k/10 = -308313.5: the lane reads +1/2, and frac_signed is -1/2
     lane = FastConst(Fraction(1, 10))
@@ -215,12 +249,11 @@ def test_entries_at_the_wrap_are_decided_exactly():
     assert list(lane.within(ks, 0, Fraction(2, 3))) == [False, False]
     assert list(lane.within(ks, Fraction(-2, 3), 0)) == [False, True]
     assert lane.extremes(ks) == (Fraction(-1, 2), 0)
+    assert list(lane.bins(ks, 10)) == [5, 0]
 
 
 _FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}
-# the histogram of equidist_check takes the floats as samples and makes no
-# decision from them
-_FLOAT_READERS = {("diosearch", "equidist_check")}
+_FLOAT_READERS: set[tuple[str, str]] = set()
 
 
 def _lane_float_readers(node, fn="<module>"):

@@ -1,9 +1,9 @@
 """Whole-array scans against the literal definitions they compute.
 
 `BohrWorld._radius`, `BohrWorld.lambda_vec`, `harness._psi_table`, the
-sliced push-forward histogram of `equidist_check` and `focheck.ell` are
-each compared with a direct, element-by-element reading of what they
-compute.
+sliced push-forward histogram and the exact orbit histogram of
+`equidist_check` and `focheck.ell` are each compared with a direct,
+element-by-element reading of what they compute.
 """
 
 from fractions import Fraction
@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, FastConst
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
-from gparith.diosearch import continued_fraction, equidist_check
-from gparith.exactnum import field_create
+from gparith.diosearch import _edge_counts, continued_fraction, equidist_check
+from gparith.exactnum import circle_norm, field_create, floor_exact
 from gparith.focheck import ell
 from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
 
@@ -173,9 +173,32 @@ class TestPsiTableResidueFilter:
         assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
 
 
-def test_push_hist_slices_match_one_shot(alpha):
-    a, b, c, d = 1, 2, 3, 2
-    M, grid, seed = 3 * BLOCK + 5, 12, 3
+@pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
+def test_edge_counts_bin_as_histogram2d(grid):
+    edges = np.linspace(-0.5, 0.5, grid + 1)
+    rng = np.random.default_rng(grid)
+    special = [0.5, -0.5, 0.6, -0.6, 1e300, -1e300, -0.0]
+    p = np.concatenate([rng.random(4000) * 1.2 - 0.6, edges,
+                        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                        special])
+    q = rng.permutation(p)
+    for v in (p, q):
+        want = np.searchsorted(edges, v, side="right")
+        want[v == edges[-1]] = grid
+        assert np.array_equal(_edge_counts(v, edges), want)
+    side = grid + 2
+    got = np.bincount(_edge_counts(p, edges) * side + _edge_counts(q, edges),
+                      minlength=side * side).reshape(side, side)[1:-1, 1:-1]
+    want, _, _ = np.histogram2d(p, q, bins=(edges, edges))
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+# d = 1 draws no raw output for r, so y starts M outputs after r
+@pytest.mark.parametrize("d", [1, 2, -3])
+@pytest.mark.parametrize("M", [3 * BLOCK + 5, BLOCK - 7])
+def test_push_hist_slices_match_one_shot(alpha, d, M):
+    a, b, c = 1, 2, 3
+    grid, seed = 12, 3
     rep = equidist_check(alpha, a, b, c, d, N=1000, M=M, grid=grid, seed=seed)
     rng = np.random.default_rng(seed)
     r = rng.integers(0, abs(d), size=M)
@@ -193,6 +216,25 @@ def test_push_hist_slices_match_one_shot(alpha):
     want, _, _ = np.histogram2d(px, py, bins=(edges, edges))
     assert np.array_equal(rep.push_hist, want.astype(np.int64))
     assert int(rep.push_hist.sum()) == M
+
+
+@pytest.mark.parametrize("grid", [6, 20])
+def test_orbit_bins_are_exact(alpha, grid):
+    a, b, c, d, N = 1, 2, 3, 1, 400
+    theta = (a + alpha * b) / (c + alpha * d)
+    eps = Fraction(1, 20)
+    want = np.zeros((grid, grid), dtype=np.int64)
+    origin = 0
+    for n in range(1, N + 1):
+        x = (alpha * n).frac_signed()
+        y = (alpha * (theta * n).nint()).frac_signed()
+        want[floor_exact((x + Fraction(1, 2)) * grid),
+             floor_exact((y + Fraction(1, 2)) * grid)] += 1
+        origin += circle_norm(x) <= eps and circle_norm(y) <= eps
+    rep = equidist_check(alpha, a, b, c, d, N=N, M=100, grid=grid)
+    assert np.array_equal(rep.orbit_hist, want)
+    assert 0 < origin < N
+    assert rep.origin_fraction == origin / N
 
 
 # The five fields of test_fuzz.py.
