@@ -67,6 +67,13 @@ REPORTS = {
                    "a58cabcce2c4fc098e56e4d8e8a8366cdb6fed5c32638bdbdbb60525e1fa211b"),
     "verify-Q1": (["verify", "Q1", "--m-max", "300", "--h-factor", "100"],
                   "26cb26dbe637105c0700a7a93f1bc52c35cf62732d8f0787a9796d0dbb75fc42"),
+    # the perfbench flags
+    "verify-Q1-m1500": (["verify", "Q1", "--m-max", "1500", "--h-factor", "1000"],
+                        "030a64df1a0d2b3461c61b9e3bb9411a188a388b72c1b16678143e859660ac29"),
+    # the cap sets T for most moduli; no m has the products of Q2's F, so
+    # Q2 fails and the command exits 1
+    "verify-Q1-cap7": (["verify", "Q1", "--m-max", "3000", "--h-factor", "7"],
+                       "a56f7abf9cba8d39275ef9a35f3c96af0c0367da177e533fdbf97a32e8fce2a9"),
     "formula-psi": (["formula", PSI, "--bind", "m=5"],
                     "7dfc49d3474b2bf9393a078f2ce9f01059beb9378f7a5dd575715ae778d72021"),
     "eval-g": (["eval", "nint(beta*n*nint(alpha*n))", "--n", "0..300"],
@@ -105,6 +112,10 @@ REPORTS = {
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
 Q_BUILD = ["--seed", "1", "quadruples", "build", "--m-max", "300",
            "--h-factor", "100"]
+# the q.csv of the perfbench flags
+Q_CSV_M1500 = "5e75c67d752644637f5071c6f9a28e779d2a6f441988d59d492c2380b8c99b54"
+Q_BUILD_M1500 = ["--seed", "1", "quadruples", "build", "--m-max", "1500",
+                 "--h-factor", "1000"]
 Q_FORMULA = ("exists m in [1, 60]: forall k in [1, 4]: Q(m, m*k, 2*m, 2*m*k) "
              "and not Q(m, m*k, 2*m, 2*m*k + 1)")
 
@@ -122,6 +133,9 @@ Q_REPORTS = {
                   "daabfc95ada3e2d19b0ed28c9ed65c0d956a20e3adf1c436b124ab3fce230468"),
 }
 
+# reports whose command exits with a code other than 0
+EXIT_CODE = {"verify-Q1-cap7": 1}
+
 # verify ids with no pin, each naming the ROADMAP item that owes one (none)
 LEFT_OUT: dict[str, str] = {}
 
@@ -134,16 +148,24 @@ def _sha256(path) -> str:
 def test_report_digest(name, tmp_path, capsys):
     argv, digest = REPORTS[name]
     out = tmp_path / "report"
-    assert main(["--seed", "1", "--out", str(out)] + argv) == 0
+    assert main(["--seed", "1", "--out", str(out)] + argv) == EXIT_CODE.get(name, 0)
     capsys.readouterr()
     assert _sha256(out) == digest
 
 
-def test_quadruple_csv_digest(tmp_path, capsys):
+def _built_csv_sha256(argv, tmp_path, capsys) -> str:
     csv = tmp_path / "q.csv"
-    assert main(Q_BUILD + ["--csv", str(csv)]) == 0
+    assert main(argv + ["--csv", str(csv)]) == 0
     capsys.readouterr()
-    assert _sha256(csv) == Q_CSV
+    return _sha256(csv)
+
+
+def test_quadruple_csv_digest(tmp_path, capsys):
+    assert _built_csv_sha256(Q_BUILD, tmp_path, capsys) == Q_CSV
+
+
+def test_quadruple_csv_digest_m1500(tmp_path, capsys):
+    assert _built_csv_sha256(Q_BUILD_M1500, tmp_path, capsys) == Q_CSV_M1500
 
 
 @pytest.mark.parametrize("name", sorted(Q_REPORTS))
