@@ -12,12 +12,14 @@ This module is the only place a lane margin is read, and its answers are
 exact.  Callers pass exact thresholds (int, Fraction or field element):
 `FastConst.within(k, lo, hi)` returns the mask of
 lo < frac_signed(const*k) < hi, `FastConst.extremes(k)` the least and
-greatest frac_signed(const*k), and `FastConst.bins(k, grid)` the index of
+greatest frac_signed(const*k), `FastConst.bins(k, grid)` the index of
 frac_signed(const*k) among `grid` equal bins of [-1/2, 1/2) (the exact
 orbit bins of `verify 3.4`; its push-forward samples are Monte Carlo
-floats and are not lane values).  Entries the margin settles are read from
-the lane; entries within their margin of a threshold, a bin edge or +-1/2
-are decided by `exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
+floats and are not lane values), and `FastConst.half_inverse_norm(k, cap)`
+the capped floor(1/(2*norm(const*k))) (the progression lengths of the Q
+store).  Entries the margin settles are read from the lane; entries within
+their margin of a threshold, a bin edge or +-1/2 are decided by
+`exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
 integers.
 
 QuadSeqFast (g(n) = nint(beta*n*nint(alpha*n))) and BohrFast (the
@@ -32,7 +34,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import AlgebraicReal, Number, floor_exact, frac_signed, nint
+from .errors import PreconditionViolated
+from .exactnum import (
+    AlgebraicReal,
+    Number,
+    floor_exact,
+    floor_half_inverse,
+    frac_signed,
+    nint,
+    sign,
+)
 from .genpoly import INT64_MAX, SequenceHandle
 
 _SCALE = float(2.0**-64)
@@ -153,6 +164,31 @@ class FastConst:
         for i in np.nonzero(undecided)[0]:
             idx[i] = floor_exact((self.exact_frac(int(k[i])) + Fraction(1, 2)) * grid)
         return idx
+
+    def half_inverse_norm(self, k: np.ndarray, cap: int) -> np.ndarray:
+        """Exact int64 min(cap, floor(1/(2*norm(const*k)))): the ell(k)/k of
+        `focheck.ell`, capped.  Entries whose two lane bounds give different
+        capped floors, or within their margin of +-1/2, are decided by
+        exact_frac; an integer const*k raises PreconditionViolated."""
+        frac, margin = self._filter(k)
+        f = np.abs(frac)
+        # 1/(2*norm) lies between 0.5/(f + reach) and 0.5/(f - reach): reach
+        # adds the roundings of f +- margin, and the factors 1 -+ 2^-50 those
+        # of the division and of the factor itself
+        reach = margin + _ROUNDING
+        apart = f - reach > 0  # False for an infinite margin
+        lo = np.floor(0.5 / (f + reach) * (1 - 2.0**-50))
+        hi = np.floor(0.5 / np.where(apart, f - reach, 1.0) * (1 + 2.0**-50))
+        T = np.minimum(lo, float(cap))
+        undecided = ~apart | (T != np.minimum(hi, float(cap)))
+        T = T.astype(np.int64)
+        for i in np.nonzero(undecided)[0]:
+            nrm = abs(self.exact_frac(int(k[i])))
+            if sign(nrm) == 0:
+                raise PreconditionViolated(f"const*{int(k[i])} is an integer")
+            # the cap test keeps the search of floor_half_inverse below cap
+            T[i] = cap if sign(2 * nrm * cap - 1) <= 0 else floor_half_inverse(nrm)
+        return T
 
     def extremes(self, k: np.ndarray) -> tuple[Number, Number]:
         """Exact least and greatest frac_signed(const*k[i]) over a non-empty

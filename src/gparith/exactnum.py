@@ -831,6 +831,20 @@ def floor_exact(x: Number) -> int:
     return x.numerator // x.denominator
 
 
+def floor_half_inverse(x: Number) -> int:
+    """floor(1/(2x)) for x > 0, found with no field inverse: the q with
+    2xq <= 1 < 2x(q+1).  2x <= H/S bounds q from below by S // H, and
+    exact sign tests raise it."""
+    two = 2 * x
+    if not isinstance(two, AlgebraicReal):
+        return floor_exact(1 / Fraction(two))
+    _, hi, scale = two.scaled_enclosure(64)
+    q = scale // hi
+    while (two * (q + 1) - 1).sign() <= 0:
+        q += 1
+    return q
+
+
 def nint(x: Number) -> int:
     """Nearest integer, half up: floor(x + 1/2)."""
     if isinstance(x, AlgebraicReal):

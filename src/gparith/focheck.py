@@ -37,7 +37,7 @@ from .errors import (
     RangeOverflow,
     UnboundVariable,
 )
-from .exactnum import AlgebraicReal, nint
+from .exactnum import AlgebraicReal, floor_half_inverse, nint
 from .genpoly import (
     Add,
     Apply,
@@ -505,15 +505,7 @@ def ell(k: int, alpha: AlgebraicReal) -> int:
     nrm = (alpha * k).circle_norm()
     if nrm.sign() == 0:
         raise PreconditionViolated("alpha*k is an integer; alpha must be irrational")
-    # floor(1/(2 nrm)) is the q with 2 nrm q <= 1 < 2 nrm (q+1), found with
-    # no field inverse: 2 nrm <= H/S bounds q from below by S // H, and
-    # exact sign tests raise it
-    two = 2 * nrm
-    _, hi, scale = two.scaled_enclosure(64)
-    q = scale // hi
-    while (two * (q + 1) - 1).sign() <= 0:
-        q += 1
-    return k * q
+    return k * floor_half_inverse(nrm)
 
 
 @dataclass
@@ -532,19 +524,29 @@ def progression(m: int, h: int, alpha: AlgebraicReal) -> Progression:
     return Progression(m, h, [t * m for t in range(1, h // m + 1)])
 
 
-def progression_d2(ctx: AlphaContext, m: int, T: int) -> tuple[np.ndarray, int, int]:
-    """Values and second differences of g along the stride-m progression.
+def progression_d2(ctx: AlphaContext, ms: np.ndarray, Ts: np.ndarray):
+    """Values and second differences of g along the stride-m progressions
+    of many moduli, from one lane call.
 
-    Returns (gv, a, run): gv[t] = g(t*m) for t = 0..T; a is the first of the
-    T - 2 second differences gv[t+2] - 2*gv[t+1] + gv[t], t = 1..T-2 (along
-    P_{m,(T-2)m}); run counts how many of them, from the first, equal a.
-    Needs T >= 3."""
-    gv = ctx.g.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64))
-    d2 = gv[3:T + 1] - 2 * gv[2:T] + gv[1:T - 1]
-    a = int(d2[0])
-    same = d2 == a
-    run = len(d2) if bool(same.all()) else int(np.argmin(same))
-    return gv, a, run
+    Returns (gv, off, a, run): gv[off[i] + t] = g(t*ms[i]) for t = 0..Ts[i]
+    (off has one more entry than ms); a[i] is the first of the T - 2 second
+    differences gv[t+2] - 2*gv[t+1] + gv[t], t = 1..T-2 (along
+    P_{m,(T-2)m}), and run[i] counts how many of them, from the first,
+    equal a[i].  Needs every T >= 3."""
+    lengths = Ts + 1
+    off = np.zeros(len(Ts) + 1, dtype=np.int64)
+    np.add.accumulate(lengths, out=off[1:])
+    t = np.arange(off[-1]) - off[:-1].repeat(lengths)
+    gv = ctx.g.g_vec(ms.repeat(lengths) * t)
+    # d2[j] is the second difference centred on gv[j + 2], so the T - 2 of
+    # modulus i are d2[off[i] .. off[i] + T - 3]; the rest cross into the
+    # next modulus
+    d2 = gv[3:] - 2 * gv[2:-1] + gv[1:-2]
+    a = d2[off[:-1]]
+    # the first index s where d2 leaves a; entries past T - 3 are capped
+    first = np.where(d2 != a.repeat(lengths)[:len(d2)], t[:len(d2)], off[-1])
+    run = np.minimum(np.minimum.reduceat(first, off[:-1]), Ts - 2)
+    return gv, off, a, run
 
 
 def def_pi(m: int, h: int, ctx: AlphaContext) -> bool:
@@ -555,8 +557,8 @@ def def_pi(m: int, h: int, ctx: AlphaContext) -> bool:
     if h < 3 * m or h > ell(m, ctx.alpha):
         return False
     T = h // m
-    _, a, run = progression_d2(ctx, m, T)
-    return a != 0 and run == T - 2
+    _, _, a, run = progression_d2(ctx, np.array([m]), np.array([T]))
+    return bool(a[0] != 0 and run[0] == T - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +586,12 @@ def verify_lemma37(m: int, h: int, ctx: AlphaContext) -> Lemma37Report:
     if not (3 * m <= h <= ell(m, ctx.alpha)):
         raise PreconditionViolated("need 3m <= h <= ell(m)")
     T = h // m
-    gv, a, run = progression_d2(ctx, m, T)
+    gv, _, a, run = progression_d2(ctx, np.array([m]), np.array([T]))
     lead = ctx.beta * m * (ctx.alpha * m).nint()
-    closed = all(int(gv[t]) == lead * t * t for t in range(1, T + 1))
+    closed = gv[1:].tolist() == [lead * t * t for t in range(1, T + 1)]
     return Lemma37Report(m=m, h=h, closed_form=closed,
-                         side_constant_d2=a != 0 and run == T - 2, a_value=a)
+                         side_constant_d2=bool(a[0] != 0 and run[0] == T - 2),
+                         a_value=int(a[0]))
 
 
 # ---------------------------------------------------------------------------

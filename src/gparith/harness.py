@@ -498,24 +498,20 @@ def verify_lemma37_range(ctx: AlphaContext, m_max: int = 100,
                          h_factor: int = 30) -> HarnessResult:
     res = HarnessResult("3.7")
     bad = count = 0
-    for m in range(1, m_max + 1):
-        lm = ell(m, ctx.alpha)
-        h_hi = min(h_factor * m, lm)
-        if h_hi < 3 * m:
-            continue
-        by_T: dict[int, object] = {}
-        for h in range(3 * m, h_hi + 1):
-            T = h // m
-            rep = by_T.get(T)
-            if rep is None:
-                rep = _lemma37_instance(m, T * m, ctx)
-                by_T[T] = rep
-            count += 1
+    ms = np.arange(1, max(m_max, 0) + 1, dtype=np.int64)
+    # the instances are 3m <= h <= min(h_factor * m, ell(m)) = T_hi * m, and
+    # those with one T = h // m share one progression
+    for m, T_hi in zip(ms.tolist(), ctx.g.const.half_inverse_norm(ms, h_factor).tolist()):
+        for T in range(3, T_hi + 1):
+            rep = _lemma37_instance(m, T * m, ctx)
+            hs = range(T * m, min(T * m + m, T_hi * m + 1))
+            count += len(hs)
             if not rep.holds:
-                bad += 1
-                res.add({"m": m, "h": h}, "fail",
-                        witness={"closed_form": rep.closed_form,
-                                 "d2_side": rep.side_constant_d2})
+                bad += len(hs)
+                for h in hs:
+                    res.add({"m": m, "h": h}, "fail",
+                            witness={"closed_form": rep.closed_form,
+                                     "d2_side": rep.side_constant_d2})
     res.add({"m_max": m_max, "h_factor": h_factor}, "pass" if bad == 0 else "fail")
     res.vacuous = count == 0
     res.summary = {"instances": count, "failures": bad}

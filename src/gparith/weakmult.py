@@ -15,7 +15,6 @@ import operator
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
@@ -32,7 +31,6 @@ from .focheck import (
     FExists,
     Formula,
     FRel,
-    ell,
     progression_d2,
 )
 from .genpoly import Add, Expr, IntLit, Mul, Sub, TokenStream, Var, parse_sum
@@ -349,38 +347,38 @@ def _kl_pairs(T: int) -> np.ndarray:
 
 def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     """All quadruples with modulus m <= m_max witnessed by an admissible
-    progression P_{m,h}, h <= h_factor_max * m.
+    progression P_{m,h}, h <= h_factor_max * m, built in one lane pass over
+    all moduli.
 
-    For each m the largest admissible T = h/m is found (range clause via
-    ell, constant nonzero second difference along the progression); the
+    The largest admissible T = h/m of every m comes from one certified
+    lane call (range clause via ell, T = min(h_factor_max, ell(m)/m)), and
+    g along every stride-m progression with T >= 3 from one `g_vec` call
+    (constant nonzero second difference along the progression).  The
     memberships force quadruples (m, km, lm, klm) with kl <= T-1, and the
-    defining equality D g(m, klm) = D g(km, lm) is verified exactly.  For
-    T <= ell(m)/m and integer beta, g(tm) = beta t^2 m nint(alpha m), so the
-    constant-d2 run reaches T - 2; a shorter one refutes the construction
-    and is recorded in `short_runs` as (m, T, run).
+    defining equality D g(m, klm) = D g(km, lm) is verified exactly on the
+    stride values.  For T <= ell(m)/m and integer beta, g(tm) = beta t^2 m
+    nint(alpha m), so the constant-d2 run reaches T - 2; a shorter one
+    refutes the construction and is recorded in `short_runs` as (m, T, run).
     """
-    blocks, short_runs = [np.zeros((4, 0), dtype=np.int64)], []
-    pairs = _kl_pairs(3)
-    if m_max >= 1:
-        ms = np.arange(1, m_max + 1, dtype=np.int64)
-        # T >= 3 needs norm(alpha m) < 1/6; ell decides exactly below
-        for m in map(int, ms[ctx.g.const.within(ms, Fraction(-1, 6), Fraction(1, 6))]):
-            T = min(h_factor_max, ell(m, ctx.alpha) // m)
-            if T < 3:
-                continue
-            gv, a, run = progression_d2(ctx, m, T)
-            if a == 0:
-                continue
-            if run < T - 2:
-                short_runs.append((m, T, run))
-            if pairs[2, -1] < T - 1:
-                pairs = _kl_pairs(T)
-            k, l, kl = pairs[:, :np.searchsorted(pairs[2], T - 1, side="right")]
-            # defining equality, exact on the cached stride values
-            check_int64_product(4, np.abs(gv).max())
-            ok = gv[kl + 1] - gv[1] - gv[kl] + gv[0] == gv[k + l] - gv[k] - gv[l] + gv[0]
-            blocks.append(np.stack([np.full(len(k), m), k * m, l * m, kl * m])[:, ok])
-    Q = ExplicitQSet(np.concatenate(blocks, axis=1))
+    ms = np.arange(1, max(m_max, 0) + 1, dtype=np.int64)
+    Ts = ctx.g.const.half_inverse_norm(ms, h_factor_max)
+    ms, Ts = ms[Ts >= 3], Ts[Ts >= 3]
+    gv, off, a, run = progression_d2(ctx, ms, Ts)
+    check_int64_product(4, np.abs(gv).max(initial=0))
+    live = a != 0
+    short = live & (run < Ts - 2)
+    short_runs = list(zip(*(x[short].tolist() for x in (ms, Ts, run))))
+    ms, Ts, base = ms[live], Ts[live], off[:-1][live]
+    # the (k, l) of each modulus are a prefix of the pairs of the largest T
+    pairs = _kl_pairs(int(Ts.max(initial=3)))
+    counts = pairs[2].searchsorted(Ts - 1, side="right")
+    starts = np.cumsum(counts) - counts
+    k, l, kl = pairs[:, np.arange(counts.sum()) - starts.repeat(counts)]
+    m, base = ms.repeat(counts), base.repeat(counts)
+    # defining equality, exact on the stride values (the g(0) terms cancel)
+    ok = (gv[base + kl + 1] - gv[base + 1] - gv[base + kl]
+          == gv[base + k + l] - gv[base + k] - gv[base + l])
+    Q = ExplicitQSet(np.stack([m, k * m, l * m, kl * m])[:, ok])
     Q.short_runs = short_runs
     return Q
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
 from gparith.diosearch import find_weyl_witness
-from gparith.exactnum import field_create, floor_exact, sign
+from gparith.errors import PreconditionViolated
+from gparith.exactnum import circle_norm, field_create, floor_exact, sign
+from gparith.focheck import ell
 from gparith.harness import _max_norm
 
 INT64_MAX = (1 << 63) - 1
@@ -250,6 +252,69 @@ def test_entries_at_the_wrap_are_decided_exactly():
     assert list(lane.within(ks, Fraction(-2, 3), 0)) == [False, True]
     assert lane.extremes(ks) == (Fraction(-1, 2), 0)
     assert list(lane.bins(ks, 10)) == [5, 0]
+
+
+def _exact_half_inverse_norm(lane, k, cap):
+    """min(cap, floor(1/(2*norm(const*k)))), through the field inverse."""
+    return min(cap, floor_exact(1 / (2 * circle_norm(lane.value * k))))
+
+
+@pytest.mark.parametrize("name", ["cbrt2", "sqrt2"])
+def test_half_inverse_norm_is_ell_over_k(name):
+    # every m <= 2*10^5 with norm(alpha*m) < 1/6, where ell(m)/m >= 3
+    alpha = _THETA[name]
+    lane = FastConst(alpha)
+    ms = np.arange(1, 200_001, dtype=np.int64)
+    ms = ms[lane.within(ms, Fraction(-1, 6), Fraction(1, 6))]
+    want = np.array([ell(m, alpha) // m for m in ms.tolist()])
+    for cap in (3, 1000, INT64_MAX):
+        got = lane.half_inverse_norm(ms, cap)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.minimum(want, cap)), cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.sampled_from(_FUZZ_FIELDS), data=st.data())
+def test_half_inverse_norm_is_exact(theta, data):
+    const = data.draw(st.one_of(
+        _elements(theta.field, 10**4),
+        st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))
+    lane = FastConst(const)
+    ks = data.draw(st.lists(st.one_of(st.integers(-(1 << 45), 1 << 45),
+                                      st.sampled_from([-(1 << 63), INT64_MAX])),
+                            min_size=1, max_size=12))
+    cap = data.draw(st.integers(1, 1000))
+    k = np.array(ks, dtype=np.int64)
+    if any(sign(lane.exact_frac(x)) == 0 for x in ks):
+        with pytest.raises(PreconditionViolated):
+            lane.half_inverse_norm(k, cap)
+    else:
+        got = lane.half_inverse_norm(k, cap)
+        assert got.dtype == np.int64
+        assert list(got) == [_exact_half_inverse_norm(lane, x, cap) for x in ks]
+
+
+@pytest.mark.parametrize("const", [Fraction(1, 10), Fraction(1, 6)])
+def test_half_inverse_norm_at_exact_integers(const):
+    # 1/(2*norm(k/10)) is exactly 5 at k = +-1 mod 10 (and 1 at 5 mod 10, on
+    # the wrap), 1/(2*norm(k/6)) exactly 3 at k = +-1 mod 6: the two lane
+    # bounds straddle those integers, and the lane error grows with |k|
+    den = const.denominator
+    lane = FastConst(const)
+    ks = [den * m + r for m in (0, 1, -7, 10**6, -(2**38), 2**40) for r in range(1, den)]
+    for cap in (1, 2, 3, 4, 5, 6, 1000):
+        got = lane.half_inverse_norm(np.array(ks, dtype=np.int64), cap)
+        assert list(got) == [_exact_half_inverse_norm(lane, k, cap) for k in ks], cap
+    assert lane.half_inverse_norm(np.array([1, -1], dtype=np.int64), 1000).tolist() == \
+        [den // 2] * 2
+
+
+@pytest.mark.parametrize("const,k", [(Fraction(1, 10), 10), (Fraction(1, 6), -(6 << 40)),
+                                     (Fraction(7, 3), 3), (_THETA["sqrt2"], 0),
+                                     (_THETA["sqrt2"].field.element([Fraction(3, 2), 0]), 2)])
+def test_half_inverse_norm_of_an_integer_raises(const, k):
+    with pytest.raises(PreconditionViolated):
+        FastConst(const).half_inverse_norm(np.array([1, k], dtype=np.int64), 5)
 
 
 _FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}

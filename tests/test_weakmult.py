@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 import random
 import warnings
 
@@ -8,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from gparith import harness as H, weakmult
 from gparith.errors import ExprSyntaxError, ZeroModulus
+from gparith.exactnum import field_create
 from gparith.focheck import (
+    AlphaContext,
     BoundProfile,
     Structure,
+    ell,
     eval_formula,
     pretty_formula,
 )
@@ -248,6 +252,66 @@ class TestQSets:
             list(big.members())
 
 
+def _build_Q_per_modulus(ctx, m_max, h_factor_max):
+    """The rows and short runs of build_Q, one modulus at a time, with the
+    scalar exact ell and Python integers: the reference for the lane pass."""
+    rows, short_runs = [], []
+    for m in range(1, m_max + 1):
+        T = min(h_factor_max, ell(m, ctx.alpha) // m)
+        if T < 3:
+            continue
+        gv = ctx.g.g_vec(np.arange(0, (T + 1) * m, m, dtype=np.int64)).tolist()
+        d2 = [gv[t + 2] - 2 * gv[t + 1] + gv[t] for t in range(1, T - 1)]
+        if d2[0] == 0:
+            continue
+        run = next((i for i, v in enumerate(d2) if v != d2[0]), len(d2))
+        if run < T - 2:
+            short_runs.append((m, T, run))
+        rows += [(m, k * m, l * m, k * l * m)
+                 for k in range(1, T) for l in range(1, (T - 1) // k + 1)
+                 if gv[k * l + 1] - gv[1] - gv[k * l] + gv[0]
+                 == gv[k + l] - gv[k] - gv[l] + gv[0]]
+    return rows, short_runs
+
+
+_Q_FIELDS = {
+    "cbrt2": ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
+    "sqrt2": ([-2, 0, 1], (1, 2)),
+    "golden": ([-1, -1, 1], (1, 2)),
+}
+_Q_BOUNDS = [(0, 5), (1, 5), (60, 40), (300, 50), (3000, 7), (1500, 1000)]
+
+
+class TestBuildQOneLanePass:
+    """build_Q over all moduli at once equals the per-modulus loop."""
+
+    @staticmethod
+    def _assert_matches_reference(ctx):
+        for m_max, h_factor in _Q_BOUNDS:
+            Q = build_Q(ctx, m_max, h_factor)
+            rows, short_runs = _build_Q_per_modulus(ctx, m_max, h_factor)
+            assert Q == ExplicitQSet(rows), (m_max, h_factor)
+            assert Q.cols.dtype == np.int64
+            assert Q.short_runs == short_runs, (m_max, h_factor)
+        return short_runs
+
+    @pytest.mark.parametrize("beta", [1, -1, 2])
+    @pytest.mark.parametrize("name", sorted(_Q_FIELDS))
+    def test_matches_the_per_modulus_loop(self, name, beta):
+        ctx = AlphaContext(field_create(*_Q_FIELDS[name]).theta, beta)
+        assert self._assert_matches_reference(ctx) == []
+
+    @pytest.mark.parametrize("name", sorted(_Q_FIELDS))
+    def test_matches_it_on_a_g_with_short_runs(self, name, monkeypatch):
+        # g zeroed on 11 | n, so a = 0 on those moduli, and then raised by 1
+        # on n = 3 mod 7, so runs fall short (there too) and equalities fail
+        ctx = AlphaContext(field_create(*_Q_FIELDS[name]).theta, 1)
+        real = ctx.g.g_vec
+        monkeypatch.setattr(ctx.g, "g_vec",
+                            lambda n: np.where(n % 11 == 0, 0, real(n)) + (n % 7 == 3))
+        assert self._assert_matches_reference(ctx)
+
+
 class TestQChecksCanFail:
     """Each Q check turns red on a set that breaks what it checks."""
 
@@ -289,12 +353,13 @@ class TestQChecksCanFail:
         real_d2 = weakmult.progression_d2
         cut = {}
 
-        def shortened(ctx, m, T):
-            gv, a, run = real_d2(ctx, m, T)
-            if not cut:
-                cut["row"] = (m, T, run - 1)
-                run -= 1
-            return gv, a, run
+        def shortened(ctx, ms, Ts):
+            gv, off, a, run = real_d2(ctx, ms, Ts)
+            if not cut:  # the first modulus with T >= 3
+                cut["row"] = (int(ms[0]), int(Ts[0]), int(run[0]) - 1)
+                run = run.copy()
+                run[0] -= 1
+            return gv, off, a, run
 
         monkeypatch.setattr(weakmult, "progression_d2", shortened)
         r = H.verify_q_axioms(ctx, m_max=60, h_factor=20)
