@@ -498,7 +498,7 @@ def verify_lemma37_range(ctx: AlphaContext, m_max: int = 100,
                          h_factor: int = 30) -> HarnessResult:
     res = HarnessResult("3.7")
     bad = count = 0
-    ms = np.arange(1, max(m_max, 0) + 1, dtype=np.int64)
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
     # the instances are 3m <= h <= min(h_factor * m, ell(m)) = T_hi * m, and
     # those with one T = h // m share one progression
     for m, T_hi in zip(ms.tolist(), ctx.g.const.half_inverse_norm(ms, h_factor).tolist()):

@@ -360,7 +360,7 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     nint(alpha m), so the constant-d2 run reaches T - 2; a shorter one
     refutes the construction and is recorded in `short_runs` as (m, T, run).
     """
-    ms = np.arange(1, max(m_max, 0) + 1, dtype=np.int64)
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
     Ts = ctx.g.const.half_inverse_norm(ms, h_factor_max)
     ms, Ts = ms[Ts >= 3], Ts[Ts >= 3]
     gv, off, a, run = progression_d2(ctx, ms, Ts)
