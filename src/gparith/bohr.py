@@ -66,7 +66,7 @@ class BohrWorld:
         self.bounds = bounds
         self.fast = BohrFast(params.alpha, params.rho)
         self._G = self.fast.g_range(0, 1 << 12)
-        self._R: np.ndarray | None = None
+        self._R = np.ones(1, dtype=np.int64)  # x = 0, open at window 0
         self._R_window = 0
         self._lam_cache: dict[tuple[int, int], np.ndarray] = {}
         self._kappa_table_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
@@ -87,18 +87,35 @@ class BohrWorld:
     # -- almost periods --------------------------------------------------------
 
     def _radius(self, x_max: int, window: int) -> np.ndarray:
-        """R[x] = least n in 1..window with g(n+x) != g(n), else window+1."""
-        if self._R is not None and self._R_window == window and len(self._R) > x_max:
-            return self._R
-        self._ensure(x_max + window + 1)
-        G = self._G
-        R = np.full(x_max + 1, window + 1, dtype=np.int64)
-        # n runs downward, so the least mismatching n is written last
-        for n in range(window, 0, -1):
-            R[G[n:n + x_max + 1] != G[n]] = n
-        self._R = R
-        self._R_window = window
-        return R
+        """R[x] = least n in 1..window with g(n+x) != g(n), else window+1.
+
+        The one cached R (window w0) only grows. A query inside it is a slice,
+        clamped to window+1 when window < w0; a larger window rescans only the
+        x still open (R = w0+1) over n in (w0, window], and a larger x_max
+        computes only the new columns.
+        """
+        R, w0 = self._R, self._R_window
+        if window > w0:
+            self._ensure(len(R) + window)
+            G = self._G
+            R = self._R = R.copy()  # answers already handed out stay as they were
+            open_x = np.nonzero(R > w0)[0]
+            R[open_x] = window + 1
+            for n in range(w0 + 1, window + 1):  # open_x shrinks as x close
+                miss = G[open_x + n] != G[n]
+                R[open_x[miss]] = n
+                open_x = open_x[~miss]
+            self._R_window = w0 = window
+        if x_max >= len(R):
+            self._ensure(x_max + w0 + 1)
+            G, x0 = self._G, len(R)
+            new = np.full(x_max + 1 - x0, w0 + 1, dtype=np.int64)
+            # n runs downward, so the least mismatching n is written last
+            for n in range(w0, 0, -1):
+                new[G[x0 + n:x_max + n + 1] != G[n]] = n
+            self._R = R = np.concatenate((R, new))
+        R = R[:x_max + 1]
+        return R if window == w0 else np.minimum(R, window + 1)
 
     def mu(self, m: int, N: int) -> bool:
         """g(n+m) = g(n) for all 1 <= n <= N, exactly."""
@@ -110,7 +127,9 @@ class BohrWorld:
         return bool(np.array_equal(self._G[m + 1:m + N + 1], self._G[1:N + 1]))
 
     def mu_true_upto(self, x_max: int, N: int) -> np.ndarray:
-        R = self._radius(x_max, max(N, self._R_window or N))
+        """The x in 1..x_max with mu(x, N): no scan when earlier queries
+        reached a window >= N and an x_max at least this long."""
+        R = self._radius(x_max, N)
         return np.nonzero(R[1:x_max + 1] > N)[0] + 1  # x >= 1 with mu(x, N)
 
     def delta_threshold(self, N: int) -> AlgebraicReal:
@@ -142,11 +161,14 @@ class BohrWorld:
         return bool(np.any(inset[lo + m]))
 
     def lambda_vec(self, N: int, n_max: int) -> np.ndarray:
-        """lam[n] for 1 <= n <= n_max (index 0 unused), via mu-set differences."""
-        key = (N, n_max)
-        cached = self._lam_cache.get(key)
-        if cached is not None:
-            return cached
+        """lam[n] for 1 <= n <= n_max (index 0 unused), via mu-set differences.
+
+        A cached table of the same N at any n_max' >= n_max answers by its
+        prefix: s + n <= cap + n_max, so the mu set read is the same.
+        """
+        for (N0, n0), lam in self._lam_cache.items():
+            if N0 == N and n0 >= n_max:
+                return lam[:n_max + 1]
         cap = self.bounds.n_cap
         S = self.mu_true_upto(cap + n_max, N)
         inset = np.zeros(cap + n_max + 2, dtype=bool)
@@ -154,7 +176,7 @@ class BohrWorld:
         lam = np.zeros(n_max + 1, dtype=bool)
         for s in S[S <= cap]:  # lam[n] = any inset[s + n] over these s
             lam[1:] |= inset[s + 1:s + n_max + 1]
-        self._lam_cache[key] = lam
+        self._lam_cache[(N, n_max)] = lam
         return lam
 
     # -- kappa / nu / delta with three-way verdicts ------------------------------
@@ -164,7 +186,9 @@ class BohrWorld:
         h exists within the caps (cap exhaustion).
 
         kappa(x) is an AND over admissible h of an OR over candidate n of
-        g(h + x + n) = 1, computed by boolean dilations.
+        g(h + x + n) = 1: an erosion, over hs, of one dilation of the hit
+        set by cand, D[y] = OR over n of hit[y + n]. D is built in |cand|
+        passes and the table in |hs| more.
         """
         # normalise the table length so repeated queries share one table
         x_max = ((max(x_max, 2048) // 4096) + 1) * 4096
@@ -173,29 +197,23 @@ class BohrWorld:
             if N0 == N and xm0 >= x_max:
                 return tab0 if ok0 else None
         b = self.bounds
+        lam_n = self.lambda_vec(b.L_cap, b.n_cap)  # first: lam_h may be its prefix
         lam_h = self.lambda_vec(b.M_cap, b.h_cap)
-        hs = [h for h in range(1, b.h_cap + 1) if self.g(h) == 1 and lam_h[h]]
-        if not hs:
+        hs = np.nonzero((self._G[1:b.h_cap + 1] == 1) & lam_h[1:])[0] + 1
+        if len(hs) == 0:
             self._kappa_table_cache[key] = (np.zeros(0, dtype=bool), False)
             return None
-        lam_n = self.lambda_vec(b.L_cap, b.n_cap)
-        R = self._radius(b.n_cap, max(N, b.M_cap, b.L_cap))
-        cand = np.nonzero(lam_n[:b.n_cap + 1]
-                          & np.concatenate(([False], R[1:b.n_cap + 1] > N)))[0]
+        S = self.mu_true_upto(b.n_cap, N)
+        cand = S[lam_n[S]]
+        y_max = int(hs[-1]) + x_max
+        self._ensure(y_max + b.n_cap + 1)
+        hit = self._G == 1
+        D = np.zeros(y_max + 1, dtype=bool)  # all False when cand is empty
+        for n in cand:
+            D |= hit[n:n + y_max + 1]
         table = np.ones(x_max + 1, dtype=bool)
-        if len(cand) == 0:
-            table[:] = False
-        else:
-            self._ensure(int(hs[-1] + x_max + cand[-1] + 1))
-            hit = self._G == 1
-            for h in hs:
-                cur = np.zeros(x_max + 1, dtype=bool)
-                for n in cand:
-                    off = h + int(n)
-                    cur |= hit[off:off + x_max + 1]
-                table &= cur
-                if not table.any():
-                    break
+        for h in hs:
+            table &= D[h:h + x_max + 1]
         self._kappa_table_cache[key] = (table, True)
         return table
 

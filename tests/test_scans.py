@@ -1,9 +1,11 @@
 """Whole-array scans against the literal definitions they compute.
 
-`BohrWorld._radius`, `BohrWorld.lambda_vec`, `harness._psi_table`, the
-sliced push-forward histogram and the exact orbit histogram of
-`equidist_check` and `focheck.ell` are each compared with a direct,
-element-by-element reading of what they compute.
+`BohrWorld._radius`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
+`harness._psi_table`, the sliced push-forward histogram and the exact orbit
+histogram of `equidist_check` and `focheck.ell` are each compared with a
+direct, element-by-element reading of what they compute. The bohr tables
+are also read back through their caches, one world answering a sequence
+of smaller and larger queries.
 """
 
 from fractions import Fraction
@@ -20,15 +22,19 @@ from gparith.focheck import ell
 from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
 
 
+def _radius_literal(world, x_max, window):
+    G = [world.g(n) for n in range(x_max + window + 1)]
+    return [next((n for n in range(1, window + 1) if G[n + x] != G[n]), window + 1)
+            for x in range(x_max + 1)]
+
+
 class TestRadius:
     @pytest.mark.parametrize("window,x_max", [(6, 4000), (10, 4000), (25, 4000),
                                               (200, 2000)])
     def test_against_first_mismatch_loop(self, sqrt2, window, x_max):
         world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         R = world._radius(x_max, window)
-        G = [world.g(n) for n in range(x_max + window + 1)]
-        want = [next((n for n in range(1, window + 1) if G[n + x] != G[n]), window + 1)
-                for x in range(x_max + 1)]
+        want = _radius_literal(world, x_max, window)
         assert R.tolist() == want
         # x = 0 never mismatches; small windows also have such x >= 1
         no_mismatch = [x for x in range(x_max + 1) if want[x] == window + 1]
@@ -36,23 +42,110 @@ class TestRadius:
         if window <= 25:
             assert len(no_mismatch) > 1
 
+    @pytest.mark.parametrize("calls", [
+        # windows up, then down (a clamp), then a longer x_max
+        [(4000, 25), (4000, 50), (4000, 200), (4000, 10), (7900, 10), (7900, 200),
+         (2000, 6)],
+        # a wider window while the cached R is longer than the x_max asked:
+        # x = 9273 has mu(x, 25), so the rescan reads g past 9280, the end
+        # of the base sequence that the first call left
+        [(9273, 6), (2000, 50), (9273, 25), (500, 400)],
+    ])
+    def test_one_world_grows_and_clamps_its_cache(self, sqrt2, calls):
+        params = BohrParams(sqrt2, Fraction(1, 5))
+        world = BohrWorld(params)
+        for x_max, window in calls:
+            R = world._radius(x_max, window)
+            assert R.tolist() == _radius_literal(BohrWorld(params), x_max, window), \
+                (x_max, window)
+
+
+def _lambda_literal(world, N, n_max):
+    """lam[n] by the per-n reading: some mu-set member s <= n_cap has s + n
+    in the mu set too."""
+    cap = world.bounds.n_cap
+    S = world.mu_true_upto(cap + n_max, N)
+    inset = np.zeros(cap + n_max + 2, dtype=bool)
+    inset[S] = True
+    base = S[S <= cap]
+    return [False] + [bool(np.any(inset[base + n])) for n in range(1, n_max + 1)]
+
 
 class TestLambdaVec:
     @pytest.mark.parametrize("N,n_max", [(6, 40), (6, 500), (10, 300), (40, 200)])
     def test_against_per_n_loop(self, sqrt2, N, n_max):
         cap = 3000
         world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), BohrBounds(n_cap=cap))
-        S = world.mu_true_upto(cap + n_max, N)
-        inset = np.zeros(cap + n_max + 2, dtype=bool)
-        inset[S] = True
-        base = S[S <= cap]
-        want = [False] + [bool(np.any(inset[base + n])) for n in range(1, n_max + 1)]
+        want = _lambda_literal(world, N, n_max)
         assert world.lambda_vec(N, n_max).tolist() == want
+        S = world.mu_true_upto(cap + n_max, N)
+        base = S[S <= cap]
         if N == 40:
             assert len(S) == 0  # the empty mu set
         else:
             assert 0 < len(base) and any(want) and not all(want[1:])
             assert (n_max < len(base)) == (N == 6 and n_max == 40)
+
+    def test_one_world_serves_prefixes_of_the_same_N_only(self, sqrt2):
+        params, bounds = BohrParams(sqrt2, Fraction(1, 5)), BohrBounds(n_cap=3000)
+        world = BohrWorld(params, bounds)
+        for N, n_max in [(6, 500), (6, 40), (10, 300), (10, 300), (6, 300),
+                         (14, 200), (10, 100)]:
+            lam = world.lambda_vec(N, n_max)
+            assert lam.tolist() == _lambda_literal(BohrWorld(params, bounds), N, n_max), \
+                (N, n_max)
+
+
+def _kappa_literal(world, N, x_max):
+    """kappa(x, N) for 0 <= x <= x_max by its definition: for every h <= h_cap
+    with g(h) = 1 and lambda(h, M_cap), some n <= n_cap with lambda(n, L_cap)
+    and mu(n, N) has g(h + x + n) = 1. None when no such h exists."""
+    b = world.bounds
+    cap = b.n_cap
+    G = [world.g(n) for n in range(b.h_cap + x_max + 2 * cap + max(N, b.M_cap, b.L_cap) + 2)]
+
+    def mu(x, M):
+        return G[x + 1:x + M + 1] == G[1:M + 1]
+
+    def lam(n, M):
+        return any(mu(s, M) and mu(s + n, M) for s in range(1, cap + 1))
+
+    hs = [h for h in range(1, b.h_cap + 1) if G[h] == 1 and lam(h, b.M_cap)]
+    if not hs:
+        return None
+    cand = [n for n in range(1, cap + 1) if mu(n, N) and lam(n, b.L_cap)]
+    return [all(any(G[h + x + n] == 1 for n in cand) for h in hs)
+            for x in range(x_max + 1)]
+
+
+class TestKappaTable:
+    BOUNDS = BohrBounds(n_cap=3000, h_cap=80, M_cap=6, L_cap=6)
+
+    @pytest.mark.parametrize("N", [10, 14])
+    def test_against_its_definition(self, sqrt2, N):
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), self.BOUNDS)
+        table = world._kappa_table(N, 100)
+        assert len(table) == 4097  # x_max is rounded up to 4096
+        want = _kappa_literal(world, N, 4096)
+        assert table.tolist() == want
+        assert any(want) and not all(want)
+
+    def test_cache_serves_a_smaller_x_max_of_the_same_N(self, sqrt2):
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), self.BOUNDS)
+        assert len(world._kappa_table(10, 5000)) == 8193
+        for N, size in [(10, 8193), (14, 4097)]:
+            table = world._kappa_table(N, 100)
+            assert len(table) == size
+            assert table.tolist() == _kappa_literal(world, N, size - 1)
+
+    def test_no_admissible_h_is_none(self, sqrt2):
+        # g(1) = ... = g(5) = 0 for sqrt2 and rho = 1/5
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)),
+                          BohrBounds(n_cap=3000, h_cap=5))
+        assert _kappa_literal(world, 10, 100) is None
+        assert world._kappa_table(10, 100) is None
+        assert world._kappa_table(10, 50) is None  # from the cache
+        assert world.kappa(3, 10).value is None
 
 
 def _mu_table(G, C, N_max, m_max):
