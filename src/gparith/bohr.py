@@ -101,7 +101,7 @@ class BohrWorld:
             R = self._R = R.copy()  # answers already handed out stay as they were
             open_x = np.nonzero(R > w0)[0]
             R[open_x] = window + 1
-            for n in range(w0 + 1, window + 1):  # open_x shrinks as x close
+            for n in range(w0 + 1, window + 1):  # an x leaves at its first mismatch
                 miss = G[open_x + n] != G[n]
                 R[open_x[miss]] = n
                 open_x = open_x[~miss]
