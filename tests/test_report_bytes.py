@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from gparith.cli import VERIFY, main
+from gparith.config import DEFAULT_CONFIG_TEXT
 
 PSI = ("forall n in [1, 10]: exists n2 in [2*m, 3000]: "
        "g(n+m+n2) - g(n+n2) - g(m+n2) + g(n2) - g(n+m) + g(n) + g(m) - g(0) = 0")
@@ -31,6 +32,9 @@ REPORTS = {
                       "0651d48a344cf9a7997c9b19b94fa89c51cee76b160500cbe0cae679da0e0c6f"),
     "verify-3.1": (["verify", "3.1", "--samples", "100"],
                    "c029f9c4563644302aa2a6c89c08f1bc3244490a777d92f88a1879f0ffb841a9"),
+    # the perfbench flags
+    "verify-3.1-s400": (["verify", "3.1", "--samples", "400"],
+                        "004fb431238e8d3ab5c860367bde15261a3363570103dbeede792cb628421d71"),
     "verify-3.2": (["verify", "3.2", "--pairs", "5"],
                    "0083ff53c85ac2ec5058d11be99ef0d5fcbeda99fb627e377d8b4b0f8b7549ac"),
     "verify-3.3": (["verify", "3.3", "--n-max", "6", "--m-max", "200"],
@@ -109,6 +113,18 @@ REPORTS = {
                    "12c2643f62580c8c504d400ee817639e715c3a5482671be363f5ae3bdcb752a0"),
 }
 
+# `verify 3.1` at the perfbench flags under a config whose beta is not 1:
+# name -> (beta value, digest).  At beta = 1/3 the calibration reaches
+# C = 8 and the opposite mode fails 65 times; at the cube root of 4, from a
+# field of its own, C = 2 and the off-diagonal mode fails 90 times.
+BETA_31 = ["verify", "3.1", "--samples", "400"]
+BETA_REPORTS = {
+    "verify-3.1-beta-third": ('rational "1/3"',
+                              "fff416720e7146bd1d4b46be7580b9dcf757ed851c0b02db1c9f5e986db46fd0"),
+    "verify-3.1-beta-cbrt4": ('algebraic { minpoly = [-4, 0, 0, 1], interval = ["3/2", "8/5"] }',
+                              "a03c818027fbcd71c555b140550006ffe234ef0694320df5a0ef08452c005eac"),
+}
+
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
 Q_BUILD = ["--seed", "1", "quadruples", "build", "--m-max", "300",
            "--h-factor", "100"]
@@ -149,6 +165,19 @@ def test_report_digest(name, tmp_path, capsys):
     argv, digest = REPORTS[name]
     out = tmp_path / "report"
     assert main(["--seed", "1", "--out", str(out)] + argv) == EXIT_CODE.get(name, 0)
+    capsys.readouterr()
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(BETA_REPORTS))
+def test_beta_report_digest(name, tmp_path, capsys):
+    beta, digest = BETA_REPORTS[name]
+    config = tmp_path / "config"
+    text = DEFAULT_CONFIG_TEXT.replace('beta = rational "1"', f"beta = {beta}")
+    assert text != DEFAULT_CONFIG_TEXT
+    config.write_text(text)
+    out = tmp_path / "report"
+    assert main(["--config", str(config), "--seed", "1", "--out", str(out)] + BETA_31) == 0
     capsys.readouterr()
     assert _sha256(out) == digest
 
