@@ -202,8 +202,9 @@ class FastConst:
 
 
 class QuadSeqFast(SequenceHandle):
-    """g(n) = nint(beta*n*nint(alpha*n)): memoised exact values for any
-    beta, exact bulk evaluation for an integer beta."""
+    """g(n) = nint(beta*n*nint(alpha*n)): memoised exact values and exact
+    bulk evaluation for any beta, with the lanes `const` of alpha and
+    `beta_const` of beta."""
 
     def __init__(self, alpha: AlgebraicReal, beta: Number) -> None:
         super().__init__()
@@ -212,17 +213,20 @@ class QuadSeqFast(SequenceHandle):
         self.alpha = alpha
         self.beta = beta
         self.const = FastConst(alpha)
+        self.beta_const = FastConst(beta)
 
     def g_vec(self, n: np.ndarray) -> np.ndarray:
-        """Exact g on an int64 vector (beta*n*nint(alpha*n) is an integer)."""
-        if not isinstance(self.beta, int):
-            raise TypeError("fast lane requires an integer beta")
+        """Exact g on an int64 vector, q = nint(alpha*n): beta*n*q for an
+        integer beta, else nint(beta*x) on the int64 products x = n*q through
+        beta's lane (ValueError past its exact-recovery range)."""
+        whole = isinstance(self.beta, int)
+        factor = self.beta if whole else 1
         # numpy refuses an int beta outside int64 even where n or q is 0
-        check_int64_product(self.beta)
+        check_int64_product(factor)
         q = self.const.nint_frac_vec(n)
         if len(n):
-            check_int64_product(self.beta, np.abs(n).max(), np.abs(q).max())
-        return self.beta * n * q
+            check_int64_product(factor, np.abs(n).max(), np.abs(q).max())
+        return self.beta * n * q if whole else self.beta_const.nint_frac_vec(n * q)
 
     def g_range(self, lo: int, hi: int) -> np.ndarray:
         """Exact g(lo..hi) inclusive, index i -> g(lo+i)."""

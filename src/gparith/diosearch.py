@@ -306,30 +306,24 @@ def calibrate_C(alpha: AlgebraicReal, beta, sample_count: int,
                 seed: int = DEFAULT_SEED) -> CalibrationResult:
     """Smallest C in the doubling schedule C_SCHEDULE making the vanishing
     criterion match its carry/gamma characterisation on every sampled
-    admissible triple, together with the gamma mode that achieves it."""
+    admissible triple, together with the gamma mode that achieves it.
+    Each stage classifies all its triples, in both gamma modes, with one
+    array call of `lemma31_classify`."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     g = QuadSeqFast(alpha, beta)
     failures: dict = {}
     for C in C_SCHEDULE:
-        triples = sample_admissible_triples(C, sample_count, seed)
-        fail_all = fail_off = 0
-        indist = True
-        for (n0, n1, n2) in triples:
-            # the two gamma modes differ only in cond2: classify once
-            rep = lemma31_classify(n0, n1, n2, g)
-            verdict_all = rep.cond1 and rep.cond2_by_mode[GAMMA_ALL_PAIRS]
-            verdict_off = rep.cond1 and rep.cond2_by_mode[GAMMA_OFF_DIAGONAL]
-            if verdict_all != verdict_off:
-                indist = False
-            if rep.lhs_zero != verdict_all:
-                fail_all += 1
-            if rep.lhs_zero != verdict_off:
-                fail_off += 1
-        failures[(C, GAMMA_ALL_PAIRS)] = fail_all
-        failures[(C, GAMMA_OFF_DIAGONAL)] = fail_off
+        n0, n1, n2 = np.array(sample_admissible_triples(C, sample_count, seed),
+                              dtype=np.int64).T
+        rep = lemma31_classify(n0, n1, n2, g)
+        verdict_all = rep.cond1 & rep.cond2_by_mode[GAMMA_ALL_PAIRS]
+        verdict_off = rep.cond1 & rep.cond2_by_mode[GAMMA_OFF_DIAGONAL]
+        failures[(C, GAMMA_ALL_PAIRS)] = fail_all = int((rep.lhs_zero != verdict_all).sum())
+        failures[(C, GAMMA_OFF_DIAGONAL)] = fail_off = int((rep.lhs_zero != verdict_off).sum())
         if fail_all == 0 or fail_off == 0:
             mode = GAMMA_ALL_PAIRS if fail_all == 0 else GAMMA_OFF_DIAGONAL
+            indist = bool((verdict_all == verdict_off).all())
             return CalibrationResult(C=C, gamma_mode=mode, failures=failures,
                                      modes_indistinguishable=indist,
                                      samples=sample_count, seed=seed)

@@ -355,29 +355,36 @@ class NumberField:
     # -- interval refinement ---------------------------------------------------
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the isolating interval to the requested width."""
+        """Shrink the isolating interval to the requested width by
+        bisection, on integer endpoints L, H over one denominator."""
         if self.rational_theta is not None:
             t = self.rational_theta
             return (t, t)
         lo, hi = self._interval
         if hi - lo <= width:
             return (lo, hi)
-        p = self.minpoly
-        slo = 1 if poly_eval(p, lo) > 0 else -1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = poly_eval(p, mid)
+        (a, b), (c, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        L, H, den = a * e, c * b, b * e
+        slo = 1 if self._sign_at(L, den) > 0 else -1
+        while (H - L) * width.denominator > width.numerator * den:
+            mid, den = L + H, 2 * den
+            v = self._sign_at(mid, den)
             if v == 0:
                 # can only happen for unverified reducible minpolys
-                self.rational_theta = mid
-                self._interval = (mid, mid)
-                return (mid, mid)
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
-            else:
-                hi = mid
-        self._interval = (lo, hi)
-        return (lo, hi)
+                self.rational_theta = Fraction(mid, den)
+                self._interval = (self.rational_theta,) * 2
+                return self._interval
+            L, H = (mid, 2 * H) if v == slo else (2 * L, mid)
+        self._interval = (Fraction(L, den), Fraction(H, den))
+        return self._interval
+
+    def _sign_at(self, a: int, b: int) -> int:
+        """Sign of the minimal polynomial at a/b (b > 0): the sign of the
+        integer sum of c_i * a^i * b^(d-i)."""
+        acc, bp = 0, 1
+        for c in reversed(self.minpoly_int):
+            acc, bp = acc * a + c * bp, bp * b
+        return (acc > 0) - (acc < 0)
 
     def theta_enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
         return self.refine(Fraction(1, 1 << prec))

@@ -19,8 +19,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Mapping, Union
+
+import numpy as np
 
 from .errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
 from .exactnum import (
@@ -532,24 +534,31 @@ def delta_sym_iter_subsets(f: IntSeq, args: list[int]) -> int:
 GAMMA_ALL_PAIRS = "all-pairs"
 GAMMA_OFF_DIAGONAL = "off-diagonal"
 
-_SUBSETS = tuple(
-    frozenset(s) for s in chain.from_iterable(
-        combinations((0, 1, 2), k) for k in range(4))
-)
+_SUBSETS = tuple(frozenset(s) for k in range(4) for s in combinations((0, 1, 2), k))
+_COL = {I: c for c, I in enumerate(_SUBSETS)}
 _PAIRS = (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 0}))
+_FULL = frozenset({0, 1, 2})
+# n @ _MEMBERS.T is the table of subset sums K_I; the alternating sum of
+# g(K_I) with _SIGNS is the iterated derivative at (n0, n1, n2)
+_MEMBERS = np.array([[i in I for i in range(3)] for I in _SUBSETS], dtype=np.int64)
+_SIGNS = np.array([(-1) ** (3 - len(I)) for I in _SUBSETS], dtype=np.int64)
+# the gamma sums that cond2 reads (the full set, then the pairs) in each
+# mode, as rows over the nine products X_ij = n_i*a_j (column 3i + j)
+_GAMMA_ROWS = np.array(
+    [[i in I and j in I and (mode == GAMMA_ALL_PAIRS or i != j)
+      for i in range(3) for j in range(3)]
+     for mode in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL) for I in (_FULL,) + _PAIRS], dtype=np.int64)
 
 
 @dataclass
 class Lemma31Report:
-    """Exact classification of one triple for the vanishing criterion."""
+    """Exact vanishing-criterion classification of a triple, or entrywise."""
 
-    triple: tuple[int, int, int]
+    triple: tuple
     lhs_zero: bool
     cond1: bool
     cond2: bool
     gamma_mode: str
-    gammas: dict = dc_field(default_factory=dict)
-    gamma_nints: dict = dc_field(default_factory=dict)
     carries_e: dict = dc_field(default_factory=dict)
     carries_f: dict = dc_field(default_factory=dict)
     cond2_by_mode: dict = dc_field(default_factory=dict)
@@ -557,94 +566,98 @@ class Lemma31Report:
     @property
     def equivalent(self) -> bool:
         """True when lhs vanishing matches cond1 and cond2."""
-        return self.lhs_zero == (self.cond1 and self.cond2)
+        return self.lhs_zero == (self.cond1 & self.cond2)
 
 
-def _gamma_nints(frac_table: dict, gamma_mode: str) -> tuple[dict, dict]:
-    """The gamma sums over each index subset, and their nearest integers."""
-    gammas = {}
-    gamma_nints = {}
-    for I in _SUBSETS:
-        acc: Number = 0
-        for i in I:
-            for j in I:
-                if gamma_mode == GAMMA_OFF_DIAGONAL and i == j:
-                    continue
-                acc = acc + frac_table[(i, j)]
-        gammas[I] = acc
-        gamma_nints[I] = nint(acc)
-    return gammas, gamma_nints
+def _near(mag, c: float):
+    """Where the float magnitudes `mag` stay in int64 and |c|*mag in a
+    lane's exact-recovery range (below 2^51, with a factor 2 to spare)."""
+    return (mag < 2.0**62) & (mag * abs(c) < 2.0**50)
 
 
-def lemma31_classify(n0: int, n1: int, n2: int, g: SequenceHandle,
+def _lane_or_exact(lane, exact, x, near):
+    """lane(x) on the entries of a flat int64 array x where `near`, and
+    exact(int(x[i])) elsewhere.  An exact entry makes the result an object
+    array of Python ints, so that sums of it cannot wrap."""
+    if near.all():
+        return lane(x)
+    out = x.astype(object)
+    if near.any():
+        out[near] = lane(x[near])
+    for i in np.nonzero(~near)[0]:
+        out[i] = exact(int(x[i]))
+    return out
+
+
+def _nint_times(const, x):
+    """Exact nint(const*x) on an integer array x, through const's
+    `FastConst` lane inside its exact-recovery range."""
+    flat = x.ravel()
+    near = _near(np.abs(flat).astype(np.float64), const.f64)
+    return _lane_or_exact(const.nint_frac_vec, const.exact_nint, flat, near).reshape(x.shape)
+
+
+def lemma31_classify(n0, n1, n2, g: SequenceHandle,
                      gamma_mode: str = GAMMA_ALL_PAIRS) -> Lemma31Report:
-    """Classify a positive triple for g(n) = nint(beta*n*nint(alpha*n)),
-    read through `g` and its `alpha` and `beta`: exact second-derivative
-    vanishing vs the carry condition (cond1) and the gamma identity (cond2).
+    """Classify positive triples for g(n) = nint(beta*n*nint(alpha*n)),
+    read through the handle `g` (`g_vec`, `g(k)`) and its lanes `g.const`
+    of alpha and `g.beta_const` of beta: exact second-derivative vanishing
+    vs the carry condition (cond1) and the gamma identity (cond2).
 
-    The two gamma modes differ only in cond2, so the report's
-    `cond2_by_mode` holds cond2 of both; cond2, gammas and gamma_nints are
-    those of `gamma_mode`.
+    n0, n1, n2 are ints, or equal-length int64 arrays classified entry by
+    entry in one pass (the report then holds arrays).  With K_I the subset
+    sums and A_I = nint(alpha*K_I), the carry of I is A_I - sum of A_{i};
+    with X_ij = n_i*A_{j} and S_I its sum over the pairs of I, nint(gamma_I)
+    = nint(beta*S_I) - sum of nint(beta*X_ij).  Entries past a lane's
+    exact range are decided by `exact_nint` and `g(k)`.  `cond2_by_mode`
+    holds cond2 of both gamma modes; cond2 is that of `gamma_mode`.
     """
-    if min(n0, n1, n2) < 1:
-        raise ValueError("triple entries must be >= 1")
     if gamma_mode not in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    alpha, beta = g.alpha, g.beta  # type: ignore[attr-defined]
-    ns = (n0, n1, n2)
+    n = np.column_stack([np.asarray(v, dtype=np.int64).reshape(-1) for v in (n0, n1, n2)])
+    if (n < 1).any() or (n > INT64_MAX // 3).any():
+        raise ValueError("triple entries must lie in [1, (2^63 - 1) // 3]")
+    K = n @ _MEMBERS.T
+    A = _nint_times(g.const, K)  # type: ignore[attr-defined]
+    a = A[:, 1:4]
+    carry = A - a @ _MEMBERS.T
+    beta = g.beta_const  # type: ignore[attr-defined]
 
-    lhs = delta_sym_iter(g, [n0, n1, n2])
+    k = K.ravel()
+    try:
+        G = g.g_vec(k)  # type: ignore[attr-defined]
+    except ValueError:  # past the handle's lane range: g(k) there
+        ka = np.abs(k.astype(np.float64) * A.ravel().astype(np.float64))
+        G = _lane_or_exact(g.g_vec, g, k, _near(ka, beta.f64))  # type: ignore[attr-defined]
+    if np.abs(G).max() > INT64_MAX // 8:
+        G = G.astype(object)  # the sum of eight values stays exact
+    G = G.reshape(K.shape)
 
-    s = [(alpha * ni).frac_signed() for ni in ns]
-    cond1 = True
-    for I in _SUBSETS:
-        acc: Number = 0
-        for i in I:
-            acc = acc + s[i]
-        if nint(acc) != 0:
-            cond1 = False
-            break
+    # |X_ij| and |S_I| are at most (sum of |n_i|)*(sum of |a_j|)
+    if int(n.sum(axis=1).max()) * int(np.abs(a).sum(axis=1).max()) > INT64_MAX:
+        n, a = n.astype(object), a.astype(object)
+    X = (n[:, :, None] * a[:, None, :]).reshape(-1, 9)
+    NX = _nint_times(beta, X)
+    gam = _nint_times(beta, X @ _GAMMA_ROWS.T) - NX @ _GAMMA_ROWS.T
+    cond2_by_mode = {GAMMA_ALL_PAIRS: gam[:, 0] == gam[:, 1:4].sum(axis=1),
+                     GAMMA_OFF_DIAGONAL: gam[:, 4] == gam[:, 5:8].sum(axis=1)}
 
-    a_ints = [(alpha * ni).nint() for ni in ns]
-    frac_table = {}
-    for i in range(3):
-        for j in range(3):
-            frac_table[(i, j)] = frac_signed(beta * ns[i] * a_ints[j])
-
-    full = frozenset({0, 1, 2})
-    cond2_by_mode = {}
-    for mode in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
-        mode_gammas, mode_nints = _gamma_nints(frac_table, mode)
-        cond2_by_mode[mode] = mode_nints[full] == sum(mode_nints[p] for p in _PAIRS)
-        if mode == gamma_mode:
-            gammas, gamma_nints = mode_gammas, mode_nints
-    cond2 = cond2_by_mode[gamma_mode]
-
-    carries_e = {}
-    for I in (_PAIRS + (full,)):
-        acc = 0
-        for i in I:
-            acc = acc + s[i]
-        carries_e[I] = nint(acc)
-
+    carries_e = {I: carry[:, _COL[I]] for I in _PAIRS + (_FULL,)}
     carries_f = {}
     for I in _PAIRS:
         i, j = sorted(I)
-        dg = delta_sym(g, ns[j], ns[i])
-        nij = nint(beta * ns[i] * a_ints[j])
-        nji = nint(beta * ns[j] * a_ints[i])
-        bsum = nint(beta * (ns[i] + ns[j]))
-        carries_f[I] = dg - nij - nji - bsum * carries_e[I]
+        dg = G[:, _COL[I]] - G[:, 1 + i] - G[:, 1 + j] + G[:, 0]
+        bsum = _nint_times(beta, K[:, _COL[I]])
+        carries_f[I] = dg - NX[:, 3 * i + j] - NX[:, 3 * j + i] - bsum * carries_e[I]
 
+    one = (lambda v: v.tolist()[0]) if np.ndim(n0) == 0 else (lambda v: v)
     return Lemma31Report(
-        triple=ns,
-        lhs_zero=(lhs == 0),
-        cond1=cond1,
-        cond2=cond2,
+        triple=(n0, n1, n2),
+        lhs_zero=one(G @ _SIGNS == 0),
+        cond1=one((carry == 0).all(axis=1)),
+        cond2=one(cond2_by_mode[gamma_mode]),
         gamma_mode=gamma_mode,
-        gammas=gammas,
-        gamma_nints=gamma_nints,
-        carries_e=carries_e,
-        carries_f=carries_f,
-        cond2_by_mode=cond2_by_mode,
+        carries_e={I: one(v) for I, v in carries_e.items()},
+        carries_f={I: one(v) for I, v in carries_f.items()},
+        cond2_by_mode={m: one(v) for m, v in cond2_by_mode.items()},
     )

@@ -60,6 +60,23 @@ def test_criterion_02_lemma31_calibration(cbrt2_field):
     assert dt < 300
 
 
+def test_criterion_02_lemma31_calibration_beta_third(cbrt2_field):
+    # at beta = 1 every gamma term vanishes and the control passes only as
+    # "indistinguishable"; at beta = 1/3 the opposite mode must fail
+    t0 = time.monotonic()
+    r = H.verify_lemma31(cbrt2_field.theta, Fraction(1, 3), samples=10_000, seed=SEED)
+    dt = time.monotonic() - t0
+    C, mode = r.summary.get("C"), r.summary.get("gamma_mode")
+    other = "off-diagonal" if mode == "all-pairs" else "all-pairs"
+    other_fail = r.summary["failures"][f"C={C},{other}"]
+    report(2, "second-derivative criterion calibration, beta = 1/3", r.ok, dt,
+           f"C={C} mode={mode} opposite-mode failures={other_fail}")
+    assert r.ok
+    assert not r.summary["modes_indistinguishable"]
+    assert other_fail >= 1
+    assert dt < 300
+
+
 def test_criterion_03_lemma32_witnesses(ctx):
     t0 = time.monotonic()
     r = H.verify_lemma32(ctx, C=2, n_pairs=100, wit_cap=10**6, neg_cap=10**5,

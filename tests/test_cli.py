@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gparith import harness as H
+from gparith._fastlane import QuadSeqFast
 from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
 
@@ -183,6 +184,22 @@ class TestVerify:
         code, _, err = run_cli(["--config", str(cfg), "verify", "Q1", "--m-max", "5"],
                                capsys)
         assert code == 2 and "constant 'alpha' is not declared" in err
+
+    @pytest.mark.parametrize("mutation", ["g+1 on 3|n", "g = n^2"])
+    def test_lemma31_fails_under_a_mutated_sequence(self, mutation, monkeypatch, capsys):
+        # both evaluators of g mutated alike: the lane and the exact scalar
+        vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
+        if mutation == "g = n^2":
+            monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: n * n)
+            monkeypatch.setattr(QuadSeqFast, "g_scalar", lambda self, n: n * n)
+        else:
+            monkeypatch.setattr(QuadSeqFast, "g_vec",
+                                lambda self, n: vec(self, n) + (n % 3 == 0))
+            monkeypatch.setattr(QuadSeqFast, "g_scalar",
+                                lambda self, n: scalar(self, n) + (n % 3 == 0))
+        code, out, _ = run_cli(["verify", "3.1", "--samples", "100"], capsys)
+        assert code == 1
+        assert json.loads(out.splitlines()[0])["verdict"] == "fail"
 
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []

@@ -25,6 +25,7 @@ from gparith.exactnum import (
     floor_exact,
     frac_signed,
     nint,
+    poly_eval,
     sign,
 )
 
@@ -73,6 +74,33 @@ class TestFieldCreate:
             field_create([1], (0, 1))  # degree 0
         with pytest.raises(ValueError):
             field_create([2, -1], (0, 3))  # negative leading coefficient
+
+    @pytest.mark.parametrize("minpoly, interval", [
+        ([-2, 0, 0, 1], ("5/4", "13/10")),  # alpha of the default config
+        ([-2, 0, 1], ("1", "2")),  # its bohr_alpha
+        ([-4, 0, 0, 1], ("3/2", "8/5")),  # a beta from a field of its own
+    ])
+    def test_refine_matches_fraction_bisection(self, minpoly, interval):
+        K = field_create(minpoly, tuple(map(Fraction, interval)))
+        lo, hi = K.refine(Fraction(10))  # the isolating interval as it is
+        p = [Fraction(c) for c in minpoly]
+        slo = 1 if poly_eval(p, lo) > 0 else -1
+        for width in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2**8), Fraction(1, 10**9),
+                      Fraction(1, 2**64), Fraction(1, 2**80), Fraction(7, 3**130)):
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                if (1 if poly_eval(p, mid) > 0 else -1) == slo:
+                    lo = mid
+                else:
+                    hi = mid
+            assert K.refine(width) == (lo, hi)
+
+    def test_refine_stops_at_a_rational_root(self):
+        # (2x - 3)(x^4 - 2) is reducible, but past degree 4 it is not
+        # checked: the first midpoint of [5/4, 7/4] is its root 3/2
+        K = field_create([6, -4, 0, 0, -3, 2], (Fraction(5, 4), Fraction(7, 4)))
+        assert K.refine(Fraction(1, 8)) == (Fraction(3, 2), Fraction(3, 2))
+        assert K.rational_theta == Fraction(3, 2)
 
     def test_sturm_count(self):
         p = tuple(Fraction(c) for c in (-2, 0, 1))  # x^2 - 2

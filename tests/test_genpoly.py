@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import combinations
 from functools import partial
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gparith._fastlane import BohrFast, QuadSeqFast
+from gparith.diosearch import C_SCHEDULE, sample_admissible_triples
+from gparith.exactnum import field_create, frac_signed, nint
 from gparith.errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
 from gparith.genpoly import (
     GAMMA_ALL_PAIRS,
@@ -164,12 +167,7 @@ class TestOneEvaluator:
         ref = [_eval(G_TEXT, {"alpha": alpha, "beta": beta}, n) for n in ns]
         assert [g(n) for n in ns] == ref
         assert [g(n) for n in ns] == [g.g_scalar(n) for n in ns] == ref  # memo hits
-        lane = np.array(ns, dtype=np.int64)
-        if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
-            assert [int(v) for v in g.g_vec(lane)] == ref
-        else:
-            with pytest.raises(TypeError):
-                g.g_vec(lane)
+        assert [int(v) for v in g.g_vec(np.array(ns, dtype=np.int64))] == ref
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -290,6 +288,52 @@ class TestDiscreteCalculus:
             delta_sym_iter(g, [5])
 
 
+def _classify_reference(n0, n1, n2, g, gamma_mode=GAMMA_ALL_PAIRS):
+    """The scalar classifier in exact field arithmetic: lhs_zero, cond1,
+    cond2_by_mode, carries_e and carries_f of one triple."""
+    alpha, beta = g.alpha, g.beta
+    ns = (n0, n1, n2)
+    subsets = [frozenset(c) for k in range(4) for c in combinations(range(3), k)]
+    pairs = (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 0}))
+    full = frozenset({0, 1, 2})
+    s = [(alpha * ni).frac_signed() for ni in ns]
+    a = [(alpha * ni).nint() for ni in ns]
+    carries = {I: nint(sum((s[i] for i in I), Fraction(0))) for I in subsets}
+    frac = {(i, j): frac_signed(beta * ns[i] * a[j]) for i in range(3) for j in range(3)}
+    cond2_by_mode = {}
+    for mode in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
+        gam = {I: nint(sum((frac[(i, j)] for i in I for j in I
+                            if mode == GAMMA_ALL_PAIRS or i != j), Fraction(0)))
+               for I in pairs + (full,)}
+        cond2_by_mode[mode] = gam[full] == sum(gam[p] for p in pairs)
+    carries_f = {}
+    for I in pairs:
+        i, j = sorted(I)
+        carries_f[I] = (delta_sym(g, ns[j], ns[i]) - nint(beta * ns[i] * a[j])
+                        - nint(beta * ns[j] * a[i]) - nint(beta * (ns[i] + ns[j])) * carries[I])
+    return {"lhs_zero": delta_sym_iter(g, list(ns)) == 0,
+            "cond1": all(e == 0 for e in carries.values()),
+            "cond2_by_mode": cond2_by_mode,
+            "carries_e": {I: carries[I] for I in pairs + (full,)},
+            "carries_f": carries_f}
+
+
+def _report_fields(rep, i=None):
+    """The fields of a classifier report, of entry i of an array report."""
+    at = (lambda v: v) if i is None else (lambda v: v[i].item() if hasattr(v[i], "item") else v[i])
+    return {"lhs_zero": at(rep.lhs_zero), "cond1": at(rep.cond1),
+            "cond2_by_mode": {m: at(v) for m, v in rep.cond2_by_mode.items()},
+            "carries_e": {I: at(v) for I, v in rep.carries_e.items()},
+            "carries_f": {I: at(v) for I, v in rep.carries_f.items()}}
+
+
+@pytest.fixture(scope="module")
+def classifier_betas(alpha):
+    cbrt4 = field_create([-4, 0, 0, 1], (Fraction(3, 2), Fraction(8, 5))).theta
+    return {"1": 1, "2": 2, "-3": -3, "1/3": Fraction(1, 3), "1/2": Fraction(1, 2),
+            "alpha^2": alpha * alpha, "cbrt4": cbrt4}
+
+
 class TestLemma31Classify:
     def test_identity_triple_documented_case(self, alpha):
         # ratio precondition violated: report produced, equivalence not asserted
@@ -341,6 +385,30 @@ class TestLemma31Classify:
             assert acc.nint() == e
         for f in rep.carries_f.values():
             assert -4 <= f <= 4
+
+    @pytest.mark.parametrize("C", C_SCHEDULE)
+    def test_array_call_matches_exact_reference(self, alpha, classifier_betas, C):
+        # every stage of the calibration, 512 and 1024 past the beta lane's
+        # exact-recovery range
+        triples = sample_admissible_triples(C, 12, seed=C)
+        n0, n1, n2 = np.array(triples, dtype=np.int64).T
+        for beta in classifier_betas.values():
+            g = QuadSeqFast(alpha, beta)
+            rep = lemma31_classify(n0, n1, n2, g)
+            for i, t in enumerate(triples):
+                assert _report_fields(rep, i) == _classify_reference(*t, g), (beta, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scalar_and_array_calls_match_reference(self, alpha, classifier_betas, data):
+        g = QuadSeqFast(alpha, data.draw(st.sampled_from(sorted(classifier_betas.items())))[1])
+        triples = data.draw(st.lists(st.tuples(*[st.integers(1, 10**6)] * 3),
+                                     min_size=1, max_size=5))
+        rep = lemma31_classify(*np.array(triples, dtype=np.int64).T, g)
+        for i, t in enumerate(triples):
+            want = _classify_reference(*t, g)
+            assert _report_fields(rep, i) == want
+            assert _report_fields(lemma31_classify(*t, g)) == want
 
 
 # ---------------------------------------------------------------------------
