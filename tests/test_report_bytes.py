@@ -113,16 +113,23 @@ REPORTS = {
                    "12c2643f62580c8c504d400ee817639e715c3a5482671be363f5ae3bdcb752a0"),
 }
 
-# `verify 3.1` at the perfbench flags under a config whose beta is not 1:
-# name -> (beta value, digest).  At beta = 1/3 the calibration reaches
-# C = 8 and the opposite mode fails 65 times; at the cube root of 4, from a
-# field of its own, C = 2 and the off-diagonal mode fails 90 times.
+# Reports under a config whose beta is not 1: name -> (beta value, argv,
+# digest).  `verify 3.1` at the perfbench flags: at beta = 1/3 the
+# calibration reaches C = 8 and the opposite mode fails 65 times; at the
+# cube root of 4, from a field of its own, C = 2 and the off-diagonal mode
+# fails 90 times.  The formula scans g from 10^8 at beta = 1/3, where
+# beta*n*nint(alpha*n) is past 2^51, the float recovery range of the lane.
+BETA_THIRD = 'rational "1/3"'
 BETA_31 = ["verify", "3.1", "--samples", "400"]
 BETA_REPORTS = {
-    "verify-3.1-beta-third": ('rational "1/3"',
+    "verify-3.1-beta-third": (BETA_THIRD, BETA_31,
                               "fff416720e7146bd1d4b46be7580b9dcf757ed851c0b02db1c9f5e986db46fd0"),
     "verify-3.1-beta-cbrt4": ('algebraic { minpoly = [-4, 0, 0, 1], interval = ["3/2", "8/5"] }',
+                              BETA_31,
                               "a03c818027fbcd71c555b140550006ffe234ef0694320df5a0ef08452c005eac"),
+    "formula-far-beta-third": (BETA_THIRD,
+                               ["formula", "forall x in [100000000, 100004000]: g(x) != 0"],
+                               "a1aeb369a78fb001c4b83beacdf33511afd238aedcf083015f6139d76762fe2f"),
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
@@ -171,13 +178,13 @@ def test_report_digest(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(BETA_REPORTS))
 def test_beta_report_digest(name, tmp_path, capsys):
-    beta, digest = BETA_REPORTS[name]
+    beta, argv, digest = BETA_REPORTS[name]
     config = tmp_path / "config"
     text = DEFAULT_CONFIG_TEXT.replace('beta = rational "1"', f"beta = {beta}")
     assert text != DEFAULT_CONFIG_TEXT
     config.write_text(text)
     out = tmp_path / "report"
-    assert main(["--config", str(config), "--seed", "1", "--out", str(out)] + BETA_31) == 0
+    assert main(["--config", str(config), "--seed", "1", "--out", str(out)] + argv) == 0
     capsys.readouterr()
     assert _sha256(out) == digest
 
