@@ -5,8 +5,8 @@ Bulk searches evaluate nint/frac of const*k over int64 vectors through a
 the signed integer (A*k mod 2^64) approximates frac_signed(const*k)*2^64
 with absolute error <= (|k|+2)*2^-64; the float margins add _ROUNDING for
 the float roundings around that value.  Integer outputs (nearest integers,
-sequence values) are exact: entries whose rounding falls inside the margin
-are recomputed exactly.
+sequence values) are exact: entries whose rounding falls inside the margin,
+or past the float recovery range, are recomputed exactly.
 
 This module is the only place a lane margin is read, and its answers are
 exact.  Callers pass exact thresholds (int, Fraction or field element):
@@ -75,10 +75,7 @@ def check_int64_product(*factors) -> None:
 
 
 class FastConst:
-    """A real constant usable in modular vector lanes.
-
-    Valid for |const * k| < 2^51 (the integer part is recovered in float64).
-    """
+    """A real constant usable in modular vector lanes on any int64 k."""
 
     def __init__(self, value) -> None:
         self.value = value
@@ -102,19 +99,32 @@ class FastConst:
         return (k.view(np.uint64) * self._A).view(np.int64)
 
     def nint_frac_vec(self, k: np.ndarray) -> np.ndarray:
-        """Exact int64 nearest integers of const*k; entries whose rounding
-        falls inside the lane margin are recomputed exactly."""
+        """Exact int64 nearest integers of const*k.  Entries whose rounding
+        falls inside the lane margin, and entries past the float recovery
+        range (about |const*k| >= 2^50), are decided by exact_nint;
+        ValueError when such an answer leaves int64."""
         if k.dtype != np.int64:
             k = k.astype(np.int64)
         frac, margin = self.frac_vec_filter(k)
         flags = (0.5 - np.abs(frac)) <= margin
-        # const*k - frac is an integer; float64 recovers it exactly for
-        # |const*k| < 2^51 because the combined error stays far below 1/2.
-        if len(k) and abs(self.f64) * max(-float(k.min()), float(k.max())) >= 2.0**51:
-            raise ValueError("lane argument exceeds the exact-recovery range")
-        q = np.rint(self.f64 * k.astype(np.float64) - frac).astype(np.int64)
+        # const*k - frac is an integer, and rint(x - frac) recovers it while
+        # the lane error (at most margin) and the four float errors of x and
+        # of the subtraction (each at most 2^-53*|x|) stay below 1/2
+        x = k.astype(np.float64)
+        x *= self.f64
+        top = max(-float(k.min()), float(k.max())) if len(k) else 0.0
+        # the largest margin, as frac_vec_filter computes it, and the largest |x|
+        if (top + 4.0) * _SCALE + _ROUNDING + abs(self.f64) * top * 2.0**-51 >= 0.5:
+            far = margin + np.abs(x) * 2.0**-51 >= 0.5
+            flags |= far
+            x[far] = 0.0  # numpy warns on casting a float past int64
+        x -= frac
+        q = np.rint(x, out=x).astype(np.int64)
         for i in np.nonzero(flags)[0]:
-            q[i] = self.exact_nint(int(k[i]))
+            v = self.exact_nint(int(k[i]))
+            if not -INT64_MAX - 1 <= v <= INT64_MAX:
+                raise ValueError("lane answer exceeds the int64 range")
+            q[i] = v
         return q
 
     def frac_vec_filter(self, k: np.ndarray):
@@ -217,8 +227,8 @@ class QuadSeqFast(SequenceHandle):
 
     def g_vec(self, n: np.ndarray) -> np.ndarray:
         """Exact g on an int64 vector, q = nint(alpha*n): beta*n*q for an
-        integer beta, else nint(beta*x) on the int64 products x = n*q through
-        beta's lane (ValueError past its exact-recovery range)."""
+        integer beta, else nint(beta*x) on the products x = n*q through
+        beta's lane; ValueError when g or x leaves int64."""
         whole = isinstance(self.beta, int)
         factor = self.beta if whole else 1
         # numpy refuses an int beta outside int64 even where n or q is 0

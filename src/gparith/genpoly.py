@@ -445,9 +445,9 @@ def _apply_lane(name: str, arg):
         k = arg(xs, env, sequences)
         try:
             values = sequences[name].g_vec(k)
-        except (ValueError, TypeError, OverflowError):
-            # the lane's own guards (int64 range, exact recovery, integer
-            # beta) and numpy's refusal of an out-of-range Python int
+        except (ValueError, OverflowError):
+            # a value past int64: the lane's own guards, and numpy's
+            # refusal of an out-of-range Python int
             raise NoLane from None
         return values.astype("int64", copy=False)  # BohrFast gives int8
     return run
@@ -569,32 +569,23 @@ class Lemma31Report:
         return self.lhs_zero == (self.cond1 & self.cond2)
 
 
-def _near(mag, c: float):
-    """Where the float magnitudes `mag` stay in int64 and |c|*mag in a
-    lane's exact-recovery range (below 2^51, with a factor 2 to spare)."""
-    return (mag < 2.0**62) & (mag * abs(c) < 2.0**50)
-
-
-def _lane_or_exact(lane, exact, x, near):
-    """lane(x) on the entries of a flat int64 array x where `near`, and
-    exact(int(x[i])) elsewhere.  An exact entry makes the result an object
-    array of Python ints, so that sums of it cannot wrap."""
-    if near.all():
-        return lane(x)
-    out = x.astype(object)
-    if near.any():
-        out[near] = lane(x[near])
-    for i in np.nonzero(~near)[0]:
-        out[i] = exact(int(x[i]))
-    return out
+def _summable(v):
+    """v, as Python ints when a sum of 16 of its entries could leave int64."""
+    lim = INT64_MAX >> 4
+    return v if -lim <= v.min() and v.max() <= lim else v.astype(object)
 
 
 def _nint_times(const, x):
-    """Exact nint(const*x) on an integer array x, through const's
-    `FastConst` lane inside its exact-recovery range."""
-    flat = x.ravel()
-    near = _near(np.abs(flat).astype(np.float64), const.f64)
-    return _lane_or_exact(const.nint_frac_vec, const.exact_nint, flat, near).reshape(x.shape)
+    """Exact nint(const*x) on an integer array x, summable: const's
+    `FastConst` lane on int64, and `exact_nint` entry by entry on Python
+    ints or where the lane refuses (an answer past int64)."""
+    if x.dtype == np.int64:
+        try:
+            return _summable(const.nint_frac_vec(x.ravel())).reshape(x.shape)
+        except ValueError:
+            pass
+    exact = [const.exact_nint(int(v)) for v in x.ravel()]
+    return _summable(np.array(exact, dtype=object)).reshape(x.shape)
 
 
 def lemma31_classify(n0, n1, n2, g: SequenceHandle,
@@ -608,9 +599,10 @@ def lemma31_classify(n0, n1, n2, g: SequenceHandle,
     entry in one pass (the report then holds arrays).  With K_I the subset
     sums and A_I = nint(alpha*K_I), the carry of I is A_I - sum of A_{i};
     with X_ij = n_i*A_{j} and S_I its sum over the pairs of I, nint(gamma_I)
-    = nint(beta*S_I) - sum of nint(beta*X_ij).  Entries past a lane's
-    exact range are decided by `exact_nint` and `g(k)`.  `cond2_by_mode`
-    holds cond2 of both gamma modes; cond2 is that of `gamma_mode`.
+    = nint(beta*S_I) - sum of nint(beta*X_ij).  Where a lane refuses (an
+    answer past int64), every entry is decided by `exact_nint`, and by
+    `g(k)` where `g_vec` refuses.  `cond2_by_mode` holds cond2 of both
+    gamma modes; cond2 is that of `gamma_mode`.
     """
     if gamma_mode not in (GAMMA_ALL_PAIRS, GAMMA_OFF_DIAGONAL):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
@@ -623,15 +615,11 @@ def lemma31_classify(n0, n1, n2, g: SequenceHandle,
     carry = A - a @ _MEMBERS.T
     beta = g.beta_const  # type: ignore[attr-defined]
 
-    k = K.ravel()
     try:
-        G = g.g_vec(k)  # type: ignore[attr-defined]
-    except ValueError:  # past the handle's lane range: g(k) there
-        ka = np.abs(k.astype(np.float64) * A.ravel().astype(np.float64))
-        G = _lane_or_exact(g.g_vec, g, k, _near(ka, beta.f64))  # type: ignore[attr-defined]
-    if np.abs(G).max() > INT64_MAX // 8:
-        G = G.astype(object)  # the sum of eight values stays exact
-    G = G.reshape(K.shape)
+        G = g.g_vec(K.ravel())  # type: ignore[attr-defined]
+    except ValueError:  # a value past int64: g(k) on every entry
+        G = np.array([g(int(k)) for k in K.ravel()], dtype=object)
+    G = _summable(G).reshape(K.shape)
 
     # |X_ij| and |S_I| are at most (sum of |n_i|)*(sum of |a_j|)
     if int(n.sum(axis=1).max()) * int(np.abs(a).sum(axis=1).max()) > INT64_MAX:

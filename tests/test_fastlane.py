@@ -118,6 +118,28 @@ def test_quadratic_lane_matches_exact_up_to_the_guard(name, beta, data):
             fast.g_vec(np.array([n], dtype=np.int64))
 
 
+@pytest.mark.parametrize("beta", ["1/3", "cbrt4"])
+def test_quadratic_lane_is_exact_past_the_float_range(alpha, beta):
+    # from n = 10^8, beta*n*nint(alpha*n) is past 2^51; the lane answers up
+    # to the largest n whose g and product n*nint(alpha*n) fit in int64
+    beta = Fraction(1, 3) if beta == "1/3" else \
+        field_create([-4, 0, 0, 1], (Fraction(3, 2), Fraction(8, 5))).theta
+    fast = QuadSeqFast(alpha, beta)
+
+    def fits(n):
+        return max(abs(n * fast.const.exact_nint(n)), abs(fast.g_scalar(n))) <= INT64_MAX
+
+    top, hi = 10**8, 1 << 32
+    while top < hi:
+        mid = (top + hi + 1) // 2
+        top, hi = (mid, hi) if fits(mid) else (top, mid - 1)
+    ns = [10**8 + i for i in range(100)] + [-(10**8) - 1, 10**9, -(10**9), top, -top]
+    assert [int(v) for v in fast.g_vec(np.array(ns, dtype=np.int64))] == \
+        [fast.g_scalar(n) for n in ns]
+    with pytest.raises(ValueError):
+        fast.g_vec(np.array([10**8, top + 1], dtype=np.int64))
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(-isqrt(INT64_MAX), isqrt(INT64_MAX)),
@@ -208,6 +230,38 @@ def test_within_and_extremes_are_certified(theta, data):
     mask = lane.within(np.array(ks, dtype=np.int64), lo, hi)
     assert list(mask) == [sign(v - lo) > 0 and sign(hi - v) > 0 for v in exact]
     assert lane.extremes(np.array(ks, dtype=np.int64)) == (min(exact), max(exact))
+
+
+def _far(const):
+    """Strategy of int64 k with |const*k| from 2^50 to just under 2^63
+    (clipped to int64 where |const| < 1)."""
+    return st.builds(lambda t, s: s * min(int(t / float(const)), INT64_MAX),
+                     st.integers(1 << 50, (1 << 63) - 1), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(const=st.sampled_from(_FUZZ_FIELDS + [Fraction(1, 3), Fraction(1, 2)]),
+       data=st.data())
+def test_nint_is_exact_past_the_float_range(const, data):
+    # small entries beside far ones; k/2 ties at every odd k
+    lane = FastConst(const)
+    ks = data.draw(st.lists(st.one_of(st.integers(-(1 << 20), 1 << 20), _far(const)),
+                            min_size=1, max_size=12))
+    exact = [lane.exact_nint(k) for k in ks]
+    if all(-INT64_MAX - 1 <= v <= INT64_MAX for v in exact):
+        assert lane.nint_frac_vec(np.array(ks, dtype=np.int64)).tolist() == exact
+    else:
+        with pytest.raises(ValueError):
+            lane.nint_frac_vec(np.array(ks, dtype=np.int64))
+
+
+def test_nint_float_recovery_is_exact_below_2_51():
+    # const*k is just below 2^51 and k is past 2^53, so float64 rounds k,
+    # const and their product: the float recovery is off by one here
+    const = Fraction(50107519672981, 262420876852096)
+    k = 10945835946526297
+    assert FastConst(const).nint_frac_vec(np.array([k], dtype=np.int64)).tolist() == \
+        [2090034514810777] == [floor_exact(const * k + Fraction(1, 2))]
 
 
 def _exact_bin(lane, k, grid):
@@ -319,21 +373,33 @@ def test_half_inverse_norm_of_an_integer_raises(const, k):
 
 _FLOAT_LANES = {"frac_vec_filter", "frac_scaled"}
 _FLOAT_READERS: set[tuple[str, str]] = set()
+# readers of a FastConst's float `f64`: the push-forward samples of
+# `verify 3.4` are Monte Carlo floats by design
+_F64_READERS = {("diosearch", "equidist_check")}
 
 
-def _lane_float_readers(node, fn="<module>"):
-    """Names of the functions under `node` that read a lane-float method."""
+def _readers(node, attrs, fn="<module>"):
+    """Names of the functions under `node` that read an attribute in `attrs`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         fn = node.name
-    found = {fn} if isinstance(node, ast.Attribute) and node.attr in _FLOAT_LANES else set()
+    found = {fn} if isinstance(node, ast.Attribute) and node.attr in attrs else set()
     for child in ast.iter_child_nodes(node):
-        found |= _lane_float_readers(child, fn)
+        found |= _readers(child, attrs, fn)
     return found
 
 
-def test_only_fastlane_reads_lane_floats():
+def _src_readers(attrs):
+    """(module, function) of every reader of `attrs` in src outside `_fastlane`."""
     src = Path(__file__).resolve().parents[1] / "src" / "gparith"
-    readers = {(path.stem, fn)
-               for path in sorted(src.glob("*.py")) if path.stem != "_fastlane"
-               for fn in _lane_float_readers(ast.parse(path.read_text(encoding="utf-8")))}
-    assert readers == _FLOAT_READERS
+    return {(path.stem, fn)
+            for path in sorted(src.glob("*.py")) if path.stem != "_fastlane"
+            for fn in _readers(ast.parse(path.read_text(encoding="utf-8")), attrs)}
+
+
+def test_only_fastlane_reads_lane_floats():
+    assert _src_readers(_FLOAT_LANES) == _FLOAT_READERS
+
+
+def test_only_fastlane_reads_a_constant_float():
+    # so no caller re-decides the range in which a lane answer is exact
+    assert _src_readers({"f64"}) == _F64_READERS

@@ -207,7 +207,7 @@ class TestLane:
         ("-y + x", -2**63 + 1),
         ("y", 2**63),              # a scalar that int64 cannot hold
         ("x + y", Fraction(1, 2)),  # nor a value that is not an integer
-        ("g(x + y)", 2**52),       # beyond g_vec's exact recovery
+        ("g(x + y)", 2**52),       # g leaves int64
     ])
     def test_declines_what_int64_cannot_hold(self, alpha, text, y):
         run = compile_lane(parse(text), "x")[0]

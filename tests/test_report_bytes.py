@@ -118,7 +118,7 @@ REPORTS = {
 # calibration reaches C = 8 and the opposite mode fails 65 times; at the
 # cube root of 4, from a field of its own, C = 2 and the off-diagonal mode
 # fails 90 times.  The formula scans g from 10^8 at beta = 1/3, where
-# beta*n*nint(alpha*n) is past 2^51, the float recovery range of the lane.
+# beta*n*nint(alpha*n) is past 2^51, beyond the float recovery range of the lane.
 BETA_THIRD = 'rational "1/3"'
 BETA_31 = ["verify", "3.1", "--samples", "400"]
 BETA_REPORTS = {

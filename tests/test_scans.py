@@ -3,9 +3,10 @@
 `BohrWorld._radius`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
 `harness._psi_table`, the sliced push-forward histogram and the exact orbit
 histogram of `equidist_check` and `focheck.ell` are each compared with a
-direct, element-by-element reading of what they compute. The bohr tables
-are also read back through their caches, one world answering a sequence
-of smaller and larger queries.
+direct, element-by-element reading of what they compute; `_psi_table` is
+also compared with `def_psi`, the formula evaluator of the same psi. The
+bohr tables are also read back through their caches, one world answering a
+sequence of smaller and larger queries.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from gparith._fastlane import BLOCK, FastConst
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
 from gparith.diosearch import _edge_counts, continued_fraction, equidist_check
 from gparith.exactnum import circle_norm, field_create, floor_exact
-from gparith.focheck import ell
+from gparith.focheck import BoundProfile, def_psi, ell
 from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
 
 
@@ -194,6 +195,21 @@ class TestPsiTable:
         psi = _psi_table(G, C, N_max, m_max)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
+
+
+def test_psi_table_matches_the_formula(ctx):
+    # the two evaluators of psi: the table of `verify 3.3` and `def_psi`,
+    # eval_formula on psi_formula with n2 up to the table's extend cap.  No
+    # m <= 40 is in the N = 30 window, so the first three that are join in,
+    # and every N sees both truth values
+    C, bounds = 2, BoundProfile(n2_cap=_EXTEND_CAP)
+    ms = list(range(1, 41)) + [m for m in range(41, 200) if ctx.in_window(m, 30)][:3]
+    G = ctx.g.g_range(0, C * ms[-1] + _EXTEND_CAP + 30 + ms[-1] + 4)
+    psi = _psi_table(G, C, 30, ms[-1])
+    for N in (1, 2, 5, 30):
+        got = [def_psi(m, N, C, bounds, ctx.g) for m in ms]
+        assert got == [bool(psi[N - 1, m]) for m in ms], N
+        assert set(got) == {False, True}, N
 
 
 class TestPsiTableResidueFilter:
