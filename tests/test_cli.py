@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from gparith import harness as H
-from gparith._fastlane import QuadSeqFast
+from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
 
@@ -185,21 +185,36 @@ class TestVerify:
                                capsys)
         assert code == 2 and "constant 'alpha' is not declared" in err
 
-    @pytest.mark.parametrize("mutation", ["g+1 on 3|n", "g = n^2"])
-    def test_lemma31_fails_under_a_mutated_sequence(self, mutation, monkeypatch, capsys):
-        # both evaluators of g mutated alike: the lane and the exact scalar
-        vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
-        if mutation == "g = n^2":
+    @pytest.mark.parametrize("mutation,argv", [
+        pytest.param("g+1 on 3|n", ["verify", "3.1", "--samples", "100"], id="g+1 on 3|n"),
+        pytest.param("g = n^2", ["verify", "3.1", "--samples", "100"], id="g = n^2"),
+        pytest.param("g = n^2", ["verify", "3.2", "--pairs", "25"], id="g = n^2-3.2"),
+        pytest.param("g = n^2", ["verify", "3.3", "--m-max", "500"], id="g = n^2-3.3"),
+        pytest.param("indicator 1-g", ["verify", "4.3"], id="indicator 1-g-4.3"),
+    ])
+    def test_lemma31_fails_under_a_mutated_sequence(self, mutation, argv, monkeypatch,
+                                                    capsys):
+        # both evaluators of a sequence mutated alike: the lane and the exact
+        # scalar; the id names the mutation and the verify id it must fail
+        if mutation == "indicator 1-g":
+            vec, scalar = BohrFast.g_vec, BohrFast.g_scalar
+            monkeypatch.setattr(BohrFast, "g_vec", lambda self, n: 1 - vec(self, n))
+            monkeypatch.setattr(BohrFast, "g_scalar", lambda self, n: 1 - scalar(self, n))
+        elif mutation == "g = n^2":
             monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: n * n)
             monkeypatch.setattr(QuadSeqFast, "g_scalar", lambda self, n: n * n)
         else:
+            vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
             monkeypatch.setattr(QuadSeqFast, "g_vec",
                                 lambda self, n: vec(self, n) + (n % 3 == 0))
             monkeypatch.setattr(QuadSeqFast, "g_scalar",
                                 lambda self, n: scalar(self, n) + (n % 3 == 0))
-        code, out, _ = run_cli(["verify", "3.1", "--samples", "100"], capsys)
+        code, out, _ = run_cli(argv, capsys)
+        verdicts = [json.loads(line).get("verdict") for line in out.splitlines()]
         assert code == 1
-        assert json.loads(out.splitlines()[0])["verdict"] == "fail"
+        assert "fail" in verdicts
+        if argv[1] == "3.1":
+            assert verdicts[0] == "fail"
 
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []
