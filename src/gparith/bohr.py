@@ -65,7 +65,6 @@ class BohrWorld:
         self.params = params
         self.bounds = bounds
         self.fast = BohrFast(params.alpha, params.rho)
-        self._G = self.fast.g_range(0, 1 << 12)
         self._R = np.ones(1, dtype=np.int64)  # x = 0, open at window 0
         self._R_window = 0
         self._lam_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -73,16 +72,9 @@ class BohrWorld:
 
     # -- base sequence -------------------------------------------------------
 
-    def _ensure(self, upto: int) -> None:
-        if upto < len(self._G):
-            return
-        size = max(upto + 1, 2 * len(self._G))
-        self._G = self.fast.g_range(0, size)
-
     def g(self, n: int) -> int:
         n = abs(n)  # even sequence
-        self._ensure(n)
-        return int(self._G[n])
+        return int(self.fast.table(n)[n])
 
     # -- almost periods --------------------------------------------------------
 
@@ -96,8 +88,7 @@ class BohrWorld:
         """
         R, w0 = self._R, self._R_window
         if window > w0:
-            self._ensure(len(R) + window)
-            G = self._G
+            G = self.fast.table(len(R) + window)
             R = self._R = R.copy()  # answers already handed out stay as they were
             open_x = np.nonzero(R > w0)[0]
             R[open_x] = window + 1
@@ -107,8 +98,7 @@ class BohrWorld:
                 open_x = open_x[~miss]
             self._R_window = w0 = window
         if x_max >= len(R):
-            self._ensure(x_max + w0 + 1)
-            G, x0 = self._G, len(R)
+            G, x0 = self.fast.table(x_max + w0 + 1), len(R)
             new = np.full(x_max + 1 - x0, w0 + 1, dtype=np.int64)
             # n runs downward, so the least mismatching n is written last
             for n in range(w0, 0, -1):
@@ -123,8 +113,8 @@ class BohrWorld:
             raise PreconditionViolated("m, N must be >= 0")
         if m == 0 or N == 0:
             return True
-        self._ensure(m + N)
-        return bool(np.array_equal(self._G[m + 1:m + N + 1], self._G[1:N + 1]))
+        G = self.fast.table(m + N)
+        return bool(np.array_equal(G[m + 1:m + N + 1], G[1:N + 1]))
 
     def mu_true_upto(self, x_max: int, N: int) -> np.ndarray:
         """The x in 1..x_max with mu(x, N): no scan when earlier queries
@@ -199,15 +189,14 @@ class BohrWorld:
         b = self.bounds
         lam_n = self.lambda_vec(b.L_cap, b.n_cap)  # first: lam_h may be its prefix
         lam_h = self.lambda_vec(b.M_cap, b.h_cap)
-        hs = np.nonzero((self._G[1:b.h_cap + 1] == 1) & lam_h[1:])[0] + 1
+        hs = np.nonzero((self.fast.table(b.h_cap)[1:b.h_cap + 1] == 1) & lam_h[1:])[0] + 1
         if len(hs) == 0:
             self._kappa_table_cache[key] = (np.zeros(0, dtype=bool), False)
             return None
         S = self.mu_true_upto(b.n_cap, N)
         cand = S[lam_n[S]]
         y_max = int(hs[-1]) + x_max
-        self._ensure(y_max + b.n_cap + 1)
-        hit = self._G == 1
+        hit = self.fast.table(y_max + b.n_cap + 1) == 1
         D = np.zeros(y_max + 1, dtype=bool)  # all False when cand is empty
         for n in cand:
             D |= hit[n:n + y_max + 1]

@@ -35,9 +35,9 @@ from .genpoly import (
     IntLit,
     Mul,
     Neg,
+    SequenceHandle,
     Var,
     compile_term,
-    delta_sym_iter,
     lemma31_classify,
     parse,
 )
@@ -140,27 +140,35 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
+_FIRST_WINDOW = 256  # the scan reads n2 in windows this wide, growing fourfold
+
+
 def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
-                 g: QuadSeqFast) -> int | None:
+                 g: SequenceHandle) -> int | None:
     """Least n2 in [lo, hi] with the second symmetric derivative of g
     vanishing at (n0, n1, n2); None if there is none (certified).
 
-    Each block of n2 reads one exact int64 range of g, and the four terms
-    of D2 g are slices of it.  The int64 sum wraps mod 2**64 at worst, so
-    it misses no witness; each hit is re-verified through exact scalar
-    values, in increasing n2.
+    The one second-difference scan: with H(x) = g(x+n1) - g(x) in int32 over
+    the handle's `residues`, D2 g = H(n2+n0) - H(n2) - target mod 2**32 misses
+    no witness, and each hit is re-checked in Python ints from the exact
+    `table` (12 bytes per n up to hi + n0 + n1).  It starts at g(0), so a
+    negative n0, n1 or lo is refused (no caller passes one; `g_range` would serve it).
     """
-    # D2 g = [g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2)] - target with
-    target = g(n0 + n1) - g(n0) - g(n1) + g(0)
-    shifts = (n0 + n1, n0, n1, 0)
-    base, span = min(shifts), max(shifts) - min(shifts)
-    for a in range(lo, hi + 1, BLOCK):
-        k = min(BLOCK, hi + 1 - a)
-        G = g.g_range(a + base, a + base + span + k - 1)
-        s, t, u, v = (G[x - base:x - base + k] for x in shifts)
-        for cand in (a + np.flatnonzero(s - t - u + v == target)).tolist():
-            if delta_sym_iter(g, [n0, n1, cand]) == 0:
-                return cand
+    if min(n0, n1, lo) < 0:
+        raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
+    T = g.table(n0 + n1)
+    target = int(T[n0 + n1]) - int(T[n0]) - int(T[n1]) + int(T[0])
+    t32 = (target + 2**31) % 2**32 - 2**31
+    a, width = lo, _FIRST_WINDOW
+    while a <= hi:
+        k = min(width, hi + 1 - a)
+        end = a + k - 1 + n0 + n1
+        R, T = g.residues(end), g.table(end)
+        H = R[a + n1:a + n1 + k + n0] - R[a:a + k + n0]  # H[j] = g(a+j+n1) - g(a+j)
+        for x in (a + (H[n0:] - H[:k] == t32).nonzero()[0]).tolist():
+            if int(T[x + n0 + n1]) - int(T[x + n0]) - int(T[x + n1]) + int(T[x]) == target:
+                return x
+        a, width = a + k, 4 * width
     return None
 
 

@@ -462,11 +462,30 @@ class SequenceHandle:
     A call reads a per-instance dict that keeps at most MEMO_SIZE entries;
     a miss is evaluated exactly by the subclass's `g_scalar`, so a hit
     always equals a fresh evaluation.  The dict holds only ints, so a
-    handle forms no reference cycle.
+    handle forms no reference cycle.  `table` is the one dense prefix of
+    the sequence: g(0), g(1), ... from `g_range`, grown by doubling.
     """
 
     def __init__(self) -> None:
         self._memo: dict[int, int] = {}
+        # int8 is the narrowest dtype, so the first growth takes the lane's own
+        self._table = self._residues = np.zeros(0, dtype=np.int8)
+
+    def table(self, upto: int) -> np.ndarray:
+        """g(0), ..., g(L - 1) exactly, for some L > upto.  Growth appends
+        into a new array, so no table handed out is rewritten."""
+        T = self._table
+        if upto >= len(T):
+            rest = self.g_range(len(T), max(upto, 2 * len(T) - 1))  # type: ignore[attr-defined]
+            T = self._table = np.concatenate((T, rest))
+        return T
+
+    def residues(self, upto: int) -> np.ndarray:
+        """table(upto) mod 2**32 as int32, grown with it."""
+        R = self._residues
+        if upto >= len(R):
+            R = self._residues = np.concatenate((R, self.table(upto)[len(R):].astype(np.int32)))
+        return R
 
     def _fresh(self, n: int) -> int:
         return self.g_scalar(n)  # type: ignore[attr-defined]

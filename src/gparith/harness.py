@@ -46,6 +46,7 @@ from .focheck import (
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
+    SequenceHandle,
     delta_sym,
     delta_sym_iter,
 )
@@ -68,9 +69,8 @@ from .weakmult import (
     term_to_poly,
 )
 
-# Fixed scales of the harnesses.  Lemma 3.3: mu(n, m) searches n2 in
-# [C*m, C*m + _EXTEND_CAP] in windows _FIRST_WINDOW wide, growing fourfold.
-_FIRST_WINDOW = 256
+# Fixed scales of the harnesses.  Lemma 3.3: mu(n, m) is a Lemma 3.2 scan
+# of n2 in [C*m, C*m + _EXTEND_CAP].
 _EXTEND_CAP = 200_000
 _LEMMA42_NS = (6, 10, 14)
 # Lemma 4.3: norm(alpha m^2) < _GOOD_EPS for the converse m; the control
@@ -309,32 +309,14 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def _psi_table(G: np.ndarray, C: int, N_max: int, m_max: int) -> np.ndarray:
+def _psi_table(g: SequenceHandle, C: int, N_max: int, m_max: int) -> np.ndarray:
     """psi[n-1, m] = AND over n' <= n of mu(n', m), where mu(n, m) holds when
-    some n2 in [C*m, C*m + _EXTEND_CAP] has g(n+m+n2) - g(n+n2) - g(m+n2) +
-    g(n2) = g(n+m) - g(n) - g(m) + g(0).  Column 0 is False.
-
-    The scan is a residue filter: with H(x) = g(x+m) - g(x) formed once per
-    column in int32, that is mod 2**32, the second difference is
-    H(n2+n) - H(n2).  An exact equality holds mod 2**32 too, so the filter
-    misses no witness; each congruent hit is re-checked in Python ints
-    from the exact values in G, so no wrap decides a verdict."""
-    G32, L = G.astype(np.int32), _EXTEND_CAP + N_max + 1
+    `lemma32_scan` finds some n2 in [C*m, C*m + _EXTEND_CAP] with the second
+    symmetric derivative of g vanishing at (n, m, n2).  Column 0 is False."""
     psi = np.zeros((N_max, m_max + 1), dtype=bool)
     for m in range(1, m_max + 1):
-        lo = C * m
-        H = G32[lo + m:lo + m + L] - G32[lo:lo + L]  # H[j] = g(lo+j+m) - g(lo+j)
         for n in range(1, N_max + 1):
-            target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
-            t32 = (target + 2**31) % 2**32 - 2**31
-            found, a, width = False, 0, _FIRST_WINDOW
-            while not found and a <= _EXTEND_CAP:  # windows growing fourfold
-                k = min(width, _EXTEND_CAP + 1 - a)
-                hits = (H[a + n:a + n + k] - H[a:a + k] == t32).nonzero()[0]
-                found = any(int(G[x + n + m]) - int(G[x + n]) - int(G[x + m]) + int(G[x])
-                            == target for x in (lo + a + hits).tolist())
-                a, width = a + k, 4 * width
-            if not found:
+            if lemma32_scan(n, m, C * m, C * m + _EXTEND_CAP, g) is None:
                 break  # no later n can make psi True in this column
             psi[n - 1, m] = True
     return psi
@@ -345,9 +327,8 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     """Bounded psi membership equals the exact fractional-part window for
     every m <= m_max and N <= N_max; window endpoints move monotonically."""
     res = HarnessResult("3.3")
-    G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
-
-    psi_tab = _psi_table(G, C, N_max, m_max)
+    ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)  # one growth for the whole extent
+    psi_tab = _psi_table(ctx.g, C, N_max, m_max)
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mismatches = 0

@@ -15,6 +15,7 @@ from gparith.diosearch import (
     find_small_norm,
     find_weyl_witness,
     lemma32_scan,
+    _FIRST_WINDOW,
 )
 from gparith.errors import (
     NotFoundWithinBudget,
@@ -23,7 +24,7 @@ from gparith.errors import (
     ThetaRational,
 )
 from gparith.exactnum import circle_norm
-from gparith.genpoly import delta_sym_iter
+from gparith.genpoly import SequenceHandle, delta_sym_iter
 
 mp.mp.dps = 50
 
@@ -164,13 +165,15 @@ def _least_witness(g, n0, n1, lo, hi):
                  if g(n0 + n1 + n2) - g(n0 + n2) - g(n1 + n2) + g(n2) == target), None)
 
 
-class _Table:
-    """g(n) = values[n]: a sequence whose witnesses are planted."""
+class _Table(SequenceHandle):
+    """g(n) = values[n]: a sequence whose witnesses are planted before its
+    table is first read."""
 
     def __init__(self, size, seed):
+        super().__init__()
         self.values = np.random.default_rng(seed).integers(-2**40, 2**40, size)
 
-    def __call__(self, n):
+    def g_scalar(self, n):
         return int(self.values[n])
 
     def g_range(self, lo, hi):
@@ -178,8 +181,14 @@ class _Table:
 
     def plant(self, n0, n1, n2, excess=0):
         """Make D2 g vanish at (n0, n1, n2), or miss by `excess`."""
-        self.values[n0 + n1 + n2] = (self(n0 + n1) - self(n0) - self(n1) + self(0)
-                                     + self(n0 + n2) + self(n1 + n2) - self(n2) + excess)
+        v = self.g_scalar
+        self.values[n0 + n1 + n2] = (v(n0 + n1) - v(n0) - v(n1) + v(0)
+                                     + v(n0 + n2) + v(n1 + n2) - v(n2) + excess)
+
+
+# a scan from lo reads the windows [lo, lo + 256), [lo + 256, lo + 1280),
+# [lo + 1280, lo + 5376), ...: the first index of each after the first
+_EDGES = (_FIRST_WINDOW, 5 * _FIRST_WINDOW, 21 * _FIRST_WINDOW)
 
 
 class TestLemma32ScanBlocks:
@@ -193,18 +202,27 @@ class TestLemma32ScanBlocks:
         assert lemma32_scan(2, 6, 0, BLOCK + 700, g) == 0
 
     def test_planted_witnesses_at_block_edges(self):
-        g = _Table(5 * BLOCK, seed=4)
+        # window edges: each witness alone, then all three in one table
         n0, n1, lo = 3, 11, 100
-        g.plant(n0, n1, lo + BLOCK)  # the first index of the second block
-        g.plant(n0, n1, lo + 2 * BLOCK + 9)
-        cases = [(lo, lo + 2 * BLOCK + 9), (lo, lo + BLOCK), (lo, lo + BLOCK - 1),
-                 (lo + 1, lo + 2 * BLOCK + 9), (lo + BLOCK + 1, lo + 2 * BLOCK + 9),
-                 (lo + BLOCK + 1, lo + 2 * BLOCK + 8)]
+        for seed, edge in enumerate(_EDGES):
+            g = _Table(lo + 3 * edge, seed=seed)
+            g.plant(n0, n1, lo + edge)
+            assert lemma32_scan(n0, n1, lo, lo + 2 * edge - 1, g) == lo + edge
+            assert lemma32_scan(n0, n1, lo, lo + edge, g) == lo + edge
+            assert lemma32_scan(n0, n1, lo, lo + edge - 1, g) is None
+        g = _Table(lo + 2 * _EDGES[-1], seed=4)
+        p1, p2, p3 = (lo + e for e in _EDGES)
+        for p in (p1, p2, p3):
+            g.plant(n0, n1, p)
+        cases = [(lo, p3 + 9), (lo, p1), (lo, p1 - 1), (lo + 1, p3 + 9), (p1 + 1, p3 + 9),
+                 (p1 + 1, p2), (p1 + 1, p2 - 1), (p2 + 1, p3), (p2 + 1, p3 - 1)]
         for a, b in cases:
             assert lemma32_scan(n0, n1, a, b, g) == _least_witness(g, n0, n1, a, b)
-        assert lemma32_scan(n0, n1, lo, lo + 3 * BLOCK, g) == lo + BLOCK
-        assert lemma32_scan(n0, n1, lo + BLOCK + 1, lo + 2 * BLOCK + 9, g) == lo + 2 * BLOCK + 9
-        assert lemma32_scan(n0, n1, lo + BLOCK + 1, lo + 2 * BLOCK + 8, g) is None
+        # from lo + 1 each plant is the last index of a window
+        assert lemma32_scan(n0, n1, lo + 1, p3 + 9, g) == p1
+        assert lemma32_scan(n0, n1, p1 + 1, p3 + 9, g) == p2
+        assert lemma32_scan(n0, n1, p2 + 1, p3, g) == p3
+        assert lemma32_scan(n0, n1, p2 + 1, p3 - 1, g) is None
 
     def test_empty_and_single_ranges(self):
         g = _Table(4 * BLOCK, seed=5)
@@ -214,18 +232,26 @@ class TestLemma32ScanBlocks:
         assert lemma32_scan(4, 9, 501, 500, g) is None
         assert lemma32_scan(4, 9, 10**9, 0, g) is None
 
+    @pytest.mark.parametrize("n0,n1,lo", [(-1, 9, 500), (4, -1, 500), (4, 9, -1)],
+                             ids=["n0", "n1", "lo"])
+    def test_a_negative_index_is_refused(self, n0, n1, lo):
+        # the table starts at g(0): a negative index would read it from its end
+        with pytest.raises(ValueError, match="must be >= 0"):
+            lemma32_scan(n0, n1, lo, 600, _Table(4 * BLOCK, seed=5))
+
     def test_shift_larger_than_the_block_tail(self):
-        # n0 + n1 exceeds a block, and the last block holds 6 indices
+        # n1 exceeds every window before the last, n0 the first two, and
+        # the last window holds 6 indices
         g = _Table(4 * BLOCK, seed=6)
-        n0, n1, lo = 3000, BLOCK + 17, 20
-        hi = lo + BLOCK + 5
+        n0, n1, lo = 3000, _EDGES[-1] + 17, 20
+        hi = lo + _EDGES[-1] + 5
         g.plant(n0, n1, hi)
         assert lemma32_scan(n0, n1, lo, hi, g) == hi == _least_witness(g, n0, n1, lo, hi)
         assert lemma32_scan(n0, n1, lo, hi - 1, g) is None
 
     def test_an_int64_wrap_is_rechecked(self):
         # D2 g = 2**64 at n2 = 700: the int64 sum wraps onto the target, and
-        # the exact re-verification rejects it
+        # so does the int32 residue filter; the exact re-check rejects it
         g = _Table(3 * BLOCK, seed=7)
         n0, n1, p = 5, 12, 700
         g.values[[p, p + n0, p + n1]] = 2**62, -2**62, -2**62

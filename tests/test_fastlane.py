@@ -388,11 +388,11 @@ def _readers(node, attrs, fn="<module>"):
     return found
 
 
-def _src_readers(attrs):
-    """(module, function) of every reader of `attrs` in src outside `_fastlane`."""
+def _src_readers(attrs, skip="_fastlane"):
+    """(module, function) of every reader of `attrs` in src outside `skip`."""
     src = Path(__file__).resolve().parents[1] / "src" / "gparith"
     return {(path.stem, fn)
-            for path in sorted(src.glob("*.py")) if path.stem != "_fastlane"
+            for path in sorted(src.glob("*.py")) if path.stem != skip
             for fn in _readers(ast.parse(path.read_text(encoding="utf-8")), attrs)}
 
 
@@ -403,3 +403,8 @@ def test_only_fastlane_reads_lane_floats():
 def test_only_fastlane_reads_a_constant_float():
     # so no caller re-decides the range in which a lane answer is exact
     assert _src_readers({"f64"}) == _F64_READERS
+
+
+def test_only_the_sequence_table_reads_a_range_of_g():
+    # so `SequenceHandle.table` is the one dense prefix of a sequence
+    assert _src_readers({"g_range"}, skip=None) == {("genpoly", "table")}

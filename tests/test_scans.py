@@ -3,8 +3,10 @@
 `BohrWorld._radius`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
 `harness._psi_table`, the sliced push-forward histogram and the exact orbit
 histogram of `equidist_check` and `focheck.ell` are each compared with a
-direct, element-by-element reading of what they compute; `_psi_table` is
-also compared with `def_psi`, the formula evaluator of the same psi. The
+direct, element-by-element reading of what they compute.  `_psi_table` is
+the conjunction of `diosearch.lemma32_scan` over n, read here through the
+real sequence and through a stub handle over a random or planted array; it
+is also compared with `def_psi`, the formula evaluator of the same psi. The
 bohr tables are also read back through their caches, one world answering a
 sequence of smaller and larger queries.
 """
@@ -17,10 +19,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, FastConst
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
-from gparith.diosearch import _edge_counts, continued_fraction, equidist_check
+from gparith.diosearch import _FIRST_WINDOW, _edge_counts, continued_fraction, equidist_check
 from gparith.exactnum import circle_norm, field_create, floor_exact
 from gparith.focheck import BoundProfile, def_psi, ell
-from gparith.harness import _EXTEND_CAP, _FIRST_WINDOW, _psi_table
+from gparith.genpoly import SequenceHandle
+from gparith.harness import _EXTEND_CAP, _psi_table
 
 
 def _radius_literal(world, x_max, window):
@@ -149,6 +152,20 @@ class TestKappaTable:
         assert world.kappa(3, 10).value is None
 
 
+class _Array(SequenceHandle):
+    """g(n) = G[n] over a random or planted array G."""
+
+    def __init__(self, G):
+        super().__init__()
+        self.G = G
+
+    def g_scalar(self, n):
+        return int(self.G[n])
+
+    def g_range(self, lo, hi):
+        return self.G[lo:hi + 1]
+
+
 def _mu_table(G, C, N_max, m_max):
     """mu(n, m) by the literal windowed search, and whether each match lay
     past the first window; row n - 1, column m (column 0 False)."""
@@ -177,7 +194,7 @@ class TestPsiTable:
         C, N_max, m_max = 2, 30, 40
         G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
         mu, _ = _mu_table(G, C, N_max, m_max)
-        psi = _psi_table(G, C, N_max, m_max)
+        psi = _psi_table(ctx.g, C, N_max, m_max)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
 
     def test_late_matches_and_early_stop(self):
@@ -192,7 +209,7 @@ class TestPsiTable:
         # a column with mu False at some n and True at a later n
         assert any(not mu[i, m] and mu[i + 1:, m].any()
                    for m in range(1, m_max + 1) for i in range(N_max))
-        psi = _psi_table(G, C, N_max, m_max)
+        psi = _psi_table(_Array(G), C, N_max, m_max)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
@@ -204,8 +221,7 @@ def test_psi_table_matches_the_formula(ctx):
     # and every N sees both truth values
     C, bounds = 2, BoundProfile(n2_cap=_EXTEND_CAP)
     ms = list(range(1, 41)) + [m for m in range(41, 200) if ctx.in_window(m, 30)][:3]
-    G = ctx.g.g_range(0, C * ms[-1] + _EXTEND_CAP + 30 + ms[-1] + 4)
-    psi = _psi_table(G, C, 30, ms[-1])
+    psi = _psi_table(ctx.g, C, 30, ms[-1])
     for N in (1, 2, 5, 30):
         got = [def_psi(m, N, C, bounds, ctx.g) for m in ms]
         assert got == [bool(psi[N - 1, m]) for m in ms], N
@@ -214,7 +230,7 @@ def test_psi_table_matches_the_formula(ctx):
 
 class TestPsiTableResidueFilter:
     """psi against the Python-int form of _mu_table (G as an object array),
-    on values that the int32 residue filter of _psi_table wraps."""
+    on values that the int32 residue filter of lemma32_scan wraps."""
 
     C, N_max, m_max = 2, 3, 3
 
@@ -252,7 +268,7 @@ class TestPsiTableResidueFilter:
         assert not mu[1:, 2].any() and not mu[0, 3] and mu[1, 3] and late[1, 3]
         assert psi[:, 1].all() and psi[0, 2] and not psi[1:, 2].any()
         assert not psi[:, 3].any()
-        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
 
     def test_a_residue_hit_is_rechecked(self):
         G = self.wide_G(2)
@@ -261,10 +277,10 @@ class TestPsiTableResidueFilter:
         assert d2 != self.target(G, 1, 2) and (d2 - self.target(G, 1, 2)) % 2**32 == 0
         psi, mu, _ = self.exact_psi(G)
         assert not mu[0, 2]
-        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
         # without the excess the same n2 is a witness
         self.plant(G, 1, 2, 300)
-        assert _psi_table(G, self.C, self.N_max, self.m_max)[0, 2]
+        assert _psi_table(_Array(G), self.C, self.N_max, self.m_max)[0, 2]
 
     def test_an_int64_wrap_is_no_witness(self):
         # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target
@@ -279,7 +295,7 @@ class TestPsiTableResidueFilter:
         self.plant(G, 1, 1, 900)
         psi, mu, _ = self.exact_psi(G)
         assert mu[0, 1] and not mu[1, 1]
-        assert np.array_equal(_psi_table(G, self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
