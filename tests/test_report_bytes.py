@@ -57,6 +57,9 @@ REPORTS = {
     # the quadratic fit, and the summary counts its failures
     "verify-3.7": (["verify", "3.7", "--m-max", "30", "--h-factor", "12"],
                    "290ec14e898d1bea6d24bd02bc4061833ad6b755ecfaf08697289a281e6fd102"),
+    # the perfbench flags (the defaults)
+    "verify-3.7-defaults": (["verify", "3.7"],
+                            "9ad77f168a0bfb85d9710d247be0ac912669a8d6d61dd9ace769632957cd47ad"),
     "verify-3.8": (["verify", "3.8"],
                    "db4d181098a3ae3bde4a28fe87fa1e42c9c432dc119cf5e8e19e76bc234f88da"),
     "verify-4.1": (["verify", "4.1", "--m-max", "20000"],

@@ -1,9 +1,10 @@
 """Whole-array scans against the literal definitions they compute.
 
 `BohrWorld._radius`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
-`harness._psi_table`, the sliced push-forward histogram and the exact orbit
-histogram of `equidist_check` and `focheck.ell` are each compared with a
-direct, element-by-element reading of what they compute.  `_psi_table` is
+`harness._psi_table`, `harness.verify_lemma37_range`, the sliced push-forward
+histogram and the exact orbit histogram of `equidist_check` and
+`focheck.ell` are each compared with a direct, element-by-element reading
+of what they compute.  `_psi_table` is
 the conjunction of `diosearch.lemma32_scan` over n, read here through the
 real sequence and through a stub handle over a random or planted array; it
 is also compared with `def_psi`, the formula evaluator of the same psi. The
@@ -17,13 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gparith._fastlane import BLOCK, FastConst
+from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
 from gparith.diosearch import _FIRST_WINDOW, _edge_counts, continued_fraction, equidist_check
 from gparith.exactnum import circle_norm, field_create, floor_exact
-from gparith.focheck import BoundProfile, def_psi, ell
+from gparith.focheck import AlphaContext, BoundProfile, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
-from gparith.harness import _EXTEND_CAP, _psi_table
+from gparith.harness import _EXTEND_CAP, _psi_table, verify_lemma37_range
 
 
 def _radius_literal(world, x_max, window):
@@ -398,3 +399,36 @@ def test_ell_near_integer_reciprocal(alpha, sign):
     for q in range(3, 130):
         a = Fraction(1, 2 * q) - tiny
         assert ell(1, a) == (1 / (2 * a)).floor() == (q if sign > 0 else q - 1)
+
+
+def _lemma37_literal(ctx, m_max, h_factor):
+    """The fail records and the instance count of `verify 3.7`, from
+    `verify_lemma37` on every (m, h) with 3m <= h <= min(h_factor*m, ell(m))."""
+    fails, count, reps = [], 0, {}
+    for m in range(1, m_max + 1):
+        for h in range(3 * m, min(h_factor * m, ell(m, ctx.alpha)) + 1):
+            # verify_lemma37 reads h only through T = h // m
+            rep = reps.get((m, h // m)) or reps.setdefault((m, h // m), verify_lemma37(m, h, ctx))
+            count += 1
+            if not rep.holds:
+                fails.append(({"m": m, "h": h},
+                              {"closed_form": rep.closed_form, "d2_side": rep.side_constant_d2}))
+    return fails, count
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["g", "g+1 on 3|n"])
+def test_lemma37_range_matches_each_instance(alpha, mutated, monkeypatch):
+    if mutated:
+        vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
+        monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: vec(self, n) + (n % 3 == 0))
+        monkeypatch.setattr(QuadSeqFast, "g_scalar",
+                            lambda self, n: scalar(self, n) + (n % 3 == 0))
+    ctx = AlphaContext(alpha, 1)  # a fresh memo under the mutation
+    res = verify_lemma37_range(ctx)  # the defaults: m <= 100, h_factor 30
+    fails, count = _lemma37_literal(ctx, 100, 30)
+    assert [(r["instance"], r["witness"]) for r in res.records[:-1]] == fails
+    assert res.summary == {"instances": count, "failures": len(fails)}
+    assert res.records[-1]["verdict"] == ("fail" if fails else "pass")
+    assert bool(fails) == mutated and count > 0
+    if mutated:  # the closed form fails both with and without the d2 side
+        assert {tuple(w.values()) for _, w in fails} == {(False, True), (False, False)}
