@@ -148,24 +148,24 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     """Least n2 in [lo, hi] with the second symmetric derivative of g
     vanishing at (n0, n1, n2); None if there is none (certified).
 
-    The one second-difference scan: with H(x) = g(x+n1) - g(x) in int32 over
-    the handle's `residues`, D2 g = H(n2+n0) - H(n2) - target mod 2**32 misses
+    The one second-difference scan: with H(x) = g(x+n1) - g(x) in int16 over
+    the handle's `residues`, D2 g = H(n2+n0) - H(n2) - target mod 2**16 misses
     no witness, and each hit is re-checked in Python ints from the exact
-    `table` (12 bytes per n up to hi + n0 + n1).  It starts at g(0), so a
+    `table` (10 bytes per n up to hi + n0 + n1).  It starts at g(0), so a
     negative n0, n1 or lo is refused (no caller passes one; `g_range` would serve it).
     """
     if min(n0, n1, lo) < 0:
         raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
     T = g.table(n0 + n1)
     target = int(T[n0 + n1]) - int(T[n0]) - int(T[n1]) + int(T[0])
-    t32 = (target + 2**31) % 2**32 - 2**31
+    t16 = (target + 2**15) % 2**16 - 2**15
     a, width = lo, _FIRST_WINDOW
     while a <= hi:
         k = min(width, hi + 1 - a)
         end = a + k - 1 + n0 + n1
         R, T = g.residues(end), g.table(end)
         H = R[a + n1:a + n1 + k + n0] - R[a:a + k + n0]  # H[j] = g(a+j+n1) - g(a+j)
-        for x in (a + (H[n0:] - H[:k] == t32).nonzero()[0]).tolist():
+        for x in (a + (H[n0:] - H[:k] == t16).nonzero()[0]).tolist():
             if int(T[x + n0 + n1]) - int(T[x + n0]) - int(T[x + n1]) + int(T[x]) == target:
                 return x
         a, width = a + k, 4 * width

@@ -481,10 +481,10 @@ class SequenceHandle:
         return T
 
     def residues(self, upto: int) -> np.ndarray:
-        """table(upto) mod 2**32 as int32, grown with it."""
+        """table(upto) mod 2**16 as signed int16, grown with it."""
         R = self._residues
         if upto >= len(R):
-            R = self._residues = np.concatenate((R, self.table(upto)[len(R):].astype(np.int32)))
+            R = self._residues = np.concatenate((R, self.table(upto)[len(R):].astype(np.int16)))
         return R
 
     def _fresh(self, n: int) -> int:

@@ -41,7 +41,7 @@ from .focheck import (
     ell,
     lemma36_characterisation,
     pretty_formula,
-    verify_lemma37 as _lemma37_instance,
+    progression_d2,
 )
 from .genpoly import (
     GAMMA_ALL_PAIRS,
@@ -58,6 +58,7 @@ from .weakmult import (
     check_Q2,
     check_solvability,
     close_pm,
+    commutes,
     compile_solvability,
     eval_term_m,
     family_domain_ok,
@@ -477,22 +478,33 @@ def verify_lemmas35_36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600
 
 def verify_lemma37_range(ctx: AlphaContext, m_max: int = 100,
                          h_factor: int = 30) -> HarnessResult:
+    """`focheck.verify_lemma37` on every instance 3m <= h <= min(h_factor*m,
+    ell(m)) = T_hi*m, m <= m_max, from one read of each P_{m,T_hi}: the
+    instances with one T = h // m check the prefix P_{m,T}."""
     res = HarnessResult("3.7")
     bad = count = 0
     ms = np.arange(1, m_max + 1, dtype=np.int64)
-    # the instances are 3m <= h <= min(h_factor * m, ell(m)) = T_hi * m, and
-    # those with one T = h // m share one progression
-    for m, T_hi in zip(ms.tolist(), ctx.g.const.half_inverse_norm(ms, h_factor).tolist()):
-        for T in range(3, T_hi + 1):
-            rep = _lemma37_instance(m, T * m, ctx)
+    Ts = ctx.g.const.half_inverse_norm(ms, h_factor)
+    ms, Ts = ms[Ts >= 3], Ts[Ts >= 3]
+    gv, off, a, run = progression_d2(ctx, ms, Ts)
+    # the closed form g(tm) = beta t^2 m nint(alpha m), with nint decided in
+    # exactnum; first[i] is the least t >= 1 where it fails, or T_hi + 1
+    lead = np.array([ctx.beta * m * (ctx.alpha * m).nint() for m in ms.tolist()], dtype=object)
+    t = np.arange(off[-1]) - off[:-1].repeat(Ts + 1)
+    wrong = (gv != lead.repeat(Ts + 1) * t * t) & (t > 0)
+    first = np.minimum.reduceat(np.where(wrong, t, (Ts + 1).repeat(Ts + 1)), off[:-1])
+    for m, T_hi, a_m, run_m, first_m in zip(*(x.tolist() for x in (ms, Ts, a, run, first))):
+        count += (T_hi - 3) * m + 1
+        # P_{m,T} keeps the closed form for T < first_m, and its second
+        # differences, a prefix of those of P_{m,T_hi}, are constant and
+        # nonzero for T <= run_m + 2; so every T from the first failure fails
+        for T in range(max(3, min(first_m, run_m + 3 if a_m else 3)), T_hi + 1):
             hs = range(T * m, min(T * m + m, T_hi * m + 1))
-            count += len(hs)
-            if not rep.holds:
-                bad += len(hs)
-                for h in hs:
-                    res.add({"m": m, "h": h}, "fail",
-                            witness={"closed_form": rep.closed_form,
-                                     "d2_side": rep.side_constant_d2})
+            bad += len(hs)
+            for h in hs:
+                res.add({"m": m, "h": h}, "fail",
+                        witness={"closed_form": T < first_m,
+                                 "d2_side": a_m != 0 and T <= run_m + 2})
     res.add({"m_max": m_max, "h_factor": h_factor}, "pass" if bad == 0 else "fail")
     res.vacuous = count == 0
     res.summary = {"instances": count, "failures": bad}
@@ -565,7 +577,7 @@ def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000, h_factor: int = 1000
     violations = Q.short_runs + rep.violations
     res.add({"check": "Q1", "quadruples": rep.total},
             "pass" if not violations else "fail",
-            witness={"violations": violations[:5], "commutes": rep.commutes})
+            witness={"violations": violations[:5], "commutes": commutes(Q)})
     m2 = check_Q2(Q, F)
     res.add({"check": "Q2", "F": sorted(F)}, "pass" if m2 is not None else "fail",
             witness={"m": m2})

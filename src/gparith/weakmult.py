@@ -412,7 +412,6 @@ def is_sign_closed(Q: ExplicitQSet) -> bool:
 class Q1Report:
     total: int
     violations: list
-    commutes: bool  # (m,a,b,c) in Q iff (m,b,a,c) in Q, settled empirically
 
 
 def check_Q1(Q: ExplicitQSet) -> Q1Report:
@@ -430,8 +429,13 @@ def check_Q1(Q: ExplicitQSet) -> Q1Report:
     if np.any((al != 0) & (ak > np.uint64(_INT64_MAX) // np.maximum(al, 1))):
         raise ValueError("Q1 product k*l exceeds the int64 range")
     ok[ok] = k * l == r[ok]
-    return Q1Report(total=len(Q), violations=list(zip(*Q.cols[:, ~ok].tolist())),
-                    commutes=ExplicitQSet(np.stack([m, b, a, c])) == Q)
+    return Q1Report(total=len(Q), violations=list(zip(*Q.cols[:, ~ok].tolist())))
+
+
+def commutes(Q: ExplicitQSet) -> bool:
+    """(m, a, b, c) in Q iff (m, b, a, c) in Q, settled on the whole store."""
+    m, a, b, c = Q.cols
+    return ExplicitQSet(np.stack([m, b, a, c])) == Q
 
 
 def check_Q2(Q: ExplicitQSet | SyntheticQSet, F: Iterable[tuple[int, int]]) -> Optional[int]:

@@ -249,9 +249,26 @@ class TestLemma32ScanBlocks:
         assert lemma32_scan(n0, n1, lo, hi, g) == hi == _least_witness(g, n0, n1, lo, hi)
         assert lemma32_scan(n0, n1, lo, hi - 1, g) is None
 
+    def test_residue_collisions_are_rechecked(self):
+        # D2 g misses the target by 2**16 at n2 = 100 and by -3*2**16 at
+        # n2 = 900, in the first two windows: the int16 filter passes both
+        # (an int32 one would not), the exact re-check rejects them, and
+        # the scan returns the witness planted in the third window
+        g = _Table(3 * BLOCK, seed=8)
+        n0, n1, w = 5, 12, 3000
+        target = g.g_scalar(n0 + n1) - g.g_scalar(n0) - g.g_scalar(n1) + g.g_scalar(0)
+        for p, excess in ((100, 2**16), (900, -3 * 2**16)):
+            g.plant(n0, n1, p, excess=excess)
+            v = g.values
+            assert int(v[p + n0 + n1]) - int(v[p + n0]) - int(v[p + n1]) + int(v[p]) == target + excess
+        g.plant(n0, n1, w)
+        assert lemma32_scan(n0, n1, 1, 2 * BLOCK, g) == w == _least_witness(g, n0, n1, 1, 2 * BLOCK)
+        assert lemma32_scan(n0, n1, 1, w - 1, g) is None
+        assert lemma32_scan(n0, n1, 100, 100, g) is None
+
     def test_an_int64_wrap_is_rechecked(self):
         # D2 g = 2**64 at n2 = 700: the int64 sum wraps onto the target, and
-        # so does the int32 residue filter; the exact re-check rejects it
+        # so does the int16 residue filter; the exact re-check rejects it
         g = _Table(3 * BLOCK, seed=7)
         n0, n1, p = 5, 12, 700
         g.values[[p, p + n0, p + n1]] = 2**62, -2**62, -2**62

@@ -21,6 +21,7 @@ from gparith.genpoly import (
     IndicatorLess,
     Mul,
     NoLane,
+    SequenceHandle,
     Var,
     compile_lane,
     delta_shift,
@@ -213,6 +214,27 @@ class TestLane:
         run = compile_lane(parse(text), "x")[0]
         with pytest.raises(NoLane):
             run(self.XS, {"y": y}, {"g": QuadSeqFast(alpha, 1)})
+
+
+class _SignedCubes(SequenceHandle):
+    """g(n) = (-1)^n * 7919 * n^3: negative and past int32 from n = 82."""
+
+    def g_scalar(self, n):
+        return (-1) ** n * 7919 * n ** 3
+
+    def g_range(self, lo, hi):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        return np.where(n % 2, -7919, 7919) * n ** 3
+
+
+def test_residues_are_the_table_mod_2_16():
+    g = _SignedCubes()
+    for upto in (0, 1, 5, 40, 300, 3000, 7000):  # several doublings
+        T, R = g.table(upto), g.residues(upto)
+        assert R.dtype == np.int16 and len(R) == len(T) > upto
+        assert T.tolist() == [g.g_scalar(n) for n in range(len(T))]
+        assert R.tolist() == [(int(v) + 2**15) % 2**16 - 2**15 for v in T]
+    assert T.min() < -2**40 and T.max() > 2**40
 
 
 class TestDiscreteCalculus:

@@ -231,7 +231,7 @@ def test_psi_table_matches_the_formula(ctx):
 
 class TestPsiTableResidueFilter:
     """psi against the Python-int form of _mu_table (G as an object array),
-    on values that the int32 residue filter of lemma32_scan wraps."""
+    on values that the int16 residue filter of lemma32_scan wraps."""
 
     C, N_max, m_max = 2, 3, 3
 
@@ -254,7 +254,7 @@ class TestPsiTableResidueFilter:
         mu, late = _mu_table(G.astype(object), self.C, self.N_max, self.m_max)
         return np.logical_and.accumulate(mu, axis=0), mu, late
 
-    def test_wide_values_wrap_the_int32_filter(self):
+    def test_wide_values_wrap_the_residue_filter(self):
         G = self.wide_G(1)
         # true witnesses in the first window, in a later window and at the
         # last n2 of the cap, and one just past the cap that does not count.
@@ -264,7 +264,7 @@ class TestPsiTableResidueFilter:
                                (2, 3): _EXTEND_CAP, (1, 3): _EXTEND_CAP + 2}.items():
             self.plant(G, n, m, offset)
         psi, mu, late = self.exact_psi(G)
-        assert np.abs(G).max() > 2**32  # G and H wrap in int32
+        assert np.abs(G).max() > 2**32  # G and H wrap mod 2**16, and would in int32
         assert mu[:, 1].all() and late[1, 1] and mu[0, 2] and late[0, 2]
         assert not mu[1:, 2].any() and not mu[0, 3] and mu[1, 3] and late[1, 3]
         assert psi[:, 1].all() and psi[0, 2] and not psi[1:, 2].any()
@@ -272,13 +272,21 @@ class TestPsiTableResidueFilter:
         assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
 
     def test_a_residue_hit_is_rechecked(self):
-        G = self.wide_G(2)
-        p = self.plant(G, 1, 2, 300, excess=2**32)
-        d2 = int(G[p + 3]) - int(G[p + 1]) - int(G[p + 2]) + int(G[p])
-        assert d2 != self.target(G, 1, 2) and (d2 - self.target(G, 1, 2)) % 2**32 == 0
-        psi, mu, _ = self.exact_psi(G)
-        assert not mu[0, 2]
-        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+        # d2 = target + excess at n2 = p: every excess is 0 mod 2**16, so the
+        # residue filter passes it; 2**16 and -3*2**16 would not pass int32
+        for seed, excess in enumerate((2**32, 2**16, -3 * 2**16), start=2):
+            G = self.wide_G(seed)
+            p = self.plant(G, 1, 2, 300, excess=excess)
+            d2 = int(G[p + 3]) - int(G[p + 1]) - int(G[p + 2]) + int(G[p])
+            assert d2 - self.target(G, 1, 2) == excess
+            psi, mu, _ = self.exact_psi(G)
+            assert not mu[0, 2]
+            assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+            # a true witness after the collision makes mu(1, 2) hold
+            self.plant(G, 1, 2, 700)
+            psi, mu, _ = self.exact_psi(G)
+            assert mu[0, 2]
+            assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
         # without the excess the same n2 is a witness
         self.plant(G, 1, 2, 300)
         assert _psi_table(_Array(G), self.C, self.N_max, self.m_max)[0, 2]
@@ -416,19 +424,29 @@ def _lemma37_literal(ctx, m_max, h_factor):
     return fails, count
 
 
-@pytest.mark.parametrize("mutated", [False, True], ids=["g", "g+1 on 3|n"])
-def test_lemma37_range_matches_each_instance(alpha, mutated, monkeypatch):
-    if mutated:
+# the kinds of fail witnesses, (closed_form, d2_side), that each case yields
+_LEMMA37_CASES = {
+    "g": set(),
+    "g+1 on 3|n": {(False, True), (False, False)},
+    # only g(0) moves, and no instance reads it
+    "g+1 at 0": set(),
+    # nint(alpha/10) = 0 and ell(1) = 3: g = 0 along P_{1,3}, so the closed
+    # form holds and the second difference is 0
+    "alpha/10": {(True, False)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEMMA37_CASES))
+def test_lemma37_range_matches_each_instance(alpha, case, monkeypatch):
+    if case.startswith("g+1"):
+        hit = (lambda n: n % 3 == 0) if case == "g+1 on 3|n" else (lambda n: n == 0)
         vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
-        monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: vec(self, n) + (n % 3 == 0))
-        monkeypatch.setattr(QuadSeqFast, "g_scalar",
-                            lambda self, n: scalar(self, n) + (n % 3 == 0))
-    ctx = AlphaContext(alpha, 1)  # a fresh memo under the mutation
+        monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: vec(self, n) + hit(n))
+        monkeypatch.setattr(QuadSeqFast, "g_scalar", lambda self, n: scalar(self, n) + hit(n))
+    ctx = AlphaContext(alpha / 10 if case == "alpha/10" else alpha, 1)  # a fresh memo
     res = verify_lemma37_range(ctx)  # the defaults: m <= 100, h_factor 30
     fails, count = _lemma37_literal(ctx, 100, 30)
     assert [(r["instance"], r["witness"]) for r in res.records[:-1]] == fails
     assert res.summary == {"instances": count, "failures": len(fails)}
     assert res.records[-1]["verdict"] == ("fail" if fails else "pass")
-    assert bool(fails) == mutated and count > 0
-    if mutated:  # the closed form fails both with and without the d2 side
-        assert {tuple(w.values()) for _, w in fails} == {(False, True), (False, False)}
+    assert {tuple(w.values()) for _, w in fails} == _LEMMA37_CASES[case] and count > 0
