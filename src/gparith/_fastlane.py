@@ -44,7 +44,7 @@ from .exactnum import (
     nint,
     sign,
 )
-from .genpoly import INT64_MAX, SequenceHandle
+from .genpoly import BLOCK, INT64_MAX, SequenceHandle
 
 _SCALE = float(2.0**-64)
 # A filter compares a float frac with a float threshold t: int64 -> float64
@@ -52,9 +52,6 @@ _SCALE = float(2.0**-64)
 # float() of an algebraic endpoint) and then t +- margin move the threshold
 # by at most 2^-53 each.  2^-51 covers their sum.
 _ROUNDING = 2.0**-51
-# Scan block length: at 2**15 the lane temporaries of `verify 3.5/3.6`
-# raised its peak RSS by 1.2 MB.
-BLOCK = 2**14
 
 
 def blocks(start: int, stop: int):

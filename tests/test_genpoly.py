@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gparith._fastlane import BohrFast, QuadSeqFast
+from gparith._fastlane import BLOCK, BohrFast, QuadSeqFast
 from gparith.diosearch import C_SCHEDULE, sample_admissible_triples
 from gparith.exactnum import field_create, frac_signed, nint
 from gparith.errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
@@ -217,24 +217,32 @@ class TestLane:
 
 
 class _SignedCubes(SequenceHandle):
-    """g(n) = (-1)^n * 7919 * n^3: negative and past int32 from n = 82."""
+    """g(n) = (-1)^n * 7919 * n^3: negative and past int32 from n = 82.
+    `widths` records the length of each range read."""
+
+    def __init__(self):
+        super().__init__()
+        self.widths = []
 
     def g_scalar(self, n):
         return (-1) ** n * 7919 * n ** 3
 
     def g_range(self, lo, hi):
+        self.widths.append(hi + 1 - lo)
         n = np.arange(lo, hi + 1, dtype=np.int64)
         return np.where(n % 2, -7919, 7919) * n ** 3
 
 
-def test_residues_are_the_table_mod_2_16():
+def test_table_and_its_residues_mod_2_16():
     g = _SignedCubes()
-    for upto in (0, 1, 5, 40, 300, 3000, 7000):  # several doublings
+    for upto in (0, 1, 5, 40, 300, 3000, 7000, 3 * BLOCK + 5):  # several doublings
         T, R = g.table(upto), g.residues(upto)
         assert R.dtype == np.int16 and len(R) == len(T) > upto
         assert T.tolist() == [g.g_scalar(n) for n in range(len(T))]
         assert R.tolist() == [(int(v) + 2**15) % 2**16 - 2**15 for v in T]
     assert T.min() < -2**40 and T.max() > 2**40
+    # the table reads g one BLOCK at a time, so a lane's temporaries stay small
+    assert max(g.widths) == BLOCK and sum(g.widths) == len(T)
 
 
 class TestDiscreteCalculus:
