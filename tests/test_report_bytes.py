@@ -64,6 +64,10 @@ REPORTS = {
                    "db4d181098a3ae3bde4a28fe87fa1e42c9c432dc119cf5e8e19e76bc234f88da"),
     "verify-4.1": (["verify", "4.1", "--m-max", "20000"],
                    "8f334273781c093013b3418a6bbfc261d3923b0f14f46bb1b2b533e468948f96"),
+    # N = 10 reaches the premise: 16 moduli up to 10^6, so the check is
+    # not vacuous
+    "verify-4.1-n10": (["verify", "4.1", "--n-max", "10", "--m-max", "1000000"],
+                       "dc0f423329fc47080738b689f1914ad53b78c3f2c666e90b3725d108d025517b"),
     "verify-4.2": (["verify", "4.2", "--m-max", "1000"],
                    "eb735f5b7bcb8d6253b80c0ef5d00abb20ee75010837a8aa6c7b586527754468"),
     "verify-4.3": (["verify", "4.3"],
