@@ -193,6 +193,16 @@ class TestVerify:
         pytest.param("g+1 on 3|n", ["verify", "3.7"], id="g+1 on 3|n-3.7"),
         pytest.param("g = n^2", ["verify", "3.7"], id="g = n^2-3.7"),
         pytest.param("indicator 1-g", ["verify", "4.3"], id="indicator 1-g-4.3"),
+        pytest.param("indicator flipped on 7|n",
+                     ["verify", "4.1", "--n-max", "10", "--m-max", "1000000"],
+                     id="indicator flipped on 7|n-4.1-n10"),
+        *[pytest.param("indicator flipped on 7|n", ["verify"] + argv,
+                       id=f"indicator flipped on 7|n-{argv[0]}",
+                       marks=pytest.mark.xfail(strict=True, reason=(
+                           "ROADMAP item 10: the 4.x checks at their pinned flags "
+                           "survive a sparse indicator flip")))
+          for argv in (["4.1", "--m-max", "20000"], ["4.2", "--m-max", "1000"], ["4.3"],
+                       ["4.4"])],
     ])
     def test_lemma31_fails_under_a_mutated_sequence(self, mutation, argv, monkeypatch,
                                                     capsys):
@@ -202,6 +212,11 @@ class TestVerify:
             vec, scalar = BohrFast.g_vec, BohrFast.g_scalar
             monkeypatch.setattr(BohrFast, "g_vec", lambda self, n: 1 - vec(self, n))
             monkeypatch.setattr(BohrFast, "g_scalar", lambda self, n: 1 - scalar(self, n))
+        elif mutation == "indicator flipped on 7|n":
+            vec, scalar = BohrFast.g_vec, BohrFast.g_scalar
+            monkeypatch.setattr(BohrFast, "g_vec", lambda self, n: vec(self, n) ^ (n % 7 == 0))
+            monkeypatch.setattr(BohrFast, "g_scalar",
+                                lambda self, n: scalar(self, n) ^ (n % 7 == 0))
         elif mutation == "g = n^2":
             monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: n * n)
             monkeypatch.setattr(QuadSeqFast, "g_scalar", lambda self, n: n * n)
