@@ -65,8 +65,6 @@ class BohrWorld:
         self.params = params
         self.bounds = bounds
         self.fast = BohrFast(params.alpha, params.rho)
-        self._R = np.ones(1, dtype=np.int64)  # x = 0, open at window 0
-        self._R_window = 0
         self._lam_cache: dict[tuple[int, int], np.ndarray] = {}
         self._kappa_table_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
 
@@ -78,49 +76,24 @@ class BohrWorld:
 
     # -- almost periods --------------------------------------------------------
 
-    def _radius(self, x_max: int, window: int) -> np.ndarray:
-        """R[x] = least n in 1..window with g(n+x) != g(n), else window+1.
-
-        The one cached R (window w0) only grows. A query inside it is a slice,
-        clamped to window+1 when window < w0; a larger window rescans only the
-        x still open (R = w0+1) over n in (w0, window], and a larger x_max
-        computes only the new columns.
-        """
-        R, w0 = self._R, self._R_window
-        if window > w0:
-            G = self.fast.table(len(R) + window)
-            R = self._R = R.copy()  # answers already handed out stay as they were
-            open_x = np.nonzero(R > w0)[0]
-            R[open_x] = window + 1
-            for n in range(w0 + 1, window + 1):  # an x leaves at its first mismatch
-                miss = G[open_x + n] != G[n]
-                R[open_x[miss]] = n
-                open_x = open_x[~miss]
-            self._R_window = w0 = window
-        if x_max >= len(R):
-            G, x0 = self.fast.table(x_max + w0 + 1), len(R)
-            new = np.full(x_max + 1 - x0, w0 + 1, dtype=np.int64)
-            # n runs downward, so the least mismatching n is written last
-            for n in range(w0, 0, -1):
-                new[G[x0 + n:x_max + n + 1] != G[n]] = n
-            self._R = R = np.concatenate((R, new))
-        R = R[:x_max + 1]
-        return R if window == w0 else np.minimum(R, window + 1)
-
     def mu(self, m: int, N: int) -> bool:
-        """g(n+m) = g(n) for all 1 <= n <= N, exactly."""
+        """g(n+m) = g(n) for all 1 <= n <= N, exactly, read from a window of g
+        at m so that a large m does not grow the table."""
         if m < 0 or N < 0:
             raise PreconditionViolated("m, N must be >= 0")
         if m == 0 or N == 0:
             return True
-        G = self.fast.table(m + N)
-        return bool(np.array_equal(G[m + 1:m + N + 1], G[1:N + 1]))
+        shifted = self.fast.g_vec(np.arange(m + 1, m + N + 1, dtype=np.int64))
+        return bool(np.array_equal(shifted, self.fast.table(N)[1:N + 1]))
 
     def mu_true_upto(self, x_max: int, N: int) -> np.ndarray:
-        """The x in 1..x_max with mu(x, N): no scan when earlier queries
-        reached a window >= N and an x_max at least this long."""
-        R = self._radius(x_max, N)
-        return np.nonzero(R[1:x_max + 1] > N)[0] + 1  # x >= 1 with mu(x, N)
+        """The x in 1..x_max with mu(x, N): a mask over the table, cleared
+        where g(x+n) != g(n) for some n <= N.  Nothing is kept between calls."""
+        G = self.fast.table(x_max + N)
+        keep = np.ones(x_max, dtype=bool)  # keep[x - 1] for x = 1..x_max
+        for n in range(1, N + 1):
+            keep &= G[n + 1:x_max + n + 1] == G[n]
+        return np.flatnonzero(keep) + 1
 
     def delta_threshold(self, N: int) -> AlgebraicReal:
         """min over n <= N of |norm(alpha n^2) - rho|, exact and positive."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import harness as H
-from ._fastlane import BohrFast, QuadSeqFast
+from ._fastlane import BohrFast, QuadSeqFast, blocks
 from .bohr import BohrParams, BohrWorld, divisibility_sequence_check
 from .config import ConfigError, as_algebraic, beta_for_lane, load_config
 from .diosearch import (
@@ -231,8 +231,9 @@ def cmd_bohr(args, cfg) -> int:
     with _report_out(args) as out:
         if args.action == "eval":
             lo, hi = _parse_range(args.n)
-            for n in range(lo, hi + 1):
-                out.write(f"{n}\t{world.g(n)}\n")
+            for ns in blocks(lo, hi + 1):
+                out.writelines(f"{n}\t{v}\n" for n, v in
+                               zip(ns.tolist(), world.fast.g_vec(ns).tolist()))
             return 0
         rep = divisibility_sequence_check(world, args.m, args.mt,
                                           max_candidate=args.budget)

@@ -331,12 +331,6 @@ _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
            IndicatorLess: lambda a, b: 1 if a < b else 0}
 
 
-def eval_term(t: Expr, env: Mapping[str, Number],
-              sequences: Mapping[str, Callable[[int], int]]) -> Number:
-    """Exact value of `t` (see compile_term)."""
-    return compile_term(t)(env, sequences)
-
-
 # ---------------------------------------------------------------------------
 # The vector form of integer terms: one int64 array per scan block
 # ---------------------------------------------------------------------------

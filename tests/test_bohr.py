@@ -80,6 +80,22 @@ class TestAlmostPeriods:
                        for n in range(1, 11))
             assert bohr_world.mu(m, 10) == want
 
+    @pytest.mark.parametrize("N", [1, 2, 6, 10, 25])
+    def test_mu_agrees_with_the_mu_set(self, bohr_world, N):
+        S = set(bohr_world.mu_true_upto(3000, N).tolist())
+        assert [bohr_world.mu(m, N) for m in range(1, 3001)] == \
+            [m in S for m in range(1, 3001)]
+
+    def test_mu_at_a_large_m_reads_a_window(self, sqrt2):
+        # a premise modulus of Lemma 4.1 at N = 50: the table would need
+        # 8.3e7 entries, so mu reads g(m+1..m+N) alone
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
+        m, N = 82_951_766, 50
+        g = world.fast.g_scalar
+        assert world.mu(m, N) == all(g(m + n) == g(n) for n in range(1, N + 1))
+        assert world.mu(m, N)
+        assert len(world.fast.table(0)) < 2 * (N + 1)
+
     def test_lambda_zero(self, bohr_world):
         assert bohr_world.lambda_(0, 10)
 

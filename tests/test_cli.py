@@ -11,6 +11,7 @@ from gparith import harness as H
 from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
+from gparith.genpoly import BLOCK
 
 
 def run_cli(args, capsys):
@@ -350,6 +351,19 @@ class TestSearchAndBohr:
         assert code == 0
         vals = [int(line.split("\t")[1]) for line in out.strip().splitlines()]
         assert vals == [1, 0, 0, 0, 0, 0, 1]
+
+    def test_bohr_eval_reads_a_window_of_g(self, monkeypatch, capsys):
+        # the table's values across a block boundary and at negative n; far
+        # out, no table is read, since it would grow to hi
+        world = _CONFIG_VALUES["world"](parse_config(DEFAULT_CONFIG_TEXT))
+        code, out, _ = run_cli(["bohr", "eval", f"--n=-40..{BLOCK + 40}"], capsys)
+        assert code == 0
+        assert out == "".join(f"{n}\t{world.g(n)}\n" for n in range(-40, BLOCK + 41))
+        monkeypatch.setattr(BohrFast, "table", lambda self, upto: pytest.fail("table read"))
+        code, out, _ = run_cli(["bohr", "eval", "--n", "30000000..30000003"], capsys)
+        assert code == 0
+        assert out == "".join(f"{n}\t{world.fast.g_scalar(n)}\n"
+                              for n in range(30_000_000, 30_000_004))
 
     def test_bohr_seqcheck(self, capsys):
         code, out, _ = run_cli(["bohr", "seqcheck", "--m", "2", "--mt", "4"],

@@ -24,11 +24,11 @@ from gparith.genpoly import (
     SequenceHandle,
     Var,
     compile_lane,
+    compile_term,
     delta_shift,
     delta_sym,
     delta_sym_iter,
     delta_sym_iter_subsets,
-    eval_term,
     expr_sort,
     lemma31_classify,
     parse,
@@ -44,7 +44,7 @@ BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
 
 def _eval(text: str, constants: dict, n: int):
     """The value of `eval` text at n, through the AST."""
-    return eval_term(parse(text), {**constants, "n": n}, {})
+    return compile_term(parse(text))({**constants, "n": n}, {})
 
 
 def _seq(text: str):
@@ -90,7 +90,7 @@ class TestParser:
     def test_unknown_constant_at_eval_not_parse(self):
         e = parse("nint(gamma*n)")
         with pytest.raises(UnboundVariable, match="gamma"):
-            eval_term(e, {"n": 1}, {})
+            compile_term(e)({"n": 1}, {})
 
     def test_sorts(self):
         assert expr_sort(parse("nint(alpha*n)*n + 1")) == "int"
@@ -126,7 +126,7 @@ class TestEval:
 
         expr = parse("nint(alpha*beta*n)")
         with pytest.raises(FieldMismatch):
-            eval_term(expr, {"alpha": alpha, "beta": sqrt2, "n": 3}, {})
+            compile_term(expr)({"alpha": alpha, "beta": sqrt2, "n": 3}, {})
 
     def test_memo_transparency(self, alpha):
         g = QuadSeqFast(alpha, 1)

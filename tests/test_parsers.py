@@ -11,7 +11,7 @@ import pytest
 
 from gparith.errors import ExprSyntaxError
 from gparith.focheck import FCmp, parse_formula
-from gparith.genpoly import Apply, IndicatorLess, IntLit, Mul, Var, eval_term, parse
+from gparith.genpoly import Apply, IndicatorLess, IntLit, Mul, Var, compile_term, parse
 from gparith.weakmult import parse_poly
 
 POSITIONS = [
@@ -91,4 +91,4 @@ def test_one_grammar_tree(parser, text, tree):
 
 def test_rounding_of_a_formula_name_is_an_integer():
     for fn in ("floor", "nint", "frac", "norm"):
-        assert type(eval_term(Apply(fn, Var("x")), {"x": -3}, {})) is int
+        assert type(compile_term(Apply(fn, Var("x")))({"x": -3}, {})) is int

@@ -1,6 +1,6 @@
 """Whole-array scans against the literal definitions they compute.
 
-`BohrWorld._radius`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
+`BohrWorld.mu_true_upto`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
 `harness._psi_table`, `harness.verify_lemma37_range`, the sliced push-forward
 histogram and the exact orbit histogram of `equidist_check` and
 `focheck.ell` are each compared with a direct, element-by-element reading
@@ -8,8 +8,9 @@ of what they compute.  `_psi_table` is
 the conjunction of `diosearch.lemma32_scan` over n, read here through the
 real sequence and through a stub handle over a random or planted array; it
 is also compared with `def_psi`, the formula evaluator of the same psi. The
-bohr tables are also read back through their caches, one world answering a
-sequence of smaller and larger queries.
+mu sets and the lambda and kappa tables are also read through one world
+answering a sequence of smaller and larger queries, the last two from their
+caches.
 """
 
 from fractions import Fraction
@@ -27,42 +28,41 @@ from gparith.genpoly import SequenceHandle
 from gparith.harness import _EXTEND_CAP, _psi_table, verify_lemma37_range
 
 
-def _radius_literal(world, x_max, window):
-    G = [world.g(n) for n in range(x_max + window + 1)]
-    return [next((n for n in range(1, window + 1) if G[n + x] != G[n]), window + 1)
-            for x in range(x_max + 1)]
+def _mu_set_literal(world, x_max, N):
+    """The x in 1..x_max whose first mismatch n in 1..N, g(n+x) != g(n), does
+    not exist."""
+    G = [world.g(n) for n in range(x_max + N + 1)]
+    radius = [next((n for n in range(1, N + 1) if G[n + x] != G[n]), N + 1)
+              for x in range(x_max + 1)]
+    return [x for x in range(1, x_max + 1) if radius[x] == N + 1]
 
 
 class TestRadius:
-    @pytest.mark.parametrize("window,x_max", [(6, 4000), (10, 4000), (25, 4000),
-                                              (200, 2000)])
-    def test_against_first_mismatch_loop(self, sqrt2, window, x_max):
+    @pytest.mark.parametrize("N,x_max", [(6, 4000), (10, 4000), (25, 4000),
+                                         (200, 2000)])
+    def test_against_first_mismatch_loop(self, sqrt2, N, x_max):
         world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
-        R = world._radius(x_max, window)
-        want = _radius_literal(world, x_max, window)
-        assert R.tolist() == want
-        # x = 0 never mismatches; small windows also have such x >= 1
-        no_mismatch = [x for x in range(x_max + 1) if want[x] == window + 1]
-        assert no_mismatch[0] == 0
-        if window <= 25:
-            assert len(no_mismatch) > 1
+        S = world.mu_true_upto(x_max, N)
+        assert S.dtype == np.int64
+        want = _mu_set_literal(world, x_max, N)
+        assert S.tolist() == want
+        # small windows have almost periods x >= 1; N = 200 has none here
+        assert (len(want) > 0) == (N <= 25)
 
     @pytest.mark.parametrize("calls", [
-        # windows up, then down (a clamp), then a longer x_max
+        # windows up, then down, then a longer x_max
         [(4000, 25), (4000, 50), (4000, 200), (4000, 10), (7900, 10), (7900, 200),
          (2000, 6)],
-        # a wider window while the cached R is longer than the x_max asked:
-        # x = 9273 has mu(x, 25), so the rescan reads g past 9280, the end
-        # of the base sequence that the first call left
+        # a wider window after a longer x_max: x = 9273 has mu(x, 25), so
+        # the query reads g past 9280, the end of the table the first left
         [(9273, 6), (2000, 50), (9273, 25), (500, 400)],
     ])
-    def test_one_world_grows_and_clamps_its_cache(self, sqrt2, calls):
+    def test_one_world_answers_as_fresh_worlds(self, sqrt2, calls):
         params = BohrParams(sqrt2, Fraction(1, 5))
         world = BohrWorld(params)
-        for x_max, window in calls:
-            R = world._radius(x_max, window)
-            assert R.tolist() == _radius_literal(BohrWorld(params), x_max, window), \
-                (x_max, window)
+        for x_max, N in calls:
+            S = world.mu_true_upto(x_max, N)
+            assert S.tolist() == _mu_set_literal(BohrWorld(params), x_max, N), (x_max, N)
 
 
 def _lambda_literal(world, N, n_max):
