@@ -92,7 +92,7 @@ class TestAlmostPeriods:
         world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         m, N = 82_951_766, 50
         g = world.fast.g_scalar
-        assert world.mu(m, N) == all(g(m + n) == g(n) for n in range(1, N + 1))
+        assert all(g(m + n) == g(n) for n in range(1, N + 1))
         assert world.mu(m, N)
         assert len(world.fast.table(0)) < 2 * (N + 1)
 

@@ -29,8 +29,8 @@ from gparith.harness import _EXTEND_CAP, _psi_table, verify_lemma37_range
 
 
 def _mu_set_literal(world, x_max, N):
-    """The x in 1..x_max whose first mismatch n in 1..N, g(n+x) != g(n), does
-    not exist."""
+    """The x in 1..x_max with no first mismatch: no n in 1..N has
+    g(n+x) != g(n)."""
     G = [world.g(n) for n in range(x_max + N + 1)]
     radius = [next((n for n in range(1, N + 1) if G[n + x] != G[n]), N + 1)
               for x in range(x_max + 1)]
