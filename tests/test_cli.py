@@ -5,6 +5,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from gparith import harness as H
@@ -12,6 +13,7 @@ from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
 from gparith.genpoly import BLOCK
+from gparith.weakmult import ExplicitQSet
 
 
 def run_cli(args, capsys):
@@ -233,6 +235,24 @@ class TestVerify:
         assert "fail" in verdicts
         if argv[1] == "3.1":
             assert verdicts[0] == "fail"
+
+    @pytest.mark.parametrize("signs", [
+        pytest.param(((1, 1),), id="close_pm returns its input"),
+        pytest.param(((1, 1), (1, -1), (-1, 1)), id="close_pm drops (-1,-1)"),
+    ])
+    def test_q1_sign_closure_fails_under_a_short_closure(self, signs, monkeypatch, capsys):
+        # the closure the harness checks holds only the given flips of Q
+        def short_close_pm(Q):
+            m, a, b, c = Q.cols
+            return ExplicitQSet(np.concatenate(
+                [np.stack([m, s * a, t * b, s * t * c]) for s, t in signs], axis=1))
+        monkeypatch.setattr(H, "close_pm", short_close_pm)
+        code, out, _ = run_cli(["verify", "Q1", "--m-max", "300", "--h-factor", "100"],
+                               capsys)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert [r["verdict"] for r in records if "verdict" in r] == ["pass", "pass", "fail"]
+        assert records[2]["witness"]["idempotent"] is False
 
     def test_reports_deterministic(self, tmp_path, capsys):
         outs = []
