@@ -235,20 +235,14 @@ def _sorted_rows(cols: np.ndarray) -> np.ndarray:
         else:
             keys, span = keys + [col - lo if w <= _INT64_MAX else col], w
     # take and compress keep the rows C-contiguous, as searchsorted wants them
-    cols = cols.take(_lex_order(keys), axis=1)
-    return cols.compress(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)], axis=1)
-
-
-def _lex_order(keys: list[np.ndarray]) -> np.ndarray:
-    """The permutation that sorts by keys[0], then keys[1], ...  The later
-    keys only break ties of the first, so they are sorted on only when the
-    first key has a tie (in a generated Q, (m, a, b) fixes c)."""
     order = np.argsort(keys[0], kind="stable")
-    if len(keys) > 1:
-        first = keys[0][order]
-        if not (first[1:] != first[:-1]).all():
-            return np.lexsort(keys[::-1])
-    return order
+    first = keys[0][order]
+    if (first[1:] != first[:-1]).all():  # distinct first keys: distinct rows
+        return cols.take(order, axis=1)
+    # the later keys break ties of the first; a generated Q, whose (m, a, b)
+    # fixes c, has none
+    cols = cols.take(np.lexsort(keys[::-1]), axis=1)
+    return cols.compress(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)], axis=1)
 
 
 class SyntheticQSet:
@@ -383,29 +377,40 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     return Q
 
 
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _signed(Q: ExplicitQSet, s: int, t: int) -> np.ndarray:
-    """Unsorted columns of {(m, sa, tb, st c)}."""
+def _negatable(Q: ExplicitQSet) -> np.ndarray:
+    """Q's columns, once no sign flip of them can leave the int64 range."""
     if (Q.cols[1:] == _INT64_MIN).any():
         raise ValueError("sign flip of -2^63 leaves the int64 range")
-    m, a, b, c = Q.cols
-    return np.stack([m, s * a, t * b, s * t * c])
+    return Q.cols
 
 
 def close_pm(Q: ExplicitQSet | SyntheticQSet) -> ExplicitQSet | SyntheticQSet:
     """Sign closure {(m, sa, tb, st c)}; idempotent."""
     if isinstance(Q, SyntheticQSet):
         return Q  # structurally sign-closed already
-    return ExplicitQSet(np.concatenate([_signed(Q, s, t) for s, t in _SIGNS], axis=1))
+    m, a, b, c = _negatable(Q)
+    return ExplicitQSet(np.concatenate([np.stack([m, s * a, t * b, s * t * c])
+                                        for s in (1, -1) for t in (1, -1)], axis=1))
+
+
+def _reversal(cols: np.ndarray, L: int) -> np.ndarray:
+    """The permutation of sorted rows that reverses each run of rows equal on
+    the first L columns: row i of the run [start, stop) goes to start + stop - 1 - i."""
+    n = cols.shape[1]
+    edges = np.flatnonzero((cols[:L, 1:] != cols[:L, :-1]).any(axis=0)) + 1
+    starts, stops = np.append(0, edges), np.append(edges, n)
+    return (starts + stops - 1).repeat(stops - starts) - np.arange(n)
 
 
 def is_sign_closed(Q: ExplicitQSet) -> bool:
-    """close_pm(Q) == Q: the flips (1, -1) and (-1, 1) of Q, sorted, equal Q.
-    The third flip (-1, -1) is their composition, so it maps Q to Q as well
-    and needs no check of its own."""
-    return all(ExplicitQSet(_signed(Q, s, t)) == Q for s, t in ((1, -1), (-1, 1)))
+    """close_pm(Q) == Q, without a sort.  Of rows sorted by (m, a, b, c), the
+    flip (1, -1) is sorted by reversing each run of equal (m, a), and the flip
+    (-1, -1) by reversing each run of equal (m, a, b), then of equal m.  Q is
+    closed when both sorted flips equal it: they generate the sign group."""
+    _, a, b, c = cols = _negatable(Q)
+    p, q = _reversal(cols, 2), _reversal(cols, 3)[_reversal(cols, 1)]
+    return all(np.array_equal(x[r], y) for x, r, y in
+               ((b, p, -b), (c, p, -c), (a, q, -a), (b, q, -b), (c, q, c)))
 
 
 @dataclass

@@ -13,7 +13,8 @@ import warnings
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from gparith.weakmult import (
     ExplicitQSet,
@@ -23,6 +24,8 @@ from gparith.weakmult import (
     export_csv,
     import_csv,
     is_sign_closed,
+    _reversal,
+    _sorted_rows,
 )
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -111,6 +114,49 @@ def test_rows_that_differ_only_in_c():
     rows = [(1, 2, 3, 2**63 - 1), (1, 2, 3, -2**63), (1, 2, 3, 0), (0, 5, 5, 7),
             (1, 2, 3, 0), (1, 2, 4, -1)]
     _same_set(ExplicitQSet(rows), frozenset(rows))
+
+
+def flipped(cols, s, t):
+    m, a, b, c = cols
+    return np.stack([m, s * a, t * b, s * t * c])
+
+
+# few values per column, so that (m, a, b) ties and c of both signs are common
+tied_row = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+                     st.integers(-3, 3))
+negatable = st.integers(-2**63 + 1, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(tied_row, arbitrary_row, st.tuples(*[negatable] * 4)),
+                     max_size=30))
+@example(rows=[])
+@example(rows=[(1, -2, 3, -6)])
+def test_reversal_sorts_the_flips(rows):
+    # the sorted order of a flipped copy without a sort: the (1, -1) flip
+    # reverses each (m, a) run, the (-1, -1) flip each (m, a, b) run and then
+    # each m run
+    cols = ExplicitQSet(rows).cols
+    p, q = _reversal(cols, 2), _reversal(cols, 3)[_reversal(cols, 1)]
+    for (s, t), perm in (((1, -1), p), ((-1, -1), q)):
+        assert np.array_equal(flipped(cols, s, t)[:, perm], _sorted_rows(flipped(cols, s, t)))
+
+
+@pytest.mark.parametrize("s, t", [(1, -1), (-1, 1), (-1, -1)])
+def test_a_store_closed_under_one_flip_is_not_sign_closed(s, t):
+    Q = ExplicitQSet([(m, k * m, l * m, k * l * m) for m in (1, 2, 5) for k in (1, 3)
+                      for l in (-2, 1, 4)])
+    one = ExplicitQSet(np.concatenate([Q.cols, flipped(Q.cols, s, t)], axis=1))
+    assert ExplicitQSet(flipped(one.cols, s, t)) == one
+    assert not is_sign_closed(one)
+    assert is_sign_closed(close_pm(one))
+
+
+def test_sign_closure_compares_c():
+    # closed under (1, -1); the (-1, -1) flip keeps every (m, a, b) but not c
+    rows = [(1, 1, 1, 5), (1, 1, -1, -5), (1, -1, -1, 7), (1, -1, 1, -7)]
+    assert ExplicitQSet(flipped(ExplicitQSet(rows).cols, 1, -1)) == ExplicitQSet(rows)
+    assert not is_sign_closed(ExplicitQSet(rows))
 
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
