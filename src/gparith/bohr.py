@@ -71,8 +71,9 @@ class BohrWorld:
     # -- base sequence -------------------------------------------------------
 
     def g(self, n: int) -> int:
-        n = abs(n)  # even sequence
-        return int(self.fast.table(n)[n])
+        """g(n), read from the table when n is inside it: it does not grow."""
+        n, T = abs(n), self.fast.table(0)  # even sequence
+        return int(T[n]) if n < len(T) else self.fast.g_scalar(n)
 
     # -- almost periods --------------------------------------------------------
 

@@ -385,6 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):  # argparse reads -3..3 in `--n -3..3` as an option
+        if argv[i] == "--n" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i:i + 2] = [f"--n={argv[i + 1]}"]
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)

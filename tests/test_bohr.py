@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from gparith.bohr import (
@@ -51,6 +52,13 @@ class TestIndicator:
             nearest = mp.floor(v + mp.mpf(1) / 2)
             want = 1 if abs(v - nearest) < mp.mpf(1) / 5 else 0
             assert bohr_world.g(n) == want
+
+    def test_a_read_past_the_table_does_not_grow_it(self, sqrt2):
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
+        table = world.fast.table(1000)
+        ns = [1000, len(table), 20_000_000, -20_000_001]
+        assert [world.g(n) for n in ns] == world.fast.g_vec(np.abs(ns)).tolist()
+        assert world.fast.table(0) is table
 
 
 class TestThreshold:

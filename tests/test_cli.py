@@ -76,6 +76,13 @@ class TestEval:
         code, _, err = run_cli(["eval", "nint(n", "--n", "1..1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["eval", "n*n"], ["bohr", "eval"]])
+    def test_negative_range_start_after_a_space(self, argv, capsys):
+        # argparse alone reads the -3..3 of `--n -3..3` as an option
+        joined = run_cli(argv + ["--n=-3..3"], capsys)
+        assert joined[0] == 0 and joined[1].startswith("-3\t")
+        assert run_cli(argv + ["--n", "-3..3"], capsys) == joined
+
 
 class TestCompile:
     def test_product_with_check(self, capsys):
