@@ -241,7 +241,7 @@ def _sorted_rows(cols: np.ndarray) -> np.ndarray:
         return cols.take(order, axis=1)
     # the later keys break ties of the first; a generated Q, whose (m, a, b)
     # fixes c, has none
-    cols = cols.take(np.lexsort(keys[::-1]), axis=1)
+    cols = cols.take(np.lexsort(keys[::-1]) if len(keys) > 1 else order, axis=1)
     return cols.compress(np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)], axis=1)
 
 
