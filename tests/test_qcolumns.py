@@ -11,9 +11,9 @@ missing.  `import_csv` is compared with a line-by-line parser on `int`, and
 import io
 import warnings
 
+import numpy as np
 import pytest
 
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from gparith.weakmult import (

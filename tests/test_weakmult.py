@@ -36,6 +36,7 @@ from gparith.weakmult import (
     family_F,
     family_of_term,
     import_csv,
+    is_sign_closed,
     parse_poly,
     poly_to_term,
     term_to_poly,
@@ -440,6 +441,10 @@ class TestQInt64:
     def test_sign_flip_of_int64_min_raises(self):
         with pytest.raises(ValueError, match="int64"):
             close_pm(ExplicitQSet([(1, -2**63, 0, 0)]))
+        # negated in int64, -2^63 is itself: the one row would read as closed
+        for row in [(1, -2**63, 0, 0), (1, 0, 0, -2**63)]:
+            with pytest.raises(ValueError, match="int64"):
+                is_sign_closed(ExplicitQSet([row]))
 
 
 class TestReduction:
