@@ -21,6 +21,9 @@ EVAL_ALL = ("floor(alpha*n) - nint(-beta*n*(n + 1)) + frac(alpha*n*n) "
 FORMULA_ALL = ("forall x in [-3, 12]: not (x*x - 2*(x + 1) != x*(x - 2) - 2) "
                "and (x > 20 => -g(x)*2 < 1 + g(x + 1)) or -(x - 1) + g(-x) >= g(0)")
 
+VERIFY_36_PB = ["verify", "3.5/3.6", "--n-max", "4", "--nprime-max", "100",
+                "--pairs", "60"]
+
 REPORTS = {
     "verify-core": (["verify", "core", "--samples", "100"],
                     "590c1e51e3f3ea98e7a8f9c0526265a513efff6fc1ccd1d57f4dad93c91ef5e7"),
@@ -53,6 +56,9 @@ REPORTS = {
     "verify-3.5-3.6": (["verify", "3.5/3.6", "--n-max", "3", "--nprime-max", "40",
                         "--pairs", "20"],
                        "f62869747c1c9f6dea4975fd429cfa149dee541e0346f95934577a35022bc75e"),
+    # the perfbench flags
+    "verify-3.5-3.6-pb": (VERIFY_36_PB,
+                          "1a7d50a9e88033ace2ff89433db07487d2e5400bbeb9741bee79bb97935ae76c"),
     # check change: the closed form g(tm) = beta t^2 m nint(alpha m) replaced
     # the quadratic fit, and the summary counts its failures
     "verify-3.7": (["verify", "3.7", "--m-max", "30", "--h-factor", "12"],
@@ -137,6 +143,10 @@ BETA_REPORTS = {
     "formula-far-beta-third": (BETA_THIRD,
                                ["formula", "forall x in [100000000, 100004000]: g(x) != 0"],
                                "a1aeb369a78fb001c4b83beacdf33511afd238aedcf083015f6139d76762fe2f"),
+    # beta = -1 takes the negated-d branch of the partner ranges; g changes
+    # sign, so the records, and the digest, are those of beta = 1
+    "verify-3.5-3.6-beta-minus-one": ('rational "-1"', VERIFY_36_PB,
+                                      "1a7d50a9e88033ace2ff89433db07487d2e5400bbeb9741bee79bb97935ae76c"),
 }
 
 Q_CSV = "8253478fe3b148c8c0d2a54b5e9741f37b862d48a67ab4782c5c959917d33f2c"
