@@ -24,6 +24,7 @@ bounded "false" is never silently reported as a mathematical one.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Union
@@ -465,6 +466,7 @@ class AlphaContext:
         self._frac_exact_cache: dict[int, AlgebraicReal] = {}
         self._window_cache: dict[int, tuple[AlgebraicReal, AlgebraicReal]] = {}
         self._member_cache: dict[int, tuple[list[int], int]] = {}
+        self._partner_cache: dict[tuple[int, int], tuple] = {}
 
     def frac_exact(self, n: int) -> AlgebraicReal:
         v = self._frac_exact_cache.get(n)
@@ -701,20 +703,18 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
 def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[int]:
     """First `count` m <= m_cap with frac(alpha m) in window(M), exactly.
 
-    Results are cached per window level and extended on demand.
+    Results are cached per window level, ascending, and extended on demand.
     """
-    cached, scanned = ctx._member_cache.get(M, ([], 0))
-    if len(cached) >= count or scanned >= m_cap:
-        return [m for m in cached[:count] if m <= m_cap]
-    lo, hi = ctx.window(M)
-    out = list(cached)
-    for ms in blocks(scanned + 1, m_cap + 1):
-        if len(out) >= count:
-            break
-        out.extend(map(int, ms[ctx.g.const.within(ms, lo, hi)]))
-        scanned = int(ms[-1])
-    ctx._member_cache[M] = (out, scanned)
-    return [m for m in out[:count] if m <= m_cap]
+    out, scanned = ctx._member_cache.get(M, ([], 0))
+    if len(out) < count and scanned < m_cap:
+        lo, hi = ctx.window(M)
+        for ms in blocks(scanned + 1, m_cap + 1):
+            if len(out) >= count:
+                break
+            out.extend(map(int, ms[ctx.g.const.within(ms, lo, hi)]))
+            scanned = int(ms[-1])
+        ctx._member_cache[M] = (out, scanned)
+    return out[:min(count, bisect_right(out, m_cap))]
 
 
 def _has_partner(n: int, n_prime: int, m: int, ctx: AlphaContext, Mp: int,
@@ -746,10 +746,37 @@ def _partner_ranges(n: int, d2: int, ctx: AlphaContext, Mp: int,
     alpha n and alpha m', and the carry e = nint(s_n + s'),
     D g(n, m') = beta (m' kappa_e + n e - n s'), kappa_e = alpha n + q_n + e.
     Bounds are taken from integer enclosures and rounded outward, so they
-    hold exactly; kappa_e of either sign is handled.
+    hold exactly; kappa_e of either sign is handled.  The enclosures do not
+    depend on d2 or H: they are taken once per (n, Mp) (`_partner_enclosures`).
     """
-    b = abs(ctx.beta)
+    key = (n, Mp)
+    cached = ctx._partner_cache.get(key)
+    if cached is None:
+        cached = ctx._partner_cache[key] = _partner_enclosures(n, ctx, Mp)
+    l_lo, l_den, h_hi, h_den, kappas = cached
+    bn = abs(ctx.beta) * n
     d = d2 if ctx.beta > 0 else -d2
+    ranges = []
+    for e, k_lo, k_hi, k_den in kappas:
+        # m' * b * kappa_e lies in [A, B]; A >= a_num/a_den, B <= b_num/b_den
+        a_num, a_den = (d - H - bn * e) * l_den + bn * l_lo, l_den
+        b_num, b_den = (d + H - bn * e) * h_den + bn * h_hi, h_den
+        if k_hi < 0:
+            # m' * (-b kappa_e) lies in [-B, -A]
+            a_num, a_den, b_num, b_den = -b_num, b_den, -a_num, a_den
+            k_lo, k_hi = -k_hi, -k_lo
+        lo_m = -((-a_num * k_den) // (a_den * (k_hi if a_num >= 0 else k_lo)))
+        hi_m = (b_num * k_den) // (b_den * (k_lo if b_num >= 0 else k_hi))
+        ranges.append(range(max(1, lo_m), hi_m + 1))
+    return ranges
+
+
+def _partner_enclosures(n: int, ctx: AlphaContext, Mp: int) -> tuple:
+    """(l_lo, l_den, h_hi, h_den, kappas): the lower end of window(Mp) is at
+    least l_lo/l_den, its upper end at most h_hi/h_den, and `kappas` holds
+    (e, k_lo, k_hi, k_den) for every possible carry e, with b kappa_e in
+    [k_lo/k_den, k_hi/k_den] and 0 outside that interval."""
+    b = abs(ctx.beta)
     lo_p, hi_p = ctx.window(Mp)
     an = ctx.alpha * n
     q_n = an.nint()
@@ -760,7 +787,7 @@ def _partner_ranges(n: int, d2: int, ctx: AlphaContext, Mp: int,
     # e is nondecreasing in s' in (lo_p, hi_p): nint of the outer ends
     e_lo = nint(Fraction(s_lo * l_den + l_lo * s_den, s_den * l_den))
     e_hi = nint(Fraction(s_hi * h_den + h_hi * s_den, s_den * h_den))
-    ranges = []
+    kappas = []
     for e in range(e_lo, e_hi + 1):
         kappa = an + (q_n + e)
         k_prec = prec
@@ -771,18 +798,8 @@ def _partner_ranges(n: int, d2: int, ctx: AlphaContext, Mp: int,
                     "alpha*n + nint(alpha*n) + e is 0; alpha must be irrational")
             k_prec *= 2
             k_lo, k_hi, k_den = kappa.scaled_enclosure(k_prec)
-        # m' * b * kappa_e lies in [A, B]; A >= a_num/a_den, B <= b_num/b_den
-        a_num, a_den = (d - H - b * n * e) * l_den + b * n * l_lo, l_den
-        b_num, b_den = (d + H - b * n * e) * h_den + b * n * h_hi, h_den
-        k_lo, k_hi = b * k_lo, b * k_hi
-        if k_hi < 0:
-            # m' * (-b kappa_e) lies in [-B, -A]
-            a_num, a_den, b_num, b_den = -b_num, b_den, -a_num, a_den
-            k_lo, k_hi = -k_hi, -k_lo
-        lo_m = -((-a_num * k_den) // (a_den * (k_hi if a_num >= 0 else k_lo)))
-        hi_m = (b_num * k_den) // (b_den * (k_lo if b_num >= 0 else k_hi))
-        ranges.append(range(max(1, lo_m), hi_m + 1))
-    return ranges
+        kappas.append((e, b * k_lo, b * k_hi, k_den))
+    return l_lo, l_den, h_hi, h_den, kappas
 
 
 def delta_literal(n: int, n_prime: int, ctx: AlphaContext, H_cap: int,

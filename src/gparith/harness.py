@@ -418,7 +418,7 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
     rng = random.Random(seed)
     alpha, g = ctx.alpha, ctx.g
     cf = continued_fraction(alpha, 30)
-    dens = [q for _, q in cf.convergents() if q > 1]
+    norms = [(q, (alpha * q).circle_norm()) for _, q in cf.convergents() if q > 1]
     half = Fraction(1, 2)
     bad = built = 0
     attempts = 0
@@ -444,8 +444,7 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
         eps = eps / 2
         if eps <= 0:
             continue
-        m = next((q for q in dens
-                  if ((alpha * q).circle_norm() - eps).sign() < 0), None)
+        m = next((q for q, nrm in norms if (nrm - eps).sign() < 0), None)
         if m is None:
             continue
         built += 1
