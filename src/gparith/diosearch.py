@@ -198,21 +198,6 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     return None
 
 
-def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
-                         max_candidate: int) -> int:
-    """Least n2 in [C*n1, max_candidate] with D2 g(n0,n1,n2) = 0."""
-    if n0 < C or n1 < C * n0:
-        raise PreconditionViolated(f"need n0 >= C and n1 >= C*n0 (C={C})")
-    s = (g.alpha * n0).frac_signed() + (g.alpha * n1).frac_signed()
-    if (abs(s) - Fraction(1, 2)).sign() >= 0:
-        raise PreconditionViolated("|frac(alpha n0) + frac(alpha n1)| < 1/2 fails")
-    w = lemma32_scan(n0, n1, C * n1, max_candidate, g)
-    if w is None:
-        raise NotFoundWithinBudget(
-            f"no n2 in [{C * n1}, {max_candidate}] for ({n0}, {n1})")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Weyl witnesses: simultaneous fractional-part targets
 # ---------------------------------------------------------------------------

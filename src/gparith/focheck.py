@@ -800,36 +800,3 @@ def _partner_enclosures(n: int, ctx: AlphaContext, Mp: int) -> tuple:
             k_lo, k_hi, k_den = kappa.scaled_enclosure(k_prec)
         kappas.append((e, b * k_lo, b * k_hi, k_den))
     return l_lo, l_den, h_hi, h_den, kappas
-
-
-def delta_literal(n: int, n_prime: int, ctx: AlphaContext, H_cap: int,
-                  Mp_cap: int, M_cap: int, m_cap: int, mp_cap: int) -> bool:
-    """Literal nested-prefix evaluation at (tiny) caps, for spot checks."""
-    g = ctx.g
-
-    def psi(m: int, N: int) -> bool:
-        return ctx.in_window(m, N) if N >= 1 else True
-
-    for H in range(1, H_cap + 1):
-        ok_all_Mp = True
-        for Mp in range(1, Mp_cap + 1):
-            found_M = False
-            for M in range(1, M_cap + 1):
-                ok_all_m = True
-                for m in range(1, m_cap + 1):
-                    if not psi(m, M):
-                        continue
-                    if not any(psi(mp, Mp)
-                               and abs(delta_sym(g, mp, n) - delta_sym(g, m, n_prime)) <= H
-                               for mp in range(1, mp_cap + 1)):
-                        ok_all_m = False
-                        break
-                if ok_all_m:
-                    found_M = True
-                    break
-            if not found_M:
-                ok_all_Mp = False
-                break
-        if ok_all_Mp:
-            return True
-    return False

@@ -532,20 +532,6 @@ def delta_sym_iter(f: IntSeq, args: list[int]) -> int:
     return delta_sym_iter(g, args[:-1])
 
 
-def delta_sym_iter_subsets(f: IntSeq, args: list[int]) -> int:
-    """Independent inclusion-exclusion form of the iterated derivative."""
-    if len(args) < 2:
-        raise ArityTooSmall("need n0 plus at least one derivative direction")
-    n0, rest = args[0], args[1:]
-    r = len(rest)
-    total = 0
-    for k in range(r + 1):
-        for idx in combinations(range(r), k):
-            s = sum(rest[i] for i in idx)
-            total += (-1) ** (r - k) * (f(n0 + s) - f(s))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Second-derivative vanishing classifier for g(n) = nint(b n nint(a n))
 # ---------------------------------------------------------------------------

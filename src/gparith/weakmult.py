@@ -367,12 +367,12 @@ def build_Q(ctx: AlphaContext, m_max: int, h_factor_max: int) -> ExplicitQSet:
     pairs = _kl_pairs(int(Ts.max(initial=3)))
     counts = pairs[2].searchsorted(Ts - 1, side="right")
     starts = np.cumsum(counts) - counts
-    k, l, kl = pairs[:, np.arange(counts.sum()) - starts.repeat(counts)]
+    k, l, kl = pairs.take(np.arange(counts.sum()) - starts.repeat(counts), axis=1)
     m, base = ms.repeat(counts), base.repeat(counts)
     # defining equality, exact on the stride values (the g(0) terms cancel)
     ok = (gv[base + kl + 1] - gv[base + 1] - gv[base + kl]
           == gv[base + k + l] - gv[base + k] - gv[base + l])
-    Q = ExplicitQSet(np.stack([m, k * m, l * m, kl * m])[:, ok])
+    Q = ExplicitQSet(np.stack([m, k * m, l * m, kl * m]).compress(ok, axis=1))
     Q.short_runs = short_runs
     return Q
 

@@ -4,13 +4,14 @@ from math import isqrt
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, QuadSeqFast
 from gparith.diosearch import (
+    CFExpansion,
     calibrate_C,
     continued_fraction,
     equidist_check,
-    find_lemma32_witness,
     find_progression_base,
     find_small_norm,
     find_weyl_witness,
@@ -23,13 +24,81 @@ from gparith.errors import (
     RationalInput,
     ThetaRational,
 )
-from gparith.exactnum import circle_norm
+from gparith.exactnum import AlgebraicReal, circle_norm, field_create
 from gparith.genpoly import SequenceHandle, delta_sym_iter
+from test_exactnum import FUZZ_FIELDS, _DEG5
 
 mp.mp.dps = 50
 
 
+def continued_fraction_reference(x: AlgebraicReal, k: int) -> CFExpansion:
+    """First k partial quotients via exact floor and field reciprocal.
+
+    Rational inputs yield a terminating expansion with the flag set.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    quotients: list[int] = []
+    cur = x
+    for _ in range(k):
+        a = cur.floor()
+        quotients.append(a)
+        rem = cur - a
+        if rem.is_zero():
+            return CFExpansion(quotients, terminated=True)
+        cur = 1 / rem
+    return CFExpansion(quotients, terminated=False)
+
+
+# the fuzz fields, and a degree-5 field whose irreducibility is not verified
+# (theta = sqrt(2), so theta^2 - 2 is a hidden zero)
+_CF_FIELDS = [field_create(*spec) for spec in FUZZ_FIELDS + [_DEG5]]
+_coeff = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+@st.composite
+def _cf_elements(draw):
+    """An element of a field above: a random one, or one within 2^-j of an
+    integer, on either side."""
+    K = draw(st.sampled_from(_CF_FIELDS))
+    x = K.element(draw(st.lists(_coeff, min_size=K.degree, max_size=K.degree)))
+    if draw(st.booleans()) and not x.is_rational():
+        x = draw(st.integers(-5, 5)) + x.frac_signed() * Fraction(1, 2 ** draw(st.integers(10, 60)))
+    return x
+
+
+@st.composite
+def _cf_rationals(draw):
+    """A rational: of rational form in a field above, or, in the degree-5
+    field, hidden behind a multiple of theta^2 - 2."""
+    q = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
+    K = draw(st.sampled_from(_CF_FIELDS))
+    x = K.from_rational(q)
+    if K is _CF_FIELDS[-1]:
+        x = x + draw(_coeff) * (K.theta * K.theta - 2)
+    return x
+
+
 class TestContinuedFraction:
+    @settings(max_examples=150, deadline=None)
+    @given(x=_cf_elements(), k=st.integers(1, 12))
+    def test_matches_the_field_inverse_reference(self, x, k):
+        assert continued_fraction(x, k) == continued_fraction_reference(x, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=_cf_rationals(), k=st.integers(1, 12))
+    def test_rationals_match_the_reference(self, x, k):
+        assert continued_fraction(x, k) == continued_fraction_reference(x, k)
+
+    def test_hidden_rational_terminates(self):
+        # theta^2/3 = 2/3 in a field whose irreducibility is not verified:
+        # its enclosures never collapse to a point
+        K = field_create(*_DEG5)
+        x = K.theta * K.theta / 3
+        assert not K.irreducible_verified and not x.is_rational()
+        cf = continued_fraction(x, 6)
+        assert cf.partial_quotients == [0, 1, 2] and cf.terminated
+
     def test_sqrt2(self, sqrt2):
         cf = continued_fraction(sqrt2, 8)
         assert cf.partial_quotients == [1, 2, 2, 2, 2, 2, 2, 2]
@@ -137,6 +206,21 @@ class TestProgressionBase:
         w = find_progression_base(3, alpha, alpha * alpha, 10**6)
         inner = alpha * alpha * w.m * (alpha * w.m).nint()
         assert (inner.circle_norm() - Fraction(1, 18)).sign() < 0
+
+
+def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
+                         max_candidate: int) -> int:
+    """Least n2 in [C*n1, max_candidate] with D2 g(n0,n1,n2) = 0."""
+    if n0 < C or n1 < C * n0:
+        raise PreconditionViolated(f"need n0 >= C and n1 >= C*n0 (C={C})")
+    s = (g.alpha * n0).frac_signed() + (g.alpha * n1).frac_signed()
+    if (abs(s) - Fraction(1, 2)).sign() >= 0:
+        raise PreconditionViolated("|frac(alpha n0) + frac(alpha n1)| < 1/2 fails")
+    w = lemma32_scan(n0, n1, C * n1, max_candidate, g)
+    if w is None:
+        raise NotFoundWithinBudget(
+            f"no n2 in [{C * n1}, {max_candidate}] for ({n0}, {n1})")
+    return w
 
 
 class TestLemma32Witness:

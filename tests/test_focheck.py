@@ -29,7 +29,6 @@ from gparith.focheck import (
     def_pi,
     def_psi,
     delta_bounded,
-    delta_literal,
     ell,
     eval_formula,
     lemma36_characterisation,
@@ -328,6 +327,39 @@ class TestDelta:
         assert abs(delta_sym(g, t * m, n) - delta_sym(g, m, t * n)) <= 2
 
 
+def delta_literal(n: int, n_prime: int, ctx: AlphaContext, H_cap: int,
+                  Mp_cap: int, M_cap: int, m_cap: int, mp_cap: int) -> bool:
+    """Literal nested-prefix evaluation at (tiny) caps, for spot checks."""
+    g = ctx.g
+
+    def psi(m: int, N: int) -> bool:
+        return ctx.in_window(m, N) if N >= 1 else True
+
+    for H in range(1, H_cap + 1):
+        ok_all_Mp = True
+        for Mp in range(1, Mp_cap + 1):
+            found_M = False
+            for M in range(1, M_cap + 1):
+                ok_all_m = True
+                for m in range(1, m_cap + 1):
+                    if not psi(m, M):
+                        continue
+                    if not any(psi(mp, Mp)
+                               and abs(delta_sym(g, mp, n) - delta_sym(g, m, n_prime)) <= H
+                               for mp in range(1, mp_cap + 1)):
+                        ok_all_m = False
+                        break
+                if ok_all_m:
+                    found_M = True
+                    break
+            if not found_M:
+                ok_all_Mp = False
+                break
+        if ok_all_Mp:
+            return True
+    return False
+
+
 class TestPartnerInterval:
     """The m' candidate ranges behind REFUTED verdicts of the delta relation."""
 
@@ -360,6 +392,22 @@ class TestPartnerInterval:
             if found or all(r.stop <= top + 1 for r in ranges):
                 assert _has_partner(n, npr, m, ctx, Mp, H) == bool(found)
         assert partners > 0
+
+    @pytest.mark.parametrize("beta", [1, 2, -1])
+    @pytest.mark.parametrize("name", ["cbrt2", "-cbrt2", "sqrt2-1", "1-sqrt2"])
+    def test_cached_enclosures_are_keyed_by_n_and_level(self, cbrt2_field, sqrt2_field,
+                                                        name, beta):
+        # one context across interleaved (n, M', d2, H) calls gives the
+        # ranges of a fresh context at every call
+        alpha = self._alphas(cbrt2_field, sqrt2_field)[name]
+        shared = AlphaContext(alpha, beta)
+        rng = random.Random(f"cache/{name}/{beta}")
+        for _ in range(40):
+            n, Mp = rng.choice([1, 2, 5, 11]), rng.choice([1, 4, 8])
+            d2, H = rng.randrange(-3000, 3000), rng.choice([0, 3, 40, 400])
+            assert (_partner_ranges(n, d2, shared, Mp, H)
+                    == _partner_ranges(n, d2, AlphaContext(alpha, beta), Mp, H)), (n, Mp, d2, H)
+        assert len(shared._partner_cache) <= 12
 
     def test_zero_beta(self, alpha):
         ctx = AlphaContext(alpha, 0)

@@ -19,6 +19,7 @@ from gparith.genpoly import (
     GAMMA_OFF_DIAGONAL,
     Apply,
     IndicatorLess,
+    IntSeq,
     Mul,
     NoLane,
     SequenceHandle,
@@ -28,7 +29,6 @@ from gparith.genpoly import (
     delta_shift,
     delta_sym,
     delta_sym_iter,
-    delta_sym_iter_subsets,
     expr_sort,
     lemma31_classify,
     parse,
@@ -243,6 +243,20 @@ def test_table_and_its_residues_mod_2_16():
     assert T.min() < -2**40 and T.max() > 2**40
     # the table reads g one BLOCK at a time, so a lane's temporaries stay small
     assert max(g.widths) == BLOCK and sum(g.widths) == len(T)
+
+
+def delta_sym_iter_subsets(f: IntSeq, args: list[int]) -> int:
+    """Independent inclusion-exclusion form of the iterated derivative."""
+    if len(args) < 2:
+        raise ArityTooSmall("need n0 plus at least one derivative direction")
+    n0, rest = args[0], args[1:]
+    r = len(rest)
+    total = 0
+    for k in range(r + 1):
+        for idx in combinations(range(r), k):
+            s = sum(rest[i] for i in idx)
+            total += (-1) ** (r - k) * (f(n0 + s) - f(s))
+    return total
 
 
 class TestDiscreteCalculus:
