@@ -56,6 +56,9 @@ REPORTS = {
     "verify-3.5-3.6": (["verify", "3.5/3.6", "--n-max", "3", "--nprime-max", "40",
                         "--pairs", "20"],
                        "f62869747c1c9f6dea4975fd429cfa149dee541e0346f95934577a35022bc75e"),
+    # the defaults: 30,000 pairs and 1,000 converse instances
+    "verify-3.5-3.6-defaults": (["verify", "3.5/3.6"],
+                                "9399f3a5179c390dd8d63d60feba0d59f544df84d248024a33e625b427cfa40e"),
     # the perfbench flags
     "verify-3.5-3.6-pb": (VERIFY_36_PB,
                           "1a7d50a9e88033ace2ff89433db07487d2e5400bbeb9741bee79bb97935ae76c"),
