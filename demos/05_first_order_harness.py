@@ -51,5 +51,5 @@ print("\n-- bounded divisibility relation vs nearest-integer ratio --")
 print("  pair   bounded  characterisation")
 for (n, npr) in [(4, 8), (4, 12), (3, 9), (2, 3), (5, 5), (10, 250)]:
     v = delta_bounded(n, npr, ctx)
-    c = lemma36_characterisation(n, npr, ctx.alpha)
+    c = lemma36_characterisation(n, npr, ctx)
     print(f"  ({n:3d},{npr:3d})  {str(v.value):5s}    {c}")

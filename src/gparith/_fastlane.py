@@ -22,6 +22,12 @@ their margin of a threshold, a bin edge or +-1/2 are decided by
 `exact_frac`.  Long scans walk `blocks`, int64 ranges of BLOCK
 integers.
 
+The scalar lane answers one Python int k: `exact_nint(k)` reads nint(const*k)
+from one integer enclosure [L, H]/S of the constant (width <= 2^-128, taken
+on the first scalar call) when both ends of k*[L, H]/S round alike, and
+`within_scalar` decides lo < frac_signed(const*k) < hi against integer
+enclosures of lo and hi; the field decides only where they straddle.
+
 QuadSeqFast (g(n) = nint(beta*n*nint(alpha*n))) and BohrFast (the
 indicator 1[norm(alpha*n^2) < rho]) are the one evaluator of each named
 sequence: a call g(n) goes through the memo of genpoly.SequenceHandle to
@@ -71,6 +77,14 @@ def check_int64_product(*factors) -> None:
         raise ValueError("lane product exceeds the int64 range")
 
 
+def enclosure(x: Number) -> tuple[int, int, int]:
+    """(L, H, S), S > 0, with x in [L/S, H/S] and (H - L)*2^128 <= S: the
+    integer enclosure that the scalar lane compares (exact for a rational)."""
+    if isinstance(x, AlgebraicReal):
+        return x.scaled_enclosure(128)
+    return x.numerator, x.numerator, x.denominator
+
+
 class FastConst:
     """A real constant usable in modular vector lanes on any int64 k."""
 
@@ -79,15 +93,44 @@ class FastConst:
         if isinstance(value, AlgebraicReal):
             lo, hi = value.enclosure(80)
             approx = (lo + hi) / 2
-            self.exact_nint = lambda k: (value * k).nint()
-            self.exact_frac = lambda k: (value * k).frac_signed()
+            exact = value
         else:
-            approx = Fraction(value)
-            self.exact_nint = lambda k: nint(approx * k)
-            self.exact_frac = lambda k: frac_signed(approx * k)
+            approx = exact = Fraction(value)
         self.f64 = float(approx)
         # |frac_signed(const) - A/2^64| <= 2^-65 + (enclosure width 2^-80)
         self._A = np.uint64(nint(frac_signed(approx) * (1 << 64)) & ((1 << 64) - 1))
+        enc = None  # enclosure(exact), taken on the first scalar call
+
+        # closures, not methods: an instance holds no reference to itself
+        def scalar(k: int) -> tuple[int, int, int, int]:
+            """(q, a, b, S): const*k lies in [a/S, b/S] and q = nint(const*k),
+            read from the enclosure unless it straddles a half."""
+            nonlocal enc
+            if enc is None:
+                enc = enclosure(exact)
+            L, H, S = enc
+            a, b = (k * L, k * H) if k >= 0 else (k * H, k * L)
+            q = (2 * a + S) // (2 * S)
+            if q != (2 * b + S) // (2 * S):
+                q = nint(exact * k)
+            return q, a, b, S
+
+        self._exact, self._scalar = exact, scalar
+        self.exact_nint = lambda k: scalar(k)[0]
+        self.exact_frac = lambda k: exact * k - scalar(k)[0]
+
+    def within_scalar(self, k: int, lo, hi, ends) -> bool:
+        """Exact lo < frac_signed(const*k) < hi, with ends = (enclosure(lo),
+        enclosure(hi)); decided in the field only where the enclosures of
+        the frac and of a threshold overlap."""
+        q, a, b, S = self._scalar(k)
+        a, b = a - q * S, b - q * S  # frac_signed(const*k) in [a/S, b/S]
+        (l_lo, l_hi, l_den), (h_lo, h_hi, h_den) = ends
+        if l_hi * S < a * l_den and b * h_den < h_lo * S:
+            return True
+        if b * l_den <= l_lo * S or h_hi * S <= a * h_den:
+            return False
+        return lo < self._exact * k - q < hi
 
     def frac_scaled(self, k: np.ndarray) -> np.ndarray:
         """int64 array f with f/2^64 ~ frac_signed(const*k), err <= (k+2)/2^64."""
@@ -240,8 +283,8 @@ class QuadSeqFast(SequenceHandle):
         return self.g_vec(np.arange(lo, hi + 1, dtype=np.int64))
 
     def g_scalar(self, n: int) -> int:
-        v = self.beta * n * self.const.exact_nint(n)
-        return v if isinstance(v, int) else nint(v)
+        x = n * self.const.exact_nint(n)
+        return self.beta * x if isinstance(self.beta, int) else self.beta_const.exact_nint(x)
 
 
 class BohrFast(SequenceHandle):

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 JSON-line reports go to stdout (or --out); a short human summary goes to
-stderr.  Exit codes: 0 all checks passed, 1 violations found, 2 usage or
+stderr.  Exit codes: 0 all checks passed, 1 violations found or a
+certified search absence (a refuted-in-range record), 2 usage or
 configuration errors.
 """
 
@@ -26,9 +27,9 @@ from .diosearch import (
     find_small_norm,
     find_weyl_witness,
 )
-from .errors import GparithError
+from .errors import GparithError, NotFoundWithinBudget
 from .exactnum import AlgebraicReal
-from .focheck import AlphaContext, pretty_formula
+from .focheck import REFUTED, AlphaContext, pretty_formula
 from .genpoly import compile_term, expr_sort, parse
 from .weakmult import (
     build_Q,
@@ -123,22 +124,31 @@ def cmd_eval(args, cfg) -> int:
 def cmd_search(args, cfg) -> int:
     alpha = as_algebraic(cfg.constant(args.const), args.const)
     with _report_out(args) as out:
-        if args.what == "small-norm":
-            w = find_small_norm(alpha, Fraction(args.eps), args.max)
-            rec = {"search": "small-norm", "m": w.m,
-                   "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
-        elif args.what == "progression-base":
-            beta = cfg.constant("beta")
-            w = find_progression_base(args.r, alpha, beta, args.max)
-            rec = {"search": "progression-base", "r": args.r, "m": w.m,
-                   "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
-        else:  # weyl
-            targets = []
-            for spec_ in args.target:
-                expr_text, lo, hi = spec_.split(";")
-                targets.append((expr_text, (Fraction(lo), Fraction(hi))))
-            n = find_weyl_witness(targets, args.max, cfg.constants)
-            rec = {"search": "weyl", "n": n, "targets": args.target}
+        try:
+            if args.what == "small-norm":
+                w = find_small_norm(alpha, Fraction(args.eps), args.max)
+                rec = {"search": "small-norm", "m": w.m,
+                       "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
+            elif args.what == "progression-base":
+                beta = cfg.constant("beta")
+                w = find_progression_base(args.r, alpha, beta, args.max)
+                rec = {"search": "progression-base", "r": args.r, "m": w.m,
+                       "achieved": {k: _value_str(v) for k, v in w.achieved.items()}}
+            else:  # weyl
+                targets = []
+                for spec_ in args.target:
+                    expr_text, lo, hi = spec_.split(";")
+                    targets.append((expr_text, (Fraction(lo), Fraction(hi))))
+                n = find_weyl_witness(targets, args.max, cfg.constants)
+                rec = {"search": "weyl", "n": n, "targets": args.target}
+        except NotFoundWithinBudget:
+            # the scans are certified: no witness up to --max refutes the range
+            query = {"small-norm": {"eps": str(Fraction(args.eps))},
+                     "progression-base": {"r": args.r}, "weyl": {"targets": args.target}}
+            out.write(json.dumps({"search": args.what, "max": args.max, "verdict": REFUTED,
+                                  **query[args.what]}, sort_keys=True) + "\n")
+            print(f"no witness up to {args.max} ({REFUTED})", file=sys.stderr)
+            return 1
         out.write(json.dumps(rec, sort_keys=True) + "\n")
     print("witness found", file=sys.stderr)
     return 0

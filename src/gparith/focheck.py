@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._fastlane import QuadSeqFast, blocks
+from ._fastlane import QuadSeqFast, blocks, enclosure
 from .errors import (
     ExprSyntaxError,
     PreconditionViolated,
@@ -465,6 +465,7 @@ class AlphaContext:
         self.g = QuadSeqFast(alpha, beta)
         self._frac_exact_cache: dict[int, AlgebraicReal] = {}
         self._window_cache: dict[int, tuple[AlgebraicReal, AlgebraicReal]] = {}
+        self._window_ends: dict[int, tuple] = {}
         self._member_cache: dict[int, tuple[list[int], int]] = {}
         self._partner_cache: dict[tuple[int, int], tuple] = {}
 
@@ -489,10 +490,12 @@ class AlphaContext:
         return (lo, hi)
 
     def in_window(self, m: int, N: int) -> bool:
-        """Exact strict test frac(alpha m) in (lo_N, hi_N)."""
+        """Exact strict test frac(alpha m) in (lo_N, hi_N) on the scalar lane."""
         lo, hi = self.window(N)
-        s = self.frac_exact(m)
-        return (s - lo).sign() > 0 and (hi - s).sign() > 0
+        ends = self._window_ends.get(N)
+        if ends is None:
+            ends = self._window_ends[N] = (enclosure(lo), enclosure(hi))
+        return self.g.const.within_scalar(m, lo, hi, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +592,7 @@ def verify_lemma37(m: int, h: int, ctx: AlphaContext) -> Lemma37Report:
         raise PreconditionViolated("need 3m <= h <= ell(m)")
     T = h // m
     gv, _, a, run = progression_d2(ctx, np.array([m]), np.array([T]))
-    lead = ctx.beta * m * (ctx.alpha * m).nint()
+    lead = ctx.beta * m * ctx.g.const.exact_nint(m)
     closed = gv[1:].tolist() == [lead * t * t for t in range(1, T + 1)]
     return Lemma37Report(m=m, h=h, closed_form=closed,
                          side_constant_d2=bool(a[0] != 0 and run[0] == T - 2),
@@ -617,14 +620,12 @@ class Verdict:
         return {True: VERIFIED, False: REFUTED, None: CAP_EXHAUSTED}[self.value]
 
 
-def lemma36_characterisation(n: int, n_prime: int, alpha: AlgebraicReal) -> bool:
-    """nint(alpha n')/nint(alpha n) = n'/n in N, decided exactly."""
+def lemma36_characterisation(n: int, n_prime: int, ctx: AlphaContext) -> bool:
+    """nint(alpha n')/nint(alpha n) = n'/n in N, exactly on alpha's scalar lane."""
     if n_prime % n != 0:
         return False
-    q = (alpha * n).nint()
-    qp = (alpha * n_prime).nint()
-    t = n_prime // n
-    return qp == t * q
+    q = ctx.g.const.exact_nint
+    return q(n_prime) == n_prime // n * q(n)
 
 
 # window members checked (expected true) or tried as refuters (expected false)
@@ -650,7 +651,7 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
 
     divisible = n_prime % n == 0
     t = n_prime // n if divisible else 0
-    char_true = divisible and lemma36_characterisation(n, n_prime, alpha)
+    char_true = divisible and lemma36_characterisation(n, n_prime, ctx)
 
     if char_true:
         # fit M so that the dilation by t of window(M) sits inside window(Mp)
@@ -779,7 +780,7 @@ def _partner_enclosures(n: int, ctx: AlphaContext, Mp: int) -> tuple:
     b = abs(ctx.beta)
     lo_p, hi_p = ctx.window(Mp)
     an = ctx.alpha * n
-    q_n = an.nint()
+    q_n = ctx.g.const.exact_nint(n)
     prec = 64
     l_lo, _, l_den = lo_p.scaled_enclosure(prec)
     _, h_hi, h_den = hi_p.scaled_enclosure(prec)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bohr as bohr_mod
-from ._fastlane import FastConst
+from ._fastlane import FastConst, enclosure
 from .diosearch import (
     DEFAULT_SEED,
     calibrate_C,
@@ -392,7 +392,7 @@ def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
     for n in range(1, n_max + 1):
         for npr in range(1, nprime_max + 1):
             v = delta_bounded(n, npr, ctx, bounds)
-            char = lemma36_characterisation(n, npr, ctx.alpha)
+            char = lemma36_characterisation(n, npr, ctx)
             if v.value is None:
                 capx += 1
                 res.add({"n": n, "n_prime": npr}, CAP_EXHAUSTED,
@@ -416,35 +416,30 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
     |D g(n, m') - D g(n', m)| <= 2 exactly."""
     res = HarnessResult("3.4-converse")
     rng = random.Random(seed)
-    alpha, g = ctx.alpha, ctx.g
-    cf = continued_fraction(alpha, 30)
-    norms = [(q, (alpha * q).circle_norm()) for _, q in cf.convergents() if q > 1]
+    g = ctx.g
+    qs = [q for _, q in continued_fraction(ctx.alpha, 30).convergents() if q > 1]
     half = Fraction(1, 2)
+
+    def norm_below(r: Fraction):
+        """The test k -> norm(alpha k) < r <= 1/2, on the scalar lane of alpha."""
+        ends = (enclosure(-r), enclosure(r))
+        return lambda k: g.const.within_scalar(k, -r, r, ends)
+
     bad = built = 0
     attempts = 0
     while built < count and attempts < 50 * count:
         attempts += 1
         n = rng.randrange(1, 300)
         t = rng.randrange(2, 13)
-        nrm = ctx.frac_exact(n)
-        nrm = -nrm if nrm.sign() < 0 else nrm
-        if (Fraction(1, 2 * t) - nrm).sign() <= 0:
+        if not norm_below(Fraction(1, 2 * t))(n):
             continue
+        nrm = abs(ctx.frac_exact(n))
         # rational eps below all three margins
-        b1 = half / t
-        b2 = half - t * nrm
-        b3 = (half - nrm) / t
-        eps = None
-        for cand in (b1, b2, b3):
-            fl = cand if isinstance(cand, Fraction) else None
-            if fl is None:
-                lo, _ = cand.enclosure(24)
-                fl = lo
-            eps = fl if eps is None else min(eps, fl)
-        eps = eps / 2
+        eps = min(half / t, *(b.enclosure(24)[0]
+                              for b in (half - t * nrm, (half - nrm) / t))) / 2
         if eps <= 0:
             continue
-        m = next((q for q, nrm in norms if (nrm - eps).sign() < 0), None)
+        m = next(filter(norm_below(eps), qs), None)
         if m is None:
             continue
         built += 1

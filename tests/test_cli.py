@@ -360,6 +360,17 @@ class TestSearchAndBohr:
         assert code == 0
         assert json.loads(out)["m"] == 5
 
+    def test_search_absence_is_a_refuted_range(self, capsys):
+        # the scan is certified, so no witness up to --max is a bounded
+        # refutation (exit 1), not a usage error (exit 2)
+        argv = ["search", "small-norm", "--eps", "1/10000000", "--max", "1000"]
+        runs = [run_cli(argv, capsys) for _ in range(2)]
+        code, out, err = runs[0]
+        assert code == 1 and runs[1] == runs[0]
+        assert json.loads(out) == {"search": "small-norm", "eps": "1/10000000",
+                                   "max": 1000, "verdict": "refuted-in-range"}
+        assert out.count("\n") == 1 and "error" not in err
+
     @pytest.mark.parametrize("argv", [
         ["search", "small-norm", "--max", "0"], ["verify", "3.8", "--budget", "0"],
         ["verify", "core", "--samples", "0"], ["verify", "3.2", "--pairs", "0"],

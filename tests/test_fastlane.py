@@ -5,6 +5,7 @@ that stops a lane product from wrapping silently, and the rule that only
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 import ast
 from pathlib import Path
 
-from gparith._fastlane import BohrFast, FastConst, QuadSeqFast, check_int64_product
+from gparith._fastlane import (
+    BohrFast,
+    FastConst,
+    QuadSeqFast,
+    check_int64_product,
+    enclosure,
+)
 from gparith.diosearch import find_weyl_witness
 from gparith.errors import PreconditionViolated
-from gparith.exactnum import circle_norm, field_create, floor_exact, sign
+from gparith.exactnum import AlgebraicReal, circle_norm, field_create, floor_exact, sign
 from gparith.focheck import ell
 from gparith.harness import _max_norm
 
@@ -194,13 +201,14 @@ def test_max_norm_is_the_exact_maximum():
         Fraction(1, 3) + Fraction(4, 2**62)
 
 
-_FUZZ_FIELDS = [field_create(*spec).theta for spec in (
+_FUZZ_SPECS = [
     ([-2, 0, 1], (1, 2)),
     ([-3, 0, 1], (1, 2)),
     ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
     ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
     ([-1, -1, 1], (1, 2)),
-)]
+]
+_FUZZ_FIELDS = [field_create(*spec).theta for spec in _FUZZ_SPECS]
 
 
 def _elements(K, bound):
@@ -408,3 +416,78 @@ def test_only_fastlane_reads_a_constant_float():
 def test_only_the_sequence_table_reads_a_range_of_g():
     # so `SequenceHandle.table` is the one dense prefix of a sequence
     assert _src_readers({"g_range"}, skip=None) == {("genpoly", "table")}
+
+
+class _FieldNints:
+    """Counts the field decisions nint(x) made while active."""
+
+    def __enter__(self):
+        self.calls, real = 0, AlgebraicReal.nint
+
+        def counted(x):
+            self.calls += 1
+            return real(x)
+
+        self._patch = mock.patch.object(AlgebraicReal, "nint", counted)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(_FUZZ_SPECS), data=st.data())
+def test_scalar_nint_matches_the_field(spec, data):
+    # a fresh field per example, so no earlier refinement of theta makes
+    # the lane's enclosure finer than the one it asks for
+    K = field_create(*spec)
+    const = data.draw(st.one_of(
+        _elements(K, 10**4),
+        st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))
+    lane = FastConst(const)
+    small = st.one_of(st.just(0), st.integers(-(1 << 59), (1 << 60) - 1),
+                      st.sampled_from([-(1 << 63), INT64_MAX]))
+    huge = st.builds(lambda t, s: s * t, st.integers(1 << 190, 1 << 200),
+                     st.sampled_from([1, -1]))
+    ks = data.draw(st.lists(st.one_of(small, huge), min_size=1, max_size=12))
+    irrational = isinstance(const, AlgebraicReal) and not const.is_rational()
+    for k in ks:
+        with _FieldNints() as field:
+            got = lane.exact_nint(k)
+        assert got == ((const * k).nint() if isinstance(const, AlgebraicReal)
+                       else floor_exact(const * k + Fraction(1, 2)))
+        # the enclosure (width at most 2^-128) decides every |k| < 2^60 and
+        # no |k| >= 2^190 of an irrational constant
+        assert field.calls == (irrational and abs(k) >= 1 << 190)
+
+
+def test_scalar_window_test_is_strict_at_exact_ends():
+    # rational constants have exact enclosures, so a threshold equal to
+    # frac_signed(const*k) must be decided by the strict integer test
+    for const in (Fraction(1, 3), Fraction(-7, 10), Fraction(5, 8)):
+        lane = FastConst(const)
+        for k in [0, 1, 2, 3, 5, -1, -4, -(1 << 63), INT64_MAX, 1 << 90, -(1 << 90) - 1]:
+            f = lane.exact_frac(k)
+            for lo, hi in ((f, Fraction(1, 2)), (Fraction(-1, 2), f), (f, f),
+                           (f - Fraction(1, 10**9), f + Fraction(1, 10**9))):
+                ends = (enclosure(lo), enclosure(hi))
+                assert lane.within_scalar(k, lo, hi, ends) == (lo < f < hi)
+
+
+def test_scalar_window_test_inside_a_wide_enclosure():
+    # at |k| near 2^100 the enclosure of frac_signed(alpha*k) is about 2^-30
+    # wide; thresholds 2^-60 from the exact value lie inside it, and either
+    # side must still be decided exactly, for k of both signs
+    tiny = Fraction(1, 1 << 60)
+    for name in ("cbrt2", "sqrt2", "golden"):
+        lane = FastConst(_THETA[name])
+        for k in [s * ((1 << 100) + j) for j in range(8) for s in (1, -1)]:
+            f = lane.exact_frac(k)
+            f_lo, f_hi = f.enclosure(200)
+            below, above = f_lo - tiny, f_hi + tiny
+            for lo, hi in ((below, above), (above, Fraction(1, 2)),
+                           (Fraction(-1, 2), below), (below, Fraction(1, 2))):
+                ends = (enclosure(lo), enclosure(hi))
+                assert lane.within_scalar(k, lo, hi, ends) == \
+                    (sign(f - lo) > 0 and sign(hi - f) > 0)

@@ -197,6 +197,27 @@ class TestMuPsi:
                 assert def_psi(m, N, 2, b, ctx.g) == ctx.in_window(m, N)
 
 
+@pytest.mark.parametrize("name", ["cbrt2", "sqrt2"])
+def test_in_window_matches_two_field_signs(name, cbrt2_field, sqrt2_field):
+    # the scalar lane against the exact test it replaced: frac(alpha m)
+    # compared with both window ends by field signs, on every m <= 3000 and
+    # on m past int64, near 2^70 (the enclosure decides) and near 2^140
+    # (its width passes 1, so every m falls back to the field)
+    field = {"cbrt2": cbrt2_field, "sqrt2": sqrt2_field}[name]
+    ctx = AlphaContext(field.theta, 1)
+    far = [s * ((1 << e) + j) for e in (70, 140) for j in range(-20, 20) for s in (1, -1)]
+    ms = list(range(-5, 3001)) + far
+    hits = 0
+    for N in [*range(1, 31), 60, 120]:
+        lo, hi = ctx.window(N)
+        for m in ms:
+            s = ctx.frac_exact(m)
+            want = (s - lo).sign() > 0 and (hi - s).sign() > 0
+            assert ctx.in_window(m, N) == want, (m, N)
+            hits += want
+    assert hits > 0
+
+
 class TestEllProgressionPi:
     def test_ell_unit_band(self, ctx):
         # norm in (1/4, 1/2] gives ell(k) = k; k = 2 has norm ~ 0.48
@@ -290,12 +311,12 @@ class TestDelta:
     def test_matches_characterisation(self, ctx, n, npr):
         v = delta_bounded(n, npr, ctx)
         assert v.value is not None
-        assert v.value == lemma36_characterisation(n, npr, ctx.alpha)
+        assert v.value == lemma36_characterisation(n, npr, ctx)
 
     def test_divisible_needs_norm_bound(self, ctx):
         # 3 | 9 but 3 * ||3 alpha|| > 1/2, so the ratio of nearest
         # integers is off and the relation must refute
-        assert not lemma36_characterisation(3, 9, ctx.alpha)
+        assert not lemma36_characterisation(3, 9, ctx)
         assert delta_bounded(3, 9, ctx).value is False
 
     def test_literal_prefix_equals_monotone_collapse(self, ctx):
