@@ -418,24 +418,6 @@ def test_only_the_sequence_table_reads_a_range_of_g():
     assert _src_readers({"g_range"}, skip=None) == {("genpoly", "table")}
 
 
-class _FieldNints:
-    """Counts the field decisions nint(x) made while active."""
-
-    def __enter__(self):
-        self.calls, real = 0, AlgebraicReal.nint
-
-        def counted(x):
-            self.calls += 1
-            return real(x)
-
-        self._patch = mock.patch.object(AlgebraicReal, "nint", counted)
-        self._patch.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._patch.stop()
-
-
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(_FUZZ_SPECS), data=st.data())
 def test_scalar_nint_matches_the_field(spec, data):
@@ -453,13 +435,15 @@ def test_scalar_nint_matches_the_field(spec, data):
     ks = data.draw(st.lists(st.one_of(small, huge), min_size=1, max_size=12))
     irrational = isinstance(const, AlgebraicReal) and not const.is_rational()
     for k in ks:
-        with _FieldNints() as field:
+        # count the field decisions made inside the lane
+        with mock.patch.object(AlgebraicReal, "nint", autospec=True,
+                               side_effect=AlgebraicReal.nint) as field:
             got = lane.exact_nint(k)
         assert got == ((const * k).nint() if isinstance(const, AlgebraicReal)
                        else floor_exact(const * k + Fraction(1, 2)))
         # the enclosure (width at most 2^-128) decides every |k| < 2^60 and
         # no |k| >= 2^190 of an irrational constant
-        assert field.calls == (irrational and abs(k) >= 1 << 190)
+        assert field.call_count == (irrational and abs(k) >= 1 << 190)
 
 
 def test_scalar_window_test_is_strict_at_exact_ends():
