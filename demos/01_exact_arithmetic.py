@@ -1,10 +1,10 @@
 """Exact arithmetic in Q(2^(1/3)): decidable signs, floors and nearest
-integers, with the dyadic ball backend as an independent cross-check.
+integers.
 """
 
 from fractions import Fraction
 
-from gparith.exactnum import ball_eval, field_create
+from gparith.exactnum import field_create
 
 # the field is pinned by an integer minimal polynomial and an isolating
 # interval; validation is exact (squarefree + Sturm root count)
@@ -29,7 +29,3 @@ print("x == nint(x) + frac(x) exactly:",
       (x - (x.nint() + x.frac_signed())).is_zero())
 print("circle norm of x ~", float(x.circle_norm()))
 
-print("\n-- ball backend cross-check --")
-b = ball_eval(x, 128)
-print("ball enclosure: [", float(b.lo()), ",", float(b.hi()), "]")
-print("certified sign:", b.sign_certified(), " exact sign:", x.sign())

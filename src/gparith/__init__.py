@@ -2,9 +2,7 @@
 
 from .exactnum import (
     AlgebraicReal,
-    Ball,
     NumberField,
-    ball_eval,
     circle_norm,
     field_create,
     floor_exact,
@@ -15,9 +13,7 @@ from .exactnum import (
 
 __all__ = [
     "AlgebraicReal",
-    "Ball",
     "NumberField",
-    "ball_eval",
     "circle_norm",
     "field_create",
     "floor_exact",

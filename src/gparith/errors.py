@@ -25,10 +25,6 @@ class FieldMismatch(GparithError):
     """Arithmetic attempted between elements of different number fields."""
 
 
-class AmbiguousAtPrecision(GparithError):
-    """Ball backend could not certify a rounding decision within the precision cap."""
-
-
 class ExprSyntaxError(GparithError):
     """Parse failure; carries the offending position and the expected token set."""
 

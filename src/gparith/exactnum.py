@@ -20,29 +20,21 @@ H // S, and nint takes (2L + S) // 2S.  Only when the enclosure straddles an
 integer in a field whose irreducibility is not verified is the exact zero
 test consulted.  `enclosure(prec)` returns the same endpoints as Fractions,
 and `coeffs` the coefficients as Fractions.
-
-The dyadic ball backend (`ball_eval`, `ball_floor`, `ball_nint`) is built on
-`enclosure`, so it cross-checks the decision logic, not the enclosure
-itself: it is not an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import (
-    AmbiguousAtPrecision,
     FieldMismatch,
     MultipleRootsInInterval,
     NoRootInInterval,
     NotSquarefree,
     ReducibleMinpoly,
 )
-
-HALF = Fraction(1, 2)
 
 # ---------------------------------------------------------------------------
 # Polynomials over Q, coefficient tuples low degree first, no trailing zeros.
@@ -290,7 +282,7 @@ class NumberField:
             self.irreducible_verified = False
 
         self.rational_theta: Fraction | None = None
-        self._interval = (lo, hi)
+        self._given = self._interval = (lo, hi)
         self._isolate(lo, hi)
         if self.degree == 1 and self.rational_theta is None:
             # linear minpoly: the root is rational wherever it sits
@@ -301,6 +293,12 @@ class NumberField:
         self._xpow = self._reduction_table()
         self._zeros = (0,) * (self.degree - 1)
         self._pow_cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+    @property
+    def interval(self) -> tuple[Fraction, Fraction]:
+        """The isolating interval the field was constructed with; `refine`
+        shrinks a copy of it."""
+        return self._given
 
     # -- construction helpers ------------------------------------------------
 
@@ -764,7 +762,7 @@ class AlgebraicReal:
             # tested (x - k is never zero in a verified field, as x is not
             # rational there)
             if not self.field.irreducible_verified:
-                shift = HALF if half else 0
+                shift = Fraction(1, 2) if half else 0
                 for k in range(flo + 1, fhi + 1):
                     if (self - (k - shift)).is_zero():
                         return k
@@ -871,147 +869,3 @@ def circle_norm(x: Number) -> Number:
     if isinstance(x, AlgebraicReal):
         return x.circle_norm()
     return abs(x - nint(x))
-
-
-# ---------------------------------------------------------------------------
-# Dyadic ball backend (a cross-check of the decisions, built on enclosure).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Dyadic:
-    """Exact dyadic rational man * 2^exp."""
-
-    man: int
-    exp: int
-
-    @staticmethod
-    def zero() -> "Dyadic":
-        return Dyadic(0, 0)
-
-    @staticmethod
-    def from_fraction(fr: Fraction, prec: int, direction: int = 0) -> "Dyadic":
-        """Round to precision 2^-prec; direction -1/0/+1 = down/nearest/up."""
-        num, den = fr.numerator, fr.denominator
-        scaled = num << prec
-        q, r = divmod(scaled, den)
-        if r:
-            if direction > 0:
-                q += 1
-            elif direction == 0 and 2 * r >= den:
-                q += 1
-        return Dyadic(q, -prec)
-
-    def to_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp)
-        return Fraction(self.man, 1 << (-self.exp))
-
-    def _align(self, other: "Dyadic") -> tuple[int, int, int]:
-        e = min(self.exp, other.exp)
-        return self.man << (self.exp - e), other.man << (other.exp - e), e
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._align(other)
-        return Dyadic(a + b, e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._align(other)
-        return Dyadic(a - b, e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.man * other.man, self.exp + other.exp)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.man, self.exp)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.man), self.exp)
-
-    def __le__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._align(other)
-        return a <= b
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._align(other)
-        return a < b
-
-    def sign(self) -> int:
-        return 0 if self.man == 0 else (1 if self.man > 0 else -1)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Dyadic midpoint-radius enclosure; every operation preserves enclosure."""
-
-    mid: Dyadic
-    rad: Dyadic
-    precision: int
-
-    def __add__(self, other: "Ball") -> "Ball":
-        return Ball(self.mid + other.mid, self.rad + other.rad,
-                    min(self.precision, other.precision))
-
-    def __sub__(self, other: "Ball") -> "Ball":
-        return Ball(self.mid - other.mid, self.rad + other.rad,
-                    min(self.precision, other.precision))
-
-    def __mul__(self, other: "Ball") -> "Ball":
-        # |xy - mx my| <= |mx| ry + |my| rx + rx ry
-        rad = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad
-        return Ball(self.mid * other.mid, rad, min(self.precision, other.precision))
-
-    def __neg__(self) -> "Ball":
-        return Ball(-self.mid, self.rad, self.precision)
-
-    def contains_zero(self) -> bool:
-        return abs(self.mid) <= self.rad
-
-    def sign_certified(self) -> int | None:
-        """Sign if the ball excludes zero, else None."""
-        if self.contains_zero():
-            return None
-        return self.mid.sign()
-
-    def lo(self) -> Fraction:
-        return (self.mid - self.rad).to_fraction()
-
-    def hi(self) -> Fraction:
-        return (self.mid + self.rad).to_fraction()
-
-
-def ball_eval(x: AlgebraicReal, precision: int) -> Ball:
-    """Ball enclosure of x with radius <= 2^-(precision-2)."""
-    if precision < 8:
-        raise ValueError("precision must be >= 8")
-    lo, hi = x.enclosure(precision)
-    if lo == hi:
-        mid = Dyadic.from_fraction(lo, precision + 4)
-        err = abs(Dyadic.from_fraction(lo, precision + 4, direction=1) - mid)
-        rad = err + Dyadic(1, -(precision + 2))
-        if lo.denominator & (lo.denominator - 1) == 0:
-            # dyadic input is exactly representable
-            return Ball(Dyadic.from_fraction(lo, precision + 4), Dyadic.zero(), precision)
-        return Ball(mid, rad, precision)
-    mid = Dyadic.from_fraction((lo + hi) / 2, precision + 4)
-    # rounding slack + half interval width
-    rad = Dyadic(1, -(precision + 3)) + Dyadic.from_fraction((hi - lo) / 2, precision + 4, direction=1)
-    return Ball(mid, rad, precision)
-
-
-def ball_floor(x: AlgebraicReal, start: int = 64, cap: int = 4096) -> int:
-    """Floor via the ball backend alone; raises AmbiguousAtPrecision at the cap."""
-    prec = start
-    while prec <= cap:
-        b = ball_eval(x, prec)
-        lo, hi = b.lo(), b.hi()
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo
-        prec *= 2
-    raise AmbiguousAtPrecision(f"floor undecided at {cap} bits")
-
-
-def ball_nint(x: AlgebraicReal, start: int = 64, cap: int = 4096) -> int:
-    return ball_floor(x + HALF, start=start, cap=cap)

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .diosearch import (
     lemma32_scan,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
-from .exactnum import AlgebraicReal, ball_eval
+from .exactnum import AlgebraicReal
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
@@ -135,34 +136,97 @@ def _alg_str(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def verify_numeric_core(field, count: int = 1000, seed: int = DEFAULT_SEED,
-                        ball_bits: int = 256) -> HarnessResult:
-    """Random field elements: x = nint + frac, frac in [-1/2, 1/2),
-    nint(x) = floor(x + 1/2), exact sign vs certified ball sign."""
+_ORACLE_BITS = 64
+_ORACLE_CAP = 4096
+
+
+class CoreOracle:
+    """floor, nint and sign in Q(theta), decided apart from the exact core.
+
+    theta is bisected on the signs of the integer minimal polynomial from the
+    interval the field was constructed with (Collins & Akritas 1976), and
+    sum c_i theta^i is evaluated by interval Horner over integer numerators
+    (Moore 1966).  It reads no field attribute but `minpoly_int` and
+    `interval`, and no enclosure or decision of the core.
+    """
+
+    def __init__(self, field) -> None:
+        self.minpoly = field.minpoly_int
+        (a, b), (c, d) = (Fraction(v).as_integer_ratio() for v in field.interval)
+        # theta in [L/D, H/D], bisected to width at most 2^-bits
+        self.theta, self.bits = (a * d, c * b, b * d), 0
+        # the minimal polynomial at L, whose sign bisection keeps; 0 if theta = L
+        self._at_lo = self._value(a * d, b * d)
+
+    def _value(self, a: int, b: int) -> int:
+        """b^deg times the minimal polynomial at a/b."""
+        deg = len(self.minpoly) - 1
+        return sum(k * a**i * b**(deg - i) for i, k in enumerate(self.minpoly))
+
+    def decide(self, coeffs) -> tuple[int, int, int] | None:
+        """(floor, nint, sign) of sum coeffs[i] * theta^i.  Bits double from
+        _ORACLE_BITS, or from the bits theta has reached, while the two ends
+        decide differently; None when they still do at _ORACLE_CAP."""
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        bits = max(self.bits, _ORACLE_BITS)
+        while bits <= _ORACLE_CAP:
+            L, H, D = self.theta
+            while (H - L) << bits > D:
+                mid, D = L + H, 2 * D
+                v = self._value(mid, D)
+                if v == 0:
+                    L = H = mid  # a root: theta is this point
+                elif v * self._at_lo > 0:
+                    L, H = mid, 2 * H
+                else:
+                    L, H = 2 * L, mid
+            self.theta, self.bits = (L, H, D), bits
+            # (lo, hi) over den * D^j after j steps
+            lo = hi = nums[-1]
+            for j, k in enumerate(reversed(nums[:-1]), 1):
+                t = (lo * L, lo * H, hi * L, hi * H)
+                lo, hi = min(t) + k * D**j, max(t) + k * D**j
+            scale = den * D ** (len(nums) - 1)
+            ends = [(v // scale, (2 * v + scale) // (2 * scale), (v > 0) - (v < 0))
+                    for v in (lo, hi)]
+            if ends[0] == ends[1]:
+                return ends[0]
+            bits *= 2
+        return None
+
+
+def verify_numeric_core(field, count: int = 1000,
+                        seed: int = DEFAULT_SEED) -> HarnessResult:
+    """Random field elements: floor, nint and sign from the exact core must
+    equal CoreOracle's, and frac_signed must lie in [-1/2, 1/2).  The first
+    ceil(count/2) have uniform coefficients; the rest have c0 set so that
+    the element lies in [r, r + 1) * 2^-e, |r| < 2^20, 40 <= e < 240."""
     res = HarnessResult("numeric-core")
     rng = random.Random(seed)
+    oracle = CoreOracle(field)
     half = Fraction(1, 2)
-    bad = 0
-    agree = 0
     for i in range(count):
         coeffs = [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
                   for _ in range(field.degree)]
+        if 2 * i >= count:
+            e, r = rng.randrange(40, 240), rng.randrange(1 - (1 << 20), 1 << 20)
+            y = oracle.decide([0, *(c * (1 << e) for c in coeffs[1:])])
+            if y is not None:
+                coeffs[0] = Fraction(r - y[0], 1 << e)
+        want = oracle.decide(coeffs)
         x = field.element(coeffs)
-        q = x.nint()
+        got = (x.floor(), x.nint(), x.sign())
         f = x.frac_signed()
-        ok = ((x - (q + f)).is_zero() and (f + half).sign() >= 0
-              and (half - f).sign() > 0 and q == (x + half).floor())
-        b = ball_eval(x, ball_bits)
-        s = b.sign_certified()
-        if s is not None:
-            agree += 1
-            ok = ok and s == x.sign()
-        if not ok:
-            bad += 1
-            res.add({"i": i, "coeffs": [str(c) for c in coeffs]}, "fail")
-    res.summary = {"count": count, "ball_certified": agree, "failures": bad}
-    res.add({"count": count}, "pass" if bad == 0 else "fail",
-            caps={"ball_bits": ball_bits})
+        frac_ok = (f + half).sign() >= 0 and (half - f).sign() > 0
+        if want != got or not frac_ok:
+            res.add({"i": i, "coeffs": [str(c) for c in coeffs]},
+                    CAP_EXHAUSTED if want is None and frac_ok else "fail",
+                    witness={"core": got, "oracle": want})
+    res.summary = {"count": count, "failures": res.violations}
+    res.add({"count": count},
+            "fail" if res.violations else CAP_EXHAUSTED if res.cap_exhausted else "pass",
+            caps={"oracle_bits": _ORACLE_BITS, "oracle_cap": _ORACLE_CAP})
     return res
 
 

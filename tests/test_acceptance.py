@@ -40,10 +40,10 @@ def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
 
 def test_criterion_01_numeric_core(cbrt2_field):
     t0 = time.monotonic()
-    r = H.verify_numeric_core(cbrt2_field, count=1000, seed=SEED, ball_bits=256)
+    r = H.verify_numeric_core(cbrt2_field, count=1000, seed=SEED)
     dt = time.monotonic() - t0
     report(1, "numeric core soundness", r.ok, dt,
-           f"ball-certified {r.summary['ball_certified']}/1000")
+           f"failures {r.summary['failures']}/1000")
     assert r.ok
     assert dt < 10
 

@@ -240,10 +240,7 @@ class TestVerify:
           for argv in (["4.1", "--m-max", "20000"], ["4.2", "--m-max", "1000"], ["4.3"],
                        ["4.4"])],
         *[pytest.param(mutation, ["verify", "core", "--samples", "100"],
-                       id=f"{mutation}-core",
-                       marks=pytest.mark.xfail(strict=True, reason=(
-                           "ROADMAP item 2: the ball backend rounds the core's own "
-                           "enclosure, so verify core cannot fail")))
+                       id=f"{mutation}-core")
           for mutation in CORE_MUTATIONS],
     ])
     def test_lemma31_fails_under_a_mutated_sequence(self, mutation, argv, monkeypatch,

@@ -1,14 +1,19 @@
+import ast
+import builtins
+import functools
 import hashlib
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from gparith import harness as H
 from gparith.errors import (
-    AmbiguousAtPrecision,
     FieldMismatch,
     MultipleRootsInInterval,
     NoRootInInterval,
@@ -16,9 +21,6 @@ from gparith.errors import (
     ReducibleMinpoly,
 )
 from gparith.exactnum import (
-    ball_eval,
-    ball_floor,
-    ball_nint,
     circle_norm,
     count_roots,
     field_create,
@@ -200,64 +202,6 @@ class TestDecisions:
         assert floors == sorted(floors)
 
 
-class TestBall:
-    def test_exact_zero(self, cbrt2_field):
-        b = ball_eval(cbrt2_field.from_rational(0), 64)
-        assert b.mid.man == 0 and b.rad.man == 0
-
-    def test_cbrt2_enclosure(self, alpha):
-        b = ball_eval(alpha, 64)
-        val = Fraction(mp.nstr(CBRT2, 40))
-        assert b.lo() <= val <= b.hi()
-
-    def test_rational_radius_bound(self, cbrt2_field):
-        b = ball_eval(cbrt2_field.from_rational(Fraction(1, 3)), 16)
-        assert b.hi() - b.lo() <= Fraction(2, 1 << 14)
-
-    def test_radius_contract(self, alpha):
-        for prec in (16, 64, 256):
-            b = ball_eval(3 * alpha**2 - 7, prec)
-            assert (b.hi() - b.lo()) / 2 <= Fraction(1, 1 << (prec - 2))
-
-    def test_ball_ops_enclosure(self, alpha):
-        a = ball_eval(alpha, 64)
-        b = ball_eval(alpha**2, 64)
-        s = a + b
-        exact = alpha + alpha**2
-        lo, hi = exact.enclosure(80)
-        assert s.lo() <= lo and hi <= s.hi()
-        p = a * b
-        lo, hi = (alpha * alpha**2).enclosure(80)
-        assert p.lo() <= lo and hi <= p.hi()
-
-    def test_backend_agreement(self, cbrt2_field):
-        rng = random.Random(23)
-        for _ in range(60):
-            x = cbrt2_field.element(
-                [Fraction(rng.randrange(-99, 100), rng.randrange(1, 9))
-                 for _ in range(3)])
-            s = ball_eval(x, 256).sign_certified()
-            if s is not None:
-                assert s == x.sign()
-
-    def test_ball_rounding_decisions(self, alpha):
-        assert ball_floor(5 * alpha) == 6
-        assert ball_nint(4 * alpha) == 5
-
-    def test_ball_ambiguous_at_exact_integer(self):
-        # degree-5 squarefree but reducible minpoly (caller obligation not
-        # met): theta = sqrt(2), so theta^2 has exact value 2 while its
-        # representation never collapses -- the exact backend decides via
-        # the gcd zero test, the ball backend must refuse
-        K = field_create([6, 0, -3, -2, 0, 1],
-                         (Fraction(14, 10), Fraction(143, 100)))
-        x = K.theta * K.theta
-        assert (x - 2).is_zero()
-        assert x.floor() == 2
-        with pytest.raises(AmbiguousAtPrecision):
-            ball_floor(x, cap=1024)
-
-
 # The five fields of test_fuzz.py.
 FUZZ_FIELDS = [
     ([-2, 0, 1], (1, 2)),
@@ -379,6 +323,106 @@ class TestIntegerDecisions:
                 assert (lo, hi) == (Fraction(42275935, 33554432),
                                     Fraction(52844919, 41943040))
         assert got == [row[3] for row in self.ENCLOSURE_ROWS]
+
+
+# The fields of the core oracle's tests: the fuzz fields, the reducible
+# _DEG5, a negative root (-cbrt 2), a non-monic cubic, and two of degree 1,
+# one whose root a bisection lands on (3/2) and one it never reaches (1/3).
+ORACLE_FIELDS = FUZZ_FIELDS + [
+    _DEG5,
+    ([2, 0, 0, 1], (Fraction(-13, 10), Fraction(-5, 4))),
+    ([-2, 0, 0, 3], (Fraction(4, 5), 1)),
+    ([-3, 2], (1, 2)),
+    ([-1, 3], (0, 1)),
+]
+_ORACLE_K = [field_create(*f) for f in ORACLE_FIELDS]
+
+
+@functools.cache
+def _oracle(i):
+    return H.CoreOracle(_ORACLE_K[i])
+
+
+@functools.cache
+def _mp_theta(i):
+    """theta of ORACLE_FIELDS[i] to 2,000 digits."""
+    minpoly, ends = ORACLE_FIELDS[i]
+    with mp.workdps(2000):
+        lo, hi = (mp.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in ends)
+        if lo == hi:
+            return lo
+        return mp.findroot(lambda t: mp.polyval(minpoly[::-1], t), (lo, hi),
+                           solver="anderson")
+
+
+def _mp_decisions(i, coeffs):
+    """(floor, nint, sign) of sum coeffs[j] * theta^j at 2,000 digits."""
+    theta = _mp_theta(i)
+    with mp.workdps(2000):
+        x = mp.fsum(mp.mpf(c.numerator) / c.denominator * theta**j
+                    for j, c in enumerate(coeffs))
+        return int(mp.floor(x)), int(mp.floor(x + mp.mpf(1) / 2)), int(mp.sign(x))
+
+
+class TestCoreOracle:
+    """`harness.CoreOracle` as a third opinion beside the core and mpmath."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_core_and_mpmath(self, data):
+        i = data.draw(st.integers(0, len(ORACLE_FIELDS) - 1))
+        K, oracle = _ORACLE_K[i], _oracle(i)
+        coeffs = data.draw(st.lists(
+            st.fractions(min_value=-10**4, max_value=10**4, max_denominator=300),
+            min_size=K.degree, max_size=K.degree))
+        if data.draw(st.booleans()):
+            # within 4 * 2^-e of an integer or a half-integer, e <= 200
+            e, r = data.draw(st.integers(0, 200)), data.draw(st.integers(-3, 3))
+            k = data.draw(st.integers(-10**6, 10**6)) + data.draw(
+                st.sampled_from([0, Fraction(1, 2)]))
+            y = oracle.decide([0, *(c * (1 << e) for c in coeffs[1:])])
+            assume(y is not None)
+            coeffs[0] = k + Fraction(r - y[0], 1 << e)
+        want = oracle.decide(coeffs)
+        x = K.element(coeffs)
+        if want is None:
+            # only an exact integer or half-integer of an unverified field
+            assert not K.irreducible_verified
+            assert (x - x.floor()).is_zero() or (x - x.nint() + Fraction(1, 2)).is_zero()
+            return
+        assert want == (x.floor(), x.nint(), x.sign()) == _mp_decisions(i, coeffs)
+
+    def test_ends_at_its_cap_on_an_exact_integer(self):
+        # theta = sqrt(2) in the reducible _DEG5, so theta^2 = 2 exactly: no
+        # enclosure of theta decides its floor, and the core decides it by
+        # its exact zero test
+        K = field_create(*_DEG5)
+        assert H.CoreOracle(K).decide([0, 0, 1, 0, 0]) is None
+        assert (K.theta**2).floor() == 2
+
+    def test_a_sample_past_the_cap_is_cap_exhausted(self, monkeypatch, cbrt2_field):
+        # with the cap below the starting bits no sample is decided
+        monkeypatch.setattr(H, "_ORACLE_CAP", H._ORACLE_BITS // 2)
+        r = H.verify_numeric_core(cbrt2_field, count=4)
+        assert r.ok and r.violations == 0
+        assert [rec["verdict"] for rec in r.records] == ["cap-exhausted"] * 5
+
+    def test_shares_nothing_with_the_core(self):
+        nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(H.CoreOracle)))))
+        names = [n for n in nodes if isinstance(n, ast.Name)]
+        on_field = [n.attr for n in nodes if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "field"]
+        # the field is read through these two attributes and nothing else
+        assert set(on_field) == {"minpoly_int", "interval"}
+        assert len(on_field) == sum(n.id == "field" for n in names)
+        used = {n.attr for n in nodes if isinstance(n, ast.Attribute)} | {n.id for n in names}
+        assert not used & {"refine", "pow_table", "theta_enclosure", "_sign_at", "_scaled",
+                           "scaled_enclosure", "enclosure", "floor", "nint", "sign"}
+        # and it calls no function of the package
+        bound = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
+            n.id for n in names if isinstance(n.ctx, ast.Store)}
+        free = {n.id for n in names if isinstance(n.ctx, ast.Load)} - bound
+        assert free <= {"Fraction", "lcm", "_ORACLE_BITS", "_ORACLE_CAP"} | set(dir(builtins))
 
 
 # ---------------------------------------------------------------------------
