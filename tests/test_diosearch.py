@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import mpmath as mp
 import numpy as np
@@ -397,6 +397,60 @@ class TestWeylWitness:
         with pytest.raises(ValueError, match="int64"):
             find_weyl_witness([("alpha*n*n", (Fraction(0), Fraction(1, 2)))],
                               1, {"alpha": sqrt2}, start=start)
+
+
+_WEYL_CONSTANTS = {
+    "cbrt2": field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))).theta,
+    "sqrt2": field_create([-2, 0, 1], (Fraction(1), Fraction(2))).theta,
+    "three_sevenths": Fraction(3, 7),
+}
+# c*n^d shapes: text with c's name in {c}, and the integer multiplier of c
+_WEYL_SHAPES = {
+    "{c}*n": lambda n: n,
+    "-{c}*n": lambda n: -n,
+    "2*{c}*n": lambda n: 2 * n,
+    "{c}*n*n": lambda n: n * n,
+}
+_WEYL_LIMIT = 300
+
+
+@st.composite
+def _weyl_targets(draw):
+    """One or two lane-shaped targets, each a shape, a constant and an open
+    interval inside (-1/2, 1/2)."""
+    out = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo, hi = sorted(draw(st.lists(
+            st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                         max_denominator=60),
+            min_size=2, max_size=2, unique=True)))
+        out.append((draw(st.sampled_from(sorted(_WEYL_SHAPES))),
+                    draw(st.sampled_from(sorted(_WEYL_CONSTANTS))), lo, hi))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_weyl_targets())
+def test_weyl_least_witness_against_brute_force(spec):
+    targets = [(shape.format(c=c), (lo, hi)) for shape, c, lo, hi in spec]
+
+    def holds(n):
+        for shape, c, lo, hi in spec:
+            v = _WEYL_CONSTANTS[c] * _WEYL_SHAPES[shape](n)
+            f = v.frac_signed() if isinstance(v, AlgebraicReal) else v - floor(v + Fraction(1, 2))
+            if not lo < f < hi:
+                return False
+        return True
+
+    least = next((n for n in range(1, _WEYL_LIMIT + 1) if holds(n)), None)
+    if least is None:
+        with pytest.raises(NotFoundWithinBudget):
+            find_weyl_witness(targets, _WEYL_LIMIT, _WEYL_CONSTANTS)
+        return
+    assert find_weyl_witness(targets, _WEYL_LIMIT, _WEYL_CONSTANTS) == least
+    if least > 1:
+        with pytest.raises(NotFoundWithinBudget):
+            find_weyl_witness(targets, least - 1, _WEYL_CONSTANTS)
 
 
 class TestCalibration:

@@ -150,6 +150,11 @@ BETA_REPORTS = {
     # sign, so the records, and the digest, are those of beta = 1
     "verify-3.5-3.6-beta-minus-one": ('rational "-1"', VERIFY_36_PB,
                                       "1a7d50a9e88033ace2ff89433db07487d2e5400bbeb9741bee79bb97935ae76c"),
+    # beta*m*nint(alpha*m) is an integer at beta = 1, so only here does the
+    # base's second target, decided by its exact closure, reject a
+    # candidate: the base is m = 19, and m = 4 without that target
+    "search-progression-base-beta-third": (BETA_THIRD, ["search", "progression-base", "--r", "6"],
+                                           "beb634b489e0a37b176cf15d2525c44448c64137f34eeb0364554d4ff4dec036"),
 }
 
 # Reports under a config whose alpha is not the cube root of 2: name ->
