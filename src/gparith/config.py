@@ -30,7 +30,7 @@ _ALGEBRAIC = re.compile(
 
 _INT_KEYS = {
     "seed", "C",
-    "n2_cap", "M_cap", "H_cap", "m_cap", "max_range",
+    "M_cap", "H_cap", "m_cap", "max_range",
     "bohr_N_cap", "bohr_M_cap", "bohr_L_cap", "bohr_h_cap", "bohr_n_cap",
     "bohr_outer_cap", "bohr_seq_len",
 }
@@ -67,7 +67,7 @@ class SessionConfig:
 
     def bound_profile(self) -> BoundProfile:
         kw = {}
-        for key in ("n2_cap", "M_cap", "H_cap", "m_cap", "max_range"):
+        for key in ("M_cap", "H_cap", "m_cap", "max_range"):
             if key in self.ints:
                 kw[key] = self.ints[key]
         return BoundProfile(**kw)

@@ -1,12 +1,14 @@
 """Bounded Diophantine-approximation searches.
 
 Each search scans its candidates in ascending order, up to a
-`max_candidate` bound, and returns the least witness in that range.
-Every witness is exact: `FastConst.within` masks and the integer lanes
-answer exactly, and survivors of the masks are checked in exact field
-arithmetic before they are reported.  Searches that find nothing within
-their bound raise NotFoundWithinBudget; absence of a witness in a scanned
-range is certified, because every lane entry is decided exactly.
+`max_candidate` bound, and returns the least witness in that range.  The
+small-norm, progression-base and Weyl searches (and the Lemma 4.1 premise
+in `harness`) read one scan, `weyl_witnesses`, which decides each target
+once and exactly: a c*n^d target by its `FastConst.within` mask, any other
+by its exact closure on the survivors of the masks.  Searches that find
+nothing within their bound raise NotFoundWithinBudget; absence of a
+witness in a scanned range is certified, because every entry is decided
+exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -123,13 +125,10 @@ def find_small_norm(x: AlgebraicReal, eps, max_candidate: int) -> ApproxWitness:
         raise ValueError("eps must be > 0")
     if x.is_rational():
         raise RationalInput("x must be irrational")
-    fc = FastConst(x)
-    for ms in blocks(1, max_candidate + 1):
-        hits = ms[fc.within(ms, -eps, eps)]
-        if len(hits):
-            m = int(hits[0])
-            return ApproxWitness(m, {"norm": (x * m).circle_norm()})
-    raise NotFoundWithinBudget(f"no m <= {max_candidate} with norm < {eps}")
+    m = next(weyl_witnesses([("x*n", (-eps, eps))], 1, max_candidate + 1, {"x": x}), None)
+    if m is None:
+        raise NotFoundWithinBudget(f"no m <= {max_candidate} with norm < {eps}")
+    return ApproxWitness(m, {"norm": (x * m).circle_norm()})
 
 
 def find_progression_base(r: int, alpha: AlgebraicReal, beta,
@@ -140,25 +139,13 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
         raise ValueError("r must be >= 2")
     eps1 = Fraction(1, 2 * r)
     eps2 = Fraction(1, 2 * r * r)
-
-    def qualifies(m: int) -> ApproxWitness | None:
-        am = alpha * m
-        n1 = am.circle_norm()
-        if (n1 - eps1).sign() >= 0:
-            return None
-        n2v = circle_norm(beta * m * am.nint())
-        if not n2v < eps2:
-            return None
-        return ApproxWitness(m, {"alpha_norm": n1, "beta_norm": n2v})
-
-    # the exact ||alpha*m|| mask first; the beta test on its survivors only
-    fc = FastConst(alpha)
-    for ms in blocks(1, max_candidate + 1):
-        for m in map(int, ms[fc.within(ms, -eps1, eps1)]):
-            w = qualifies(m)
-            if w is not None:
-                return w
-    raise NotFoundWithinBudget(f"no progression base for r={r} within {max_candidate}")
+    targets = [("x*n", (-eps1, eps1)), ("beta*n*nint(x*n)", (-eps2, eps2))]
+    m = next(weyl_witnesses(targets, 1, max_candidate + 1, {"x": alpha, "beta": beta}), None)
+    if m is None:
+        raise NotFoundWithinBudget(f"no progression base for r={r} within {max_candidate}")
+    am = alpha * m
+    return ApproxWitness(m, {"alpha_norm": am.circle_norm(),
+                             "beta_norm": circle_norm(beta * m * am.nint())})
 
 
 # ---------------------------------------------------------------------------
@@ -230,63 +217,50 @@ def _linear_shape(expr: Expr, context: dict) -> tuple[object, int] | None:
     return None
 
 
-@dataclass
-class _Target:
-    value: Callable  # compile_term closure of the target's expression
-    lo: object
-    hi: object
-    coeff: object | None  # c for the c*n^d lane, None -> exact-only
-    degree: int
+def weyl_witnesses(targets: Sequence[tuple], start: int, stop: int,
+                   context: dict | None = None) -> Iterator[int]:
+    """Every n in start..stop-1, in increasing order, with frac_signed(expr(n))
+    in the open interval (lo, hi) of each target (expr, (lo, hi)).
 
-
-def _prep_targets(targets: Sequence[tuple], context: dict) -> list[_Target]:
-    out = []
+    Each target is decided once, exactly: a c*n^d target (d in {1, 2}) by
+    its `within` mask alone, any other by its `compile_term` closure, on
+    the survivors of the masks only."""
+    env = dict(context or {})
+    lanes, closures = [], []
     for expr, (lo, hi) in targets:
         if isinstance(expr, str):
             expr = parse(expr)
-        lo_v = lo if isinstance(lo, AlgebraicReal) else Fraction(lo)
-        hi_v = hi if isinstance(hi, AlgebraicReal) else Fraction(hi)
-        if sign(hi_v - lo_v) <= 0:
+        lo = lo if isinstance(lo, AlgebraicReal) else Fraction(lo)
+        hi = hi if isinstance(hi, AlgebraicReal) else Fraction(hi)
+        if sign(hi - lo) <= 0:
             raise ValueError("target interval is empty")
-        value = compile_term(expr)
-        shape = _linear_shape(expr, context)
+        shape = _linear_shape(expr, env)
         if shape is not None and shape[1] in (1, 2):
-            out.append(_Target(value, lo_v, hi_v, shape[0], shape[1]))
+            lanes.append((FastConst(shape[0]), shape[1] == 2, lo, hi))
         else:
-            out.append(_Target(value, lo_v, hi_v, None, 0))
-    return out
-
-
-def _target_holds(t: _Target, env: dict) -> bool:
-    return t.lo < frac_signed(t.value(env, {})) < t.hi
+            closures.append((compile_term(expr), lo, hi))
+    for ns in blocks(start, stop):
+        for fc, square, lo, hi in lanes:
+            if not len(ns):
+                break
+            if square:
+                # ns ascends, so its largest |n| sits at either end
+                top = max(abs(int(ns[0])), abs(int(ns[-1])))
+                check_int64_product(top, top)
+            ns = ns[fc.within(ns * ns if square else ns, lo, hi)]
+        for n in map(int, ns):
+            env["n"] = n
+            if all(lo < frac_signed(value(env, {})) < hi for value, lo, hi in closures):
+                yield n
 
 
 def find_weyl_witness(targets: Sequence[tuple], max_candidate: int,
-                      context: dict | None = None, start: int = 1) -> int:
-    """Least n >= start with frac_signed(expr_i(n)) in its open interval,
-    for every target; exact membership on every reported witness."""
-    context = dict(context or {})
-    prepped = _prep_targets(targets, context)
-    env = dict(context)
-    if not prepped:
-        return start
-    lanes = [t for t in prepped if t.coeff is not None]
-    fasts = [FastConst(t.coeff) for t in lanes]
-    for ns in blocks(start, max_candidate + 1):
-        mask = np.ones(len(ns), dtype=bool)
-        for t, fc in zip(lanes, fasts):
-            if t.degree == 2:
-                # the largest |n| sits at either end of a block
-                top = max(abs(int(ns[0])), abs(int(ns[-1])))
-                check_int64_product(top, top)
-            mask &= fc.within(ns if t.degree == 1 else ns * ns, t.lo, t.hi)
-            if not mask.any():
-                break
-        for n in map(int, ns[mask]):
-            env["n"] = n
-            if all(_target_holds(t, env) for t in prepped):
-                return n
-    raise NotFoundWithinBudget(f"no witness <= {max_candidate}")
+                      context: dict | None = None) -> int:
+    """The least n <= max_candidate of `weyl_witnesses` from 1."""
+    n = next(weyl_witnesses(targets, 1, max_candidate + 1, context), None)
+    if n is None:
+        raise NotFoundWithinBudget(f"no witness <= {max_candidate}")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -714,8 +714,6 @@ class AlgebraicReal:
         r = self._rational_form()
         if r is not None:
             return (r[0] > 0) - (r[0] < 0)
-        if self.is_zero():
-            return 0
         weight = _weight(self.nums, self.den)
         prec = 32
         while True:
@@ -724,6 +722,10 @@ class AlgebraicReal:
                 return 1
             if hi < 0:
                 return -1
+            # the enclosure straddles 0, as that of an exact zero does at
+            # every precision: the zero test runs once, at the first
+            if prec == 32 and self.is_zero():
+                return 0
             prec *= 2
 
     def floor(self) -> int:

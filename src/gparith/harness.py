@@ -29,6 +29,7 @@ from .diosearch import (
     find_small_norm,
     find_weyl_witness,
     lemma32_scan,
+    weyl_witnesses,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
 from .exactnum import AlgebraicReal
@@ -706,10 +707,8 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     thr1 = delta / (10 * N)
     thr2 = delta / 10
 
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    c2a = FastConst(2 * alpha)
-    premise = [m for m in map(int, ms[c2a.within(ms, -thr1, thr1)])
-               if ((alpha * (m * m)).circle_norm() - thr2).sign() < 0]
+    premise = list(weyl_witnesses([("2*alpha*n", (-thr1, thr1)), ("alpha*n*n", (-thr2, thr2))],
+                                  1, m_max + 1, {"alpha": alpha}))
     bad = 0
     for m in premise:
         if not world.mu(m, N):
@@ -721,6 +720,7 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     res.vacuous = not premise
 
     # forward trend: exact maxima over the almost-period sets shrink with N
+    c2a = FastConst(2 * alpha)
     prev1 = prev2 = None
     trend_ok = True
     trend = []

@@ -267,17 +267,6 @@ class SyntheticQSet:
         k, l = a // m, b // m
         return abs(k) <= self.k_max and abs(l) <= self.k_max and c == k * l * m
 
-    def members(self):
-        if self.m_max * (2 * self.k_max + 1) ** 2 > 10**7:
-            raise ValueError("synthetic store too large to enumerate")
-        for m in range(1, self.m_max + 1):
-            for k in range(-self.k_max, self.k_max + 1):
-                for l in range(-self.k_max, self.k_max + 1):
-                    yield (m, k * m, l * m, k * l * m)
-
-    def moduli(self):
-        return iter(range(1, self.m_max + 1))
-
 
 # ---------------------------------------------------------------------------
 # Partial products and scaled term evaluation
@@ -384,10 +373,8 @@ def _negatable(Q: ExplicitQSet) -> np.ndarray:
     return Q.cols
 
 
-def close_pm(Q: ExplicitQSet | SyntheticQSet) -> ExplicitQSet | SyntheticQSet:
+def close_pm(Q: ExplicitQSet) -> ExplicitQSet:
     """Sign closure {(m, sa, tb, st c)}; idempotent."""
-    if isinstance(Q, SyntheticQSet):
-        return Q  # structurally sign-closed already
     m, a, b, c = _negatable(Q)
     return ExplicitQSet(np.concatenate([np.stack([m, s * a, t * b, s * t * c])
                                         for s in (1, -1) for t in (1, -1)], axis=1))
@@ -443,7 +430,7 @@ def commutes(Q: ExplicitQSet) -> bool:
     return ExplicitQSet(np.stack([m, b, a, c])) == Q
 
 
-def check_Q2(Q: ExplicitQSet | SyntheticQSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
+def check_Q2(Q: ExplicitQSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
     """Smallest modulus m whose dilated copy of F sits inside dom(x_m)."""
     F = list(F)
     for m in Q.moduli():
@@ -462,11 +449,9 @@ def _opened(fp, mode: str):
     return open(fp, mode, encoding="ascii") if isinstance(fp, str) else nullcontext(fp)
 
 
-def export_csv(Q: ExplicitQSet | SyntheticQSet, fp) -> None:
-    # a synthetic store enumerates its members in sorted order already
-    cols = Q.cols if isinstance(Q, ExplicitQSet) else ExplicitQSet(Q.members()).cols
+def export_csv(Q: ExplicitQSet, fp) -> None:
     with _opened(fp, "w") as f:
-        f.write("%d,%d,%d,%d\n" * cols.shape[1] % tuple(cols.T.ravel().tolist()))
+        f.write("%d,%d,%d,%d\n" * len(Q) % tuple(Q.cols.T.ravel().tolist()))
 
 
 def import_csv(fp) -> ExplicitQSet:

@@ -66,8 +66,9 @@ class TestConfig:
             parse_config("seed = abc")
 
     def test_threads_is_not_a_key(self, tmp_path, capsys):
-        # nor is `h_cap`: the bohr cap is `bohr_h_cap`, and delta has no h cap
-        for line in ("threads = 2", "h_cap = 64"):
+        # nor is `h_cap`: the bohr cap is `bohr_h_cap`, and delta has no h
+        # cap; nor `n2_cap`, whose only readers, def_mu and def_psi, no command calls
+        for line in ("threads = 2", "h_cap = 64", "n2_cap = 1000"):
             with pytest.raises(ConfigError):
                 parse_config(line)
             cfg = tmp_path / "session.cfg"
@@ -77,8 +78,8 @@ class TestConfig:
             assert code == 2 and "ConfigError" in err
 
     def test_caps_flow_into_profiles(self):
-        cfg = parse_config("n2_cap = 777\nbohr_N_cap = 5\n")
-        assert cfg.bound_profile().n2_cap == 777
+        cfg = parse_config("m_cap = 777\nbohr_N_cap = 5\n")
+        assert cfg.bound_profile().m_cap == 777
         assert cfg.bohr_bounds().N_cap == 5
 
 

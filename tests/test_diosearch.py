@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import floor, isqrt
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from gparith.diosearch import (
     find_small_norm,
     find_weyl_witness,
     lemma32_scan,
+    weyl_witnesses,
     _FIRST_WINDOW,
 )
 from gparith.errors import (
@@ -395,8 +397,8 @@ class TestWeylWitness:
         # exceeds int64 while its last entry's square still fits
         start = -(isqrt(2**63 - 1) + 10)
         with pytest.raises(ValueError, match="int64"):
-            find_weyl_witness([("alpha*n*n", (Fraction(0), Fraction(1, 2)))],
-                              1, {"alpha": sqrt2}, start=start)
+            next(weyl_witnesses([("alpha*n*n", (Fraction(0), Fraction(1, 2)))],
+                                start, 2, {"alpha": sqrt2}))
 
 
 _WEYL_CONSTANTS = {
@@ -442,15 +444,17 @@ def test_weyl_least_witness_against_brute_force(spec):
                 return False
         return True
 
-    least = next((n for n in range(1, _WEYL_LIMIT + 1) if holds(n)), None)
-    if least is None:
-        with pytest.raises(NotFoundWithinBudget):
-            find_weyl_witness(targets, _WEYL_LIMIT, _WEYL_CONSTANTS)
-        return
-    assert find_weyl_witness(targets, _WEYL_LIMIT, _WEYL_CONSTANTS) == least
-    if least > 1:
-        with pytest.raises(NotFoundWithinBudget):
-            find_weyl_witness(targets, least - 1, _WEYL_CONSTANTS)
+    every = [n for n in range(1, _WEYL_LIMIT + 1) if holds(n)]
+    # a lane-shaped target is decided by its lane mask alone, never in the field
+    with patch("gparith.diosearch.frac_signed", side_effect=AssertionError("re-decided")):
+        assert list(weyl_witnesses(targets, 1, _WEYL_LIMIT + 1, _WEYL_CONSTANTS)) == every
+        if every:
+            assert find_weyl_witness(targets, _WEYL_LIMIT, _WEYL_CONSTANTS) == every[0]
+        # none below the least witness, nor in range when there is none
+        bound = every[0] - 1 if every else _WEYL_LIMIT
+        if bound:
+            with pytest.raises(NotFoundWithinBudget):
+                find_weyl_witness(targets, bound, _WEYL_CONSTANTS)
 
 
 class TestCalibration:

@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gparith import harness as H
+from gparith import exactnum, harness as H
 from gparith.errors import (
     FieldMismatch,
     MultipleRootsInInterval,
@@ -275,6 +275,22 @@ class TestIntegerDecisions:
         assert (frac_signed(up) + Fraction(1, 2)).is_zero()
         assert sign(t2 - 2) == 0
         assert floor_exact(t2) == 2 and nint(t2) == 2
+
+    def test_sign_tests_zero_only_where_the_enclosure_straddles(self, monkeypatch):
+        # in an unverified field the zero test runs poly_gcd with the
+        # minimal polynomial; a sign far from 0 never needs it
+        K = field_create(*_DEG5)
+        t2 = K.theta * K.theta
+        gcd_calls = []
+        real_gcd = exactnum.poly_gcd
+        monkeypatch.setattr(exactnum, "poly_gcd",
+                            lambda *a: gcd_calls.append(a) or real_gcd(*a))
+        assert (sign(K.theta - 1), sign(t2 - 3), sign(-K.theta * t2)) == (1, -1, -1)
+        assert gcd_calls == []
+        # tested once, at the first enclosure, which straddles 0
+        assert sign(t2 - 2 + K.theta * Fraction(1, 2**60)) == 1 and len(gcd_calls) == 1
+        # the hidden zero straddles 0 at every precision
+        assert sign(t2 - 2) == 0 and len(gcd_calls) == 2
 
     def test_nint_follows_the_schedule_of_floor_at_x_plus_half(self):
         # weight(theta + 11/4) has 3 bits, weight(theta + 13/4) has 4: nint

@@ -21,7 +21,7 @@ from gparith._fastlane import (
     check_int64_product,
     enclosure,
 )
-from gparith.diosearch import find_weyl_witness
+from gparith.diosearch import weyl_witnesses
 from gparith.errors import PreconditionViolated
 from gparith.exactnum import AlgebraicReal, circle_norm, field_create, floor_exact, sign
 from gparith.focheck import ell
@@ -74,9 +74,8 @@ class TestInt64Guard:
     def test_weyl_square_lane_raises_instead_of_wrapping(self, alpha):
         start = 4 * 10**9
         with pytest.raises(ValueError):
-            find_weyl_witness([("alpha*n*n", (Fraction(-1, 100), Fraction(1, 100)))],
-                              start + 1000,
-                              {"alpha": alpha}, start=start)
+            next(weyl_witnesses([("alpha*n*n", (Fraction(-1, 100), Fraction(1, 100)))],
+                                start, start + 1001, {"alpha": alpha}))
 
     def test_lane_margin_holds_at_int64_min(self, alpha):
         # np.abs keeps -2^63 negative in int64; the margin must not

@@ -248,11 +248,6 @@ class TestQSets:
         with pytest.raises(ValueError):
             import_csv(io.StringIO("1,2,3\n"))
 
-    def test_synthetic_enumeration_guard(self):
-        big = SyntheticQSet(m_max=100, k_max=10**6)
-        with pytest.raises(ValueError):
-            list(big.members())
-
 
 def _build_Q_per_modulus(ctx, m_max, h_factor_max):
     """The rows and short runs of build_Q, one modulus at a time, with the
