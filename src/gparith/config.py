@@ -125,7 +125,10 @@ def load_config(path: str | None) -> SessionConfig:
 
 def as_algebraic(value, name: str = "constant") -> AlgebraicReal:
     if isinstance(value, AlgebraicReal):
-        return value
+        if not value.is_rational():
+            return value
+        # a degree-1 `algebraic` spells a rational too
+        value = value.as_fraction()
     raise ConfigError(f"{name} must be algebraic (got rational {value})")
 
 

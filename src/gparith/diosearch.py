@@ -14,7 +14,6 @@ exactly.
 from __future__ import annotations
 
 import copy
-import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -75,38 +74,28 @@ def continued_fraction(x: AlgebraicReal, k: int) -> CFExpansion:
 
     A quotient is taken only when both ends give it with a nonzero
     remainder: the reals with a given prefix form an interval, so x has the
-    prefix too.  Otherwise the precision doubles.  A rational x terminates
-    with the flag set: one of rational form has a point enclosure and
-    expands exactly, and in an unverified field, where a rational can hide
-    in an irrational form, x is tested exactly against the convergent that
-    ends in the one integer the ends straddle.
+    prefix too.  Otherwise the precision doubles.  A rational x has a point
+    enclosure, expands exactly and terminates with the flag set.  The
+    complete quotients of an irrational x are irrational, so a finer
+    enclosure always separates them from the integers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    check_hidden = not x.field.irreducible_verified
     prec = 64
     while True:
         lo, hi, den = x.scaled_enclosure(prec)
         quotients: list[int] = []
-        # (a/b, c/d): the complete quotients of the ends; (p, q), (p1, q1):
-        # the last two convergents
+        # (a/b, c/d): the complete quotients of the ends
         a, b, c, d = lo, den, hi, den
-        p, q, p1, q1 = 1, 0, 0, 1
         while len(quotients) < k:
             qa, ra = divmod(a, b)
             qc, rc = divmod(c, d)
             if qa == qc and ra and rc:
                 quotients.append(qa)
                 a, b, c, d = b, ra, d, rc
-                p, q, p1, q1 = qa * p + p1, qa * q + q1, p, q
                 continue
             if lo == hi:
                 return CFExpansion(quotients + [qa], terminated=True)
-            if check_hidden:
-                ends = sorted((Fraction(a, b), Fraction(c, d)))
-                t = math.ceil(ends[0])
-                if t == math.floor(ends[1]) and (x - Fraction(t * p + p1, t * q + q1)).is_zero():
-                    return CFExpansion(quotients + [t], terminated=True)
             break
         else:
             return CFExpansion(quotients, terminated=False)

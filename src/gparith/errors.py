@@ -18,7 +18,7 @@ class MultipleRootsInInterval(GparithError):
 
 
 class ReducibleMinpoly(GparithError):
-    """Minimal polynomial of degree <= 4 failed the exact irreducibility check."""
+    """Minimal polynomial of degree 2 to 4 failed the exact irreducibility check."""
 
 
 class FieldMismatch(GparithError):

@@ -3,23 +3,22 @@
 A field is described by an integer minimal polynomial together with a
 rational isolating interval pinning one real root theta.  An element is a
 vector of integer numerators over one positive denominator, reduced modulo
-the minimal polynomial and by the gcd of denominator and numerators, so
-equality of representations is value equality whenever the minimal
-polynomial is irreducible.  Sums, differences and products run in integers;
+the minimal polynomial and by the gcd of denominator and numerators.  The
+minimal polynomial is proven irreducible, which is why its degree is at most
+4, so equality of representations is value equality and an element with a
+theta term is irrational.  Sums, differences and products run in integers;
 the product reduces x^d, ..., x^(2d-2) with one integer table over one
 common denominator, so a non-monic minimal polynomial needs no Fractions
 either.  Sign, floor, nearest integer, signed fractional part and circle
 norm are all decided exactly by refining the isolating interval with
-certified interval arithmetic.
+certified interval arithmetic, and refinement alone ends each decision.
 
 Decisions run in integers.  The field caches the enclosures of theta^i once
 per precision as integer numerators over one common denominator; an element
 sums its numerators times those into a scaled enclosure (L, H, S) with the
 value in [L/S, H/S].  sign compares L and H with 0, floor takes L // S and
-H // S, and nint takes (2L + S) // 2S.  Only when the enclosure straddles an
-integer in a field whose irreducibility is not verified is the exact zero
-test consulted.  `enclosure(prec)` returns the same endpoints as Fractions,
-and `coeffs` the coefficients as Fractions.
+H // S, and nint takes (2L + S) // 2S.  `enclosure(prec)` returns the same
+endpoints as Fractions, and `coeffs` the coefficients as Fractions.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def count_roots(p, lo: Fraction, hi: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility over Q for degree <= 4 (exact; degree >= 5 is caller's duty).
+# Irreducibility over Q for degree <= 4 (exact; higher degrees are refused).
 # ---------------------------------------------------------------------------
 
 
@@ -263,6 +262,9 @@ class NumberField:
         minpoly = tuple(int(c) for c in minpoly)
         if len(minpoly) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
+        if len(minpoly) > 5:
+            raise ValueError(f"minimal polynomial has degree {len(minpoly) - 1}: "
+                             "irreducibility is verified only up to degree 4")
         if minpoly[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -275,18 +277,11 @@ class NumberField:
 
         if poly_degree(poly_gcd(self.minpoly, poly_derivative(self.minpoly))) > 0:
             raise NotSquarefree(f"minimal polynomial {list(minpoly)} is not squarefree")
-        if self.degree <= 4:
-            _check_irreducible(minpoly)
-            self.irreducible_verified = True
-        else:
-            self.irreducible_verified = False
+        _check_irreducible(minpoly)
 
         self.rational_theta: Fraction | None = None
         self._given = self._interval = (lo, hi)
         self._isolate(lo, hi)
-        if self.degree == 1 and self.rational_theta is None:
-            # linear minpoly: the root is rational wherever it sits
-            self.rational_theta = Fraction(-minpoly[0], minpoly[1])
 
         # x^k mod minpoly for k = degree .. 2*degree-2, used by multiplication:
         # integer numerator rows over one common denominator
@@ -303,30 +298,18 @@ class NumberField:
     # -- construction helpers ------------------------------------------------
 
     def _isolate(self, lo: Fraction, hi: Fraction) -> None:
-        p = self.minpoly
-        plo, phi = poly_eval(p, lo), poly_eval(p, hi)
-        if plo == 0 and phi == 0:
-            if lo == hi:
-                self.rational_theta = lo
-                return
-            raise MultipleRootsInInterval("both interval endpoints are roots")
-        if plo == 0:
-            if count_roots(p, lo, hi) > 0:
-                raise MultipleRootsInInterval("endpoint root plus interior root")
-            self.rational_theta = lo
-            return
-        if phi == 0:
-            if count_roots(p, lo, hi) > 1:
-                raise MultipleRootsInInterval("endpoint root plus interior root")
-            self.rational_theta = hi
-            return
-        n = count_roots(p, lo, hi)
+        if self.degree == 1:
+            root = Fraction(-self.minpoly_int[0], self.minpoly_int[1])
+            n = int(lo <= root <= hi)
+            self.rational_theta = root
+        else:
+            # an irreducible polynomial of degree >= 2 has no rational root,
+            # so neither endpoint is one and (lo, hi] counts [lo, hi]
+            n = count_roots(self.minpoly, lo, hi)
         if n == 0:
             raise NoRootInInterval(f"no root of {list(self.minpoly_int)} in [{lo}, {hi}]")
         if n > 1:
             raise MultipleRootsInInterval(f"{n} roots in [{lo}, {hi}]")
-        # simple root of a squarefree polynomial: signs must differ
-        assert (plo > 0) != (phi > 0)
 
     def _reduction_table(self):
         d = self.degree
@@ -366,13 +349,7 @@ class NumberField:
         slo = 1 if self._sign_at(L, den) > 0 else -1
         while (H - L) * width.denominator > width.numerator * den:
             mid, den = L + H, 2 * den
-            v = self._sign_at(mid, den)
-            if v == 0:
-                # can only happen for unverified reducible minpolys
-                self.rational_theta = Fraction(mid, den)
-                self._interval = (self.rational_theta,) * 2
-                return self._interval
-            L, H = (mid, 2 * H) if v == slo else (2 * L, mid)
+            L, H = (mid, 2 * H) if self._sign_at(mid, den) == slo else (2 * L, mid)
         self._interval = (Fraction(L, den), Fraction(H, den))
         return self._interval
 
@@ -614,63 +591,31 @@ class AlgebraicReal:
     def _inverse(self) -> "AlgebraicReal":
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        g, u, _ = poly_ext_gcd(_trim(self.coeffs), self.field.minpoly)
-        if poly_degree(g) != 0:
-            # nonzero value sharing a factor with a reducible minpoly
-            raise ArithmeticError("element is a zero divisor; minpoly not irreducible")
+        _, u, _ = poly_ext_gcd(_trim(self.coeffs), self.field.minpoly)
         return self.field.element(u)
 
     # -- decision procedures ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Exact zero test (sound also for unverified degree >= 5 fields)."""
-        if not any(self.nums):
-            return True
-        if self.field.irreducible_verified:
-            return False
-        g = poly_gcd(_trim(self.coeffs), self.field.minpoly)
-        if poly_degree(g) <= 0:
-            return False
-        # theta is the unique minpoly root in the interval; it is a root of
-        # the gcd iff the gcd has a root there.
-        lo, hi = self.field._interval
-        if self.field.rational_theta is not None:
-            return poly_eval(g, self.field.rational_theta) == 0
-        return count_roots(g, lo, hi) > 0
+        """Exact zero test: the representation is canonical."""
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        """Exact for validated fields; for unverified (degree >= 5) fields a
-        rational value hidden in a nontrivial representation may report
-        False, since only the canonical coefficients are inspected."""
-        if not any(self.nums[1:]):
-            return True
-        if not self.field.irreducible_verified:
-            return (self - self.field.from_rational(self.as_fraction_approx())).is_zero()
-        return False
-
-    def as_fraction_approx(self) -> Fraction:
-        if self.field.rational_theta is not None:
-            return poly_eval(_trim(self.coeffs), self.field.rational_theta)
-        return Fraction(self.nums[0], self.den)
+        """Exact: 1, theta, ..., theta^(d-1) are linearly independent over Q."""
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; raises if the element is irrational."""
         r = self._rational_form()
-        if r is not None:
-            return Fraction(*r)
-        cand = self.as_fraction_approx()
-        if not self.field.irreducible_verified and (self - cand).is_zero():
-            return cand
-        raise ValueError("element is not rational")
+        if r is None:
+            raise ValueError("element is not rational")
+        return Fraction(*r)
 
     def _rational_form(self) -> tuple[int, int] | None:
-        """(p, q) in lowest terms, q > 0, if the representation is rational
-        (no theta terms, or a rational theta); None otherwise."""
+        """(p, q) in lowest terms, q > 0, if the element has no theta terms;
+        None otherwise."""
         if not any(self.nums[1:]):
             return self.nums[0], self.den
-        if self.field.rational_theta is not None:
-            v = self.as_fraction_approx()
-            return v.numerator, v.denominator
         return None
 
     def _scaled(self, prec: int, weight: int) -> tuple[int, int, int]:
@@ -722,10 +667,7 @@ class AlgebraicReal:
                 return 1
             if hi < 0:
                 return -1
-            # the enclosure straddles 0, as that of an exact zero does at
-            # every precision: the zero test runs once, at the first
-            if prec == 32 and self.is_zero():
-                return 0
+            # an element of irrational form is not 0, so refinement ends
             prec *= 2
 
     def floor(self) -> int:
@@ -760,14 +702,8 @@ class AlgebraicReal:
             flo, fhi = lo // scale, hi // scale
             if flo == fhi:
                 return flo
-            # the enclosure straddles integers; an exact boundary must be
-            # tested (x - k is never zero in a verified field, as x is not
-            # rational there)
-            if not self.field.irreducible_verified:
-                shift = Fraction(1, 2) if half else 0
-                for k in range(flo + 1, fhi + 1):
-                    if (self - (k - shift)).is_zero():
-                        return k
+            # x is irrational, so neither an integer nor a half-integer, and
+            # refinement ends
             prec *= 2
 
     def frac_signed(self) -> "AlgebraicReal":

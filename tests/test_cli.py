@@ -77,6 +77,32 @@ class TestConfig:
                                    capsys)
             assert code == 2 and "ConfigError" in err
 
+    @pytest.mark.parametrize("name, lemma", [("alpha", "3.1"), ("bohr_alpha", "4.4")])
+    def test_a_rational_constant_is_refused_in_either_spelling(self, name, lemma,
+                                                               tmp_path, capsys):
+        # a degree-1 `algebraic` is a rational too
+        default = next(line for line in DEFAULT_CONFIG_TEXT.splitlines()
+                       if line.startswith(f"{name} ="))
+        errs = []
+        for spelling in ('rational "3/2"',
+                         'algebraic { minpoly = [-3, 2], interval = ["1", "2"] }'):
+            cfg = tmp_path / "session.cfg"
+            cfg.write_text(DEFAULT_CONFIG_TEXT.replace(default, f"{name} = {spelling}"))
+            code, out, err = run_cli(["--config", str(cfg), "verify", lemma], capsys)
+            assert code == 2 and out == ""
+            errs.append(err)
+        assert errs == [f"error: ConfigError: {name} must be algebraic (got rational 3/2)\n"] * 2
+
+    def test_a_quintic_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text('alpha = algebraic { minpoly = [-1, -1, 0, 0, 0, 1], '
+                       'interval = ["1", "2"] }\nbeta = rational "1"\n')
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(["--config", str(cfg), "--out", str(report),
+                                  "verify", "3.1"], capsys)
+        assert code == 2 and out == "" and not report.exists()
+        assert "error: ValueError: minimal polynomial has degree 5" in err
+
     def test_caps_flow_into_profiles(self):
         cfg = parse_config("m_cap = 777\nbohr_N_cap = 5\n")
         assert cfg.bound_profile().m_cap == 777

