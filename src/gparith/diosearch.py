@@ -142,7 +142,42 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-_FIRST_WINDOW = 256  # the scan reads n2 in windows this wide, growing fourfold
+_FIRST_WINDOW = 256  # the scans read n2 in windows this wide, growing fourfold
+
+
+def _d2(T: np.ndarray, x: int, n0: int, n1: int) -> int:
+    """g(x+n0+n1) - g(x+n0) - g(x+n1) + g(x) in Python ints from the exact
+    `table` T: a witness n2 = x has _d2(T, x, n0, n1) == _d2(T, 0, n0, n1)."""
+    return T.item(x + n0 + n1) - T.item(x + n0) - T.item(x + n1) + T.item(x)
+
+
+def _residue_hits(Hx: np.ndarray, Hxd: np.ndarray, t16, out=None) -> np.ndarray:
+    """The residue filter: Hxd - Hx == t16 in int16, where Hx holds H(x) and
+    Hxd holds H(x + d) for a first difference H of g in int16.  Every witness
+    passes it, and so does any x whose second difference differs from the
+    target by a multiple of 2**16.  `out` is an optional (int16, bool) pair
+    of buffers shaped like Hx."""
+    if out is None:
+        return Hxd - Hx == t16
+    diff, hits = out
+    return np.equal(np.subtract(Hxd, Hx, out=diff), t16, out=hits)
+
+
+def _first_witness(Hx: np.ndarray, Hxd: np.ndarray, t16, x0: int, n0: int, n1: int,
+                   target: int, T: np.ndarray, out=None) -> int | None:
+    """Least x = x0 + j passing `_residue_hits` at j whose second difference
+    at (n0, n1, x) is exactly `target`, re-checked by `_d2`; None if none.
+    The hits are taken one `argmax` at a time, which stops at each."""
+    hits = _residue_hits(Hx, Hxd, t16, out)
+    j = 0
+    while j < len(hits):
+        j += int(hits[j:].argmax())
+        if not hits[j]:
+            break
+        if _d2(T, x0 + j, n0, n1) == target:
+            return x0 + j
+        j += 1
+    return None
 
 
 def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
@@ -150,16 +185,15 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     """Least n2 in [lo, hi] with the second symmetric derivative of g
     vanishing at (n0, n1, n2); None if there is none (certified).
 
-    The one second-difference scan: with H(x) = g(x+n1) - g(x) in int16 over
-    the handle's `residues`, D2 g = H(n2+n0) - H(n2) - target mod 2**16 misses
-    no witness, and each hit is re-checked in Python ints from the exact
-    `table` (10 bytes per n up to hi + n0 + n1).  It starts at g(0), so a
-    negative n0, n1 or lo is refused (no caller passes one; `g_range` would serve it).
+    With H(x) = g(x+n1) - g(x) in int16 over the handle's `residues`, D2 g =
+    H(n2+n0) - H(n2) - target mod 2**16 misses no witness, and each hit is
+    re-checked in Python ints from the exact `table` (10 bytes per n up to
+    hi + n0 + n1).  It starts at g(0), so a negative n0, n1 or lo is refused
+    (no caller passes one; `g_range` would serve it).
     """
     if min(n0, n1, lo) < 0:
         raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
-    T = g.table(n0 + n1)
-    target = int(T[n0 + n1]) - int(T[n0]) - int(T[n1]) + int(T[0])
+    target = _d2(g.table(n0 + n1), 0, n0, n1)
     t16 = (target + 2**15) % 2**16 - 2**15
     a, width = lo, _FIRST_WINDOW
     while a <= hi:
@@ -167,11 +201,62 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
         end = a + k - 1 + n0 + n1
         R, T = g.residues(end), g.table(end)
         H = R[a + n1:a + n1 + k + n0] - R[a:a + k + n0]  # H[j] = g(a+j+n1) - g(a+j)
-        for x in (a + (H[n0:] - H[:k] == t16).nonzero()[0]).tolist():
-            if int(T[x + n0 + n1]) - int(T[x + n0]) - int(T[x + n1]) + int(T[x]) == target:
-                return x
+        x = _first_witness(H[:k], H[n0:], t16, a, n0, n1, target, T)
+        if x is not None:
+            return x
         a, width = a + k, 4 * width
     return None
+
+
+def lemma32_columns(N_max: int, m_max: int, C: int, width: int,
+                    g: SequenceHandle) -> np.ndarray:
+    """psi[n-1, m] for 1 <= n <= N_max and 0 <= m <= m_max: every n' <= n has
+    some n2 in [C*m, C*m + width] with the second symmetric derivative of g
+    vanishing at (n', m, n2).  That is the conjunction over n' of
+    `lemma32_scan(n', m, C*m, C*m + width, g) is not None`; column 0 is False.
+
+    The scan runs in lock-step over n, on the columns still True.  Row n
+    takes one int16 first difference H(x) = g(x+n) - g(x) from `residues`,
+    so D2 g(n, m, x) = H(x+m) - H(x) mod 2**16.  The least residue hit among
+    the first _FIRST_WINDOW n2 of each live column is re-checked exactly, in
+    one gather per BLOCK // _FIRST_WINDOW columns.  Only a column with no
+    exact hit there is read in full, from C*m, into buffers allocated once;
+    its hits are re-checked in order.  No column is ruled out without a
+    read, so each False entry is a certified absence.
+    """
+    if min(C, width) < 0:
+        raise ValueError("lemma32_columns reads g from 0: C and width must be >= 0")
+    psi = np.zeros((N_max, m_max + 1), dtype=bool)
+    fw = min(_FIRST_WINDOW, width + 1)
+    L = (C + 1) * m_max + width + 1  # H(x) for x <= C*m + width + m
+    R, T = g.residues(L - 1 + N_max), g.table(L - 1 + N_max)
+    H = np.empty(L, dtype=np.int16)
+    V = np.lib.stride_tricks.sliding_window_view(H, fw)  # V[x] = H[x:x + fw]
+    cols = BLOCK // fw
+    full = (np.empty(width + 1, dtype=np.int16), np.empty(width + 1, dtype=bool))
+    live = np.arange(1, m_max + 1)
+    for n in range(1, N_max + 1):
+        if not len(live):
+            break
+        np.subtract(R[n:n + L], R[:L], out=H)
+        t16 = H[live] - H[0]  # D2 g(n, m, 0), the target mod 2**16
+        found = np.zeros(len(live), dtype=bool)
+        for s in range(0, len(live), cols):
+            ms = live[s:s + cols]
+            k = len(ms)
+            hits = _residue_hits(V[C * ms], V[(C + 1) * ms], t16[s:s + k, None])
+            j = hits.argmax(axis=1)
+            for i in np.flatnonzero(hits[np.arange(k), j]).tolist():
+                m = int(ms[i])
+                found[s + i] = _d2(T, C * m + int(j[i]), n, m) == _d2(T, 0, n, m)
+        for i in np.flatnonzero(~found).tolist():
+            m = int(live[i])
+            a = C * m
+            found[i] = _first_witness(H[a:a + width + 1], H[a + m:a + m + width + 1],
+                                      t16[i], a, n, m, _d2(T, 0, n, m), T, full) is not None
+        live = live[found]
+        psi[n - 1, live] = True
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .diosearch import (
     find_progression_base,
     find_small_norm,
     find_weyl_witness,
+    lemma32_columns,
     lemma32_scan,
     weyl_witnesses,
 )
@@ -377,15 +378,9 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 
 def _psi_table(g: SequenceHandle, C: int, N_max: int, m_max: int) -> np.ndarray:
     """psi[n-1, m] = AND over n' <= n of mu(n', m), where mu(n, m) holds when
-    `lemma32_scan` finds some n2 in [C*m, C*m + _EXTEND_CAP] with the second
-    symmetric derivative of g vanishing at (n, m, n2).  Column 0 is False."""
-    psi = np.zeros((N_max, m_max + 1), dtype=bool)
-    for m in range(1, m_max + 1):
-        for n in range(1, N_max + 1):
-            if lemma32_scan(n, m, C * m, C * m + _EXTEND_CAP, g) is None:
-                break  # no later n can make psi True in this column
-            psi[n - 1, m] = True
-    return psi
+    some n2 in [C*m, C*m + _EXTEND_CAP] has the second symmetric derivative
+    of g vanishing at (n, m, n2): `lemma32_columns`.  Column 0 is False."""
+    return lemma32_columns(N_max, m_max, C, _EXTEND_CAP, g)
 
 
 def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,

@@ -4,15 +4,18 @@
 `harness._psi_table`, `harness.verify_lemma37_range`, the sliced push-forward
 histogram and the exact orbit histogram of `equidist_check` and
 `focheck.ell` are each compared with a direct, element-by-element reading
-of what they compute.  `_psi_table` is
-the conjunction of `diosearch.lemma32_scan` over n, read here through the
-real sequence and through a stub handle over a random or planted array; it
-is also compared with `def_psi`, the formula evaluator of the same psi. The
+of what they compute.  `_psi_table`, the lock-step column scan
+`diosearch.lemma32_columns`, is compared with the literal windowed search
+through the real sequence and through a stub handle over a random or
+planted array, with the conjunction of `diosearch.lemma32_scan` over n at
+the plastic number, and with `def_psi`, the formula evaluator of the same
+psi; its memory is measured not to grow with the number of columns. The
 mu sets and the lambda and kappa tables are also read through one world
 answering a sequence of smaller and larger queries, the last two from their
 caches.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
 from gparith.bohr import BohrBounds, BohrParams, BohrWorld
-from gparith.diosearch import _FIRST_WINDOW, _edge_counts, continued_fraction, equidist_check
+from gparith.diosearch import (
+    _FIRST_WINDOW,
+    _edge_counts,
+    continued_fraction,
+    equidist_check,
+    lemma32_scan,
+)
 from gparith.exactnum import circle_norm, field_create, floor_exact
 from gparith.focheck import AlphaContext, BoundProfile, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
@@ -215,6 +224,48 @@ class TestPsiTable:
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
 
+@pytest.mark.parametrize("N_max", [30, 180])
+def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
+    # at the plastic number least witnesses lie up to 9 past C*m, not 3 as
+    # at the cube root of 2.  Columns 117 and 194 hold through n = 173 and
+    # no other column of m <= 200 lasts as long, so at N_max = 180 the live
+    # set empties before the last row
+    C, m_max = 2, 200
+    K = field_create([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3)))
+    g = AlphaContext(K.theta, 1).g
+    want = np.zeros((N_max, m_max + 1), dtype=bool)
+    offsets = set()
+    for m in range(1, m_max + 1):
+        for n in range(1, N_max + 1):
+            w = lemma32_scan(n, m, C * m, C * m + _EXTEND_CAP, g)
+            if w is None:
+                break
+            want[n - 1, m] = True
+            offsets.add(w - C * m)
+    assert np.array_equal(_psi_table(g, C, N_max, m_max), want)
+    assert max(offsets) > 3
+    if N_max == 30:
+        assert want[:, [40, 77, 117, 157, 194]].all()
+    else:
+        assert want[172, [117, 194]].all() and not want[173:].any()
+
+
+def test_psi_table_memory_does_not_grow_with_m_max(ctx):
+    # after the table has grown, the scan holds one row of first differences
+    # and its read buffers, a few hundred KiB, whatever the number of columns
+    C, N_max = 2, 30
+    peaks = []
+    for m_max in (500, 2000):
+        ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)
+        tracemalloc.start()
+        try:
+            _psi_table(ctx.g, C, N_max, m_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
+
+
 def test_psi_table_matches_the_formula(ctx):
     # the two evaluators of psi: the table of `verify 3.3` and `def_psi`,
     # eval_formula on psi_formula with n2 up to the table's extend cap.  No
@@ -231,7 +282,7 @@ def test_psi_table_matches_the_formula(ctx):
 
 class TestPsiTableResidueFilter:
     """psi against the Python-int form of _mu_table (G as an object array),
-    on values that the int16 residue filter of lemma32_scan wraps."""
+    on values that the int16 residue filter of the scans wraps."""
 
     C, N_max, m_max = 2, 3, 3
 
@@ -290,6 +341,31 @@ class TestPsiTableResidueFilter:
         # without the excess the same n2 is a witness
         self.plant(G, 1, 2, 300)
         assert _psi_table(_Array(G), self.C, self.N_max, self.m_max)[0, 2]
+
+    def first_window_hits(self, G, n, m):
+        """The n2 among the first _FIRST_WINDOW from C*m whose d2 matches
+        target(n, m) mod 2**16: those the residue filter passes."""
+        t, lo = self.target(G, n, m), self.C * m
+        return [x for x in range(lo, lo + _FIRST_WINDOW)
+                if (int(G[x + n + m]) - int(G[x + n]) - int(G[x + m]) + int(G[x]) - t) % 2**16 == 0]
+
+    @pytest.mark.parametrize("witness", [100, 5000, None])
+    def test_a_collision_first_in_the_first_window(self, witness):
+        # the least filter hit of the first window is a collision (excess
+        # 2**16); a true witness lies later in that window, past it, or
+        # nowhere.  At offset 100 the full read must start at C*m, not at
+        # the end of the window, or the witness is missed
+        G = self.wide_G(4)
+        n, m = 1, 2
+        p = self.plant(G, n, m, 5, excess=2**16)
+        if witness is not None:
+            self.plant(G, n, m, witness)
+        hits = self.first_window_hits(G, n, m)
+        assert hits[0] == p
+        assert (witness is not None and self.C * m + witness in hits) == (witness == 100)
+        psi, mu, late = self.exact_psi(G)
+        assert mu[0, m] == (witness is not None) and late[0, m] == (witness == 5000)
+        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
 
     def test_an_int64_wrap_is_no_witness(self):
         # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target
