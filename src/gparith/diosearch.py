@@ -142,7 +142,7 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-_FIRST_WINDOW = 256  # the scans read n2 in windows this wide, growing fourfold
+_FIRST_WINDOW = 256  # the first window of n2; lemma32_scan then grows it fourfold
 
 
 def _d2(T: np.ndarray, x: int, n0: int, n1: int) -> int:
