@@ -142,7 +142,7 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-_FIRST_WINDOW = 256  # the first window of n2; lemma32_scan then grows it fourfold
+_FIRST_WINDOW = 256  # the first window of n2; a scan then reads the rest of its range at once
 
 
 def _d2(T: np.ndarray, x: int, n0: int, n1: int) -> int:
@@ -188,8 +188,12 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     With H(x) = g(x+n1) - g(x) in int16 over the handle's `residues`, D2 g =
     H(n2+n0) - H(n2) - target mod 2**16 misses no witness, and each hit is
     re-checked in Python ints from the exact `table` (10 bytes per n up to
-    hi + n0 + n1).  It starts at g(0), so a negative n0, n1 or lo is refused
-    (no caller passes one; `g_range` would serve it).
+    hi + n0 + n1).  It reads the first _FIRST_WINDOW n2, then the rest of
+    [lo, hi]: a positive `verify 3.2` pair whose least witness lies past the
+    first window reads up to `wit_cap` (every least witness measured at its
+    defaults, under the cube roots of 2 and 3 and the plastic number, lies
+    within 22 of lo).  It starts at g(0), so a negative n0, n1 or lo is
+    refused (no caller passes one; `g_range` would serve it).
     """
     if min(n0, n1, lo) < 0:
         raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
@@ -204,7 +208,8 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
         x = _first_witness(H[:k], H[n0:], t16, a, n0, n1, target, T)
         if x is not None:
             return x
-        a, width = a + k, 4 * width
+        a += k
+        width = hi + 1 - a
     return None
 
 
@@ -413,32 +418,6 @@ class EquidistReport:
     theta_float: float
 
 
-def _element_degree_at_least_3(x: AlgebraicReal) -> bool:
-    """True when 1, x, x^2 are linearly independent over Q."""
-    d = x.field.degree
-    vecs = [x.field.one.coeffs, x.coeffs, (x * x).coeffs]
-    # Gaussian elimination over Q on a 3 x d matrix
-    rows = [list(v) for v in vecs]
-    rank = 0
-    for col in range(d):
-        piv = None
-        for r in range(rank, 3):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(3):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == 3:
-            return True
-    return False
-
-
 def _edge_counts(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """np.searchsorted(edges, p, side="right") for finite p and the edges
     np.linspace(-1/2, 1/2, grid + 1), with p == 1/2 moved into the last bin
@@ -457,7 +436,8 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
                    N: int, M: int, grid: int,
                    seed: int = DEFAULT_SEED) -> EquidistReport:
     """Compare the orbit histogram of (frac(alpha n), frac(alpha nint(theta n)))
-    with the push-forward of the uniform measure through the transfer map.
+    with the push-forward of the uniform measure through the transfer map;
+    alpha generates its field, of degree >= 3, and theta `NumberField.mobius`.
 
     The orbit bins and the origin cell count are exact (`FastConst.bins`
     and `within`); the push-forward samples are Monte Carlo floats, binned
@@ -466,11 +446,12 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
         raise PreconditionViolated("d must be nonzero")
     if min(N, M, grid) < 1:
         raise PreconditionViolated("N, M and grid must be at least 1")
-    if not _element_degree_at_least_3(alpha):
-        raise PreconditionViolated("1, alpha, alpha^2 must be linearly independent")
-    theta = (a + alpha * b) / (c + alpha * d)
-    if theta.is_rational():
+    field = alpha.field
+    if field.degree < 3 or alpha != field.theta:
+        raise PreconditionViolated("alpha must be the generator of a field of degree >= 3")
+    if a * d == b * c:
         raise ThetaRational(f"theta = ({a}+{b}a)/({c}+{d}a) is rational")
+    theta = field.mobius(a, b, c, d).theta
 
     fc_theta = FastConst(theta)
     fc_alpha = FastConst(alpha)

@@ -5,10 +5,6 @@ class GparithError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotSquarefree(GparithError):
-    """Minimal polynomial shares a factor with its derivative."""
-
-
 class NoRootInInterval(GparithError):
     """Isolating interval contains no root of the minimal polynomial."""
 

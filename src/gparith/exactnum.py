@@ -9,9 +9,11 @@ minimal polynomial is proven irreducible, which is why its degree is at most
 theta term is irrational.  Sums, differences and products run in integers;
 the product reduces x^d, ..., x^(2d-2) with one integer table over one
 common denominator, so a non-monic minimal polynomial needs no Fractions
-either.  Sign, floor, nearest integer, signed fractional part and circle
-norm are all decided exactly by refining the isolating interval with
-certified interval arithmetic, and refinement alone ends each decision.
+either.  There is no field division: a quotient (a + b theta)/(c + d theta)
+is the theta of a field of its own, `NumberField.mobius`.  Sign, floor,
+nearest integer, signed fractional part and circle norm are all decided
+exactly by refining the isolating interval with certified interval
+arithmetic, and refinement alone ends each decision.
 
 Decisions run in integers.  The field caches the enclosures of theta^i once
 per precision as integer numerators over one common denominator; an element
@@ -31,7 +33,6 @@ from .errors import (
     FieldMismatch,
     MultipleRootsInInterval,
     NoRootInInterval,
-    NotSquarefree,
     ReducibleMinpoly,
 )
 
@@ -79,56 +80,6 @@ def poly_divmod(a, b):
             a[shift + i] -= factor * c
         a.pop()
     return _trim(q), _trim(a)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over Q."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-def poly_ext_gcd(a, b):
-    """Return (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = tuple(c / lead for c in r0)
-        s0 = tuple(c / lead for c in s0)
-        t0 = tuple(c / lead for c in t0)
-    return r0, s0, t0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
 
 
 def sturm_chain(p):
@@ -275,9 +226,7 @@ class NumberField:
         self.minpoly = tuple(Fraction(c) for c in minpoly)
         self.degree = len(minpoly) - 1
 
-        if poly_degree(poly_gcd(self.minpoly, poly_derivative(self.minpoly))) > 0:
-            raise NotSquarefree(f"minimal polynomial {list(minpoly)} is not squarefree")
-        _check_irreducible(minpoly)
+        _check_irreducible(minpoly)  # so squarefree, as the Sturm count needs
 
         self.rational_theta: Fraction | None = None
         self._given = self._interval = (lo, hi)
@@ -429,6 +378,26 @@ class NumberField:
     def one(self) -> "AlgebraicReal":
         return self.from_rational(1)
 
+    def mobius(self, a: int, b: int, c: int, d: int) -> "NumberField":
+        """The field whose theta is y = (a + b*theta)/(c + d*theta), ad != bc.
+
+        Up to content its minimal polynomial is (d*y - b)^deg * P((a - c*y)/(d*y - b)),
+        as a Mobius map keeps degree and irreducibility; off the pole -c/d it is
+        monotone, so it carries an isolating interval onto one."""
+        q = [0] * (self.degree + 1)
+        for i, p in enumerate(self.minpoly_int):
+            term = [p]  # times (a - c*y)^i * (d*y - b)^(deg - i), low degree first
+            for u, v in [(a, -c)] * i + [(-b, d)] * (self.degree - i):
+                term = [u * s + v * t for s, t in zip(term + [0], [0] + term)]
+            q = [x + t for x, t in zip(q, term)]
+        if a * d == b * c or q[-1] == 0:  # a constant map, or a pole at a rational theta
+            raise ValueError(f"({a} + {b}theta)/({c} + {d}theta) is constant or undefined")
+        lo, hi = self._interval
+        while d and lo <= Fraction(-c, d) <= hi:
+            lo, hi = self.refine((hi - lo) / 2)
+        ends = sorted((a + b * x) / (c + d * x) for x in (lo, hi))
+        return NumberField(_primitive([-x for x in q] if q[-1] < 0 else q), ends)
+
     def __repr__(self) -> str:
         return f"NumberField({list(self.minpoly_int)}, {self._interval})"
 
@@ -561,24 +530,9 @@ class AlgebraicReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational divisor needs no field inverse
-            return self * (1 / Fraction(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self._inverse()
-
     def __pow__(self, n: int):
         if n < 0:
-            return (self**(-n))._inverse()
+            raise ValueError("negative powers need a field inverse, which the core omits")
         out = self.field.one
         base = self
         while n:
@@ -587,12 +541,6 @@ class AlgebraicReal:
             base = base * base
             n >>= 1
         return out
-
-    def _inverse(self) -> "AlgebraicReal":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        _, u, _ = poly_ext_gcd(_trim(self.coeffs), self.field.minpoly)
-        return self.field.element(u)
 
     # -- decision procedures ----------------------------------------------------
 

@@ -496,7 +496,7 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
         nrm = abs(ctx.frac_exact(n))
         # rational eps below all three margins
         eps = min(half / t, *(b.enclosure(24)[0]
-                              for b in (half - t * nrm, (half - nrm) / t))) / 2
+                              for b in (half - t * nrm, (half - nrm) * Fraction(1, t)))) / 2
         if eps <= 0:
             continue
         m = next(filter(norm_below(eps), qs), None)
@@ -699,8 +699,8 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     res = HarnessResult("4.1")
     alpha = world.params.alpha
     delta = world.delta_threshold(N)
-    thr1 = delta / (10 * N)
-    thr2 = delta / 10
+    thr1 = delta * Fraction(1, 10 * N)
+    thr2 = delta * Fraction(1, 10)
 
     premise = list(weyl_witnesses([("2*alpha*n", (-thr1, thr1)), ("alpha*n*n", (-thr2, thr2))],
                                   1, m_max + 1, {"alpha": alpha}))

@@ -28,13 +28,13 @@ from gparith.errors import (
 )
 from gparith.exactnum import AlgebraicReal, circle_norm, field_create
 from gparith.genpoly import SequenceHandle, delta_sym_iter
-from test_exactnum import FUZZ_FIELDS
+from test_exactnum import FUZZ_FIELDS, _ref_inverse
 
 mp.mp.dps = 50
 
 
 def continued_fraction_reference(x: AlgebraicReal, k: int) -> CFExpansion:
-    """First k partial quotients via exact floor and field reciprocal.
+    """First k partial quotients via exact floor and the reference inverse.
 
     Rational inputs yield a terminating expansion with the flag set.
     """
@@ -48,7 +48,7 @@ def continued_fraction_reference(x: AlgebraicReal, k: int) -> CFExpansion:
         rem = cur - a
         if rem.is_zero():
             return CFExpansion(quotients, terminated=True)
-        cur = 1 / rem
+        cur = _ref_inverse(rem)
     return CFExpansion(quotients, terminated=False)
 
 
@@ -256,8 +256,8 @@ class _Table(SequenceHandle):
                                      + v(n0 + n2) + v(n1 + n2) - v(n2) + excess)
 
 
-# a scan from lo reads the windows [lo, lo + 256), [lo + 256, lo + 1280),
-# [lo + 1280, lo + 5376), ...: the first index of each after the first
+# a scan from lo reads [lo, lo + 256) and then the rest of its range in one
+# read: the first edge starts that read, and the later two lie inside it
 _EDGES = (_FIRST_WINDOW, 5 * _FIRST_WINDOW, 21 * _FIRST_WINDOW)
 
 
@@ -288,7 +288,7 @@ class TestLemma32ScanBlocks:
                  (p1 + 1, p2), (p1 + 1, p2 - 1), (p2 + 1, p3), (p2 + 1, p3 - 1)]
         for a, b in cases:
             assert lemma32_scan(n0, n1, a, b, g) == _least_witness(g, n0, n1, a, b)
-        # from lo + 1 each plant is the last index of a window
+        # from lo + 1, p1 is the last index of the first window
         assert lemma32_scan(n0, n1, lo + 1, p3 + 9, g) == p1
         assert lemma32_scan(n0, n1, p1 + 1, p3 + 9, g) == p2
         assert lemma32_scan(n0, n1, p2 + 1, p3, g) == p3
@@ -495,3 +495,9 @@ class TestEquidist:
     def test_quadratic_alpha_rejected(self, sqrt2):
         with pytest.raises(PreconditionViolated):
             equidist_check(sqrt2, 1, 2, 3, 1, N=100, M=100, grid=4)
+
+    def test_alpha_not_its_fields_generator_rejected(self, alpha):
+        # each has degree 3, but theta is built over the generator only
+        for other in (alpha + 1, alpha**2):
+            with pytest.raises(PreconditionViolated):
+                equidist_check(other, 1, 2, 3, 1, N=100, M=100, grid=4)

@@ -26,6 +26,7 @@ from gparith.errors import PreconditionViolated
 from gparith.exactnum import AlgebraicReal, circle_norm, field_create, floor_exact, sign
 from gparith.focheck import ell
 from gparith.harness import _max_norm
+from test_exactnum import _ref_inverse
 
 INT64_MAX = (1 << 63) - 1
 
@@ -316,8 +317,8 @@ def test_entries_at_the_wrap_are_decided_exactly():
 
 
 def _exact_half_inverse_norm(lane, k, cap):
-    """min(cap, floor(1/(2*norm(const*k)))), through the field inverse."""
-    return min(cap, floor_exact(1 / (2 * circle_norm(lane.value * k))))
+    """min(cap, floor(1/(2*norm(const*k)))), through the reference inverse."""
+    return min(cap, floor_exact(_ref_inverse(2 * circle_norm(lane.value * k))))
 
 
 @pytest.mark.parametrize("name", ["cbrt2", "sqrt2"])

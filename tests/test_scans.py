@@ -35,6 +35,7 @@ from gparith.exactnum import circle_norm, field_create, floor_exact
 from gparith.focheck import AlphaContext, BoundProfile, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
 from gparith.harness import _EXTEND_CAP, _psi_table, verify_lemma37_range
+from test_exactnum import _ref_inverse
 
 
 def _mu_set_literal(world, x_max, N):
@@ -415,7 +416,7 @@ def test_push_hist_slices_match_one_shot(alpha, d, M):
     x = rng.random(size=M) - 0.5
     y = rng.random(size=M) - 0.5
     af = FastConst(alpha).f64
-    tf = FastConst((a + alpha * b) / (c + alpha * d)).f64
+    tf = FastConst(alpha.field.mobius(a, b, c, d).theta).f64
 
     def fs(z):
         return z - np.floor(z + 0.5)
@@ -431,13 +432,20 @@ def test_push_hist_slices_match_one_shot(alpha, d, M):
 @pytest.mark.parametrize("grid", [6, 20])
 def test_orbit_bins_are_exact(alpha, grid):
     a, b, c, d, N = 1, 2, 3, 1, 400
-    theta = (a + alpha * b) / (c + alpha * d)
+    theta = alpha.field.mobius(a, b, c, d).theta
+    num, den = a + alpha * b, c + alpha * d
+    s = den.sign()
     eps = Fraction(1, 20)
     want = np.zeros((grid, grid), dtype=np.int64)
     origin = 0
     for n in range(1, N + 1):
+        q = (theta * n).nint()
+        # q = nint(n * num / den): (2q - 1) den <= 2n num < (2q + 1) den, in
+        # alpha's field, with both sides times the sign of den
+        assert s * (2 * n * num - (2 * q - 1) * den) >= 0
+        assert s * ((2 * q + 1) * den - 2 * n * num) > 0
         x = (alpha * n).frac_signed()
-        y = (alpha * (theta * n).nint()).frac_signed()
+        y = (alpha * q).frac_signed()
         want[floor_exact((x + Fraction(1, 2)) * grid),
              floor_exact((y + Fraction(1, 2)) * grid)] += 1
         origin += circle_norm(x) <= eps and circle_norm(y) <= eps
@@ -471,7 +479,7 @@ def test_ell_matches_inverse_definition(data):
         q for _, q in continued_fraction(alpha, 12).convergents() if q <= 10**9]
     for k in ks:
         nrm = (alpha * k).circle_norm()
-        assert ell(k, alpha) == k * (1 / (2 * nrm)).floor()
+        assert ell(k, alpha) == k * _ref_inverse(2 * nrm).floor()
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -482,7 +490,7 @@ def test_ell_near_integer_reciprocal(alpha, sign):
     tiny = Fraction(sign, 1 << 80) * alpha
     for q in range(3, 130):
         a = Fraction(1, 2 * q) - tiny
-        assert ell(1, a) == (1 / (2 * a)).floor() == (q if sign > 0 else q - 1)
+        assert ell(1, a) == _ref_inverse(2 * a).floor() == (q if sign > 0 else q - 1)
 
 
 def _lemma37_literal(ctx, m_max, h_factor):
@@ -519,7 +527,7 @@ def test_lemma37_range_matches_each_instance(alpha, case, monkeypatch):
         vec, scalar = QuadSeqFast.g_vec, QuadSeqFast.g_scalar
         monkeypatch.setattr(QuadSeqFast, "g_vec", lambda self, n: vec(self, n) + hit(n))
         monkeypatch.setattr(QuadSeqFast, "g_scalar", lambda self, n: scalar(self, n) + hit(n))
-    ctx = AlphaContext(alpha / 10 if case == "alpha/10" else alpha, 1)  # a fresh memo
+    ctx = AlphaContext(alpha * Fraction(1, 10) if case == "alpha/10" else alpha, 1)  # a fresh memo
     res = verify_lemma37_range(ctx)  # the defaults: m <= 100, h_factor 30
     fails, count = _lemma37_literal(ctx, 100, 30)
     assert [(r["instance"], r["witness"]) for r in res.records[:-1]] == fails
