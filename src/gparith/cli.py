@@ -99,10 +99,9 @@ _CONFIG_VALUES = {
     "ctx": lambda cfg: AlphaContext(_alpha(cfg), beta_for_lane(cfg.constant("beta"))),
     "world": lambda cfg: BohrWorld(
         BohrParams(as_algebraic(cfg.constant("bohr_alpha"), "bohr_alpha"),
-                   cfg.constant("rho")), cfg.bohr_bounds()),
+                   cfg.constant("rho"))),
     "seed": lambda cfg: cfg.seed,
     "C": lambda cfg: cfg.C,
-    "bounds": lambda cfg: cfg.bound_profile(),
 }
 
 
@@ -122,6 +121,8 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_search(args, cfg) -> int:
+    if args.what == "weyl" and not args.target:
+        raise ValueError("search weyl needs at least one --target")
     alpha = as_algebraic(cfg.constant(args.const), args.const)
     with _report_out(args) as out:
         try:
@@ -210,8 +211,7 @@ def cmd_formula(args, cfg) -> int:
         Q = import_csv(args.q_csv)
         relations["Q"] = lambda m, a, b, c: Q.contains(m, a, b, c)
     valuation = dict(args.bind)
-    value = eval_formula(phi, valuation, Structure(sequences, relations),
-                         cfg.bound_profile())
+    value = eval_formula(phi, valuation, Structure(sequences, relations))
     with _report_out(args) as out:
         out.write(json.dumps({"formula": pretty_formula(phi),
                               "valuation": valuation,
@@ -270,7 +270,7 @@ VERIFY = {
     "3.3": ("verify_lemma33", ("ctx", "C"), {"--n-max": "N_max", "--m-max": "m_max"}),
     "3.4": ("verify_lemma34", ("alpha", "seed"),
             {"--orbit": "N", "--samples": "M", "--grid": "grid", "--tolerance": "tol"}),
-    "3.5/3.6": ("verify_lemmas35_36", ("ctx", "bounds", "seed"),
+    "3.5/3.6": ("verify_lemmas35_36", ("ctx", "seed"),
                 {"--n-max": "n_max", "--nprime-max": "nprime_max", "--pairs": "count"}),
     "3.7": ("verify_lemma37_range", ("ctx",),
             {"--m-max": "m_max", "--h-factor": "h_factor"}),
@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quadruples", help="build (and export) or import quadruple sets")
     p.add_argument("action", choices=("build", "import"))
-    p.add_argument("--m-max", type=int, default=1000)
-    p.add_argument("--h-factor", type=int, default=100)
+    p.add_argument("--m-max", type=_positive_int, default=1000)
+    p.add_argument("--h-factor", type=_positive_int, default=100)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_quadruples)
 
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.ints["seed"] = args.seed
+            cfg.seed = args.seed
         if args.out is None and cfg.out:
             args.out = cfg.out
         if args.out and not Path(args.out).parent.is_dir():

@@ -1,5 +1,7 @@
 """Session configuration: line-oriented `key = value` files declaring the
-named constants (rational or algebraic), seeds and caps.
+named constants (rational or algebraic), the seed, the admissibility
+constant C and the report path.  The caps of the harnesses are module
+constants, not config keys.
 
 Constant forms:
     name = rational "p/q"
@@ -13,10 +15,8 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .bohr import BohrBounds
 from .errors import GparithError
 from .exactnum import AlgebraicReal, field_create
-from .focheck import BoundProfile
 
 
 class ConfigError(GparithError):
@@ -28,12 +28,7 @@ _ALGEBRAIC = re.compile(
     r'^algebraic\s*\{\s*minpoly\s*=\s*\[(?P<poly>[-\d,\s]+)\]\s*,\s*'
     r'interval\s*=\s*\[\s*"(?P<lo>-?\d+(?:/\d+)?)"\s*,\s*"(?P<hi>-?\d+(?:/\d+)?)"\s*\]\s*\}$')
 
-_INT_KEYS = {
-    "seed", "C",
-    "M_cap", "H_cap", "m_cap", "max_range",
-    "bohr_N_cap", "bohr_M_cap", "bohr_L_cap", "bohr_h_cap", "bohr_n_cap",
-    "bohr_outer_cap", "bohr_seq_len",
-}
+_INT_KEYS = ("seed", "C")
 
 DEFAULT_CONFIG_TEXT = """\
 alpha = algebraic { minpoly = [-2, 0, 0, 1], interval = ["5/4", "13/10"] }
@@ -48,38 +43,15 @@ C = 2
 @dataclass
 class SessionConfig:
     constants: dict = dc_field(default_factory=dict)
-    ints: dict = dc_field(default_factory=dict)
+    seed: int = 0xC0FFEE
+    C: int = 2
     out: str | None = None
-
-    @property
-    def seed(self) -> int:
-        return self.ints.get("seed", 0xC0FFEE)
-
-    @property
-    def C(self) -> int:
-        return self.ints.get("C", 2)
 
     def constant(self, name: str):
         try:
             return self.constants[name]
         except KeyError:
             raise ConfigError(f"constant {name!r} is not declared") from None
-
-    def bound_profile(self) -> BoundProfile:
-        kw = {}
-        for key in ("M_cap", "H_cap", "m_cap", "max_range"):
-            if key in self.ints:
-                kw[key] = self.ints[key]
-        return BoundProfile(**kw)
-
-    def bohr_bounds(self) -> BohrBounds:
-        kw = {}
-        for key in ("N_cap", "M_cap", "L_cap", "h_cap", "n_cap", "outer_cap",
-                    "seq_len"):
-            cfg_key = f"bohr_{key}"
-            if cfg_key in self.ints:
-                kw[key] = self.ints[cfg_key]
-        return BohrBounds(**kw)
 
 
 def parse_config(text: str) -> SessionConfig:
@@ -94,7 +66,7 @@ def parse_config(text: str) -> SessionConfig:
         key, value = key.strip(), value.strip()
         if key in _INT_KEYS:
             try:
-                cfg.ints[key] = int(value)
+                setattr(cfg, key, int(value))
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} needs an integer") from None
             continue

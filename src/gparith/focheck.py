@@ -24,14 +24,15 @@ bounded "false" is never silently reported as a mathematical one.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import islice
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from ._fastlane import QuadSeqFast, blocks, enclosure
+from .diosearch import weyl_witnesses
 from .errors import (
     ExprSyntaxError,
     PreconditionViolated,
@@ -466,7 +467,7 @@ class AlphaContext:
         self._frac_exact_cache: dict[int, AlgebraicReal] = {}
         self._window_cache: dict[int, tuple[AlgebraicReal, AlgebraicReal]] = {}
         self._window_ends: dict[int, tuple] = {}
-        self._member_cache: dict[int, tuple[list[int], int]] = {}
+        self._member_cache: dict[tuple[int, int], tuple[Iterator[int], list[int]]] = {}
         self._partner_cache: dict[tuple[int, int], tuple] = {}
 
     def frac_exact(self, n: int) -> AlgebraicReal:
@@ -702,20 +703,15 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
 
 
 def _window_members(ctx: AlphaContext, M: int, m_cap: int, count: int) -> list[int]:
-    """First `count` m <= m_cap with frac(alpha m) in window(M), exactly.
-
-    Results are cached per window level, ascending, and extended on demand.
-    """
-    out, scanned = ctx._member_cache.get(M, ([], 0))
-    if len(out) < count and scanned < m_cap:
-        lo, hi = ctx.window(M)
-        for ms in blocks(scanned + 1, m_cap + 1):
-            if len(out) >= count:
-                break
-            out.extend(map(int, ms[ctx.g.const.within(ms, lo, hi)]))
-            scanned = int(ms[-1])
-        ctx._member_cache[M] = (out, scanned)
-    return out[:min(count, bisect_right(out, m_cap))]
+    """First `count` m <= m_cap with frac(alpha m) in window(M), exactly:
+    the `weyl_witnesses` scan of 1..m_cap, cached per (M, m_cap) with the
+    members it has yielded and extended on demand."""
+    if (M, m_cap) not in ctx._member_cache:
+        ctx._member_cache[M, m_cap] = (weyl_witnesses(
+            [("x*n", ctx.window(M))], 1, m_cap + 1, {"x": ctx.alpha}), [])
+    scan, out = ctx._member_cache[M, m_cap]
+    out.extend(islice(scan, max(0, count - len(out))))
+    return out[:count]
 
 
 def _has_partner(n: int, n_prime: int, m: int, ctx: AlphaContext, Mp: int,

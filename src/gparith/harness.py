@@ -37,7 +37,6 @@ from .exactnum import AlgebraicReal
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
-    BoundProfile,
     DEFAULT_BOUNDS,
     def_pi,
     delta_bounded,
@@ -49,7 +48,6 @@ from .focheck import (
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
-    SequenceHandle,
     delta_sym,
     delta_sym_iter,
 )
@@ -73,9 +71,20 @@ from .weakmult import (
     term_to_poly,
 )
 
-# Fixed scales of the harnesses.  Lemma 3.3: mu(n, m) is a Lemma 3.2 scan
-# of n2 in [C*m, C*m + _EXTEND_CAP].
+# Fixed scales of the harnesses.  Lemma 2.2: random polynomials of arity and
+# degree <= 3, coefficients and arguments in [-5, 5], each m in _LEMMA22_MS.
+_ARITY_MAX, _DEG_MAX, _COEFF_MAX, _ARG_MAX = 3, 3, 5, 5
+_LEMMA22_MS = (1, 2, 3)
+_PROP21_M_CAP = 4  # Proposition 2.1 searches m <= 4
+# Lemma 3.2 scans witnesses up to _WIT_CAP and absences up to _NEG_CAP.
+_WIT_CAP, _NEG_CAP = 10**6, 10**5
+# Lemma 3.3: mu(n, m) is a Lemma 3.2 scan of n2 in [C*m, C*m + _EXTEND_CAP].
 _EXTEND_CAP = 200_000
+_ABCD = (1, 2, 3, 1)  # Lemma 3.4: theta = (a + b alpha)/(c + d alpha)
+_LEMMA38_RS = tuple(range(2, 9))  # the progression lengths r of Lemma 3.8
+_Q2_FAMILY = tuple((k, l) for k in range(1, 5) for l in range(1, 5))  # Q2's (k, l)
+# The trend levels N of Lemmas 4.1 and 4.2.
+_LEMMA41_NS = (25, 50, 100, 200)
 _LEMMA42_NS = (6, 10, 14)
 # Lemma 4.3: norm(alpha m^2) < _GOOD_EPS for the converse m; the control
 # scans m <= _BAD_SCAN with norm(alpha m^2) >= _BAD_NORM_FLOOR.
@@ -252,26 +261,24 @@ def _random_poly(rng: random.Random, arity: int, deg: int, coeff: int) -> IntPol
     return IntPolynomial._normalise(arity, entries)
 
 
-def verify_lemma22(count: int = 500, seed: int = DEFAULT_SEED, arity_max: int = 3,
-                   deg_max: int = 3, coeff_max: int = 5, n_max: int = 5,
-                   m_values: tuple = (1, 2, 3)) -> HarnessResult:
+def verify_lemma22(count: int = 500, seed: int = DEFAULT_SEED) -> HarnessResult:
     """Round trip term<->polynomial plus the scaled-evaluation identity
     t_m(m n) = m p(n) under the family domain condition, on random polys."""
     res = HarnessResult("2.2")
     rng = random.Random(seed)
-    Q = SyntheticQSet(m_max=max(m_values), k_max=10**9)
+    Q = SyntheticQSet(m_max=max(_LEMMA22_MS), k_max=10**9)
     rt_bad = contract_bad = checked = 0
     for i in range(count):
-        arity = rng.randrange(1, arity_max + 1)
-        p = _random_poly(rng, arity, deg_max, coeff_max)
+        arity = rng.randrange(1, _ARITY_MAX + 1)
+        p = _random_poly(rng, arity, _DEG_MAX, _COEFF_MAX)
         t = poly_to_term(p)
         if term_to_poly(t, arity) != p:
             rt_bad += 1
             res.add({"i": i, "poly": str(p)}, "fail", witness="roundtrip")
             continue
         fam = family_F(p)
-        for m in m_values:
-            args = [rng.randrange(-n_max, n_max + 1) for _ in range(arity)]
+        for m in _LEMMA22_MS:
+            args = [rng.randrange(-_ARG_MAX, _ARG_MAX + 1) for _ in range(arity)]
             if not family_domain_ok(fam, m, args, Q):
                 continue
             checked += 1
@@ -333,7 +340,6 @@ def verify_lemma31(alpha: AlgebraicReal, beta, samples: int = 10_000,
 
 
 def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
-                   wit_cap: int = 10**6, neg_cap: int = 10**5,
                    seed: int = DEFAULT_SEED) -> HarnessResult:
     """Witnesses exist (and re-verify) for admissible pairs; violating pairs
     have certified-empty scan ranges."""
@@ -353,7 +359,7 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
         cond = (abs(s) - Fraction(1, 2)).sign() < 0
         if cond and pos < n_pairs:
             pos += 1
-            w = lemma32_scan(n0, n1, C * n1, wit_cap, g)
+            w = lemma32_scan(n0, n1, C * n1, _WIT_CAP, g)
             if w is None:
                 res.add({"n0": n0, "n1": n1}, "fail", witness="no-witness")
             else:
@@ -362,12 +368,12 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
                         witness={"n2": w})
         elif not cond and neg < n_pairs:
             neg += 1
-            w = lemma32_scan(n0, n1, C * n1, neg_cap, g)
+            w = lemma32_scan(n0, n1, C * n1, _NEG_CAP, g)
             res.add({"n0": n0, "n1": n1, "violating": True},
                     "pass" if w is None else "fail",
                     witness=None if w is None else {"unexpected_n2": w})
     res.summary = {"positive_pairs": pos, "negative_pairs": neg, "C": C,
-                   "wit_cap": wit_cap, "neg_cap": neg_cap}
+                   "wit_cap": _WIT_CAP, "neg_cap": _NEG_CAP}
     return res
 
 
@@ -376,20 +382,17 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def _psi_table(g: SequenceHandle, C: int, N_max: int, m_max: int) -> np.ndarray:
-    """psi[n-1, m] = AND over n' <= n of mu(n', m), where mu(n, m) holds when
-    some n2 in [C*m, C*m + _EXTEND_CAP] has the second symmetric derivative
-    of g vanishing at (n, m, n2): `lemma32_columns`.  Column 0 is False."""
-    return lemma32_columns(N_max, m_max, C, _EXTEND_CAP, g)
-
-
 def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
                    m_max: int = 10_000) -> HarnessResult:
     """Bounded psi membership equals the exact fractional-part window for
-    every m <= m_max and N <= N_max; window endpoints move monotonically."""
+    every m <= m_max and N <= N_max; window endpoints move monotonically.
+
+    psi[N-1, m] = AND over n <= N of mu(n, m), where mu(n, m) holds when
+    some n2 in [C*m, C*m + _EXTEND_CAP] has the second symmetric derivative
+    of g vanishing at (n, m, n2): `lemma32_columns`.  Column 0 is False."""
     res = HarnessResult("3.3")
     ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)  # one growth for the whole extent
-    psi_tab = _psi_table(ctx.g, C, N_max, m_max)
+    psi_tab = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mismatches = 0
@@ -421,15 +424,15 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma34(alpha: AlgebraicReal, abcd=(1, 2, 3, 1), N: int = 200_000,
-                   M: int = 1_000_000, grid: int = 20, tol: float = 0.02,
+def verify_lemma34(alpha: AlgebraicReal, N: int = 200_000, M: int = 1_000_000,
+                   grid: int = 20, tol: float = 0.02,
                    seed: int = DEFAULT_SEED) -> HarnessResult:
     res = HarnessResult("3.4")
-    a, b, c, d = abcd
+    a, b, c, d = _ABCD
     rep = equidist_check(alpha, a, b, c, d, N=N, M=M, grid=grid, seed=seed)
     sums_ok = (int(rep.orbit_hist.sum()) == N and int(rep.push_hist.sum()) == M)
     ok = rep.discrepancy <= tol and rep.origin_fraction > 0 and sums_ok
-    res.add({"abcd": list(abcd), "N": N, "M": M, "grid": grid},
+    res.add({"abcd": list(_ABCD), "N": N, "M": M, "grid": grid},
             "pass" if ok else "fail",
             witness={"discrepancy": rep.discrepancy,
                      "origin_fraction": rep.origin_fraction,
@@ -445,13 +448,13 @@ def verify_lemma34(alpha: AlgebraicReal, abcd=(1, 2, 3, 1), N: int = 200_000,
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
-                   bounds: BoundProfile = DEFAULT_BOUNDS) -> HarnessResult:
+def verify_lemma36(ctx: AlphaContext, n_max: int = 50,
+                   nprime_max: int = 600) -> HarnessResult:
     res = HarnessResult("3.5/3.6")
     mismatches = capx = 0
     for n in range(1, n_max + 1):
         for npr in range(1, nprime_max + 1):
-            v = delta_bounded(n, npr, ctx, bounds)
+            v = delta_bounded(n, npr, ctx, DEFAULT_BOUNDS)
             char = lemma36_characterisation(n, npr, ctx)
             if v.value is None:
                 capx += 1
@@ -464,7 +467,7 @@ def verify_lemma36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
                                  "detail": v.detail})
     res.add({"n_max": n_max, "nprime_max": nprime_max},
             "pass" if mismatches == 0 else "fail",
-            caps={"H_cap": bounds.H_cap, "M_cap": bounds.M_cap})
+            caps={"H_cap": DEFAULT_BOUNDS.H_cap, "M_cap": DEFAULT_BOUNDS.M_cap})
     res.summary = {"pairs": n_max * nprime_max, "mismatches": mismatches,
                    "cap_exhausted": capx}
     return res
@@ -513,11 +516,10 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
 
 
 def verify_lemmas35_36(ctx: AlphaContext, n_max: int = 50, nprime_max: int = 600,
-                       bounds: BoundProfile = DEFAULT_BOUNDS, count: int = 1000,
-                       seed: int = DEFAULT_SEED) -> HarnessResult:
+                       count: int = 1000, seed: int = DEFAULT_SEED) -> HarnessResult:
     """verify_lemma36 followed by the records of verify_converse34, whose
     summary goes under "converse"."""
-    res = verify_lemma36(ctx, n_max, nprime_max, bounds)
+    res = verify_lemma36(ctx, n_max, nprime_max)
     conv = verify_converse34(ctx, count, seed)
     res.records.extend(conv.records)
     res.violations += conv.violations
@@ -570,8 +572,7 @@ def verify_lemma37_range(ctx: AlphaContext, m_max: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
-                   budget_cap: int = 10**7) -> HarnessResult:
+def verify_lemma38(ctx: AlphaContext, budget_cap: int = 10**7) -> HarnessResult:
     """Progression bases exist for each r, and their progressions are
     admissible with exact quadratic scaling.
 
@@ -581,7 +582,7 @@ def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
     """
     res = HarnessResult("3.8")
     g = ctx.g
-    for r in rs:
+    for r in _LEMMA38_RS:
         try:
             w = find_progression_base(r, ctx.alpha, ctx.beta, budget_cap)
         except NotFoundWithinBudget as exc:
@@ -600,7 +601,7 @@ def verify_lemma38(ctx: AlphaContext, rs=tuple(range(2, 9)),
                          "alpha_norm": _alg_str(w.achieved["alpha_norm"]),
                          "pi": pi_note, "quadratic_scaling": quad_ok},
                 caps={"budget": budget_cap})
-    res.summary = {"rs": list(rs)}
+    res.summary = {"rs": list(_LEMMA38_RS)}
     return res
 
 
@@ -621,9 +622,8 @@ def verify_q1_csv(source: str) -> HarnessResult:
     return res
 
 
-def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000, h_factor: int = 1000,
-                    F=tuple((k, l) for k in range(1, 5) for l in range(1, 5))
-                    ) -> HarnessResult:
+def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000,
+                    h_factor: int = 1000) -> HarnessResult:
     """Q1, Q2 and sign closure on the quadruples built from ctx."""
     res = HarnessResult("Q1/Q2")
     Q = build_Q(ctx, m_max, h_factor)
@@ -632,8 +632,8 @@ def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000, h_factor: int = 1000
     res.add({"check": "Q1", "quadruples": rep.total},
             "pass" if not violations else "fail",
             witness={"violations": violations[:5], "commutes": commutes(Q)})
-    m2 = check_Q2(Q, F)
-    res.add({"check": "Q2", "F": sorted(F)}, "pass" if m2 is not None else "fail",
+    m2 = check_Q2(Q, _Q2_FAMILY)
+    res.add({"check": "Q2", "F": sorted(_Q2_FAMILY)}, "pass" if m2 is not None else "fail",
             witness={"m": m2})
     Qpm = close_pm(Q)
     rep_pm = check_Q1(Qpm)
@@ -651,9 +651,9 @@ def verify_q_axioms(ctx: AlphaContext, m_max: int = 10_000, h_factor: int = 1000
 # ---------------------------------------------------------------------------
 
 
-def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
+def verify_prop21(n_cap: int = 10) -> HarnessResult:
     res = HarnessResult("2.1")
-    Q = SyntheticQSet(m_max=m_cap, k_max=10**9)
+    Q = SyntheticQSet(m_max=_PROP21_M_CAP, k_max=10**9)
     cases = [
         ("x1*x2 - 6", True),
         ("x1*x1 + x2*x2 - x3*x3", True),
@@ -662,12 +662,12 @@ def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
     for text, solvable in cases:
         p = parse_poly(text)
         compiled = compile_solvability(p)
-        w = check_solvability(p, Q, range(1, m_cap + 1), n_cap)
+        w = check_solvability(p, Q, range(1, _PROP21_M_CAP + 1), n_cap)
         if solvable:
             verdict = "pass" if w is not None else "fail"
             witness = None if w is None else {"m": w.m, "n": list(w.n),
                                               "y": list(w.y)}
-            nz = check_solvability(p, Q, range(1, m_cap + 1), n_cap,
+            nz = check_solvability(p, Q, range(1, _PROP21_M_CAP + 1), n_cap,
                                    exclude_zero=True)
             if witness is not None and nz is not None:
                 witness["nonzero_n"] = list(nz.n)
@@ -676,7 +676,7 @@ def verify_prop21(m_cap: int = 4, n_cap: int = 10) -> HarnessResult:
             witness = "not-found-within-bounds" if w is None else \
                 {"unexpected": {"m": w.m, "n": list(w.n)}}
         res.add({"polynomial": text, "sentence": pretty_formula(compiled)[:120]},
-                verdict, witness=witness, caps={"m_cap": m_cap, "n_cap": n_cap})
+                verdict, witness=witness, caps={"m_cap": _PROP21_M_CAP, "n_cap": n_cap})
     res.summary = {"cases": len(cases)}
     return res
 
@@ -692,8 +692,8 @@ def _max_norm(lane: FastConst, ks: np.ndarray):
     return max(-least, greatest)
 
 
-def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
-                   trend_Ns=(25, 50, 100, 200)) -> HarnessResult:
+def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50,
+                   m_max: int = 100_000) -> HarnessResult:
     """Converse direction at the paper's explicit thresholds, plus the
     forward monotone-trend report on exact maxima."""
     res = HarnessResult("4.1")
@@ -719,7 +719,7 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
     prev1 = prev2 = None
     trend_ok = True
     trend = []
-    for Nt in trend_Ns:
+    for Nt in _LEMMA41_NS:
         S = world.mu_true_upto(m_max, Nt)
         if len(S) == 0:
             trend.append({"N": Nt, "count": 0})
@@ -734,7 +734,7 @@ def verify_lemma41(world: bohr_mod.BohrWorld, N: int = 50, m_max: int = 100_000,
                                   or (exact2 - prev2).sign() > 0):
             trend_ok = False
         prev1, prev2 = exact1, exact2
-    res.add({"check": "forward-trend", "Ns": list(trend_Ns)},
+    res.add({"check": "forward-trend", "Ns": list(_LEMMA41_NS)},
             "pass" if trend_ok else "fail", witness=trend)
     res.summary = {"premise_count": len(premise), "violations": bad,
                    "trend": trend}

@@ -79,12 +79,12 @@ def test_criterion_02_lemma31_calibration_beta_third(cbrt2_field):
 
 def test_criterion_03_lemma32_witnesses(ctx):
     t0 = time.monotonic()
-    r = H.verify_lemma32(ctx, C=2, n_pairs=100, wit_cap=10**6, neg_cap=10**5,
-                         seed=SEED)
+    r = H.verify_lemma32(ctx, C=2, n_pairs=100, seed=SEED)
     dt = time.monotonic() - t0
     report(3, "witness existence/absence", r.ok, dt,
            f"{r.summary['positive_pairs']}+{r.summary['negative_pairs']} pairs")
     assert r.ok
+    assert r.summary["wit_cap"] == 10**6 and r.summary["neg_cap"] == 10**5
     assert dt < 300
 
 
@@ -100,13 +100,14 @@ def test_criterion_04_lemma33_window(ctx):
 
 def test_criterion_05_equidistribution(cbrt2_field):
     t0 = time.monotonic()
-    r = H.verify_lemma34(cbrt2_field.theta, abcd=(1, 2, 3, 1), N=200_000,
-                         M=1_000_000, grid=20, tol=0.02, seed=SEED)
+    r = H.verify_lemma34(cbrt2_field.theta, N=200_000, M=1_000_000, grid=20,
+                         tol=0.02, seed=SEED)
     dt = time.monotonic() - t0
     report(5, "orbit equidistribution", r.ok, dt,
            f"discrepancy={r.summary['discrepancy']:.4f} "
            f"origin={r.summary['origin_fraction']:.4f}")
     assert r.ok
+    assert r.records[0]["instance"]["abcd"] == [1, 2, 3, 1]
     assert dt < 120
 
 
@@ -138,11 +139,12 @@ def test_criterion_07_polynomial_progressions(ctx):
 
 def test_criterion_08_progression_bases(ctx):
     t0 = time.monotonic()
-    r = H.verify_lemma38(ctx, rs=tuple(range(2, 9)), budget_cap=10**7)
+    r = H.verify_lemma38(ctx, budget_cap=10**7)
     dt = time.monotonic() - t0
     report(8, "long admissible progressions", r.ok, dt,
            f"rs={r.summary['rs']}")
     assert r.ok
+    assert r.summary["rs"] == list(range(2, 9))
     assert dt < 300
 
 
@@ -158,8 +160,7 @@ def test_criterion_09_q_axioms(ctx):
 
 def test_criterion_10_dilation_identity():
     t0 = time.monotonic()
-    r = H.verify_lemma22(count=500, seed=SEED, arity_max=3, deg_max=3,
-                         coeff_max=5, n_max=5)
+    r = H.verify_lemma22(count=500, seed=SEED)
     dt = time.monotonic() - t0
     report(10, "scaled-evaluation identity", r.ok, dt,
            f"contract-checked={r.summary['contract_checked']}")
@@ -169,10 +170,11 @@ def test_criterion_10_dilation_identity():
 
 def test_criterion_11_reduction_soundness():
     t0 = time.monotonic()
-    r = H.verify_prop21(m_cap=4, n_cap=10)
+    r = H.verify_prop21(n_cap=10)
     dt = time.monotonic() - t0
     report(11, "solvability reduction (desk-scale)", r.ok, dt)
     assert r.ok
+    assert all(rec["caps"]["m_cap"] == 4 for rec in r.records)
     assert dt < 120
 
 

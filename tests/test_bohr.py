@@ -152,17 +152,17 @@ class TestLemma41Converse:
         # premise m is an exact almost-period
         from gparith.harness import verify_lemma41
 
-        r = verify_lemma41(bohr_world, N=5, m_max=100_000, trend_Ns=(5, 25))
+        r = verify_lemma41(bohr_world, N=5, m_max=100_000)
         assert r.ok
         assert r.summary["premise_count"] > 0
 
     def test_vacuous_pass_is_marked(self, bohr_world):
         from gparith.harness import verify_lemma41
 
-        empty = verify_lemma41(bohr_world, N=50, m_max=20_000, trend_Ns=(5,))
+        empty = verify_lemma41(bohr_world, N=50, m_max=20_000)
         assert empty.ok and empty.summary["premise_count"] == 0
         assert empty.vacuous
-        found = verify_lemma41(bohr_world, N=5, m_max=20_000, trend_Ns=(5,))
+        found = verify_lemma41(bohr_world, N=5, m_max=20_000)
         assert found.ok and found.summary["premise_count"] > 0
         assert not found.vacuous
 

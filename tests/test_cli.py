@@ -66,9 +66,14 @@ class TestConfig:
             parse_config("seed = abc")
 
     def test_threads_is_not_a_key(self, tmp_path, capsys):
-        # nor is `h_cap`: the bohr cap is `bohr_h_cap`, and delta has no h
-        # cap; nor `n2_cap`, whose only readers, def_mu and def_psi, no command calls
-        for line in ("threads = 2", "h_cap = 64", "n2_cap = 1000"):
+        # nor is `h_cap`; nor `n2_cap`, whose only readers, def_mu and
+        # def_psi, no command calls; nor any cap of `focheck.BoundProfile`
+        # or `bohr.BohrBounds`, which are module constants
+        caps = ("M_cap", "H_cap", "m_cap", "max_range", "bohr_N_cap", "bohr_M_cap",
+                "bohr_L_cap", "bohr_h_cap", "bohr_n_cap", "bohr_outer_cap",
+                "bohr_seq_len")
+        for line in ("threads = 2", "h_cap = 64", "n2_cap = 1000",
+                     *(f"{cap} = 3" for cap in caps)):
             with pytest.raises(ConfigError):
                 parse_config(line)
             cfg = tmp_path / "session.cfg"
@@ -102,11 +107,6 @@ class TestConfig:
                                   "verify", "3.1"], capsys)
         assert code == 2 and out == "" and not report.exists()
         assert "error: ValueError: minimal polynomial has degree 5" in err
-
-    def test_caps_flow_into_profiles(self):
-        cfg = parse_config("m_cap = 777\nbohr_N_cap = 5\n")
-        assert cfg.bound_profile().m_cap == 777
-        assert cfg.bohr_bounds().N_cap == 5
 
 
 class TestEval:
@@ -224,7 +224,7 @@ class TestVerify:
         name, config, flags = VERIFY[lemma]
         params = inspect.signature(getattr(H, name)).parameters
         assert set(config) <= set(_CONFIG_VALUES)
-        assert set(config) | set(flags.values()) <= set(params)
+        assert set(config) | set(flags.values()) == set(params)
         required = {k for k, p in params.items() if p.default is p.empty}
         # the flag that selects an arm ("Q1 --from") supplies its keyword
         assert required <= set(config) | {flags[f] for f in lemma.split()[1:]}
@@ -442,6 +442,18 @@ class TestSearchAndBohr:
             main(argv)
         assert exc.value.code == 2
         assert "expects an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["quadruples", "build", "--m-max", "0"], ["quadruples", "build", "--m-max", "-5"],
+        ["quadruples", "build", "--h-factor", "0"], ["search", "weyl"],
+        ["search", "weyl", "--max", "10"]])
+    def test_an_empty_request_is_a_usage_error(self, argv, capsys):
+        # an empty quadruple store or a weyl search with no target
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and capsys.readouterr().out == ""
 
     def test_bohr_eval(self, capsys):
         code, out, _ = run_cli(["bohr", "eval", "--n", "0..6"], capsys)

@@ -39,6 +39,7 @@ from gparith.focheck import (
     verify_lemma37,
     _has_partner,
     _partner_ranges,
+    _window_members,
 )
 from gparith.genpoly import (
     ROUNDING,
@@ -216,6 +217,19 @@ def test_in_window_matches_two_field_signs(name, cbrt2_field, sqrt2_field):
             assert ctx.in_window(m, N) == want, (m, N)
             hits += want
     assert hits > 0
+
+
+def test_window_members_are_the_exact_scan(cbrt2_field):
+    # asked first for 3 members and then for 400, on one context: at level
+    # 4 there are more than 400 members up to 3000, at level 64 fewer; the
+    # second m_cap of a level is cached apart from the first
+    ctx = AlphaContext(cbrt2_field.theta, 1)
+    for M in (4, 64):
+        for m_cap in (3000, 500):
+            want = [m for m in range(1, m_cap + 1) if ctx.in_window(m, M)]
+            assert _window_members(ctx, M, m_cap, 3) == want[:3]
+            assert _window_members(ctx, M, m_cap, 400) == want[:400]
+            assert len(want) > 400 if (M, m_cap) == (4, 3000) else len(want) < 400
 
 
 class TestEllProgressionPi:

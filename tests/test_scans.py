@@ -1,11 +1,12 @@
 """Whole-array scans against the literal definitions they compute.
 
 `BohrWorld.mu_true_upto`, `BohrWorld.lambda_vec`, `BohrWorld._kappa_table`,
-`harness._psi_table`, `harness.verify_lemma37_range`, the sliced push-forward
-histogram and the exact orbit histogram of `equidist_check` and
-`focheck.ell` are each compared with a direct, element-by-element reading
-of what they compute.  `_psi_table`, the lock-step column scan
-`diosearch.lemma32_columns`, is compared with the literal windowed search
+the psi table of `harness.verify_lemma33`, `harness.verify_lemma37_range`,
+the sliced push-forward histogram and the exact orbit histogram of
+`equidist_check` and `focheck.ell` are each compared with a direct,
+element-by-element reading of what they compute.  The psi table, the
+lock-step column scan `diosearch.lemma32_columns` over
+[C*m, C*m + _EXTEND_CAP], is compared with the literal windowed search
 through the real sequence and through a stub handle over a random or
 planted array, with the conjunction of `diosearch.lemma32_scan` over n at
 the plastic number, and with `def_psi`, the formula evaluator of the same
@@ -29,12 +30,13 @@ from gparith.diosearch import (
     _edge_counts,
     continued_fraction,
     equidist_check,
+    lemma32_columns,
     lemma32_scan,
 )
 from gparith.exactnum import circle_norm, field_create, floor_exact
 from gparith.focheck import AlphaContext, BoundProfile, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
-from gparith.harness import _EXTEND_CAP, _psi_table, verify_lemma37_range
+from gparith.harness import _EXTEND_CAP, verify_lemma37_range
 from test_exactnum import _ref_inverse
 
 
@@ -205,7 +207,7 @@ class TestPsiTable:
         C, N_max, m_max = 2, 30, 40
         G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
         mu, _ = _mu_table(G, C, N_max, m_max)
-        psi = _psi_table(ctx.g, C, N_max, m_max)
+        psi = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
 
     def test_late_matches_and_early_stop(self):
@@ -220,7 +222,7 @@ class TestPsiTable:
         # a column with mu False at some n and True at a later n
         assert any(not mu[i, m] and mu[i + 1:, m].any()
                    for m in range(1, m_max + 1) for i in range(N_max))
-        psi = _psi_table(_Array(G), C, N_max, m_max)
+        psi = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, _Array(G))
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
@@ -243,7 +245,7 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
                 break
             want[n - 1, m] = True
             offsets.add(w - C * m)
-    assert np.array_equal(_psi_table(g, C, N_max, m_max), want)
+    assert np.array_equal(lemma32_columns(N_max, m_max, C, _EXTEND_CAP, g), want)
     assert max(offsets) > 3
     if N_max == 30:
         assert want[:, [40, 77, 117, 157, 194]].all()
@@ -260,7 +262,7 @@ def test_psi_table_memory_does_not_grow_with_m_max(ctx):
         ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)
         tracemalloc.start()
         try:
-            _psi_table(ctx.g, C, N_max, m_max)
+            lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -274,7 +276,7 @@ def test_psi_table_matches_the_formula(ctx):
     # and every N sees both truth values
     C, bounds = 2, BoundProfile(n2_cap=_EXTEND_CAP)
     ms = list(range(1, 41)) + [m for m in range(41, 200) if ctx.in_window(m, 30)][:3]
-    psi = _psi_table(ctx.g, C, 30, ms[-1])
+    psi = lemma32_columns(30, ms[-1], C, _EXTEND_CAP, ctx.g)
     for N in (1, 2, 5, 30):
         got = [def_psi(m, N, C, bounds, ctx.g) for m in ms]
         assert got == [bool(psi[N - 1, m]) for m in ms], N
@@ -302,6 +304,9 @@ class TestPsiTableResidueFilter:
                         - int(G[p]) + excess)
         return p
 
+    def psi(self, G):
+        return lemma32_columns(self.N_max, self.m_max, self.C, _EXTEND_CAP, _Array(G))
+
     def exact_psi(self, G):
         mu, late = _mu_table(G.astype(object), self.C, self.N_max, self.m_max)
         return np.logical_and.accumulate(mu, axis=0), mu, late
@@ -321,7 +326,7 @@ class TestPsiTableResidueFilter:
         assert not mu[1:, 2].any() and not mu[0, 3] and mu[1, 3] and late[1, 3]
         assert psi[:, 1].all() and psi[0, 2] and not psi[1:, 2].any()
         assert not psi[:, 3].any()
-        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(self.psi(G), psi)
 
     def test_a_residue_hit_is_rechecked(self):
         # d2 = target + excess at n2 = p: every excess is 0 mod 2**16, so the
@@ -333,15 +338,15 @@ class TestPsiTableResidueFilter:
             assert d2 - self.target(G, 1, 2) == excess
             psi, mu, _ = self.exact_psi(G)
             assert not mu[0, 2]
-            assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+            assert np.array_equal(self.psi(G), psi)
             # a true witness after the collision makes mu(1, 2) hold
             self.plant(G, 1, 2, 700)
             psi, mu, _ = self.exact_psi(G)
             assert mu[0, 2]
-            assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+            assert np.array_equal(self.psi(G), psi)
         # without the excess the same n2 is a witness
         self.plant(G, 1, 2, 300)
-        assert _psi_table(_Array(G), self.C, self.N_max, self.m_max)[0, 2]
+        assert self.psi(G)[0, 2]
 
     def first_window_hits(self, G, n, m):
         """The n2 among the first _FIRST_WINDOW from C*m whose d2 matches
@@ -366,7 +371,7 @@ class TestPsiTableResidueFilter:
         assert (witness is not None and self.C * m + witness in hits) == (witness == 100)
         psi, mu, late = self.exact_psi(G)
         assert mu[0, m] == (witness is not None) and late[0, m] == (witness == 5000)
-        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(self.psi(G), psi)
 
     def test_an_int64_wrap_is_no_witness(self):
         # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target
@@ -381,7 +386,7 @@ class TestPsiTableResidueFilter:
         self.plant(G, 1, 1, 900)
         psi, mu, _ = self.exact_psi(G)
         assert mu[0, 1] and not mu[1, 1]
-        assert np.array_equal(_psi_table(_Array(G), self.C, self.N_max, self.m_max), psi)
+        assert np.array_equal(self.psi(G), psi)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
