@@ -8,7 +8,6 @@ from fractions import Fraction
 from gparith.exactnum import field_create
 from gparith.focheck import (
     AlphaContext,
-    BoundProfile,
     Structure,
     def_mu,
     def_pi,
@@ -30,9 +29,8 @@ print(" ", "exists x in [1,20]: g(x) = 30 and x > 3  ->",
       eval_formula(phi, {}, Structure(sequences={"g": ctx.g})))
 
 print("\n-- witness formula (bounded existential) --")
-b = BoundProfile(n2_cap=5000)
-print("  mu(5, 50):", def_mu(5, 50, 2, b, ctx.g), " (witness exists)")
-print("  mu(2, 6): ", def_mu(2, 6, 2, b, ctx.g), " (fractional parts overflow)")
+print("  mu(5, 50):", def_mu(5, 50, 2, 5000, ctx.g), " (witness exists)")
+print("  mu(2, 6): ", def_mu(2, 6, 2, 5000, ctx.g), " (fractional parts overflow)")
 
 print("\n-- small-norm windows --")
 for N in (1, 5, 10, 30):

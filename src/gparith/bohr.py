@@ -17,6 +17,21 @@ from .errors import NotFoundWithinBudget, PreconditionViolated
 from .exactnum import AlgebraicReal
 from .focheck import Verdict
 
+# Caps of the nested almost-period formulas: the levels N_CAP of delta's
+# consequent, M_CAP of the admissible h and L_CAP of the antecedents; h
+# ranges over 1..H_CAP; WITNESS_CAP bounds the inner witness searches (the
+# existential n inside the shifted-hit property) and OUTER_CAP the universal
+# n scans of the two outermost relations.  The divisibility sequence has
+# SEQ_LEN steps, and its last TAIL_LEN decide.
+N_CAP = 10
+M_CAP = 10
+L_CAP = 10
+H_CAP = 600
+WITNESS_CAP = 60_000
+OUTER_CAP = 240
+SEQ_LEN = 8
+TAIL_LEN = 3
+
 
 @dataclass(frozen=True)
 class BohrParams:
@@ -34,36 +49,11 @@ class BohrParams:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class BohrBounds:
-    """Caps for the nested almost-period formulas.
-
-    n_cap bounds the inner witness searches (the existential n inside the
-    shifted-hit property); outer_cap bounds the universal n scans of the
-    two outermost relations.
-    """
-
-    N_cap: int = 10
-    M_cap: int = 10
-    L_cap: int = 10
-    h_cap: int = 600
-    n_cap: int = 60_000
-    outer_cap: int = 240
-    seq_len: int = 8
-
-    def __post_init__(self):
-        for name in ("N_cap", "M_cap", "L_cap", "h_cap", "n_cap", "outer_cap",
-                     "seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
 class BohrWorld:
     """Cached evaluation context for one (alpha, rho) pair."""
 
-    def __init__(self, params: BohrParams, bounds: BohrBounds = BohrBounds()) -> None:
+    def __init__(self, params: BohrParams) -> None:
         self.params = params
-        self.bounds = bounds
         self.fast = BohrFast(params.alpha, params.rho)
         self._lam_cache: dict[tuple[int, int], np.ndarray] = {}
         self._kappa_table_cache: dict[tuple[int, int], tuple[np.ndarray, bool]] = {}
@@ -110,12 +100,12 @@ class BohrWorld:
         return best
 
     def lambda_(self, m: int, N: int) -> bool:
-        """Bounded witness search for mu(n, N) and mu(n+m, N), n <= n_cap."""
+        """Bounded witness search for mu(n, N) and mu(n+m, N), n <= WITNESS_CAP."""
         if m < 0 or N < 0:
             raise PreconditionViolated("m, N must be >= 0")
         if m == 0:
             return True
-        cap = self.bounds.n_cap
+        cap = WITNESS_CAP
         S = self.mu_true_upto(cap + m, N)
         if len(S) == 0:
             return False
@@ -133,7 +123,7 @@ class BohrWorld:
         for (N0, n0), lam in self._lam_cache.items():
             if N0 == N and n0 >= n_max:
                 return lam[:n_max + 1]
-        cap = self.bounds.n_cap
+        cap = WITNESS_CAP
         S = self.mu_true_upto(cap + n_max, N)
         inset = np.zeros(cap + n_max + 2, dtype=bool)
         inset[S] = True
@@ -160,17 +150,16 @@ class BohrWorld:
         for (N0, xm0), (tab0, ok0) in self._kappa_table_cache.items():
             if N0 == N and xm0 >= x_max:
                 return tab0 if ok0 else None
-        b = self.bounds
-        lam_n = self.lambda_vec(b.L_cap, b.n_cap)  # first: lam_h may be its prefix
-        lam_h = self.lambda_vec(b.M_cap, b.h_cap)
-        hs = np.nonzero((self.fast.table(b.h_cap)[1:b.h_cap + 1] == 1) & lam_h[1:])[0] + 1
+        lam_n = self.lambda_vec(L_CAP, WITNESS_CAP)  # first: lam_h may be its prefix
+        lam_h = self.lambda_vec(M_CAP, H_CAP)
+        hs = np.nonzero((self.fast.table(H_CAP)[1:H_CAP + 1] == 1) & lam_h[1:])[0] + 1
         if len(hs) == 0:
             self._kappa_table_cache[key] = (np.zeros(0, dtype=bool), False)
             return None
-        S = self.mu_true_upto(b.n_cap, N)
+        S = self.mu_true_upto(WITNESS_CAP, N)
         cand = S[lam_n[S]]
         y_max = int(hs[-1]) + x_max
-        hit = self.fast.table(y_max + b.n_cap + 1) == 1
+        hit = self.fast.table(y_max + WITNESS_CAP + 1) == 1
         D = np.zeros(y_max + 1, dtype=bool)  # all False when cand is empty
         for n in cand:
             D |= hit[n:n + y_max + 1]
@@ -188,7 +177,7 @@ class BohrWorld:
         """
         if m < 0 or N < 1:
             raise PreconditionViolated("m >= 0 and N >= 1 required")
-        table = self._kappa_table(N, max(m, self.bounds.outer_cap * 2 + m))
+        table = self._kappa_table(N, max(m, OUTER_CAP * 2 + m))
         if table is None:
             return Verdict(None, {"reason": "no admissible h"})
         return Verdict(bool(table[m]))
@@ -197,15 +186,14 @@ class BohrWorld:
         """lambda(n,L) and kappa(m+n,L) jointly force kappa(m_tilde+n,N)."""
         if min(m, m_tilde) < 0 or N < 1:
             raise PreconditionViolated("m, m_tilde >= 0 and N >= 1 required")
-        b = self.bounds
-        L = b.L_cap
-        x_max = max(m, m_tilde) + b.outer_cap + 1
+        L = L_CAP
+        x_max = max(m, m_tilde) + OUTER_CAP + 1
         kL = self._kappa_table(L, x_max)
         kN = self._kappa_table(N, x_max)
         if kL is None or kN is None:
             return Verdict(None, {"reason": "no admissible h"})
-        lam_n = self.lambda_vec(L, b.outer_cap)
-        ns = np.nonzero(lam_n[1:b.outer_cap + 1])[0] + 1
+        lam_n = self.lambda_vec(L, OUTER_CAP)
+        ns = np.nonzero(lam_n[1:OUTER_CAP + 1])[0] + 1
         ante = ns[kL[m + ns]]
         if len(ante) == 0:
             return Verdict(None, {"reason": "empty antecedent set"})
@@ -218,11 +206,10 @@ class BohrWorld:
         """nu(m+n, m, L) and kappa(n, L) jointly force nu(m_tilde+n, m_tilde, N)."""
         if m < 1 or m_tilde < 1:
             raise PreconditionViolated("m, m_tilde must be >= 1")
-        b = self.bounds
-        N, L = b.N_cap, b.L_cap
+        N, L = N_CAP, L_CAP
         antecedents = []
         exhausted = False
-        for n in range(1, b.outer_cap + 1):
+        for n in range(1, OUTER_CAP + 1):
             kn = self.kappa(n, L)
             if kn.value is None:
                 return Verdict(None, {"reason": "no admissible h"})
@@ -268,9 +255,6 @@ class DivisibilityReport:
         return self.says_divides == (self.b == 1)
 
 
-TAIL_LEN = 3
-
-
 def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
                                 max_candidate: int = 20_000_000) -> DivisibilityReport:
     """Construct n_1 < ... < n_K with norm(2 alpha m n_i), norm(alpha n_i^2)
@@ -285,7 +269,7 @@ def divisibility_sequence_check(world: BohrWorld, m: int, m_tilde: int,
     g = math.gcd(m, m_tilde)
     a, b = m_tilde // g, m // g
 
-    K = world.bounds.seq_len
+    K = SEQ_LEN
 
     exact_c1 = 2 * alpha * m
     exact_c3 = 2 * alpha * m_tilde

@@ -353,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile polynomial solvability")
     p.add_argument("poly")
     p.add_argument("--check", action="store_true")
-    p.add_argument("--m-cap", type=int, default=4)
-    p.add_argument("--n-cap", type=int, default=10)
+    p.add_argument("--m-cap", type=_positive_int, default=4)
+    p.add_argument("--n-cap", type=_positive_int, default=10)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("formula", help="evaluate a bounded first-order formula")

@@ -127,28 +127,12 @@ class Structure:
     relations: dict[str, Callable[..., bool]] = dc_field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BoundProfile:
-    """Explicit caps for bounded relativisation of the formulas."""
-
-    n2_cap: int = 200_000
-    M_cap: int = 30
-    H_cap: int = 2
-    m_cap: int = 100_000
-    max_range: int = 4_000_000
-
-    def __post_init__(self):
-        for name in ("n2_cap", "M_cap", "H_cap", "m_cap", "max_range"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-DEFAULT_BOUNDS = BoundProfile()
-
 # ---------------------------------------------------------------------------
 # Evaluation (Tarskian semantics, quantifiers relativised to their ranges)
 # ---------------------------------------------------------------------------
 
+# the most values one quantifier may range over (RangeOverflow past it)
+MAX_RANGE = 4_000_000
 
 _CMP = {
     "=": lambda a, b: a == b,
@@ -160,14 +144,13 @@ _CMP = {
 }
 
 
-def eval_formula(phi: Formula, valuation: dict[str, int], structure: Structure,
-                 bounds: BoundProfile = DEFAULT_BOUNDS) -> bool:
+def eval_formula(phi: Formula, valuation: dict[str, int], structure: Structure) -> bool:
     """Truth of `phi` under `valuation`: `phi` is compiled once into
     closures (see `_compile`), which then run."""
-    return _compile(phi, structure, bounds)(valuation)
+    return _compile(phi, structure)(valuation)
 
 
-def _compile(phi: Formula, st: Structure, bounds: BoundProfile) -> Callable[[dict], bool]:
+def _compile(phi: Formula, st: Structure) -> Callable[[dict], bool]:
     """The closure env -> truth of `phi`, with connectives short-circuited
     left to right and quantifiers run in increasing order of their
     variable, so each name is read (and UnboundVariable raised) where a
@@ -188,22 +171,21 @@ def _compile(phi: Formula, st: Structure, bounds: BoundProfile) -> Callable[[dic
             return bool(fn(*[a(env, seqs) for a in args]))
         return rel
     if isinstance(phi, FNot):
-        body = _compile(phi.body, st, bounds)
+        body = _compile(phi.body, st)
         return lambda env: not body(env)
     if isinstance(phi, (FAnd, FOr, FImplies)):
-        lhs, rhs = _compile(phi.lhs, st, bounds), _compile(phi.rhs, st, bounds)
+        lhs, rhs = _compile(phi.lhs, st), _compile(phi.rhs, st)
         if isinstance(phi, FAnd):
             return lambda env: lhs(env) and rhs(env)
         if isinstance(phi, FOr):
             return lambda env: lhs(env) or rhs(env)
         return lambda env: not lhs(env) or rhs(env)
     if isinstance(phi, (FExists, FForall)):
-        return _quantifier(phi, st, bounds)
+        return _quantifier(phi, st)
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _quantifier(phi: FExists | FForall, st: Structure,
-                bounds: BoundProfile) -> Callable[[dict], bool]:
+def _quantifier(phi: FExists | FForall, st: Structure) -> Callable[[dict], bool]:
     """The closure of a bounded quantifier.
 
     An innermost quantifier whose body is comparisons of lane terms (see
@@ -215,7 +197,7 @@ def _quantifier(phi: FExists | FForall, st: Structure,
     verdict is the walk's."""
     seqs = st.sequences
     lo, hi = compile_term(phi.lo), compile_term(phi.hi)
-    body = _compile(phi.body, st, bounds)
+    body = _compile(phi.body, st)
     var, want = phi.var, isinstance(phi, FExists)
     names: set[str] = set()
     applied: set[str] = set()
@@ -228,8 +210,8 @@ def _quantifier(phi: FExists | FForall, st: Structure,
 
     def quantifier(env: dict) -> bool:
         a, b = lo(env, seqs), hi(env, seqs)
-        if b - a + 1 > bounds.max_range:
-            raise RangeOverflow(f"range [{a}, {b}] exceeds max_range")
+        if b - a + 1 > MAX_RANGE:
+            raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
         inner = dict(env)
         if not lane_ready(inner, a, b):
             return _scan(range(a, b + 1), inner, var, body, want)
@@ -432,24 +414,21 @@ def psi_formula(C: int, n2_cap: int, N_var: str = "N") -> Formula:
     return FForall("n", IntLit(1), Var(N_var), body)
 
 
-def def_mu(n0: int, n1: int, C: int, bounds: BoundProfile,
-           g: SequenceHandle) -> bool:
+def def_mu(n0: int, n1: int, C: int, n2_cap: int, g: SequenceHandle) -> bool:
     """Bounded evaluation of the witness formula through the generic evaluator."""
     if n0 < 1 or n1 < 1:
         raise PreconditionViolated("n0, n1 must be >= 1")
-    phi = mu_formula(C, bounds.n2_cap)
-    return eval_formula(phi, {"n0": n0, "n1": n1}, Structure(sequences={"g": g}),
-                        bounds)
+    phi = mu_formula(C, n2_cap)
+    return eval_formula(phi, {"n0": n0, "n1": n1}, Structure(sequences={"g": g}))
 
 
-def def_psi(m: int, N: int, C: int, bounds: BoundProfile,
-            g: SequenceHandle) -> bool:
+def def_psi(m: int, N: int, C: int, n2_cap: int, g: SequenceHandle) -> bool:
     if m < 1 or N < 0:
         raise PreconditionViolated("m >= 1 and N >= 0 required")
     if N == 0:
         return True
-    phi = psi_formula(C, bounds.n2_cap)
-    return eval_formula(phi, {"m": m, "N": N}, Structure(sequences={"g": g}), bounds)
+    phi = psi_formula(C, n2_cap)
+    return eval_formula(phi, {"m": m, "N": N}, Structure(sequences={"g": g}))
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +443,10 @@ class AlphaContext:
         self.alpha = alpha
         self.beta = beta
         self.g = QuadSeqFast(alpha, beta)
-        self._frac_exact_cache: dict[int, AlgebraicReal] = {}
         self._window_cache: dict[int, tuple[AlgebraicReal, AlgebraicReal]] = {}
         self._window_ends: dict[int, tuple] = {}
         self._member_cache: dict[tuple[int, int], tuple[Iterator[int], list[int]]] = {}
         self._partner_cache: dict[tuple[int, int], tuple] = {}
-
-    def frac_exact(self, n: int) -> AlgebraicReal:
-        v = self._frac_exact_cache.get(n)
-        if v is None:
-            v = (self.alpha * n).frac_signed()
-            self._frac_exact_cache[n] = v
-        return v
 
     def window(self, N: int) -> tuple[AlgebraicReal, AlgebraicReal]:
         """Exact endpoints (lo, hi) of the small-norm window at level N:
@@ -629,13 +600,18 @@ def lemma36_characterisation(n: int, n_prime: int, ctx: AlphaContext) -> bool:
     return q(n_prime) == n_prime // n * q(n)
 
 
-# window members checked (expected true) or tried as refuters (expected false)
+# The caps of delta_bounded: the tolerance H on |D g(n, m') - D g(n', m)|,
+# the psi level M_CAP required of the partner m', and the window members m
+# searched for in 1..MEMBER_CAP, of which _M_WITNESSES are checked (expected
+# true) or up to _REFUTE_BUDGET tried as refuters (expected false).
+H_CAP = 2
+M_CAP = 30
+MEMBER_CAP = 100_000
 _M_WITNESSES = 3
 _REFUTE_BUDGET = 400
 
 
-def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
-                  bounds: BoundProfile = DEFAULT_BOUNDS) -> Verdict:
+def delta_bounded(n: int, n_prime: int, ctx: AlphaContext) -> Verdict:
     """Three-way bounded verdict for the delta relation: a single pass with
     per-pair calibrated caps.
 
@@ -647,8 +623,8 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
         raise PreconditionViolated("n, n' must be >= 1")
     alpha = ctx.alpha
     g = ctx.g
-    H = bounds.H_cap
-    Mp = bounds.M_cap  # psi level required of the partner m'
+    H = H_CAP
+    Mp = M_CAP  # psi level required of the partner m'
 
     divisible = n_prime % n == 0
     t = n_prime // n if divisible else 0
@@ -673,7 +649,7 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
             M *= 2
         else:
             return Verdict(None, {"reason": "no fitting M"})
-        ms = _window_members(ctx, M, bounds.m_cap, _M_WITNESSES)
+        ms = _window_members(ctx, M, MEMBER_CAP, _M_WITNESSES)
         if not ms:
             return Verdict(None, {"reason": "no psi-small m in cap", "M": M})
         for m in ms:
@@ -690,7 +666,7 @@ def delta_bounded(n: int, n_prime: int, ctx: AlphaContext,
     any_members = False
     for Mp_try in (Mp, 4 * Mp):
         M = Mp_try
-        ms = _window_members(ctx, M, bounds.m_cap, _REFUTE_BUDGET)
+        ms = _window_members(ctx, M, MEMBER_CAP, _REFUTE_BUDGET)
         if not ms:
             continue
         any_members = True
@@ -780,7 +756,7 @@ def _partner_enclosures(n: int, ctx: AlphaContext, Mp: int) -> tuple:
     prec = 64
     l_lo, _, l_den = lo_p.scaled_enclosure(prec)
     _, h_hi, h_den = hi_p.scaled_enclosure(prec)
-    s_lo, s_hi, s_den = ctx.frac_exact(n).scaled_enclosure(prec)
+    s_lo, s_hi, s_den = ctx.g.const.exact_frac(n).scaled_enclosure(prec)
     # e is nondecreasing in s' in (lo_p, hi_p): nint of the outer ends
     e_lo = nint(Fraction(s_lo * l_den + l_lo * s_den, s_den * l_den))
     e_hi = nint(Fraction(s_hi * h_den + h_hi * s_den, s_den * h_den))

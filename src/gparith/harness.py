@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from . import bohr as bohr_mod
+from . import bohr as bohr_mod, focheck
 from ._fastlane import FastConst, enclosure
 from .diosearch import (
     DEFAULT_SEED,
@@ -37,7 +37,6 @@ from .exactnum import AlgebraicReal
 from .focheck import (
     CAP_EXHAUSTED,
     AlphaContext,
-    DEFAULT_BOUNDS,
     def_pi,
     delta_bounded,
     ell,
@@ -352,10 +351,10 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
     while pos < n_pairs or neg < n_pairs:
         n0 = rng.randrange(C, 60)
         n1 = C * n0 + rng.randrange(0, 40 * n0)
-        if (n0, n1) in sampled or n1 < C * n0:
+        if (n0, n1) in sampled:
             continue
         sampled.add((n0, n1))
-        s = ctx.frac_exact(n0) + ctx.frac_exact(n1)
+        s = g.const.exact_frac(n0) + g.const.exact_frac(n1)
         cond = (abs(s) - Fraction(1, 2)).sign() < 0
         if cond and pos < n_pairs:
             pos += 1
@@ -391,7 +390,6 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     some n2 in [C*m, C*m + _EXTEND_CAP] has the second symmetric derivative
     of g vanishing at (n, m, n2): `lemma32_columns`.  Column 0 is False."""
     res = HarnessResult("3.3")
-    ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)  # one growth for the whole extent
     psi_tab = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
@@ -454,7 +452,7 @@ def verify_lemma36(ctx: AlphaContext, n_max: int = 50,
     mismatches = capx = 0
     for n in range(1, n_max + 1):
         for npr in range(1, nprime_max + 1):
-            v = delta_bounded(n, npr, ctx, DEFAULT_BOUNDS)
+            v = delta_bounded(n, npr, ctx)
             char = lemma36_characterisation(n, npr, ctx)
             if v.value is None:
                 capx += 1
@@ -467,7 +465,7 @@ def verify_lemma36(ctx: AlphaContext, n_max: int = 50,
                                  "detail": v.detail})
     res.add({"n_max": n_max, "nprime_max": nprime_max},
             "pass" if mismatches == 0 else "fail",
-            caps={"H_cap": DEFAULT_BOUNDS.H_cap, "M_cap": DEFAULT_BOUNDS.M_cap})
+            caps={"H_cap": focheck.H_CAP, "M_cap": focheck.M_CAP})
     res.summary = {"pairs": n_max * nprime_max, "mismatches": mismatches,
                    "cap_exhausted": capx}
     return res
@@ -496,7 +494,7 @@ def verify_converse34(ctx: AlphaContext, count: int = 1000,
         t = rng.randrange(2, 13)
         if not norm_below(Fraction(1, 2 * t))(n):
             continue
-        nrm = abs(ctx.frac_exact(n))
+        nrm = abs(g.const.exact_frac(n))
         # rational eps below all three margins
         eps = min(half / t, *(b.enclosure(24)[0]
                               for b in (half - t * nrm, (half - nrm) * Fraction(1, t)))) / 2
@@ -780,7 +778,7 @@ def verify_lemma43(world: bohr_mod.BohrWorld) -> HarnessResult:
     at least one large-norm m refutes it (thresholds empirical, labelled)."""
     res = HarnessResult("4.3")
     alpha = world.params.alpha
-    N = world.bounds.N_cap
+    N = bohr_mod.N_CAP
     m_good = find_weyl_witness([("alpha*n*n", (-_GOOD_EPS, _GOOD_EPS))],
                                10**6, {"alpha": alpha})
     kv = world.kappa(m_good, N)
@@ -805,18 +803,18 @@ def verify_lemma43(world: bohr_mod.BohrWorld) -> HarnessResult:
 
 
 def verify_lemma44(world: bohr_mod.BohrWorld) -> HarnessResult:
-    """Reflexive instances must verify (N_cap <= L_cap makes the consequent
+    """Reflexive instances must verify (N_CAP <= L_CAP makes the consequent
     weaker than the antecedent); the exact closeness invariant
     norm(alpha (m^2 - mt^2)) is reported alongside every verdict."""
     res = HarnessResult("4.4")
     alpha = world.params.alpha
-    N = world.bounds.N_cap
+    N = bohr_mod.N_CAP
     for (m, mt) in _LEMMA44_PAIRS:
         v = world.nu(m, mt, N)
         closeness = (alpha * (m * m - mt * mt)).circle_norm()
         if m == mt:
             # reflexive case must verify: the asserted shift is the same and
-            # the consequent level N_cap is no stricter than L_cap
+            # the consequent level N_CAP is no stricter than L_CAP
             verdict = "pass" if v.value is True else (
                 CAP_EXHAUSTED if v.value is None else "fail")
             label = "exact"

@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from gparith import bohr
 from gparith.bohr import (
-    BohrBounds,
     BohrParams,
     BohrWorld,
     divisibility_sequence_check,
@@ -26,10 +26,6 @@ class TestParams:
     def test_alpha_irrational(self, sqrt2_field):
         with pytest.raises(PreconditionViolated):
             BohrParams(sqrt2_field.from_rational(Fraction(3, 7)), Fraction(1, 5))
-
-    def test_bounds_validate(self):
-        with pytest.raises(ValueError):
-            BohrBounds(N_cap=0)
 
 
 class TestIndicator:
@@ -112,7 +108,7 @@ class TestAlmostPeriods:
         sset = set(int(x) for x in S)
         for m in (17, 181, 204):
             want = any(x in sset and x + m in sset
-                       for x in range(1, bohr_world.bounds.n_cap + 1))
+                       for x in range(1, bohr.WITNESS_CAP + 1))
             assert bohr_world.lambda_(m, 6) == want
 
 
@@ -128,16 +124,16 @@ class TestKappaNuDelta:
         v = bohr_world.kappa(1, 10)
         assert v.tag == "refuted-in-range" and v.value is False
 
-    def test_kappa_degenerate_caps_exhausted(self, sqrt2):
-        tiny = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)),
-                         BohrBounds(N_cap=1, M_cap=1, L_cap=1, h_cap=1,
-                                    n_cap=1, outer_cap=1, seq_len=1))
-        v = tiny.kappa(5, 1)
+    def test_kappa_degenerate_caps_exhausted(self, sqrt2, monkeypatch):
+        for cap in ("N_CAP", "M_CAP", "L_CAP", "H_CAP", "WITNESS_CAP", "OUTER_CAP",
+                    "SEQ_LEN"):
+            monkeypatch.setattr(bohr, cap, 1)
+        v = BohrWorld(BohrParams(sqrt2, Fraction(1, 5))).kappa(5, 1)
         assert v.tag == "cap-exhausted" and v.value is None
 
     def test_nu_reflexive_verified(self, bohr_world):
         # consequent level N_cap <= L_cap makes the reflexive shift trivial
-        v = bohr_world.nu(3, 3, bohr_world.bounds.N_cap)
+        v = bohr_world.nu(3, 3, bohr.N_CAP)
         assert v.value is True
 
     def test_delta_reflexive_and_divisible(self, bohr_world):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gparith import harness as H
+from gparith import bohr, focheck, harness as H
 from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.cli import _CONFIG_VALUES, VERIFY, main
 from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
@@ -66,9 +66,9 @@ class TestConfig:
             parse_config("seed = abc")
 
     def test_threads_is_not_a_key(self, tmp_path, capsys):
-        # nor is `h_cap`; nor `n2_cap`, whose only readers, def_mu and
-        # def_psi, no command calls; nor any cap of `focheck.BoundProfile`
-        # or `bohr.BohrBounds`, which are module constants
+        # nor is `h_cap`; nor `n2_cap`, an argument of def_mu and def_psi,
+        # which no command calls; nor any cap of `focheck` or `bohr`, which
+        # are module constants
         caps = ("M_cap", "H_cap", "m_cap", "max_range", "bohr_N_cap", "bohr_M_cap",
                 "bohr_L_cap", "bohr_h_cap", "bohr_n_cap", "bohr_outer_cap",
                 "bohr_seq_len")
@@ -218,6 +218,22 @@ class TestVerify:
         code, out, err = run_cli(["verify"] + argv, capsys)
         assert code == 2 and out == ""
         assert f"verify {argv[0]} does not read {flag}" in err
+
+    def test_a_report_records_the_caps_it_ran_under(self, monkeypatch, capsys):
+        # the harness reads the module constants at call time, so a report
+        # cannot print a stale copy of a cap
+        monkeypatch.setattr(focheck, "H_CAP", 3)
+        monkeypatch.setattr(focheck, "M_CAP", 20)
+        monkeypatch.setattr(bohr, "N_CAP", 6)
+        _, out, _ = run_cli(["verify", "3.5/3.6", "--n-max", "2", "--nprime-max", "8",
+                             "--pairs", "2"], capsys)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["caps"] for r in records if "caps" in r] == [{"H_cap": 3, "M_cap": 20}]
+        for lemma in ("4.3", "4.4"):
+            _, out, _ = run_cli(["verify", lemma], capsys)
+            records = [json.loads(line) for line in out.splitlines()]
+            Ns = [r["instance"]["N"] for r in records if "N" in r.get("instance", {})]
+            assert Ns and set(Ns) == {6}, lemma
 
     @pytest.mark.parametrize("lemma", sorted(VERIFY))
     def test_table_entry_fits_its_harness(self, lemma):
@@ -446,9 +462,12 @@ class TestSearchAndBohr:
     @pytest.mark.parametrize("argv", [
         ["quadruples", "build", "--m-max", "0"], ["quadruples", "build", "--m-max", "-5"],
         ["quadruples", "build", "--h-factor", "0"], ["search", "weyl"],
-        ["search", "weyl", "--max", "10"]])
+        ["search", "weyl", "--max", "10"],
+        ["compile", "x1*x2 - 6", "--check", "--m-cap", "0"],
+        ["compile", "x1*x2 - 6", "--check", "--n-cap", "-3"]])
     def test_an_empty_request_is_a_usage_error(self, argv, capsys):
-        # an empty quadruple store or a weyl search with no target
+        # an empty quadruple store, a weyl search with no target, or a
+        # solvability check over no m or no n
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -11,12 +11,11 @@ from gparith.errors import (
     RangeOverflow,
     UnboundVariable,
 )
+from gparith import focheck
 from gparith._fastlane import BohrFast, QuadSeqFast
 from gparith.exactnum import field_create
 from gparith.focheck import (
     AlphaContext,
-    BoundProfile,
-    DEFAULT_BOUNDS,
     FAnd,
     FCmp,
     FExists,
@@ -84,7 +83,7 @@ class TestEvaluator:
     def test_range_overflow(self):
         phi = parse_formula("exists x in [1, 99999999]: x = 1")
         with pytest.raises(RangeOverflow):
-            eval_formula(phi, {}, Structure(), BoundProfile(max_range=1000))
+            eval_formula(phi, {}, Structure())
 
     # names read only where a walk of the tree reads them: the lane of an
     # innermost quantifier must not raise for a name the walk never reaches
@@ -108,7 +107,7 @@ class TestEvaluator:
         assert str(exc.value) == name
 
     @pytest.mark.parametrize("lane", [True, False])
-    def test_range_overflow_before_any_body(self, lane):
+    def test_range_overflow_before_any_body(self, lane, monkeypatch):
         calls = []
 
         class Recorder:
@@ -119,9 +118,9 @@ class TestEvaluator:
         if lane:
             Recorder.g_vec = lambda self, ns: calls.extend(ns.tolist()) or ns
         phi = parse_formula("exists y in [1, 2]: exists x in [y, 2000*y]: r(x) = -1")
+        monkeypatch.setattr(focheck, "MAX_RANGE", 3000)
         with pytest.raises(RangeOverflow):
-            eval_formula(phi, {}, Structure({"r": Recorder()}),
-                         BoundProfile(max_range=3000))
+            eval_formula(phi, {}, Structure({"r": Recorder()}))
         assert calls == list(range(1, 2001))  # y = 1 only
 
     def test_implication_and_not(self):
@@ -159,23 +158,19 @@ class TestEvaluator:
 
 class TestMuPsi:
     def test_mu_witness_pair(self, ctx):
-        b = BoundProfile(n2_cap=5000)
-        assert def_mu(5, 50, 2, b, ctx.g)
+        assert def_mu(5, 50, 2, 5000, ctx.g)
 
     def test_mu_violating_pair(self, ctx):
-        b = BoundProfile(n2_cap=3000)
-        assert not def_mu(2, 6, 2, b, ctx.g)
+        assert not def_mu(2, 6, 2, 3000, ctx.g)
 
     def test_mu_empty_range(self, ctx):
-        b = BoundProfile(n2_cap=10)  # cap below C*n1
-        assert not def_mu(5, 50, 2, b, ctx.g)
+        assert not def_mu(5, 50, 2, 10, ctx.g)  # cap below C*n1
 
     def test_psi_vacuous(self, ctx):
-        assert def_psi(7, 0, 2, DEFAULT_BOUNDS, ctx.g)
+        assert def_psi(7, 0, 2, 200_000, ctx.g)
 
     def test_psi_matches_hand_loop(self, ctx):
         # independent loop oracle over a bounded witness search
-        b = BoundProfile(n2_cap=4000)
         g = ctx.g
 
         def mu_loop(n0, n1):
@@ -186,16 +181,15 @@ class TestMuPsi:
 
         for m in (3, 4, 29):
             want = all(mu_loop(n, m) for n in range(1, 6))
-            assert def_psi(m, 5, 2, b, g) == want
+            assert def_psi(m, 5, 2, 4000, g) == want
 
     def test_psi_window_equivalence_small(self, ctx):
         # eq-(3.8)-style window: membership matches the bounded search
         # (false instances refute within a short witness range here, so a
         # modest cap keeps the generic evaluator honest and quick)
-        b = BoundProfile(n2_cap=2000)
         for N in (1, 3, 5):
             for m in range(1, 30):
-                assert def_psi(m, N, 2, b, ctx.g) == ctx.in_window(m, N)
+                assert def_psi(m, N, 2, 2000, ctx.g) == ctx.in_window(m, N)
 
 
 @pytest.mark.parametrize("name", ["cbrt2", "sqrt2"])
@@ -212,7 +206,7 @@ def test_in_window_matches_two_field_signs(name, cbrt2_field, sqrt2_field):
     for N in [*range(1, 31), 60, 120]:
         lo, hi = ctx.window(N)
         for m in ms:
-            s = ctx.frac_exact(m)
+            s = (field.theta * m).frac_signed()
             want = (s - lo).sign() > 0 and (hi - s).sign() > 0
             assert ctx.in_window(m, N) == want, (m, N)
             hits += want

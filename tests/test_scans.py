@@ -24,7 +24,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
-from gparith.bohr import BohrBounds, BohrParams, BohrWorld
+from gparith import bohr
+from gparith.bohr import BohrParams, BohrWorld
 from gparith.diosearch import (
     _FIRST_WINDOW,
     _edge_counts,
@@ -34,7 +35,7 @@ from gparith.diosearch import (
     lemma32_scan,
 )
 from gparith.exactnum import circle_norm, field_create, floor_exact
-from gparith.focheck import AlphaContext, BoundProfile, def_psi, ell, verify_lemma37
+from gparith.focheck import AlphaContext, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
 from gparith.harness import _EXTEND_CAP, verify_lemma37_range
 from test_exactnum import _ref_inverse
@@ -78,9 +79,9 @@ class TestRadius:
 
 
 def _lambda_literal(world, N, n_max):
-    """lam[n] by the per-n reading: some mu-set member s <= n_cap has s + n
-    in the mu set too."""
-    cap = world.bounds.n_cap
+    """lam[n] by the per-n reading: some mu-set member s <= WITNESS_CAP has
+    s + n in the mu set too."""
+    cap = bohr.WITNESS_CAP
     S = world.mu_true_upto(cap + n_max, N)
     inset = np.zeros(cap + n_max + 2, dtype=bool)
     inset[S] = True
@@ -90,9 +91,10 @@ def _lambda_literal(world, N, n_max):
 
 class TestLambdaVec:
     @pytest.mark.parametrize("N,n_max", [(6, 40), (6, 500), (10, 300), (40, 200)])
-    def test_against_per_n_loop(self, sqrt2, N, n_max):
+    def test_against_per_n_loop(self, sqrt2, N, n_max, monkeypatch):
         cap = 3000
-        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), BohrBounds(n_cap=cap))
+        monkeypatch.setattr(bohr, "WITNESS_CAP", cap)
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         want = _lambda_literal(world, N, n_max)
         assert world.lambda_vec(N, n_max).tolist() == want
         S = world.mu_true_upto(cap + n_max, N)
@@ -103,23 +105,24 @@ class TestLambdaVec:
             assert 0 < len(base) and any(want) and not all(want[1:])
             assert (n_max < len(base)) == (N == 6 and n_max == 40)
 
-    def test_one_world_serves_prefixes_of_the_same_N_only(self, sqrt2):
-        params, bounds = BohrParams(sqrt2, Fraction(1, 5)), BohrBounds(n_cap=3000)
-        world = BohrWorld(params, bounds)
+    def test_one_world_serves_prefixes_of_the_same_N_only(self, sqrt2, monkeypatch):
+        monkeypatch.setattr(bohr, "WITNESS_CAP", 3000)
+        params = BohrParams(sqrt2, Fraction(1, 5))
+        world = BohrWorld(params)
         for N, n_max in [(6, 500), (6, 40), (10, 300), (10, 300), (6, 300),
                          (14, 200), (10, 100)]:
             lam = world.lambda_vec(N, n_max)
-            assert lam.tolist() == _lambda_literal(BohrWorld(params, bounds), N, n_max), \
+            assert lam.tolist() == _lambda_literal(BohrWorld(params), N, n_max), \
                 (N, n_max)
 
 
 def _kappa_literal(world, N, x_max):
-    """kappa(x, N) for 0 <= x <= x_max by its definition: for every h <= h_cap
-    with g(h) = 1 and lambda(h, M_cap), some n <= n_cap with lambda(n, L_cap)
-    and mu(n, N) has g(h + x + n) = 1. None when no such h exists."""
-    b = world.bounds
-    cap = b.n_cap
-    G = [world.g(n) for n in range(b.h_cap + x_max + 2 * cap + max(N, b.M_cap, b.L_cap) + 2)]
+    """kappa(x, N) for 0 <= x <= x_max by its definition: for every h <= H_CAP
+    with g(h) = 1 and lambda(h, M_CAP), some n <= WITNESS_CAP with
+    lambda(n, L_CAP) and mu(n, N) has g(h + x + n) = 1. None when no such h
+    exists."""
+    cap, h_cap, M, L = bohr.WITNESS_CAP, bohr.H_CAP, bohr.M_CAP, bohr.L_CAP
+    G = [world.g(n) for n in range(h_cap + x_max + 2 * cap + max(N, M, L) + 2)]
 
     def mu(x, M):
         return G[x + 1:x + M + 1] == G[1:M + 1]
@@ -127,38 +130,45 @@ def _kappa_literal(world, N, x_max):
     def lam(n, M):
         return any(mu(s, M) and mu(s + n, M) for s in range(1, cap + 1))
 
-    hs = [h for h in range(1, b.h_cap + 1) if G[h] == 1 and lam(h, b.M_cap)]
+    hs = [h for h in range(1, h_cap + 1) if G[h] == 1 and lam(h, M)]
     if not hs:
         return None
-    cand = [n for n in range(1, cap + 1) if mu(n, N) and lam(n, b.L_cap)]
+    cand = [n for n in range(1, cap + 1) if mu(n, N) and lam(n, L)]
     return [all(any(G[h + x + n] == 1 for n in cand) for h in hs)
             for x in range(x_max + 1)]
 
 
+def _set_caps(monkeypatch, **caps):
+    for name, value in caps.items():
+        monkeypatch.setattr(bohr, name, value)
+
+
 class TestKappaTable:
-    BOUNDS = BohrBounds(n_cap=3000, h_cap=80, M_cap=6, L_cap=6)
+    CAPS = dict(WITNESS_CAP=3000, H_CAP=80, M_CAP=6, L_CAP=6)
 
     @pytest.mark.parametrize("N", [10, 14])
-    def test_against_its_definition(self, sqrt2, N):
-        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), self.BOUNDS)
+    def test_against_its_definition(self, sqrt2, N, monkeypatch):
+        _set_caps(monkeypatch, **self.CAPS)
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         table = world._kappa_table(N, 100)
         assert len(table) == 4097  # x_max is rounded up to 4096
         want = _kappa_literal(world, N, 4096)
         assert table.tolist() == want
         assert any(want) and not all(want)
 
-    def test_cache_serves_a_smaller_x_max_of_the_same_N(self, sqrt2):
-        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)), self.BOUNDS)
+    def test_cache_serves_a_smaller_x_max_of_the_same_N(self, sqrt2, monkeypatch):
+        _set_caps(monkeypatch, **self.CAPS)
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         assert len(world._kappa_table(10, 5000)) == 8193
         for N, size in [(10, 8193), (14, 4097)]:
             table = world._kappa_table(N, 100)
             assert len(table) == size
             assert table.tolist() == _kappa_literal(world, N, size - 1)
 
-    def test_no_admissible_h_is_none(self, sqrt2):
+    def test_no_admissible_h_is_none(self, sqrt2, monkeypatch):
         # g(1) = ... = g(5) = 0 for sqrt2 and rho = 1/5
-        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)),
-                          BohrBounds(n_cap=3000, h_cap=5))
+        _set_caps(monkeypatch, WITNESS_CAP=3000, H_CAP=5)
+        world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
         assert _kappa_literal(world, 10, 100) is None
         assert world._kappa_table(10, 100) is None
         assert world._kappa_table(10, 50) is None  # from the cache
@@ -274,11 +284,11 @@ def test_psi_table_matches_the_formula(ctx):
     # eval_formula on psi_formula with n2 up to the table's extend cap.  No
     # m <= 40 is in the N = 30 window, so the first three that are join in,
     # and every N sees both truth values
-    C, bounds = 2, BoundProfile(n2_cap=_EXTEND_CAP)
+    C = 2
     ms = list(range(1, 41)) + [m for m in range(41, 200) if ctx.in_window(m, 30)][:3]
     psi = lemma32_columns(30, ms[-1], C, _EXTEND_CAP, ctx.g)
     for N in (1, 2, 5, 30):
-        got = [def_psi(m, N, C, bounds, ctx.g) for m in ms]
+        got = [def_psi(m, N, C, _EXTEND_CAP, ctx.g) for m in ms]
         assert got == [bool(psi[N - 1, m]) for m in ms], N
         assert set(got) == {False, True}, N
 

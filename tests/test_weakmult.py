@@ -12,7 +12,6 @@ from gparith.errors import ExprSyntaxError, ZeroModulus
 from gparith.exactnum import field_create
 from gparith.focheck import (
     AlphaContext,
-    BoundProfile,
     Structure,
     ell,
     eval_formula,
@@ -481,7 +480,7 @@ class TestReduction:
         compiled = compile_solvability(parse_poly("x1 - 2"), m_cap=3, y_cap=8)
         Q = SyntheticQSet(3, 10)
         st = Structure(relations={"Q": lambda m, a, b, c: Q.contains(m, a, b, c)})
-        assert eval_formula(compiled, {}, st, BoundProfile(max_range=10**5))
+        assert eval_formula(compiled, {}, st)
 
     def test_parse_poly_errors(self):
         with pytest.raises(ExprSyntaxError):
