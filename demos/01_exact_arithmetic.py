@@ -4,11 +4,11 @@ integers.
 
 from fractions import Fraction
 
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 
 # the field is pinned by an integer minimal polynomial and an isolating
 # interval; validation is exact (irreducibility + Sturm root count)
-K = field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+K = NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 theta = K.theta
 print("theta = 2^(1/3) ~", float(theta))
 

@@ -7,7 +7,7 @@ second derivatives.
 from fractions import Fraction
 
 from gparith._fastlane import QuadSeqFast
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.genpoly import (
     delta_shift,
     delta_sym,
@@ -17,7 +17,7 @@ from gparith.genpoly import (
     pretty,
 )
 
-K = field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+K = NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 alpha = K.theta
 
 expr = parse("nint(beta*n*nint(alpha*n))")

@@ -13,10 +13,10 @@ from gparith.diosearch import (
     find_small_norm,
     find_weyl_witness,
 )
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 
-K = field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
-K2 = field_create([-2, 0, 1], (1, 2))
+K = NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+K2 = NumberField([-2, 0, 1], (1, 2))
 alpha, sqrt2 = K.theta, K2.theta
 
 cf = continued_fraction(alpha, 10)

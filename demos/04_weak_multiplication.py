@@ -5,7 +5,7 @@ polynomial solvability to a first-order sentence over (+, 1, Q).
 
 from fractions import Fraction
 
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import AlphaContext, pretty_formula
 from gparith.genpoly import pretty
 from gparith.weakmult import (
@@ -39,7 +39,7 @@ print("t_m at m=2, scaled arguments (2,4,6):",
       "= 2 * p(1,2,3) =", 2 * p.eval([1, 2, 3]))
 
 print("\n-- quadruples generated by the quadratic sequence --")
-K = field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+K = NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 ctx = AlphaContext(K.theta, 1)
 Qg = build_Q(ctx, 500, 100)
 print("quadruples with modulus <= 500:", len(Qg))

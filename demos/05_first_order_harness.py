@@ -5,7 +5,7 @@ with its arithmetic characterisation.
 
 from fractions import Fraction
 
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import (
     AlphaContext,
     Structure,
@@ -20,7 +20,7 @@ from gparith.focheck import (
     verify_lemma37,
 )
 
-K = field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+K = NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 ctx = AlphaContext(K.theta, 1)
 
 print("-- generic bounded evaluation --")

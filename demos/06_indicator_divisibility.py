@@ -6,9 +6,9 @@ characterisation.
 from fractions import Fraction
 
 from gparith.bohr import BohrParams, BohrWorld, divisibility_sequence_check
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 
-sqrt2 = field_create([-2, 0, 1], (1, 2)).theta
+sqrt2 = NumberField([-2, 0, 1], (1, 2)).theta
 world = BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
 
 print("g(n) = 1[norm(sqrt2 n^2) < 1/5]")

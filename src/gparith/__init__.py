@@ -4,7 +4,6 @@ from .exactnum import (
     AlgebraicReal,
     NumberField,
     circle_norm,
-    field_create,
     floor_exact,
     frac_signed,
     nint,
@@ -15,7 +14,6 @@ __all__ = [
     "AlgebraicReal",
     "NumberField",
     "circle_norm",
-    "field_create",
     "floor_exact",
     "frac_signed",
     "nint",

@@ -99,23 +99,9 @@ class BohrWorld:
         assert best is not None and best.sign() > 0
         return best
 
-    def lambda_(self, m: int, N: int) -> bool:
-        """Bounded witness search for mu(n, N) and mu(n+m, N), n <= WITNESS_CAP."""
-        if m < 0 or N < 0:
-            raise PreconditionViolated("m, N must be >= 0")
-        if m == 0:
-            return True
-        cap = WITNESS_CAP
-        S = self.mu_true_upto(cap + m, N)
-        if len(S) == 0:
-            return False
-        inset = np.zeros(cap + m + 2, dtype=bool)
-        inset[S] = True
-        lo = S[S <= cap]
-        return bool(np.any(inset[lo + m]))
-
     def lambda_vec(self, N: int, n_max: int) -> np.ndarray:
-        """lam[n] for 1 <= n <= n_max (index 0 unused), via mu-set differences.
+        """lam[n] for 0 <= n <= n_max, via mu-set differences: some mu-set
+        member s <= WITNESS_CAP has s + n in the mu set too.
 
         A cached table of the same N at any n_max' >= n_max answers by its
         prefix: s + n <= cap + n_max, so the mu set read is the same.
@@ -129,7 +115,7 @@ class BohrWorld:
         inset[S] = True
         lam = np.zeros(n_max + 1, dtype=bool)
         for s in S[S <= cap]:  # lam[n] = any inset[s + n] over these s
-            lam[1:] |= inset[s + 1:s + n_max + 1]
+            lam |= inset[s:s + n_max + 1]
         self._lam_cache[(N, n_max)] = lam
         return lam
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import GparithError
-from .exactnum import AlgebraicReal, field_create
+from .exactnum import AlgebraicReal, NumberField
 
 
 class ConfigError(GparithError):
@@ -80,7 +80,7 @@ def parse_config(text: str) -> SessionConfig:
         m = _ALGEBRAIC.match(value)
         if m:
             coeffs = [int(c) for c in m.group("poly").split(",")]
-            field = field_create(coeffs, (Fraction(m.group("lo")),
+            field = NumberField(coeffs, (Fraction(m.group("lo")),
                                           Fraction(m.group("hi"))))
             cfg.constants[key] = field.theta
             continue

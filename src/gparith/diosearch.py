@@ -17,7 +17,7 @@ import copy
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     RationalInput,
     ThetaRational,
 )
-from .exactnum import AlgebraicReal, circle_norm, frac_signed, sign
+from .exactnum import AlgebraicReal, circle_norm, floor_exact, frac_signed, sign
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
@@ -102,6 +102,56 @@ def continued_fraction(x: AlgebraicReal, k: int) -> CFExpansion:
         prec *= 2
 
 
+_GAP_GRID = 2**20  # the grid of [-1/2, 1/2) on which Lemma 3.2's read bound takes ell
+
+
+def lemma32_read_bound(const: FastConst) -> Callable[..., np.ndarray]:
+    """Lemma 3.2's read bound for alpha = const.value: a function of pairs
+    (a, b) (int64 arrays or ints, broadcast) that gives each its W, the
+    least convergent denominator q_k of alpha with ||q_{k-1}alpha|| +
+    ||q_k alpha|| < ell = 1 - spread{0, s_a, s_b, s_{a+b}}, s_k =
+    frac_signed(alpha k); ell is bounded from below by the exact `bins` at
+    _GAP_GRID.  ValueError, never a cap, where no convergent qualifies: a
+    rational alpha here, a pair with no room below ell in the call.
+
+    For g(n) = beta*n*nint(alpha*n), beta a nonzero integer, and Lemma 3.1's
+    carries c_k = nint(s_x + s_k): D2 g(a, b, x) - D2 g(a, b, 0) =
+    beta*(K*x + L), K = nint(s_a + s_b) + c_{a+b} - c_a - c_b, L =
+    (a+b)*c_{a+b} - a*c_a - b*c_b.  If |s_a + s_b| < 1/2, all c_k are 0 on
+    an arc of s_x of length ell, which any q_k consecutive x reach: they
+    leave no gap over ||q_{k-1}alpha|| + ||q_k alpha|| (three-distance
+    theorem; Sos 1958, Slater 1967).  Else, say s_a + s_b > 1/2, (K, L) is
+    (0, -(a+b)), (1, 0), (0, -a), (0, -b) or (-1, -(a+b)): no witness > 0.
+    """
+    alpha, G = const.value, _GAP_GRID
+    if not isinstance(alpha, AlgebraicReal) or alpha.is_rational():
+        raise ValueError("lemma32_read_bound: alpha is rational, and no "
+                         "convergent bounds the gaps of {alpha x}")
+    # u_k = floor(G*gap sum) + 1 over the q_k > q_{k-1}, down to u_k = 1: as
+    # q_k >= F_{k+1}, 2*bit_length(G) quotients reach a gap sum < 2/q_k <= 1/G
+    qs = [q for _, q in continued_fraction(alpha, 2 * G.bit_length()).convergents()]
+    th, ws, gap = [], [], circle_norm(alpha * qs[0])
+    for q0, q1 in zip(qs, qs[1:]):
+        gap, prev = circle_norm(alpha * q1), gap
+        if q0 < q1:
+            th.append(floor_exact((prev + gap) * G) + 1)
+            ws.append(q1)
+            if th[-1] == 1:
+                break
+    th, ws = np.array(th), np.array(ws)
+
+    def bound(a, b) -> np.ndarray:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        bins = const.bins(np.stack((a, b, a + b)).ravel(), G).reshape(3, -1)
+        # ell > u/G, as s_0 = 0 lies in bin G/2
+        u = G - 1 - np.maximum(bins.max(axis=0), G // 2) + np.minimum(bins.min(axis=0), G // 2)
+        if (u < 1).any():
+            raise ValueError("lemma32_read_bound: no convergent of alpha bounds the "
+                             "read of a pair whose arc is below the grid")
+        return ws[np.searchsorted(-th, -u)].reshape(a.shape)
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # Small circle norms
 # ---------------------------------------------------------------------------
@@ -142,126 +192,89 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-_FIRST_WINDOW = 256  # the first window of n2; a scan then reads the rest of its range at once
+def _first_difference(g: SequenceHandle, x0: int, k: int, d: int) -> np.ndarray:
+    """H(x) = g(x + d) - g(x) for x in [x0, x0 + k), in int64 from the exact
+    `table`; ValueError where H(x') - H(x) could leave int64, so no read
+    wraps."""
+    T = g.table(x0 + k - 1 + d)[x0:x0 + k + d]
+    if len(T):
+        check_int64_product(4, max(-int(T.min()), int(T.max())))
+    T = T.astype(np.int64, copy=False)
+    return T[d:] - T[:k]
 
 
-def _d2(T: np.ndarray, x: int, n0: int, n1: int) -> int:
-    """g(x+n0+n1) - g(x+n0) - g(x+n1) + g(x) in Python ints from the exact
-    `table` T: a witness n2 = x has _d2(T, x, n0, n1) == _d2(T, 0, n0, n1)."""
-    return T.item(x + n0 + n1) - T.item(x + n0) - T.item(x + n1) + T.item(x)
-
-
-def _residue_hits(Hx: np.ndarray, Hxd: np.ndarray, t16, out=None) -> np.ndarray:
-    """The residue filter: Hxd - Hx == t16 in int16, where Hx holds H(x) and
-    Hxd holds H(x + d) for a first difference H of g in int16.  Every witness
-    passes it, and so does any x whose second difference differs from the
-    target by a multiple of 2**16.  `out` is an optional (int16, bool) pair
-    of buffers shaped like Hx."""
-    if out is None:
-        return Hxd - Hx == t16
-    diff, hits = out
-    return np.equal(np.subtract(Hxd, Hx, out=diff), t16, out=hits)
-
-
-def _first_witness(Hx: np.ndarray, Hxd: np.ndarray, t16, x0: int, n0: int, n1: int,
-                   target: int, T: np.ndarray, out=None) -> int | None:
-    """Least x = x0 + j passing `_residue_hits` at j whose second difference
-    at (n0, n1, x) is exactly `target`, re-checked by `_d2`; None if none.
-    The hits are taken one `argmax` at a time, which stops at each."""
-    hits = _residue_hits(Hx, Hxd, t16, out)
-    j = 0
-    while j < len(hits):
-        j += int(hits[j:].argmax())
-        if not hits[j]:
-            break
-        if _d2(T, x0 + j, n0, n1) == target:
-            return x0 + j
-        j += 1
-    return None
+def _reads(width: int, columns: int) -> Iterator[tuple[int, int]]:
+    """Windows [x0, x0 + k) over the offsets 0..width-1 of `columns` reads:
+    about one BLOCK in all first, then each twice as wide as the last."""
+    x0, k = 0, max(1, BLOCK // columns)
+    while x0 < width:
+        yield x0, min(k, width - x0)
+        x0, k = x0 + k, 2 * k
 
 
 def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
                  g: SequenceHandle) -> int | None:
     """Least n2 in [lo, hi] with the second symmetric derivative of g
-    vanishing at (n0, n1, n2); None if there is none (certified).
-
-    With H(x) = g(x+n1) - g(x) in int16 over the handle's `residues`, D2 g =
-    H(n2+n0) - H(n2) - target mod 2**16 misses no witness, and each hit is
-    re-checked in Python ints from the exact `table` (10 bytes per n up to
-    hi + n0 + n1).  It reads the first _FIRST_WINDOW n2, then the rest of
-    [lo, hi]: a positive `verify 3.2` pair whose least witness lies past the
-    first window reads up to `wit_cap` (every least witness measured at its
-    defaults, under the cube roots of 2 and 3 and the plastic number, lies
-    within 22 of lo).  It starts at g(0), so a negative n0, n1 or lo is
-    refused (no caller passes one; `g_range` would serve it).
-    """
+    vanishing at (n0, n1, n2); None if there is none (certified): an exact
+    int64 read of the `table` in `_reads` windows, stopping at the first
+    window with a witness.  `verify 3.2` reads [C*n1, C*n1 + W], W from
+    `lemma32_read_bound`: D2 g(n0, n1, x) - D2 g(n0, n1, 0) = beta*(K*x + L),
+    K and L made of Lemma 3.1's carries, vanishes within any W consecutive x
+    on a positive pair (three-distance theorem) and at no n2 > 0 on a
+    negative one.  A negative n0, n1 or lo is refused (the table starts at
+    g(0); no caller passes one)."""
     if min(n0, n1, lo) < 0:
         raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
-    target = _d2(g.table(n0 + n1), 0, n0, n1)
-    t16 = (target + 2**15) % 2**16 - 2**15
-    a, width = lo, _FIRST_WINDOW
-    while a <= hi:
-        k = min(width, hi + 1 - a)
-        end = a + k - 1 + n0 + n1
-        R, T = g.residues(end), g.table(end)
-        H = R[a + n1:a + n1 + k + n0] - R[a:a + k + n0]  # H[j] = g(a+j+n1) - g(a+j)
-        x = _first_witness(H[:k], H[n0:], t16, a, n0, n1, target, T)
-        if x is not None:
-            return x
-        a += k
-        width = hi + 1 - a
+    H = _first_difference(g, 0, n0 + 1, n1)
+    target = H[n0] - H[0]  # D2 g(n0, n1, x) = H(x + n0) - H(x) at x = 0
+    for x0, k in _reads(hi + 1 - lo, 1):
+        H = _first_difference(g, lo + x0, k + n0, n1)
+        hits = H[n0:] - H[:k] == target
+        j = int(hits.argmax())
+        if hits[j]:
+            return lo + x0 + j
     return None
 
 
-def lemma32_columns(N_max: int, m_max: int, C: int, width: int,
-                    g: SequenceHandle) -> np.ndarray:
-    """psi[n-1, m] for 1 <= n <= N_max and 0 <= m <= m_max: every n' <= n has
-    some n2 in [C*m, C*m + width] with the second symmetric derivative of g
-    vanishing at (n', m, n2).  That is the conjunction over n' of
-    `lemma32_scan(n', m, C*m, C*m + width, g) is not None`; column 0 is False.
+def lemma32_columns(N_max: int, m_max: int, C: int, width,
+                    g: SequenceHandle) -> tuple[np.ndarray, int]:
+    """(psi, w): psi[n-1, m], 1 <= n <= N_max and 0 <= m <= m_max, holds when
+    every n' <= n has an n2 in [C*m, C*m + w_n'] with the second symmetric
+    derivative of g vanishing at (n', m, n2), w_n = max width(n, ms) over
+    the columns ms still True at row n; w is the largest w_n, column 0 False.
 
-    The scan runs in lock-step over n, on the columns still True.  Row n
-    takes one int16 first difference H(x) = g(x+n) - g(x) from `residues`,
-    so D2 g(n, m, x) = H(x+m) - H(x) mod 2**16.  The least residue hit among
-    the first _FIRST_WINDOW n2 of each live column is re-checked exactly, in
-    one gather per BLOCK // _FIRST_WINDOW columns.  Only a column with no
-    exact hit there is read in full, from C*m, into buffers allocated once;
-    its hits are re-checked in order.  No column is ruled out without a
-    read, so each False entry is a certified absence.
-    """
-    if min(C, width) < 0:
-        raise ValueError("lemma32_columns reads g from 0: C and width must be >= 0")
+    In lock-step over n, row n takes one exact int64 first difference H(x) =
+    g(x+n) - g(x), so D2 g(n, m, x) = H(x+m) - H(x), and reads the columns
+    with no witness yet in `_reads` windows, in gathers of about one BLOCK.
+    With width = `lemma32_read_bound(g.const)`, D2 g(n, m, x) -
+    D2 g(n, m, 0) = beta*(K*x + L), K and L made of Lemma 3.1's carries,
+    vanishes in the window of a positive pair (three-distance theorem) and
+    at no n2 > 0 of a negative one, so the table is psi."""
+    if C < 0:
+        raise ValueError("lemma32_columns reads g from 0: C must be >= 0")
     psi = np.zeros((N_max, m_max + 1), dtype=bool)
-    fw = min(_FIRST_WINDOW, width + 1)
-    L = (C + 1) * m_max + width + 1  # H(x) for x <= C*m + width + m
-    R, T = g.residues(L - 1 + N_max), g.table(L - 1 + N_max)
-    H = np.empty(L, dtype=np.int16)
-    V = np.lib.stride_tricks.sliding_window_view(H, fw)  # V[x] = H[x:x + fw]
-    cols = BLOCK // fw
-    full = (np.empty(width + 1, dtype=np.int16), np.empty(width + 1, dtype=bool))
     live = np.arange(1, m_max + 1)
+    widest = 0
     for n in range(1, N_max + 1):
         if not len(live):
             break
-        np.subtract(R[n:n + L], R[:L], out=H)
-        t16 = H[live] - H[0]  # D2 g(n, m, 0), the target mod 2**16
+        w = int(np.max(width(n, live)))
+        if w < 0:
+            raise ValueError("lemma32_columns: a width must be >= 0")
+        widest = max(widest, w)
+        H = _first_difference(g, 0, (C + 1) * int(live[-1]) + w + 1, n)  # x <= (C+1)*m + w
+        target = H[live] - H[0]  # D2 g(n, m, 0)
         found = np.zeros(len(live), dtype=bool)
-        for s in range(0, len(live), cols):
-            ms = live[s:s + cols]
-            k = len(ms)
-            hits = _residue_hits(V[C * ms], V[(C + 1) * ms], t16[s:s + k, None])
-            j = hits.argmax(axis=1)
-            for i in np.flatnonzero(hits[np.arange(k), j]).tolist():
-                m = int(ms[i])
-                found[s + i] = _d2(T, C * m + int(j[i]), n, m) == _d2(T, 0, n, m)
-        for i in np.flatnonzero(~found).tolist():
-            m = int(live[i])
-            a = C * m
-            found[i] = _first_witness(H[a:a + width + 1], H[a + m:a + m + width + 1],
-                                      t16[i], a, n, m, _d2(T, 0, n, m), T, full) is not None
+        for x0, k in _reads(w + 1, len(live)):
+            V = np.lib.stride_tricks.sliding_window_view(H, k)  # V[x] = H[x:x + k]
+            todo = np.flatnonzero(~found)
+            for s in range(0, len(todo), max(1, BLOCK // k)):
+                i = todo[s:s + max(1, BLOCK // k)]
+                ms = live[i]
+                found[i] = (V[(C + 1) * ms + x0] - V[C * ms + x0] == target[i, None]).any(axis=1)
         live = live[found]
         psi[n - 1, live] = True
-    return psi
+    return psi, widest
 
 
 # ---------------------------------------------------------------------------

@@ -466,7 +466,7 @@ class SequenceHandle:
     def __init__(self) -> None:
         self._memo: dict[int, int] = {}
         # int8 is the narrowest dtype, so the first growth takes the lane's own
-        self._table = self._residues = np.zeros(0, dtype=np.int8)
+        self._table = np.zeros(0, dtype=np.int8)
 
     def table(self, upto: int) -> np.ndarray:
         """g(0), ..., g(L - 1) exactly, for some L > upto.  Growth appends
@@ -479,13 +479,6 @@ class SequenceHandle:
                 self.g_range(a, min(a + BLOCK, stop) - 1)  # type: ignore[attr-defined]
                 for a in range(len(T), stop, BLOCK)])
         return T
-
-    def residues(self, upto: int) -> np.ndarray:
-        """table(upto) mod 2**16 as signed int16, grown with it."""
-        R = self._residues
-        if upto >= len(R):
-            R = self._residues = np.concatenate((R, self.table(upto)[len(R):].astype(np.int16)))
-        return R
 
     def _fresh(self, n: int) -> int:
         return self.g_scalar(n)  # type: ignore[attr-defined]

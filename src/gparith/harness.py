@@ -29,6 +29,7 @@ from .diosearch import (
     find_small_norm,
     find_weyl_witness,
     lemma32_columns,
+    lemma32_read_bound,
     lemma32_scan,
     weyl_witnesses,
 )
@@ -75,10 +76,6 @@ from .weakmult import (
 _ARITY_MAX, _DEG_MAX, _COEFF_MAX, _ARG_MAX = 3, 3, 5, 5
 _LEMMA22_MS = (1, 2, 3)
 _PROP21_M_CAP = 4  # Proposition 2.1 searches m <= 4
-# Lemma 3.2 scans witnesses up to _WIT_CAP and absences up to _NEG_CAP.
-_WIT_CAP, _NEG_CAP = 10**6, 10**5
-# Lemma 3.3: mu(n, m) is a Lemma 3.2 scan of n2 in [C*m, C*m + _EXTEND_CAP].
-_EXTEND_CAP = 200_000
 _ABCD = (1, 2, 3, 1)  # Lemma 3.4: theta = (a + b alpha)/(c + d alpha)
 _LEMMA38_RS = tuple(range(2, 9))  # the progression lengths r of Lemma 3.8
 _Q2_FAMILY = tuple((k, l) for k in range(1, 5) for l in range(1, 5))  # Q2's (k, l)
@@ -341,14 +338,17 @@ def verify_lemma31(alpha: AlgebraicReal, beta, samples: int = 10_000,
 def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
                    seed: int = DEFAULT_SEED) -> HarnessResult:
     """Witnesses exist (and re-verify) for admissible pairs; violating pairs
-    have certified-empty scan ranges."""
+    have none.  A pair is read over [C*n1, C*n1 + W], W from `lemma32_read_bound`
+    and in its record: D2 g(n0, n1, x) - D2 g(n0, n1, 0) = beta*(K*x + L), K and
+    L made of Lemma 3.1's carries, vanishes within any W consecutive x on a
+    positive pair (three-distance theorem) and at no n2 > 0 on a negative one."""
     res = HarnessResult("3.2")
     rng = random.Random(seed)
     g = ctx.g
 
-    pos = neg = 0
-    sampled = set()
-    while pos < n_pairs or neg < n_pairs:
+    counts = {True: 0, False: 0}  # pairs taken, by admissibility
+    sampled, pairs = set(), []
+    while min(counts.values()) < n_pairs:
         n0 = rng.randrange(C, 60)
         n1 = C * n0 + rng.randrange(0, 40 * n0)
         if (n0, n1) in sampled:
@@ -356,23 +356,25 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
         sampled.add((n0, n1))
         s = g.const.exact_frac(n0) + g.const.exact_frac(n1)
         cond = (abs(s) - Fraction(1, 2)).sign() < 0
-        if cond and pos < n_pairs:
-            pos += 1
-            w = lemma32_scan(n0, n1, C * n1, _WIT_CAP, g)
-            if w is None:
-                res.add({"n0": n0, "n1": n1}, "fail", witness="no-witness")
-            else:
-                ok = delta_sym_iter(g, [n0, n1, w]) == 0
-                res.add({"n0": n0, "n1": n1}, "pass" if ok else "fail",
-                        witness={"n2": w})
-        elif not cond and neg < n_pairs:
-            neg += 1
-            w = lemma32_scan(n0, n1, C * n1, _NEG_CAP, g)
+        if counts[cond] < n_pairs:
+            counts[cond] += 1
+            pairs.append((n0, n1, cond))
+    n0s, n1s, _ = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    widths = lemma32_read_bound(g.const)(n0s, n1s).tolist()
+    for (n0, n1, cond), W in zip(pairs, widths):
+        w = lemma32_scan(n0, n1, C * n1, C * n1 + W, g)
+        if not cond:
             res.add({"n0": n0, "n1": n1, "violating": True},
                     "pass" if w is None else "fail",
-                    witness=None if w is None else {"unexpected_n2": w})
-    res.summary = {"positive_pairs": pos, "negative_pairs": neg, "C": C,
-                   "wit_cap": _WIT_CAP, "neg_cap": _NEG_CAP}
+                    witness=None if w is None else {"unexpected_n2": w}, caps={"W": W})
+        elif w is None:
+            res.add({"n0": n0, "n1": n1}, "fail", witness="no-witness", caps={"W": W})
+        else:
+            ok = delta_sym_iter(g, [n0, n1, w]) == 0
+            res.add({"n0": n0, "n1": n1}, "pass" if ok else "fail",
+                    witness={"n2": w}, caps={"W": W})
+    res.summary = {"positive_pairs": counts[True], "negative_pairs": counts[False], "C": C,
+                   "max_W": max(widths, default=0)}
     return res
 
 
@@ -387,10 +389,15 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
     every m <= m_max and N <= N_max; window endpoints move monotonically.
 
     psi[N-1, m] = AND over n <= N of mu(n, m), where mu(n, m) holds when
-    some n2 in [C*m, C*m + _EXTEND_CAP] has the second symmetric derivative
-    of g vanishing at (n, m, n2): `lemma32_columns`.  Column 0 is False."""
+    some n2 >= C*m has the second symmetric derivative of g vanishing at
+    (n, m, n2): `lemma32_columns` reads row n over [C*m, C*m + w_n], w_n the
+    largest `lemma32_read_bound` W of its live columns, and the pass record
+    carries C and the largest w_n.  D2 g(n, m, x) - D2 g(n, m, 0) =
+    beta*(K*x + L), K and L made of Lemma 3.1's carries, vanishes on an arc
+    that any W consecutive x reach (three-distance theorem) on a positive
+    pair, and at no n2 > 0 on a negative one.  Column 0 is False."""
     res = HarnessResult("3.3")
-    psi_tab = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
+    psi_tab, widest = lemma32_columns(N_max, m_max, C, lemma32_read_bound(ctx.g.const), ctx.g)
 
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mismatches = 0
@@ -402,7 +409,7 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
                     witness={"psi": bool(psi_tab[N - 1, m]),
                              "window": bool(member[m - 1])})
     res.add({"N_max": N_max, "m_max": m_max}, "pass" if mismatches == 0 else "fail",
-            caps={"C": C, "extend_cap": _EXTEND_CAP})
+            caps={"C": C, "W": widest})
 
     mono_bad = 0
     for N in range(1, N_max):
@@ -765,7 +772,7 @@ def verify_lemma42(world: bohr_mod.BohrWorld, m_max: int = 2000) -> HarnessResul
             "pass" if trend_ok else "fail", witness=trend)
 
     w = find_small_norm(2 * alpha, Fraction(1, 5000), 10**6)
-    lam_ok = world.lambda_(w.m, _LEMMA42_NS[0])
+    lam_ok = bool(world.lambda_vec(_LEMMA42_NS[0], w.m)[w.m])
     res.add({"check": "converse", "m": w.m, "N": _LEMMA42_NS[0]},
             "pass" if lam_ok else "fail",
             witness={"norm_2am": _alg_str(w.achieved["norm"])})

@@ -2,18 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import AlphaContext
 
 
 @pytest.fixture(scope="session")
 def cbrt2_field():
-    return field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+    return NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 
 
 @pytest.fixture(scope="session")
 def sqrt2_field():
-    return field_create([-2, 0, 1], (Fraction(1), Fraction(2)))
+    return NumberField([-2, 0, 1], (Fraction(1), Fraction(2)))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 
 from gparith import harness as H
 from gparith.bohr import BohrParams, BohrWorld
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import AlphaContext
 
 SEED = 0xC0FFEE
@@ -18,7 +18,7 @@ SEED = 0xC0FFEE
 
 @pytest.fixture(scope="module")
 def cbrt2_field():
-    return field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
+    return NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10)))
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def ctx(cbrt2_field):
 
 @pytest.fixture(scope="module")
 def world():
-    sqrt2 = field_create([-2, 0, 1], (1, 2)).theta
+    sqrt2 = NumberField([-2, 0, 1], (1, 2)).theta
     return BohrWorld(BohrParams(sqrt2, Fraction(1, 5)))
 
 
@@ -84,7 +84,8 @@ def test_criterion_03_lemma32_witnesses(ctx):
     report(3, "witness existence/absence", r.ok, dt,
            f"{r.summary['positive_pairs']}+{r.summary['negative_pairs']} pairs")
     assert r.ok
-    assert r.summary["wit_cap"] == 10**6 and r.summary["neg_cap"] == 10**5
+    # each pair is read over [C*n1, C*n1 + W]; the summary holds the widest
+    assert r.summary["max_W"] == max(rec["caps"]["W"] for rec in r.records) > 0
     assert dt < 300
 
 

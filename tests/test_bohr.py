@@ -101,7 +101,7 @@ class TestAlmostPeriods:
         assert len(world.fast.table(0)) < 2 * (N + 1)
 
     def test_lambda_zero(self, bohr_world):
-        assert bohr_world.lambda_(0, 10)
+        assert bohr_world.lambda_vec(10, 0)[0]
 
     def test_lambda_against_loop(self, bohr_world):
         S = bohr_world.mu_true_upto(5000, 6)
@@ -109,7 +109,7 @@ class TestAlmostPeriods:
         for m in (17, 181, 204):
             want = any(x in sset and x + m in sset
                        for x in range(1, bohr.WITNESS_CAP + 1))
-            assert bohr_world.lambda_(m, 6) == want
+            assert bohr_world.lambda_vec(6, m)[m] == want
 
 
 class TestKappaNuDelta:

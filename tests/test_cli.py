@@ -269,6 +269,10 @@ class TestVerify:
         pytest.param("g = n^2", ["verify", "3.1", "--samples", "100"], id="g = n^2"),
         pytest.param("g = n^2", ["verify", "3.2", "--pairs", "25"], id="g = n^2-3.2"),
         pytest.param("g = n^2", ["verify", "3.3", "--m-max", "500"], id="g = n^2-3.3"),
+        # a read ends W past its start, and on the arc of a positive pair
+        # g+1 on 3|n keeps only the witnesses x = 0 (mod 3), which some miss
+        pytest.param("g+1 on 3|n", ["verify", "3.2", "--pairs", "25"], id="g+1 on 3|n-3.2"),
+        pytest.param("g+1 on 3|n", ["verify", "3.3", "--m-max", "500"], id="g+1 on 3|n-3.3"),
         pytest.param("g+1 on 3|n", ["verify", "3.7"], id="g+1 on 3|n-3.7"),
         pytest.param("g = n^2", ["verify", "3.7"], id="g = n^2-3.7"),
         pytest.param("indicator 1-g", ["verify", "4.3"], id="indicator 1-g-4.3"),

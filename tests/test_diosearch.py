@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gparith import diosearch
 from gparith._fastlane import BLOCK, QuadSeqFast
 from gparith.diosearch import (
     CFExpansion,
@@ -16,9 +17,9 @@ from gparith.diosearch import (
     find_progression_base,
     find_small_norm,
     find_weyl_witness,
+    lemma32_read_bound,
     lemma32_scan,
     weyl_witnesses,
-    _FIRST_WINDOW,
 )
 from gparith.errors import (
     NotFoundWithinBudget,
@@ -26,7 +27,7 @@ from gparith.errors import (
     RationalInput,
     ThetaRational,
 )
-from gparith.exactnum import AlgebraicReal, circle_norm, field_create
+from gparith.exactnum import AlgebraicReal, NumberField, circle_norm
 from gparith.genpoly import SequenceHandle, delta_sym_iter
 from test_exactnum import FUZZ_FIELDS, _ref_inverse
 
@@ -52,7 +53,7 @@ def continued_fraction_reference(x: AlgebraicReal, k: int) -> CFExpansion:
     return CFExpansion(quotients, terminated=False)
 
 
-_CF_FIELDS = [field_create(*spec) for spec in FUZZ_FIELDS]
+_CF_FIELDS = [NumberField(*spec) for spec in FUZZ_FIELDS]
 _coeff = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
@@ -256,8 +257,9 @@ class _Table(SequenceHandle):
                                      + v(n0 + n2) + v(n1 + n2) - v(n2) + excess)
 
 
-# a scan from lo reads [lo, lo + 256) and then the rest of its range in one
-# read: the first edge starts that read, and the later two lie inside it
+# witnesses at these offsets from lo: the edge of a 256-long first window
+# (once read on its own), and two offsets inside one long read
+_FIRST_WINDOW = 256
 _EDGES = (_FIRST_WINDOW, 5 * _FIRST_WINDOW, 21 * _FIRST_WINDOW)
 
 
@@ -336,17 +338,80 @@ class TestLemma32ScanBlocks:
         assert lemma32_scan(n0, n1, 1, w - 1, g) is None
         assert lemma32_scan(n0, n1, 100, 100, g) is None
 
-    def test_an_int64_wrap_is_rechecked(self):
-        # D2 g = 2**64 at n2 = 700: the int64 sum wraps onto the target, and
-        # so does the int16 residue filter; the exact re-check rejects it
+    def test_an_int64_wrap_is_refused(self):
+        # D2 g = 2**64 at n2 = 700 would wrap onto the target in int64: a
+        # table whose second differences could leave int64 is refused, in
+        # any range that reads it, and a range before it is still read
         g = _Table(3 * BLOCK, seed=7)
         n0, n1, p = 5, 12, 700
         g.values[[p, p + n0, p + n1]] = 2**62, -2**62, -2**62
         g.plant(n0, n1, p, excess=2**64)
-        g.plant(n0, n1, p + BLOCK + 3)
+        g.plant(n0, n1, 300)
         assert g(n0 + n1 + p) == g(n0 + n1) - g(n0) - g(n1) + g(0) + 2**62
-        assert lemma32_scan(n0, n1, 1, 2 * BLOCK, g) == p + BLOCK + 3
-        assert _least_witness(g, n0, n1, 1, 2 * BLOCK) == p + BLOCK + 3
+        for lo, hi in [(1, 2 * BLOCK), (p, p), (1, p - n0 - n1)]:
+            with pytest.raises(ValueError, match="int64"):
+                lemma32_scan(n0, n1, lo, hi, g)
+        assert lemma32_scan(n0, n1, 1, p - n0 - n1 - 1, g) == 300
+
+
+# alpha in its own field: the cube roots of 2 and 3 and the plastic number
+_READ_BOUND_G = {name: QuadSeqFast(NumberField(*spec).theta, 1) for name, spec in {
+    "cbrt2": ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),
+    "cbrt3": ([-3, 0, 0, 1], (Fraction(7, 5), Fraction(3, 2))),
+    "plastic": ([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3))),
+}.items()}
+
+
+def _gap_sum(alpha, qs, k):
+    return circle_norm(alpha * qs[k - 1]) + circle_norm(alpha * qs[k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_READ_BOUND_G)), st.integers(1, 60), st.integers(1, 2500))
+def test_read_bound_decides_lemma32(name, a, b):
+    # a positive pair has its least witness within W of C*b, and a negative
+    # pair has none in a generic read.  W is a convergent denominator whose
+    # gap sum lies below the exact arc of vanishing carries, and the one
+    # before it has a gap sum no smaller than the arc less two grid steps
+    g, C, wide = _READ_BOUND_G[name], 2, 20_000
+    alpha = g.alpha
+    W = int(lemma32_read_bound(g.const)(a, b))
+    s = [(alpha * k).frac_signed() for k in (a, b, a + b)]
+    arc = 1 - (max(s + [0]) - min(s + [0]))
+    qs = [q for _, q in continued_fraction(alpha, 40).convergents()]
+    k = qs.index(W)
+    assert k >= 1 and _gap_sum(alpha, qs, k) < arc
+    before = [j for j in range(1, k) if qs[j - 1] < qs[j]]
+    if before:
+        assert _gap_sum(alpha, qs, before[-1]) >= arc - Fraction(2, diosearch._GAP_GRID)
+    w = lemma32_scan(a, b, C * b, C * b + max(W, wide), g)
+    if (abs(s[0] + s[1]) - Fraction(1, 2)).sign() < 0:
+        assert w is not None and w <= C * b + W
+    else:
+        assert w is None
+
+
+class TestReadBound:
+    def test_pairs_broadcast(self):
+        g = _READ_BOUND_G["cbrt2"]
+        bound = lemma32_read_bound(g.const)
+        ms = np.arange(1, 40, dtype=np.int64)
+        W = bound(3, ms)
+        assert W.shape == ms.shape and W.dtype == np.int64
+        assert W.tolist() == [int(bound(3, m)) for m in ms.tolist()]
+        assert len(bound(ms[:0], ms[:0])) == 0
+
+    def test_no_qualifying_convergent_raises(self, monkeypatch):
+        # a rational alpha has no gap bound; on a grid of two bins a pair
+        # with s_2 < 0 leaves no room below its arc.  Neither returns a cap
+        half = NumberField([-1, 3], (Fraction(0), Fraction(1))).theta  # alpha = 1/3
+        with pytest.raises(ValueError, match="rational"):
+            lemma32_read_bound(QuadSeqFast(half, 1).const)
+        g = _READ_BOUND_G["cbrt2"]
+        assert (g.alpha * 2).frac_signed().sign() < 0
+        monkeypatch.setattr(diosearch, "_GAP_GRID", 2)
+        with pytest.raises(ValueError, match="no convergent"):
+            lemma32_read_bound(g.const)(2, 5)
 
 
 class TestWeylWitness:
@@ -386,8 +451,8 @@ class TestWeylWitness:
 
 
 _WEYL_CONSTANTS = {
-    "cbrt2": field_create([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))).theta,
-    "sqrt2": field_create([-2, 0, 1], (Fraction(1), Fraction(2))).theta,
+    "cbrt2": NumberField([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))).theta,
+    "sqrt2": NumberField([-2, 0, 1], (Fraction(1), Fraction(2))).theta,
     "three_sevenths": Fraction(3, 7),
 }
 # c*n^d shapes: text with c's name in {c}, and the integer multiplier of c

@@ -22,10 +22,10 @@ from gparith.errors import (
 )
 from gparith.exactnum import (
     AlgebraicReal,
+    NumberField,
     _check_irreducible,
     circle_norm,
     count_roots,
-    field_create,
     floor_exact,
     frac_signed,
     nint,
@@ -39,16 +39,16 @@ CBRT2 = mp.cbrt(2)
 
 class TestFieldCreate:
     def test_rational_root_degenerate_interval(self):
-        K = field_create([-2, 1], (2, 2))
+        K = NumberField([-2, 1], (2, 2))
         assert K.rational_theta == 2
         assert K.theta.as_fraction() == 2
 
     def test_rational_root_interior(self):
         # linear minpoly with the root strictly inside the interval
-        K = field_create([-2, 1], (1, 3))
+        K = NumberField([-2, 1], (1, 3))
         assert K.theta.as_fraction() == 2
         assert K.theta.nint() == 2
-        K2 = field_create([3, 2], (-2, 0))  # 2x + 3, root -3/2
+        K2 = NumberField([3, 2], (-2, 0))  # 2x + 3, root -3/2
         assert K2.theta.as_fraction() == Fraction(-3, 2)
         assert K2.theta.nint() == -1
 
@@ -60,7 +60,7 @@ class TestFieldCreate:
 
     def test_one_sided_interval_accepts_single_root(self):
         # [0, 3] contains sqrt(2) but not -sqrt(2)
-        K = field_create([-2, 0, 1], (0, 3))
+        K = NumberField([-2, 0, 1], (0, 3))
         assert float(K.theta) == pytest.approx(2**0.5)
 
     def test_errors(self):
@@ -69,25 +69,25 @@ class TestFieldCreate:
                        [4, 0, -4, 0, 1],  # (x^2 - 2)^2, no rational root
                        [1, -2, 2, -2, 1]):  # (x - 1)^2 (x^2 + 1)
             with pytest.raises(ReducibleMinpoly):
-                field_create(square, (-1, 2))
+                NumberField(square, (-1, 2))
         with pytest.raises(NoRootInInterval):
-            field_create([-2, 0, 1], (3, 4))
+            NumberField([-2, 0, 1], (3, 4))
         with pytest.raises(MultipleRootsInInterval):
-            field_create([-2, 0, 1], (-2, 2))
+            NumberField([-2, 0, 1], (-2, 2))
         with pytest.raises(ReducibleMinpoly):
-            field_create([-6, 5, 1], (0, 2))  # (x-1)(x+6)
+            NumberField([-6, 5, 1], (0, 2))  # (x-1)(x+6)
         with pytest.raises(ReducibleMinpoly):
-            field_create([6, 0, -5, 0, 1], (1, 2))  # (x^2-2)(x^2-3)
+            NumberField([6, 0, -5, 0, 1], (1, 2))  # (x^2-2)(x^2-3)
         # past degree 4 irreducibility is not verified: a field is refused,
         # reducible or not
         with pytest.raises(ValueError, match="degree 5"):
-            field_create([6, 0, -3, -2, 0, 1], ("7/5", "143/100"))  # (x^2-2)(x^3-3)
+            NumberField([6, 0, -3, -2, 0, 1], ("7/5", "143/100"))  # (x^2-2)(x^3-3)
         with pytest.raises(ValueError, match="degree 5"):
-            field_create([-1, -1, 0, 0, 0, 1], (1, 2))  # x^5 - x - 1, irreducible
+            NumberField([-1, -1, 0, 0, 0, 1], (1, 2))  # x^5 - x - 1, irreducible
         with pytest.raises(ValueError):
-            field_create([1], (0, 1))  # degree 0
+            NumberField([1], (0, 1))  # degree 0
         with pytest.raises(ValueError):
-            field_create([2, -1], (0, 3))  # negative leading coefficient
+            NumberField([2, -1], (0, 3))  # negative leading coefficient
 
     @pytest.mark.parametrize("minpoly, interval", [
         ([-2, 0, 0, 1], ("5/4", "13/10")),  # alpha of the default config
@@ -95,7 +95,7 @@ class TestFieldCreate:
         ([-4, 0, 0, 1], ("3/2", "8/5")),  # a beta from a field of its own
     ])
     def test_refine_matches_fraction_bisection(self, minpoly, interval):
-        K = field_create(minpoly, tuple(map(Fraction, interval)))
+        K = NumberField(minpoly, tuple(map(Fraction, interval)))
         lo, hi = K.refine(Fraction(10))  # the isolating interval as it is
         p = [Fraction(c) for c in minpoly]
         slo = 1 if poly_eval(p, lo) > 0 else -1
@@ -233,7 +233,7 @@ FUZZ_FIELDS = [
     ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
     ([-1, -1, 1], (1, 2)),
 ]
-_FUZZ = [field_create(*f) for f in FUZZ_FIELDS]
+_FUZZ = [NumberField(*f) for f in FUZZ_FIELDS]
 
 
 def _floor_q(q: Fraction) -> int:
@@ -285,14 +285,14 @@ class TestIntegerDecisions:
     def test_nint_follows_the_schedule_of_floor_at_x_plus_half(self):
         # weight(theta + 11/4) has 3 bits, weight(theta + 13/4) has 4: nint
         # must request the theta-power precisions that (x + 1/2).floor() does
-        K, K_ref = (field_create(*FUZZ_FIELDS[2]) for _ in range(2))
+        K, K_ref = (NumberField(*FUZZ_FIELDS[2]) for _ in range(2))
         x = K.element([Fraction(11, 4), 1])
         x_ref = K_ref.element([Fraction(11, 4), 1])
         assert x.nint() == (x_ref + Fraction(1, 2)).floor() == 4
         assert sorted(K._pow_cache) == sorted(K_ref._pow_cache)
 
     def test_rational_theta_field(self):
-        K = field_create([-3, 2], (0, 5))            # theta = 3/2
+        K = NumberField([-3, 2], (0, 5))            # theta = 3/2
         t = K.theta
         assert (t.floor(), t.nint(), t.sign()) == (1, 2, 1)
         assert ((-t).floor(), (-t).nint()) == (-2, -1)
@@ -317,7 +317,7 @@ class TestIntegerDecisions:
     ]
 
     def test_enclosure_endpoints_unchanged(self):
-        fields = {k: field_create(*v) for k, v in self.ENCLOSURE_FIELDS.items()}
+        fields = {k: NumberField(*v) for k, v in self.ENCLOSURE_FIELDS.items()}
         got = []
         for name, coeffs, prec, _ in self.ENCLOSURE_ROWS:
             lo, hi = fields[name].element(coeffs).enclosure(prec)
@@ -337,7 +337,7 @@ ORACLE_FIELDS = FUZZ_FIELDS + [
     ([-3, 2], (1, 2)),
     ([-1, 3], (0, 1)),
 ]
-_ORACLE_K = [field_create(*f) for f in ORACLE_FIELDS]
+_ORACLE_K = [NumberField(*f) for f in ORACLE_FIELDS]
 
 
 @functools.cache
@@ -421,9 +421,9 @@ class TestCoreOracle:
 # The fuzz fields, a degree-1 field and two non-monic minimal polynomials:
 # 2x^2 - 3 (theta = sqrt(3/2)) and 3x^3 - 2 (theta = (2/3)^(1/3)).
 _REF_FIELDS = _FUZZ + [
-    field_create([-3, 2], (0, 5)),
-    field_create([-3, 0, 2], (1, 2)),
-    field_create([-2, 0, 0, 3], (Fraction(4, 5), 1)),
+    NumberField([-3, 2], (0, 5)),
+    NumberField([-3, 0, 2], (1, 2)),
+    NumberField([-2, 0, 0, 3], (Fraction(4, 5), 1)),
 ]
 
 
@@ -523,7 +523,7 @@ class TestIntegerRepresentation:
         assert ((x + Fraction(5, 6)).nums, (x + Fraction(5, 6)).den) == ((4, -1, 8), 4)
 
     def test_non_monic_reduction_table(self):
-        K = field_create([-2, 0, 0, 3], (Fraction(4, 5), 1))
+        K = NumberField([-2, 0, 0, 3], (Fraction(4, 5), 1))
         rows, den = K._xpow
         # x^3 = 2/3, x^4 = 2/3 x
         assert (rows, den) == ([(2, 0, 0), (0, 2, 0)], 3)
@@ -580,7 +580,7 @@ def _mobius_cases():
 class TestMobius:
     @pytest.mark.parametrize("i, a, b, c, d", _mobius_cases())
     def test_matches_sympy_and_the_quotient(self, i, a, b, c, d):
-        K = field_create(*FUZZ_FIELDS[i])
+        K = NumberField(*FUZZ_FIELDS[i])
         T = K.mobius(a, b, c, d)
         x = sympy.Symbol("x")
         r = sympy.CRootOf(sympy.Poly(K.minpoly_int[::-1], x), 0)

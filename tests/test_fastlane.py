@@ -23,7 +23,7 @@ from gparith._fastlane import (
 )
 from gparith.diosearch import weyl_witnesses
 from gparith.errors import PreconditionViolated
-from gparith.exactnum import AlgebraicReal, circle_norm, field_create, floor_exact, sign
+from gparith.exactnum import AlgebraicReal, NumberField, circle_norm, floor_exact, sign
 from gparith.focheck import ell
 from gparith.harness import _max_norm
 from test_exactnum import _ref_inverse
@@ -35,7 +35,7 @@ FIELDS = {
     "sqrt2": ([-2, 0, 1], (1, 2)),
     "golden": ([-1, -1, 1], (1, 2)),
 }
-_THETA = {name: field_create(*spec).theta for name, spec in FIELDS.items()}
+_THETA = {name: NumberField(*spec).theta for name, spec in FIELDS.items()}
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +130,7 @@ def test_quadratic_lane_is_exact_past_the_float_range(alpha, beta):
     # from n = 10^8, beta*n*nint(alpha*n) is past 2^51; the lane answers up
     # to the largest n whose g and product n*nint(alpha*n) fit in int64
     beta = Fraction(1, 3) if beta == "1/3" else \
-        field_create([-4, 0, 0, 1], (Fraction(3, 2), Fraction(8, 5))).theta
+        NumberField([-4, 0, 0, 1], (Fraction(3, 2), Fraction(8, 5))).theta
     fast = QuadSeqFast(alpha, beta)
 
     def fits(n):
@@ -208,7 +208,7 @@ _FUZZ_SPECS = [
     ([-2, 0, 0, 0, 1], (1, Fraction(3, 2))),
     ([-1, -1, 1], (1, 2)),
 ]
-_FUZZ_FIELDS = [field_create(*spec).theta for spec in _FUZZ_SPECS]
+_FUZZ_FIELDS = [NumberField(*spec).theta for spec in _FUZZ_SPECS]
 
 
 def _elements(K, bound):
@@ -423,7 +423,7 @@ def test_only_the_sequence_table_reads_a_range_of_g():
 def test_scalar_nint_matches_the_field(spec, data):
     # a fresh field per example, so no earlier refinement of theta makes
     # the lane's enclosure finer than the one it asks for
-    K = field_create(*spec)
+    K = NumberField(*spec)
     const = data.draw(st.one_of(
         _elements(K, 10**4),
         st.fractions(max_denominator=1 << 40).filter(lambda q: abs(q) < 10**4)))

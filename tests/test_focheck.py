@@ -13,7 +13,7 @@ from gparith.errors import (
 )
 from gparith import focheck
 from gparith._fastlane import BohrFast, QuadSeqFast
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import (
     AlphaContext,
     FAnd,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import FCmp, parse_formula, pretty_formula
 from gparith.genpoly import (
     Add,
@@ -38,7 +38,7 @@ FIELDS = [
 @pytest.mark.parametrize("minpoly,iv,root", FIELDS,
                          ids=["sqrt2", "sqrt3", "cbrt2", "qrt2", "golden"])
 def test_field_decisions_match_oracle(minpoly, iv, root):
-    K = field_create(minpoly, iv)
+    K = NumberField(minpoly, iv)
     rng = random.Random(hash(tuple(minpoly)) & 0xFFFF)
     for _ in range(150):
         coeffs = [Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 200))

@@ -27,17 +27,16 @@ from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
 from gparith import bohr
 from gparith.bohr import BohrParams, BohrWorld
 from gparith.diosearch import (
-    _FIRST_WINDOW,
     _edge_counts,
     continued_fraction,
     equidist_check,
     lemma32_columns,
     lemma32_scan,
 )
-from gparith.exactnum import circle_norm, field_create, floor_exact
+from gparith.exactnum import NumberField, circle_norm, floor_exact
 from gparith.focheck import AlphaContext, def_psi, ell, verify_lemma37
 from gparith.genpoly import SequenceHandle
-from gparith.harness import _EXTEND_CAP, verify_lemma37_range
+from gparith.harness import verify_lemma37_range
 from test_exactnum import _ref_inverse
 
 
@@ -86,7 +85,7 @@ def _lambda_literal(world, N, n_max):
     inset = np.zeros(cap + n_max + 2, dtype=bool)
     inset[S] = True
     base = S[S <= cap]
-    return [False] + [bool(np.any(inset[base + n])) for n in range(1, n_max + 1)]
+    return [bool(np.any(inset[base + n])) for n in range(n_max + 1)]
 
 
 class TestLambdaVec:
@@ -175,6 +174,19 @@ class TestKappaTable:
         assert world.kappa(3, 10).value is None
 
 
+# The psi tables here read every row over [C*m, C*m + _EXTEND_CAP], and the
+# literal search below reads in windows that grow from _FIRST_WINDOW.
+_EXTEND_CAP = 200_000
+_FIRST_WINDOW = 256
+
+
+def _columns(N_max, m_max, C, g):
+    """lemma32_columns at the fixed width _EXTEND_CAP for every row."""
+    psi, widest = lemma32_columns(N_max, m_max, C, lambda n, ms: _EXTEND_CAP, g)
+    assert widest == _EXTEND_CAP
+    return psi
+
+
 class _Array(SequenceHandle):
     """g(n) = G[n] over a random or planted array G."""
 
@@ -217,7 +229,7 @@ class TestPsiTable:
         C, N_max, m_max = 2, 30, 40
         G = ctx.g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max + 4)
         mu, _ = _mu_table(G, C, N_max, m_max)
-        psi = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
+        psi = _columns(N_max, m_max, C, ctx.g)
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
 
     def test_late_matches_and_early_stop(self):
@@ -232,7 +244,7 @@ class TestPsiTable:
         # a column with mu False at some n and True at a later n
         assert any(not mu[i, m] and mu[i + 1:, m].any()
                    for m in range(1, m_max + 1) for i in range(N_max))
-        psi = lemma32_columns(N_max, m_max, C, _EXTEND_CAP, _Array(G))
+        psi = _columns(N_max, m_max, C, _Array(G))
         assert np.array_equal(psi, np.logical_and.accumulate(mu, axis=0))
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
@@ -244,7 +256,7 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
     # no other column of m <= 200 lasts as long, so at N_max = 180 the live
     # set empties before the last row
     C, m_max = 2, 200
-    K = field_create([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3)))
+    K = NumberField([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3)))
     g = AlphaContext(K.theta, 1).g
     want = np.zeros((N_max, m_max + 1), dtype=bool)
     offsets = set()
@@ -255,7 +267,7 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
                 break
             want[n - 1, m] = True
             offsets.add(w - C * m)
-    assert np.array_equal(lemma32_columns(N_max, m_max, C, _EXTEND_CAP, g), want)
+    assert np.array_equal(_columns(N_max, m_max, C, g), want)
     assert max(offsets) > 3
     if N_max == 30:
         assert want[:, [40, 77, 117, 157, 194]].all()
@@ -264,15 +276,15 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
 
 
 def test_psi_table_memory_does_not_grow_with_m_max(ctx):
-    # after the table has grown, the scan holds one row of first differences
-    # and its read buffers, a few hundred KiB, whatever the number of columns
+    # after the table has grown, the scan holds one row of int64 first
+    # differences and one gather of columns, whatever the number of columns
     C, N_max = 2, 30
     peaks = []
     for m_max in (500, 2000):
-        ctx.g.residues(C * m_max + _EXTEND_CAP + N_max + m_max)
+        ctx.g.table(C * m_max + _EXTEND_CAP + N_max + m_max)
         tracemalloc.start()
         try:
-            lemma32_columns(N_max, m_max, C, _EXTEND_CAP, ctx.g)
+            _columns(N_max, m_max, C, ctx.g)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -286,7 +298,7 @@ def test_psi_table_matches_the_formula(ctx):
     # and every N sees both truth values
     C = 2
     ms = list(range(1, 41)) + [m for m in range(41, 200) if ctx.in_window(m, 30)][:3]
-    psi = lemma32_columns(30, ms[-1], C, _EXTEND_CAP, ctx.g)
+    psi = _columns(30, ms[-1], C, ctx.g)
     for N in (1, 2, 5, 30):
         got = [def_psi(m, N, C, _EXTEND_CAP, ctx.g) for m in ms]
         assert got == [bool(psi[N - 1, m]) for m in ms], N
@@ -295,7 +307,8 @@ def test_psi_table_matches_the_formula(ctx):
 
 class TestPsiTableResidueFilter:
     """psi against the Python-int form of _mu_table (G as an object array),
-    on values that the int16 residue filter of the scans wraps."""
+    on values that a residue read mod 2**16 (or in int32) would wrap: the
+    int64 read must not take such a collision for a witness."""
 
     C, N_max, m_max = 2, 3, 3
 
@@ -315,7 +328,7 @@ class TestPsiTableResidueFilter:
         return p
 
     def psi(self, G):
-        return lemma32_columns(self.N_max, self.m_max, self.C, _EXTEND_CAP, _Array(G))
+        return _columns(self.N_max, self.m_max, self.C, _Array(G))
 
     def exact_psi(self, G):
         mu, late = _mu_table(G.astype(object), self.C, self.N_max, self.m_max)
@@ -339,8 +352,8 @@ class TestPsiTableResidueFilter:
         assert np.array_equal(self.psi(G), psi)
 
     def test_a_residue_hit_is_rechecked(self):
-        # d2 = target + excess at n2 = p: every excess is 0 mod 2**16, so the
-        # residue filter passes it; 2**16 and -3*2**16 would not pass int32
+        # d2 = target + excess at n2 = p: every excess is 0 mod 2**16, so a
+        # residue read would pass it; 2**16 and -3*2**16 would not pass int32
         for seed, excess in enumerate((2**32, 2**16, -3 * 2**16), start=2):
             G = self.wide_G(seed)
             p = self.plant(G, 1, 2, 300, excess=excess)
@@ -360,17 +373,16 @@ class TestPsiTableResidueFilter:
 
     def first_window_hits(self, G, n, m):
         """The n2 among the first _FIRST_WINDOW from C*m whose d2 matches
-        target(n, m) mod 2**16: those the residue filter passes."""
+        target(n, m) mod 2**16: those a residue read would pass."""
         t, lo = self.target(G, n, m), self.C * m
         return [x for x in range(lo, lo + _FIRST_WINDOW)
                 if (int(G[x + n + m]) - int(G[x + n]) - int(G[x + m]) + int(G[x]) - t) % 2**16 == 0]
 
     @pytest.mark.parametrize("witness", [100, 5000, None])
     def test_a_collision_first_in_the_first_window(self, witness):
-        # the least filter hit of the first window is a collision (excess
+        # the least residue hit of the first window is a collision (excess
         # 2**16); a true witness lies later in that window, past it, or
-        # nowhere.  At offset 100 the full read must start at C*m, not at
-        # the end of the window, or the witness is missed
+        # nowhere
         G = self.wide_G(4)
         n, m = 1, 2
         p = self.plant(G, n, m, 5, excess=2**16)
@@ -384,7 +396,8 @@ class TestPsiTableResidueFilter:
         assert np.array_equal(self.psi(G), psi)
 
     def test_an_int64_wrap_is_no_witness(self):
-        # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target
+        # d2 = target + 2**64 at n2 = p: in int64 it wraps onto the target, so
+        # a table whose second differences could leave int64 is refused
         G = self.wide_G(3)
         n, m = 2, 1
         p = self.C * m + 40
@@ -394,9 +407,10 @@ class TestPsiTableResidueFilter:
             d2 = G[p + n + m] - G[p + n] - G[p + m] + G[p]
         assert d2 == self.target(G, n, m)  # the int64 form calls it a witness
         self.plant(G, 1, 1, 900)
-        psi, mu, _ = self.exact_psi(G)
+        _, mu, _ = self.exact_psi(G)
         assert mu[0, 1] and not mu[1, 1]
-        assert np.array_equal(self.psi(G), psi)
+        with pytest.raises(ValueError, match="int64"):
+            self.psi(G)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
@@ -471,7 +485,7 @@ def test_orbit_bins_are_exact(alpha, grid):
 
 
 # The five fields of test_fuzz.py.
-_FIELDS = [field_create(*f) for f in (
+_FIELDS = [NumberField(*f) for f in (
     ([-2, 0, 1], (1, 2)),
     ([-3, 0, 1], (1, 2)),
     ([-2, 0, 0, 1], (Fraction(5, 4), Fraction(13, 10))),

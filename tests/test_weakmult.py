@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gparith import harness as H, weakmult
 from gparith.errors import ExprSyntaxError, ZeroModulus
-from gparith.exactnum import field_create
+from gparith.exactnum import NumberField
 from gparith.focheck import (
     AlphaContext,
     Structure,
@@ -294,14 +294,14 @@ class TestBuildQOneLanePass:
     @pytest.mark.parametrize("beta", [1, -1, 2])
     @pytest.mark.parametrize("name", sorted(_Q_FIELDS))
     def test_matches_the_per_modulus_loop(self, name, beta):
-        ctx = AlphaContext(field_create(*_Q_FIELDS[name]).theta, beta)
+        ctx = AlphaContext(NumberField(*_Q_FIELDS[name]).theta, beta)
         assert self._assert_matches_reference(ctx) == []
 
     @pytest.mark.parametrize("name", sorted(_Q_FIELDS))
     def test_matches_it_on_a_g_with_short_runs(self, name, monkeypatch):
         # g zeroed on 11 | n, so a = 0 on those moduli, and then raised by 1
         # on n = 3 mod 7, so runs fall short (there too) and equalities fail
-        ctx = AlphaContext(field_create(*_Q_FIELDS[name]).theta, 1)
+        ctx = AlphaContext(NumberField(*_Q_FIELDS[name]).theta, 1)
         real = ctx.g.g_vec
         monkeypatch.setattr(ctx.g, "g_vec",
                             lambda n: np.where(n % 11 == 0, 0, real(n)) + (n % 7 == 3))
