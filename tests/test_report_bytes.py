@@ -38,15 +38,17 @@ REPORTS = {
     # the perfbench flags
     "verify-3.1-s400": (["verify", "3.1", "--samples", "400"],
                         "004fb431238e8d3ab5c860367bde15261a3363570103dbeede792cb628421d71"),
+    # check change: a 3.2 record carries its read width W, and 3.3's pass
+    # record C and its widest row read, in place of the fixed caps
     "verify-3.2": (["verify", "3.2", "--pairs", "5"],
-                   "0083ff53c85ac2ec5058d11be99ef0d5fcbeda99fb627e377d8b4b0f8b7549ac"),
+                   "ca06c488ebca74b5986100d42016f83c992360389479c16ec8480498198be662"),
     "verify-3.3": (["verify", "3.3", "--n-max", "6", "--m-max", "200"],
-                   "4e5e29725dade7cbad03a60fc5f07cace4014ed44198d97fcbfebfd076f6b30a"),
-    # the perfbench flags: most columns scan the full extend cap
+                   "bfd7e1c361ccd355aa0f579ec06e968aee87a852ef7b3f38cf4c7be64db5501f"),
+    # the perfbench flags
     "verify-3.3-m500": (["verify", "3.3", "--m-max", "500"],
-                        "3aec772e4e88ae3c29ee6584cb980fa73856ce5e82e9f75e4fc1fdcd82d1e811"),
+                        "aa3d757e59f58c1f0d8d7876ec99bcaa05fd502aed01b8e4a9a2adec46937a53"),
     "verify-3.2-pairs25": (["verify", "3.2", "--pairs", "25"],
-                           "42643abc1ab28916ec26e9e5345d4bcfbecf71e5055c4f656acb1d1c19de8f20"),
+                           "f01d649cd054085e365332e8b58bff72cfe92902b912c51f32c1392d875a8e98"),
     "verify-3.4": (["verify", "3.4", "--orbit", "5000", "--samples", "20000"],
                    "ecb7ed59c85077626c06df1e8205497a892739d41c21135f0a2eef7f89739388"),
     # the perfbench flags
