@@ -236,7 +236,8 @@ def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
     return None
 
 
-def lemma32_columns(N_max: int, m_max: int, C: int, width,
+def lemma32_columns(N_max: int, m_max: int, C: int,
+                    width: Callable[[int, np.ndarray], np.ndarray],
                     g: SequenceHandle) -> tuple[np.ndarray, int]:
     """(psi, w): psi[n-1, m], 1 <= n <= N_max and 0 <= m <= m_max, holds when
     every n' <= n has an n2 in [C*m, C*m + w_n'] with the second symmetric
@@ -267,9 +268,9 @@ def lemma32_columns(N_max: int, m_max: int, C: int, width,
         found = np.zeros(len(live), dtype=bool)
         for x0, k in _reads(w + 1, len(live)):
             V = np.lib.stride_tricks.sliding_window_view(H, k)  # V[x] = H[x:x + k]
-            todo = np.flatnonzero(~found)
-            for s in range(0, len(todo), max(1, BLOCK // k)):
-                i = todo[s:s + max(1, BLOCK // k)]
+            todo, step = np.flatnonzero(~found), max(1, BLOCK // k)
+            for s in range(0, len(todo), step):
+                i = todo[s:s + step]
                 ms = live[i]
                 found[i] = (V[(C + 1) * ms + x0] - V[C * ms + x0] == target[i, None]).any(axis=1)
         live = live[found]

@@ -257,8 +257,8 @@ class _Table(SequenceHandle):
                                      + v(n0 + n2) + v(n1 + n2) - v(n2) + excess)
 
 
-# witnesses at these offsets from lo: the edge of a 256-long first window
-# (once read on its own), and two offsets inside one long read
+# planted witness offsets from lo, each past the one before by a factor
+# of at least four
 _FIRST_WINDOW = 256
 _EDGES = (_FIRST_WINDOW, 5 * _FIRST_WINDOW, 21 * _FIRST_WINDOW)
 
@@ -290,7 +290,7 @@ class TestLemma32ScanBlocks:
                  (p1 + 1, p2), (p1 + 1, p2 - 1), (p2 + 1, p3), (p2 + 1, p3 - 1)]
         for a, b in cases:
             assert lemma32_scan(n0, n1, a, b, g) == _least_witness(g, n0, n1, a, b)
-        # from lo + 1, p1 is the last index of the first window
+        # from each start, the least witness at or past it
         assert lemma32_scan(n0, n1, lo + 1, p3 + 9, g) == p1
         assert lemma32_scan(n0, n1, p1 + 1, p3 + 9, g) == p2
         assert lemma32_scan(n0, n1, p2 + 1, p3, g) == p3
@@ -312,8 +312,7 @@ class TestLemma32ScanBlocks:
             lemma32_scan(n0, n1, lo, 600, _Table(4 * BLOCK, seed=5))
 
     def test_shift_larger_than_the_block_tail(self):
-        # n1 exceeds every window before the last, n0 the first two, and
-        # the last window holds 6 indices
+        # both shifts are wide, and n1 exceeds the whole range of n2 read
         g = _Table(4 * BLOCK, seed=6)
         n0, n1, lo = 3000, _EDGES[-1] + 17, 20
         hi = lo + _EDGES[-1] + 5
@@ -323,9 +322,9 @@ class TestLemma32ScanBlocks:
 
     def test_residue_collisions_are_rechecked(self):
         # D2 g misses the target by 2**16 at n2 = 100 and by -3*2**16 at
-        # n2 = 900, in the first two windows: the int16 filter passes both
-        # (an int32 one would not), the exact re-check rejects them, and
-        # the scan returns the witness planted in the third window
+        # n2 = 900: a residue read mod 2**16 would pass both (one in int32
+        # would not), the exact int64 read rejects them, and the scan
+        # returns the witness planted at n2 = 3000
         g = _Table(3 * BLOCK, seed=8)
         n0, n1, w = 5, 12, 3000
         target = g.g_scalar(n0 + n1) - g.g_scalar(n0) - g.g_scalar(n1) + g.g_scalar(0)
