@@ -172,10 +172,7 @@ class FastConst:
         also covers the rounding of a threshold |t| < 2 compared with frac."""
         if k.dtype != np.int64:
             k = k.astype(np.int64)
-        # fs stays bound until return: freeing it earlier changed the
-        # allocation pattern and raised the peak RSS of `verify 3.4` by 4%
-        fs = self.frac_scaled(k)
-        frac = fs.astype(np.float64) * _SCALE
+        frac = self.frac_scaled(k).astype(np.float64) * _SCALE
         # |k| in float64: in int64 the magnitude of -2^63 stays negative
         margin = (np.abs(k.astype(np.float64)) + 4.0) * _SCALE + _ROUNDING
         return frac, margin

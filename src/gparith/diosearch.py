@@ -45,6 +45,7 @@ from .genpoly import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
+_R_SLICE = 8 * BLOCK  # the length of each draw of r in `equidist_check`
 
 
 @dataclass
@@ -436,13 +437,15 @@ def _edge_counts(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """np.searchsorted(edges, p, side="right") for finite p and the edges
     np.linspace(-1/2, 1/2, grid + 1), with p == 1/2 moved into the last bin
     as np.histogram2d does: p lies in bin count - 1, and the counts 0 and
-    grid + 1 are outside the edges."""
+    grid + 1 are outside the edges; away from an edge, floor((p + 1/2)*grid) + 1."""
     grid = len(edges) - 1
-    # within one of the count; one step up and one down against the edges
-    c = np.clip(np.floor((p + 0.5) * grid) + 1, 1, grid).astype(np.int64)
-    c += p >= edges[c]
-    c -= p < edges[c - 1]
-    c[p == edges[-1]] = grid
+    s = (p + 0.5) * grid
+    c = np.floor(s)
+    # |p| <= 0.6: s and grid*(edges + 1/2) err by < grid*2^-51; past 0.6 the clip decides
+    near = np.flatnonzero(np.abs(s - c - 0.5) >= 0.5 - grid * 2.0**-49)
+    c = np.clip(c, -1, grid, out=c).astype(np.int64) + 1
+    q = p[near]
+    c[near] = np.searchsorted(edges, q, side="right") - (q == edges[-1])
     return c
 
 
@@ -453,9 +456,10 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
     with the push-forward of the uniform measure through the transfer map;
     alpha generates its field, of degree >= 3, and theta `NumberField.mobius`.
 
-    The orbit bins and the origin cell count are exact (`FastConst.bins`
-    and `within`); the push-forward samples are Monte Carlo floats, binned
-    as np.histogram2d bins them.  Both are walked in BLOCK slices."""
+    The orbit bins and the origin cell count are exact G-bins, G = lcm(grid,
+    20), of `FastConst.bins`; the push-forward samples are Monte Carlo floats,
+    binned as np.histogram2d bins them, with r drawn in _R_SLICE slices twice.
+    Both walk BLOCK slices, and no array of length N or M is held."""
     if d == 0:
         raise PreconditionViolated("d must be nonzero")
     if min(N, M, grid) < 1:
@@ -469,41 +473,53 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
 
     fc_theta = FastConst(theta)
     fc_alpha = FastConst(alpha)
-    # frac(alpha k) = +-1/20 only at k = 0, so < here is the <= of the report
-    eps = Fraction(1, 20)
+    # no frac(alpha k) is +-1/20: G-bins [G/2 - G/20, G/2 + G/20) are |frac| <= 1/20
+    G = int(np.lcm(grid, 20))
+    lo, hi, per = G // 2 - G // 20, G // 2 + G // 20, G // grid
     orbit_hist = np.zeros(grid * grid, dtype=np.int64)
     origin = 0
     for ns in blocks(1, N + 1):
-        k = fc_theta.nint_frac_vec(ns)           # exact nint(theta*n)
-        orbit_hist += np.bincount(fc_alpha.bins(ns, grid) * grid + fc_alpha.bins(k, grid),
-                                  minlength=grid * grid)
-        origin += int(np.count_nonzero(fc_alpha.within(ns, -eps, eps)
-                                       & fc_alpha.within(k, -eps, eps)))
+        bx = fc_alpha.bins(ns, G)
+        by = fc_alpha.bins(fc_theta.nint_frac_vec(ns), G)  # exact nint(theta*n)
+        orbit_hist += np.bincount(bx // per * grid + by // per, minlength=grid * grid)
+        origin += int(np.count_nonzero((lo <= bx) & (bx < hi) & (lo <= by) & (by < hi)))
     orbit_hist = orbit_hist.reshape(grid, grid)
 
     rng = np.random.default_rng(seed)
-    r = rng.integers(0, abs(d), size=M)
+    rng_r = copy.deepcopy(rng)
+    for i in range(0, M, _R_SLICE):
+        rng.integers(0, abs(d), size=min(_R_SLICE, M - i))
     # x and y continue the stream after r, one 64-bit output per double:
     # x from rng, y from a copy M outputs ahead
     rng_y = copy.deepcopy(rng)
     rng_y.bit_generator.advance(M)
-    af = fc_alpha.f64
-    tf = fc_theta.f64
+    af, tf = fc_alpha.f64, fc_theta.f64
 
-    def fs(z):
-        return z - np.floor(z + 0.5)
+    def fs(z, t):  # z - floor(z + 1/2), in place
+        return np.subtract(z, np.floor(np.add(z, 0.5, out=t), out=t), out=z)
 
     edges = np.linspace(-0.5, 0.5, grid + 1)
     side = grid + 2
     push_hist = np.zeros(side * side, dtype=np.int64)
+    buffers = np.empty((5, BLOCK))
     for i in range(0, M, BLOCK):
-        rs = r[i:i + BLOCK]
-        xs = rng.random(size=len(rs)) - 0.5
-        ys = rng_y.random(size=len(rs)) - 0.5
-        px = fs(d * xs + af * rs)
-        py = fs(b * xs - c * ys + af * tf * rs - af * fs(d * ys + tf * rs))
-        push_hist += np.bincount(_edge_counts(px, edges) * side + _edge_counts(py, edges),
-                                 minlength=side * side)
+        if i % _R_SLICE == 0:
+            r = rng_r.integers(0, abs(d), size=min(_R_SLICE, M - i))
+        # px = fs(d*x + af*r), and py = fs(b*x - c*y + af*tf*r - af*fs(d*y + tf*r)) in x
+        x, y, rs, px, t = buffers[:, :min(BLOCK, M - i)]
+        rs[:] = r[i % _R_SLICE:][:len(rs)]
+        np.subtract(rng.random(out=x), 0.5, out=x)
+        np.subtract(rng_y.random(out=y), 0.5, out=y)
+        np.multiply(x, d, out=px)
+        px += np.multiply(rs, af, out=t)
+        x *= b
+        x -= np.multiply(y, c, out=t)
+        y *= d
+        y += np.multiply(rs, tf, out=t)
+        x += np.multiply(rs, af * tf, out=t)
+        x -= np.multiply(fs(y, t), af, out=y)
+        push_hist += np.bincount(_edge_counts(fs(px, t), edges) * side
+                                 + _edge_counts(fs(x, t), edges), minlength=side * side)
     push_hist = push_hist.reshape(side, side)[1:-1, 1:-1]
 
     disc = float(np.max(np.abs(orbit_hist / N - push_hist / M)))

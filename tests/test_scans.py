@@ -10,10 +10,12 @@ lock-step column scan `diosearch.lemma32_columns` over
 through the real sequence and through a stub handle over a random or
 planted array, with the conjunction of `diosearch.lemma32_scan` over n at
 the plastic number, and with `def_psi`, the formula evaluator of the same
-psi; its memory is measured not to grow with the number of columns. The
-mu sets and the lambda and kappa tables are also read through one world
-answering a sequence of smaller and larger queries, the last two from their
-caches.
+psi; its memory, read at the widths of `lemma32_read_bound`, is measured
+not to grow with the number of columns, and that of `equidist_check` not
+to grow with N and M (its r is drawn in slices, checked against one
+draw). The mu sets and the lambda and kappa tables are also read through
+one world answering a sequence of smaller and larger queries, the last two
+from their caches.
 """
 
 import tracemalloc
@@ -27,10 +29,12 @@ from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
 from gparith import bohr
 from gparith.bohr import BohrParams, BohrWorld
 from gparith.diosearch import (
+    _R_SLICE,
     _edge_counts,
     continued_fraction,
     equidist_check,
     lemma32_columns,
+    lemma32_read_bound,
     lemma32_scan,
 )
 from gparith.exactnum import NumberField, circle_norm, floor_exact
@@ -277,14 +281,16 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
 
 def test_psi_table_memory_does_not_grow_with_m_max(ctx):
     # after the table has grown, the scan holds one row of int64 first
-    # differences and one gather of columns, whatever the number of columns
+    # differences and one gather of columns, whatever the number of columns;
+    # it reads at the widths of `verify 3.3`, and a first scan grows the table
     C, N_max = 2, 30
+    width = lemma32_read_bound(ctx.g.const)
     peaks = []
     for m_max in (500, 2000):
-        ctx.g.table(C * m_max + _EXTEND_CAP + N_max + m_max)
+        lemma32_columns(N_max, m_max, C, width, ctx.g)
         tracemalloc.start()
         try:
-            _columns(N_max, m_max, C, ctx.g)
+            lemma32_columns(N_max, m_max, C, width, ctx.g)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -415,12 +421,15 @@ class TestPsiTableResidueFilter:
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
 def test_edge_counts_bin_as_histogram2d(grid):
+    # the edges, their neighbours, and points just inside and just outside
+    # the reach within which searchsorted decides (16 steps of 2^-53 at grid 1)
     edges = np.linspace(-0.5, 0.5, grid + 1)
     rng = np.random.default_rng(grid)
     special = [0.5, -0.5, 0.6, -0.6, 1e300, -1e300, -0.0]
+    steps = np.array([-40, -17, -15, -2, 2, 15, 17, 40]) * 2.0**-53 * grid
     p = np.concatenate([rng.random(4000) * 1.2 - 0.6, edges,
                         np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
-                        special])
+                        (edges[:, None] + steps).ravel(), special])
     q = rng.permutation(p)
     for v in (p, q):
         want = np.searchsorted(edges, v, side="right")
@@ -433,9 +442,26 @@ def test_edge_counts_bin_as_histogram2d(grid):
     assert np.array_equal(got, want.astype(np.int64))
 
 
-# d = 1 draws no raw output for r, so y starts M outputs after r
-@pytest.mark.parametrize("d", [1, 2, -3])
-@pytest.mark.parametrize("M", [3 * BLOCK + 5, BLOCK - 7])
+@pytest.mark.parametrize("d", [2, 2951, 2**31 + 1, 2**33 + 3, 2**62 + 1])
+def test_sliced_draws_of_r_match_one_draw(d):
+    # the premise of equidist_check's two passes over r: draws of r in slices
+    # give the values and the generator state of one draw, also where the
+    # bounded draws reject outputs (often at 2^31 + 1, 2^33 + 3 and 2^62 + 1)
+    M = _R_SLICE + 11
+    one = np.random.default_rng(3)
+    want = one.integers(0, d, size=M)
+    for step in (_R_SLICE, BLOCK, 1001, 77):
+        rng = np.random.default_rng(3)
+        got = np.concatenate([rng.integers(0, d, size=min(step, M - i))
+                              for i in range(0, M, step)])
+        assert np.array_equal(got, want), step
+        assert rng.bit_generator.state == one.bit_generator.state, step
+
+
+# d = 1 draws no raw output for r, so y starts M outputs after r; at seed 3
+# two draws of r at d = -2951 are rejected within the first 3*BLOCK + 5
+@pytest.mark.parametrize("d", [1, 2, -3, -2951])
+@pytest.mark.parametrize("M", [3 * BLOCK + 5, BLOCK - 7, _R_SLICE + 5, 2 * _R_SLICE - 7])
 def test_push_hist_slices_match_one_shot(alpha, d, M):
     a, b, c = 1, 2, 3
     grid, seed = 12, 3
@@ -458,7 +484,8 @@ def test_push_hist_slices_match_one_shot(alpha, d, M):
     assert int(rep.push_hist.sum()) == M
 
 
-@pytest.mark.parametrize("grid", [6, 20])
+# bins at G = lcm(grid, 20): 60, 20, 140 and 40
+@pytest.mark.parametrize("grid", [6, 20, 7, 40])
 def test_orbit_bins_are_exact(alpha, grid):
     a, b, c, d, N = 1, 2, 3, 1, 400
     theta = alpha.field.mobius(a, b, c, d).theta
@@ -482,6 +509,20 @@ def test_orbit_bins_are_exact(alpha, grid):
     assert np.array_equal(rep.orbit_hist, want)
     assert 0 < origin < N
     assert rep.origin_fraction == origin / N
+
+
+def test_equidist_memory_does_not_grow_with_n_and_m(alpha):
+    # both sides walk BLOCK slices and r is drawn _R_SLICE at a time, so no
+    # array of length N or M is held
+    peaks = []
+    for scale in (2, 16):
+        tracemalloc.start()
+        try:
+            equidist_check(alpha, 1, 2, 3, 7, N=scale * BLOCK, M=scale * _R_SLICE, grid=20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 # The five fields of test_fuzz.py.
