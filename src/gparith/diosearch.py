@@ -441,7 +441,8 @@ def _edge_counts(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
     grid = len(edges) - 1
     s = (p + 0.5) * grid
     c = np.floor(s)
-    # |p| <= 0.6: s and grid*(edges + 1/2) err by < grid*2^-51; past 0.6 the clip decides
+    # for |p| <= 0.6, s and grid*(edges + 1/2) each err by < grid*2^-51, and the reach
+    # grid*2^-49 also covers the rounding of s - c - 1/2; past 0.6 the clip decides
     near = np.flatnonzero(np.abs(s - c - 0.5) >= 0.5 - grid * 2.0**-49)
     c = np.clip(c, -1, grid, out=c).astype(np.int64) + 1
     q = p[near]

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gparith._fastlane import BLOCK, FastConst, QuadSeqFast
-from gparith import bohr
+from gparith import bohr, diosearch
 from gparith.bohr import BohrParams, BohrWorld
 from gparith.diosearch import (
     _R_SLICE,
@@ -462,9 +462,17 @@ def test_sliced_draws_of_r_match_one_draw(d):
 # two draws of r at d = -2951 are rejected within the first 3*BLOCK + 5
 @pytest.mark.parametrize("d", [1, 2, -3, -2951])
 @pytest.mark.parametrize("M", [3 * BLOCK + 5, BLOCK - 7, _R_SLICE + 5, 2 * _R_SLICE - 7])
-def test_push_hist_slices_match_one_shot(alpha, d, M):
+def test_push_hist_slices_match_one_shot(alpha, d, M, monkeypatch):
     a, b, c = 1, 2, 3
     grid, seed = 12, 3
+    # the samples as binned, px and py of each slice in turn
+    seen, bin_samples = [], diosearch._edge_counts
+
+    def record(p, edges):
+        seen.append(p.copy())
+        return bin_samples(p, edges)
+
+    monkeypatch.setattr(diosearch, "_edge_counts", record)
     rep = equidist_check(alpha, a, b, c, d, N=1000, M=M, grid=grid, seed=seed)
     rng = np.random.default_rng(seed)
     r = rng.integers(0, abs(d), size=M)
@@ -479,6 +487,9 @@ def test_push_hist_slices_match_one_shot(alpha, d, M):
     edges = np.linspace(-0.5, 0.5, grid + 1)
     px = fs(d * x + af * r)
     py = fs(b * x - c * y + af * tf * r - af * fs(d * y + tf * r))
+    # the same floats, bit for bit, as the one-shot expressions give
+    assert np.concatenate(seen[0::2]).tobytes() == px.tobytes()
+    assert np.concatenate(seen[1::2]).tobytes() == py.tobytes()
     want, _, _ = np.histogram2d(px, py, bins=(edges, edges))
     assert np.array_equal(rep.push_hist, want.astype(np.int64))
     assert int(rep.push_hist.sum()) == M
