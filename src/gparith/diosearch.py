@@ -458,9 +458,9 @@ def equidist_check(alpha: AlgebraicReal, a: int, b: int, c: int, d: int,
     alpha generates its field, of degree >= 3, and theta `NumberField.mobius`.
 
     The orbit bins and the origin cell count are exact G-bins, G = lcm(grid,
-    20), of `FastConst.bins`; the push-forward samples are Monte Carlo floats,
-    binned as np.histogram2d bins them, with r drawn in _R_SLICE slices twice.
-    Both walk BLOCK slices, and no array of length N or M is held."""
+    20), of `FastConst.bins`.  The push-forward samples are Monte Carlo floats
+    binned as np.histogram2d bins them; r is drawn in _R_SLICE slices, once to
+    pass it and once beside x and y.  Both sides walk BLOCK slices."""
     if d == 0:
         raise PreconditionViolated("d must be nonzero")
     if min(N, M, grid) < 1:

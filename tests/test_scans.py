@@ -422,11 +422,11 @@ class TestPsiTableResidueFilter:
 @pytest.mark.parametrize("grid", [1, 2, 3, 7, 12, 20, 33, 1000])
 def test_edge_counts_bin_as_histogram2d(grid):
     # the edges, their neighbours, and points just inside and just outside
-    # the reach within which searchsorted decides (16 steps of 2^-53 at grid 1)
+    # the reach within which searchsorted decides, 2^-49 = 16 steps of 2^-53
     edges = np.linspace(-0.5, 0.5, grid + 1)
     rng = np.random.default_rng(grid)
     special = [0.5, -0.5, 0.6, -0.6, 1e300, -1e300, -0.0]
-    steps = np.array([-40, -17, -15, -2, 2, 15, 17, 40]) * 2.0**-53 * grid
+    steps = np.array([-40, -17, -15, -2, 2, 15, 17, 40]) * 2.0**-53
     p = np.concatenate([rng.random(4000) * 1.2 - 0.6, edges,
                         np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
                         (edges[:, None] + steps).ravel(), special])
