@@ -44,11 +44,12 @@ from .weakmult import (
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    v = int(text)
-    return v, v
+    """An --n range A..B with A <= B, or a single n."""
+    a, sep, b = text.partition("..")
+    lo, hi = int(a), int(b if sep else a)
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _binding(text: str) -> tuple[str, int]:
@@ -157,6 +158,8 @@ def cmd_search(args, cfg) -> int:
 
 def cmd_quadruples(args, cfg) -> int:
     if args.action == "import":
+        if not args.csv:
+            raise ValueError("quadruples import needs --csv")
         Q = import_csv(args.csv)
         rep = check_Q1(Q)
         rec = {"quadruples": rep.total, "q1_violations": rep.violations[:10]}
@@ -238,13 +241,14 @@ def cmd_equidist(args, cfg) -> int:
 
 def cmd_bohr(args, cfg) -> int:
     world = _CONFIG_VALUES["world"](cfg)
-    with _report_out(args) as out:
-        if args.action == "eval":
-            lo, hi = _parse_range(args.n)
+    if args.action == "eval":
+        lo, hi = _parse_range(args.n)
+        with _report_out(args) as out:
             for ns in blocks(lo, hi + 1):
                 out.writelines(f"{n}\t{v}\n" for n, v in
                                zip(ns.tolist(), world.fast.g_vec(ns).tolist()))
-            return 0
+        return 0
+    with _report_out(args) as out:
         rep = divisibility_sequence_check(world, args.m, args.mt,
                                           max_candidate=args.budget)
         rec = {"m": rep.m, "m_tilde": rep.m_tilde, "b": rep.b,

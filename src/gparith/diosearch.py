@@ -193,17 +193,6 @@ def find_progression_base(r: int, alpha: AlgebraicReal, beta,
 # ---------------------------------------------------------------------------
 
 
-def _first_difference(g: SequenceHandle, x0: int, k: int, d: int) -> np.ndarray:
-    """H(x) = g(x + d) - g(x) for x in [x0, x0 + k), in int64 from the exact
-    `table`; ValueError where H(x') - H(x) could leave int64, so no read
-    wraps."""
-    T = g.table(x0 + k - 1 + d)[x0:x0 + k + d]
-    if len(T):
-        check_int64_product(4, max(-int(T.min()), int(T.max())))
-    T = T.astype(np.int64, copy=False)
-    return T[d:] - T[:k]
-
-
 def _reads(width: int, columns: int) -> Iterator[tuple[int, int]]:
     """Windows [x0, x0 + k) over the offsets 0..width-1 of `columns` reads:
     about one BLOCK in all first, then each twice as wide as the last."""
@@ -213,68 +202,69 @@ def _reads(width: int, columns: int) -> Iterator[tuple[int, int]]:
         x0, k = x0 + k, 2 * k
 
 
-def lemma32_scan(n0: int, n1: int, lo: int, hi: int,
-                 g: SequenceHandle) -> int | None:
-    """Least n2 in [lo, hi] with the second symmetric derivative of g
-    vanishing at (n0, n1, n2); None if there is none (certified): an exact
-    int64 read of the `table` in `_reads` windows, stopping at the first
-    window with a witness.  `verify 3.2` reads [C*n1, C*n1 + W], W from
-    `lemma32_read_bound`: D2 g(n0, n1, x) - D2 g(n0, n1, 0) = beta*(K*x + L),
-    K and L made of Lemma 3.1's carries, vanishes within any W consecutive x
-    on a positive pair (three-distance theorem) and at no n2 > 0 on a
-    negative one.  A negative n0, n1 or lo is refused (the table starts at
-    g(0); no caller passes one)."""
-    if min(n0, n1, lo) < 0:
-        raise ValueError("lemma32_scan reads g from 0: n0, n1 and lo must be >= 0")
-    H = _first_difference(g, 0, n0 + 1, n1)
-    target = H[n0] - H[0]  # D2 g(n0, n1, x) = H(x + n0) - H(x) at x = 0
-    for x0, k in _reads(hi + 1 - lo, 1):
-        H = _first_difference(g, lo + x0, k + n0, n1)
-        hits = H[n0:] - H[:k] == target
-        j = int(hits.argmax())
-        if hits[j]:
-            return lo + x0 + j
-    return None
+def lemma32_witnesses(a, b, C: int, widths, g: SequenceHandle) -> np.ndarray:
+    """For pairs (a, b) of int64 arrays (or ints, broadcast with `widths`),
+    each pair's least n2 in [C*b, C*b + W], W its width, with D2 g(a, b, n2)
+    = D2 g(a, b, 0); -1 where there is none (certified), and a W < 0 reads
+    nothing.  The one reader of second differences: the exact `table` in
+    int64, refused with ValueError where its values up to the farthest read
+    could take a D2 out of int64, in `_reads` windows over the offsets and
+    gathers of about one BLOCK; each pair stops at its first witness or at
+    its own W.
+
+    With W from `lemma32_read_bound`, D2 g(a, b, x) - D2 g(a, b, 0) =
+    beta*(K*x + L), K and L made of Lemma 3.1's carries, vanishes within
+    any W consecutive x on a positive pair (three-distance theorem) and at
+    no n2 > 0 on a negative one.  A negative a, b or C is refused: the
+    table starts at g(0)."""
+    a, b, W = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (a, b, widths)))
+    shape, (a, b, W) = a.shape, (v.ravel() for v in (a, b, W))
+    if min(C, a.min(initial=0), b.min(initial=0)) < 0:
+        raise ValueError("lemma32_witnesses reads g from 0: a, b and C must be >= 0")
+    check_int64_product(C + 3, max(a.max(initial=0), b.max(initial=0), W.max(initial=0)))
+    out, live = np.full(len(a), -1, dtype=np.int64), np.flatnonzero(W >= 0)
+    top = int((C * b + W + a + b)[live].max(initial=-1))  # the farthest read
+    T = g.table(top)[:top + 1]
+    check_int64_product(4, max(-int(T.min(initial=0)), int(T.max(initial=0))))
+    T = T.astype(np.int64, copy=False)
+    for x0, k in _reads(int(W.max(initial=-1)) + 1, len(live) or 1):
+        live = live[W[live] >= x0]
+        step = max(1, BLOCK // k)
+        for j in range(0, len(live), step):
+            i = live[j:j + step]
+            ai, bi = a[i], b[i]
+            # row 0 reads D2 g(a, b, 0); the offsets past a pair's W repeat
+            # its last one, so no read passes it
+            x = np.minimum(np.arange(x0 - 1, x0 + k)[:, None], W[i]) + C * bi
+            x[0] = 0
+            d2 = T[x + (ai + bi)] - T[x + ai] - T[x + bi] + T[x]
+            hit = d2[1:] == d2[0]
+            r = np.flatnonzero(hit.any(axis=0))
+            out[i[r]] = x[1:][hit[:, r].argmax(axis=0), r]  # each pair's first hit
+        live = live[out[live] < 0]
+    return out.reshape(shape)
 
 
 def lemma32_columns(N_max: int, m_max: int, C: int,
                     width: Callable[[int, np.ndarray], np.ndarray],
                     g: SequenceHandle) -> tuple[np.ndarray, int]:
     """(psi, w): psi[n-1, m], 1 <= n <= N_max and 0 <= m <= m_max, holds when
-    every n' <= n has an n2 in [C*m, C*m + w_n'] with the second symmetric
-    derivative of g vanishing at (n', m, n2), w_n = max width(n, ms) over
-    the columns ms still True at row n; w is the largest w_n, column 0 False.
+    every n' <= n has an n2 in [C*m, C*m + width(n', m)] with the second
+    symmetric derivative of g vanishing at (n', m, n2); w is the largest
+    width read, column 0 False.
 
-    In lock-step over n, row n takes one exact int64 first difference H(x) =
-    g(x+n) - g(x), so D2 g(n, m, x) = H(x+m) - H(x), and reads the columns
-    with no witness yet in `_reads` windows, in gathers of about one BLOCK.
-    With width = `lemma32_read_bound(g.const)`, D2 g(n, m, x) -
-    D2 g(n, m, 0) = beta*(K*x + L), K and L made of Lemma 3.1's carries,
-    vanishes in the window of a positive pair (three-distance theorem) and
-    at no n2 > 0 of a negative one, so the table is psi."""
-    if C < 0:
-        raise ValueError("lemma32_columns reads g from 0: C must be >= 0")
+    In lock-step over n, row n reads the columns still True with one call
+    of `lemma32_witnesses` at a = n, each column to its own width.  With
+    width = `lemma32_read_bound(g.const)` the table is psi (see there)."""
     psi = np.zeros((N_max, m_max + 1), dtype=bool)
     live = np.arange(1, m_max + 1)
     widest = 0
     for n in range(1, N_max + 1):
         if not len(live):
             break
-        w = int(np.max(width(n, live)))
-        if w < 0:
-            raise ValueError("lemma32_columns: a width must be >= 0")
-        widest = max(widest, w)
-        H = _first_difference(g, 0, (C + 1) * int(live[-1]) + w + 1, n)  # x <= (C+1)*m + w
-        target = H[live] - H[0]  # D2 g(n, m, 0)
-        found = np.zeros(len(live), dtype=bool)
-        for x0, k in _reads(w + 1, len(live)):
-            V = np.lib.stride_tricks.sliding_window_view(H, k)  # V[x] = H[x:x + k]
-            todo, step = np.flatnonzero(~found), max(1, BLOCK // k)
-            for s in range(0, len(todo), step):
-                i = todo[s:s + step]
-                ms = live[i]
-                found[i] = (V[(C + 1) * ms + x0] - V[C * ms + x0] == target[i, None]).any(axis=1)
-        live = live[found]
+        W = width(n, live)
+        widest = max(widest, int(np.max(W)))
+        live = live[lemma32_witnesses(n, live, C, W, g) >= 0]
         psi[n - 1, live] = True
     return psi, widest
 

@@ -12,9 +12,9 @@ innermost bounded quantifier whose body compares integer terms over +, -,
 lane: one numpy evaluation per `_fastlane.blocks` block, reading each
 sequence through its `g_vec`, with exists stopping at the first block
 with a hit and forall at the first with a miss.  It falls back to the
-exact closures, in the walk's order, for a relation, a rounding function,
-`ind`, an unbound name or a sequence without `g_vec` (the whole scan), and
-for a block whose values would leave int64 (that block).
+exact closures, in the walk's order, for a relation, a rounding function
+or `ind` (the whole scan), and for a block that the lane declines: an
+unbound name, a sequence without `g_vec` or a value past int64.
 
 Every quantifier carries an explicit inclusive range; harness verdicts are
 tagged verified-in-range / refuted-in-range / cap-exhausted so that a
@@ -189,31 +189,23 @@ def _quantifier(phi: FExists | FForall, st: Structure) -> Callable[[dict], bool]
     """The closure of a bounded quantifier.
 
     An innermost quantifier whose body is comparisons of lane terms (see
-    `genpoly.compile_lane`) under not/and/or/=> scans its range one
-    `_fastlane.blocks` block at a time: it takes the lane when every other
-    name of the body is bound and every sequence it applies has a `g_vec`,
-    and a block whose lane raises NoLane is decided by the exact closures,
-    element by element and in order.  Lane values are exact, so the
-    verdict is the walk's."""
+    `genpoly.compile_lane`) under not/and/or/=> scans an int64 range one
+    `_fastlane.blocks` block at a time, and a block whose lane raises
+    NoLane (an unbound name, a sequence without `g_vec`, a value past
+    int64) is decided by the exact closures, element by element and in
+    order.  Lane values are exact, so the verdict is the walk's."""
     seqs = st.sequences
     lo, hi = compile_term(phi.lo), compile_term(phi.hi)
     body = _compile(phi.body, st)
     var, want = phi.var, isinstance(phi, FExists)
-    names: set[str] = set()
-    applied: set[str] = set()
-    lane = _lane_body(phi.body, var, names, applied)
-
-    def lane_ready(env: dict, a: int, b: int) -> bool:
-        return (lane is not None and -INT64_MAX <= a and b < INT64_MAX
-                and all(n in env for n in names)
-                and all(hasattr(seqs.get(s), "g_vec") for s in applied))
+    lane = _lane_body(phi.body, var)
 
     def quantifier(env: dict) -> bool:
         a, b = lo(env, seqs), hi(env, seqs)
         if b - a + 1 > MAX_RANGE:
             raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
         inner = dict(env)
-        if not lane_ready(inner, a, b):
+        if lane is None or a < -INT64_MAX or b >= INT64_MAX:
             return _scan(range(a, b + 1), inner, var, body, want)
         for xs in blocks(a, b + 1):
             try:
@@ -237,25 +229,20 @@ def _scan(values, env: dict, var: str, body, want: bool) -> bool:
     return not want
 
 
-def _lane_body(phi: Formula, var: str, names: set, applied: set):
+def _lane_body(phi: Formula, var: str):
     """Mask runner (xs, env, sequences) -> bool array of a quantifier-free
-    body of lane comparisons, or None; adds the names and sequences it
-    reads to `names` and `applied`."""
+    body of lane comparisons, or None."""
     if isinstance(phi, FCmp):
-        sides = compile_lane(phi.lhs, var), compile_lane(phi.rhs, var)
-        if sides[0] is None or sides[1] is None:
+        lhs, rhs = compile_lane(phi.lhs, var), compile_lane(phi.rhs, var)
+        if lhs is None or rhs is None:
             return None
-        for _, side_names, side_seqs in sides:
-            names |= side_names
-            applied |= side_seqs
-        op, lhs, rhs = _CMP[phi.op], sides[0][0], sides[1][0]
+        op = _CMP[phi.op]
         return lambda xs, env, s: np.asarray(op(lhs(xs, env, s), rhs(xs, env, s)))
     if isinstance(phi, FNot):
-        body = _lane_body(phi.body, var, names, applied)
+        body = _lane_body(phi.body, var)
         return None if body is None else lambda xs, env, s: ~body(xs, env, s)
     if isinstance(phi, (FAnd, FOr, FImplies)):
-        lhs = _lane_body(phi.lhs, var, names, applied)
-        rhs = _lane_body(phi.rhs, var, names, applied)
+        lhs, rhs = _lane_body(phi.lhs, var), _lane_body(phi.rhs, var)
         if lhs is None or rhs is None:
             return None
         if isinstance(phi, FAnd):
@@ -407,11 +394,11 @@ def mu_formula(C: int, n2_cap: int) -> Formula:
                    FCmp("=", _d2_term(Var("n0"), Var("n1"), Var("n2")), IntLit(0)))
 
 
-def psi_formula(C: int, n2_cap: int, N_var: str = "N") -> Formula:
+def psi_formula(C: int, n2_cap: int) -> Formula:
     """forall n in [1, N]: mu(n, m) (free: m, N)."""
     body = FExists("n2", Mul(IntLit(C), Var("m")), IntLit(n2_cap),
                    FCmp("=", _d2_term(Var("n"), Var("m"), Var("n2")), IntLit(0)))
-    return FForall("n", IntLit(1), Var(N_var), body)
+    return FForall("n", IntLit(1), Var("N"), body)
 
 
 def def_mu(n0: int, n1: int, C: int, n2_cap: int, g: SequenceHandle) -> bool:

@@ -339,8 +339,9 @@ INT64_MAX = (1 << 63) - 1
 
 
 class NoLane(Exception):
-    """A lane value would leave int64, or a sequence lane declined its
-    argument; the caller evaluates the block with the exact closures."""
+    """The lane cannot give a block exactly: a value would leave int64, a
+    name is unbound, or a sequence has no `g_vec` or declines its argument;
+    the caller evaluates the block with the exact closures."""
 
 
 def compile_lane(t: Expr, var: str):
@@ -348,48 +349,38 @@ def compile_lane(t: Expr, var: str):
     `t` has a node other than IntLit, Var, Add/Sub/Mul/Neg and Apply of a
     named sequence.
 
-    Returns (run, names, seqs): the other variables and the sequences that
-    `t` reads, and run(xs, env, sequences), the value of `t` at var = xs[i]
-    as entry i of an int64 array (an int when `t` does not read `var`).
-    `xs` is an int64 array with |x| <= 2^63 - 1, `env` binds every name
-    and each sequence has a certified `g_vec`.  Subterms that do not read
+    Returns run(xs, env, sequences), the value of `t` at var = xs[i] as
+    entry i of an int64 array (an int when `t` does not read `var`), for
+    `xs` an int64 array with |x| <= 2^63 - 1.  Subterms that do not read
     `var` are evaluated once, exactly; before each +, - and * the largest
     magnitudes of the operands, as Python ints, must keep the result in
-    int64.  run raises NoLane when they do not, when a value read from
-    `env` is not an int64 integer, or when a `g_vec` rejects its argument,
-    so every value it returns is exact.
+    int64.  run raises NoLane when they do not, when such a subterm reads
+    an unbound name or is not an int64 integer, and when a sequence applied
+    to `var` has no `g_vec` or its `g_vec` rejects the argument, so every
+    value it returns is exact.
     """
-    names: set[str] = set()
-    seqs: set[str] = set()
-    lane = _lane(t, var, names, seqs)
-    if lane is None:
-        return None
-    return _vector(lane), frozenset(names), frozenset(seqs)
+    lane = _lane(t, var)
+    return None if lane is None else _vector(lane)
 
 
-def _lane(t: Expr, var: str, names: set, seqs: set):
+def _lane(t: Expr, var: str):
     """(reads_var, fn) for `t`, fn a lane runner when `t` reads `var` and
-    a compile_term closure when not; None outside the lane grammar.  Adds
-    the names and sequences `t` reads to `names` and `seqs`."""
+    a compile_term closure when not; None outside the lane grammar."""
     if isinstance(t, IntLit):
         return False, compile_term(t)
     if isinstance(t, Var):
         if t.name == var:
             return True, lambda xs, env, sequences: xs
-        names.add(t.name)
         return False, compile_term(t)
     if isinstance(t, Neg) or (isinstance(t, Apply) and t.fn not in ROUNDING):
-        arg = _lane(t.arg, var, names, seqs)
-        if isinstance(t, Apply):
-            seqs.add(t.fn)
+        arg = _lane(t.arg, var)
         if arg is None:
             return None
         if not arg[0]:
             return False, compile_term(t)
         return True, _neg_lane(arg[1]) if isinstance(t, Neg) else _apply_lane(t.fn, arg[1])
     if isinstance(t, (Add, Sub, Mul)):
-        lhs = _lane(t.lhs, var, names, seqs)
-        rhs = _lane(t.rhs, var, names, seqs)
+        lhs, rhs = _lane(t.lhs, var), _lane(t.rhs, var)
         if lhs is None or rhs is None:
             return None
         if not (lhs[0] or rhs[0]):
@@ -400,13 +391,17 @@ def _lane(t: Expr, var: str, names: set, seqs: set):
 
 
 def _vector(lane):
-    """The lane runner of a `_lane` pair; a scalar must fit in int64."""
+    """The lane runner of a `_lane` pair; a scalar must be bound and fit in
+    int64."""
     reads_var, fn = lane
     if reads_var:
         return fn
 
     def scalar(xs, env, sequences):
-        v = fn(env, sequences)
+        try:
+            v = fn(env, sequences)
+        except UnboundVariable:
+            raise NoLane from None
         if not isinstance(v, int) or abs(v) > INT64_MAX:
             raise NoLane
         return v
@@ -436,9 +431,12 @@ def _binary_lane(op, bound, lhs, rhs):
 
 def _apply_lane(name: str, arg):
     def run(xs, env, sequences):
+        g_vec = getattr(sequences.get(name), "g_vec", None)
+        if g_vec is None:
+            raise NoLane
         k = arg(xs, env, sequences)
         try:
-            values = sequences[name].g_vec(k)
+            values = g_vec(k)
         except (ValueError, OverflowError):
             # a value past int64: the lane's own guards, and numpy's
             # refusal of an out-of-range Python int

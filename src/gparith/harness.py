@@ -30,7 +30,7 @@ from .diosearch import (
     find_weyl_witness,
     lemma32_columns,
     lemma32_read_bound,
-    lemma32_scan,
+    lemma32_witnesses,
     weyl_witnesses,
 )
 from .errors import CalibrationFailed, NotFoundWithinBudget
@@ -338,10 +338,11 @@ def verify_lemma31(alpha: AlgebraicReal, beta, samples: int = 10_000,
 def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
                    seed: int = DEFAULT_SEED) -> HarnessResult:
     """Witnesses exist (and re-verify) for admissible pairs; violating pairs
-    have none.  A pair is read over [C*n1, C*n1 + W], W from `lemma32_read_bound`
-    and in its record: D2 g(n0, n1, x) - D2 g(n0, n1, 0) = beta*(K*x + L), K and
-    L made of Lemma 3.1's carries, vanishes within any W consecutive x on a
-    positive pair (three-distance theorem) and at no n2 > 0 on a negative one."""
+    have none.  One call of `lemma32_witnesses` reads every pair over
+    [C*n1, C*n1 + W], W from `lemma32_read_bound` and in its record:
+    D2 g(n0, n1, x) - D2 g(n0, n1, 0) = beta*(K*x + L), K and L made of
+    Lemma 3.1's carries, vanishes within any W consecutive x on a positive
+    pair (three-distance theorem) and at no n2 > 0 on a negative one."""
     res = HarnessResult("3.2")
     rng = random.Random(seed)
     g = ctx.g
@@ -360,14 +361,15 @@ def verify_lemma32(ctx: AlphaContext, C: int = 2, n_pairs: int = 100,
             counts[cond] += 1
             pairs.append((n0, n1, cond))
     n0s, n1s, _ = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
-    widths = lemma32_read_bound(g.const)(n0s, n1s).tolist()
-    for (n0, n1, cond), W in zip(pairs, widths):
-        w = lemma32_scan(n0, n1, C * n1, C * n1 + W, g)
+    widths = lemma32_read_bound(g.const)(n0s, n1s)
+    found = lemma32_witnesses(n0s, n1s, C, widths, g).tolist()
+    widths = widths.tolist()
+    for (n0, n1, cond), W, w in zip(pairs, widths, found):
         if not cond:
             res.add({"n0": n0, "n1": n1, "violating": True},
-                    "pass" if w is None else "fail",
-                    witness=None if w is None else {"unexpected_n2": w}, caps={"W": W})
-        elif w is None:
+                    "pass" if w < 0 else "fail",
+                    witness=None if w < 0 else {"unexpected_n2": w}, caps={"W": W})
+        elif w < 0:
             res.add({"n0": n0, "n1": n1}, "fail", witness="no-witness", caps={"W": W})
         else:
             ok = delta_sym_iter(g, [n0, n1, w]) == 0
@@ -390,9 +392,9 @@ def verify_lemma33(ctx: AlphaContext, C: int = 2, N_max: int = 30,
 
     psi[N-1, m] = AND over n <= N of mu(n, m), where mu(n, m) holds when
     some n2 >= C*m has the second symmetric derivative of g vanishing at
-    (n, m, n2): `lemma32_columns` reads row n over [C*m, C*m + w_n], w_n the
-    largest `lemma32_read_bound` W of its live columns, and the pass record
-    carries C and the largest w_n.  D2 g(n, m, x) - D2 g(n, m, 0) =
+    (n, m, n2): `lemma32_columns` reads each column m still True at row n
+    over [C*m, C*m + W], W its own `lemma32_read_bound` width, and the pass
+    record carries C and the largest W read.  D2 g(n, m, x) - D2 g(n, m, 0) =
     beta*(K*x + L), K and L made of Lemma 3.1's carries, vanishes on an arc
     that any W consecutive x reach (three-distance theorem) on a positive
     pair, and at no n2 > 0 on a negative one.  Column 0 is False."""

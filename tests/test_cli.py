@@ -468,15 +468,20 @@ class TestSearchAndBohr:
         ["quadruples", "build", "--h-factor", "0"], ["search", "weyl"],
         ["search", "weyl", "--max", "10"],
         ["compile", "x1*x2 - 6", "--check", "--m-cap", "0"],
-        ["compile", "x1*x2 - 6", "--check", "--n-cap", "-3"]])
-    def test_an_empty_request_is_a_usage_error(self, argv, capsys):
-        # an empty quadruple store, a weyl search with no target, or a
-        # solvability check over no m or no n
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2 and capsys.readouterr().out == ""
+        ["compile", "x1*x2 - 6", "--check", "--n-cap", "-3"],
+        ["quadruples", "import"], ["eval", "n", "--n", "5..3"], ["bohr", "eval", "--n", "3..1"]])
+    def test_an_empty_request_is_a_usage_error(self, argv, capsys, tmp_path):
+        # an empty quadruple store, a weyl search with no target, a
+        # solvability check over no m or no n, an import of no file, or an
+        # evaluation over an empty range; no report file is opened either
+        report = tmp_path / "report.txt"
+        for out in ([], ["--out", str(report)]):
+            try:
+                code = main(out + argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2 and capsys.readouterr().out == ""
+        assert not report.exists()
 
     def test_bohr_eval(self, capsys):
         code, out, _ = run_cli(["bohr", "eval", "--n", "0..6"], capsys)

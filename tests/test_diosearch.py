@@ -18,7 +18,7 @@ from gparith.diosearch import (
     find_small_norm,
     find_weyl_witness,
     lemma32_read_bound,
-    lemma32_scan,
+    lemma32_witnesses,
     weyl_witnesses,
 )
 from gparith.errors import (
@@ -203,8 +203,8 @@ def find_lemma32_witness(n0: int, n1: int, C: int, g: QuadSeqFast,
     s = (g.alpha * n0).frac_signed() + (g.alpha * n1).frac_signed()
     if (abs(s) - Fraction(1, 2)).sign() >= 0:
         raise PreconditionViolated("|frac(alpha n0) + frac(alpha n1)| < 1/2 fails")
-    w = lemma32_scan(n0, n1, C * n1, max_candidate, g)
-    if w is None:
+    w = int(lemma32_witnesses(n0, n1, C, max_candidate - C * n1, g))
+    if w < 0:
         raise NotFoundWithinBudget(
             f"no n2 in [{C * n1}, {max_candidate}] for ({n0}, {n1})")
     return w
@@ -216,7 +216,7 @@ class TestLemma32Witness:
         n2 = find_lemma32_witness(5, 50, 2, g, 10**6)
         assert delta_sym_iter(g, [5, 50, n2]) == 0
         # least witness: nothing below it
-        assert lemma32_scan(5, 50, 100, n2 - 1, g) is None
+        assert lemma32_witnesses(5, 50, 2, n2 - 1 - 100, g) == -1
 
     def test_precondition_ratio(self, alpha):
         with pytest.raises(PreconditionViolated):
@@ -228,12 +228,24 @@ class TestLemma32Witness:
             find_lemma32_witness(2, 6, 2, QuadSeqFast(alpha, 1), 10**6)
 
 
-def _least_witness(g, n0, n1, lo, hi):
-    """The scalar reading of lemma32_scan: least n2 in [lo, hi] with
-    g(n0+n1+n2) - g(n0+n2) - g(n1+n2) + g(n2) = g(n0+n1) - g(n0) - g(n1) + g(0)."""
-    target = g(n0 + n1) - g(n0) - g(n1) + g(0)
-    return next((n2 for n2 in range(lo, hi + 1)
-                 if g(n0 + n1 + n2) - g(n0 + n2) - g(n1 + n2) + g(n2) == target), None)
+def _least_witness(g, a, b, C, W):
+    """The scalar reading of lemma32_witnesses: least n2 in [C*b, C*b + W]
+    with g(a+b+n2) - g(a+n2) - g(b+n2) + g(n2) = g(a+b) - g(a) - g(b) + g(0),
+    or -1."""
+    target = g(a + b) - g(a) - g(b) + g(0)
+    return next((n2 for n2 in range(C * b, C * b + W + 1)
+                 if g(a + b + n2) - g(a + n2) - g(b + n2) + g(n2) == target), -1)
+
+
+def _witnesses(g, a, b, C, W):
+    """lemma32_witnesses on the pairs (a, b) with widths W, all in one call,
+    each pair checked against _least_witness."""
+    a, b, W = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (a, b, W)))
+    got = lemma32_witnesses(a, b, C, W, g)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert got.ravel().tolist() == [_least_witness(g, x, y, C, w) for x, y, w in
+                                    zip(a.ravel().tolist(), b.ravel().tolist(), W.ravel().tolist())]
+    return got.tolist()
 
 
 class _Table(SequenceHandle):
@@ -257,100 +269,116 @@ class _Table(SequenceHandle):
                                      + v(n0 + n2) + v(n1 + n2) - v(n2) + excess)
 
 
-# planted witness offsets from lo, each past the one before by a factor
-# of at least four
-_FIRST_WINDOW = 256
-_EDGES = (_FIRST_WINDOW, 5 * _FIRST_WINDOW, 21 * _FIRST_WINDOW)
-
-
 class TestLemma32ScanBlocks:
     def test_real_sequence_across_blocks(self, alpha):
+        # pairs of different a, b and W in one call, read in windows that
+        # cross BLOCK; (2, 6) has no witness past n2 = 0, so it reads its
+        # whole width, and C = 0 makes n2 = 0 the least witness
         g = QuadSeqFast(alpha, 1)
-        # (2, 6) has no witness past n2 = 0, so both scans read every block
-        for n0, n1, lo, hi in [(2, 6, 1, BLOCK + 700), (5, 50, BLOCK - 3, 2 * BLOCK),
-                               (7, 100, 1, 2 * BLOCK)]:
-            assert lemma32_scan(n0, n1, lo, hi, g) == _least_witness(g, n0, n1, lo, hi)
-        assert lemma32_scan(2, 6, 1, BLOCK + 700, g) is None
-        assert lemma32_scan(2, 6, 0, BLOCK + 700, g) == 0
+        got = _witnesses(g, [2, 5, 7, 2], [6, 50, 100, 6], 1,
+                         [BLOCK + 700, 2 * BLOCK, 2 * BLOCK, 3])
+        assert got[0] == got[3] == -1 and got[1] >= 50 and got[2] >= 100
+        assert _witnesses(g, [2, 5], [6, 50], 0, [BLOCK + 700, 9]) == [0, 0]
 
     def test_planted_witnesses_at_block_edges(self):
-        # window edges: each witness alone, then all three in one table
-        n0, n1, lo = 3, 11, 100
-        for seed, edge in enumerate(_EDGES):
-            g = _Table(lo + 3 * edge, seed=seed)
-            g.plant(n0, n1, lo + edge)
-            assert lemma32_scan(n0, n1, lo, lo + 2 * edge - 1, g) == lo + edge
-            assert lemma32_scan(n0, n1, lo, lo + edge, g) == lo + edge
-            assert lemma32_scan(n0, n1, lo, lo + edge - 1, g) is None
-        g = _Table(lo + 2 * _EDGES[-1], seed=4)
-        p1, p2, p3 = (lo + e for e in _EDGES)
-        for p in (p1, p2, p3):
-            g.plant(n0, n1, p)
-        cases = [(lo, p3 + 9), (lo, p1), (lo, p1 - 1), (lo + 1, p3 + 9), (p1 + 1, p3 + 9),
-                 (p1 + 1, p2), (p1 + 1, p2 - 1), (p2 + 1, p3), (p2 + 1, p3 - 1)]
-        for a, b in cases:
-            assert lemma32_scan(n0, n1, a, b, g) == _least_witness(g, n0, n1, a, b)
-        # from each start, the least witness at or past it
-        assert lemma32_scan(n0, n1, lo + 1, p3 + 9, g) == p1
-        assert lemma32_scan(n0, n1, p1 + 1, p3 + 9, g) == p2
-        assert lemma32_scan(n0, n1, p2 + 1, p3, g) == p3
-        assert lemma32_scan(n0, n1, p2 + 1, p3 - 1, g) is None
+        # sixteen reads in one call take windows of 1024, 2048, 4096 offsets
+        # from C*b = 100; a witness on the last or the first offset of a
+        # window is found by the reads that reach it, and by none that end
+        # one short
+        a, b, C = 3, 10, 10
+        starts = [x0 for x0, _ in diosearch._reads(8000, 16)]
+        assert starts[:4] == [0, 1024, 3072, 7168]
+        edges = [x0 - d for x0 in starts[1:3] for d in (1, 0)]
+        for seed, e in enumerate(edges):
+            g = _Table(C * b + e + a + b + 9, seed=seed)
+            g.plant(a, b, C * b + e)
+            W = [e + d for d in range(-8, 8)]
+            assert _witnesses(g, a, b, C, W) == [C * b + e if w >= e else -1 for w in W]
+        # one table with a pair planted on each edge, the four pairs read
+        # together one short of, on, one and two past their witnesses
+        firsts = [3, 5, 7, 9]
+        W = [e + d for e in edges for d in (-1, 0, 1, 2)]
+        g = _Table(C * b + edges[-1] + 3 * b + 9, seed=4)
+        for a, e in zip(firsts, edges):
+            g.plant(a, b, C * b + e)
+        assert _witnesses(g, np.repeat(firsts, 4), b, C, W) == [
+            C * b + e if d >= 0 else -1 for e in edges for d in (-1, 0, 1, 2)]
 
     def test_empty_and_single_ranges(self):
+        # a width of -1 (or less) reads nothing, not even far past the
+        # table; a width of 0 reads n2 = C*b alone
+        a, b, C = 4, 10, 50
         g = _Table(4 * BLOCK, seed=5)
-        g.plant(4, 9, 500)
-        assert lemma32_scan(4, 9, 500, 500, g) == 500
-        assert lemma32_scan(4, 9, 501, 501, g) is None
-        assert lemma32_scan(4, 9, 501, 500, g) is None
-        assert lemma32_scan(4, 9, 10**9, 0, g) is None
+        g.plant(a, b, C * b)
+        got = _witnesses(g, [a, a, a, a + 1, a], [b, b, b, b, b + 1], C, [0, -1, -5, 0, 0])
+        assert got == [C * b, -1, -1, -1, -1]
+        assert lemma32_witnesses([a, 4], [b, 10**8], C, [-1, -1], g).tolist() == [-1, -1]
+        assert len(g.table(0)) == C * (b + 1) + a + b + 2  # g(0..C*b + W + a + b) only
+        assert lemma32_witnesses([], [], C, [], g).tolist() == []
 
-    @pytest.mark.parametrize("n0,n1,lo", [(-1, 9, 500), (4, -1, 500), (4, 9, -1)],
+    @pytest.mark.parametrize("a,b,C", [(-1, 9, 50), (4, -1, 50), (4, 9, -50)],
                              ids=["n0", "n1", "lo"])
-    def test_a_negative_index_is_refused(self, n0, n1, lo):
-        # the table starts at g(0): a negative index would read it from its end
+    def test_a_negative_index_is_refused(self, a, b, C):
+        # the table starts at g(0): a negative a, b or C (and so a negative
+        # start C*b of the read) would read it from its end, even beside a
+        # valid pair
         with pytest.raises(ValueError, match="must be >= 0"):
-            lemma32_scan(n0, n1, lo, 600, _Table(4 * BLOCK, seed=5))
+            lemma32_witnesses([4, a], [9, b], C, [600, 600], _Table(4 * BLOCK, seed=5))
 
     def test_shift_larger_than_the_block_tail(self):
-        # both shifts are wide, and n1 exceeds the whole range of n2 read
+        # both shifts are wide, and b exceeds the whole range of n2 read
         g = _Table(4 * BLOCK, seed=6)
-        n0, n1, lo = 3000, _EDGES[-1] + 17, 20
-        hi = lo + _EDGES[-1] + 5
-        g.plant(n0, n1, hi)
-        assert lemma32_scan(n0, n1, lo, hi, g) == hi == _least_witness(g, n0, n1, lo, hi)
-        assert lemma32_scan(n0, n1, lo, hi - 1, g) is None
+        a, b, C = 3000, 5393, 1
+        W = b - 7
+        g.plant(a, b, C * b + W)
+        assert _witnesses(g, [a, a, 7], [b, b, 12], C, [W, W - 1, W]) == [C * b + W, -1, -1]
 
     def test_residue_collisions_are_rechecked(self):
         # D2 g misses the target by 2**16 at n2 = 100 and by -3*2**16 at
         # n2 = 900: a residue read mod 2**16 would pass both (one in int32
-        # would not), the exact int64 read rejects them, and the scan
+        # would not), the exact int64 read rejects them, and the read
         # returns the witness planted at n2 = 3000
         g = _Table(3 * BLOCK, seed=8)
-        n0, n1, w = 5, 12, 3000
-        target = g.g_scalar(n0 + n1) - g.g_scalar(n0) - g.g_scalar(n1) + g.g_scalar(0)
+        a, b, C, w = 5, 12, 4, 3000
+        target = g.g_scalar(a + b) - g.g_scalar(a) - g.g_scalar(b) + g.g_scalar(0)
         for p, excess in ((100, 2**16), (900, -3 * 2**16)):
-            g.plant(n0, n1, p, excess=excess)
+            g.plant(a, b, p, excess=excess)
             v = g.values
-            assert int(v[p + n0 + n1]) - int(v[p + n0]) - int(v[p + n1]) + int(v[p]) == target + excess
-        g.plant(n0, n1, w)
-        assert lemma32_scan(n0, n1, 1, 2 * BLOCK, g) == w == _least_witness(g, n0, n1, 1, 2 * BLOCK)
-        assert lemma32_scan(n0, n1, 1, w - 1, g) is None
-        assert lemma32_scan(n0, n1, 100, 100, g) is None
+            assert int(v[p + a + b]) - int(v[p + a]) - int(v[p + b]) + int(v[p]) == target + excess
+        g.plant(a, b, w)
+        lo = C * b
+        got = _witnesses(g, a, b, C, [2 * BLOCK, w - lo - 1, 100 - lo, 900 - lo, w - lo])
+        assert got == [w, -1, -1, -1, w]
 
     def test_an_int64_wrap_is_refused(self):
         # D2 g = 2**64 at n2 = 700 would wrap onto the target in int64: a
-        # table whose second differences could leave int64 is refused, in
-        # any range that reads it, and a range before it is still read
+        # table whose second differences could leave int64 is refused by
+        # any read that reaches it, and a read ending before it still
+        # answers
         g = _Table(3 * BLOCK, seed=7)
-        n0, n1, p = 5, 12, 700
-        g.values[[p, p + n0, p + n1]] = 2**62, -2**62, -2**62
-        g.plant(n0, n1, p, excess=2**64)
-        g.plant(n0, n1, 300)
-        assert g(n0 + n1 + p) == g(n0 + n1) - g(n0) - g(n1) + g(0) + 2**62
-        for lo, hi in [(1, 2 * BLOCK), (p, p), (1, p - n0 - n1)]:
+        a, b, p = 5, 12, 700
+        g.values[[p, p + a, p + b]] = 2**62, -2**62, -2**62
+        g.plant(a, b, p, excess=2**64)
+        g.plant(a, b, 300)
+        assert g(a + b + p) == g(a + b) - g(a) - g(b) + g(0) + 2**62
+        for C, bs, W in [(1, b, 2 * BLOCK), (1, b, p - a - b - b), (50, 14, 0),
+                         (1, [b, b], [p - a - 2 * b - 1, p - a - 2 * b])]:
             with pytest.raises(ValueError, match="int64"):
-                lemma32_scan(n0, n1, lo, hi, g)
-        assert lemma32_scan(n0, n1, 1, p - n0 - n1 - 1, g) == 300
+                lemma32_witnesses(a, bs, C, W, g)
+        assert _witnesses(g, a, b, 1, p - a - 2 * b - 1) == 300
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_pairs_match_the_scalar_reading(self, seed):
+        # random pairs and widths (some negative) in one call, half of them
+        # with a witness planted in their read or one offset past its end
+        rng = np.random.default_rng(seed)
+        C, p = int(rng.integers(1, 4)), 24
+        a, b = rng.integers(0, 40, p), rng.integers(0, 120, p)
+        W = rng.integers(-2, 600, p)
+        g = _Table(int((C * b + W + a + b).max()) + 2, seed=seed + 10)
+        for q in np.flatnonzero(rng.random(p) < 0.5):
+            g.plant(int(a[q]), int(b[q]), int(C * b[q] + rng.integers(0, max(W[q], 0) + 2)))
+        _witnesses(g, a, b, C, W)
 
 
 # alpha in its own field: the cube roots of 2 and 3 and the plastic number
@@ -383,11 +411,12 @@ def test_read_bound_decides_lemma32(name, a, b):
     before = [j for j in range(1, k) if qs[j - 1] < qs[j]]
     if before:
         assert _gap_sum(alpha, qs, before[-1]) >= arc - Fraction(2, diosearch._GAP_GRID)
-    w = lemma32_scan(a, b, C * b, C * b + max(W, wide), g)
+    w = int(lemma32_witnesses(a, b, C, max(W, wide), g))
     if (abs(s[0] + s[1]) - Fraction(1, 2)).sign() < 0:
-        assert w is not None and w <= C * b + W
+        assert C * b <= w <= C * b + W
+        assert lemma32_witnesses(a, b, C, W, g) == w
     else:
-        assert w is None
+        assert w == -1
 
 
 class TestReadBound:

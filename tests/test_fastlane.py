@@ -418,6 +418,14 @@ def test_only_the_sequence_table_reads_a_range_of_g():
     assert _src_readers({"g_range"}, skip=None) == {("genpoly", "table")}
 
 
+def test_one_reader_of_second_differences_over_the_table():
+    # bohr's four readers of g and `lemma32_witnesses`, the one reader of
+    # second differences: a second one would read the table too
+    assert _src_readers({"table"}, skip=None) == {
+        ("bohr", "g"), ("bohr", "mu"), ("bohr", "mu_true_upto"), ("bohr", "_kappa_table"),
+        ("diosearch", "lemma32_witnesses")}
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(_FUZZ_SPECS), data=st.data())
 def test_scalar_nint_matches_the_field(spec, data):

@@ -8,8 +8,8 @@ element-by-element reading of what they compute.  The psi table, the
 lock-step column scan `diosearch.lemma32_columns` over
 [C*m, C*m + _EXTEND_CAP], is compared with the literal windowed search
 through the real sequence and through a stub handle over a random or
-planted array, with the conjunction of `diosearch.lemma32_scan` over n at
-the plastic number, and with `def_psi`, the formula evaluator of the same
+planted array, with the conjunction over n of the literal search at the
+plastic number, and with `def_psi`, the formula evaluator of the same
 psi; its memory, read at the widths of `lemma32_read_bound`, is measured
 not to grow with the number of columns, and that of `equidist_check` not
 to grow with N and M (its r is drawn in slices, checked against one
@@ -35,7 +35,6 @@ from gparith.diosearch import (
     equidist_check,
     lemma32_columns,
     lemma32_read_bound,
-    lemma32_scan,
 )
 from gparith.exactnum import NumberField, circle_norm, floor_exact
 from gparith.focheck import AlphaContext, def_psi, ell, verify_lemma37
@@ -205,6 +204,25 @@ class _Array(SequenceHandle):
         return self.G[lo:hi + 1]
 
 
+def _least_offset(G, C, n, m):
+    """The least x in [0, _EXTEND_CAP] with D2 g(n, m, C*m + x) = D2 g(n, m, 0),
+    by the literal search in windows that grow from _FIRST_WINDOW; None if
+    there is none."""
+    lo, width, end = C * m, _FIRST_WINDOW, C * m + _EXTEND_CAP
+    target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
+    while lo <= end:
+        hi = min(lo + width - 1, end)
+        w = hi - lo + 1
+        d2 = (G[lo + n + m:lo + n + m + w] - G[lo + n:lo + n + w]
+              - G[lo + m:lo + m + w] + G[lo:lo + w])
+        hits = np.flatnonzero(d2 == target)
+        if len(hits):
+            return lo + int(hits[0]) - C * m
+        lo = hi + 1
+        width *= 4
+    return None
+
+
 def _mu_table(G, C, N_max, m_max):
     """mu(n, m) by the literal windowed search, and whether each match lay
     past the first window; row n - 1, column m (column 0 False)."""
@@ -212,19 +230,9 @@ def _mu_table(G, C, N_max, m_max):
     late = np.zeros_like(mu)
     for n in range(1, N_max + 1):
         for m in range(1, m_max + 1):
-            lo, width, end = C * m, _FIRST_WINDOW, C * m + _EXTEND_CAP
-            target = int(G[n + m]) - int(G[n]) - int(G[m]) + int(G[0])
-            while lo <= end:
-                hi = min(lo + width - 1, end)
-                w = hi - lo + 1
-                d2 = (G[lo + n + m:lo + n + m + w] - G[lo + n:lo + n + w]
-                      - G[lo + m:lo + m + w] + G[lo:lo + w])
-                if np.any(d2 == target):
-                    mu[n - 1, m] = True
-                    late[n - 1, m] = lo > C * m
-                    break
-                lo = hi + 1
-                width *= 4
+            x = _least_offset(G, C, n, m)
+            mu[n - 1, m] = x is not None
+            late[n - 1, m] = x is not None and x >= _FIRST_WINDOW
     return mu, late
 
 
@@ -253,6 +261,20 @@ class TestPsiTable:
         assert psi[3, 1:].any() and not psi[4:, 1:].any()
 
 
+def test_each_column_reads_to_its_own_width():
+    # in one row column 1 reads 5 offsets past C*m and column 2 reads 50: a
+    # witness of column 1 at offset 6 lies past its own read, though not
+    # past the row's widest, so psi is False there until its width is 6
+    C = 2
+    G = np.random.default_rng(3).integers(-2**40, 2**40, 200)
+    for m, offset in ((1, 6), (2, 20)):
+        x = C * m + offset
+        G[x + 1 + m] = G[1 + m] - G[1] - G[m] + G[0] + G[x + 1] + G[x + m] - G[x]
+    for w1, want in ((5, False), (6, True)):
+        psi, widest = lemma32_columns(1, 2, C, lambda n, ms: np.where(ms == 1, w1, 50), _Array(G))
+        assert psi.tolist() == [[False, want, True]] and widest == 50
+
+
 @pytest.mark.parametrize("N_max", [30, 180])
 def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
     # at the plastic number least witnesses lie up to 9 past C*m, not 3 as
@@ -262,15 +284,16 @@ def test_plastic_psi_table_is_the_conjunction_of_scans(N_max):
     C, m_max = 2, 200
     K = NumberField([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3)))
     g = AlphaContext(K.theta, 1).g
+    G = g.g_range(0, C * m_max + _EXTEND_CAP + N_max + m_max)
     want = np.zeros((N_max, m_max + 1), dtype=bool)
     offsets = set()
     for m in range(1, m_max + 1):
         for n in range(1, N_max + 1):
-            w = lemma32_scan(n, m, C * m, C * m + _EXTEND_CAP, g)
-            if w is None:
+            x = _least_offset(G, C, n, m)
+            if x is None:
                 break
             want[n - 1, m] = True
-            offsets.add(w - C * m)
+            offsets.add(x)
     assert np.array_equal(_columns(N_max, m_max, C, g), want)
     assert max(offsets) > 3
     if N_max == 30:
