@@ -60,11 +60,11 @@ _SCALE = float(2.0**-64)
 _ROUNDING = 2.0**-51
 
 
-def blocks(start: int, stop: int):
-    """Consecutive int64 aranges of at most BLOCK integers covering
+def blocks(start: int, stop: int, size: int = BLOCK):
+    """Consecutive int64 aranges of at most `size` integers covering
     start..stop-1 in increasing order."""
-    for lo in range(start, stop, BLOCK):
-        yield np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
+    for lo in range(start, stop, size):
+        yield np.arange(lo, min(lo + size, stop), dtype=np.int64)
 
 
 def check_int64_product(*factors) -> None:

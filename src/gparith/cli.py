@@ -197,9 +197,13 @@ def cmd_compile(args, cfg) -> int:
 
 
 def cmd_formula(args, cfg) -> int:
-    from .focheck import Structure, eval_formula, parse_formula
+    from .focheck import Structure, eval_formula, parse_formula, relation_atoms
 
     phi = parse_formula(args.formula)
+    for atom in relation_atoms(phi):
+        if atom.name == "Q" and len(atom.args) != 4:
+            raise ValueError(f"Q takes 4 arguments, got {len(atom.args)}: "
+                             f"{pretty_formula(atom)}")
     sequences = {}
     alpha = cfg.constants.get("alpha")
     beta = cfg.constants.get("beta")
@@ -211,8 +215,7 @@ def cmd_formula(args, cfg) -> int:
         sequences["gb"] = BohrFast(bohr_alpha, rho)
     relations = {}
     if args.q_csv:
-        Q = import_csv(args.q_csv)
-        relations["Q"] = lambda m, a, b, c: Q.contains(m, a, b, c)
+        relations["Q"] = import_csv(args.q_csv)
     valuation = dict(args.bind)
     value = eval_formula(phi, valuation, Structure(sequences, relations))
     with _report_out(args) as out:

@@ -8,13 +8,18 @@ function applied to a term is an integer too.
 
 `eval_formula` compiles a formula once into closures and runs them.  An
 innermost bounded quantifier whose body compares integer terms over +, -,
-* and named sequences, under not/and/or/=>, is scanned as a certified
-lane: one numpy evaluation per `_fastlane.blocks` block, reading each
-sequence through its `g_vec`, with exists stopping at the first block
-with a hit and forall at the first with a miss.  It falls back to the
-exact closures, in the walk's order, for a relation, a rounding function
-or `ind` (the whole scan), and for a block that the lane declines: an
-unbound name, a sequence without `g_vec` or a value past int64.
+* and named sequences, and tests relation atoms on such terms, under
+not/and/or/=>, is scanned as a certified lane: one numpy evaluation per
+`_fastlane.blocks` block, reading each sequence through its `g_vec` and
+each relation through its store's array `contains`, with exists stopping
+at the first block with a hit and forall at the first with a miss.  A
+nest of two quantifiers whose inner bounds do not read the outer variable
+is scanned as one grid: each pass covers as many outer values as fit a
+block beside the whole inner range.  The scans fall back to the exact
+closures, in the walk's order, for a rounding function or `ind` (the
+whole scan), and for a pass that the lane declines: an unbound name, a
+sequence without `g_vec`, a store without an array `contains` or a value
+past int64.
 
 Every quantifier carries an explicit inclusive range; harness verdicts are
 tagged verified-in-range / refuted-in-range / cap-exhausted so that a
@@ -41,6 +46,7 @@ from .errors import (
 )
 from .exactnum import AlgebraicReal, floor_half_inverse, nint
 from .genpoly import (
+    BLOCK,
     Add,
     Apply,
     Expr,
@@ -57,6 +63,7 @@ from .genpoly import (
     delta_sym,
     parse_term,
     pretty,
+    term_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -121,10 +128,13 @@ Formula = Union[FCmp, FRel, FNot, FAnd, FOr, FImplies, FExists, FForall]
 
 @dataclass
 class Structure:
-    """Interpretation of the named sequences and relations."""
+    """Interpretation of the named sequences and relations: a relation name
+    maps to a store whose `contains(*args)` answers membership.  A store
+    with `array_contains` set also answers int64 arrays (ints broadcast)
+    entrywise, which the lane reads."""
 
     sequences: dict[str, Callable[[int], int]] = dc_field(default_factory=dict)
-    relations: dict[str, Callable[..., bool]] = dc_field(default_factory=dict)
+    relations: dict[str, object] = dc_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +175,10 @@ def _compile(phi: Formula, st: Structure) -> Callable[[dict], bool]:
 
         def rel(env):
             try:
-                fn = st.relations[name]
+                store = st.relations[name]
             except KeyError:
                 raise UnboundVariable(f"relation {name}") from None
-            return bool(fn(*[a(env, seqs) for a in args]))
+            return bool(store.contains(*[a(env, seqs) for a in args]))
         return rel
     if isinstance(phi, FNot):
         body = _compile(phi.body, st)
@@ -188,28 +198,41 @@ def _compile(phi: Formula, st: Structure) -> Callable[[dict], bool]:
 def _quantifier(phi: FExists | FForall, st: Structure) -> Callable[[dict], bool]:
     """The closure of a bounded quantifier.
 
-    An innermost quantifier whose body is comparisons of lane terms (see
-    `genpoly.compile_lane`) under not/and/or/=> scans an int64 range one
-    `_fastlane.blocks` block at a time, and a block whose lane raises
-    NoLane (an unbound name, a sequence without `g_vec`, a value past
-    int64) is decided by the exact closures, element by element and in
-    order.  Lane values are exact, so the verdict is the walk's."""
+    An innermost quantifier whose body is comparisons and relation atoms
+    of lane terms (see `genpoly.compile_lane`) under not/and/or/=> scans
+    an int64 range one `_fastlane.blocks` block at a time.  A quantifier
+    whose body is such a quantifier, with bounds that do not read the
+    outer variable, scans passes of R = BLOCK // (inner length) >= 2 outer
+    values by the whole inner range as one flat grid, each row reduced by
+    the inner any/all (see `_grid`); otherwise it calls its body once per
+    value.  A pass whose lane raises NoLane (an unbound name, a sequence
+    without `g_vec`, a store without an array `contains`, a value past
+    int64) is decided by the exact closures, value by value and in order.
+    Lane values are exact and every name a walk reads is read before any
+    body, so the verdict, and any error, is the walk's."""
     seqs = st.sequences
     lo, hi = compile_term(phi.lo), compile_term(phi.hi)
     body = _compile(phi.body, st)
     var, want = phi.var, isinstance(phi, FExists)
-    lane = _lane_body(phi.body, var)
+    lane = _lane_body(phi.body, (var,), st)
+    grid = None if lane is not None else _grid(phi, st)
 
     def quantifier(env: dict) -> bool:
         a, b = lo(env, seqs), hi(env, seqs)
-        if b - a + 1 > MAX_RANGE:
-            raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
+        _check_range(a, b)
         inner = dict(env)
-        if lane is None or a < -INT64_MAX or b >= INT64_MAX:
+        scan = None
+        if -INT64_MAX <= a <= b < INT64_MAX:
+            if lane is not None:
+                scan = BLOCK, lambda xs: lane({var: xs}, inner, seqs)
+            elif grid is not None:
+                scan = grid(inner)
+        if scan is None:
             return _scan(range(a, b + 1), inner, var, body, want)
-        for xs in blocks(a, b + 1):
+        size, holds_at = scan
+        for xs in blocks(a, b + 1, size):
             try:
-                holds = lane(xs, inner, seqs)
+                holds = holds_at(xs)
             except NoLane:
                 if _scan(xs.tolist(), inner, var, body, want) == want:
                     return want
@@ -218,6 +241,59 @@ def _quantifier(phi: FExists | FForall, st: Structure) -> Callable[[dict], bool]
                 return want
         return not want
     return quantifier
+
+
+def relation_atoms(phi: Formula) -> Iterator[FRel]:
+    """The relation atoms of `phi`, left to right."""
+    if isinstance(phi, FRel):
+        yield phi
+    elif isinstance(phi, (FNot, FExists, FForall)):
+        yield from relation_atoms(phi.body)
+    elif isinstance(phi, (FAnd, FOr, FImplies)):
+        yield from relation_atoms(phi.lhs)
+        yield from relation_atoms(phi.rhs)
+
+
+def _check_range(a: int, b: int) -> None:
+    if b - a + 1 > MAX_RANGE:
+        raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
+
+
+def _grid(phi: FExists | FForall, st: Structure):
+    """For a nest `Q x: Q' y in [c, d]: body` whose c, d do not read x and
+    whose body is a lane body in x and y, the function env -> (R, holds_at)
+    or None; else None.
+
+    It evaluates c and d (which the walk reads at the first x, before any
+    body).  holds_at(xs) is the truth of Q' y at each of at most R outer
+    values xs, from one lane call on the grid xs by [c, d], R = BLOCK //
+    (d - c + 1); the function gives None, for the scan value by value, when
+    R < 2 or a grid value would leave int64."""
+    nest = phi.body
+    if not isinstance(nest, (FExists, FForall)) \
+            or phi.var in term_vars(nest.lo) | term_vars(nest.hi):
+        return None
+    lane = _lane_body(nest.body, (phi.var, nest.var), st)
+    if lane is None:
+        return None
+    seqs, some = st.sequences, isinstance(nest, FExists)
+    lo, hi = compile_term(nest.lo), compile_term(nest.hi)
+
+    def grid(env: dict):
+        c, d = lo(env, seqs), hi(env, seqs)
+        _check_range(c, d)
+        width = d - c + 1
+        if not 1 <= width <= BLOCK // 2 or c < -INT64_MAX or d >= INT64_MAX:
+            return None
+        ys = np.arange(c, d + 1, dtype=np.int64)
+
+        def holds_at(xs):
+            cells = lane({phi.var: xs.repeat(width), nest.var: np.tile(ys, len(xs))},
+                         env, seqs)
+            rows = np.broadcast_to(cells, (len(xs) * width,)).reshape(len(xs), width)
+            return rows.any(axis=1) if some else rows.all(axis=1)
+        return BLOCK // width, holds_at
+    return grid
 
 
 def _scan(values, env: dict, var: str, body, want: bool) -> bool:
@@ -229,20 +305,32 @@ def _scan(values, env: dict, var: str, body, want: bool) -> bool:
     return not want
 
 
-def _lane_body(phi: Formula, var: str):
+def _lane_body(phi: Formula, lanes: tuple[str, ...], st: Structure):
     """Mask runner (xs, env, sequences) -> bool array of a quantifier-free
-    body of lane comparisons, or None."""
+    body of lane comparisons and relation atoms, or None."""
     if isinstance(phi, FCmp):
-        lhs, rhs = compile_lane(phi.lhs, var), compile_lane(phi.rhs, var)
+        lhs, rhs = compile_lane(phi.lhs, lanes), compile_lane(phi.rhs, lanes)
         if lhs is None or rhs is None:
             return None
         op = _CMP[phi.op]
         return lambda xs, env, s: np.asarray(op(lhs(xs, env, s), rhs(xs, env, s)))
+    if isinstance(phi, FRel):
+        args = [compile_lane(a, lanes) for a in phi.args]
+        if None in args:
+            return None
+        name = phi.name
+
+        def rel(xs, env, s):
+            store = st.relations.get(name)
+            if not getattr(store, "array_contains", False):
+                raise NoLane
+            return np.asarray(store.contains(*[a(xs, env, s) for a in args]))
+        return rel
     if isinstance(phi, FNot):
-        body = _lane_body(phi.body, var)
+        body = _lane_body(phi.body, lanes, st)
         return None if body is None else lambda xs, env, s: ~body(xs, env, s)
     if isinstance(phi, (FAnd, FOr, FImplies)):
-        lhs, rhs = _lane_body(phi.lhs, var), _lane_body(phi.rhs, var)
+        lhs, rhs = _lane_body(phi.lhs, lanes, st), _lane_body(phi.rhs, lanes, st)
         if lhs is None or rhs is None:
             return None
         if isinstance(phi, FAnd):

@@ -6,8 +6,8 @@ parser under the shared +/-/* layer, one printer and one exact evaluator
 (`compile_term`, which turns a term into a closure once); `eval` text,
 `focheck` formulas and `weakmult`'s canonical terms all use it.  Integer
 terms over +, -, * and named sequences also have a vector form
-(`compile_lane`) that evaluates one int64 block of a variable at a time
-through the sequences' certified `g_vec`.  Also: the memo base class of the named sequences (their one evaluator
+(`compile_lane`) that evaluates equal-length int64 blocks of one or more
+variables at a time through the sequences' certified `g_vec`.  Also: the memo base class of the named sequences (their one evaluator
 each lives in `_fastlane`), the discrete derivatives (shift, symmetric,
 iterated symmetric), and the classifier that compares the vanishing of the
 second symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
@@ -327,6 +327,17 @@ def compile_term(t: Expr) -> Callable[[Mapping[str, Number], Mapping[str, Callab
     raise TypeError(f"not an expression node: {t!r}")
 
 
+def term_vars(t: Expr) -> set[str]:
+    """The names of the variables that `t` reads."""
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, (Neg, Apply)):
+        return term_vars(t.arg)
+    if isinstance(t, IntLit):
+        return set()
+    return term_vars(t.lhs) | term_vars(t.rhs)
+
+
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
            IndicatorLess: lambda a, b: 1 if a < b else 0}
 
@@ -344,43 +355,46 @@ class NoLane(Exception):
     the caller evaluates the block with the exact closures."""
 
 
-def compile_lane(t: Expr, var: str):
-    """The vector form of `t` in the integer variable `var`, or None when
+def compile_lane(t: Expr, lanes: tuple[str, ...]):
+    """The vector form of `t` in the integer variables `lanes`, or None when
     `t` has a node other than IntLit, Var, Add/Sub/Mul/Neg and Apply of a
     named sequence.
 
-    Returns run(xs, env, sequences), the value of `t` at var = xs[i] as
-    entry i of an int64 array (an int when `t` does not read `var`), for
-    `xs` an int64 array with |x| <= 2^63 - 1.  Subterms that do not read
-    `var` are evaluated once, exactly; before each +, - and * the largest
-    magnitudes of the operands, as Python ints, must keep the result in
-    int64.  run raises NoLane when they do not, when such a subterm reads
-    an unbound name or is not an int64 integer, and when a sequence applied
-    to `var` has no `g_vec` or its `g_vec` rejects the argument, so every
+    Returns run(xs, env, sequences), where `xs` maps each lane variable to
+    an int64 array, all of one length, with |x| <= 2^63 - 1: the value of
+    `t` at the i-th entries as entry i of an int64 array (an int when `t`
+    reads no lane variable).  Subterms that read no lane variable are
+    evaluated once, exactly; before each +, - and * the largest magnitudes
+    of the operands, as Python ints, must keep the result in int64.  run
+    raises NoLane when they do not, when such a subterm reads an unbound
+    name or is not an int64 integer, and when a sequence applied to a lane
+    variable has no `g_vec` or its `g_vec` rejects the argument, so every
     value it returns is exact.
     """
-    lane = _lane(t, var)
+    lane = _lane(t, lanes)
     return None if lane is None else _vector(lane)
 
 
-def _lane(t: Expr, var: str):
-    """(reads_var, fn) for `t`, fn a lane runner when `t` reads `var` and
-    a compile_term closure when not; None outside the lane grammar."""
+def _lane(t: Expr, lanes: tuple[str, ...]):
+    """(reads_lanes, fn) for `t`, fn a lane runner when `t` reads a lane
+    variable and a compile_term closure when not; None outside the lane
+    grammar."""
     if isinstance(t, IntLit):
         return False, compile_term(t)
     if isinstance(t, Var):
-        if t.name == var:
-            return True, lambda xs, env, sequences: xs
+        if t.name in lanes:
+            name = t.name
+            return True, lambda xs, env, sequences: xs[name]
         return False, compile_term(t)
     if isinstance(t, Neg) or (isinstance(t, Apply) and t.fn not in ROUNDING):
-        arg = _lane(t.arg, var)
+        arg = _lane(t.arg, lanes)
         if arg is None:
             return None
         if not arg[0]:
             return False, compile_term(t)
         return True, _neg_lane(arg[1]) if isinstance(t, Neg) else _apply_lane(t.fn, arg[1])
     if isinstance(t, (Add, Sub, Mul)):
-        lhs, rhs = _lane(t.lhs, var), _lane(t.rhs, var)
+        lhs, rhs = _lane(t.lhs, lanes), _lane(t.rhs, lanes)
         if lhs is None or rhs is None:
             return None
         if not (lhs[0] or rhs[0]):
@@ -393,8 +407,8 @@ def _lane(t: Expr, var: str):
 def _vector(lane):
     """The lane runner of a `_lane` pair; a scalar must be bound and fit in
     int64."""
-    reads_var, fn = lane
-    if reads_var:
+    reads_lanes, fn = lane
+    if reads_lanes:
         return fn
 
     def scalar(xs, env, sequences):

@@ -190,21 +190,65 @@ class ExplicitQSet:
     """An explicit store of quadruples, given as (m, a, b, c) tuples or a
     (4, n) int64 column array: deduplicated int64 columns, rows sorted."""
 
+    # `contains` also answers int64 arrays entrywise (read by focheck's lane)
+    array_contains = True
+
     def __init__(self, quadruples: Iterable[tuple[int, int, int, int]] | np.ndarray) -> None:
         self.cols = _sorted_rows(quadruples if isinstance(quadruples, np.ndarray) else
                                  np.fromiter(quadruples, dtype=np.dtype((np.int64, 4))).T)
         # progressions whose constant-d2 run falls short of T, as (m, T, run)
         self.short_runs: list[tuple[int, int, int]] = []
+        self._keys = None  # (layout, packed keys, first key tied), on first use
 
-    def contains(self, m, a, b, c) -> bool:
-        """Binary search of the sorted rows: [lo, hi) narrows to the rows
-        that agree with (m, a, b, c) on each column in turn."""
-        lo, hi = 0, self.cols.shape[1]
-        for col, v in zip(self.cols, (m, a, b, c)):
-            if not (lo < hi and _INT64_MIN <= v <= _INT64_MAX):
-                return False
-            seg = col[lo:hi]
-            lo, hi = lo + int(seg.searchsorted(v)), lo + int(seg.searchsorted(v, "right"))
+    def contains(self, m, a, b, c):
+        """Membership of (m, a, b, c): a bool for four ints, and entrywise a
+        bool array for int64 arrays (ints broadcast against them).
+
+        One search of the packed keys of `_sorted_rows`, built on the first
+        call: a value outside its column's [min, max], an int outside int64
+        among them, is no member's; the first key is found by `searchsorted`,
+        and where rows tie on it the later keys are bisected on the run."""
+        probe = (m, a, b, c)
+        if all(isinstance(v, int) for v in probe):
+            return bool(len(self) and self._inside(probe) and self._search(probe))
+        shape = np.broadcast_shapes(*map(np.shape, probe))
+        hit = np.zeros(shape, dtype=bool)
+        if len(self) and all(not isinstance(v, int) or _INT64_MIN <= v <= _INT64_MAX
+                             for v in probe):
+            vs = [np.broadcast_to(np.asarray(v, dtype=np.int64), shape).ravel() for v in probe]
+            inside = self._inside(vs)
+            hit.reshape(-1)[inside] = self._search([v[inside] for v in vs])
+        return hit
+
+    def _packed(self):
+        """(layout, keys, tied): `_layout` of the rows, their packed keys and
+        whether two rows share the first key; built once, on first use."""
+        if self._keys is None:
+            layout = _layout(self.cols)
+            keys = _pack(self.cols, layout)
+            self._keys = layout, keys, bool((keys[0][1:] == keys[0][:-1]).any())
+        return self._keys
+
+    def _inside(self, probe):
+        """Entrywise: is every value of the probe within its column's range?"""
+        inside = True
+        for group in self._packed()[0]:
+            for j, lo, w in group:
+                inside = inside & (lo <= probe[j]) & (probe[j] <= lo + (w - 1))
+        return inside
+
+    def _search(self, probe):
+        """Entrywise: is the probe, inside every column's range, a row?"""
+        layout, keys, tied = self._packed()
+        pk = _pack(probe, layout)
+        lo = keys[0].searchsorted(pk[0])
+        if not tied:  # the first key fixes the row
+            i = np.minimum(lo, len(self) - 1)
+            return np.logical_and.reduce([k[i] == p for k, p in zip(keys, pk)])
+        hi = keys[0].searchsorted(pk[0], "right")
+        # rows equal on the earlier keys are sorted by the next one
+        for key, p in zip(keys[1:], pk[1:]):
+            lo, hi = _bisect(key, lo, hi, p, False), _bisect(key, lo, hi, p, True)
         return lo < hi
 
     def members(self):
@@ -220,20 +264,54 @@ class ExplicitQSet:
         return isinstance(other, ExplicitQSet) and np.array_equal(self.cols, other.cols)
 
 
-def _sorted_rows(cols: np.ndarray) -> np.ndarray:
-    """The distinct rows of (4, n) columns, in lexicographic order.  Adjacent
-    columns whose joint range fits in int64 share one sort key, since
-    (x - lo_x) * w_y + (y - lo_y) orders as (x, y) does."""
-    if not cols.shape[1]:
-        return cols
-    keys, span = [], 0
-    for col in cols:
+def _layout(cols: np.ndarray) -> list[list[tuple[int, int, int]]]:
+    """The groups of adjacent columns whose joint range fits in int64, each
+    column as (index, min, width) of a non-empty (4, n) array."""
+    layout, span = [], 0
+    for j, col in enumerate(cols):
         lo = int(col.min())
         w = int(col.max()) - lo + 1
-        if keys and span * w <= _INT64_MAX:
-            keys[-1], span = keys[-1] * w + (col - lo), span * w
+        if layout and span * w <= _INT64_MAX:
+            layout[-1].append((j, lo, w))
+            span *= w
         else:
-            keys, span = keys + [col - lo if w <= _INT64_MAX else col], w
+            layout.append([(j, lo, w)])
+            span = w
+    return layout
+
+
+def _pack(cols, layout) -> list[np.ndarray]:
+    """One int64 key per group of `layout`, for columns inside its ranges:
+    (x - lo_x) * w_y + (y - lo_y) orders as (x, y) does, and a column wider
+    than int64 (alone in its group) is its own key."""
+    keys = []
+    for group in layout:
+        key = None
+        for j, lo, w in group:
+            x = cols[j] - lo if w <= _INT64_MAX else cols[j]
+            key = x if key is None else key * w + x
+        keys.append(key)
+    return keys
+
+
+def _bisect(key: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray,
+            right: bool) -> np.ndarray:
+    """Entrywise the first i in [lo, hi) with key[i] > v (right) or >= v,
+    else hi, for `key` sorted on each [lo, hi)."""
+    while (live := lo < hi).any():
+        mid = (lo + hi) >> 1
+        k = key[np.minimum(mid, len(key) - 1)]
+        up = live & ((k <= v) if right else (k < v))
+        lo, hi = np.where(up, mid + 1, lo), np.where(live & ~up, mid, hi)
+    return lo
+
+
+def _sorted_rows(cols: np.ndarray) -> np.ndarray:
+    """The distinct rows of (4, n) columns, in lexicographic order, sorted by
+    the packed keys of `_layout`."""
+    if not cols.shape[1]:
+        return cols
+    keys = _pack(cols, _layout(cols))
     # take and compress keep the rows C-contiguous, as searchsorted wants them
     order = np.argsort(keys[0], kind="stable")
     first = keys[0][order]

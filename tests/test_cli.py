@@ -382,6 +382,15 @@ class TestFormula:
              "--q-csv", str(q)], capsys)
         assert code == 0 and json.loads(out)["value"] is True
 
+    @pytest.mark.parametrize("text", ["Q(1,2,3)", "forall k in [1,2]: Q(k)"])
+    def test_q_atom_needs_four_arguments(self, text, tmp_path, capsys):
+        # refused before the store is read or the formula evaluated
+        q = tmp_path / "q.csv"
+        q.write_text("1,2,3,6\n")
+        code, out, err = run_cli(["formula", text, "--q-csv", str(q)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: Q takes 4 arguments") and "Traceback" not in err
+
     @pytest.mark.parametrize("binding", ["m", "m=1.5", "=3", "m=x"])
     def test_bad_binding_names_the_flag(self, binding, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from gparith.focheck import (
     FImplies,
     FNot,
     FOr,
+    FRel,
     Structure,
     def_mu,
     def_pi,
@@ -52,6 +53,7 @@ from gparith.genpoly import (
     Var,
     delta_sym,
 )
+from gparith.weakmult import ExplicitQSet, SyntheticQSet, build_Q
 
 
 class TestEvaluator:
@@ -70,9 +72,9 @@ class TestEvaluator:
                             {}, Structure())
 
     def test_sequences_and_relations(self, ctx):
-        phi = parse_formula("exists x in [1,20]: g(x) = 30 and Q(x)")
+        phi = parse_formula("exists x in [1,20]: g(x) = 30 and Q(x, 2*x, 3*x, 6*x)")
         st = Structure(sequences={"g": ctx.g},
-                       relations={"Q": lambda x: x % 5 == 0})
+                       relations={"Q": ExplicitQSet([(5, 10, 15, 30), (7, 14, 21, 42)])})
         assert eval_formula(phi, {}, st)  # x = 5: g(5) = 30
 
     def test_unbound_variable(self):
@@ -469,20 +471,26 @@ def ref_term(t, env, seqs):
     return _OPS[type(t)](ref_term(t.lhs, env, seqs), ref_term(t.rhs, env, seqs))
 
 
-def ref_formula(phi, env, seqs):
+def ref_formula(phi, env, seqs, rels):
     if isinstance(phi, FCmp):
         return _CMPS[phi.op](ref_term(phi.lhs, env, seqs), ref_term(phi.rhs, env, seqs))
+    if isinstance(phi, FRel):
+        if phi.name not in rels:
+            raise UnboundVariable(f"relation {phi.name}")
+        return rels[phi.name].contains(*[ref_term(a, env, seqs) for a in phi.args])
     if isinstance(phi, FNot):
-        return not ref_formula(phi.body, env, seqs)
+        return not ref_formula(phi.body, env, seqs, rels)
     if isinstance(phi, FAnd):
-        return ref_formula(phi.lhs, env, seqs) and ref_formula(phi.rhs, env, seqs)
+        return ref_formula(phi.lhs, env, seqs, rels) and ref_formula(phi.rhs, env, seqs, rels)
     if isinstance(phi, FOr):
-        return ref_formula(phi.lhs, env, seqs) or ref_formula(phi.rhs, env, seqs)
+        return ref_formula(phi.lhs, env, seqs, rels) or ref_formula(phi.rhs, env, seqs, rels)
     if isinstance(phi, FImplies):
-        return not ref_formula(phi.lhs, env, seqs) or ref_formula(phi.rhs, env, seqs)
+        return not ref_formula(phi.lhs, env, seqs, rels) or ref_formula(phi.rhs, env, seqs, rels)
     lo, hi = ref_term(phi.lo, env, seqs), ref_term(phi.hi, env, seqs)
+    if hi - lo + 1 > focheck.MAX_RANGE:
+        raise RangeOverflow(f"range [{lo}, {hi}] exceeds MAX_RANGE")
     want = isinstance(phi, FExists)
-    return any(ref_formula(phi.body, {**env, phi.var: v}, seqs) == want
+    return any(ref_formula(phi.body, {**env, phi.var: v}, seqs, rels) == want
                for v in range(lo, hi + 1)) == want
 
 
@@ -502,6 +510,18 @@ terms = st.recursive(term_leaf, lambda sub: st.one_of(
     st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
     st.builds(Neg, sub)), max_leaves=3)
 comparisons = st.builds(FCmp, st.sampled_from(sorted(_CMPS)), terms, terms)
+# Q has an array `contains`, with rows that tie on (m, a, b) since c spans
+# more than int64; S is a store without one; P is unbound
+RELATIONS = {
+    "Q": ExplicitQSet([(m, a, b, a * b // m) for m in (1, 2) for a in range(-4, 5)
+                       for b in range(-2, 3) if a * b % m == 0]
+                      + [(1, 1, 1, 2**62), (1, 1, 1, -2**62), (2, 0, 0, 2**62)]),
+    "S": SyntheticQSet(2, 3),
+}
+relation_atoms = st.builds(lambda r, args: FRel(r, tuple(args)),
+                           st.sampled_from(["Q", "Q", "S", "P"]),
+                           st.lists(st.one_of(small_lit, name, terms), min_size=4, max_size=4))
+atoms = st.one_of(comparisons, comparisons, relation_atoms)
 
 
 def connectives(sub):
@@ -509,19 +529,36 @@ def connectives(sub):
                      st.builds(FOr, sub, sub), st.builds(FImplies, sub, sub))
 
 
-def quantified(body):
+def quantified(body, var=st.sampled_from(NAMES), read=name):
     # ranges of up to 17 values, some empty; names are reused
-    lows = st.one_of(st.integers(-8, 2).map(IntLit), st.builds(Sub, name, small_lit))
-    highs = st.one_of(st.integers(-2, 8).map(IntLit), st.builds(Add, name, small_lit))
+    lows = st.one_of(st.integers(-8, 2).map(IntLit), st.builds(Sub, read, small_lit))
+    highs = st.one_of(st.integers(-2, 8).map(IntLit), st.builds(Add, read, small_lit))
     return st.builds(lambda q, v, lo, hi, b: q(v, lo, hi, b),
-                     st.sampled_from([FExists, FForall]), st.sampled_from(NAMES),
-                     lows, highs, body)
+                     st.sampled_from([FExists, FForall]), var, lows, highs, body)
 
 
-matrices = st.recursive(comparisons, connectives, max_leaves=3)
+# terms and atoms that the lane always takes, barring int64 overflow
+lane_terms = st.recursive(
+    st.one_of(small_lit, name, st.builds(Apply, st.sampled_from(["g", "gb"]), argument)),
+    lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Sub, sub, sub),
+                          st.builds(Mul, sub, sub)), max_leaves=3)
+lane_atoms = st.one_of(
+    st.builds(FCmp, st.sampled_from(sorted(_CMPS)), lane_terms, lane_terms),
+    st.lists(lane_terms, min_size=4, max_size=4).map(lambda args: FRel("Q", tuple(args))))
+
+
+def nest(outer):
+    # inner bounds that do not read the outer variable: a grid scan
+    other = st.just(Var(NAMES[1 - NAMES.index(outer)]))
+    body = st.one_of(matrices, st.recursive(lane_atoms, connectives, max_leaves=3))
+    return quantified(quantified(body, read=other), var=st.just(outer))
+
+
+matrices = st.recursive(atoms, connectives, max_leaves=3)
 formulas = st.one_of(
     quantified(st.one_of(matrices, quantified(matrices))),
-    st.recursive(comparisons, lambda sub: st.one_of(connectives(sub), quantified(sub)),
+    st.sampled_from(NAMES).flatmap(nest),
+    st.recursive(atoms, lambda sub: st.one_of(connectives(sub), quantified(sub)),
                  max_leaves=4))
 # every name bound in about half of the draws
 valuations = st.one_of(st.fixed_dictionaries({n: st.integers(-5, 5) for n in NAMES}),
@@ -533,10 +570,31 @@ def _outcome(run):
         return run()
     except UnboundVariable as exc:
         return f"unbound {exc}"
+    except RangeOverflow as exc:
+        return f"overflow {exc}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(phi=formulas, valuation=valuations, plain_g=st.booleans())
+# an empty outer range: the inner bounds, which read an unbound name, are
+# never evaluated
+@example(phi=parse_formula("forall x in [3, 2]: exists y in [z, z + 2]: g(y) = x"),
+         valuation={}, plain_g=False)
+# an inner range past MAX_RANGE raises at x = 1, before any body (which reads
+# an unbound name)
+@example(phi=parse_formula("exists x in [1, 2]: exists y in [-3999999, 2]: x = z"),
+         valuation={}, plain_g=False)
+# x*2^62 leaves int64 from x = 2 on: the pass is decided exactly
+@example(phi=parse_formula("forall x in [-1, 3]: exists y in [0, 2]: "
+                           "x*4611686018427387904 + y > -4611686018427387904 + 1"),
+         valuation={}, plain_g=False)
+# relation atoms on the grid: on the tied rows of Q, and on a store with no
+# array `contains`
+@example(phi=parse_formula("exists x in [-1, 1]: forall y in [1, 2]: "
+                           "Q(y, y, y, x*4611686018427387904 + y - 1) or y = 2"),
+         valuation={}, plain_g=False)
+@example(phi=parse_formula("forall x in [0, 2]: exists y in [0, 3]: S(1, x, y, x*y)"),
+         valuation={}, plain_g=False)
 @example(phi=parse_formula("exists x in [1, 3]: "
                            "x*4000000000*4000000000*4000000000 = 128000000000000000000000000000"),
          valuation={}, plain_g=False)
@@ -547,8 +605,8 @@ def test_compiled_evaluator_matches_a_walk(alpha, sqrt2, phi, valuation, plain_g
     g = QuadSeqFast(alpha, 1)
     seqs = {"g": (lambda n: g(n)) if plain_g else g,
             "gb": BohrFast(sqrt2, Fraction(1, 5))}
-    want = _outcome(lambda: ref_formula(phi, valuation, seqs))
-    got = _outcome(lambda: eval_formula(phi, dict(valuation), Structure(seqs)))
+    want = _outcome(lambda: ref_formula(phi, valuation, seqs, RELATIONS))
+    got = _outcome(lambda: eval_formula(phi, dict(valuation), Structure(seqs, RELATIONS)))
     assert got == want and type(got) is type(want)
 
 
@@ -573,3 +631,25 @@ def test_psi_scan_reads_g_through_its_lane(alpha, monkeypatch):
     # a walk of the tree misses once per n2 (10,001 times): the lane reads
     # only the terms free of n2 exactly
     assert 0 < len(misses) <= 30
+
+
+# the Q request of the benchmark's quadruples workload
+BENCH_Q = ("forall k in [1,150]: forall l in [1,150]: k*l > 149 or "
+           "(Q(23, 23*k, 23*l, 23*k*l) and Q(23, 23*l, 23*k, 23*k*l)) "
+           "or not Q(23, 23*l, 23*k, 23*k*l)")
+
+
+def test_q_sentence_reads_its_store_through_the_grid(ctx, monkeypatch):
+    Q = build_Q(ctx, 1500, 1000)
+    calls = []
+    contains = ExplicitQSet.contains
+
+    def counted(self, *args):
+        calls.append(args)
+        return contains(self, *args)
+
+    monkeypatch.setattr(ExplicitQSet, "contains", counted)
+    assert eval_formula(parse_formula(BENCH_Q), {}, Structure(relations={"Q": Q})) is True
+    # two passes of 109 and 41 values of k by the 150 of l, three atoms each;
+    # a walk of the tree asks about 1,500 single rows
+    assert 0 < len(calls) <= 6

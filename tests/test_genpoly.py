@@ -191,24 +191,25 @@ class TestLane:
 
     def test_values_and_what_a_term_reads(self, alpha, sqrt2):
         g, gb = QuadSeqFast(alpha, 1), BohrFast(sqrt2, Fraction(1, 5))
-        run = compile_lane(parse("g(x*x + y) - 2*gb(x) + g(y)*y"), "x")
-        got = run(self.XS, {"y": 2}, {"g": g, "gb": gb})
+        run = compile_lane(parse("g(x*x + y) - 2*gb(x) + g(y)*y"), ("x",))
+        got = run({"x": self.XS}, {"y": 2}, {"g": g, "gb": gb})
         assert got.dtype == np.int64
         assert got.tolist() == [g(x * x + 2) - 2 * gb(x) + g(2) * 2 for x in range(-3, 4)]
-        assert compile_lane(parse("y - 1"), "x")(self.XS, {"y": 2}, {}) == 1
+        assert compile_lane(parse("y - 1"), ("x",))({"x": self.XS}, {"y": 2}, {}) == 1
         # the lane declines what it cannot read: an unbound y, an unbound
         # gb, a gb without g_vec; the exact walk reads these names
         for env, seqs in [({}, {"g": g, "gb": gb}), ({"y": 2}, {"g": g}),
                           ({"y": 2}, {"g": g, "gb": gb.__call__})]:
             with pytest.raises(NoLane):
-                run(self.XS, env, seqs)
+                run({"x": self.XS}, env, seqs)
         # a sequence applied off the scanned variable is read exactly, without g_vec
-        got = compile_lane(parse("x + gb(y)"), "x")(self.XS, {"y": 2}, {"gb": gb.__call__})
+        got = compile_lane(parse("x + gb(y)"), ("x",))({"x": self.XS}, {"y": 2},
+                                                         {"gb": gb.__call__})
         assert got.tolist() == (self.XS + gb(2)).tolist()
 
     @pytest.mark.parametrize("text", ["floor(x)", "ind(norm(x) < 1)", "nint(y) + x"])
     def test_rounding_and_indicator_have_no_lane(self, text):
-        assert compile_lane(parse(text), "x") is None
+        assert compile_lane(parse(text), ("x",)) is None
 
     @pytest.mark.parametrize("text, y", [
         ("x*y", 2**62),            # 3*2^62 leaves int64
@@ -219,9 +220,9 @@ class TestLane:
         ("g(x + y)", 2**52),       # g leaves int64
     ])
     def test_declines_what_int64_cannot_hold(self, alpha, text, y):
-        run = compile_lane(parse(text), "x")
+        run = compile_lane(parse(text), ("x",))
         with pytest.raises(NoLane):
-            run(self.XS, {"y": y}, {"g": QuadSeqFast(alpha, 1)})
+            run({"x": self.XS}, {"y": y}, {"g": QuadSeqFast(alpha, 1)})
 
 
 class _SignedCubes(SequenceHandle):

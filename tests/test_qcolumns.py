@@ -8,6 +8,7 @@ missing.  `import_csv` is compared with a line-by-line parser on `int`, and
 `contains` with the set of members.
 """
 
+import bisect
 import io
 import warnings
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gparith.weakmult import (
     ExplicitQSet,
+    build_Q,
     check_Q1,
     close_pm,
     commutes,
@@ -236,3 +238,55 @@ def test_contains_matches_member_set(rows):
                for i in range(4) for v in (INT64_MIN - 1, INT64_MAX + 1, 10**20)]
     for probe in list(store) + near + outside:
         assert Q.contains(*probe) == (probe in store)
+
+
+@pytest.fixture(scope="module")
+def stores(ctx):
+    Q = build_Q(ctx, 300, 40)
+    # (m, a, b) is the first packed key: c spans more than int64
+    tied = ExplicitQSet([(1, 2, 3, INT64_MAX), (1, 2, 3, INT64_MIN), (1, 2, 3, 0),
+                         (1, 2, 4, -1), (0, 5, 5, 7), (2, 4, 6, 12)])
+    return {name: (store, sorted(store.members())) for name, store in (
+        ("built", Q), ("closed", close_pm(Q)), ("tied", tied),
+        ("empty", ExplicitQSet(np.zeros((4, 0), dtype=np.int64))))}
+
+
+@pytest.mark.parametrize("name", ["built", "closed", "tied", "empty"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_array_contains_matches_scalar(stores, name, data):
+    """Each entry of an array `contains` is the scalar answer on its row;
+    an int argument broadcasts, and one outside int64 is no member's."""
+    Q, members = stores[name]
+    rows = members or [(1, 2, 3, 6)]
+    lows, highs = (Q.cols.min(axis=1).tolist(), Q.cols.max(axis=1).tolist()) if len(Q) \
+        else ([0] * 4, [0] * 4)
+    base = data.draw(st.lists(st.sampled_from(rows), max_size=6))
+
+    def value(j, v):
+        return st.one_of(st.just(v), st.just(v), st.sampled_from([v - 1, v + 1]),
+                         st.sampled_from([lows[j] - 1, highs[j] + 1, INT64_MIN, INT64_MAX]))
+
+    args = []
+    for j in range(4):
+        if data.draw(st.booleans()):  # an int, broadcast against the arrays
+            row = data.draw(st.sampled_from(rows))
+            args.append(data.draw(value(j, row[j]) | st.sampled_from(
+                [INT64_MIN - 1, INT64_MAX + 1, 10**20])))
+        else:
+            column = [data.draw(value(j, row[j])) for row in base]
+            args.append(np.clip(np.array(column, dtype=object), INT64_MIN, INT64_MAX)
+                        .astype(np.int64))
+    got = Q.contains(*args)
+    if all(isinstance(v, int) for v in args):
+        assert got is _is_member(members, tuple(args))
+        return
+    assert got.dtype == bool and got.shape == (len(base),)
+    for i, hit in enumerate(got.tolist()):
+        row = tuple(v if isinstance(v, int) else int(v[i]) for v in args)
+        assert hit == Q.contains(*row) == _is_member(members, row)
+
+
+def _is_member(members, row):
+    i = bisect.bisect_left(members, row)
+    return i < len(members) and members[i] == row

@@ -479,7 +479,7 @@ class TestReduction:
         # the direct witness search on a small linear case
         compiled = compile_solvability(parse_poly("x1 - 2"), m_cap=3, y_cap=8)
         Q = SyntheticQSet(3, 10)
-        st = Structure(relations={"Q": lambda m, a, b, c: Q.contains(m, a, b, c)})
+        st = Structure(relations={"Q": Q})
         assert eval_formula(compiled, {}, st)
 
     def test_parse_poly_errors(self):
