@@ -30,7 +30,7 @@ from .diosearch import (
 from .errors import GparithError, NotFoundWithinBudget
 from .exactnum import AlgebraicReal
 from .focheck import REFUTED, AlphaContext, pretty_formula
-from .genpoly import compile_term, expr_sort, parse
+from .genpoly import INT64_MAX, NoLane, compile_lane, compile_term, expr_sort, parse
 from .weakmult import (
     build_Q,
     check_Q1,
@@ -106,16 +106,40 @@ _CONFIG_VALUES = {
 }
 
 
+def _lane_lines(lane, ns, env) -> str | None:
+    """The "n<TAB>value" lines of the block `ns` from the lane, or None
+    where it raises NoLane."""
+    try:
+        vs = lane({"n": ns}, env, {})
+    except NoLane:
+        return None
+    rows = [0] * (2 * len(ns))
+    rows[::2] = ns.tolist()
+    rows[1::2] = [vs] * len(ns) if isinstance(vs, int) else vs.tolist()
+    return "%d\t%d\n" * len(ns) % tuple(rows)
+
+
 def cmd_eval(args, cfg) -> int:
+    """One "n<TAB>value" line per n of the --n range, in order.  Inside
+    int64 the range is read in `blocks`, one `compile_lane` call per block;
+    a block that raises NoLane is walked with the exact `compile_term`
+    closure, value by value, so the bytes, and an error after partial
+    output, are the walk's."""
     expr = parse(args.expr)
     value = compile_term(expr)
+    lane = compile_lane(expr, ("n",))
     lo, hi = _parse_range(args.n)
     env = dict(cfg.constants)
+    scan = lane is not None and -INT64_MAX <= lo and hi < INT64_MAX
     with _report_out(args) as out:
-        for n in range(lo, hi + 1):
-            env["n"] = n
-            v = value(env, {})
-            out.write(f"{n}\t{_value_str(v)}\n")
+        for ns in blocks(lo, hi + 1) if scan else (range(lo, hi + 1),):
+            lines = _lane_lines(lane, ns, env) if scan else None
+            if lines is not None:
+                out.write(lines)
+                continue
+            for n in map(int, ns):
+                env["n"] = n
+                out.write(f"{n}\t{_value_str(value(env, {}))}\n")
     print(f"evaluated {args.expr!r} on [{lo}, {hi}] "
           f"(sort: {expr_sort(expr)})", file=sys.stderr)
     return 0

@@ -4,8 +4,9 @@ Each search scans its candidates in ascending order, up to a
 `max_candidate` bound, and returns the least witness in that range.  The
 small-norm, progression-base and Weyl searches (and the Lemma 4.1 premise
 in `harness`) read one scan, `weyl_witnesses`, which decides each target
-once and exactly: a c*n^d target by its `FastConst.within` mask, any other
-by its exact closure on the survivors of the masks.  Searches that find
+once and exactly: a c*n^d target (read by `genpoly.split_product`) by its
+`FastConst.within` mask, any other by its exact closure on the survivors
+of the masks.  Searches that find
 nothing within their bound raise NotFoundWithinBudget; absence of a
 witness in a scanned range is certified, because every entry is decided
 exactly.
@@ -28,20 +29,20 @@ from .errors import (
     PreconditionViolated,
     RationalInput,
     ThetaRational,
+    UnboundVariable,
 )
 from .exactnum import AlgebraicReal, circle_norm, floor_exact, frac_signed, sign
 from .genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
     Expr,
-    IntLit,
     Mul,
-    Neg,
     SequenceHandle,
     Var,
     compile_term,
     lemma31_classify,
     parse,
+    split_product,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -274,39 +275,13 @@ def lemma32_columns(N_max: int, m_max: int, C: int,
 # ---------------------------------------------------------------------------
 
 
-def _linear_shape(expr: Expr, context: dict) -> tuple[object, int] | None:
-    """Recognise c * n^d (d in {1,2}) and return (c, d); None otherwise."""
-    if isinstance(expr, Var):
-        if expr.name == "n":
-            return 1, 1
-        if expr.name not in context:
-            return None
-        return context[expr.name], 0
-    if isinstance(expr, IntLit):
-        return expr.value, 0
-    if isinstance(expr, Neg):
-        sub = _linear_shape(expr.arg, context)
-        if sub is None:
-            return None
-        return -sub[0], sub[1]
-    if isinstance(expr, Mul):
-        a = _linear_shape(expr.lhs, context)
-        b = _linear_shape(expr.rhs, context)
-        if a is None or b is None:
-            return None
-        d = a[1] + b[1]
-        if d > 2:
-            return None
-        return a[0] * b[0], d
-    return None
-
-
 def weyl_witnesses(targets: Sequence[tuple], start: int, stop: int,
                    context: dict | None = None) -> Iterator[int]:
     """Every n in start..stop-1, in increasing order, with frac_signed(expr(n))
     in the open interval (lo, hi) of each target (expr, (lo, hi)).
 
-    Each target is decided once, exactly: a c*n^d target (d in {1, 2}) by
+    Each target is decided once, exactly: a c*n^d target (d in {1, 2}; its
+    `split_product` in n has d factors n and free factors of product c) by
     its `within` mask alone, any other by its `compile_term` closure, on
     the survivors of the masks only."""
     env = dict(context or {})
@@ -318,9 +293,9 @@ def weyl_witnesses(targets: Sequence[tuple], start: int, stop: int,
         hi = hi if isinstance(hi, AlgebraicReal) else Fraction(hi)
         if sign(hi - lo) <= 0:
             raise ValueError("target interval is empty")
-        shape = _linear_shape(expr, env)
-        if shape is not None and shape[1] in (1, 2):
-            lanes.append((FastConst(shape[0]), shape[1] == 2, lo, hi))
+        c = _power_coefficient(expr, env)
+        if c is not None:
+            lanes.append((FastConst(c[0]), c[1] == 2, lo, hi))
         else:
             closures.append((compile_term(expr), lo, hi))
     for ns in blocks(start, stop):
@@ -336,6 +311,20 @@ def weyl_witnesses(targets: Sequence[tuple], start: int, stop: int,
             env["n"] = n
             if all(lo < frac_signed(value(env, {})) < hi for value, lo, hi in closures):
                 yield n
+
+
+def _power_coefficient(expr: Expr, env: dict) -> tuple[object, int] | None:
+    """(c, d) when `expr` is c*n^d, d in {1, 2}, by its `split_product` in
+    n, with c read from `env`; None otherwise, or when c reads a name that
+    `env` does not bind."""
+    c, x = split_product(expr, ("n",))
+    n = Var("n")
+    if x not in (n, Mul(n, n)):
+        return None
+    try:
+        return compile_term(c)(env, {}), 1 if x == n else 2
+    except UnboundVariable:
+        return None
 
 
 def find_weyl_witness(targets: Sequence[tuple], max_candidate: int,

@@ -136,16 +136,58 @@ def _primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in coeffs)
 
 
+def _at(p: Sequence[int], a: int, s: int) -> int:
+    """s^d * p(a/s) for an integer polynomial p of degree d: the integer sum
+    of c_i * a^i * s^(d-i), of the sign of p(a/s) when s > 0."""
+    acc, sp = 0, 1
+    for c in reversed(p):
+        acc, sp = acc * a + c * sp, sp * s
+    return acc
+
+
 def _has_rational_root(coeffs: Sequence[int]) -> bool:
+    """Whether the integer polynomial has a rational root, without listing
+    divisors.  A root p/q in lowest terms has q | lead, and two distinct
+    fractions with denominators at most |lead| lie at least 1/lead^2 apart.
+    So Sturm bisection isolates each real root, inside a power-of-two
+    Cauchy bound, to width below 1/(2 lead^2); the fraction with
+    denominator at most |lead| nearest the midpoint (`limit_denominator`)
+    is then the root if any rational is.  Each bisection point and each
+    such fraction is tested exactly.  First, a root p/q gives the root
+    p/q mod l of the polynomial mod each prime l that does not divide the
+    leading coefficient, so none there rules a rational root out."""
     if coeffs[0] == 0:
         return True
-    for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if poly_eval(tuple(Fraction(c) for c in coeffs), Fraction(num, q)) == 0:
-                    return True
+    lead = abs(coeffs[-1])
+    for l in (2, 3, 5, 7, 11, 13):
+        if lead % l and all(_at(coeffs, x, 1) % l for x in range(l)):
+            return False
+    # each Sturm polynomial times the lcm of its denominators, which keeps its signs
+    chain = [tuple(c.numerator * (m // c.denominator) for c in q)
+             for q in sturm_chain(tuple(Fraction(c) for c in coeffs))
+             for m in [lcm(*(c.denominator for c in q))]]
+
+    def changes(a: int, s: int) -> int:
+        signs = [v > 0 for v in (_at(q, a, s) for q in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    top = 1 << (sum(abs(c) for c in coeffs[:-1]) // lead + 2).bit_length()  # |root| < top
+    # intervals (L/2^k, H/2^k], neither end a root, with their sign changes
+    todo = [(-top, changes(-top, 1), top, changes(top, 1), 0)]
+    while todo:
+        L, v_lo, H, v_hi, k = todo.pop()
+        if v_lo == v_hi:
+            continue
+        M, s = L + H, 2 << k  # the midpoint M/s
+        if v_lo - v_hi == 1 and (H - L) * 2 * lead * lead < 1 << k:
+            q = Fraction(M, s).limit_denominator(lead)
+            if _at(coeffs, q.numerator, q.denominator) == 0:
+                return True
+            continue
+        if _at(coeffs, M, s) == 0:
+            return True
+        v_mid = changes(M, s)
+        todo += [(2 * L, v_lo, M, v_mid, k + 1), (M, v_mid, 2 * H, v_hi, k + 1)]
     return False
 
 

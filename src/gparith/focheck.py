@@ -8,15 +8,15 @@ function applied to a term is an integer too.
 
 `eval_formula` compiles a formula once into closures and runs them.  An
 innermost bounded quantifier whose body compares integer terms over +, -,
-* and named sequences, and tests relation atoms on such terms, under
-not/and/or/=>, is scanned as a certified lane: one numpy evaluation per
-`_fastlane.blocks` block, reading each sequence through its `g_vec` and
-each relation through its store's array `contains`, with exists stopping
-at the first block with a hit and forall at the first with a miss.  A
-nest of two quantifiers whose inner bounds do not read the outer variable
-is scanned as one grid: each pass covers as many outer values as fit a
-block beside the whole inner range.  The scans fall back to the exact
-closures, in the walk's order, for a rounding function or `ind` (the
+*, nint, floor and named sequences, and tests relation atoms on such
+terms, under not/and/or/=>, is scanned as a certified lane: one numpy
+evaluation per `_fastlane.blocks` block, reading each sequence through its
+`g_vec` and each relation through its store's array `contains`, with
+exists stopping at the first block with a hit and forall at the first with
+a miss.  A nest of two quantifiers whose inner bounds do not read the
+outer variable is scanned as one grid: each pass covers as many outer
+values as fit a block beside the whole inner range.  The scans fall back
+to the exact closures, in the walk's order, for frac, norm or `ind` (the
 whole scan), and for a pass that the lane declines: an unbound name, a
 sequence without `g_vec`, a store without an array `contains` or a value
 past int64.
@@ -260,30 +260,33 @@ def _check_range(a: int, b: int) -> None:
 
 
 def _grid(phi: FExists | FForall, st: Structure):
-    """For a nest `Q x: Q' y in [c, d]: body` whose c, d do not read x and
-    whose body is a lane body in x and y, the function env -> (R, holds_at)
-    or None; else None.
+    """For a nest `Q x: Q' y in [c, d]: body` whose c, d do not read x, the
+    function env -> (R, holds_at) or None; else None.
 
     It evaluates c and d (which the walk reads at the first x, before any
     body).  holds_at(xs) is the truth of Q' y at each of at most R outer
     values xs, from one lane call on the grid xs by [c, d], R = BLOCK //
     (d - c + 1); the function gives None, for the scan value by value, when
-    R < 2 or a grid value would leave int64."""
+    R < 2, a grid value would leave int64 or the body is not a lane body in
+    x and y.  The lane body is compiled once, on the first pass with R >= 2."""
     nest = phi.body
     if not isinstance(nest, (FExists, FForall)) \
             or phi.var in term_vars(nest.lo) | term_vars(nest.hi):
         return None
-    lane = _lane_body(nest.body, (phi.var, nest.var), st)
-    if lane is None:
-        return None
     seqs, some = st.sequences, isinstance(nest, FExists)
     lo, hi = compile_term(nest.lo), compile_term(nest.hi)
+    compiled = []  # [the lane body, or None], once a pass has R >= 2
 
     def grid(env: dict):
         c, d = lo(env, seqs), hi(env, seqs)
         _check_range(c, d)
         width = d - c + 1
         if not 1 <= width <= BLOCK // 2 or c < -INT64_MAX or d >= INT64_MAX:
+            return None
+        if not compiled:
+            compiled.append(_lane_body(nest.body, (phi.var, nest.var), st))
+        lane = compiled[0]
+        if lane is None:
             return None
         ys = np.arange(c, d + 1, dtype=np.int64)
 

@@ -5,9 +5,11 @@ rounding function or a named sequence, `IndicatorLess`) with one atom
 parser under the shared +/-/* layer, one printer and one exact evaluator
 (`compile_term`, which turns a term into a closure once); `eval` text,
 `focheck` formulas and `weakmult`'s canonical terms all use it.  Integer
-terms over +, -, * and named sequences also have a vector form
-(`compile_lane`) that evaluates equal-length int64 blocks of one or more
-variables at a time through the sequences' certified `g_vec`.  Also: the memo base class of the named sequences (their one evaluator
+terms over +, -, *, named sequences and nint or floor of constant
+multiples also have a vector form (`compile_lane`) that evaluates
+equal-length int64 blocks of one or more variables at a time through the
+sequences' certified `g_vec` and the constants' `FastConst` lanes.  Also:
+the memo base class of the named sequences (their one evaluator
 each lives in `_fastlane`), the discrete derivatives (shift, symmetric,
 iterated symmetric), and the classifier that compares the vanishing of the
 second symmetric derivative of g(n) = nint(b*n*nint(a*n)) against its
@@ -357,22 +359,46 @@ class NoLane(Exception):
 
 def compile_lane(t: Expr, lanes: tuple[str, ...]):
     """The vector form of `t` in the integer variables `lanes`, or None when
-    `t` has a node other than IntLit, Var, Add/Sub/Mul/Neg and Apply of a
-    named sequence.
+    `t` has a node other than IntLit, Var, Add/Sub/Mul/Neg, Apply of a
+    named sequence and Apply of nint or floor.
 
     Returns run(xs, env, sequences), where `xs` maps each lane variable to
     an int64 array, all of one length, with |x| <= 2^63 - 1: the value of
     `t` at the i-th entries as entry i of an int64 array (an int when `t`
     reads no lane variable).  Subterms that read no lane variable are
     evaluated once, exactly; before each +, - and * the largest magnitudes
-    of the operands, as Python ints, must keep the result in int64.  run
-    raises NoLane when they do not, when such a subterm reads an unbound
-    name or is not an int64 integer, and when a sequence applied to a lane
-    variable has no `g_vec` or its `g_vec` rejects the argument, so every
-    value it returns is exact.
+    of the operands, as Python ints, must keep the result in int64.  A
+    nint or floor of a product (`split_product`) multiplies its lane
+    factors into x as * does and its other factors into one exact c: the
+    value is c*x for an integer c, and else the exact nearest integer of
+    c*x from c's `FastConst` lane, with floor read from its sign bin.  run
+    raises NoLane when an int64 bound fails, when a subterm free of the
+    lanes reads an unbound name or is not an integer where one is needed,
+    and when a sequence applied to a lane variable has no `g_vec` or its
+    `g_vec` rejects the argument, so every value it returns is exact.
     """
     lane = _lane(t, lanes)
     return None if lane is None else _vector(lane)
+
+
+def split_product(t: Expr, lanes: tuple[str, ...]) -> tuple[Expr, Expr | None]:
+    """(c, x) with t = c*x: x the product of the factors of `t` under * and
+    unary minus that read a variable of `lanes`, in the order of the text
+    (None when there are none), and c the product of the others, each minus
+    a factor -1 (IntLit(1) when there are none)."""
+    c, x, todo = IntLit(1), None, [t]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Mul):
+            todo += (f.rhs, f.lhs)
+        elif isinstance(f, Neg):
+            c = Neg(c)
+            todo.append(f.arg)
+        elif term_vars(f).intersection(lanes):
+            x = f if x is None else Mul(x, f)
+        else:
+            c = Mul(c, f)
+    return c, x
 
 
 def _lane(t: Expr, lanes: tuple[str, ...]):
@@ -386,6 +412,12 @@ def _lane(t: Expr, lanes: tuple[str, ...]):
             name = t.name
             return True, lambda xs, env, sequences: xs[name]
         return False, compile_term(t)
+    if isinstance(t, Apply) and t.fn in ("nint", "floor"):
+        c, x = split_product(t.arg, lanes)
+        if x is None:
+            return False, compile_term(t)
+        x = _lane(x, lanes)
+        return None if x is None else (True, _round_lane(t.fn == "floor", compile_term(c), x[1]))
     if isinstance(t, Neg) or (isinstance(t, Apply) and t.fn not in ROUNDING):
         arg = _lane(t.arg, lanes)
         if arg is None:
@@ -405,8 +437,8 @@ def _lane(t: Expr, lanes: tuple[str, ...]):
 
 
 def _vector(lane):
-    """The lane runner of a `_lane` pair; a scalar must be bound and fit in
-    int64."""
+    """The lane runner of a `_lane` pair; a scalar must be bound and be an
+    integer (an int, or a Fraction with denominator 1) that fits in int64."""
     reads_lanes, fn = lane
     if reads_lanes:
         return fn
@@ -416,9 +448,9 @@ def _vector(lane):
             v = fn(env, sequences)
         except UnboundVariable:
             raise NoLane from None
-        if not isinstance(v, int) or abs(v) > INT64_MAX:
+        if getattr(v, "denominator", None) != 1 or abs(v) > INT64_MAX:
             raise NoLane
-        return v
+        return int(v)
     return scalar
 
 
@@ -440,6 +472,38 @@ def _binary_lane(op, bound, lhs, rhs):
         if bound(_max_abs(a), _max_abs(b)) > INT64_MAX:
             raise NoLane
         return op(a, b)
+    return run
+
+
+def _round_lane(floor: bool, const, x):
+    """nint (or floor) of c*x, c the value of the closure `const` and x a
+    lane runner, with one `FastConst` per distinct non-integer c."""
+    from ._fastlane import FastConst  # _fastlane imports this module
+    consts = {}
+
+    def run(xs, env, sequences):
+        try:
+            c = const(env, sequences)
+        except UnboundVariable:
+            raise NoLane from None
+        k = x(xs, env, sequences)
+        if getattr(c, "denominator", None) == 1:
+            c = int(c)
+            if abs(c) > INT64_MAX or abs(c) * _max_abs(k) > INT64_MAX:
+                raise NoLane
+            return c * k
+        try:
+            lane = consts.get(c)
+            if lane is None:
+                lane = consts[c] = FastConst(c)
+            q = lane.nint_frac_vec(k)
+        except (ValueError, OverflowError):  # an answer past int64, a c past float
+            raise NoLane from None
+        # so that q - 1 cannot wrap and the answer keeps |entry| <= 2^63 - 1
+        if _max_abs(q) >= INT64_MAX:
+            raise NoLane
+        # frac_signed(c*x) lies in [-1/2, 1/2), and floor is nint - 1 below 0
+        return q - 1 + lane.bins(k, 2) if floor else q
     return run
 
 

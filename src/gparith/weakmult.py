@@ -255,7 +255,8 @@ class ExplicitQSet:
         return zip(*self.cols.tolist())
 
     def moduli(self):
-        return iter(np.unique(self.cols[0]).tolist())
+        m = self.cols[0]  # sorted, as the rows are
+        return iter(m[np.r_[True, m[1:] != m[:-1]]].tolist() if len(m) else [])
 
     def __len__(self) -> int:
         return self.cols.shape[1]
@@ -509,9 +510,26 @@ def commutes(Q: ExplicitQSet) -> bool:
 
 
 def check_Q2(Q: ExplicitQSet, F: Iterable[tuple[int, int]]) -> Optional[int]:
-    """Smallest modulus m whose dilated copy of F sits inside dom(x_m)."""
-    F = list(F)
-    for m in Q.moduli():
+    """Smallest modulus m whose dilated copy of F sits inside dom(x_m).
+
+    Where the store answers arrays and every k*l*m fits in int64, one array
+    `contains` asks every pair of F at once for a run of moduli, runs of 64
+    moduli and then twice as many each time; else one scalar call per
+    modulus and pair."""
+    F, moduli = list(F), list(Q.moduli())
+    if F and moduli and getattr(Q, "array_contains", False):
+        top = max(1, -moduli[0], moduli[-1]) * max(max(abs(k), abs(l), abs(k * l)) for k, l in F)
+        if top <= _INT64_MAX:
+            k, l = np.array(F, dtype=np.int64).T
+            start, size = 0, 64
+            while start < len(moduli):
+                m = np.array(moduli[start:start + size], dtype=np.int64)[:, None]
+                rows = Q.contains(m, k * m, l * m, k * l * m).all(axis=1)
+                if rows.any():
+                    return moduli[start + int(rows.argmax())]
+                start, size = start + size, 2 * size
+            return None
+    for m in moduli:
         if all(Q.contains(m, k * m, l * m, k * l * m) for (k, l) in F):
             return m
     return None

@@ -12,10 +12,11 @@ import pytest
 
 from gparith import bohr, focheck, harness as H
 from gparith._fastlane import BohrFast, QuadSeqFast
-from gparith.cli import _CONFIG_VALUES, VERIFY, main
-from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, parse_config
+from gparith.cli import _CONFIG_VALUES, VERIFY, _value_str, main
+from gparith.config import DEFAULT_CONFIG_TEXT, ConfigError, load_config, parse_config
+from gparith.errors import UnboundVariable
 from gparith.exactnum import AlgebraicReal, NumberField
-from gparith.genpoly import BLOCK
+from gparith.genpoly import BLOCK, compile_term, parse
 from gparith.weakmult import ExplicitQSet
 
 
@@ -109,6 +110,23 @@ class TestConfig:
         assert "error: ValueError: minimal polynomial has degree 5" in err
 
 
+# the n past which nint(alpha*n) leaves the float recovery range of its lane
+_FAR = int(2**50 / 2 ** (1 / 3))
+
+
+def _walk(expr: str, lo: int, hi: int):
+    """The output of `eval` as the exact closure walks it, value by value,
+    and the error line that ends it, or None."""
+    value, env, lines = compile_term(parse(expr)), dict(load_config(None).constants), []
+    try:
+        for n in range(lo, hi + 1):
+            env["n"] = n
+            lines.append(f"{n}\t{_value_str(value(env, {}))}\n")
+    except UnboundVariable as exc:
+        return "".join(lines), f"error: UnboundVariable: {exc}\n"
+    return "".join(lines), None
+
+
 class TestEval:
     def test_table(self, capsys):
         code, out, err = run_cli(
@@ -128,6 +146,25 @@ class TestEval:
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(["eval", "nint(n", "--n", "1..1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("expr, lo, hi", [
+        ("nint(beta*n*nint(alpha*n))", -BLOCK - 900, BLOCK + 900),  # lane, three blocks
+        ("floor(rho*n*n) - nint(-alpha*n) + 2*n", -300, 300),
+        ("frac(alpha*n) + n", -20, 40),                              # no lane
+        ("nint(zeta*n)", 1, 3),                                      # unbound names
+        ("n + g(n)", 1, 3),
+        ("nint(alpha*n) - floor(alpha*n)", _FAR - 700, _FAR + 700),  # past 2^50/alpha
+        ("nint(alpha*n) + n", 2**63 - 500, 2**63 + 200),             # past int64
+        ("nint(beta*n*nint(alpha*n))", 3037000000, 3037000600),      # g past int64
+    ])
+    def test_output_is_the_exact_walk(self, expr, lo, hi, capsys):
+        code, out, err = run_cli(["eval", expr, f"--n={lo}..{hi}"], capsys)
+        want_out, want_err = _walk(expr, lo, hi)
+        assert out == want_out
+        if want_err is None:
+            assert code == 0
+        else:
+            assert code == 2 and err == want_err
 
     @pytest.mark.parametrize("argv", [["eval", "n*n"], ["bohr", "eval"]])
     def test_negative_range_start_after_a_space(self, argv, capsys):

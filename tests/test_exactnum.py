@@ -116,6 +116,18 @@ class TestFieldCreate:
         assert count_roots(p, Fraction(2), Fraction(3)) == 0
 
 
+def _times(*factors):
+    """The product of integer polynomials, low degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(f):
+                prod[i + j] += u * v
+        out = prod
+    return out
+
+
 @st.composite
 def _minpolys(draw):
     """An integer polynomial of degree 2 to 4, low degree first: random, or
@@ -152,6 +164,25 @@ class TestIrreducibility:
         except ReducibleMinpoly:
             refused = True
         assert refused == (not sympy.Poly(coeffs[::-1], sympy.Symbol("x")).is_irreducible)
+
+
+    @pytest.mark.parametrize("coeffs, refused", [
+        (_times([-5, 6], [2, 0, 1]), True),                # (6x - 5)(x^2 + 2)
+        (_times([0, 1], [-2, 0, 1]), True),                # x(x^2 - 2)
+        ([-30031, 0, 1], False),                           # a root mod 2, 3, ..., 13
+        (_times([-1, 30031], [-30031, 0, 1]), True),       # and 1/30031 beside them
+        (_times([-2, 3], [-2, 3], [1, 0, 1]), True),       # a double root 2/3
+        # a root (2^61 - 1)/(2^31 - 1): no divisor of either end is listed
+        (_times([1 - 2**61, 2**31 - 1], [-2, 0, 1]), True),
+        ([1 - 2**61, 0, 0, 2**31 - 1], False),
+    ])
+    def test_rational_roots_are_found_without_divisors(self, coeffs, refused):
+        try:
+            _check_irreducible(coeffs)
+        except ReducibleMinpoly as exc:
+            assert refused == ("rational root" in str(exc))
+        else:
+            assert not refused
 
 
 class TestArithmetic:
@@ -591,6 +622,16 @@ class TestMobius:
         # theta of K, which excludes the pole: it is the image of that root
         lo, hi = K.theta.enclosure(100)
         assert (c + d * lo) * (c + d * hi) > 0
+        ends = sorted((a + b * t) / (c + d * t) for t in (lo, hi))
+        t_lo, t_hi = T.theta.enclosure(100)
+        assert t_lo <= ends[1] and ends[0] <= t_hi
+
+    def test_a_large_d_builds_its_field(self, cbrt2_field):
+        # the end coefficients of its minimal polynomial are about 2^95
+        a, b, c, d = 1, 2, 3, 2**31 + 1
+        T = cbrt2_field.mobius(a, b, c, d)
+        assert T.minpoly_int[-1].bit_length() > 90
+        lo, hi = cbrt2_field.theta.enclosure(100)
         ends = sorted((a + b * t) / (c + d * t) for t in (lo, hi))
         t_lo, t_hi = T.theta.enclosure(100)
         assert t_lo <= ends[1] and ends[0] <= t_hi

@@ -633,6 +633,34 @@ def test_psi_scan_reads_g_through_its_lane(alpha, monkeypatch):
     assert 0 < len(misses) <= 30
 
 
+def test_a_grid_body_compiles_once_and_only_for_a_grid_pass(alpha, monkeypatch):
+    calls = []
+    lane_body = focheck._lane_body
+    monkeypatch.setattr(focheck, "_lane_body", lambda phi, lanes, st: (
+        calls.append((phi, lanes)), lane_body(phi, lanes, st))[1])
+    st_ = Structure({"g": QuadSeqFast(alpha, 1)})
+    # the inner range of 9,991 values leaves R = 1: no grid pass
+    eval_formula(parse_formula(BENCH_PSI), {"m": 5}, st_)
+    assert [lanes for _, lanes in calls if len(lanes) == 2] == []
+    # two grid passes, of 163 and 137 values of k
+    phi = parse_formula("forall k in [1, 300]: exists l in [1, 100]: g(k) + l > g(k)")
+    assert eval_formula(phi, {}, st_) is True
+    assert [lanes for body, lanes in calls
+            if body is phi.body.body and len(lanes) == 2] == [("k", "l")]
+
+
+def test_rounding_atoms_scan_through_the_lane(alpha, monkeypatch):
+    # a rounding function of an integer term is that term, so the body is a
+    # lane body; a walk of the tree misses g once per n (20,000 times)
+    misses = []
+    fresh = SequenceHandle._fresh
+    monkeypatch.setattr(SequenceHandle, "_fresh",
+                        lambda self, n: (misses.append(n), fresh(self, n))[1])
+    phi = parse_formula("forall n in [1, 20000]: nint(g(n)) - floor(n) = g(n) - n")
+    assert eval_formula(phi, {}, Structure({"g": QuadSeqFast(alpha, 1)})) is True
+    assert misses == []
+
+
 # the Q request of the benchmark's quadruples workload
 BENCH_Q = ("forall k in [1,150]: forall l in [1,150]: k*l > 149 or "
            "(Q(23, 23*k, 23*l, 23*k*l) and Q(23, 23*l, 23*k, 23*k*l)) "

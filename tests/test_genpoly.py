@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gparith import _fastlane
 from gparith._fastlane import BLOCK, BohrFast, QuadSeqFast
-from gparith.diosearch import C_SCHEDULE, sample_admissible_triples
+from gparith.diosearch import C_SCHEDULE, continued_fraction, sample_admissible_triples
 from gparith.exactnum import NumberField, frac_signed, nint
 from gparith.errors import ArityTooSmall, ExprSyntaxError, UnboundVariable
 from gparith.genpoly import (
     GAMMA_ALL_PAIRS,
     GAMMA_OFF_DIAGONAL,
+    INT64_MAX,
     Apply,
     IndicatorLess,
     IntSeq,
@@ -45,6 +47,15 @@ BOHR_TEXT = "ind(norm(alpha*n*n) < rho)"
 def _eval(text: str, constants: dict, n: int):
     """The value of `eval` text at n, through the AST."""
     return compile_term(parse(text))({**constants, "n": n}, {})
+
+
+def _value(text: str, env: dict, sequences: dict):
+    return compile_term(parse(text))(env, sequences)
+
+
+def _plastic():
+    """The plastic number, the real root of x^3 - x - 1."""
+    return NumberField([-1, -1, 0, 1], (Fraction(13, 10), Fraction(4, 3))).theta
 
 
 def _seq(text: str):
@@ -207,9 +218,67 @@ class TestLane:
                                                          {"gb": gb.__call__})
         assert got.tolist() == (self.XS + gb(2)).tolist()
 
-    @pytest.mark.parametrize("text", ["floor(x)", "ind(norm(x) < 1)", "nint(y) + x"])
-    def test_rounding_and_indicator_have_no_lane(self, text):
+    @pytest.mark.parametrize("text", ["frac(x)", "norm(x*y)", "ind(norm(x) < 1)",
+                                      "x + frac(y)"])
+    def test_frac_norm_and_indicator_have_no_lane(self, text):
         assert compile_lane(parse(text), ("x",)) is None
+
+    @pytest.mark.parametrize("text", ["floor(x)", "nint(y) + x", "nint(-(x*y) + 1)",
+                                      "floor(g(x))*y", "nint(y*x)*floor(3*x)"])
+    def test_rounding_of_an_integer_is_that_integer(self, alpha, text):
+        env, seqs = {"y": Fraction(3)}, {"g": QuadSeqFast(alpha, 1)}
+        got = compile_lane(parse(text), ("x",))({"x": self.XS}, env, seqs)
+        assert got.tolist() == [_value(text, {**env, "x": x}, seqs) for x in self.XS.tolist()]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rounding_of_a_constant_multiple_is_exact(self, alpha, data):
+        # the runner is the exact closure entry by entry, and declines only
+        # where x^d or an answer leaves int64
+        c = data.draw(st.sampled_from([alpha, _plastic(), Fraction(1, 3), Fraction(1, 2),
+                                       Fraction(-7, 5), Fraction(-6)]))
+        d = data.draw(st.integers(1, 3))
+        text = data.draw(st.sampled_from(["nint", "floor"])) + "(" + \
+            data.draw(st.sampled_from(["", "-"])) + "c*" + "*".join(["x"] * d) + ")"
+        # past 2^50/|c| nint_frac_vec leaves the float recovery range
+        far = int((2**50 / abs(float(c))) ** (1 / d))
+        entry = st.one_of(st.integers(-2**12, 2**12),
+                          st.builds(lambda s, k: s * k, st.sampled_from([-1, 1]),
+                                    st.integers(far - 2**8, far + 2**8)),
+                          st.integers(-INT64_MAX, INT64_MAX))
+        xs = data.draw(st.lists(entry, min_size=1, max_size=24))
+        want = [_value(text, {"c": c, "x": x}, {}) for x in xs]
+        run = compile_lane(parse(text), ("x",))
+        try:
+            got = run({"x": np.array(xs, dtype=np.int64)}, {"c": c}, {})
+        except NoLane:
+            assert max(map(abs, xs)) ** d > INT64_MAX or max(map(abs, want)) >= INT64_MAX
+        else:
+            assert got.tolist() == want
+
+    def test_half_integer_edges_are_decided_exactly(self, alpha):
+        # a convergent p/q of 2c with p odd puts c*q within about 1/q of a
+        # half-integer, inside the lane margin of +-1/2 from q near 2^30, so
+        # these entries are decided by the exact fallback of nint_frac_vec
+        for c in (alpha, _plastic()):
+            qs = [q for p, q in continued_fraction(2 * c, 60).convergents()
+                  if p % 2 and 2**20 < q < 2**49]
+            assert len(qs) >= 10
+            ks = [t * q for q in qs for t in (1, -1, 3)]
+            for text in ("nint(c*x)", "floor(c*x)", "nint(x*c) - floor(c*x)"):
+                got = compile_lane(parse(text), ("x",))(
+                    {"x": np.array(ks, dtype=np.int64)}, {"c": c}, {})
+                assert got.tolist() == [_value(text, {"c": c, "x": k}, {}) for k in ks], text
+
+    def test_one_lane_constant_per_value(self, alpha, monkeypatch):
+        made = []
+        monkeypatch.setattr(_fastlane.FastConst, "__init__",
+                            lambda self, v, init=_fastlane.FastConst.__init__:
+                            (made.append(v), init(self, v))[1])
+        run = compile_lane(parse("nint(c*x) + floor(x*c) + nint(b*x)"), ("x",))
+        for _ in range(3):
+            run({"x": self.XS}, {"c": alpha, "b": Fraction(1, 2)}, {})
+        assert sorted(map(str, made)) == sorted(map(str, [alpha, alpha, Fraction(1, 2)]))
 
     @pytest.mark.parametrize("text, y", [
         ("x*y", 2**62),            # 3*2^62 leaves int64
@@ -473,11 +542,10 @@ _NODE_NAMES = _NODES | {"Int", "Seq", "Const", "Floor", "Nint", "FracSigned",
                         "CircleNorm"}
 # term walkers outside genpoly, each doing what the one evaluator cannot:
 # the polynomial of a term and its product family, the scaled partial
-# evaluation under x_m, the flattening of products into Q atoms, and the
-# c*n^d shape of a weyl target
+# evaluation under x_m and the flattening of products into Q atoms (a weyl
+# target's c*n^d shape is read through `genpoly.split_product`)
 _WALKERS = {("weakmult", "term_to_poly"), ("weakmult", "family_of_term"),
-            ("weakmult", "eval_term_m"), ("weakmult", "walk"),
-            ("diosearch", "_linear_shape")}
+            ("weakmult", "eval_term_m"), ("weakmult", "walk")}
 
 
 def _is_node_name(name: str) -> bool:

@@ -49,6 +49,13 @@ PAPER_TERM = Add(
     IntLit(2))
 
 
+def _least_full_modulus(Q, F):
+    """The least modulus of Q whose rows hold every (k, l) of F, asked one
+    row at a time."""
+    return next((m for m in sorted({row[0] for row in Q.members()})
+                 if all(Q.contains(m, k * m, l * m, k * l * m) for k, l in F)), None)
+
+
 def rand_poly(rng, arity=3, deg=3, cmax=5):
     entries = {}
     for _ in range(rng.randrange(1, 7)):
@@ -234,6 +241,40 @@ class TestQSets:
         assert m is not None
         assert all(Q.contains(m, k * m, l * m, k * l * m)
                    for k in (1, 2) for l in (1, 2))
+
+    def test_q2_asks_the_store_once(self, ctx, monkeypatch):
+        Q = build_Q(ctx, 1500, 1000)
+        want = _least_full_modulus(Q, H._Q2_FAMILY)
+        calls = []
+        contains = ExplicitQSet.contains
+        monkeypatch.setattr(ExplicitQSet, "contains",
+                            lambda self, *args: (calls.append(args), contains(self, *args))[1])
+        assert check_Q2(Q, H._Q2_FAMILY) == want == 23
+        assert len(calls) == 1  # the scalar walk asks 57 single rows
+
+    @pytest.mark.parametrize("full", [[], [1], [64], [65], [100, 250], [193], [300]])
+    def test_q2_reads_past_the_first_runs_of_moduli(self, full):
+        # moduli 1..300 asked in runs of 64, 128 and 256: (2, 3) is planted
+        # only at the moduli in `full`
+        rows = [(m, m, m, m) for m in range(1, 301)] + [(m, 2 * m, 3 * m, 6 * m) for m in full]
+        assert check_Q2(ExplicitQSet(rows), [(1, 1), (2, 3)]) == min(full, default=None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli=st.lists(st.integers(-40, 400).filter(bool), min_size=1, max_size=200,
+                           unique=True),
+           full=st.sets(st.integers(0, 199), max_size=3), seed=st.integers(0, 99),
+           wide=st.booleans())
+    def test_q2_is_the_least_full_modulus(self, moduli, full, seed, wide):
+        # a store holding all of F at the moduli indexed by `full` and a part
+        # of F at the others, so the answer may lie past the first run of
+        # moduli; a `wide` F leaves int64 and is read one row at a time
+        F = [(1, 1), (-2, 3), (3, -1), (2, 2)] + ([(2**40, 2**30)] if wide else [])
+        rng = random.Random(seed)
+        rows = [(m, k * m, l * m, k * l * m) for i, m in enumerate(moduli)
+                for k, l in (F if i in full else rng.sample(F, rng.randrange(len(F))))
+                if abs(k * l * m) < 2**63]
+        Q = ExplicitQSet(rows)
+        assert check_Q2(Q, F) == _least_full_modulus(Q, F)
 
     def test_csv_roundtrip(self, ctx):
         Q = build_Q(ctx, 120, 30)
