@@ -9,7 +9,6 @@ from fractions import Fraction
 from gparith._fastlane import QuadSeqFast
 from gparith.exactnum import NumberField
 from gparith.genpoly import (
-    delta_shift,
     delta_sym,
     delta_sym_iter,
     lemma31_classify,
@@ -28,7 +27,7 @@ print("g(0..10) =", [g(n) for n in range(11)])
 print("lane     =", g.g_range(0, 10).tolist())
 
 print("\n-- discrete derivatives --")
-print("shift  g(6)-g(5)     =", delta_shift(g, 1, 5))
+print("shift  g(6)-g(5)     =", g(6) - g(5))
 print("sym    D g(7, 5)     =", delta_sym(g, 7, 5))
 print("iter   D^2 g(5,50,600) =", delta_sym_iter(g, [5, 50, 600]))
 

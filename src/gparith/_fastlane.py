@@ -95,7 +95,8 @@ class FastConst:
             approx = (lo + hi) / 2
             exact = value
         else:
-            approx = exact = Fraction(value)
+            lo = hi = approx = exact = Fraction(value)
+        self.abs_low = floor_exact(max(lo, -hi, 0) * (1 << 32))  # |const| >= abs_low/2^32
         self.f64 = float(approx)
         # |frac_signed(const) - A/2^64| <= 2^-65 + (enclosure width 2^-80)
         self._A = np.uint64(nint(frac_signed(approx) * (1 << 64)) & ((1 << 64) - 1))
@@ -265,14 +266,20 @@ class QuadSeqFast(SequenceHandle):
     def g_vec(self, n: np.ndarray) -> np.ndarray:
         """Exact g on an int64 vector, q = nint(alpha*n): beta*n*q for an
         integer beta, else nint(beta*x) on the products x = n*q through
-        beta's lane; ValueError when g or x leaves int64."""
+        beta's lane; ValueError when g or x leaves int64, before the alpha
+        lane runs where |alpha|*max|n| already shows it."""
         whole = isinstance(self.beta, int)
         factor = self.beta if whole else 1
         # numpy refuses an int beta outside int64 even where n or q is 0
         check_int64_product(factor)
+        if not len(n):
+            return np.zeros(0, dtype=np.int64)
+        top = max(-int(n.min()), int(n.max()))
+        # |nint(alpha*n)| grows with |n| and is at least |alpha|*top - 1/2 at
+        # |n| = top, so a block that must leave int64 is refused before the lane
+        check_int64_product(factor, top, max(0, (self.const.abs_low * top >> 32) - 1))
         q = self.const.nint_frac_vec(n)
-        if len(n):
-            check_int64_product(factor, np.abs(n).max(), np.abs(q).max())
+        check_int64_product(factor, top, np.abs(q).max())
         return self.beta * n * q if whole else self.beta_const.nint_frac_vec(n * q)
 
     def g_range(self, lo: int, hi: int) -> np.ndarray:

@@ -6,20 +6,15 @@ Formula terms are `genpoly` terms, parsed, printed and evaluated by
 `genpoly`; every variable of a formula is an integer, so a rounding
 function applied to a term is an integer too.
 
-`eval_formula` compiles a formula once into closures and runs them.  An
-innermost bounded quantifier whose body compares integer terms over +, -,
-*, nint, floor and named sequences, and tests relation atoms on such
-terms, under not/and/or/=>, is scanned as a certified lane: one numpy
-evaluation per `_fastlane.blocks` block, reading each sequence through its
-`g_vec` and each relation through its store's array `contains`, with
-exists stopping at the first block with a hit and forall at the first with
-a miss.  A nest of two quantifiers whose inner bounds do not read the
-outer variable is scanned as one grid: each pass covers as many outer
-values as fit a block beside the whole inner range.  The scans fall back
-to the exact closures, in the walk's order, for frac, norm or `ind` (the
-whole scan), and for a pass that the lane declines: an unbound name, a
-sequence without `g_vec`, a store without an array `contains` or a value
-past int64.
+`eval_formula` compiles a formula once into closures and runs them.  One
+certified lane plan scans nests of any depth: a quantifier whose body
+compares integer terms over +, -, *, nint, floor and named sequences,
+tests relation atoms on them and nests quantifiers whose bounds read no
+enclosing variable, under not/and/or/=>, runs in passes of at most BLOCK
+cells, each nested range an axis reduced by any/all.  A nested range
+wider than BLOCK // 2 leaves passes of one value, which are walked.  The
+walk, in order, also decides frac, norm or `ind` and each pass that the
+lane declines (see `_quantifier`).
 
 Every quantifier carries an explicit inclusive range; harness verdicts are
 tagged verified-in-range / refuted-in-range / cap-exhausted so that a
@@ -28,6 +23,7 @@ bounded "false" is never silently reported as a mathematical one.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -198,41 +194,39 @@ def _compile(phi: Formula, st: Structure) -> Callable[[dict], bool]:
 def _quantifier(phi: FExists | FForall, st: Structure) -> Callable[[dict], bool]:
     """The closure of a bounded quantifier.
 
-    An innermost quantifier whose body is comparisons and relation atoms
-    of lane terms (see `genpoly.compile_lane`) under not/and/or/=> scans
-    an int64 range one `_fastlane.blocks` block at a time.  A quantifier
-    whose body is such a quantifier, with bounds that do not read the
-    outer variable, scans passes of R = BLOCK // (inner length) >= 2 outer
-    values by the whole inner range as one flat grid, each row reduced by
-    the inner any/all (see `_grid`); otherwise it calls its body once per
-    value.  A pass whose lane raises NoLane (an unbound name, a sequence
-    without `g_vec`, a store without an array `contains`, a value past
-    int64) is decided by the exact closures, value by value and in order.
-    Lane values are exact and every name a walk reads is read before any
-    body, so the verdict, and any error, is the walk's."""
+    One lane plan serves nests of any depth: a lane body (see `_lane_body`)
+    of c cells per value is scanned in passes of BLOCK // c values, exists
+    stopping at the first pass with a hit and forall at the first with a
+    miss.  A nested range wider than BLOCK // 2 leaves passes of fewer than
+    two values.  Those, a body outside the lane and a pass whose lane raises
+    NoLane (an unbound name, an error in a nested bound, a sequence without
+    `g_vec`, a store without an array `contains`, a value past int64) are
+    walked: decided by the exact closures value by value, in order, where a
+    nested quantifier runs its own lane.  Lane values are exact and every
+    name a walk reads is read before any body, so the verdict, and any
+    error, is the walk's."""
     seqs = st.sequences
     lo, hi = compile_term(phi.lo), compile_term(phi.hi)
     body = _compile(phi.body, st)
     var, want = phi.var, isinstance(phi, FExists)
     lane = _lane_body(phi.body, (var,), st)
-    grid = None if lane is not None else _grid(phi, st)
 
     def quantifier(env: dict) -> bool:
         a, b = lo(env, seqs), hi(env, seqs)
-        _check_range(a, b)
+        if b - a + 1 > MAX_RANGE:
+            raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
         inner = dict(env)
-        scan = None
-        if -INT64_MAX <= a <= b < INT64_MAX:
-            if lane is not None:
-                scan = BLOCK, lambda xs: lane({var: xs}, inner, seqs)
-            elif grid is not None:
-                scan = grid(inner)
-        if scan is None:
+        size = 0
+        if lane is not None and -INT64_MAX <= a <= b < INT64_MAX:
+            try:
+                size = BLOCK // max(lane[1](inner, seqs), 1)
+            except NoLane:
+                pass
+        if size < 2:
             return _scan(range(a, b + 1), inner, var, body, want)
-        size, holds_at = scan
         for xs in blocks(a, b + 1, size):
             try:
-                holds = holds_at(xs)
+                holds = lane[0]({var: xs}, inner, seqs)
             except NoLane:
                 if _scan(xs.tolist(), inner, var, body, want) == want:
                     return want
@@ -254,51 +248,6 @@ def relation_atoms(phi: Formula) -> Iterator[FRel]:
         yield from relation_atoms(phi.rhs)
 
 
-def _check_range(a: int, b: int) -> None:
-    if b - a + 1 > MAX_RANGE:
-        raise RangeOverflow(f"range [{a}, {b}] exceeds MAX_RANGE")
-
-
-def _grid(phi: FExists | FForall, st: Structure):
-    """For a nest `Q x: Q' y in [c, d]: body` whose c, d do not read x, the
-    function env -> (R, holds_at) or None; else None.
-
-    It evaluates c and d (which the walk reads at the first x, before any
-    body).  holds_at(xs) is the truth of Q' y at each of at most R outer
-    values xs, from one lane call on the grid xs by [c, d], R = BLOCK //
-    (d - c + 1); the function gives None, for the scan value by value, when
-    R < 2, a grid value would leave int64 or the body is not a lane body in
-    x and y.  The lane body is compiled once, on the first pass with R >= 2."""
-    nest = phi.body
-    if not isinstance(nest, (FExists, FForall)) \
-            or phi.var in term_vars(nest.lo) | term_vars(nest.hi):
-        return None
-    seqs, some = st.sequences, isinstance(nest, FExists)
-    lo, hi = compile_term(nest.lo), compile_term(nest.hi)
-    compiled = []  # [the lane body, or None], once a pass has R >= 2
-
-    def grid(env: dict):
-        c, d = lo(env, seqs), hi(env, seqs)
-        _check_range(c, d)
-        width = d - c + 1
-        if not 1 <= width <= BLOCK // 2 or c < -INT64_MAX or d >= INT64_MAX:
-            return None
-        if not compiled:
-            compiled.append(_lane_body(nest.body, (phi.var, nest.var), st))
-        lane = compiled[0]
-        if lane is None:
-            return None
-        ys = np.arange(c, d + 1, dtype=np.int64)
-
-        def holds_at(xs):
-            cells = lane({phi.var: xs.repeat(width), nest.var: np.tile(ys, len(xs))},
-                         env, seqs)
-            rows = np.broadcast_to(cells, (len(xs) * width,)).reshape(len(xs), width)
-            return rows.any(axis=1) if some else rows.all(axis=1)
-        return BLOCK // width, holds_at
-    return grid
-
-
 def _scan(values, env: dict, var: str, body, want: bool) -> bool:
     """Exact scan: `want` at the first value whose body is `want`."""
     for v in values:
@@ -308,15 +257,25 @@ def _scan(values, env: dict, var: str, body, want: bool) -> bool:
     return not want
 
 
+_MASK = {FAnd: operator.and_, FOr: operator.or_, FImplies: lambda a, b: ~a | b}
+
+
 def _lane_body(phi: Formula, lanes: tuple[str, ...], st: Structure):
-    """Mask runner (xs, env, sequences) -> bool array of a quantifier-free
-    body of lane comparisons and relation atoms, or None."""
+    """(mask, cells) for a body of lane comparisons, relation atoms and
+    bounded quantifiers whose bounds read no variable of `lanes`, under
+    not/and/or/=>; None for any other body.
+
+    mask(xs, env, sequences) is the bool array of the body at the entries
+    of the lane arrays `xs`, and cells(env, sequences) the lane cells it
+    evaluates per entry: 1 for an atom, the larger side's for a connective
+    and the range's width times its body's for a quantifier."""
+    one = lambda env, s: 1
     if isinstance(phi, FCmp):
         lhs, rhs = compile_lane(phi.lhs, lanes), compile_lane(phi.rhs, lanes)
         if lhs is None or rhs is None:
             return None
         op = _CMP[phi.op]
-        return lambda xs, env, s: np.asarray(op(lhs(xs, env, s), rhs(xs, env, s)))
+        return lambda xs, env, s: np.asarray(op(lhs(xs, env, s), rhs(xs, env, s))), one
     if isinstance(phi, FRel):
         args = [compile_lane(a, lanes) for a in phi.args]
         if None in args:
@@ -328,20 +287,56 @@ def _lane_body(phi: Formula, lanes: tuple[str, ...], st: Structure):
             if not getattr(store, "array_contains", False):
                 raise NoLane
             return np.asarray(store.contains(*[a(xs, env, s) for a in args]))
-        return rel
+        return rel, one
     if isinstance(phi, FNot):
         body = _lane_body(phi.body, lanes, st)
-        return None if body is None else lambda xs, env, s: ~body(xs, env, s)
-    if isinstance(phi, (FAnd, FOr, FImplies)):
-        lhs, rhs = _lane_body(phi.lhs, lanes, st), _lane_body(phi.rhs, lanes, st)
-        if lhs is None or rhs is None:
+        return body and (lambda xs, env, s: ~body[0](xs, env, s), body[1])
+    if type(phi) in _MASK:
+        sides = _lane_body(phi.lhs, lanes, st), _lane_body(phi.rhs, lanes, st)
+        if None in sides:
             return None
-        if isinstance(phi, FAnd):
-            return lambda xs, env, s: lhs(xs, env, s) & rhs(xs, env, s)
-        if isinstance(phi, FOr):
-            return lambda xs, env, s: lhs(xs, env, s) | rhs(xs, env, s)
-        return lambda xs, env, s: ~lhs(xs, env, s) | rhs(xs, env, s)
+        op, ((lm, lc), (rm, rc)) = _MASK[type(phi)], sides
+        return (lambda xs, env, s: op(lm(xs, env, s), rm(xs, env, s)),
+                lambda env, s: max(lc(env, s), rc(env, s)))
+    if isinstance(phi, (FExists, FForall)):
+        return _lane_quantifier(phi, lanes, st)
     return None
+
+
+def _lane_quantifier(phi: FExists | FForall, lanes: tuple[str, ...], st: Structure):
+    """The (mask, cells) of a bounded quantifier in a lane body: each lane
+    array repeated `width` times beside its variable tiled over its range,
+    each row reduced by any/all.  The bounds are read from `env`; an error
+    there, or a bound past int64, raises NoLane, so that the walk raises it
+    where it reads them."""
+    if (term_vars(phi.lo) | term_vars(phi.hi)).intersection(lanes):
+        return None
+    body = _lane_body(phi.body, lanes + (phi.var,), st)
+    if body is None:
+        return None
+    (mask, inner), var, some = body, phi.var, isinstance(phi, FExists)
+    lo, hi = compile_term(phi.lo), compile_term(phi.hi)
+
+    def bounds(env, s) -> tuple[int, int]:
+        try:
+            c, d = lo(env, s), hi(env, s)
+        except UnboundVariable:
+            raise NoLane from None
+        if d - c + 1 > MAX_RANGE or c < -INT64_MAX or d >= INT64_MAX:
+            raise NoLane
+        return c, max(d - c + 1, 0)
+
+    def run(xs, env, s):
+        c, w = bounds(env, s)
+        if w == 0:
+            return np.asarray(not some)
+        n = len(next(iter(xs.values())))
+        grid = {k: v.repeat(w) for k, v in xs.items()}
+        grid[var] = np.tile(np.arange(c, c + w, dtype=np.int64), n)
+        rows = np.broadcast_to(mask(grid, env, s), (n * w,)).reshape(n, w)
+        return rows.any(axis=1) if some else rows.all(axis=1)
+    # the lane arrays are repeated even where an empty range in the body leaves no cells
+    return run, lambda env, s: bounds(env, s)[1] * max(inner(env, s), 1)
 
 
 # ---------------------------------------------------------------------------

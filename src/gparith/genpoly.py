@@ -575,11 +575,6 @@ class SequenceHandle:
 IntSeq = Callable[[int], int]
 
 
-def delta_shift(f: IntSeq, m: int, n: int) -> int:
-    """f(n+m) - f(n)."""
-    return f(n + m) - f(n)
-
-
 def delta_sym(f: IntSeq, m: int, n: int) -> int:
     """f(n+m) - f(n) - f(m) + f(0)."""
     return f(n + m) - f(n) - f(m) + f(0)

@@ -483,3 +483,20 @@ def test_scalar_window_test_inside_a_wide_enclosure():
                 ends = (enclosure(lo), enclosure(hi))
                 assert lane.within_scalar(k, lo, hi, ends) == \
                     (sign(f - lo) > 0 and sign(hi - f) > 0)
+
+
+@pytest.mark.parametrize("beta, sign", [(1, 1), (1, -1), (Fraction(1, 3), 1)])
+def test_a_block_past_int64_is_refused_before_the_lane(alpha, beta, sign):
+    # from n = 2^52, n*nint(alpha*n) is past 2^104: the block is refused on
+    # the bound |nint(alpha*n)| >= |alpha|*|n| - 1/2, with no exact decision
+    fast = QuadSeqFast(alpha, beta)
+    ns = sign * np.arange(1 << 52, (1 << 52) + 2000, dtype=np.int64)
+
+    def exact(*args):
+        raise AssertionError("exact work")
+
+    fast.const.exact_nint = fast.const.exact_frac = exact
+    with mock.patch.object(AlgebraicReal, "nint", side_effect=exact), \
+            mock.patch.object(AlgebraicReal, "scaled_enclosure", side_effect=exact), \
+            pytest.raises(ValueError):
+        fast.g_vec(ns)

@@ -1,5 +1,6 @@
 import operator
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,13 @@ class TestEvaluator:
         with pytest.raises(RangeOverflow):
             eval_formula(phi, {}, Structure({"r": Recorder()}))
         assert calls == list(range(1, 2001))  # y = 1 only
+
+    def test_range_overflow_of_a_nested_range_within_a_pass(self, monkeypatch):
+        # 200 cells per x fit a pass, but the walk raises at x = 2
+        monkeypatch.setattr(focheck, "MAX_RANGE", 100)
+        phi = parse_formula("forall x in [1, 2]: x < 2 or (exists y in [1, 200]: y = x)")
+        with pytest.raises(RangeOverflow):
+            eval_formula(phi, {}, Structure())
 
     def test_implication_and_not(self):
         phi = parse_formula("forall x in [1,9]: (x > 5) => x + 1 > 6")
@@ -494,7 +502,7 @@ def ref_formula(phi, env, seqs, rels):
                for v in range(lo, hi + 1)) == want
 
 
-NAMES = ("x", "y")
+NAMES = ("x", "y", "z")
 small_lit = st.integers(-4, 4).map(IntLit)
 name = st.sampled_from(NAMES).map(Var)
 # affine and nonlinear arguments of g, gb and a rounding function (which
@@ -547,17 +555,31 @@ lane_atoms = st.one_of(
     st.lists(lane_terms, min_size=4, max_size=4).map(lambda args: FRel("Q", tuple(args))))
 
 
-def nest(outer):
-    # inner bounds that do not read the outer variable: a grid scan
-    other = st.just(Var(NAMES[1 - NAMES.index(outer)]))
+def nest(order):
+    # each quantifier's bounds read a name that no enclosing quantifier
+    # binds, so the outer lane takes the inner quantifiers as nodes
     body = st.one_of(matrices, st.recursive(lane_atoms, connectives, max_leaves=3))
-    return quantified(quantified(body, read=other), var=st.just(outer))
+    for i in reversed(range(len(order))):
+        free = st.sampled_from([n for n in NAMES if n not in order[:i]]).map(Var)
+        body = quantified(body, var=st.just(order[i]), read=free)
+    return body
+
+
+def under_connectives(outer):
+    # quantifiers beside atoms under not/and/or/=>, with bounds free of outer
+    inner = st.sampled_from([n for n in NAMES if n != outer])
+    node = quantified(st.one_of(matrices, st.recursive(lane_atoms, connectives, max_leaves=2)),
+                      var=inner, read=inner.map(Var))
+    body = st.recursive(st.one_of(lane_atoms, node, node), connectives, max_leaves=3)
+    return quantified(body, var=st.just(outer))
 
 
 matrices = st.recursive(atoms, connectives, max_leaves=3)
 formulas = st.one_of(
     quantified(st.one_of(matrices, quantified(matrices))),
-    st.sampled_from(NAMES).flatmap(nest),
+    st.sampled_from([nest(order[:depth]) for order in permutations(NAMES)
+                     for depth in (2, 3)]).flatmap(lambda nests: nests),
+    st.sampled_from([under_connectives(outer) for outer in NAMES]).flatmap(lambda body: body),
     st.recursive(atoms, lambda sub: st.one_of(connectives(sub), quantified(sub)),
                  max_leaves=4))
 # every name bound in about half of the draws
@@ -601,6 +623,20 @@ def _outcome(run):
 @example(phi=parse_formula("forall x in [-2, 2]: 4611686018427387904 + 4611686018427387904 - x"
                            " > g(x*x) or gb(3*x + 1) = 1"),
          valuation={}, plain_g=False)
+# a nested quantifier whose bounds read an unbound name: under an `and`
+# whose left side is false the walk never reads them, under an `or` it does
+@example(phi=parse_formula("exists x in [1, 3]: x > 5 and (exists y in [w, w + 2]: g(y) = x)"),
+         valuation={}, plain_g=False)
+@example(phi=parse_formula("exists x in [1, 3]: x > 5 or (exists y in [w, w + 2]: g(y) = x)"),
+         valuation={}, plain_g=False)
+# a nested range past MAX_RANGE under a connective: x = 1 never reads it,
+# x = 2 raises
+@example(phi=parse_formula("forall x in [1, 2]: x < 2 or (exists y in [-3999999, 2]: y = x)"),
+         valuation={}, plain_g=False)
+# nested bounds that read the outer variable, which the valuation binds too:
+# they must read each outer value, so the nested quantifier is no lane node
+@example(phi=parse_formula("exists x in [1, 3]: exists y in [x, x]: y = 2"),
+         valuation={"x": 0}, plain_g=False)
 def test_compiled_evaluator_matches_a_walk(alpha, sqrt2, phi, valuation, plain_g):
     g = QuadSeqFast(alpha, 1)
     seqs = {"g": (lambda n: g(n)) if plain_g else g,
@@ -633,20 +669,44 @@ def test_psi_scan_reads_g_through_its_lane(alpha, monkeypatch):
     assert 0 < len(misses) <= 30
 
 
-def test_a_grid_body_compiles_once_and_only_for_a_grid_pass(alpha, monkeypatch):
+def test_a_nested_lane_body_compiles_once(alpha, monkeypatch):
     calls = []
     lane_body = focheck._lane_body
     monkeypatch.setattr(focheck, "_lane_body", lambda phi, lanes, st: (
         calls.append((phi, lanes)), lane_body(phi, lanes, st))[1])
     st_ = Structure({"g": QuadSeqFast(alpha, 1)})
-    # the inner range of 9,991 values leaves R = 1: no grid pass
-    eval_formula(parse_formula(BENCH_PSI), {"m": 5}, st_)
-    assert [lanes for _, lanes in calls if len(lanes) == 2] == []
-    # two grid passes, of 163 and 137 values of k
+    # the inner range of 9,991 values leaves passes of one n: 30 rows walked
+    psi = parse_formula(BENCH_PSI)
+    eval_formula(psi, {"m": 5}, st_)
+    assert [lanes for body, lanes in calls if body is psi.body.body] == [("n2",), ("n", "n2")]
+    # two passes, of 163 and 137 values of k
     phi = parse_formula("forall k in [1, 300]: exists l in [1, 100]: g(k) + l > g(k)")
     assert eval_formula(phi, {}, st_) is True
-    assert [lanes for body, lanes in calls
-            if body is phi.body.body and len(lanes) == 2] == [("k", "l")]
+    assert [lanes for body, lanes in calls if body is phi.body.body] == [("l",), ("k", "l")]
+
+
+# lambda from mu (Section 4): two quantified sides of an `and`, against the
+# same relation under one forall
+LAMBDA_ONE = "exists n in [1, 20000]: forall k in [1, 6]: gb(n+k) = gb(k) and gb(n+m+k) = gb(k)"
+LAMBDA_TWO = ("exists n in [1, 20000]: (forall k in [1, 6]: gb(n+k) = gb(k)) and "
+              "(forall k in [1, 6]: gb(n+m+k) = gb(k))")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_quantifiers_under_a_connective_scan_on_the_lane(sqrt2, m, monkeypatch):
+    scalar, vector = [], []
+    g_vec = BohrFast.g_vec
+    monkeypatch.setattr(BohrFast, "g_scalar", lambda self, n: scalar.append(n))
+    monkeypatch.setattr(BohrFast, "g_vec", lambda self, ns: (vector.append(len(ns)),
+                                                             g_vec(self, ns))[1])
+    st_ = Structure({"gb": BohrFast(sqrt2, Fraction(1, 5))})
+    one = eval_formula(parse_formula(LAMBDA_ONE), {"m": m}, st_)
+    first = len(vector)
+    assert eval_formula(parse_formula(LAMBDA_TWO), {"m": m}, st_) is one
+    assert scalar == []
+    # both texts read four gb terms per pass of 2,730 values of n by 6 of k,
+    # in 8 passes; a walk of the second asks g_vec twice per n
+    assert first == len(vector) - first <= 4 * 8
 
 
 def test_rounding_atoms_scan_through_the_lane(alpha, monkeypatch):

@@ -28,7 +28,6 @@ from gparith.genpoly import (
     Var,
     compile_lane,
     compile_term,
-    delta_shift,
     delta_sym,
     delta_sym_iter,
     expr_sort,
@@ -337,16 +336,6 @@ def delta_sym_iter_subsets(f: IntSeq, args: list[int]) -> int:
 
 
 class TestDiscreteCalculus:
-    def test_shift_linear(self, alpha):
-        f = _seq("n")
-        assert delta_shift(f, 7, 3) == 7
-        assert delta_shift(f, 0, 12) == 0
-
-    def test_shift_on_g(self, alpha):
-        g = QuadSeqFast(alpha, 1)
-        # g(6) - g(5) = 48 - 30 (50-digit oracle; nint(6 cbrt2) = 8)
-        assert delta_shift(g, 1, 5) == 18
-
     def test_sym_kills_linear(self):
         f = _seq("7*n-4")
         for m in range(0, 6):

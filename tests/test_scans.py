@@ -334,10 +334,11 @@ def test_psi_table_matches_the_formula(ctx):
         assert set(got) == {False, True}, N
 
 
-class TestPsiTableResidueFilter:
+class TestPsiTableWideValues:
     """psi against the Python-int form of _mu_table (G as an object array),
-    on values that a residue read mod 2**16 (or in int32) would wrap: the
-    int64 read must not take such a collision for a witness."""
+    on g values far past int32: the table reads them in int64, and a second
+    difference that matches its target only modulo 2**16 or 2**32 must not
+    pass for a witness."""
 
     C, N_max, m_max = 2, 3, 3
 
@@ -363,7 +364,7 @@ class TestPsiTableResidueFilter:
         mu, late = _mu_table(G.astype(object), self.C, self.N_max, self.m_max)
         return np.logical_and.accumulate(mu, axis=0), mu, late
 
-    def test_wide_values_wrap_the_residue_filter(self):
+    def test_wide_values_give_the_exact_table(self):
         G = self.wide_G(1)
         # true witnesses in the first window, in a later window and at the
         # last n2 of the cap, and one just past the cap that does not count.
@@ -380,7 +381,7 @@ class TestPsiTableResidueFilter:
         assert not psi[:, 3].any()
         assert np.array_equal(self.psi(G), psi)
 
-    def test_a_residue_hit_is_rechecked(self):
+    def test_a_match_modulo_a_power_of_two_is_no_witness(self):
         # d2 = target + excess at n2 = p: every excess is 0 mod 2**16, so a
         # residue read would pass it; 2**16 and -3*2**16 would not pass int32
         for seed, excess in enumerate((2**32, 2**16, -3 * 2**16), start=2):
